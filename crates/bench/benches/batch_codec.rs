@@ -170,7 +170,7 @@ fn bench_drain_decode(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(batch.arena.len() as u64));
         g.bench_function("decode_batch", |b| {
             b.iter(|| {
-                // The worker's exact prologue: clear the reused request
+                // The reactor's exact prologue: clear the reused request
                 // vec, then decode every frame off one shared buffer.
                 requests.clear();
                 decode_batch(&batch, &mut requests);

@@ -16,6 +16,7 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{names, Counter, Registry};
@@ -90,6 +91,13 @@ impl FaultConfig {
     /// The identity configuration: no faults.
     pub fn none() -> Self {
         FaultConfig::default()
+    }
+
+    /// Whether neither direction injects anything (the seed is then
+    /// never drawn from). A socket with such a configuration is a plain
+    /// UDP socket, which is what lets it batch its syscalls.
+    pub fn is_none(&self) -> bool {
+        self.send.is_none() && self.recv.is_none()
     }
 }
 
@@ -444,6 +452,53 @@ impl FaultySocket {
     pub fn recv(&self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.recv_from(buf).map(|(n, _)| n)
     }
+
+    /// Hand every ready datagram (up to `max`) to `sink` and return how
+    /// many there were: receive until `WouldBlock`, so the socket must be
+    /// nonblocking. With no faults configured, on Linux, the backlog
+    /// comes off in `recvmmsg` batches, one datagram per
+    /// [`MAX_DATAGRAM`](tank_proto::MAX_DATAGRAM) slot of `scratch`;
+    /// otherwise one [`Self::recv_from`] per datagram, so every
+    /// receive-side fault still applies.
+    pub fn recv_ready(
+        &self,
+        scratch: &mut [u8],
+        max: usize,
+        mut sink: impl FnMut(&[u8], SocketAddr),
+    ) -> usize {
+        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+        if self.cfg.is_none() && scratch.len() >= tank_proto::MAX_DATAGRAM {
+            return crate::mmsg::recv_ready(&self.sock, scratch, max, sink);
+        }
+        let mut got = 0;
+        while got < max {
+            match self.recv_from(scratch) {
+                Ok((n, peer)) => {
+                    sink(&scratch[..n], peer);
+                    got += 1;
+                }
+                // WouldBlock = backlog empty; any transient error ends
+                // the drain the same way and the next wakeup retries.
+                Err(_) => break,
+            }
+        }
+        got
+    }
+
+    /// Send every `(peer, datagram)` in order. A failed send loses that
+    /// one datagram — the peer's loss, as anywhere on UDP — and the rest
+    /// still go. With no faults configured, on Linux, they leave in
+    /// `sendmmsg` batches; otherwise one [`Self::send_to`] each, so every
+    /// send-side fault still applies.
+    pub fn send_all(&self, msgs: &[(SocketAddr, Bytes)]) {
+        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+        if self.cfg.is_none() {
+            return crate::mmsg::send_all(&self.sock, msgs);
+        }
+        for (peer, bytes) in msgs {
+            let _ = self.send_to(bytes, *peer);
+        }
+    }
 }
 
 #[cfg(unix)]
@@ -620,5 +675,78 @@ mod tests {
             pattern
         };
         assert_eq!(decide(9), decide(9));
+    }
+
+    /// What `rx` holds once the senders are done, in arrival order.
+    fn received(rx: &FaultySocket) -> Vec<Vec<u8>> {
+        rx.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut buf = vec![0u8; 2048];
+        let mut got = Vec::new();
+        while let Ok(n) = rx.recv(&mut buf) {
+            got.push(buf[..n].to_vec());
+        }
+        got
+    }
+
+    /// `n` numbered datagrams for `to`.
+    fn numbered(n: u8, to: SocketAddr) -> Vec<(SocketAddr, Bytes)> {
+        (0..n)
+            .map(|i| (to, Bytes::copy_from_slice(&[i; 9])))
+            .collect()
+    }
+
+    #[test]
+    fn send_all_delivers_an_outbox_longer_than_one_vector_in_order() {
+        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
+        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
+        tx.set_nonblocking(true).unwrap();
+        let msgs = numbered(75, rx.local_addr().unwrap());
+        tx.send_all(&msgs);
+        let want: Vec<Vec<u8>> = msgs.iter().map(|(_, b)| b.to_vec()).collect();
+        assert_eq!(received(&rx), want);
+    }
+
+    #[test]
+    fn send_all_drops_a_refused_datagram_and_sends_the_rest() {
+        // An IPv4 socket cannot send to an IPv6 address: the kernel
+        // refuses those datagrams, wherever they sit in the outbox, and
+        // everything around them still goes out.
+        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
+        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
+        tx.set_nonblocking(true).unwrap();
+        let bad: SocketAddr = "[::1]:9".parse().unwrap();
+        let mut msgs = numbered(40, rx.local_addr().unwrap());
+        for at in [0, 1, 17, 32, 39] {
+            msgs[at].0 = bad;
+        }
+        tx.send_all(&msgs);
+        let want: Vec<Vec<u8>> = msgs
+            .iter()
+            .filter(|(to, _)| *to != bad)
+            .map(|(_, b)| b.to_vec())
+            .collect();
+        assert_eq!(received(&rx), want);
+    }
+
+    #[test]
+    fn send_all_goes_through_the_send_faults() {
+        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
+        let drop_all = FaultConfig {
+            seed: 11,
+            send: DirFaults::dropping(1.0),
+            ..FaultConfig::none()
+        };
+        let tx = FaultySocket::bind("127.0.0.1:0", drop_all).unwrap();
+        tx.send_all(&numbered(40, rx.local_addr().unwrap()));
+        assert!(received(&rx).is_empty(), "every datagram dropped");
+        let dup_all = FaultConfig {
+            seed: 12,
+            send: DirFaults::duplicating(1.0),
+            ..FaultConfig::none()
+        };
+        let tx = FaultySocket::bind("127.0.0.1:0", dup_all).unwrap();
+        tx.send_all(&numbered(40, rx.local_addr().unwrap()));
+        assert_eq!(received(&rx).len(), 80, "every datagram doubled");
     }
 }

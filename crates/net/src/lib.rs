@@ -8,10 +8,11 @@
 //! and a virtual network:
 //!
 //! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
-//!   (`tankd` is its binary form), event-driven: a readiness reactor
-//!   ([`poll`] + [`reactor`]) batch-drains every ready datagram per
-//!   wakeup and feeds a fixed worker pool, with all protocol timers
-//!   multiplexed into the poll timeout (DESIGN.md §15). No SAN exists
+//!   (`tankd` is its binary form), event-driven and single-threaded: a
+//!   readiness reactor ([`poll`] + [`reactor`]) batch-drains every
+//!   ready datagram per wakeup, executes the batch to completion against
+//!   state it owns and flushes the replies together, with all protocol
+//!   timers multiplexed into the poll timeout (DESIGN.md §15). No SAN exists
 //!   here, so the data path is metadata + locks only and fencing is
 //!   recorded rather than enforced; everything lease-related is the real
 //!   protocol: opportunistic renewal, NACKs for suspect clients,
@@ -36,6 +37,8 @@
 
 pub mod client;
 pub mod fault;
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod mmsg;
 pub mod poll;
 pub mod reactor;
 pub mod server;

@@ -129,6 +129,12 @@ impl Sleeper {
         let us = 50u64.saturating_mul(1 << self.idle_streak.min(6).saturating_sub(1));
         Duration::from_micros(us)
     }
+
+    /// The nap before the next wakeup: the backoff, never past the
+    /// caller's timeout.
+    fn nap(&self, timeout: Duration) -> Duration {
+        self.backoff().min(timeout)
+    }
 }
 
 enum Backend {
@@ -260,7 +266,7 @@ impl Poller {
                 }
             }
             Backend::Sleep(s) => {
-                let nap = s.backoff().min(timeout);
+                let nap = s.nap(timeout);
                 if !nap.is_zero() {
                     std::thread::sleep(nap);
                 }
@@ -313,15 +319,29 @@ mod tests {
     fn sleeper_reports_registered_tokens_and_backs_off_when_idle() {
         let mut poller = Poller::sleeper();
         poller.register_token(7);
-        let ready = poller.wait(Duration::from_millis(5)).expect("wait");
+        let timeout = Duration::from_millis(1);
+        let ready = poller.wait(timeout).expect("wait");
         assert_eq!(ready, &[7], "sleeper always offers the tokens");
+        // The computed nap, not the wall clock: a loaded box stretches any
+        // sleep, but never the span the sleeper asked for.
+        let nap = |p: &Poller| match &p.backend {
+            Backend::Sleep(s) => s.nap(timeout),
+            #[cfg(target_os = "linux")]
+            Backend::Epoll(_) => unreachable!("built with Poller::sleeper"),
+        };
+        assert_eq!(nap(&poller), Duration::ZERO, "busy-polls until idle");
         // Idle streaks grow the nap but never past the caller's timeout.
+        let mut naps = Vec::new();
         for _ in 0..10 {
             poller.note_progress(false);
-            let t0 = std::time::Instant::now();
-            let _ = poller.wait(Duration::from_millis(10)).expect("wait");
-            assert!(t0.elapsed() <= Duration::from_millis(50));
+            naps.push(nap(&poller));
+            assert_eq!(poller.wait(timeout).expect("wait"), &[7]);
         }
+        assert_eq!(naps[0], Duration::from_micros(50));
+        assert!(naps.windows(2).all(|w| w[0] <= w[1]), "grows: {naps:?}");
+        assert_eq!(naps[9], timeout, "capped at the timeout: {naps:?}");
+        // Traffic collapses it back to a busy-poll.
         poller.note_progress(true);
+        assert_eq!(nap(&poller), Duration::ZERO);
     }
 }

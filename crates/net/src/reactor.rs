@@ -1,27 +1,24 @@
 //! Building blocks of the event-driven server: a deadline heap that
-//! multiplexes every timer into the poll timeout, a batch-drain of ready
-//! datagrams with reusable scratch, and a fixed worker pool.
+//! multiplexes every timer into the poll timeout, and a batch-drain of
+//! ready datagrams with reusable scratch.
 //!
-//! The server composes them as one readiness loop (DESIGN.md §15): the
-//! reactor thread waits on the socket with `timeout = next timer
-//! deadline`, drains *every* ready datagram into an arena per wakeup,
-//! and hands the batch to a worker; workers decode off the shared lock,
-//! execute against the protocol state under it, and reply outside it
-//! again. Timers — push retries, release waits, lease expiries, steal
-//! grace, recovery — fire on the reactor thread between wakeups, so no
-//! path ever sleeps per event.
+//! The server composes them as one run-to-completion loop (DESIGN.md
+//! §15): the reactor thread waits on the socket with `timeout = next
+//! timer deadline`, drains *every* ready datagram into an arena per
+//! wakeup, decodes and executes the batch against the protocol state it
+//! owns, and flushes all the replies at once. Timers — push retries,
+//! release waits, lease expiries, steal grace, recovery — fire on the
+//! same thread between wakeups, so no path ever sleeps per event and no
+//! state is shared.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tank_proto::{CtlMsg, NetMsg, Request, WireDecode, MAX_DATAGRAM};
 
 use crate::fault::FaultySocket;
-use crate::locked;
 
 // ------------------------------------------------------------- timers
 
@@ -158,9 +155,11 @@ impl WakeupBatch {
 
 /// Drain every ready datagram (up to `max_frames`) from `sock` into
 /// `batch`: recv until `WouldBlock`, the contract that makes one wakeup
-/// observe the entire backlog. `scratch` is the fixed per-datagram
-/// receive buffer (≥ [`MAX_DATAGRAM`]), reused across calls. Returns the
-/// number of datagrams drained.
+/// observe the entire backlog. `scratch` is the fixed receive buffer from
+/// [`recv_scratch`], reused across calls; where the socket can batch its
+/// receives ([`FaultySocket::recv_ready`]) each of its [`MAX_DATAGRAM`]
+/// slots takes one datagram per syscall. Returns the number of datagrams
+/// drained.
 pub fn drain_ready(
     sock: &FaultySocket,
     scratch: &mut [u8],
@@ -168,19 +167,10 @@ pub fn drain_ready(
     max_frames: usize,
 ) -> usize {
     batch.clear();
-    while batch.frames.len() < max_frames {
-        match sock.recv_from(scratch) {
-            Ok((n, peer)) => {
-                let off = batch.arena.len();
-                batch.arena.extend_from_slice(&scratch[..n]);
-                batch.frames.push((off, n, peer));
-            }
-            // WouldBlock = backlog empty; any transient error ends the
-            // drain the same way and the next wakeup retries.
-            Err(_) => break,
-        }
-    }
-    batch.frames.len()
+    sock.recv_ready(scratch, max_frames, |bytes, peer| {
+        batch.frames.push((batch.arena.len(), bytes.len(), peer));
+        batch.arena.extend_from_slice(bytes);
+    })
 }
 
 /// Decode a drained batch into requests, appending `(peer, request)` to
@@ -199,128 +189,24 @@ pub fn decode_batch(batch: &WakeupBatch, out: &mut Vec<(SocketAddr, Request)>) {
     }
 }
 
-/// The fixed per-datagram receive buffer for [`drain_ready`].
+/// [`MAX_DATAGRAM`] slots in [`recv_scratch`]: one `recvmmsg` vector
+/// where receives are batched, a single slot elsewhere.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+const RECV_SLOTS: usize = crate::mmsg::VLEN;
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+const RECV_SLOTS: usize = 1;
+
+/// The fixed receive buffer for [`drain_ready`]. Zeroed pages the kernel
+/// never writes stay unmapped, so small datagrams keep it cheap.
 pub fn recv_scratch() -> Vec<u8> {
-    vec![0u8; MAX_DATAGRAM]
+    vec![0u8; RECV_SLOTS * MAX_DATAGRAM]
 }
-
-// -------------------------------------------------------------- pool
-
-struct PoolShared {
-    queue: Mutex<VecDeque<WakeupBatch>>,
-    cv: Condvar,
-    stop: AtomicBool,
-    /// Spent batches returned for arena reuse.
-    spares: Mutex<Vec<WakeupBatch>>,
-}
-
-/// How many spent batches the pool keeps for reuse. Beyond this the
-/// allocator takes them back; under steady load the free list never
-/// empties, so the drain path stops allocating after warm-up.
-const MAX_SPARES: usize = 32;
-
-/// A fixed pool of worker threads consuming [`WakeupBatch`]es. Each
-/// worker runs its own handler instance (built by the factory passed to
-/// [`spawn`](Self::spawn)) so handlers can keep per-thread scratch
-/// without locking.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Start `workers` threads. `factory` is called once per worker to
-    /// build its handler (it receives the pool's recycler so the handler
-    /// can return spent batches); the handler is invoked once per batch.
-    pub fn spawn<F, H>(workers: usize, factory: F) -> WorkerPool
-    where
-        F: Fn(PoolRecycler) -> H,
-        H: FnMut(WakeupBatch) + Send + 'static,
-    {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            spares: Mutex::new(Vec::new()),
-        });
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let sh = shared.clone();
-            let mut handler = factory(PoolRecycler(shared.clone()));
-            handles.push(std::thread::spawn(move || loop {
-                let mut q = locked(&sh.queue);
-                let batch = loop {
-                    if let Some(b) = q.pop_front() {
-                        break b;
-                    }
-                    if sh.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    q = sh
-                        .cv
-                        .wait(q)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                };
-                drop(q);
-                handler(batch);
-            }));
-        }
-        WorkerPool { shared, handles }
-    }
-
-    /// Queue a batch for the next free worker; returns the queue depth
-    /// right after the push (the reactor's backpressure signal).
-    pub fn submit(&self, batch: WakeupBatch) -> usize {
-        let depth = {
-            let mut q = locked(&self.shared.queue);
-            q.push_back(batch);
-            q.len()
-        };
-        self.shared.cv.notify_one();
-        depth
-    }
-
-    /// Take a spent batch for reuse, if one is available.
-    pub fn take_spare(&self) -> WakeupBatch {
-        locked(&self.shared.spares).pop().unwrap_or_default()
-    }
-
-    /// Return a spent batch to the free list. Handlers should call this
-    /// once they are done with a batch's bytes.
-    pub fn recycle(shared: &PoolRecycler, mut batch: WakeupBatch) {
-        batch.clear();
-        let mut spares = locked(&shared.0.spares);
-        if spares.len() < MAX_SPARES {
-            spares.push(batch);
-        }
-    }
-
-    /// A handle handlers keep for [`recycle`](Self::recycle).
-    pub fn recycler(&self) -> PoolRecycler {
-        PoolRecycler(self.shared.clone())
-    }
-
-    /// Stop accepting work, finish the queue, and join every worker.
-    /// Queued batches are still processed: stop is checked only when the
-    /// queue is empty.
-    pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Shared free-list handle for returning spent batches from handlers.
-#[derive(Clone)]
-pub struct PoolRecycler(Arc<PoolShared>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
-    use std::sync::atomic::AtomicUsize;
+    use crate::fault::{DirFaults, FaultConfig};
+    use std::net::UdpSocket;
 
     #[test]
     fn timer_queue_fires_in_deadline_order_with_stable_ties() {
@@ -384,23 +270,86 @@ mod tests {
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 5), 3);
     }
 
-    #[test]
-    fn worker_pool_processes_everything_and_shutdown_joins_clean() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::spawn(4, |_recycler| {
-            let c = counter.clone();
-            move |b: WakeupBatch| {
-                c.fetch_add(b.len(), Ordering::SeqCst);
+    /// `per_peer` numbered datagrams from each of `peers` sockets bound
+    /// to `bind`, plus one near-`MAX_DATAGRAM` datagram from the first:
+    /// every one must come out of the drain once, whole, under its
+    /// sender's address — however many receive vectors that takes.
+    fn drain_a_burst(bind: &str, faults: FaultConfig, peers: usize, per_peer: u8) {
+        let rx = FaultySocket::bind(bind, faults).expect("bind rx");
+        let addr = rx.local_addr().expect("addr");
+        let txs: Vec<UdpSocket> = (0..peers)
+            .map(|_| UdpSocket::bind(bind).expect("bind tx"))
+            .collect();
+        let big = vec![0xB1u8; 65_000];
+        txs[0].send_to(&big, addr).expect("send big");
+        for seq in 0..per_peer {
+            for (i, tx) in txs.iter().enumerate() {
+                tx.send_to(&[i as u8, seq], addr).expect("send");
             }
-        });
-        for _ in 0..50 {
-            let mut b = WakeupBatch::new();
-            b.arena.extend_from_slice(b"abc");
-            b.frames.push((0, 3, "127.0.0.1:1".parse().expect("addr")));
-            pool.submit(b);
         }
-        // Shutdown drains the queue before joining.
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
+        std::thread::sleep(Duration::from_millis(100));
+        rx.set_nonblocking(true).expect("nonblocking");
+        let mut batch = WakeupBatch::new();
+        let mut scratch = recv_scratch();
+        let expected = 1 + peers * per_peer as usize;
+        assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), expected);
+        let mut next_seq = vec![0u8; peers];
+        let mut bigs = 0;
+        for &(off, len, peer) in &batch.frames {
+            let bytes = &batch.arena[off..off + len];
+            let i = txs
+                .iter()
+                .position(|tx| tx.local_addr().expect("addr") == peer)
+                .expect("frame carries a sender's address");
+            if len == big.len() {
+                assert_eq!((i, bytes), (0, &big[..]), "big datagram arrived whole");
+                bigs += 1;
+            } else {
+                assert_eq!(bytes, [i as u8, next_seq[i]], "per-peer arrival order");
+                next_seq[i] += 1;
+            }
+        }
+        assert_eq!(bigs, 1);
+        assert_eq!(next_seq, vec![per_peer; peers]);
+        assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), 0);
+    }
+
+    #[test]
+    fn drain_spans_receive_vectors_and_keeps_every_peer_address() {
+        // 9 × 8 + 1 = 73 datagrams: more than two 32-slot vectors.
+        drain_a_burst("127.0.0.1:0", FaultConfig::none(), 9, 8);
+    }
+
+    #[test]
+    fn drain_reports_ipv6_peers() {
+        if UdpSocket::bind("[::1]:0").is_err() {
+            return; // no IPv6 loopback on this host
+        }
+        drain_a_burst("[::1]:0", FaultConfig::none(), 3, 12);
+    }
+
+    #[test]
+    fn a_faulty_socket_drains_one_datagram_at_a_time_with_its_faults_applied() {
+        // Every datagram duplicated on receive: the injected copies can
+        // only appear if the drain went through `recv_from`.
+        let faults = FaultConfig {
+            seed: 5,
+            recv: DirFaults::duplicating(1.0),
+            ..FaultConfig::none()
+        };
+        let rx = FaultySocket::bind("127.0.0.1:0", faults).expect("bind rx");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        for i in 0..40u8 {
+            tx.send_to(&[i], rx.local_addr().expect("addr"))
+                .expect("send");
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        rx.set_nonblocking(true).expect("nonblocking");
+        let mut batch = WakeupBatch::new();
+        let mut scratch = recv_scratch();
+        assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), 80);
+        let got: Vec<u8> = batch.frames.iter().map(|f| batch.arena[f.0]).collect();
+        let want: Vec<u8> = (0..40u8).flat_map(|i| [i, i]).collect();
+        assert_eq!(got, want);
     }
 }

@@ -1,19 +1,20 @@
-//! The UDP lease/lock/metadata server, event-driven.
+//! The UDP lease/lock/metadata server: one run-to-completion thread.
 //!
-//! One reactor thread waits for socket readiness ([`crate::poll`]) with
-//! its timeout bounded by the earliest pending protocol timer, drains
-//! every ready datagram into an arena batch per wakeup, and hands the
-//! batch to a fixed worker pool ([`crate::reactor`]). Workers decode off
-//! the state lock, run the protocol state machines under it, and send
-//! replies outside it again via an outbox. Push retries, release waits,
-//! lease expiries, the steal grace and the recovery window are all
-//! multiplexed into the reactor's poll timeout — no thread ever sleeps
-//! per event. DESIGN.md §15 walks the architecture.
+//! The reactor thread owns the protocol state outright. It waits for
+//! socket readiness ([`crate::poll`]) with its timeout bounded by the
+//! earliest pending protocol timer, fires what is due, drains every
+//! ready datagram into an arena batch ([`crate::reactor`]), decodes and
+//! executes the batch in arrival order, and flushes every reply the
+//! wakeup produced in one go. Push retries, release waits, lease
+//! expiries, the steal grace and the recovery window are all multiplexed
+//! into the poll timeout — nothing sleeps per event, nothing is handed
+//! to another thread, nothing is locked. DESIGN.md §15 walks the
+//! architecture.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -29,18 +30,21 @@ use tank_server::lock::{Grant, LockManager, LockRequestOutcome};
 use tank_server::session::{Admission, SessionTable};
 
 use crate::fault::{FaultConfig, FaultySocket};
+use crate::mono_now;
 use crate::poll::{set_recv_buffer, Poller};
-use crate::reactor::{
-    decode_batch, drain_ready, recv_scratch, TimerQueue, WakeupBatch, WorkerPool,
-};
-use crate::{locked, mono_now};
+use crate::reactor::{decode_batch, drain_ready, recv_scratch, TimerQueue, WakeupBatch};
 
 /// Shortest poll timeout: epoll has millisecond resolution, and a
 /// sub-millisecond timeout must not busy-spin.
 const MIN_POLL: Duration = Duration::from_millis(1);
-/// Longest poll timeout: bounds both timer slop when a worker arms a
-/// deadline mid-wait and the latency of noticing a stop request.
+/// Longest poll timeout: bounds the latency of noticing a stop request.
+/// (Timers are armed only by this thread, between waits, so the deadline
+/// a wait was computed from cannot go stale while it sleeps.)
 const MAX_POLL: Duration = Duration::from_millis(25);
+/// Replies queued before a batch flushes early. One `sendmmsg` vector:
+/// a fuller outbox would not save a syscall, it would only make the
+/// first replies of a long batch wait for the last request's execution.
+const FLUSH_AT: usize = 32;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -67,8 +71,6 @@ pub struct NetServerConfig {
     pub recover: bool,
     /// Fault injection applied to this server's socket.
     pub faults: FaultConfig,
-    /// Worker threads executing drained batches.
-    pub workers: usize,
     /// Extra delay between a lease expiring and its locks being stolen,
     /// covering SAN writes the holder issued before it quiesced but
     /// that had not landed at expiry (the net mirror of
@@ -76,8 +78,8 @@ pub struct NetServerConfig {
     /// steal only widens the exclusion window, so Theorem 3.1 is
     /// unaffected; zero steals immediately.
     pub harden_grace: Duration,
-    /// Modeled per-transaction service time, slept inside the state
-    /// lock for every request except `KeepAlive`. Zero (the default)
+    /// Modeled per-transaction service time, slept on the reactor thread
+    /// for every request except `KeepAlive`. Zero (the default)
     /// disables it. The capacity experiment (E19) sets this so the
     /// saturation resource is the modeled metadata device rather than
     /// the host CPU — on a single-core runner, N shard servers sleeping
@@ -88,8 +90,10 @@ pub struct NetServerConfig {
     /// socket absorb a burst while the reactor drains. `None` keeps the
     /// OS default.
     pub recv_buf: Option<usize>,
-    /// Most datagrams drained per wakeup; a deeper backlog surfaces on
-    /// the next wakeup so timers still fire between batches.
+    /// Most datagrams drained — and so executed and answered — per
+    /// wakeup; a deeper backlog surfaces on the next wakeup. Due timers
+    /// fire between batches, so this bounds how late a flood can make
+    /// them, and how long the first reply of a batch waits for the last.
     pub max_batch: usize,
 }
 
@@ -103,7 +107,6 @@ impl Default for NetServerConfig {
             incarnation: 1,
             recover: false,
             faults: FaultConfig::none(),
-            workers: 2,
             harden_grace: Duration::ZERO,
             service: Duration::ZERO,
             recv_buf: None,
@@ -151,10 +154,9 @@ pub struct NetServerStats {
     pub recovery_nacks: u64,
 }
 
-/// The server's protocol state, shared between the reactor thread (which
-/// fires timers against it) and the worker pool (which executes drained
-/// requests against it) under one mutex. All sends go through
-/// the `outbox` field and happen after the lock is released.
+/// The server's protocol state, owned by the reactor thread: timers and
+/// requests run against it one at a time, to completion. All sends go
+/// through the `outbox` field and leave together at the end of a wakeup.
 pub struct LeaseServer {
     cfg: NetServerConfig,
     meta: MetaStore,
@@ -171,8 +173,7 @@ pub struct LeaseServer {
     incarnation: Incarnation,
     recovering: bool,
     stats: NetServerStats,
-    /// Encoded responses awaiting transmission; drained by whichever
-    /// thread holds the lock, sent after it unlocks.
+    /// Encoded responses awaiting transmission (see [`Self::flush`]).
     outbox: Vec<(SocketAddr, Bytes)>,
     /// Wall-clock vectored-batch execution histogram (when observed).
     batch_exec_ns: Option<Arc<Histogram>>,
@@ -195,35 +196,10 @@ pub fn rotate_grants(queue: &mut std::collections::VecDeque<Grant>, batch: &mut 
     batch.extend(queue.drain(..));
 }
 
-/// What the reactor and workers share: the protocol state and the one
-/// socket everything is sent on.
-struct Shared {
-    state: Mutex<LeaseServer>,
-    sock: Arc<FaultySocket>,
-}
-
-impl Shared {
-    /// Send everything the locked section queued, outside the lock.
-    fn flush(&self, out: Vec<(SocketAddr, Bytes)>) {
-        for (dst, bytes) in out {
-            let _ = self.sock.send_to(&bytes, dst);
-        }
-    }
-
-    /// [`Shared::flush`] draining a reusable buffer in place (keeps its
-    /// capacity; send errors are the peer's loss, as everywhere).
-    fn flush_from(&self, out: &mut Vec<(SocketAddr, Bytes)>) {
-        for (dst, bytes) in out.drain(..) {
-            let _ = self.sock.send_to(&bytes, dst);
-        }
-    }
-}
-
 /// Reactor-loop instruments (when observed).
 struct ReactorObs {
     wakeups: Arc<Counter>,
     datagrams_per_wakeup: Arc<Histogram>,
-    queue_depth: Arc<Histogram>,
 }
 
 /// Handle returned by [`LeaseServer::spawn`].
@@ -243,8 +219,7 @@ impl ServerHandle {
 }
 
 impl LeaseServer {
-    /// Bind `addr` and run the server: one reactor thread plus
-    /// `cfg.workers` execution threads.
+    /// Bind `addr` and run the server on its own reactor thread.
     pub fn spawn(addr: &str, cfg: NetServerConfig) -> std::io::Result<ServerHandle> {
         Self::spawn_observed(addr, cfg, None)
     }
@@ -257,16 +232,14 @@ impl LeaseServer {
         cfg: NetServerConfig,
         registry: Option<&Arc<Registry>>,
     ) -> std::io::Result<ServerHandle> {
-        let sock = Arc::new(FaultySocket::bind(addr, cfg.faults)?);
+        let sock = FaultySocket::bind(addr, cfg.faults)?;
         let bound = sock.local_addr()?;
         if let Some(bytes) = cfg.recv_buf {
             // Best effort: rmem_max may clamp it, and a smaller backlog
             // only costs drops the retry machinery already absorbs.
-            let _ = set_recv_buffer(&*sock, bytes);
+            let _ = set_recv_buffer(&sock, bytes);
         }
         sock.set_nonblocking(true)?;
-        let workers = cfg.workers;
-        let max_batch = cfg.max_batch.max(1);
         let mut server = LeaseServer {
             meta: MetaStore::new(1 << 16, 4096),
             locks: LockManager::new(),
@@ -301,43 +274,10 @@ impl LeaseServer {
         let obs = registry.map(|r| ReactorObs {
             wakeups: r.counter_def(&names::NET_REACTOR_WAKEUPS),
             datagrams_per_wakeup: r.histogram_def(&names::NET_REACTOR_DATAGRAMS_PER_WAKEUP),
-            queue_depth: r.histogram_def(&names::NET_REACTOR_WORKER_QUEUE_DEPTH),
         });
-        let shared = Arc::new(Shared {
-            state: Mutex::new(server),
-            sock,
-        });
-        let pool = {
-            let shared = shared.clone();
-            WorkerPool::spawn(workers, move |recycler| {
-                let shared = shared.clone();
-                let mut requests: Vec<(SocketAddr, Request)> = Vec::new();
-                let mut out: Vec<(SocketAddr, Bytes)> = Vec::new();
-                move |batch: WakeupBatch| {
-                    requests.clear();
-                    decode_batch(&batch, &mut requests);
-                    WorkerPool::recycle(&recycler, batch);
-                    // One lock scope per request, not per batch: the
-                    // modeled service time sleeps under the state lock,
-                    // so a batch-wide scope would stall the reactor (and
-                    // overflow the kernel receive buffer) for the whole
-                    // batch and delay every reply to the end of it.
-                    // Swapping the outbox out under the lock recycles one
-                    // send buffer with zero steady-state allocation.
-                    for (peer, req) in requests.drain(..) {
-                        {
-                            let mut st = locked(&shared.state);
-                            st.on_request(peer, req);
-                            std::mem::swap(&mut st.outbox, &mut out);
-                        }
-                        shared.flush_from(&mut out);
-                    }
-                }
-            })
-        };
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let join = std::thread::spawn(move || run_reactor(&shared, pool, max_batch, obs, &stop2));
+        let join = std::thread::spawn(move || server.run(&sock, obs, &stop2));
         Ok(ServerHandle {
             addr: bound,
             join,
@@ -356,9 +296,17 @@ impl LeaseServer {
         id
     }
 
-    /// Queue a message for transmission once the state lock drops.
+    /// Queue a message for transmission at the next [`Self::flush`].
     fn send(&mut self, addr: SocketAddr, msg: &NetMsg) {
         self.outbox.push((addr, msg.encoded()));
+    }
+
+    /// Transmit everything queued, in order, keeping the buffer.
+    fn flush(&mut self, sock: &FaultySocket) {
+        if !self.outbox.is_empty() {
+            sock.send_all(&self.outbox);
+            self.outbox.clear();
+        }
     }
 
     fn respond(
@@ -369,19 +317,23 @@ impl LeaseServer {
         seq: ReqSeq,
         outcome: ResponseOutcome,
     ) {
-        let resp = Response {
+        let msg = NetMsg::Ctl(CtlMsg::Response(Response {
             dst: client,
             session,
             seq,
             incarnation: self.incarnation,
             outcome,
-        };
-        if resp.is_ack() {
-            self.sessions.record_response(client, seq, resp.clone());
-        } else {
-            self.stats.nacks += 1;
+        }));
+        self.send(addr, &msg);
+        // Encoded first, so the replay cache takes the response itself
+        // rather than a deep copy of it.
+        if let NetMsg::Ctl(CtlMsg::Response(resp)) = msg {
+            if resp.is_ack() {
+                self.sessions.record_response(client, seq, resp);
+            } else {
+                self.stats.nacks += 1;
+            }
         }
-        self.send(addr, &NetMsg::Ctl(CtlMsg::Response(resp)));
     }
 
     fn on_timer(&mut self, ev: TimerEv) {
@@ -480,15 +432,7 @@ impl LeaseServer {
 
     fn delivery_error(&mut self, client: NodeId) {
         self.stats.delivery_errors += 1;
-        let done: Vec<u64> = self
-            .pushes
-            .iter()
-            .filter(|(_, p)| p.dst == client)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in done {
-            self.pushes.remove(&k);
-        }
+        self.pushes.retain(|_, p| p.dst != client);
         if let Some(fires_at) = self.authority.on_delivery_error(client, mono_now()) {
             let delay = Duration::from_nanos(fires_at.0.saturating_sub(mono_now().0));
             self.timers.arm(delay, TimerEv::LeaseExpiry(client));
@@ -838,18 +782,10 @@ impl LeaseServer {
                 .map(|attr| ReplyBody::Attr { attr }),
             RequestBody::LockRelease { ino, epoch } => {
                 let grants = self.locks.release(client, ino, Some(epoch));
-                let done: Vec<u64> = self
-                    .pushes
-                    .iter()
-                    .filter(|(_, p)| {
-                        p.dst == client
-                            && matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-                    })
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in done {
-                    self.pushes.remove(&k);
-                }
+                self.pushes.retain(|_, p| {
+                    p.dst != client
+                        || !matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
+                });
                 self.deliver_grants(grants);
                 Ok(ReplyBody::Ok)
             }
@@ -894,72 +830,71 @@ impl LeaseServer {
     }
 }
 
-/// The reactor loop: fire due timers, flush their output, wait for
-/// readiness bounded by the next deadline, drain the backlog into one
-/// batch, and hand it to the pool. Returns the final counters once the
-/// stop flag is seen and the pool has drained.
-fn run_reactor(
-    shared: &Arc<Shared>,
-    pool: WorkerPool,
-    max_batch: usize,
-    obs: Option<ReactorObs>,
-    stop: &AtomicBool,
-) -> NetServerStats {
-    let mut poller = match Poller::new() {
-        Ok(mut p) => match p.register(&*shared.sock, 0) {
-            Ok(()) => p,
+impl LeaseServer {
+    /// The reactor loop, run to completion on this thread: fire due
+    /// timers, wait for readiness bounded by the next deadline, drain up
+    /// to `max_batch` datagrams, execute them in arrival order, and flush
+    /// the replies a `sendmmsg` vector at a time (so usually all in one
+    /// go). Due timers are looked at once per drain, so
+    /// a socket that is never empty delays them by one batch at most.
+    /// Returns the final counters once the stop flag is seen — by then
+    /// everything drained has been executed and answered.
+    fn run(
+        mut self,
+        sock: &FaultySocket,
+        obs: Option<ReactorObs>,
+        stop: &AtomicBool,
+    ) -> NetServerStats {
+        let mut poller = match Poller::new() {
+            Ok(mut p) => match p.register(sock, 0) {
+                Ok(()) => p,
+                Err(_) => sleeper_poller(),
+            },
             Err(_) => sleeper_poller(),
-        },
-        Err(_) => sleeper_poller(),
-    };
-    let mut scratch = recv_scratch();
-    let recycler = pool.recycler();
-    loop {
-        // Fire everything due and compute how long the next wait may be.
-        let (wait, out) = {
-            let mut st = locked(&shared.state);
+        };
+        let max_batch = self.cfg.max_batch.max(1);
+        let mut scratch = recv_scratch();
+        let mut batch = WakeupBatch::new();
+        let mut requests: Vec<(SocketAddr, Request)> = Vec::new();
+        loop {
             let now = Instant::now();
-            while let Some(ev) = st.timers.pop_due(now) {
-                st.on_timer(ev);
+            while let Some(ev) = self.timers.pop_due(now) {
+                self.on_timer(ev);
             }
-            let wait = st
+            self.flush(sock);
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let wait = self
                 .timers
                 .next_deadline()
                 .map(|at| at.saturating_duration_since(now))
                 .unwrap_or(MAX_POLL)
                 .clamp(MIN_POLL, MAX_POLL);
-            (wait, std::mem::take(&mut st.outbox))
-        };
-        shared.flush(out);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let ready = match poller.wait(wait) {
-            Ok(tokens) => !tokens.is_empty(),
-            Err(_) => false,
-        };
-        let mut drained = 0;
-        if ready {
-            let mut batch = pool.take_spare();
-            drained = drain_ready(&shared.sock, &mut scratch, &mut batch, max_batch);
-            if drained > 0 {
-                let depth = pool.submit(batch);
-                if let Some(o) = &obs {
-                    o.queue_depth.observe(depth as u64);
+            let ready = match poller.wait(wait) {
+                Ok(tokens) => !tokens.is_empty(),
+                Err(_) => false,
+            };
+            let mut drained = 0;
+            if ready {
+                drained = drain_ready(sock, &mut scratch, &mut batch, max_batch);
+                decode_batch(&batch, &mut requests);
+                for (peer, req) in requests.drain(..) {
+                    self.on_request(peer, req);
+                    if self.outbox.len() >= FLUSH_AT {
+                        self.flush(sock);
+                    }
                 }
-            } else {
-                WorkerPool::recycle(&recycler, batch);
+                self.flush(sock);
+            }
+            poller.note_progress(drained > 0);
+            if let Some(o) = &obs {
+                o.wakeups.inc();
+                o.datagrams_per_wakeup.observe(drained as u64);
             }
         }
-        poller.note_progress(drained > 0);
-        if let Some(o) = &obs {
-            o.wakeups.inc();
-            o.datagrams_per_wakeup.observe(drained as u64);
-        }
+        self.stats
     }
-    // Let queued batches finish before reading the counters.
-    pool.shutdown();
-    locked(&shared.state).stats
 }
 
 /// The portable fallback with the server socket's token registered.

@@ -4,13 +4,20 @@
 //! These use short leases (τ = 600ms) so lease expiry is observable in
 //! test time; they are wall-clock tests and tolerate scheduling slop.
 
+use std::collections::BTreeSet;
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tank_core::{LeaseConfig, Phase};
 use tank_net::client::NetClientError;
 use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_net::{DirFaults, FaultConfig, TankClient};
-use tank_proto::LockMode;
+use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::{
+    CtlMsg, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response, ServerPush, SessionId,
+    WireDecode, WireEncode, MAX_DATAGRAM,
+};
 use tank_sim::LocalNs;
 
 fn short_lease() -> LeaseConfig {
@@ -312,4 +319,289 @@ fn observed_client_records_rtt_and_fault_metrics() {
     // recorded drops, and every drop forces a retransmission eventually.
     assert!(snap.counter("net.fault.send_dropped").unwrap_or(0) > 0);
     assert_eq!(snap.counter("net.client.timeouts").unwrap_or(0), 0);
+}
+
+// ------------------------------------------------------------------
+// Bare protocol peers: one UDP socket each, no retransmission and no
+// keep-alive thread, so a test sees every datagram the server sends and
+// nothing else.
+
+const ROOT: Ino = Ino(1);
+
+struct RawPeer {
+    sock: UdpSocket,
+    /// The node id the server assigned this socket's address.
+    me: NodeId,
+    session: SessionId,
+    next_seq: u64,
+}
+
+impl RawPeer {
+    /// Bind next to `server` (same address family) and open a session.
+    fn hello(server: SocketAddr) -> RawPeer {
+        let bind = if server.is_ipv6() {
+            "[::1]:0"
+        } else {
+            "127.0.0.1:0"
+        };
+        let sock = UdpSocket::bind(bind).unwrap();
+        sock.connect(server).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let mut peer = RawPeer {
+            sock,
+            me: NodeId(0),
+            session: SessionId(0),
+            next_seq: 1,
+        };
+        peer.send(RequestBody::Hello { map_epoch: 0 });
+        let resp = peer.response().expect("hello answered");
+        match resp.outcome {
+            ResponseOutcome::Acked(Ok(ReplyBody::HelloOk { session, .. })) => {
+                peer.me = resp.dst;
+                peer.session = session;
+            }
+            other => panic!("hello refused: {other:?}"),
+        }
+        peer
+    }
+
+    fn send(&mut self, body: RequestBody) -> ReqSeq {
+        let seq = ReqSeq(self.next_seq);
+        self.next_seq += 1;
+        let msg = NetMsg::Ctl(CtlMsg::Request(Request {
+            src: self.me,
+            session: self.session,
+            seq,
+            body,
+        }));
+        self.sock.send(&msg.encoded()).unwrap();
+        seq
+    }
+
+    /// The next datagram, or `None` once the socket has been quiet for
+    /// the read timeout.
+    fn recv(&self) -> Option<CtlMsg> {
+        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let n = self.sock.recv(&mut buf).ok()?;
+        match NetMsg::decode(&mut bytes::Bytes::copy_from_slice(&buf[..n])) {
+            Ok(NetMsg::Ctl(msg)) => Some(msg),
+            other => panic!("server sent {other:?}"),
+        }
+    }
+
+    /// The next response (pushes skipped).
+    fn response(&self) -> Option<Response> {
+        loop {
+            if let CtlMsg::Response(r) = self.recv()? {
+                return Some(r);
+            }
+        }
+    }
+
+    /// Send `body` and wait for its answer.
+    fn call(&mut self, body: RequestBody) -> Result<ReplyBody, FsError> {
+        let seq = self.send(body);
+        let resp = self.response().expect("answered");
+        assert_eq!(resp.seq, seq);
+        match resp.outcome {
+            ResponseOutcome::Acked(result) => result,
+            ResponseOutcome::Nacked(why) => panic!("nacked: {why:?}"),
+        }
+    }
+}
+
+/// 900 lookups of a 60-byte name that does not exist: a ≈ 64 KB request
+/// whose batch stops at its first element.
+fn big_batch() -> RequestBody {
+    RequestBody::Batch(vec![
+        RequestBody::Lookup {
+            parent: ROOT,
+            name: "n".repeat(60),
+        };
+        900
+    ])
+}
+
+/// ≥ 8 peers fire their requests without waiting — more datagrams than
+/// one receive vector holds, one of them nearly `MAX_DATAGRAM` long — and
+/// each must get exactly its own answers, once, on its own socket.
+fn burst_is_answered_exactly_once_each(bind: &str) {
+    let server = LeaseServer::spawn(bind, server_cfg()).unwrap();
+    let mut peers: Vec<RawPeer> = (0..9).map(|_| RawPeer::hello(server.addr)).collect();
+    let mut sent: Vec<BTreeSet<ReqSeq>> = vec![BTreeSet::new(); peers.len()];
+
+    let big = peers[0].send(big_batch());
+    sent[0].insert(big);
+    for _ in 0..6 {
+        for (peer, sent) in peers.iter_mut().zip(&mut sent) {
+            sent.insert(peer.send(RequestBody::GetAttr { ino: ROOT }));
+        }
+    }
+
+    for (peer, sent) in peers.iter().zip(&sent) {
+        let mut answered = BTreeSet::new();
+        while let Some(resp) = peer.response() {
+            assert_eq!((resp.dst, resp.session), (peer.me, peer.session));
+            assert!(answered.insert(resp.seq), "{:?} answered twice", resp.seq);
+            match resp.outcome {
+                ResponseOutcome::Acked(Ok(ReplyBody::Attr { attr })) => assert!(attr.is_dir),
+                ResponseOutcome::Acked(Ok(ReplyBody::Batch(outcomes))) => {
+                    assert_eq!(resp.seq, big);
+                    assert_eq!(outcomes, vec![Err(FsError::NotFound)]);
+                }
+                other => panic!("unexpected answer: {other:?}"),
+            }
+        }
+        assert_eq!(&answered, sent);
+    }
+    let stats = server.stop();
+    assert_eq!(stats.requests, 9 + 1 + 9 * 6, "hellos + batch + getattrs");
+    assert_eq!((stats.nacks, stats.replays), (0, 0));
+}
+
+#[test]
+fn burst_from_many_sockets_is_answered_exactly_once_each() {
+    let big = NetMsg::Ctl(CtlMsg::Request(Request {
+        src: NodeId(1),
+        session: SessionId(1),
+        seq: ReqSeq(1),
+        body: big_batch(),
+    }));
+    let len = big.encoded().len();
+    assert!(
+        (60_000..=65_507).contains(&len),
+        "the big request is near MAX_DATAGRAM: {len}"
+    );
+    burst_is_answered_exactly_once_each("127.0.0.1:0");
+}
+
+#[test]
+fn burst_from_ipv6_peers_is_answered_on_the_right_sockets() {
+    if UdpSocket::bind("[::1]:0").is_err() {
+        return; // no IPv6 loopback on this host
+    }
+    burst_is_answered_exactly_once_each("[::1]:0");
+}
+
+#[test]
+fn server_send_faults_apply_to_the_batched_flush() {
+    // Every outgoing datagram dropped: requests are executed, nothing is
+    // ever heard back — the flush cannot bypass the fault shim.
+    let mut cfg = server_cfg();
+    cfg.faults = FaultConfig {
+        seed: 3,
+        send: DirFaults::dropping(1.0),
+        ..FaultConfig::none()
+    };
+    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.connect(server.addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    for seq in 1..=40 {
+        let hello = NetMsg::Ctl(CtlMsg::Request(Request {
+            src: NodeId(0),
+            session: SessionId(0),
+            seq: ReqSeq(seq),
+            body: RequestBody::Hello { map_epoch: 0 },
+        }));
+        sock.send(&hello.encoded()).unwrap();
+    }
+    let mut buf = [0u8; 2048];
+    assert!(sock.recv(&mut buf).is_err(), "the server stayed silent");
+    assert_eq!(server.stop().requests, 40, "but it executed every hello");
+}
+
+#[test]
+fn stop_returns_final_counters_and_everything_drained_was_answered() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let mut peer = RawPeer::hello(server.addr);
+    for _ in 0..100 {
+        peer.send(RequestBody::GetAttr { ino: ROOT });
+    }
+    // Stop with the burst still in flight: whatever the reactor had
+    // drained by then it executed *and* answered before its thread
+    // exited, and the counters it returns say exactly how much that was.
+    let stats = server.stop();
+    let mut answers = 0;
+    while peer.response().is_some() {
+        answers += 1;
+    }
+    assert_eq!(
+        stats.requests,
+        1 + answers,
+        "hello + every answered request"
+    );
+    assert_eq!((stats.nacks, stats.replays), (0, 0));
+}
+
+#[test]
+fn push_retry_fires_on_time_under_a_flood() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let addr = server.addr;
+    let push_retry = server_cfg().push_retry;
+
+    // Closed-loop flooders: each keeps 16 requests outstanding, so the
+    // server's socket is (nearly) never empty while they run.
+    let flooding = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut peer = RawPeer::hello(addr);
+                for _ in 0..16 {
+                    peer.send(RequestBody::GetAttr { ino: ROOT });
+                }
+                while flooding.load(Ordering::SeqCst) {
+                    if peer.response().is_some() {
+                        peer.send(RequestBody::GetAttr { ino: ROOT });
+                    }
+                }
+            });
+        }
+
+        // The holder takes a lock and then ignores the demand for it, so
+        // the only thing that re-sends the demand is the PushRetry timer.
+        let mut holder = RawPeer::hello(addr);
+        let ino = match holder.call(RequestBody::Create {
+            parent: ROOT,
+            name: "hot".into(),
+        }) {
+            Ok(ReplyBody::Created { ino }) => ino,
+            other => panic!("create: {other:?}"),
+        };
+        let mode = LockMode::Exclusive;
+        assert!(matches!(
+            holder.call(RequestBody::LockAcquire { ino, mode }),
+            Ok(ReplyBody::LockGranted { .. })
+        ));
+        let mut waiter = RawPeer::hello(addr);
+        waiter.send(RequestBody::LockAcquire { ino, mode });
+
+        let mut demands: Vec<(u64, Instant)> = Vec::new();
+        while demands.len() < 2 {
+            match holder.recv() {
+                Some(CtlMsg::Push(ServerPush { push_seq, .. })) => {
+                    demands.push((push_seq, Instant::now()));
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        flooding.store(false, Ordering::SeqCst);
+
+        assert_eq!(demands.len(), 2, "the demand was re-sent under load");
+        assert_eq!(demands[0].0, demands[1].0, "same push, retried");
+        let gap = demands[1].1 - demands[0].1;
+        // Due at push_retry; the reactor looks at its timers once per
+        // drained batch and at least every MAX_POLL (25 ms). The rest is
+        // scheduling slack for a loaded two-core box (which can also make
+        // this thread late for the *first* demand, hence the loose floor).
+        let slack = Duration::from_millis(25 + 150);
+        assert!(
+            gap >= push_retry / 2 && gap <= push_retry + slack,
+            "retry after {gap:?}, push_retry = {push_retry:?}"
+        );
+    });
+    server.stop();
 }

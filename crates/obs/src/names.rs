@@ -453,13 +453,6 @@ pub const NET_REACTOR_DATAGRAMS_PER_WAKEUP: MetricDef = histogram(
     BATCH_SIZE_BOUNDS,
     "datagrams drained per reactor wakeup",
 );
-/// Worker-pool queue depth observed after each batch submission.
-pub const NET_REACTOR_WORKER_QUEUE_DEPTH: MetricDef = histogram(
-    "net.reactor.worker_queue_depth",
-    "batches",
-    SMALL_COUNT_BOUNDS,
-    "worker-pool queue depth after each batch submission",
-);
 
 // -------------------------------------------------------------- bench
 
@@ -552,7 +545,6 @@ pub const ALL: &[MetricDef] = &[
     NET_CLIENT_DECODE_ERRORS,
     NET_REACTOR_WAKEUPS,
     NET_REACTOR_DATAGRAMS_PER_WAKEUP,
-    NET_REACTOR_WORKER_QUEUE_DEPTH,
     // bench
     BENCH_OFFERED_RATE,
     BENCH_LATENCY_NS,
