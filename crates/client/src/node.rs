@@ -71,9 +71,6 @@ pub struct ClientConfig {
     /// disables batching entirely: every request is its own datagram,
     /// the pre-batching wire behavior.
     pub batch_cap: usize,
-    /// How long a queued batchable request may wait for companions
-    /// before the lane flushes anyway (the δt flush trigger).
-    pub batch_delay: LocalNs,
     /// Absorb voluntary lock releases locally: the lock (and the cached
     /// data under it) stays live until the server demands it back or the
     /// retained set overflows. Releasing costs zero round trips and the
@@ -121,7 +118,6 @@ impl ClientConfig {
             flush_window: 16,
             function_ship: false,
             batch_cap: 1,
-            batch_delay: LocalNs(500_000),
             lazy_release: false,
             lazy_release_cap: 32,
             cache_capacity: usize::MAX,
@@ -183,8 +179,6 @@ enum ClientTimer {
     NextOp,
     /// Fire scripted operation `i`.
     ScriptOp(usize),
-    /// δt elapsed on a lane's coalescing queue: flush what gathered.
-    BatchFlush(usize),
 }
 
 /// Why a request was sent — drives reply dispatch.
@@ -286,10 +280,17 @@ struct Lane {
     hello_inflight: bool,
     /// Push dedup window (push seqs are per-server).
     seen_pushes: HashSet<u64>,
-    /// Batchable requests gathered for the next coalesced flush.
-    queue: Vec<(RequestBody, Purpose)>,
-    /// The armed δt flush timer, if the queue is non-empty and waiting.
-    flush_timer: Option<TimerId>,
+    /// Batchable requests gathered for the next coalesced flush, each
+    /// with the `retry` flag its issuer asked for.
+    queue: Vec<(RequestBody, Purpose, bool)>,
+    /// The coalesced request in flight and when it left: the queue waits
+    /// behind it, until its response or first retransmission. Only a
+    /// request with a retransmit timer gates, so the wait is within `rto`.
+    gate: Option<(ReqSeq, LocalNs)>,
+    /// Round trip of the last answered gate (`MAX`: none yet). A gate
+    /// twice this old is presumed lost and new requests do not wait behind
+    /// it: a lost datagram must stall the ops it carries, not the lane.
+    gate_rtt: LocalNs,
 }
 
 impl Lane {
@@ -305,7 +306,8 @@ impl Lane {
             hello_inflight: false,
             seen_pushes: HashSet::new(),
             queue: Vec::new(),
-            flush_timer: None,
+            gate: None,
+            gate_rtt: LocalNs(u64::MAX),
         }
     }
 }
@@ -524,10 +526,12 @@ const RESULT_LOG_CAP: usize = 16_384;
 /// Flush-reason codes recorded in `client.batch.flush_reason`: the size
 /// cap filled the batch.
 const FLUSH_SIZE: u64 = 0;
-/// δt elapsed before the batch filled.
-const FLUSH_DELAY: u64 = 1;
+/// The lane had no coalesced request in flight: nothing to wait behind.
+const FLUSH_IDLE: u64 = 1;
 /// A sync point (urgent or non-batchable request) forced the flush.
 const FLUSH_SYNC: u64 = 2;
+/// The request in flight was answered or retransmitted.
+const FLUSH_ACK: u64 = 3;
 
 impl<Ob> ClientNode<Ob> {
     /// New client. `observe` converts client events into world
@@ -756,11 +760,11 @@ impl<Ob> ClientNode<Ob> {
     // ------------------------------------------------------- request engine
 
     /// Entry point for every control-path request. With batching enabled
-    /// (`batch_cap > 1`) batchable bodies coalesce in the lane's queue,
-    /// flushed by size cap, δt, or a sync point; non-batchable bodies
-    /// flush the queue ahead of themselves so the server still sees a
-    /// lane's requests in issue order. With the default `batch_cap = 1`
-    /// this is a straight passthrough to [`send_now`](Self::send_now).
+    /// (`batch_cap > 1`) a batchable body leaves at once on an idle lane
+    /// and otherwise queues behind the lane's `gate` until that is
+    /// answered or retransmitted, the batch fills, or a sync point. With
+    /// the default `batch_cap = 1` nothing ever queues: this is a straight
+    /// passthrough to [`send_now`](Self::send_now).
     fn send_request(
         &mut self,
         lane: usize,
@@ -769,13 +773,10 @@ impl<Ob> ClientNode<Ob> {
         retry: bool,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
-        if self.cfg.batch_cap <= 1 {
-            self.send_now(lane, body, purpose, retry, ctx);
-            return;
-        }
-        if !body.batchable() {
+        if self.cfg.batch_cap <= 1 || !body.batchable() {
             // Sync point: anything already queued (e.g. a CommitWrite)
-            // must reach the server before this request executes.
+            // must reach the server before this request executes, so the
+            // server still sees a lane's requests in issue order.
             self.flush_batch(lane, FLUSH_SYNC, ctx);
             self.send_now(lane, body, purpose, retry, ctx);
             return;
@@ -791,28 +792,44 @@ impl<Ob> ClientNode<Ob> {
                 | Purpose::Release { .. }
                 | Purpose::CommitThenRelease { .. }
         );
-        self.lanes[lane].queue.push((body, purpose));
+        let l = &mut self.lanes[lane];
+        l.queue.push((body, purpose, retry));
+        let gate_age = l.gate.map(|(_, sent)| ctx.now().minus(sent));
         let cap = self.cfg.batch_cap.min(tank_proto::MAX_BATCH_ELEMS);
         if urgent {
             self.flush_batch(lane, FLUSH_SYNC, ctx);
-        } else if self.lanes[lane].queue.len() >= cap {
+        } else if l.queue.len() >= cap {
             self.flush_batch(lane, FLUSH_SIZE, ctx);
-        } else if self.lanes[lane].flush_timer.is_none() {
-            let token = self.timers.insert(ClientTimer::BatchFlush(lane));
-            let delay = self.cfg.batch_delay.max(LocalNs(1));
-            self.lanes[lane].flush_timer = Some(ctx.set_timer(delay, token));
+        } else if gate_age.is_none_or(|age| age > l.gate_rtt.times(2)) {
+            self.flush_batch(lane, FLUSH_IDLE, ctx);
+        }
+    }
+
+    /// `seq` was answered (or else retransmitted): if the lane's queue
+    /// was waiting behind it, the wait is over.
+    fn open_gate(
+        &mut self,
+        lane: usize,
+        seq: ReqSeq,
+        answered: bool,
+        ctx: &mut Ctx<'_, NetMsg, Ob>,
+    ) {
+        let l = &mut self.lanes[lane];
+        if let Some((_, sent)) = l.gate.take_if(|(gate, _)| *gate == seq) {
+            if answered {
+                l.gate_rtt = ctx.now().minus(sent);
+            }
+            self.flush_batch(lane, FLUSH_ACK, ctx);
         }
     }
 
     /// Flush a lane's coalescing queue: one element goes out bare (a
     /// batch of one would only add framing), more go out as a single
     /// [`RequestBody::Batch`] under one sequence number — one message,
-    /// one ACK, one opportunistic renewal (§3.1).
+    /// one ACK, one opportunistic renewal (§3.1). The message is
+    /// retransmitted iff any element asked to be, and then gates the lane.
     fn flush_batch(&mut self, lane: usize, reason: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if let Some(t) = self.lanes[lane].flush_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        let queue = std::mem::take(&mut self.lanes[lane].queue);
+        let mut queue = std::mem::take(&mut self.lanes[lane].queue);
         if queue.is_empty() {
             return;
         }
@@ -820,24 +837,16 @@ impl<Ob> ClientNode<Ob> {
             obs.batch_size.observe(queue.len() as u64);
             obs.batch_flush_reason.observe(reason);
         }
-        if queue.len() == 1 {
-            let (body, purpose) = queue.into_iter().next().unwrap();
-            self.send_now(lane, body, purpose, true, ctx);
-            return;
-        }
-        let mut bodies = Vec::with_capacity(queue.len());
-        let mut elems = Vec::with_capacity(queue.len());
-        for (body, purpose) in queue {
-            bodies.push(body);
-            elems.push(purpose);
-        }
-        self.send_now(
-            lane,
-            RequestBody::Batch(bodies),
-            Purpose::Batch { elems },
-            true,
-            ctx,
-        );
+        let retry = queue.iter().any(|(_, _, retry)| *retry);
+        let (body, purpose) = if queue.len() == 1 {
+            let (body, purpose, _) = queue.pop().expect("one element");
+            (body, purpose)
+        } else {
+            let (bodies, elems) = queue.into_iter().map(|(b, p, _)| (b, p)).unzip();
+            (RequestBody::Batch(bodies), Purpose::Batch { elems })
+        };
+        let seq = self.send_now(lane, body, purpose, retry, ctx);
+        self.lanes[lane].gate = retry.then(|| (seq, ctx.now()));
     }
 
     fn send_now(
@@ -923,7 +932,9 @@ impl<Ob> ClientNode<Ob> {
                 format!("seq={} rto_ns={}", seq.0, delay.0)
             });
         }
+        let lane = p.lane;
         ctx.send(NetId::CONTROL, server, NetMsg::Ctl(CtlMsg::Request(msg)));
+        self.open_gate(lane, seq, false, ctx);
     }
 
     fn drop_pending(&mut self, seq: ReqSeq, ctx: &mut Ctx<'_, NetMsg, Ob>) -> Option<PendingReq> {
@@ -1040,10 +1051,8 @@ impl<Ob> ClientNode<Ob> {
         }
         // The unsent coalescing queue dies with the lane's pending set:
         // its purposes reference ops the sweep above already failed.
-        if let Some(t) = self.lanes[lane].flush_timer.take() {
-            ctx.cancel_timer(t);
-        }
         self.lanes[lane].queue.clear();
+        self.lanes[lane].gate = None;
         self.lanes[lane].hello_inflight = false;
         let map = self.map;
         self.flushes.retain(|_, f| map.owner_of(f.ino) != sid);
@@ -2629,6 +2638,8 @@ impl<Ob> ClientNode<Ob> {
             }
             ResponseOutcome::Nacked(reason) => self.on_nack(reason, restarted, p, ctx),
         }
+        // After dispatch, so follow-ups the reply spawned ride along.
+        self.open_gate(lane, resp.seq, true, ctx);
     }
 
     fn on_nack(
@@ -3420,10 +3431,6 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
                 let op = self.script.steps[i].1.clone();
                 self.submit(op, false, ctx);
             }
-            ClientTimer::BatchFlush(lane) => {
-                self.lanes[lane].flush_timer = None;
-                self.flush_batch(lane, FLUSH_DELAY, ctx);
-            }
         }
         self.pump_lease(ctx);
     }
@@ -3435,14 +3442,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         // everything. (The workload generator and script also restart from
         // wherever they were — local processes died with the machine.)
         for lane in self.lanes.iter_mut() {
-            lane.lease = ClientLease::new(self.cfg.lease);
-            lane.session = None;
-            lane.serving = false;
-            lane.hello_inflight = false;
-            lane.server_incarnation = None;
-            lane.seen_pushes.clear();
-            lane.queue.clear();
-            lane.flush_timer = None;
+            *lane = Lane::new(lane.sid, lane.addr, lane.alt, self.cfg.lease);
         }
         self.lazy_retained.clear();
         self.next_seq += 1_000_000; // fresh seq space for the new life

@@ -5,14 +5,16 @@
 //! when the answers are independent. Two levers attack it:
 //!
 //! * **batching** — independent control ops coalesce into one
-//!   `RequestBody::Batch` datagram per lane (cap × δt window), so N ops
-//!   share one round trip and one opportunistic lease renewal;
+//!   `RequestBody::Batch` datagram per lane: a request leaves at once on
+//!   an idle lane and queues behind the request in flight otherwise, so
+//!   under load N ops share one round trip and one opportunistic lease
+//!   renewal, and a lightly loaded lane pays no wait at all;
 //! * **lazy release** — a voluntary lock release is retained client-side
 //!   (the lock stays Held, the cache stays warm); the next cycle on the
 //!   same file skips acquire/alloc entirely, and a server demand or cap
 //!   overflow sends the release back through the eager path.
 //!
-//! Two regimes, because the two levers win differently:
+//! Three regimes, because the levers win (and could lose) differently:
 //!
 //! 1. **Latency regime** — per-client **disjoint** file sets, ONE
 //!    closed-loop process per client cycling write → read → release on a
@@ -26,16 +28,24 @@
 //!    latency; its win is **datagrams per op** — the per-message server
 //!    cost the paper's §1.1 scalability argument is about. Swept over
 //!    batch caps at fixed workload.
+//! 3. **LAN regime** — the repo benchmark's `batch` shape: 8 clients × 4
+//!    processes, control RTT ≈ 250 µs, think time far below it, cached
+//!    reads + write-back writes + stats, lazy release on. Too few
+//!    processes to fill a batch and every op on its process's critical
+//!    path: the regime where *waiting* for company costs throughput, so
+//!    batching must stay within 10 % of cap 1.
 //!
-//! Both regimes run every seed through the offline checker (including
+//! All regimes run every seed through the offline checker (including
 //! the batch-atomicity audit). Emitted as `BENCH_batch.json`.
 //!
 //! Acceptance built into the binary:
 //! * **negative control** — cap 1 + lazy off is the pre-batching wire
 //!   behavior and must reproduce the E14-era baseline (~286 ops/s);
 //! * **speedup** — cap 16 + lazy on must clear 3× the negative control;
-//! * **message collapse** — cap 16 must at least halve control
-//!   datagrams per op in the storm without sacrificing throughput;
+//! * **message collapse** — cap 16 must bring the storm to ≤ 0.30
+//!   control datagrams per op with throughput within 1 %;
+//! * **no latency tax** — on the LAN regime cap 8 must reach ≥ 0.90 ×
+//!   the ops/s of cap 1;
 //! * **safety** — zero checker violations across every swept config.
 //!
 //! `--smoke` shrinks durations and seed counts for CI; the assertions
@@ -43,6 +53,7 @@
 
 use tank_client::{FsOp, OpGen};
 use tank_cluster::table::{f, Table};
+use tank_cluster::workload::{Mix, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
 use tank_sim::{LocalNs, NetParams, SimTime};
@@ -142,8 +153,8 @@ fn batch_cfg(cap: usize, lazy: bool) -> ClusterConfig {
 
 /// A metadata scan under concurrency: every local process stats a random
 /// file, 16 processes per client — the regime where independent control
-/// ops are in flight together and δt/size coalescing can pack them into
-/// shared datagrams.
+/// ops are in flight together and coalescing behind the request in flight
+/// can pack them into shared datagrams.
 struct StatStormGen {
     files: usize,
     think_mean: LocalNs,
@@ -175,19 +186,98 @@ fn storm_cfg(cap: usize) -> ClusterConfig {
     cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
     cfg.lease.epsilon = 0.01;
     // 16 concurrent processes per client: plenty of independent GetAttrs
-    // in flight per lane, which is what gives the coalescing window
-    // something to pack.
+    // issued per lane during one round trip, which is what gives the
+    // queue behind the request in flight something to pack.
     cfg.gen_concurrency = 16;
-    // A metro-area control network (RTT ~4 ms) and a 2 ms coalescing
-    // window: long enough to fill batches, short against the RTT.
+    // A metro-area control network (RTT ~4 ms).
     cfg.ctl_net = NetParams {
         latency_ns: 2_000_000,
         jitter_ns: 100_000,
         ..NetParams::default()
     };
     cfg.batch_cap = cap;
-    cfg.batch_delay = LocalNs::from_millis(2);
     cfg
+}
+
+/// Files every LAN-regime client reads, never written during a run.
+const LAN_SHARED: usize = 64;
+/// Files each LAN-regime client owns and alone writes.
+const LAN_OWN: usize = 4;
+const LAN_CLIENTS: usize = 8;
+const LAN_BLOCK: usize = 4096;
+
+/// The benchmark's `batch` simulator half (`benchmark/src/bin/harness/
+/// sim.rs`): 2 shards + standbys, control net 100 µs ± 50 µs, SAN 250 µs
+/// ± 50 µs, 256-block caches, four processes per client, lazy release.
+fn lan_cfg(cap: usize) -> ClusterConfig {
+    let lan = |latency_ns| NetParams {
+        latency_ns,
+        jitter_ns: 50_000,
+        ..NetParams::default()
+    };
+    let mut cfg = ClusterConfig::default();
+    cfg.clients = LAN_CLIENTS;
+    cfg.shards = 2;
+    cfg.standbys = true;
+    cfg.files = LAN_SHARED + LAN_CLIENTS * LAN_OWN;
+    cfg.file_blocks = 16;
+    cfg.block_size = LAN_BLOCK;
+    cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
+    cfg.lease.epsilon = 0.01;
+    cfg.ctl_net = lan(100_000);
+    cfg.san_net = lan(250_000);
+    cfg.cache_capacity = 256;
+    cfg.gen_concurrency = 4;
+    cfg.batch_cap = cap;
+    cfg.lazy_release = true;
+    cfg
+}
+
+/// One LAN-regime client's processes: 56 % reads of the shared Zipf set,
+/// 24 % write-back writes to the client's own files (no two clients ever
+/// write one file), 20 % stats; think time uniform on 0–40 µs, far below
+/// any round trip, so the op rate is the protocol's latency. Stops after
+/// `run_for`, so the settle period adds nothing to the op count.
+struct LanGen {
+    client: usize,
+    zipf: ZipfGen,
+    started: Option<LocalNs>,
+    run_for: LocalNs,
+}
+
+impl OpGen for LanGen {
+    fn next_op(
+        &mut self,
+        rng: &mut rand_chacha::ChaCha8Rng,
+        now: LocalNs,
+    ) -> Option<(LocalNs, FsOp)> {
+        use rand::RngExt;
+        let started = *self.started.get_or_insert(now);
+        if now.minus(started) >= self.run_for {
+            return None;
+        }
+        let think = LocalNs(rng.random_range(0..=40_000u64));
+        let offset = rng.random_range(0..16u64) * LAN_BLOCK as u64;
+        let op = match rng.random_range(0..100u32) {
+            0..=19 => FsOp::Stat {
+                path: format!("/f{}", self.zipf.sample(rng)),
+            },
+            20..=43 => FsOp::Write {
+                path: format!(
+                    "/f{}",
+                    LAN_SHARED + self.client * LAN_OWN + rng.random_range(0..LAN_OWN)
+                ),
+                offset,
+                data: vec![(offset % 251) as u8; LAN_BLOCK],
+            },
+            _ => FsOp::Read {
+                path: format!("/f{}", self.zipf.sample(rng)),
+                offset,
+                len: LAN_BLOCK as u32,
+            },
+        };
+        Some((think, op))
+    }
 }
 
 /// Violation total the sweeps assert on — every safety family the
@@ -243,6 +333,83 @@ fn storm_once(cap: usize, seed: u64, secs: u64) -> (u64, u64, usize) {
         requests,
         violation_count(&report.check),
     )
+}
+
+/// One LAN-regime run. Returns (ops ok, control datagrams the servers
+/// saw, checker violations).
+fn lan_once(cap: usize, seed: u64, secs: u64) -> (u64, u64, usize) {
+    let mut cluster = Cluster::build(lan_cfg(cap), seed);
+    for client in 0..LAN_CLIENTS {
+        cluster.attach_workload(
+            client,
+            Box::new(LanGen {
+                client,
+                zipf: ZipfGen::new(LAN_SHARED, 1.0, Mix::default()),
+                started: None,
+                run_for: LocalNs::from_secs(secs),
+            }),
+        );
+    }
+    cluster.run_until(SimTime::from_secs(secs + 1));
+    cluster.settle();
+    let report = cluster.finish();
+    (
+        report.check.ops_ok,
+        report.server.requests,
+        violation_count(&report.check),
+    )
+}
+
+/// One row of a cap sweep: (batch cap, ops ok, ops/s, control datagrams
+/// per op).
+type Row = (usize, u64, f64, f64);
+
+/// Run `once(cap, seed)` — returning (ops ok, control datagrams, checker
+/// violations) — over `caps` × `seeds`, with ops/s over `rate_secs` per
+/// run. Prints the table; returns its rows and the violation total.
+fn sweep(
+    caps: &[usize],
+    seeds: u64,
+    rate_secs: u64,
+    once: impl Fn(usize, u64) -> (u64, u64, usize),
+) -> (Vec<Row>, usize) {
+    let mut table = Table::new(&["batch cap", "ops ok", "ops/sec", "ctl msgs/op"]);
+    let mut rows = Vec::new();
+    let mut violations = 0usize;
+    for &cap in caps {
+        let (mut ops_sum, mut req_sum) = (0u64, 0u64);
+        for seed in 0..seeds {
+            let (ops, reqs, v) = once(cap, seed);
+            ops_sum += ops;
+            req_sum += reqs;
+            violations += v;
+        }
+        let ops_per_sec = ops_sum as f64 / (seeds * rate_secs) as f64;
+        let msgs_per_op = req_sum as f64 / ops_sum.max(1) as f64;
+        table.row(vec![
+            cap.to_string(),
+            ops_sum.to_string(),
+            f(ops_per_sec),
+            f(msgs_per_op),
+        ]);
+        rows.push((cap, ops_sum, ops_per_sec, msgs_per_op));
+    }
+    print!("{}", table.render());
+    (rows, violations)
+}
+
+/// A sweep's rows as the elements of a JSON array.
+fn rows_json(rows: &[Row], seeds: u64, secs: u64) -> String {
+    let mut out = String::new();
+    for (k, (cap, ops_sum, ops_per_sec, msgs_per_op)) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{ \"batch_cap\": {cap}, \"seeds\": {seeds}, \"duration_s\": {secs}, \
+             \"ops_ok\": {ops_sum}, \"ops_per_sec\": {ops_per_sec:.2}, \
+             \"ctl_msgs_per_op\": {msgs_per_op:.3} }}{}\n",
+            if k + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out
 }
 
 /// Virtual seconds `Cluster::settle()` appends after the timed run
@@ -346,44 +513,27 @@ fn main() {
     // per-message server cost §1.1's scalability argument cares about.
     let (storm_secs, storm_seeds): (u64, u64) = if smoke { (4, 2) } else { (10, 5) };
     let storm_caps: Vec<usize> = vec![1, 2, 4, 8, 16];
-    let mut st = Table::new(&["batch cap", "ops ok", "ops/sec", "ctl msgs/op"]);
-    let mut storm_rows: Vec<(usize, u64, f64, f64)> = Vec::new();
-    let mut storm_violations = 0usize;
-    for &cap in &storm_caps {
-        let mut ops_sum = 0u64;
-        let mut req_sum = 0u64;
-        for seed in 0..storm_seeds {
-            let (ops, reqs, v) = storm_once(cap, seed, storm_secs);
-            ops_sum += ops;
-            req_sum += reqs;
-            storm_violations += v;
-        }
-        let ops_per_sec = ops_sum as f64 / (storm_seeds * (storm_secs + SETTLE_S)) as f64;
-        let msgs_per_op = req_sum as f64 / ops_sum.max(1) as f64;
-        st.row(vec![
-            cap.to_string(),
-            ops_sum.to_string(),
-            f(ops_per_sec),
-            f(msgs_per_op),
-        ]);
-        storm_rows.push((cap, ops_sum, ops_per_sec, msgs_per_op));
-    }
-    println!("stat storm (16 concurrent processes/client, metro RTT ~4ms, δt 2ms):");
-    print!("{}", st.render());
+    println!("stat storm (16 concurrent processes/client, metro RTT ~4ms):");
+    let (storm_rows, storm_violations) = sweep(
+        &storm_caps,
+        storm_seeds,
+        storm_secs + SETTLE_S,
+        |cap, seed| storm_once(cap, seed, storm_secs),
+    );
     assert_eq!(storm_violations, 0, "checker violations in the stat storm");
     let storm_base = storm_rows[0];
     let storm_best = *storm_rows.last().unwrap();
     let msg_ratio = storm_best.3 / storm_base.3.max(1e-9);
     assert!(
-        msg_ratio <= 0.5,
-        "cap 16 must at least halve control datagrams per op \
-         (got {:.2} vs {:.2})",
+        storm_best.3 <= 0.30,
+        "cap 16 must bring the storm to <= 0.30 control datagrams per op \
+         (got {:.3} vs {:.3} at cap 1)",
         storm_best.3,
         storm_base.3
     );
     assert!(
-        storm_best.2 >= storm_base.2 * 0.7,
-        "batching must not sacrifice storm throughput for message count \
+        (storm_best.2 / storm_base.2 - 1.0).abs() <= 0.01,
+        "batching must not trade storm throughput for message count \
          ({:.2} vs {:.2} ops/s)",
         storm_best.2,
         storm_base.2
@@ -397,19 +547,42 @@ fn main() {
         (1.0 - storm_best.2 / storm_base.2).abs() * 100.0
     );
 
+    // ---- LAN regime: the repo benchmark's shape. Four processes never
+    // fill a batch, so a flush rule that waits for company taxes every op
+    // (a 500 µs flush timer ran cap 8 at 0.72x cap 1 here); waiting only
+    // behind a request already in flight must not.
+    let (lan_secs, lan_seeds): (u64, u64) = if smoke { (1, 2) } else { (2, 5) };
+    println!();
+    println!("LAN (benchmark shape: 8 clients x 4 processes, RTT ~250us, lazy release on):");
+    let (lan_rows, lan_violations) = sweep(&storm_caps, lan_seeds, lan_secs, |cap, seed| {
+        lan_once(cap, seed, lan_secs)
+    });
+    assert_eq!(lan_violations, 0, "checker violations in the LAN regime");
+    let lan_base = lan_rows[0];
+    let lan_cap8 = *lan_rows.iter().find(|r| r.0 == 8).expect("cap 8 row");
+    let lan_ratio = lan_cap8.2 / lan_base.2.max(1e-9);
+    assert!(
+        lan_ratio >= 0.90,
+        "batching must not tax a lightly loaded lane: cap 8 ran at {:.2}x cap 1 \
+         ({:.0} vs {:.0} ops/s)",
+        lan_ratio,
+        lan_cap8.2,
+        lan_base.2
+    );
+    println!(
+        "latency tax: cap 8 runs at {lan_ratio:.2}x cap 1 ({:.0} vs {:.0} ops/s), \
+         {:.2} -> {:.2} ctl datagrams/op",
+        lan_cap8.2, lan_base.2, lan_base.3, lan_cap8.3
+    );
+
     bench.push_str("  ],\n  \"stat_storm\": [\n");
-    for (k, (cap, ops_sum, ops_per_sec, msgs_per_op)) in storm_rows.iter().enumerate() {
-        bench.push_str(&format!(
-            "    {{ \"batch_cap\": {cap}, \"seeds\": {storm_seeds}, \"duration_s\": {storm_secs}, \
-             \"ops_ok\": {ops_sum}, \"ops_per_sec\": {ops_per_sec:.2}, \
-             \"ctl_msgs_per_op\": {msgs_per_op:.3} }}{}\n",
-            if k + 1 < storm_rows.len() { "," } else { "" }
-        ));
-    }
+    bench.push_str(&rows_json(&storm_rows, storm_seeds, storm_secs));
+    bench.push_str("  ],\n  \"lan\": [\n");
+    bench.push_str(&rows_json(&lan_rows, lan_seeds, lan_secs));
     bench.push_str(&format!(
         "  ],\n  \"baseline_ops_per_sec\": {baseline:.2},\n  \"best_ops_per_sec\": {best:.2},\n  \
          \"speedup\": {speedup:.2},\n  \"storm_msgs_per_op_cap1\": {:.3},\n  \
-         \"storm_msgs_per_op_cap16\": {:.3}\n}}\n",
+         \"storm_msgs_per_op_cap16\": {:.3},\n  \"lan_cap8_over_cap1\": {lan_ratio:.3}\n}}\n",
         storm_base.3, storm_best.3
     ));
 

@@ -85,8 +85,6 @@ pub struct ClusterConfig {
     /// Client control-path batch cap (1 = batching off, the wire
     /// behavior every earlier experiment measured).
     pub batch_cap: usize,
-    /// Client batch coalescing window (δt flush trigger).
-    pub batch_delay: LocalNs,
     /// Client lazy lock release (retain voluntary releases locally).
     pub lazy_release: bool,
     /// Retained-release cap per client when `lazy_release` is on.
@@ -145,7 +143,6 @@ impl Default for ClusterConfig {
             flush_interval: LocalNs::from_secs(2),
             flush_window: 16,
             batch_cap: 1,
-            batch_delay: LocalNs(500_000),
             lazy_release: false,
             lazy_release_cap: 32,
             cache_capacity: usize::MAX,
@@ -328,7 +325,6 @@ impl Cluster {
             ccfg.flush_interval = cfg.flush_interval;
             ccfg.flush_window = cfg.flush_window;
             ccfg.batch_cap = cfg.batch_cap;
-            ccfg.batch_delay = cfg.batch_delay;
             ccfg.lazy_release = cfg.lazy_release;
             ccfg.lazy_release_cap = cfg.lazy_release_cap;
             ccfg.cache_capacity = cfg.cache_capacity;

@@ -185,14 +185,15 @@ pub const CLIENT_BATCH_SIZE: MetricDef = histogram(
     SMALL_COUNT_BOUNDS,
     "ops per flushed control-path batch",
 );
-/// Why each batch left the queue: 0 = hit the size cap, 1 = the δt flush
-/// timer fired, 2 = a sync-point op (lock acquire, rename, SAN round
-/// trip...) forced everything queued ahead of it out.
+/// Why each batch left the queue: 0 = hit the size cap, 1 = the lane had
+/// no live request in flight to wait behind, 2 = a sync-point op (lock
+/// acquire, rename, SAN round trip...) forced everything queued ahead of
+/// it out, 3 = the request in flight was answered or retransmitted.
 pub const CLIENT_BATCH_FLUSH_REASON: MetricDef = histogram(
     "client.batch.flush_reason",
     "reason",
     SMALL_COUNT_BOUNDS,
-    "batch flush trigger (0=size cap, 1=delay, 2=sync point)",
+    "batch flush trigger (0=size cap, 1=lane idle, 2=sync point, 3=request in flight answered/retransmitted)",
 );
 /// Read blocks served from the local block cache without a SAN trip
 /// (phases 1–2 of the lease lifecycle; CACHING.md has the admission

@@ -2,7 +2,8 @@
 //!
 //! The overhead experiments (E6/E7 in DESIGN.md) need per-kind message and
 //! byte counts, split by network, plus drop accounting. Counters are keyed
-//! by the payload's static `kind()` label.
+//! by the payload's static `kind()` label — borrowed, never copied: the
+//! world touches a cell on every send and every delivery.
 
 use std::collections::BTreeMap;
 
@@ -28,15 +29,15 @@ pub struct MsgCounter {
 }
 
 /// Aggregated statistics for a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MsgStats {
-    counters: BTreeMap<(String, u8), MsgCounter>,
+    counters: BTreeMap<(&'static str, u8), MsgCounter>,
 }
 
 impl MsgStats {
     /// Counter cell for `(kind, net)`, created on first touch.
     pub(crate) fn cell(&mut self, kind: &'static str, net: NetId) -> &mut MsgCounter {
-        self.counters.entry((kind.to_owned(), net.0)).or_default()
+        self.counters.entry((kind, net.0)).or_default()
     }
 
     /// Total datagrams sent on a network (all kinds).
@@ -69,7 +70,7 @@ impl MsgStats {
     /// Sent count for one kind on one network.
     pub fn sent_kind(&self, kind: &str, net: NetId) -> u64 {
         self.counters
-            .get(&(kind.to_owned(), net.0))
+            .get(&(kind, net.0))
             .map(|c| c.sent)
             .unwrap_or(0)
     }
@@ -77,23 +78,21 @@ impl MsgStats {
     /// Delivered count for one kind on one network.
     pub fn delivered_kind(&self, kind: &str, net: NetId) -> u64 {
         self.counters
-            .get(&(kind.to_owned(), net.0))
+            .get(&(kind, net.0))
             .map(|c| c.delivered)
             .unwrap_or(0)
     }
 
     /// Iterate `(kind, net, counter)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, NetId, &MsgCounter)> {
-        self.counters
-            .iter()
-            .map(|((k, n), c)| (k.as_str(), NetId(*n), c))
+        self.counters.iter().map(|((k, n), c)| (*k, NetId(*n), c))
     }
 
     /// Merge another stats table into this one (used when aggregating
     /// repeated runs).
     pub fn merge(&mut self, other: &MsgStats) {
         for ((k, n), c) in &other.counters {
-            let cell = self.counters.entry((k.clone(), *n)).or_default();
+            let cell = self.counters.entry((*k, *n)).or_default();
             cell.sent += c.sent;
             cell.delivered += c.delivered;
             cell.dropped += c.dropped;

@@ -223,6 +223,9 @@ pub struct World<P: Payload, Ob = ()> {
     next_msg_id: u64,
     /// Next dispatch id (each actor activation gets one).
     next_dispatch: u64,
+    /// The effect buffer every activation fills and `apply_effects`
+    /// drains; kept so its capacity is allocated once per world.
+    effects_buf: Vec<Effect<P, Ob>>,
 }
 
 impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
@@ -254,6 +257,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             causal: config.record_causal.then(Vec::new),
             next_msg_id: 0,
             next_dispatch: 0,
+            effects_buf: Vec::new(),
         }
     }
 
@@ -542,17 +546,19 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             clock: &self.clocks[node.index()],
             rng: &mut self.rngs[node.index()],
             next_timer_id: &mut self.next_timer_id,
-            effects: Vec::new(),
+            effects: std::mem::take(&mut self.effects_buf),
             tracing: self.record_trace,
         };
         f(actor.as_mut(), &mut ctx);
-        let effects = ctx.effects;
+        let mut effects = ctx.effects;
         self.actors[node.index()] = Some(actor);
-        self.apply_effects(node, effects, dispatch_id);
+        self.apply_effects(node, &mut effects, dispatch_id);
+        self.effects_buf = effects;
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect<P, Ob>>, dispatch: u64) {
-        for e in effects {
+    /// Drains `effects`, leaving its capacity for the next activation.
+    fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect<P, Ob>>, dispatch: u64) {
+        for e in effects.drain(..) {
             match e {
                 Effect::Send { net, dst, msg } => self.route(net, node, dst, msg, dispatch),
                 Effect::SetTimer { fire_at, id, token } => {
