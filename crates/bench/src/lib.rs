@@ -1,6 +1,2 @@
-//! Benchmark-only crate: see `benches/` for the Criterion harnesses,
-//! [`openloop`] for the open-loop net-capacity generator (E19,
-//! `exp_capacity`), and DESIGN.md §4 for the experiment-to-bench
-//! mapping.
-
-pub mod openloop;
+//! Benchmark-only crate: see `benches/` for the Criterion harnesses and
+//! DESIGN.md §4 for the experiment-to-bench mapping.

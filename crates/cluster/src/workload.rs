@@ -136,8 +136,6 @@ impl ZipfGen {
     }
 
     /// Draw one file index from the popularity distribution (0 hottest).
-    /// Public so the open-loop net harness (`tank-bench`) shares the
-    /// same key popularity as the sim workloads.
     pub fn sample(&self, rng: &mut ChaCha8Rng) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)

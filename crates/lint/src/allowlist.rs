@@ -32,11 +32,6 @@ pub const ALLOWLIST: &[Allow] = &[
         reason: "process harness: drives real OS processes on real time by design",
     },
     Allow {
-        lint: "L1",
-        path_prefix: "crates/bench/",
-        reason: "benchmarks measure wall-clock behaviour of the real stack",
-    },
-    Allow {
         lint: "L2",
         path_prefix: "crates/sim/src/time.rs",
         reason: "the one blessed home of raw time arithmetic; every other site must go \

@@ -1,6 +1,6 @@
 //! The metadata store façade used by the server actor.
 
-use tank_proto::message::FileAttr;
+use tank_proto::message::{FileAttr, FsError};
 use tank_proto::{BlockId, Ino, ServerId};
 use tank_shard::ShardMap;
 
@@ -8,8 +8,8 @@ use crate::alloc::BlockAllocator;
 use crate::inode::InodeTable;
 use crate::namespace::{Namespace, NsError};
 
-/// Metadata operation errors, mapped by the server onto
-/// [`tank_proto::message::FsError`].
+/// Metadata operation errors; both servers put them on the wire as the
+/// [`FsError`] this converts into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetaError {
     /// No such file/directory.
@@ -20,6 +20,17 @@ pub enum MetaError {
     Invalid,
     /// Shared store out of blocks.
     NoSpace,
+}
+
+impl From<MetaError> for FsError {
+    fn from(e: MetaError) -> Self {
+        match e {
+            MetaError::NotFound => FsError::NotFound,
+            MetaError::Exists => FsError::Exists,
+            MetaError::Invalid => FsError::Invalid,
+            MetaError::NoSpace => FsError::NoSpace,
+        }
+    }
 }
 
 impl From<NsError> for MetaError {

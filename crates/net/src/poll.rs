@@ -60,42 +60,7 @@ mod sys {
             timeout_ms: i32,
         ) -> i32;
         pub fn close(fd: i32) -> i32;
-        pub fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32)
-            -> i32;
     }
-
-    /// `SOL_SOCKET`.
-    pub const SOL_SOCKET: i32 = 1;
-    /// `SO_RCVBUF`.
-    pub const SO_RCVBUF: i32 = 8;
-}
-
-/// Grow a socket's kernel receive buffer (Linux: `SO_RCVBUF`; clamped by
-/// `net.core.rmem_max`). A capacity-test server needs more than the
-/// default ~208 KiB of datagram backlog to ride out drain latency; on
-/// other platforms this is a no-op and the default backlog stands.
-#[cfg(target_os = "linux")]
-pub fn set_recv_buffer(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
-    let val = bytes as i32;
-    let rc = unsafe {
-        sys::setsockopt(
-            sock.as_raw_fd(),
-            sys::SOL_SOCKET,
-            sys::SO_RCVBUF,
-            (&val as *const i32).cast(),
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
-/// No-op off Linux (see the Linux variant).
-#[cfg(not(target_os = "linux"))]
-pub fn set_recv_buffer<T>(_sock: &T, _bytes: usize) -> io::Result<()> {
-    Ok(())
 }
 
 #[cfg(target_os = "linux")]

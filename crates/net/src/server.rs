@@ -6,8 +6,8 @@
 //! ready datagram into an arena batch ([`crate::reactor`]), decodes and
 //! executes the batch in arrival order, and flushes every reply the
 //! wakeup produced in one go. Push retries, release waits, lease
-//! expiries, the steal grace and the recovery window are all multiplexed
-//! into the poll timeout — nothing sleeps per event, nothing is handed
+//! expiries and the recovery window are all multiplexed into the poll
+//! timeout — nothing sleeps per event, nothing is handed
 //! to another thread, nothing is locked. DESIGN.md §15 walks the
 //! architecture.
 
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tank_core::{ClientStanding, LeaseAuthority, LeaseConfig};
-use tank_meta::{MetaError, MetaStore};
+use tank_meta::MetaStore;
 use tank_obs::{names, Counter, Histogram, Registry};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
@@ -31,7 +31,7 @@ use tank_server::session::{Admission, SessionTable};
 
 use crate::fault::{FaultConfig, FaultySocket};
 use crate::mono_now;
-use crate::poll::{set_recv_buffer, Poller};
+use crate::poll::Poller;
 use crate::reactor::{decode_batch, drain_ready, recv_scratch, TimerQueue, WakeupBatch};
 
 /// Shortest poll timeout: epoll has millisecond resolution, and a
@@ -45,6 +45,10 @@ const MAX_POLL: Duration = Duration::from_millis(25);
 /// a fuller outbox would not save a syscall, it would only make the
 /// first replies of a long batch wait for the last request's execution.
 const FLUSH_AT: usize = 32;
+/// Most datagrams drained — and so executed and answered — per wakeup; a
+/// deeper backlog surfaces on the next wakeup. Due timers fire between
+/// batches, so this bounds how late a flood can make them.
+const MAX_BATCH: usize = 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -71,30 +75,6 @@ pub struct NetServerConfig {
     pub recover: bool,
     /// Fault injection applied to this server's socket.
     pub faults: FaultConfig,
-    /// Extra delay between a lease expiring and its locks being stolen,
-    /// covering SAN writes the holder issued before it quiesced but
-    /// that had not landed at expiry (the net mirror of
-    /// `ServerConfig::harden_grace` on the sim side). Delaying the
-    /// steal only widens the exclusion window, so Theorem 3.1 is
-    /// unaffected; zero steals immediately.
-    pub harden_grace: Duration,
-    /// Modeled per-transaction service time, slept on the reactor thread
-    /// for every request except `KeepAlive`. Zero (the default)
-    /// disables it. The capacity experiment (E19) sets this so the
-    /// saturation resource is the modeled metadata device rather than
-    /// the host CPU — on a single-core runner, N shard servers sleeping
-    /// concurrently still model N independent devices, so the measured
-    /// ceiling scales with shard count the way real spindles would.
-    pub service: Duration,
-    /// Kernel receive-buffer size to request (`SO_RCVBUF`), letting the
-    /// socket absorb a burst while the reactor drains. `None` keeps the
-    /// OS default.
-    pub recv_buf: Option<usize>,
-    /// Most datagrams drained — and so executed and answered — per
-    /// wakeup; a deeper backlog surfaces on the next wakeup. Due timers
-    /// fire between batches, so this bounds how late a flood can make
-    /// them, and how long the first reply of a batch waits for the last.
-    pub max_batch: usize,
 }
 
 impl Default for NetServerConfig {
@@ -107,10 +87,6 @@ impl Default for NetServerConfig {
             incarnation: 1,
             recover: false,
             faults: FaultConfig::none(),
-            harden_grace: Duration::ZERO,
-            service: Duration::ZERO,
-            recv_buf: None,
-            max_batch: 1024,
         }
     }
 }
@@ -121,9 +97,6 @@ enum TimerEv {
     PushRetry(u64),
     ReleaseWait(u64),
     LeaseExpiry(NodeId),
-    /// Harden grace between lease expiry and the steal (see
-    /// [`NetServerConfig::harden_grace`]).
-    StealGrace(NodeId),
     RecoveryDone,
 }
 
@@ -234,11 +207,6 @@ impl LeaseServer {
     ) -> std::io::Result<ServerHandle> {
         let sock = FaultySocket::bind(addr, cfg.faults)?;
         let bound = sock.local_addr()?;
-        if let Some(bytes) = cfg.recv_buf {
-            // Best effort: rmem_max may clamp it, and a smaller backlog
-            // only costs drops the retry machinery already absorbs.
-            let _ = set_recv_buffer(&sock, bytes);
-        }
         sock.set_nonblocking(true)?;
         let mut server = LeaseServer {
             meta: MetaStore::new(1 << 16, 4096),
@@ -369,21 +337,6 @@ impl LeaseServer {
             }
             TimerEv::LeaseExpiry(client) => {
                 if self.authority.on_timer(client, mono_now()) {
-                    if self.cfg.harden_grace > Duration::ZERO {
-                        // Expiry already bans the client from acks; hold
-                        // the steal back so in-flight hardens can land.
-                        self.timers
-                            .arm(self.cfg.harden_grace, TimerEv::StealGrace(client));
-                    } else {
-                        self.steal(client);
-                    }
-                }
-            }
-            TimerEv::StealGrace(client) => {
-                // A Hello in the grace window clears the Expired
-                // standing (new session), making the steal moot — the
-                // Hello path already stole and regranted.
-                if self.authority.standing_of(client) == ClientStanding::Expired {
                     self.steal(client);
                 }
             }
@@ -399,35 +352,6 @@ impl LeaseServer {
         self.stats.steals += 1;
         let (_stolen, grants) = self.locks.steal_all(client);
         self.deliver_grants(grants);
-    }
-
-    /// Requests that need the server's full authority: lock grants and
-    /// metadata mutations. These are refused during the recovery grace
-    /// window; everything else (Hello, KeepAlive, reads, releases,
-    /// PushAcks) is served so surviving clients can wind down cleanly.
-    fn needs_full_service(body: &RequestBody) -> bool {
-        match body {
-            RequestBody::LockAcquire { .. }
-            | RequestBody::Create { .. }
-            | RequestBody::Mkdir { .. }
-            | RequestBody::Unlink { .. }
-            | RequestBody::RenameLink { .. }
-            | RequestBody::RenameUnlink { .. }
-            | RequestBody::SetAttr { .. }
-            | RequestBody::AllocBlocks { .. }
-            | RequestBody::CommitWrite { .. }
-            | RequestBody::WriteData { .. } => true,
-            // A batch needs full service exactly when any element does.
-            RequestBody::Batch(elems) => elems.iter().any(Self::needs_full_service),
-            RequestBody::Hello { .. }
-            | RequestBody::KeepAlive
-            | RequestBody::Lookup { .. }
-            | RequestBody::ReadDir { .. }
-            | RequestBody::GetAttr { .. }
-            | RequestBody::LockRelease { .. }
-            | RequestBody::PushAck { .. }
-            | RequestBody::ReadData { .. } => false,
-        }
     }
 
     fn delivery_error(&mut self, client: NodeId) {
@@ -538,22 +462,13 @@ impl LeaseServer {
         self.grant_touched = touched;
     }
 
-    fn map_meta<T>(r: Result<T, MetaError>) -> Result<T, FsError> {
-        r.map_err(|e| match e {
-            MetaError::NotFound => FsError::NotFound,
-            MetaError::Exists => FsError::Exists,
-            MetaError::Invalid => FsError::Invalid,
-            MetaError::NoSpace => FsError::NoSpace,
-        })
-    }
-
     fn on_request(&mut self, addr: SocketAddr, req: Request) {
         let client = self.node_of(addr);
         // The recovery gate comes first: while the grace window is open
         // nothing may be granted or mutated, no matter how fresh the
         // session looks. The NACK does not condemn the client's cache —
         // it means "retry after a delay".
-        if self.recovering && Self::needs_full_service(&req.body) {
+        if self.recovering && req.body.needs_full_service() {
             self.stats.recovery_nacks += 1;
             return self.respond(
                 addr,
@@ -702,8 +617,8 @@ impl LeaseServer {
         ino: Ino,
         mode: LockMode,
     ) {
-        let result = if let Err(e) = Self::map_meta(self.meta.getattr(ino)) {
-            Err(e)
+        let result = if let Err(e) = self.meta.getattr(ino) {
+            Err(e.into())
         } else {
             match self.locks.request(client, ino, mode, session, seq) {
                 LockRequestOutcome::Granted(g) => {
@@ -743,49 +658,59 @@ impl LeaseServer {
     /// may queue and answer later) and session shapes are `Invalid` here;
     /// [`Self::execute`] routes them first, and batches exclude them.
     fn execute_sync(&mut self, client: NodeId, body: RequestBody) -> Result<ReplyBody, FsError> {
-        // Modeled metadata-device service time (see
-        // [`NetServerConfig::service`]). KeepAlive is pure lease
-        // maintenance and costs no device work.
-        if !self.cfg.service.is_zero() && !matches!(body, RequestBody::KeepAlive) {
-            std::thread::sleep(self.cfg.service);
-        }
         let now = mono_now().0;
         match body {
             RequestBody::KeepAlive => Ok(ReplyBody::Ok),
             RequestBody::Create { parent, name } => {
-                Self::map_meta(self.meta.create(parent, &name, now))
-                    .map(|ino| ReplyBody::Created { ino })
+                let ino = self.meta.create(parent, &name, now)?;
+                Ok(ReplyBody::Created { ino })
             }
             RequestBody::Mkdir { parent, name } => {
-                Self::map_meta(self.meta.mkdir(parent, &name, now))
-                    .map(|ino| ReplyBody::Created { ino })
+                let ino = self.meta.mkdir(parent, &name, now)?;
+                Ok(ReplyBody::Created { ino })
             }
-            RequestBody::Lookup { parent, name } => Self::map_meta(self.meta.lookup(parent, &name))
-                .map(|(ino, attr)| ReplyBody::Resolved { ino, attr }),
+            RequestBody::Lookup { parent, name } => {
+                let (ino, attr) = self.meta.lookup(parent, &name)?;
+                Ok(ReplyBody::Resolved { ino, attr })
+            }
             RequestBody::ReadDir { dir } => {
-                Self::map_meta(self.meta.readdir(dir)).map(|entries| ReplyBody::Dir { entries })
+                let entries = self.meta.readdir(dir)?;
+                Ok(ReplyBody::Dir { entries })
             }
             RequestBody::RenameLink { dir, name, ino } => {
-                Self::map_meta(self.meta.rename_link(dir, &name, ino)).map(|_| ReplyBody::Ok)
+                self.meta.rename_link(dir, &name, ino)?;
+                Ok(ReplyBody::Ok)
             }
             RequestBody::RenameUnlink { dir, name } => {
-                Self::map_meta(self.meta.rename_unlink(dir, &name)).map(|_| ReplyBody::Ok)
+                self.meta.rename_unlink(dir, &name)?;
+                Ok(ReplyBody::Ok)
             }
             RequestBody::Unlink { parent, name } => match self.meta.lookup(parent, &name) {
                 Ok((ino, _)) if self.locks.is_contended(ino) => Err(FsError::Unavailable),
-                _ => Self::map_meta(self.meta.unlink(parent, &name)).map(|_| ReplyBody::Ok),
+                _ => {
+                    self.meta.unlink(parent, &name)?;
+                    Ok(ReplyBody::Ok)
+                }
             },
             RequestBody::GetAttr { ino } => {
-                Self::map_meta(self.meta.getattr(ino)).map(|attr| ReplyBody::Attr { attr })
+                let attr = self.meta.getattr(ino)?;
+                Ok(ReplyBody::Attr { attr })
             }
-            RequestBody::SetAttr { ino, size } => Self::map_meta(self.meta.setattr(ino, size, now))
-                .map(|attr| ReplyBody::Attr { attr }),
+            RequestBody::SetAttr { ino, size } => {
+                let attr = self.meta.setattr(ino, size, now)?;
+                Ok(ReplyBody::Attr { attr })
+            }
             RequestBody::LockRelease { ino, epoch } => {
+                // A stale-epoch release is ignored by the lock table, so it
+                // must not cancel the demand for the grant still held.
+                let held = self.locks.holding_epoch(client, ino);
                 let grants = self.locks.release(client, ino, Some(epoch));
-                self.pushes.retain(|_, p| {
-                    p.dst != client
-                        || !matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-                });
+                if held == Some(epoch) {
+                    self.pushes.retain(|_, p| {
+                        p.dst != client
+                            || !matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
+                    });
+                }
                 self.deliver_grants(grants);
                 Ok(ReplyBody::Ok)
             }
@@ -805,19 +730,17 @@ impl LeaseServer {
             }
             RequestBody::AllocBlocks { ino, count } => {
                 if !self.locks.holds(client, ino, LockMode::Exclusive) {
-                    Err(FsError::NotLocked)
-                } else {
-                    Self::map_meta(self.meta.alloc_blocks(ino, count))
-                        .map(|blocks| ReplyBody::Allocated { blocks })
+                    return Err(FsError::NotLocked);
                 }
+                let blocks = self.meta.alloc_blocks(ino, count)?;
+                Ok(ReplyBody::Allocated { blocks })
             }
             RequestBody::CommitWrite { ino, new_size } => {
                 if !self.locks.holds(client, ino, LockMode::Exclusive) {
-                    Err(FsError::NotLocked)
-                } else {
-                    Self::map_meta(self.meta.commit_write(ino, new_size, now))
-                        .map(|_| ReplyBody::Ok)
+                    return Err(FsError::NotLocked);
                 }
+                self.meta.commit_write(ino, new_size, now)?;
+                Ok(ReplyBody::Ok)
             }
             RequestBody::ReadData { .. } | RequestBody::WriteData { .. } => {
                 // No SAN behind this server; data stays with the client.
@@ -833,7 +756,7 @@ impl LeaseServer {
 impl LeaseServer {
     /// The reactor loop, run to completion on this thread: fire due
     /// timers, wait for readiness bounded by the next deadline, drain up
-    /// to `max_batch` datagrams, execute them in arrival order, and flush
+    /// to [`MAX_BATCH`] datagrams, execute them in arrival order, and flush
     /// the replies a `sendmmsg` vector at a time (so usually all in one
     /// go). Due timers are looked at once per drain, so
     /// a socket that is never empty delays them by one batch at most.
@@ -852,7 +775,6 @@ impl LeaseServer {
             },
             Err(_) => sleeper_poller(),
         };
-        let max_batch = self.cfg.max_batch.max(1);
         let mut scratch = recv_scratch();
         let mut batch = WakeupBatch::new();
         let mut requests: Vec<(SocketAddr, Request)> = Vec::new();
@@ -877,7 +799,7 @@ impl LeaseServer {
             };
             let mut drained = 0;
             if ready {
-                drained = drain_ready(sock, &mut scratch, &mut batch, max_batch);
+                drained = drain_ready(sock, &mut scratch, &mut batch, MAX_BATCH);
                 decode_batch(&batch, &mut requests);
                 for (peer, req) in requests.drain(..) {
                     self.on_request(peer, req);
@@ -902,4 +824,32 @@ fn sleeper_poller() -> Poller {
     let mut p = Poller::sleeper();
     p.register_token(0);
     p
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `LeaseServer` and the simulator's `ServerNode` run the same
+    /// delivery-error ladder from separate configs; until they share one,
+    /// their defaults must not drift apart.
+    #[test]
+    fn defaults_agree_with_the_simulated_server() {
+        let net = NetServerConfig::default();
+        let sim = tank_server::ServerConfig::default();
+        assert_eq!(net.lease, sim.lease);
+        let ladder = (net.push_retry, net.push_retries, net.release_timeout);
+        assert_eq!(
+            ladder,
+            (Duration::from_millis(200), 3, Duration::from_secs(2))
+        );
+        assert_eq!(
+            ladder,
+            (
+                Duration::from_nanos(sim.push_retry_interval.0),
+                sim.push_retries,
+                Duration::from_nanos(sim.release_timeout.0),
+            )
+        );
+    }
 }

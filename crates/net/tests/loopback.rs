@@ -15,7 +15,7 @@ use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_net::{DirFaults, FaultConfig, TankClient};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response, ServerPush, SessionId,
+    CtlMsg, Epoch, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response, ServerPush, SessionId,
     WireDecode, WireEncode, MAX_DATAGRAM,
 };
 use tank_sim::LocalNs;
@@ -409,6 +409,26 @@ impl RawPeer {
             ResponseOutcome::Nacked(why) => panic!("nacked: {why:?}"),
         }
     }
+
+    /// Create `name` in the root directory.
+    fn create(&mut self, name: &str) -> Ino {
+        match self.call(RequestBody::Create {
+            parent: ROOT,
+            name: name.into(),
+        }) {
+            Ok(ReplyBody::Created { ino }) => ino,
+            other => panic!("create: {other:?}"),
+        }
+    }
+
+    /// Take the exclusive lock on an uncontended `ino`.
+    fn lock(&mut self, ino: Ino) -> Epoch {
+        let mode = LockMode::Exclusive;
+        match self.call(RequestBody::LockAcquire { ino, mode }) {
+            Ok(ReplyBody::LockGranted { epoch, .. }) => epoch,
+            other => panic!("lock: {other:?}"),
+        }
+    }
 }
 
 /// 900 lookups of a 60-byte name that does not exist: a ≈ 64 KB request
@@ -563,20 +583,13 @@ fn push_retry_fires_on_time_under_a_flood() {
         // The holder takes a lock and then ignores the demand for it, so
         // the only thing that re-sends the demand is the PushRetry timer.
         let mut holder = RawPeer::hello(addr);
-        let ino = match holder.call(RequestBody::Create {
-            parent: ROOT,
-            name: "hot".into(),
-        }) {
-            Ok(ReplyBody::Created { ino }) => ino,
-            other => panic!("create: {other:?}"),
-        };
-        let mode = LockMode::Exclusive;
-        assert!(matches!(
-            holder.call(RequestBody::LockAcquire { ino, mode }),
-            Ok(ReplyBody::LockGranted { .. })
-        ));
+        let ino = holder.create("hot");
+        holder.lock(ino);
         let mut waiter = RawPeer::hello(addr);
-        waiter.send(RequestBody::LockAcquire { ino, mode });
+        waiter.send(RequestBody::LockAcquire {
+            ino,
+            mode: LockMode::Exclusive,
+        });
 
         let mut demands: Vec<(u64, Instant)> = Vec::new();
         while demands.len() < 2 {
@@ -604,4 +617,74 @@ fn push_retry_fires_on_time_under_a_flood() {
         );
     });
     server.stop();
+}
+
+#[test]
+fn stale_release_does_not_cancel_a_live_demand() {
+    // A retry budget long enough for the holder to sit on the demand for
+    // the whole test without being declared dead.
+    let cfg = NetServerConfig {
+        push_retries: 40,
+        ..server_cfg()
+    };
+    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let mut holder = RawPeer::hello(server.addr);
+    let ino = holder.create("hot");
+    // Two tenures, so a release naming the first is stale during the second.
+    let old = holder.lock(ino);
+    assert_eq!(
+        holder.call(RequestBody::LockRelease { ino, epoch: old }),
+        Ok(ReplyBody::Ok)
+    );
+    let held = holder.lock(ino);
+    assert!(held > old);
+
+    let mut waiter = RawPeer::hello(server.addr);
+    let parked = waiter.send(RequestBody::LockAcquire {
+        ino,
+        mode: LockMode::Exclusive,
+    });
+    let demand = match holder.recv() {
+        Some(CtlMsg::Push(push)) => push.push_seq,
+        other => panic!("expected the demand, got {other:?}"),
+    };
+
+    // A straggler from the first tenure. The lock table ignores it, so
+    // the demand for the grant still held must keep being retried: any
+    // push after this answer was sent after the release was processed.
+    let stale = holder.send(RequestBody::LockRelease { ino, epoch: old });
+    assert_eq!(holder.response().expect("answered").seq, stale);
+    assert!(
+        matches!(holder.recv(), Some(CtlMsg::Push(push)) if push.push_seq == demand),
+        "the demand survives a stale release"
+    );
+    assert!(waiter.recv().is_none(), "the lock is still held");
+
+    assert_eq!(
+        holder.call(RequestBody::LockRelease { ino, epoch: held }),
+        Ok(ReplyBody::Ok)
+    );
+    let grant = waiter.response().expect("granted once really released");
+    assert_eq!(grant.seq, parked);
+    match grant.outcome {
+        ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { epoch, .. })) => assert!(epoch > held),
+        other => panic!("expected the grant, got {other:?}"),
+    }
+    assert_eq!(server.stop().delivery_errors, 0);
+}
+
+#[test]
+fn observed_server_records_reactor_and_batch_instruments() {
+    let registry = std::sync::Arc::new(tank_obs::Registry::new());
+    let server = LeaseServer::spawn_observed("127.0.0.1:0", server_cfg(), Some(&registry)).unwrap();
+    let mut peer = RawPeer::hello(server.addr);
+    let batch = RequestBody::Batch(vec![RequestBody::GetAttr { ino: ROOT }; 4]);
+    assert!(matches!(peer.call(batch), Ok(ReplyBody::Batch(outcomes)) if outcomes.len() == 4));
+    server.stop();
+
+    let snap = registry.snapshot();
+    assert!(snap.counter("net.reactor.wakeups").unwrap_or(0) > 0);
+    let drained = snap.histogram("net.reactor.datagrams_per_wakeup").unwrap();
+    assert_eq!(drained.sum, 2, "the hello and the batch");
+    assert_eq!(snap.histogram("server.batch.exec_ns").unwrap().count, 1);
 }

@@ -448,8 +448,7 @@ impl HistogramSnap {
     /// upper bound of the bucket the quantile rank falls in, clamped to
     /// the observed `max` (so the overflow bucket answers with a real
     /// observation instead of infinity, and a coarse ladder never
-    /// reports a value above anything seen). The open-loop harness reads
-    /// p50/p99/p999 through this.
+    /// reports a value above anything seen).
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;

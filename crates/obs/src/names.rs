@@ -94,36 +94,6 @@ pub const SMALL_COUNT_BOUNDS: &[u64] = &[0, 1, 2, 3, 4, 6, 8, 12, 16];
 /// counts (0 = spurious wakeup, cap at the reactor's max batch).
 pub const BATCH_SIZE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
-/// Client-observed latency buckets (ns) for the open-loop harness:
-/// finer than [`DURATION_BOUNDS_NS`] below 1ms because an unsaturated
-/// loopback round trip lands in the tens of microseconds.
-pub const LATENCY_BOUNDS_NS: &[u64] = &[
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    MS,
-    2 * MS,
-    5 * MS,
-    10 * MS,
-    20 * MS,
-    50 * MS,
-    100 * MS,
-    200 * MS,
-    500 * MS,
-    S,
-    2 * S,
-    5 * S,
-    10 * S,
-];
-
-/// Offered-rate buckets (requests/s) for the open-loop sweep: one bucket
-/// per decade step from light load to well past the 1-CPU knee.
-pub const OFFERED_RATE_BOUNDS: &[u64] = &[
-    100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-];
-
 // ------------------------------------------------------------- client
 
 /// Successful opportunistic lease renewals (ACK arrived in time).
@@ -455,23 +425,6 @@ pub const NET_REACTOR_DATAGRAMS_PER_WAKEUP: MetricDef = histogram(
     "datagrams drained per reactor wakeup",
 );
 
-// -------------------------------------------------------------- bench
-
-/// Offered request rate of each open-loop run (one observation per run).
-pub const BENCH_OFFERED_RATE: MetricDef = histogram(
-    "bench.offered_rate",
-    "req/s",
-    OFFERED_RATE_BOUNDS,
-    "offered request rate per open-loop run",
-);
-/// Client-observed request latency under open load (send to reply), ns.
-pub const BENCH_LATENCY_NS: MetricDef = histogram(
-    "bench.latency_ns",
-    "ns",
-    LATENCY_BOUNDS_NS,
-    "client-observed request latency under open load",
-);
-
 /// Every metric the repo registers, grouped by layer. `OBSERVABILITY.md`
 /// mirrors this list; `register_all` materialises it.
 pub const ALL: &[MetricDef] = &[
@@ -546,9 +499,6 @@ pub const ALL: &[MetricDef] = &[
     NET_CLIENT_DECODE_ERRORS,
     NET_REACTOR_WAKEUPS,
     NET_REACTOR_DATAGRAMS_PER_WAKEUP,
-    // bench
-    BENCH_OFFERED_RATE,
-    BENCH_LATENCY_NS,
 ];
 
 /// Register every declared metric so zero-valued instruments appear in

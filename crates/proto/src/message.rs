@@ -197,6 +197,39 @@ impl RequestBody {
             | RequestBody::Batch(_) => false,
         }
     }
+
+    /// True for request bodies that need the server's full authority —
+    /// anything that grants a lock or mutates metadata — which a server
+    /// in its recovery grace window must refuse. Everything else (Hello,
+    /// keep-alives, reads, releases, push acks) is benign: surviving
+    /// clients must be able to re-register and wind down while the
+    /// window is open.
+    pub fn needs_full_service(&self) -> bool {
+        match self {
+            RequestBody::LockAcquire { .. }
+            | RequestBody::Create { .. }
+            | RequestBody::Mkdir { .. }
+            | RequestBody::Unlink { .. }
+            | RequestBody::RenameLink { .. }
+            | RequestBody::RenameUnlink { .. }
+            | RequestBody::SetAttr { .. }
+            | RequestBody::AllocBlocks { .. }
+            | RequestBody::CommitWrite { .. }
+            | RequestBody::WriteData { .. } => true,
+            // A batch needs full service exactly when any element does —
+            // first-error-stops would otherwise half-execute it against a
+            // recovering server.
+            RequestBody::Batch(elems) => elems.iter().any(Self::needs_full_service),
+            RequestBody::Hello { .. }
+            | RequestBody::KeepAlive
+            | RequestBody::Lookup { .. }
+            | RequestBody::ReadDir { .. }
+            | RequestBody::GetAttr { .. }
+            | RequestBody::LockRelease { .. }
+            | RequestBody::PushAck { .. }
+            | RequestBody::ReadData { .. } => false,
+        }
+    }
 }
 
 /// File attributes returned by metadata operations.
@@ -606,6 +639,35 @@ mod tests {
         }
         .batchable());
         assert!(!RequestBody::Batch(vec![]).batchable());
+    }
+
+    #[test]
+    fn full_service_covers_grants_and_mutations_and_looks_inside_batches() {
+        let read = RequestBody::GetAttr { ino: Ino(1) };
+        let release = RequestBody::LockRelease {
+            ino: Ino(1),
+            epoch: crate::ids::Epoch(1),
+        };
+        let grant = RequestBody::LockAcquire {
+            ino: Ino(1),
+            mode: LockMode::SharedRead,
+        };
+        let mutation = RequestBody::SetAttr {
+            ino: Ino(1),
+            size: None,
+        };
+        assert!(grant.needs_full_service() && mutation.needs_full_service());
+        for benign in [
+            RequestBody::Hello { map_epoch: 0 },
+            RequestBody::KeepAlive,
+            RequestBody::PushAck { push_seq: 1 },
+            read.clone(),
+            release.clone(),
+        ] {
+            assert!(!benign.needs_full_service(), "{benign:?}");
+        }
+        assert!(!RequestBody::Batch(vec![read.clone(), release]).needs_full_service());
+        assert!(RequestBody::Batch(vec![read, mutation]).needs_full_service());
     }
 
     #[test]

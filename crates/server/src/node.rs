@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use tank_core::{ClientStanding, LeaseAuthority};
-use tank_meta::{snapshot, DurableStore, MetaError, MetaStore, WalRecord, WalStats, Watermarks};
+use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermarks};
 use tank_obs::Registry;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
@@ -836,15 +836,6 @@ impl<Ob> ServerNode<Ob> {
         ctx.send(NetId::CONTROL, client, NetMsg::Ctl(CtlMsg::Response(resp)));
     }
 
-    fn map_meta<T>(r: Result<T, MetaError>) -> Result<T, FsError> {
-        r.map_err(|e| match e {
-            MetaError::NotFound => FsError::NotFound,
-            MetaError::Exists => FsError::Exists,
-            MetaError::Invalid => FsError::Invalid,
-            MetaError::NoSpace => FsError::NoSpace,
-        })
-    }
-
     fn execute(&mut self, client: NodeId, req: Request, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         let session = req.session;
         let seq = req.seq;
@@ -918,7 +909,7 @@ impl<Ob> ServerNode<Ob> {
         match body {
             RequestBody::KeepAlive => Ok(ReplyBody::Ok),
             RequestBody::Create { parent, name } => {
-                let r = Self::map_meta(self.meta.create(parent, &name, now));
+                let r = self.meta.create(parent, &name, now).map_err(FsError::from);
                 if let Ok(ino) = r {
                     self.wal_append(&WalRecord::Create {
                         parent,
@@ -930,7 +921,7 @@ impl<Ob> ServerNode<Ob> {
                 r.map(|ino| ReplyBody::Created { ino })
             }
             RequestBody::Mkdir { parent, name } => {
-                let r = Self::map_meta(self.meta.mkdir(parent, &name, now));
+                let r = self.meta.mkdir(parent, &name, now).map_err(FsError::from);
                 if let Ok(ino) = r {
                     self.wal_append(&WalRecord::Mkdir {
                         parent,
@@ -941,20 +932,28 @@ impl<Ob> ServerNode<Ob> {
                 }
                 r.map(|ino| ReplyBody::Created { ino })
             }
-            RequestBody::Lookup { parent, name } => Self::map_meta(self.meta.lookup(parent, &name))
+            RequestBody::Lookup { parent, name } => self
+                .meta
+                .lookup(parent, &name)
+                .map_err(FsError::from)
                 .map(|(ino, attr)| ReplyBody::Resolved { ino, attr }),
-            RequestBody::ReadDir { dir } => {
-                Self::map_meta(self.meta.readdir(dir)).map(|entries| ReplyBody::Dir { entries })
-            }
+            RequestBody::ReadDir { dir } => self
+                .meta
+                .readdir(dir)
+                .map_err(FsError::from)
+                .map(|entries| ReplyBody::Dir { entries }),
             RequestBody::RenameLink { dir, name, ino } => {
-                let r = Self::map_meta(self.meta.rename_link(dir, &name, ino));
+                let r = self
+                    .meta
+                    .rename_link(dir, &name, ino)
+                    .map_err(FsError::from);
                 if r.is_ok() {
                     self.wal_append(&WalRecord::RenameLink { dir, name, ino });
                 }
                 r.map(|_| ReplyBody::Ok)
             }
             RequestBody::RenameUnlink { dir, name } => {
-                let r = Self::map_meta(self.meta.rename_unlink(dir, &name));
+                let r = self.meta.rename_unlink(dir, &name).map_err(FsError::from);
                 if r.is_ok() {
                     self.wal_append(&WalRecord::RenameUnlink { dir, name });
                 }
@@ -967,7 +966,7 @@ impl<Ob> ServerNode<Ob> {
                 match self.meta.lookup(parent, &name) {
                     Ok((ino, _)) if self.locks.is_contended(ino) => Err(FsError::Unavailable),
                     _ => {
-                        let r = Self::map_meta(self.meta.unlink(parent, &name));
+                        let r = self.meta.unlink(parent, &name).map_err(FsError::from);
                         if r.is_ok() {
                             self.wal_append(&WalRecord::Unlink { parent, name });
                         }
@@ -975,16 +974,18 @@ impl<Ob> ServerNode<Ob> {
                     }
                 }
             }
-            RequestBody::GetAttr { ino } => {
-                Self::map_meta(self.meta.getattr(ino)).map(|attr| ReplyBody::Attr { attr })
-            }
+            RequestBody::GetAttr { ino } => self
+                .meta
+                .getattr(ino)
+                .map_err(FsError::from)
+                .map(|attr| ReplyBody::Attr { attr }),
             RequestBody::SetAttr { ino, size } => {
                 // Truncation changes data visibility: it requires the
                 // exclusive lock, like any other write.
                 if size.is_some() && !self.locks.holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
-                    let r = Self::map_meta(self.meta.setattr(ino, size, now));
+                    let r = self.meta.setattr(ino, size, now).map_err(FsError::from);
                     if r.is_ok() {
                         self.wal_append(&WalRecord::SetAttr { ino, size, now });
                     }
@@ -1022,7 +1023,7 @@ impl<Ob> ServerNode<Ob> {
                 if !self.locks.holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
-                    let r = Self::map_meta(self.meta.alloc_blocks(ino, count));
+                    let r = self.meta.alloc_blocks(ino, count).map_err(FsError::from);
                     if r.is_ok() {
                         self.wal_append(&WalRecord::Alloc { ino, count });
                     }
@@ -1033,7 +1034,10 @@ impl<Ob> ServerNode<Ob> {
                 if !self.locks.holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
-                    let r = Self::map_meta(self.meta.commit_write(ino, new_size, now));
+                    let r = self
+                        .meta
+                        .commit_write(ino, new_size, now)
+                        .map_err(FsError::from);
                     if r.is_ok() {
                         self.wal_append(&WalRecord::Commit { ino, new_size, now });
                     }
@@ -1059,7 +1063,7 @@ impl<Ob> ServerNode<Ob> {
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
         // Locking a nonexistent file is an application error.
-        let attr: Result<FileAttr, FsError> = Self::map_meta(self.meta.getattr(ino));
+        let attr: Result<FileAttr, FsError> = self.meta.getattr(ino).map_err(FsError::from);
         if let Err(e) = attr {
             return self.ack(client, session, seq, Err(e), ctx);
         }
@@ -1240,7 +1244,7 @@ impl<Ob> ServerNode<Ob> {
         };
         if idx >= blocks.len() {
             let need = (idx + 1 - blocks.len()) as u32;
-            match Self::map_meta(self.meta.alloc_blocks(ino, need)) {
+            match self.meta.alloc_blocks(ino, need).map_err(FsError::from) {
                 Ok(b) => blocks = b,
                 Err(e) => return self.ack(client, session, seq, Err(e), ctx),
             }
@@ -1535,38 +1539,6 @@ impl<Ob> ServerNode<Ob> {
         }
     }
 
-    /// True for request bodies a recovering server must refuse: anything
-    /// that grants a lock or mutates metadata. Everything else (Hello,
-    /// keep-alives, reads, push/lock bookkeeping) is benign — in
-    /// particular, surviving clients must be able to re-register and
-    /// release while the grace window is open.
-    fn needs_full_service(body: &RequestBody) -> bool {
-        match body {
-            RequestBody::LockAcquire { .. }
-            | RequestBody::Create { .. }
-            | RequestBody::Mkdir { .. }
-            | RequestBody::Unlink { .. }
-            | RequestBody::RenameLink { .. }
-            | RequestBody::RenameUnlink { .. }
-            | RequestBody::SetAttr { .. }
-            | RequestBody::AllocBlocks { .. }
-            | RequestBody::CommitWrite { .. }
-            | RequestBody::WriteData { .. } => true,
-            // A batch needs full service exactly when any element does —
-            // first-error-stops would otherwise half-execute it against a
-            // recovering server.
-            RequestBody::Batch(elems) => elems.iter().any(Self::needs_full_service),
-            RequestBody::Hello { .. }
-            | RequestBody::KeepAlive
-            | RequestBody::Lookup { .. }
-            | RequestBody::ReadDir { .. }
-            | RequestBody::GetAttr { .. }
-            | RequestBody::LockRelease { .. }
-            | RequestBody::PushAck { .. }
-            | RequestBody::ReadData { .. } => false,
-        }
-    }
-
     /// The inode whose shard ownership governs where `body` may execute:
     /// dentry operations go to the directory's owner, inode operations to
     /// the inode's owner. Session traffic (Hello, keep-alives, push acks)
@@ -1660,7 +1632,7 @@ impl<Ob> ServerNode<Ob> {
         // whether a grant would conflict with a surviving pre-crash
         // holder. Unlike the lease-authority NACKs below, `Recovering`
         // does not condemn the client's cache — its lease is still good.
-        if self.recovering && Self::needs_full_service(&req.body) {
+        if self.recovering && req.body.needs_full_service() {
             self.stats.recovery_nacks += 1;
             return self.nack(from, req.session, req.seq, NackReason::Recovering, ctx);
         }

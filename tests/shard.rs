@@ -4,6 +4,8 @@
 //!
 //! The subjects under test:
 //! * a multi-shard cluster serves a mixed workload safely,
+//! * a Zipf-skewed workload at 1 and 8 shards passes the checker and the
+//!   happens-before audit (the tree's only 8-shard hb run),
 //! * losing ONE shard's server quiesces only that shard's inodes — the
 //!   client keeps reading and writing files owned by the other shards
 //!   (blast-radius isolation),
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use tank_client::fs::Script;
 use tank_client::FsOp;
-use tank_cluster::workload::UniformGen;
+use tank_cluster::workload::{Mix, UniformGen, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
 use tank_obs::Registry;
@@ -89,6 +91,35 @@ fn four_shard_cluster_serves_and_stays_safe() {
         }
     }
     assert!(loaded >= 2, "16 names landed on a single shard?");
+}
+
+#[test]
+fn zipf_workload_is_checker_and_hb_clean_at_one_and_eight_shards() {
+    // Skewed popularity puts the hot files' lock traffic on few shards
+    // and the write tags of different shards side by side in one audit —
+    // the run that once caught a cross-shard `WriteTag` collision.
+    const FILES: usize = 64;
+    for shards in [1, 8] {
+        let mut cfg = sharded_cfg(shards, 4, FILES);
+        cfg.file_blocks = 4;
+        cfg.gen_concurrency = 2;
+        cfg.record_hb = true;
+        let mut cluster = Cluster::build(cfg, 0);
+        for i in 0..4 {
+            cluster.attach_workload(i, Box::new(ZipfGen::new(FILES, 1.0, Mix::default())));
+        }
+        cluster.run_until(SimTime::from_secs(4));
+        cluster.settle();
+        let hb = cluster.hb_audit();
+        assert!(hb.racy.is_empty(), "{shards} shards:\n{}", hb.render());
+        let report = cluster.finish();
+        assert!(report.check.safe(), "{shards} shards: {:#?}", report.check);
+        assert!(
+            report.check.ops_ok > 50,
+            "{shards} shards: ops flowed: {}",
+            report.check.ops_ok
+        );
+    }
 }
 
 #[test]
