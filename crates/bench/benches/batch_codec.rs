@@ -1,4 +1,4 @@
-//! Batch codec throughput and the grant scratch-buffer rotation.
+//! Batch codec throughput and the reactor's drain-and-decode.
 //!
 //! Two claims from the batching work, measured rather than asserted:
 //!
@@ -6,12 +6,7 @@
 //!    length-prefixed `RequestBody::Batch` / `ReplyBody::Batch` framing
 //!    adds no per-element surprises at the coalescing caps the client
 //!    actually uses (1/4/16) or well beyond them (64).
-//! 2. **`rotate_grants` does not allocate after warm-up** — the grant
-//!    delivery pass on the server's hot request loop reuses one
-//!    `VecDeque`/`Vec` pair (see `tank_net::server::rotate_grants`).
-//!    The bench cycles grants queue→batch→queue so a per-pass allocation
-//!    would show up as throughput loss against the element count.
-//! 3. **A wakeup's drain-and-decode is arena-cheap** — the reactor packs
+//! 2. **A wakeup's drain-and-decode is arena-cheap** — the reactor packs
 //!    every ready datagram into one reused [`WakeupBatch`] arena and
 //!    `decode_batch` backs all frames with a single `Bytes` copy, so the
 //!    per-datagram cost is one slice + decode, not an allocation. The
@@ -21,16 +16,13 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::collections::VecDeque;
 use std::hint::black_box;
 use tank_net::reactor::{decode_batch, WakeupBatch};
-use tank_net::server::rotate_grants;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Incarnation, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response,
-    SessionId, WireDecode, WireEncode,
+    CtlMsg, Incarnation, Ino, NetMsg, NodeId, ReqSeq, Request, Response, SessionId, WireDecode,
+    WireEncode,
 };
-use tank_server::lock::Grant;
 
 const SIZES: [usize; 4] = [1, 4, 16, 64];
 
@@ -101,34 +93,6 @@ fn bench_codec(c: &mut Criterion) {
     }
 }
 
-fn bench_rotate_grants(c: &mut Criterion) {
-    for n in SIZES {
-        let mut queue: VecDeque<Grant> = (0..n)
-            .map(|i| Grant {
-                client: NodeId(i as u32),
-                ino: Ino(i as u64),
-                mode: LockMode::Exclusive,
-                epoch: Epoch(i as u64),
-                answers: Some((SessionId(9), ReqSeq(i as u64))),
-            })
-            .collect();
-        let mut batch: Vec<Grant> = Vec::new();
-        let mut g = c.benchmark_group(format!("batch/rotate_grants/{n}"));
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_function("rotate", |b| {
-            b.iter(|| {
-                rotate_grants(&mut queue, &mut batch);
-                // Refill the queue from the batch (move, not clone) so every
-                // iteration rotates a full queue — mirroring a delivery pass
-                // that immediately re-queues undeliverable grants.
-                queue.extend(batch.drain(..));
-                black_box(queue.len())
-            })
-        });
-        g.finish();
-    }
-}
-
 /// One wakeup's worth of single-request datagrams, packed into a
 /// [`WakeupBatch`] arena exactly as `drain_ready` packs them off the
 /// socket: payload bytes end-to-end, one `(offset, len, peer)` frame per
@@ -181,10 +145,5 @@ fn bench_drain_decode(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_rotate_grants,
-    bench_drain_decode
-);
+criterion_group!(benches, bench_codec, bench_drain_decode);
 criterion_main!(benches);

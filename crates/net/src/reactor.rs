@@ -111,8 +111,7 @@ impl<E> TimerQueue<E> {
 
 /// Everything one wakeup drained off the socket: raw datagram bytes
 /// packed end-to-end in `arena`, framed by `(offset, len, peer)`. Both
-/// vectors keep their capacity across wakeups (the `rotate_grants`
-/// scratch pattern applied to the receive path), so a warm drain
+/// vectors keep their capacity across wakeups, so a warm drain
 /// allocates nothing.
 pub struct WakeupBatch {
     /// Datagram payloads, packed contiguously.

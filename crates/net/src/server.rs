@@ -23,11 +23,11 @@ use tank_meta::MetaStore;
 use tank_obs::{names, Counter, Histogram, Registry};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, PushBody, ReqSeq, Request,
-    Response, ServerPush, SessionId, WireEncode,
+    CtlMsg, Incarnation, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
+    SessionId, WireEncode,
 };
-use tank_server::lock::{Grant, LockManager, LockRequestOutcome};
 use tank_server::session::{Admission, SessionTable};
+use tank_server::{DemandLadder, LadderTimer, LockEffect, LockService, ServerStats};
 
 use crate::fault::{FaultConfig, FaultySocket};
 use crate::mono_now;
@@ -55,12 +55,8 @@ const MAX_BATCH: usize = 1024;
 pub struct NetServerConfig {
     /// Lease contract.
     pub lease: LeaseConfig,
-    /// Push retry interval.
-    pub push_retry: Duration,
-    /// Push retry budget before a delivery error is declared.
-    pub push_retries: u32,
-    /// Post-PushAck release deadline.
-    pub release_timeout: Duration,
+    /// When an unanswered demand becomes a delivery error.
+    pub ladder: DemandLadder,
     /// This server instance's incarnation number, stamped on every
     /// response. An operator restarting a crashed server must pass a
     /// larger value than the previous instance used, so clients can
@@ -81,9 +77,7 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             lease: LeaseConfig::default(),
-            push_retry: Duration::from_millis(200),
-            push_retries: 3,
-            release_timeout: Duration::from_secs(2),
+            ladder: DemandLadder::default(),
             incarnation: 1,
             recover: false,
             faults: FaultConfig::none(),
@@ -94,79 +88,31 @@ impl Default for NetServerConfig {
 /// Timer events multiplexed into the reactor's poll timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerEv {
-    PushRetry(u64),
-    ReleaseWait(u64),
+    Ladder(LadderTimer),
     LeaseExpiry(NodeId),
     RecoveryDone,
-}
-
-struct PendingPush {
-    addr: SocketAddr,
-    dst: NodeId,
-    session: SessionId,
-    body: PushBody,
-    retries_left: u32,
-    acked: bool,
-}
-
-/// Counters exposed to tests/operators.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetServerStats {
-    /// Requests executed.
-    pub requests: u64,
-    /// NACKs sent.
-    pub nacks: u64,
-    /// Duplicate requests answered from the replay cache (at-most-once
-    /// in action: the request was *not* re-executed).
-    pub replays: u64,
-    /// Delivery errors declared.
-    pub delivery_errors: u64,
-    /// Steals performed.
-    pub steals: u64,
-    /// Requests refused because the recovery grace window was open.
-    pub recovery_nacks: u64,
 }
 
 /// The server's protocol state, owned by the reactor thread: timers and
 /// requests run against it one at a time, to completion. All sends go
 /// through the `outbox` field and leave together at the end of a wakeup.
 pub struct LeaseServer {
-    cfg: NetServerConfig,
     meta: MetaStore,
-    locks: LockManager,
+    locks: LockService,
     authority: LeaseAuthority,
     sessions: SessionTable,
     /// addr ⟷ node id mapping (ids assigned on first contact).
     ids: HashMap<SocketAddr, NodeId>,
     addrs: HashMap<NodeId, SocketAddr>,
     next_id: u32,
-    pushes: HashMap<u64, PendingPush>,
-    next_push: u64,
     timers: TimerQueue<TimerEv>,
     incarnation: Incarnation,
     recovering: bool,
-    stats: NetServerStats,
+    stats: ServerStats,
     /// Encoded responses awaiting transmission (see [`Self::flush`]).
     outbox: Vec<(SocketAddr, Bytes)>,
     /// Wall-clock vectored-batch execution histogram (when observed).
     batch_exec_ns: Option<Arc<Histogram>>,
-    /// Scratch buffers for [`Self::deliver_grants`]: the grant-push path
-    /// runs on the hot request loop, so each pass reuses these instead of
-    /// collecting a fresh `Vec` (see `rotate_grants` and the criterion
-    /// datapoint in `tank-bench`).
-    grant_queue: std::collections::VecDeque<Grant>,
-    grant_batch: Vec<Grant>,
-    grant_touched: Vec<Ino>,
-}
-
-/// Move all queued grants into `batch` for one delivery pass, reusing
-/// `batch`'s capacity. After warm-up neither side allocates: the queue
-/// keeps its buffer across `drain`, and `clear` + `extend` refills the
-/// batch in place. Public so the allocation claim is benchmarked
-/// (`crates/bench/benches/batch_codec.rs`) rather than asserted.
-pub fn rotate_grants(queue: &mut std::collections::VecDeque<Grant>, batch: &mut Vec<Grant>) {
-    batch.clear();
-    batch.extend(queue.drain(..));
 }
 
 /// Reactor-loop instruments (when observed).
@@ -179,13 +125,13 @@ struct ReactorObs {
 pub struct ServerHandle {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
-    join: std::thread::JoinHandle<NetServerStats>,
+    join: std::thread::JoinHandle<ServerStats>,
     stop: Arc<AtomicBool>,
 }
 
 impl ServerHandle {
     /// Stop the server and return its final counters.
-    pub fn stop(self) -> NetServerStats {
+    pub fn stop(self) -> ServerStats {
         self.stop.store(true, Ordering::SeqCst);
         self.join.join().unwrap_or_default()
     }
@@ -210,33 +156,27 @@ impl LeaseServer {
         sock.set_nonblocking(true)?;
         let mut server = LeaseServer {
             meta: MetaStore::new(1 << 16, 4096),
-            locks: LockManager::new(),
+            locks: LockService::new(cfg.ladder),
             authority: LeaseAuthority::new(cfg.lease),
             sessions: SessionTable::new(),
             ids: HashMap::new(),
             addrs: HashMap::new(),
             next_id: 1,
-            pushes: HashMap::new(),
-            next_push: 1,
             timers: TimerQueue::new(),
             incarnation: Incarnation(cfg.incarnation),
             recovering: false,
-            stats: NetServerStats::default(),
+            stats: ServerStats::default(),
             outbox: Vec::new(),
             batch_exec_ns: registry.map(|r| r.histogram_def(&names::SERVER_BATCH_EXEC_NS)),
-            grant_queue: std::collections::VecDeque::new(),
-            grant_batch: Vec::new(),
-            grant_touched: Vec::new(),
-            cfg,
         };
-        if server.cfg.recover {
+        if cfg.recover {
             // Diskless recovery (§6): no lease state survived the crash,
             // so wait out one full server-side lease period before
             // granting anything. Every lease that might have been live at
             // the crash expires on its holder's clock within τ(1+ε) of
             // the crash — and the crash predates our startup.
             server.recovering = true;
-            let grace = Duration::from_nanos(server.cfg.lease.server_timeout().0);
+            let grace = Duration::from_nanos(cfg.lease.server_timeout().0);
             server.timers.arm(grace, TimerEv::RecoveryDone);
         }
         let obs = registry.map(|r| ReactorObs {
@@ -306,38 +246,20 @@ impl LeaseServer {
 
     fn on_timer(&mut self, ev: TimerEv) {
         match ev {
-            TimerEv::PushRetry(push_seq) => {
-                let Some(p) = self.pushes.get_mut(&push_seq) else {
-                    return;
-                };
-                if p.acked {
-                    return;
+            TimerEv::Ladder(timer) => {
+                if let Some(client) = self.locks.timer_fired(timer) {
+                    self.delivery_error(client);
                 }
-                if p.retries_left == 0 {
-                    let dst = p.dst;
-                    self.delivery_error(dst);
-                } else {
-                    p.retries_left -= 1;
-                    self.send_push(push_seq);
-                }
-            }
-            TimerEv::ReleaseWait(push_seq) => {
-                if let Some(p) = self.pushes.remove(&push_seq) {
-                    let still_held = match &p.body {
-                        PushBody::Demand { ino, epoch, .. } => {
-                            self.locks.holding_epoch(p.dst, *ino) == Some(*epoch)
-                        }
-                        // An Invalidate push carries no lock to re-demand.
-                        PushBody::Invalidate { .. } => false,
-                    };
-                    if still_held {
-                        self.delivery_error(p.dst);
-                    }
-                }
+                self.apply_locks();
             }
             TimerEv::LeaseExpiry(client) => {
                 if self.authority.on_timer(client, mono_now()) {
-                    self.steal(client);
+                    // No SAN sits behind this server, so fencing is a
+                    // no-op and the steal happens directly.
+                    self.stats.steals += 1;
+                    let stolen = self.locks.drop_client(client, true, &self.sessions);
+                    self.stats.locks_stolen += stolen as u64;
+                    self.apply_locks();
                 }
             }
             TimerEv::RecoveryDone => {
@@ -346,120 +268,49 @@ impl LeaseServer {
         }
     }
 
-    /// Take an expired client's locks. No SAN sits behind this server, so
-    /// fencing is a no-op and the steal happens directly.
-    fn steal(&mut self, client: NodeId) {
-        self.stats.steals += 1;
-        let (_stolen, grants) = self.locks.steal_all(client);
-        self.deliver_grants(grants);
-    }
-
     fn delivery_error(&mut self, client: NodeId) {
         self.stats.delivery_errors += 1;
-        self.pushes.retain(|_, p| p.dst != client);
         if let Some(fires_at) = self.authority.on_delivery_error(client, mono_now()) {
             let delay = Duration::from_nanos(fires_at.0.saturating_sub(mono_now().0));
             self.timers.arm(delay, TimerEv::LeaseExpiry(client));
         }
     }
 
-    fn send_push(&mut self, push_seq: u64) {
-        let Some(p) = self.pushes.get(&push_seq) else {
-            return;
-        };
-        let msg = NetMsg::Ctl(CtlMsg::Push(ServerPush {
-            dst: p.dst,
-            session: p.session,
-            push_seq,
-            body: p.body.clone(),
-        }));
-        let addr = p.addr;
-        self.send(addr, &msg);
-        let delay = self.cfg.push_retry;
-        self.timers.arm(delay, TimerEv::PushRetry(push_seq));
-    }
-
-    /// Returns grants unblocked when the holder had no live session.
-    fn start_demand(&mut self, holder: NodeId, ino: Ino, mode_needed: LockMode) -> Vec<Grant> {
-        let dup = self.pushes.values().any(|p| {
-            p.dst == holder && matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-        });
-        if dup {
-            return Vec::new();
-        }
-        let (Some(session), Some(&addr)) = (self.sessions.current(holder), self.addrs.get(&holder))
-        else {
-            return self.locks.release(holder, ino, None);
-        };
-        let Some(epoch) = self.locks.holding_epoch(holder, ino) else {
-            return Vec::new();
-        };
-        let push_seq = self.next_push;
-        self.next_push += 1;
-        self.pushes.insert(
-            push_seq,
-            PendingPush {
-                addr,
-                dst: holder,
-                session,
-                body: PushBody::Demand {
-                    ino,
-                    mode_needed,
-                    epoch,
-                },
-                retries_left: self.cfg.push_retries,
-                acked: false,
-            },
-        );
-        self.send_push(push_seq);
-        Vec::new()
-    }
-
-    fn deliver_grants(&mut self, grants: Vec<Grant>) {
-        // The scratch buffers live on `self` so repeated passes reuse
-        // their capacity; they are taken out for the loop because
-        // `respond`/`start_demand` need `&mut self`.
-        let mut queue = std::mem::take(&mut self.grant_queue);
-        let mut batch = std::mem::take(&mut self.grant_batch);
-        let mut touched = std::mem::take(&mut self.grant_touched);
-        queue.extend(grants);
-        while !queue.is_empty() {
-            rotate_grants(&mut queue, &mut batch);
-            touched.clear();
-            touched.extend(batch.iter().map(|g| g.ino));
-            touched.sort();
-            touched.dedup();
-            for g in batch.drain(..) {
-                if let Some((session, seq)) = g.answers {
-                    let Some(&addr) = self.addrs.get(&g.client) else {
+    /// Carry out, in order, what the lock service asked for.
+    fn apply_locks(&mut self) {
+        while let Some(effect) = self.locks.next_effect() {
+            match effect {
+                LockEffect::Arm(after, timer) => {
+                    self.timers
+                        .arm(Duration::from_nanos(after.0), TimerEv::Ladder(timer));
+                }
+                LockEffect::Push { push, .. } => {
+                    self.stats.pushes_sent += 1;
+                    if let Some(&addr) = self.addrs.get(&push.dst) {
+                        self.send(addr, &NetMsg::Ctl(CtlMsg::Push(push)));
+                    }
+                }
+                LockEffect::Granted(g) | LockEffect::Held(g) => {
+                    let (Some((session, seq)), Some(&addr)) =
+                        (g.answers, self.addrs.get(&g.client))
+                    else {
                         continue;
                     };
-                    let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or((Vec::new(), 0));
-                    self.respond(
-                        addr,
-                        g.client,
-                        session,
-                        seq,
-                        ResponseOutcome::Acked(Ok(ReplyBody::LockGranted {
-                            ino: g.ino,
-                            mode: g.mode,
-                            epoch: g.epoch,
-                            blocks,
-                            size,
-                        })),
-                    );
+                    let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or_default();
+                    let reply = ReplyBody::LockGranted {
+                        ino: g.ino,
+                        mode: g.mode,
+                        epoch: g.epoch,
+                        blocks,
+                        size,
+                    };
+                    let outcome = ResponseOutcome::Acked(Ok(reply));
+                    self.respond(addr, g.client, session, seq, outcome);
                 }
-            }
-            for &ino in &touched {
-                for (holder, mode) in self.locks.pending_demands(ino) {
-                    let more = self.start_demand(holder, ino, mode);
-                    queue.extend(more);
-                }
+                // Nothing consumes an event log here.
+                LockEffect::Event(_) => {}
             }
         }
-        self.grant_queue = queue;
-        self.grant_batch = batch;
-        self.grant_touched = touched;
     }
 
     fn on_request(&mut self, addr: SocketAddr, req: Request) {
@@ -511,8 +362,8 @@ impl LeaseServer {
                 return;
             }
             self.stats.requests += 1;
-            let (_stolen, grants) = self.locks.steal_all(client);
-            self.deliver_grants(grants);
+            self.locks.drop_client(client, false, &self.sessions);
+            self.apply_locks();
             self.authority.on_new_session(client);
             let session = self.sessions.begin(client);
             let resp = Response {
@@ -557,7 +408,14 @@ impl LeaseServer {
         match req.body {
             RequestBody::Hello { .. } => unreachable!(),
             RequestBody::LockAcquire { ino, mode } => {
-                self.do_lock_acquire(addr, client, session, seq, ino, mode);
+                if let Err(e) = self.meta.getattr(ino) {
+                    let outcome = ResponseOutcome::Acked(Err(e.into()));
+                    return self.respond(addr, client, session, seq, outcome);
+                }
+                let answers = (session, seq);
+                self.locks
+                    .acquire(client, ino, mode, answers, &self.sessions);
+                self.apply_locks();
             }
             RequestBody::Batch(elems) => {
                 self.do_batch(addr, client, session, seq, elems);
@@ -607,53 +465,6 @@ impl LeaseServer {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn do_lock_acquire(
-        &mut self,
-        addr: SocketAddr,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        ino: Ino,
-        mode: LockMode,
-    ) {
-        let result = if let Err(e) = self.meta.getattr(ino) {
-            Err(e.into())
-        } else {
-            match self.locks.request(client, ino, mode, session, seq) {
-                LockRequestOutcome::Granted(g) => {
-                    let (blocks, size) = self.meta.file_extent(ino).unwrap_or((Vec::new(), 0));
-                    Ok(ReplyBody::LockGranted {
-                        ino,
-                        mode,
-                        epoch: g.epoch,
-                        blocks,
-                        size,
-                    })
-                }
-                LockRequestOutcome::AlreadyHeld(epoch, held) => {
-                    let (blocks, size) = self.meta.file_extent(ino).unwrap_or((Vec::new(), 0));
-                    Ok(ReplyBody::LockGranted {
-                        ino,
-                        mode: held,
-                        epoch,
-                        blocks,
-                        size,
-                    })
-                }
-                LockRequestOutcome::Queued { demand_from } => {
-                    let mut grants = Vec::new();
-                    for holder in demand_from {
-                        grants.extend(self.start_demand(holder, ino, mode));
-                    }
-                    self.deliver_grants(grants);
-                    return; // grant answers later
-                }
-            }
-        };
-        self.respond(addr, client, session, seq, ResponseOutcome::Acked(result));
-    }
-
     /// Execute one synchronously-answerable body. `LockAcquire` (which
     /// may queue and answer later) and session shapes are `Invalid` here;
     /// [`Self::execute`] routes them first, and batches exclude them.
@@ -686,7 +497,7 @@ impl LeaseServer {
                 Ok(ReplyBody::Ok)
             }
             RequestBody::Unlink { parent, name } => match self.meta.lookup(parent, &name) {
-                Ok((ino, _)) if self.locks.is_contended(ino) => Err(FsError::Unavailable),
+                Ok((ino, _)) if self.locks.table().is_contended(ino) => Err(FsError::Unavailable),
                 _ => {
                     self.meta.unlink(parent, &name)?;
                     Ok(ReplyBody::Ok)
@@ -701,42 +512,24 @@ impl LeaseServer {
                 Ok(ReplyBody::Attr { attr })
             }
             RequestBody::LockRelease { ino, epoch } => {
-                // A stale-epoch release is ignored by the lock table, so it
-                // must not cancel the demand for the grant still held.
-                let held = self.locks.holding_epoch(client, ino);
-                let grants = self.locks.release(client, ino, Some(epoch));
-                if held == Some(epoch) {
-                    self.pushes.retain(|_, p| {
-                        p.dst != client
-                            || !matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-                    });
-                }
-                self.deliver_grants(grants);
+                self.locks.release(client, ino, epoch, &self.sessions);
+                self.apply_locks();
                 Ok(ReplyBody::Ok)
             }
             RequestBody::PushAck { push_seq } => {
-                let mut arm_release = false;
-                if let Some(p) = self.pushes.get_mut(&push_seq) {
-                    if !p.acked {
-                        p.acked = true;
-                        arm_release = true;
-                    }
-                }
-                if arm_release {
-                    let delay = self.cfg.release_timeout;
-                    self.timers.arm(delay, TimerEv::ReleaseWait(push_seq));
-                }
+                self.locks.push_ack(client, push_seq);
+                self.apply_locks();
                 Ok(ReplyBody::Ok)
             }
             RequestBody::AllocBlocks { ino, count } => {
-                if !self.locks.holds(client, ino, LockMode::Exclusive) {
+                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     return Err(FsError::NotLocked);
                 }
                 let blocks = self.meta.alloc_blocks(ino, count)?;
                 Ok(ReplyBody::Allocated { blocks })
             }
             RequestBody::CommitWrite { ino, new_size } => {
-                if !self.locks.holds(client, ino, LockMode::Exclusive) {
+                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     return Err(FsError::NotLocked);
                 }
                 self.meta.commit_write(ino, new_size, now)?;
@@ -767,7 +560,7 @@ impl LeaseServer {
         sock: &FaultySocket,
         obs: Option<ReactorObs>,
         stop: &AtomicBool,
-    ) -> NetServerStats {
+    ) -> ServerStats {
         let mut poller = match Poller::new() {
             Ok(mut p) => match p.register(sock, 0) {
                 Ok(()) => p,
@@ -824,32 +617,4 @@ fn sleeper_poller() -> Poller {
     let mut p = Poller::sleeper();
     p.register_token(0);
     p
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `LeaseServer` and the simulator's `ServerNode` run the same
-    /// delivery-error ladder from separate configs; until they share one,
-    /// their defaults must not drift apart.
-    #[test]
-    fn defaults_agree_with_the_simulated_server() {
-        let net = NetServerConfig::default();
-        let sim = tank_server::ServerConfig::default();
-        assert_eq!(net.lease, sim.lease);
-        let ladder = (net.push_retry, net.push_retries, net.release_timeout);
-        assert_eq!(
-            ladder,
-            (Duration::from_millis(200), 3, Duration::from_secs(2))
-        );
-        assert_eq!(
-            ladder,
-            (
-                Duration::from_nanos(sim.push_retry_interval.0),
-                sim.push_retries,
-                Duration::from_nanos(sim.release_timeout.0),
-            )
-        );
-    }
 }

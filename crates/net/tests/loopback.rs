@@ -18,6 +18,7 @@ use tank_proto::{
     CtlMsg, Epoch, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response, ServerPush, SessionId,
     WireDecode, WireEncode, MAX_DATAGRAM,
 };
+use tank_server::DemandLadder;
 use tank_sim::LocalNs;
 
 fn short_lease() -> LeaseConfig {
@@ -29,9 +30,11 @@ fn short_lease() -> LeaseConfig {
 fn server_cfg() -> NetServerConfig {
     NetServerConfig {
         lease: short_lease(),
-        push_retry: Duration::from_millis(50),
-        push_retries: 2,
-        release_timeout: Duration::from_millis(500),
+        ladder: DemandLadder {
+            retry_interval: LocalNs::from_millis(50),
+            retries: 2,
+            release_timeout: LocalNs::from_millis(500),
+        },
         ..NetServerConfig::default()
     }
 }
@@ -98,6 +101,7 @@ fn lock_demand_moves_between_live_clients() {
         stats.delivery_errors, 0,
         "live clients answered their demands"
     );
+    assert!(stats.pushes_sent >= 1, "the hand-over took a demand");
 }
 
 #[test]
@@ -135,6 +139,7 @@ fn dead_client_is_timed_out_and_its_lock_stolen() {
     let stats = server.stop();
     assert!(stats.delivery_errors >= 1);
     assert!(stats.steals >= 1);
+    assert!(stats.locks_stolen >= 1);
 }
 
 #[test]
@@ -560,7 +565,7 @@ fn stop_returns_final_counters_and_everything_drained_was_answered() {
 fn push_retry_fires_on_time_under_a_flood() {
     let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
     let addr = server.addr;
-    let push_retry = server_cfg().push_retry;
+    let push_retry = Duration::from_nanos(server_cfg().ladder.retry_interval.0);
 
     // Closed-loop flooders: each keeps 16 requests outstanding, so the
     // server's socket is (nearly) never empty while they run.
@@ -623,10 +628,8 @@ fn push_retry_fires_on_time_under_a_flood() {
 fn stale_release_does_not_cancel_a_live_demand() {
     // A retry budget long enough for the holder to sit on the demand for
     // the whole test without being declared dead.
-    let cfg = NetServerConfig {
-        push_retries: 40,
-        ..server_cfg()
-    };
+    let mut cfg = server_cfg();
+    cfg.ladder.retries = 40;
     let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
     let mut holder = RawPeer::hello(server.addr);
     let ino = holder.create("hot");
@@ -671,6 +674,47 @@ fn stale_release_does_not_cancel_a_live_demand() {
         other => panic!("expected the grant, got {other:?}"),
     }
     assert_eq!(server.stop().delivery_errors, 0);
+}
+
+#[test]
+fn a_foreign_push_ack_does_not_stop_the_retry_ladder() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let mut holder = RawPeer::hello(server.addr);
+    let ino = holder.create("hot");
+    holder.lock(ino);
+    let mut meddler = RawPeer::hello(server.addr);
+    let mut waiter = RawPeer::hello(server.addr);
+    let mode = LockMode::Exclusive;
+    let parked = waiter.send(RequestBody::LockAcquire { ino, mode });
+    let Some(CtlMsg::Push(ServerPush { push_seq, .. })) = holder.recv() else {
+        panic!("expected the demand");
+    };
+    let demanded_at = Instant::now();
+
+    // Push seqs are small consecutive integers: a third client can name
+    // this one. Its ack must change nothing — the holder is silent, so the
+    // demand comes again on schedule, not after the release timeout.
+    let guess = RequestBody::PushAck { push_seq };
+    assert_eq!(meddler.call(guess), Ok(ReplyBody::Ok));
+    assert!(
+        matches!(holder.recv(), Some(CtlMsg::Push(push)) if push.push_seq == push_seq),
+        "the holder's retry ladder kept running"
+    );
+    let retry = Duration::from_nanos(server_cfg().ladder.retry_interval.0);
+    // Same slack as `push_retry_fires_on_time_under_a_flood`.
+    let (gap, slack) = (demanded_at.elapsed(), Duration::from_millis(25 + 150));
+    assert!(gap <= retry + slack, "retry after {gap:?}");
+
+    // The silent holder is then timed out and the waiter granted.
+    let grant = (0..20).find_map(|_| waiter.response());
+    let grant = grant.expect("granted once the lock was stolen");
+    assert_eq!(grant.seq, parked);
+    assert!(matches!(
+        grant.outcome,
+        ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { .. }))
+    ));
+    let stats = server.stop();
+    assert!(stats.delivery_errors >= 1 && stats.locks_stolen >= 1);
 }
 
 #[test]

@@ -5,6 +5,8 @@ use tank_proto::{NodeId, ServerId};
 use tank_shard::ShardMap;
 use tank_sim::LocalNs;
 
+use crate::demand::DemandLadder;
+
 /// What the server does about a client that stops responding while
 /// holding locks — the axis of the paper's entire argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -55,15 +57,8 @@ pub struct ServerConfig {
     pub data_path: DataPath,
     /// The SAN disks this server manages (fencing targets).
     pub disks: Vec<NodeId>,
-    /// Interval between push (demand) retries.
-    pub push_retry_interval: LocalNs,
-    /// Number of unanswered push attempts that constitute a delivery
-    /// error.
-    pub push_retries: u32,
-    /// After a client `PushAck`s a demand, how long the server waits for
-    /// the actual release before declaring a delivery error anyway (the
-    /// client may be flushing a large cache; it must not take forever).
-    pub release_timeout: LocalNs,
+    /// When an unanswered demand becomes a delivery error.
+    pub ladder: DemandLadder,
     /// §3.3: answer valid requests from suspect clients with NACKs so they
     /// learn their cache is invalid immediately. Disabled, the server
     /// silently ignores them (the strawman the paper rejects as causing
@@ -114,9 +109,7 @@ impl Default for ServerConfig {
             policy: RecoveryPolicy::LeaseFence,
             data_path: DataPath::DirectSan,
             disks: Vec::new(),
-            push_retry_interval: LocalNs::from_millis(200),
-            push_retries: 3,
-            release_timeout: LocalNs::from_secs(2),
+            ladder: DemandLadder::default(),
             nack_suspect: true,
             recovery_grace: true,
             compact_threshold: tank_meta::wal::DEFAULT_COMPACT_THRESHOLD,
@@ -134,6 +127,6 @@ mod tests {
         let c = ServerConfig::default();
         assert_eq!(c.policy, RecoveryPolicy::LeaseFence);
         assert_eq!(c.data_path, DataPath::DirectSan);
-        assert!(c.push_retries >= 1);
+        assert!(c.ladder.retries >= 1);
     }
 }

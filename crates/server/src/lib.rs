@@ -3,8 +3,10 @@
 //! One [`ServerNode`] actor combines:
 //!
 //! * the metadata store (`tank-meta`) — namespace, inodes, allocation;
-//! * a [`LockManager`] — shared/exclusive data locks on inodes with FIFO
-//!   waiter queues and demand/revoke callbacks (§1.2, §2);
+//! * a [`LockService`] — the [`LockManager`] (shared/exclusive data locks
+//!   on inodes with FIFO waiter queues, §1.2, §2) plus the demand / retry /
+//!   release-wait ladder that declares delivery errors; sans-I/O, and
+//!   shared with `tank-net`'s UDP server;
 //! * the passive [`tank_core::LeaseAuthority`] — armed only by delivery
 //!   errors, NACKing suspect clients, stealing locks after `τ(1+ε)` (§3);
 //! * a [`FenceController`] — constructs fences at the SAN disks before
@@ -21,6 +23,7 @@
 //! inadequate fix), or the paper's lease protocol with fencing.
 
 pub mod config;
+pub mod demand;
 pub mod events;
 pub mod fence;
 pub mod lock;
@@ -29,6 +32,7 @@ pub mod obs;
 pub mod session;
 
 pub use config::{DataPath, RecoveryPolicy, ServerConfig};
+pub use demand::{DemandLadder, LadderTimer, LockEffect, LockService};
 pub use events::ServerEvent;
 pub use fence::FenceController;
 pub use lock::{LockManager, LockRequestOutcome};

@@ -104,16 +104,6 @@ impl LockManager {
         Epoch(self.epoch_counter)
     }
 
-    /// Forget every holder and waiter (fail-stop restart: lock state is
-    /// volatile) while keeping the epoch counter, so grants issued by the
-    /// next incarnation stay newer than every pre-crash grant and fencing
-    /// order is preserved. A *real* restart cannot rely on the counter
-    /// surviving in memory — the server logs `EpochWatermark` records to
-    /// its WAL and rebuilds via [`Self::restore_epoch`] instead.
-    pub fn reset_volatile(&mut self) {
-        self.locks.clear();
-    }
-
     /// Highest epoch ever issued — the durable watermark the server's WAL
     /// records at every grant.
     pub fn epoch_watermark(&self) -> u64 {
@@ -256,18 +246,6 @@ impl LockManager {
         out
     }
 
-    /// Current holders that conflict with the head waiter (the server
-    /// re-demands from these on retry policies).
-    pub fn blocking_holders(&self, ino: Ino) -> Vec<NodeId> {
-        let Some(st) = self.locks.get(&ino) else {
-            return Vec::new();
-        };
-        let Some(w) = st.waiters.front() else {
-            return Vec::new();
-        };
-        st.conflicts_with(w.client, w.mode)
-    }
-
     /// Demands the server must (re-)issue for `ino`: the holders blocking
     /// the head waiter, with the mode the waiter needs. After a promotion
     /// hands the lock to a new holder, the next waiter's demand targets
@@ -302,31 +280,12 @@ impl LockManager {
             .map(|h| h.epoch)
     }
 
-    /// Every inode `client` currently holds.
-    pub fn holdings_of(&self, client: NodeId) -> Vec<(Ino, LockMode, Epoch)> {
-        let mut v: Vec<_> = self
-            .locks
-            .iter()
-            .filter_map(|(ino, st)| st.holders.get(&client).map(|h| (*ino, h.mode, h.epoch)))
-            .collect();
-        v.sort_by_key(|(ino, _, _)| *ino);
-        v
-    }
-
     /// Whether any client holds or awaits a lock on `ino`.
     pub fn is_contended(&self, ino: Ino) -> bool {
         self.locks
             .get(&ino)
             .map(|st| !st.holders.is_empty() || !st.waiters.is_empty())
             .unwrap_or(false)
-    }
-
-    /// Number of inodes with at least one holder or waiter.
-    pub fn active_locks(&self) -> usize {
-        self.locks
-            .values()
-            .filter(|st| !st.holders.is_empty() || !st.waiters.is_empty())
-            .count()
     }
 
     /// Number of queued waiters across all inodes.
@@ -488,7 +447,7 @@ mod tests {
         assert_eq!(stolen.len(), 2);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].client, B);
-        assert!(m.holdings_of(A).is_empty());
+        assert_eq!(m.holding_epoch(A, F), None);
     }
 
     #[test]
@@ -505,14 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn blocking_holders_reports_conflicts_of_head_waiter() {
+    fn pending_demands_name_every_holder_blocking_the_head_waiter() {
         let mut m = LockManager::new();
         req(&mut m, A, LockMode::SharedRead, 1);
         req(&mut m, B, LockMode::SharedRead, 1);
         req(&mut m, C, LockMode::Exclusive, 1);
-        let mut blockers = m.blocking_holders(F);
-        blockers.sort();
-        assert_eq!(blockers, vec![A, B]);
+        let x = LockMode::Exclusive;
+        assert_eq!(m.pending_demands(F), vec![(A, x), (B, x)]);
     }
 
     #[test]

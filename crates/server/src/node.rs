@@ -23,17 +23,18 @@ use std::sync::Arc;
 use tank_core::{ClientStanding, LeaseAuthority};
 use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermarks};
 use tank_obs::Registry;
-use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    BlockRange, CtlMsg, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, PushBody,
-    ReplMsg, ReqSeq, Request, Response, RouteError, SanMsg, ServerPush, SessionId, WriteTag,
+    BlockRange, CtlMsg, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, ReplMsg,
+    ReqSeq, Request, Response, RouteError, SanMsg, SessionId, WriteTag,
 };
-use tank_sim::{Actor, Ctx, LocalNs, NetId, TimerId, TokenMap};
+use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 use crate::config::{DataPath, RecoveryPolicy, ServerConfig};
+use crate::demand::{LadderTimer, LockEffect, LockService};
 use crate::events::ServerEvent;
 use crate::fence::FenceController;
-use crate::lock::{Grant, LockManager, LockRequestOutcome};
+use crate::lock::{Grant, LockManager};
 use crate::obs::ServerObs;
 use crate::session::{Admission, SessionTable};
 
@@ -67,10 +68,8 @@ pub struct ServerStats {
 /// Timer tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerTimer {
-    /// Retry an unacknowledged push.
-    PushRetry(u64),
-    /// A demand was PushAcked but the release never arrived.
-    ReleaseWait(u64),
+    /// The demand ladder's retry and release-wait timers.
+    Ladder(LadderTimer),
     /// The lease authority's τ(1+ε) timer for a client.
     LeaseExpiry(NodeId),
     /// Steal-side grace for in-flight hardens: the lease expired (the
@@ -83,17 +82,6 @@ enum ServerTimer {
     /// Periodic replication beat: the primary retransmits/heartbeats, the
     /// standby checks its election clock. Armed only when a peer is wired.
     ReplTick,
-}
-
-/// An outstanding server push.
-#[derive(Debug, Clone)]
-struct PendingPush {
-    dst: NodeId,
-    session: SessionId,
-    body: PushBody,
-    retries_left: u32,
-    acked: bool,
-    timer: Option<TimerId>,
 }
 
 /// A function-shipped I/O waiting on the SAN.
@@ -111,12 +99,10 @@ pub struct ServerNode<Ob> {
     cfg: ServerConfig,
     id: Option<NodeId>,
     meta: MetaStore,
-    locks: LockManager,
+    locks: LockService,
     authority: LeaseAuthority,
     sessions: SessionTable,
     fences: FenceController,
-    next_push_seq: u64,
-    pushes: HashMap<u64, PendingPush>,
     timers: TokenMap<ServerTimer>,
     pending_san: HashMap<u64, SanPending>,
     next_san_req: u64,
@@ -178,15 +164,13 @@ impl<Ob> ServerNode<Ob> {
         let meta = MetaStore::new_sharded(cfg.map, cfg.sid, total_blocks, block_size);
         let wal = DurableStore::new(cfg.compact_threshold);
         ServerNode {
+            locks: LockService::new(cfg.ladder),
             cfg,
             id: None,
             meta,
-            locks: LockManager::new(),
             authority,
             sessions: SessionTable::new(),
             fences: FenceController::new(),
-            next_push_seq: 1,
-            pushes: HashMap::new(),
             timers: TokenMap::new(),
             pending_san: HashMap::new(),
             next_san_req: 1,
@@ -245,7 +229,7 @@ impl<Ob> ServerNode<Ob> {
 
     /// The lock manager (harvest access).
     pub fn locks(&self) -> &LockManager {
-        &self.locks
+        self.locks.table()
     }
 
     /// Root inode convenience.
@@ -372,7 +356,7 @@ impl<Ob> ServerNode<Ob> {
     fn watermarks(&self) -> Watermarks {
         Watermarks {
             session: self.sessions.watermark(),
-            epoch: self.locks.epoch_watermark(),
+            epoch: self.locks.table().epoch_watermark(),
             incarnation: self.incarnation.0,
         }
     }
@@ -495,109 +479,86 @@ impl<Ob> ServerNode<Ob> {
         self.respond(client, session, seq, ResponseOutcome::Nacked(reason), ctx);
     }
 
-    // ------------------------------------------------------------- pushes
+    // -------------------------------------------------------------- locks
 
-    /// Issue a demand to `holder`. When the holder has no live session its
-    /// lock is released instead; the resulting grants are *returned* (not
-    /// delivered) so callers can process them iteratively — recursing here
-    /// can overflow the stack under long waiter chains.
-    #[must_use]
-    fn start_demand(
-        &mut self,
-        holder: NodeId,
-        ino: Ino,
-        mode_needed: LockMode,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) -> Vec<Grant> {
-        // One outstanding demand per (holder, ino) is enough.
-        let dup = self.pushes.values().any(|p| {
-            p.dst == holder && matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-        });
-        if dup {
-            return Vec::new();
-        }
-        let Some(session) = self.sessions.current(holder) else {
-            // Holder has no live session (already reset): treat as
-            // released.
-            return self.locks.release(holder, ino, None);
-        };
-        let Some(epoch) = self.locks.holding_epoch(holder, ino) else {
-            return Vec::new(); // no longer a holder; nothing to demand
-        };
-        let push_seq = self.next_push_seq;
-        self.next_push_seq += 1;
-        self.pushes.insert(
-            push_seq,
-            PendingPush {
-                dst: holder,
-                session,
-                body: PushBody::Demand {
-                    ino,
-                    mode_needed,
-                    epoch,
-                },
-                retries_left: self.cfg.push_retries,
-                acked: false,
-                timer: None,
-            },
-        );
-        if let Some(obs) = &self.obs {
-            obs.datalock_revokes.inc();
-        }
-        self.send_push(push_seq, ctx);
-        Vec::new()
-    }
-
-    fn send_push(&mut self, push_seq: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let interval = self.cfg.push_retry_interval;
-        let Some(p) = self.pushes.get_mut(&push_seq) else {
-            return;
-        };
-        let msg = ServerPush {
-            dst: p.dst,
-            session: p.session,
-            push_seq,
-            body: p.body.clone(),
-        };
-        let dst = p.dst;
-        let token = self.timers.insert(ServerTimer::PushRetry(push_seq));
-        let timer = ctx.set_timer(interval, token);
-        if let Some(p) = self.pushes.get_mut(&push_seq) {
-            p.timer = Some(timer);
-        }
-        self.stats.pushes_sent += 1;
-        if let Some(obs) = &self.obs {
-            obs.demands_sent.inc();
-            obs.trace(ctx, "demand", || {
-                format!("client=n{} push_seq={push_seq}", dst.0)
-            });
-        }
-        ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Push(msg)));
-    }
-
-    /// Cancel pushes matching `pred` (their goal was achieved).
-    fn cancel_pushes(
-        &mut self,
-        pred: impl Fn(&PendingPush) -> bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        let mut done: Vec<u64> = self
-            .pushes
-            .iter()
-            .filter(|(_, p)| pred(p))
-            .map(|(k, _)| *k)
-            .collect();
-        done.sort_unstable();
-        for k in done {
-            if let Some(p) = self.pushes.remove(&k) {
-                if let Some(t) = p.timer {
-                    ctx.cancel_timer(t);
+    /// Carry out, in order, what the lock service asked for.
+    fn apply_locks(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        while let Some(effect) = self.locks.next_effect() {
+            match effect {
+                LockEffect::Arm(after, timer) => {
+                    let token = self.timers.insert(ServerTimer::Ladder(timer));
+                    ctx.set_timer(after, token);
+                }
+                LockEffect::Push { push, retry } => {
+                    self.stats.pushes_sent += 1;
+                    if let Some(obs) = &self.obs {
+                        if !retry {
+                            obs.datalock_revokes.inc();
+                        }
+                        obs.demands_sent.inc();
+                        obs.trace(ctx, "demand", || {
+                            format!("client=n{} push_seq={}", push.dst.0, push.push_seq)
+                        });
+                    }
+                    ctx.send(NetId::CONTROL, push.dst, NetMsg::Ctl(CtlMsg::Push(push)));
+                }
+                LockEffect::Granted(g) => {
+                    // Grant epochs order conflicting ownership across
+                    // crashes; the watermark must be durable before the
+                    // grant is ACKed.
+                    self.wal_append(&WalRecord::EpochWatermark(g.epoch.0));
+                    if let Some(obs) = &self.obs {
+                        obs.lock_granted.inc();
+                        match g.mode {
+                            LockMode::SharedRead => obs.datalock_shared_grants.inc(),
+                            LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
+                        }
+                        obs.trace(ctx, "grant", || {
+                            format!("client=n{} ino={} epoch={}", g.client.0, g.ino.0, g.epoch.0)
+                        });
+                    }
+                    self.emit(
+                        ServerEvent::LockGranted {
+                            client: g.client,
+                            ino: g.ino,
+                            epoch: g.epoch,
+                            mode: g.mode,
+                        },
+                        ctx,
+                    );
+                    self.answer_grant(g, ctx);
+                }
+                LockEffect::Held(g) => self.answer_grant(g, ctx),
+                LockEffect::Event(ev) => {
+                    if let (ServerEvent::LockReleased { client, ino, epoch }, Some(obs)) =
+                        (ev, &self.obs)
+                    {
+                        obs.lock_released.inc();
+                        obs.trace(ctx, "release", || {
+                            format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
+                        });
+                    }
+                    self.emit(ev, ctx);
                 }
             }
-            self.timers.cancel_where(
-                |t| matches!(t, ServerTimer::PushRetry(s) | ServerTimer::ReleaseWait(s) if *s == k),
-            );
         }
+    }
+
+    /// Answer the `LockAcquire` a grant belongs to, on the session it asked
+    /// with: a waiter that re-sessioned while queued ignores the answer.
+    fn answer_grant(&mut self, g: Grant, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let Some((session, seq)) = g.answers else {
+            return;
+        };
+        let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or((Vec::new(), 0));
+        let reply = ReplyBody::LockGranted {
+            ino: g.ino,
+            mode: g.mode,
+            epoch: g.epoch,
+            blocks,
+            size,
+        };
+        self.ack(g.client, session, seq, Ok(reply), ctx);
     }
 
     // ----------------------------------------------------------- recovery
@@ -609,8 +570,6 @@ impl<Ob> ServerNode<Ob> {
             obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
         }
         self.emit(ServerEvent::DeliveryError { client }, ctx);
-        // Stop pushing at the unresponsive client.
-        self.cancel_pushes(|p| p.dst == client, ctx);
         match self.cfg.policy {
             RecoveryPolicy::HonorLocks => {
                 // §2 without a safety protocol: locked data simply stays
@@ -692,85 +651,16 @@ impl<Ob> ServerNode<Ob> {
 
     fn do_steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.stats.steals += 1;
-        let (stolen, grants) = self.locks.steal_all(client);
-        self.stats.locks_stolen += stolen.len() as u64;
+        let stolen = self.locks.drop_client(client, true, &self.sessions) as u64;
+        self.stats.locks_stolen += stolen;
         if let Some(obs) = &self.obs {
             obs.steals.inc();
-            obs.lock_stolen.add(stolen.len() as u64);
+            obs.lock_stolen.add(stolen);
             obs.trace(ctx, "steal", || {
-                format!("client=n{} locks={}", client.0, stolen.len())
+                format!("client=n{} locks={stolen}", client.0)
             });
         }
-        for (ino, epoch) in stolen {
-            self.emit(ServerEvent::LockStolen { client, ino, epoch }, ctx);
-        }
-        self.deliver_grants(grants, ctx);
-    }
-
-    /// Deliver grants and issue follow-up demands, iteratively: demands to
-    /// session-less holders release their locks, which may produce further
-    /// grants, and so on — a work queue keeps the stack flat.
-    fn deliver_grants(&mut self, grants: Vec<Grant>, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let mut queue: std::collections::VecDeque<Grant> = grants.into();
-        let mut guard = 0u32;
-        while !queue.is_empty() {
-            guard += 1;
-            assert!(guard < 1_000_000, "grant delivery failed to converge");
-            let mut touched: Vec<Ino> = Vec::new();
-            while let Some(g) = queue.pop_front() {
-                touched.push(g.ino);
-                // Grant epochs order conflicting ownership across crashes;
-                // the watermark must be durable before the grant is ACKed.
-                self.wal_append(&WalRecord::EpochWatermark(g.epoch.0));
-                if let Some(obs) = &self.obs {
-                    obs.lock_granted.inc();
-                    match g.mode {
-                        LockMode::SharedRead => obs.datalock_shared_grants.inc(),
-                        LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
-                    }
-                    obs.trace(ctx, "grant", || {
-                        format!("client=n{} ino={} epoch={}", g.client.0, g.ino.0, g.epoch.0)
-                    });
-                }
-                self.emit(
-                    ServerEvent::LockGranted {
-                        client: g.client,
-                        ino: g.ino,
-                        epoch: g.epoch,
-                        mode: g.mode,
-                    },
-                    ctx,
-                );
-                if let Some((session, seq)) = g.answers {
-                    // The waiter may have re-sessioned while queued; answer
-                    // on the session it asked with (a stale client ignores
-                    // it).
-                    let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or((Vec::new(), 0));
-                    self.ack(
-                        g.client,
-                        session,
-                        seq,
-                        Ok(ReplyBody::LockGranted {
-                            ino: g.ino,
-                            mode: g.mode,
-                            epoch: g.epoch,
-                            blocks,
-                            size,
-                        }),
-                        ctx,
-                    );
-                }
-            }
-            // The queue may still have waiters blocked by the *new*
-            // holders: (re-)demand on their behalf, or the queue wedges.
-            touched.sort();
-            touched.dedup();
-            for ino in touched {
-                for (holder, mode) in self.locks.pending_demands(ino) {
-                    queue.extend(self.start_demand(holder, ino, mode, ctx));
-                }
-            }
-        }
+        self.apply_locks(ctx);
     }
 
     // ----------------------------------------------------------- requests
@@ -787,20 +677,8 @@ impl<Ob> ServerNode<Ob> {
             return;
         }
         // A fresh session abandons everything the old incarnation held.
-        let (stolen, grants) = self.locks.steal_all(client);
-        for (ino, epoch) in stolen {
-            if let Some(obs) = &self.obs {
-                obs.lock_released.inc();
-                obs.trace(ctx, "release", || {
-                    format!(
-                        "client=n{} ino={} epoch={} abandoned",
-                        client.0, ino.0, epoch.0
-                    )
-                });
-            }
-            self.emit(ServerEvent::LockReleased { client, ino, epoch }, ctx);
-        }
-        self.deliver_grants(grants, ctx);
+        self.locks.drop_client(client, false, &self.sessions);
+        self.apply_locks(ctx);
         self.authority.on_new_session(client);
         if self.fences.is_fenced(client) {
             self.begin_unfence(client, ctx);
@@ -842,7 +720,14 @@ impl<Ob> ServerNode<Ob> {
         match req.body {
             RequestBody::Hello { .. } => unreachable!("hello handled before execute"),
             RequestBody::LockAcquire { ino, mode } => {
-                self.do_lock_acquire(client, session, seq, ino, mode, ctx);
+                // Locking a nonexistent file is an application error.
+                if let Err(e) = self.meta.getattr(ino) {
+                    return self.ack(client, session, seq, Err(e.into()), ctx);
+                }
+                let answers = (session, seq);
+                self.locks
+                    .acquire(client, ino, mode, answers, &self.sessions);
+                self.apply_locks(ctx);
             }
             RequestBody::ReadData { ino, offset, len } => {
                 self.do_read_data(client, session, seq, ino, offset, len, ctx);
@@ -964,7 +849,9 @@ impl<Ob> ServerNode<Ob> {
                 // reallocation while a holder may still flush to them —
                 // block reuse corruption. Deny while contended.
                 match self.meta.lookup(parent, &name) {
-                    Ok((ino, _)) if self.locks.is_contended(ino) => Err(FsError::Unavailable),
+                    Ok((ino, _)) if self.locks.table().is_contended(ino) => {
+                        Err(FsError::Unavailable)
+                    }
                     _ => {
                         let r = self.meta.unlink(parent, &name).map_err(FsError::from);
                         if r.is_ok() {
@@ -982,7 +869,7 @@ impl<Ob> ServerNode<Ob> {
             RequestBody::SetAttr { ino, size } => {
                 // Truncation changes data visibility: it requires the
                 // exclusive lock, like any other write.
-                if size.is_some() && !self.locks.holds(client, ino, LockMode::Exclusive) {
+                if size.is_some() && !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
                     let r = self.meta.setattr(ino, size, now).map_err(FsError::from);
@@ -993,34 +880,17 @@ impl<Ob> ServerNode<Ob> {
                 }
             }
             RequestBody::LockRelease { ino, epoch } => {
-                let held = self.locks.holding_epoch(client, ino);
-                let grants = self.locks.release(client, ino, Some(epoch));
-                if held == Some(epoch) {
-                    if let Some(obs) = &self.obs {
-                        obs.lock_released.inc();
-                        obs.trace(ctx, "release", || {
-                            format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
-                        });
-                    }
-                    self.emit(ServerEvent::LockReleased { client, ino, epoch }, ctx);
-                    // The demand (if any) is satisfied.
-                    self.cancel_pushes(
-                        |p| {
-                            p.dst == client
-                                && matches!(p.body, PushBody::Demand { ino: i, .. } if i == ino)
-                        },
-                        ctx,
-                    );
-                }
-                self.deliver_grants(grants, ctx);
+                self.locks.release(client, ino, epoch, &self.sessions);
+                self.apply_locks(ctx);
                 Ok(ReplyBody::Ok)
             }
             RequestBody::PushAck { push_seq } => {
-                self.do_push_ack(push_seq, ctx);
+                self.locks.push_ack(client, push_seq);
+                self.apply_locks(ctx);
                 Ok(ReplyBody::Ok)
             }
             RequestBody::AllocBlocks { ino, count } => {
-                if !self.locks.holds(client, ino, LockMode::Exclusive) {
+                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
                     let r = self.meta.alloc_blocks(ino, count).map_err(FsError::from);
@@ -1031,7 +901,7 @@ impl<Ob> ServerNode<Ob> {
                 }
             }
             RequestBody::CommitWrite { ino, new_size } => {
-                if !self.locks.holds(client, ino, LockMode::Exclusive) {
+                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
                 } else {
                     let r = self
@@ -1049,116 +919,6 @@ impl<Ob> ServerNode<Ob> {
             | RequestBody::ReadData { .. }
             | RequestBody::WriteData { .. }
             | RequestBody::Batch(_) => Err(FsError::Invalid),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn do_lock_acquire(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        ino: Ino,
-        mode: LockMode,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        // Locking a nonexistent file is an application error.
-        let attr: Result<FileAttr, FsError> = self.meta.getattr(ino).map_err(FsError::from);
-        if let Err(e) = attr {
-            return self.ack(client, session, seq, Err(e), ctx);
-        }
-        match self.locks.request(client, ino, mode, session, seq) {
-            LockRequestOutcome::Granted(g) => {
-                self.wal_append(&WalRecord::EpochWatermark(g.epoch.0));
-                if let Some(obs) = &self.obs {
-                    obs.lock_granted.inc();
-                    match mode {
-                        LockMode::SharedRead => obs.datalock_shared_grants.inc(),
-                        LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
-                    }
-                    obs.trace(ctx, "grant", || {
-                        format!("client=n{} ino={} epoch={}", client.0, ino.0, g.epoch.0)
-                    });
-                }
-                self.emit(
-                    ServerEvent::LockGranted {
-                        client,
-                        ino,
-                        epoch: g.epoch,
-                        mode,
-                    },
-                    ctx,
-                );
-                let (blocks, size) = self.meta.file_extent(ino).unwrap_or((Vec::new(), 0));
-                self.ack(
-                    client,
-                    session,
-                    seq,
-                    Ok(ReplyBody::LockGranted {
-                        ino,
-                        mode,
-                        epoch: g.epoch,
-                        blocks,
-                        size,
-                    }),
-                    ctx,
-                );
-            }
-            LockRequestOutcome::AlreadyHeld(epoch, held_mode) => {
-                let (blocks, size) = self.meta.file_extent(ino).unwrap_or((Vec::new(), 0));
-                self.ack(
-                    client,
-                    session,
-                    seq,
-                    Ok(ReplyBody::LockGranted {
-                        ino,
-                        mode: held_mode,
-                        epoch,
-                        blocks,
-                        size,
-                    }),
-                    ctx,
-                );
-            }
-            LockRequestOutcome::Queued { demand_from } => {
-                self.emit(ServerEvent::RequestBlocked { client, ino, seq }, ctx);
-                let mut grants = Vec::new();
-                for holder in demand_from {
-                    grants.extend(self.start_demand(holder, ino, mode, ctx));
-                }
-                self.deliver_grants(grants, ctx);
-                // No reply yet: the grant answers the request later.
-            }
-        }
-    }
-
-    fn do_push_ack(&mut self, push_seq: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let Some(p) = self.pushes.get_mut(&push_seq) else {
-            return;
-        };
-        if p.acked {
-            return;
-        }
-        p.acked = true;
-        if let Some(t) = p.timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.timers
-            .cancel_where(|t| matches!(t, ServerTimer::PushRetry(s) if *s == push_seq));
-        match p.body {
-            PushBody::Demand { .. } => {
-                // The client is flushing; give it bounded time to release.
-                let timeout = self.cfg.release_timeout;
-                let token = self.timers.insert(ServerTimer::ReleaseWait(push_seq));
-                let timer = ctx.set_timer(timeout, token);
-                if let Some(p) = self.pushes.get_mut(&push_seq) {
-                    p.timer = Some(timer);
-                }
-            }
-            PushBody::Invalidate { .. } => {
-                // Ack completes an invalidation.
-                self.pushes.remove(&push_seq);
-            }
         }
     }
 
@@ -1486,8 +1246,6 @@ impl<Ob> ServerNode<Ob> {
         self.sessions = SessionTable::new();
         self.sessions
             .restore_watermark(recovered.watermarks.session);
-        self.locks = LockManager::new();
-        self.locks.restore_epoch(recovered.watermarks.epoch);
         // The incarnation is read back from the log, never from memory: a
         // replacement process — or the standby holding a mirror — computes
         // the same successor, and it is fsynced before anything is served
@@ -1504,7 +1262,8 @@ impl<Ob> ServerNode<Ob> {
         // (each incarnation owns a disjoint 4-billion-epoch range, and
         // incarnations strictly increase) makes cross-incarnation epoch
         // monotonicity unconditional instead of watermark-dependent.
-        self.locks.restore_epoch(self.incarnation.0 << 32);
+        let epoch_floor = recovered.watermarks.epoch.max(self.incarnation.0 << 32);
+        self.locks.reset(epoch_floor);
         self.last_replay_image = Some(self.namespace_image());
         if let Some(obs) = &self.obs {
             // Modeled replay cost: 1µs per record (the sim replays in zero
@@ -1519,7 +1278,6 @@ impl<Ob> ServerNode<Ob> {
             });
         }
         self.authority = LeaseAuthority::new(self.cfg.lease);
-        self.pushes.clear();
         self.pending_san.clear();
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.
@@ -1723,39 +1481,11 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
             return;
         };
         match t {
-            ServerTimer::PushRetry(push_seq) => {
-                let Some(p) = self.pushes.get_mut(&push_seq) else {
-                    return;
-                };
-                if p.acked {
-                    return;
+            ServerTimer::Ladder(timer) => {
+                if let Some(client) = self.locks.timer_fired(timer) {
+                    self.delivery_error(client, ctx);
                 }
-                if p.retries_left == 0 {
-                    let dst = p.dst;
-                    self.delivery_error(dst, ctx);
-                } else {
-                    p.retries_left -= 1;
-                    self.send_push(push_seq, ctx);
-                }
-            }
-            ServerTimer::ReleaseWait(push_seq) => {
-                if let Some(p) = self.pushes.remove(&push_seq) {
-                    // PushAcked but never released — unless the demanded
-                    // grant is already gone (a voluntary release crossed
-                    // the demand), which satisfies it without a release
-                    // message naming this push.
-                    let still_held = match &p.body {
-                        PushBody::Demand { ino, epoch, .. } => {
-                            self.locks.holding_epoch(p.dst, *ino) == Some(*epoch)
-                        }
-                        // An invalidate push needs no release; nothing to
-                        // re-check when its ReleaseWait fires.
-                        PushBody::Invalidate { .. } => false,
-                    };
-                    if still_held {
-                        self.delivery_error(p.dst, ctx);
-                    }
-                }
+                self.apply_locks(ctx);
             }
             ServerTimer::LeaseExpiry(client) => {
                 let now = ctx.now();
@@ -1840,9 +1570,8 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
             // durable prefix, so it appends nothing of its own — recovery
             // already truncated the torn tail via `on_crash`.
             self.sessions = SessionTable::new();
-            self.locks = LockManager::new();
+            self.locks.reset(0);
             self.authority = LeaseAuthority::new(self.cfg.lease);
-            self.pushes.clear();
             self.pending_san.clear();
             self.timers.cancel_where(|_| true);
             self.condemn_armed_at.clear();
