@@ -41,10 +41,6 @@ pub struct ClientConfig {
     pub lease: LeaseConfig,
     /// Block size (must match the server's store).
     pub block_size: usize,
-    /// Initial request retransmission timeout.
-    pub rto: LocalNs,
-    /// Retransmission backoff cap.
-    pub max_rto: LocalNs,
     /// Periodic write-back interval (0 disables background flushing).
     pub flush_interval: LocalNs,
     /// Run the lease protocol (default). Disabled models the baseline
@@ -61,11 +57,6 @@ pub struct ClientConfig {
     /// queue depth). Bounds how fast a dirty cache can harden — the knob
     /// that makes phase-4 sizing (E2b) a real constraint.
     pub flush_window: usize,
-    /// Ship data operations through the server (`ReadData`/`WriteData`)
-    /// instead of locking and doing direct SAN I/O — the traditional-
-    /// server baseline of §1.1 (server must run in the matching mode).
-    /// Data ops must be whole-block in this mode.
-    pub function_ship: bool,
     /// Maximum control-path operations coalesced into one
     /// [`RequestBody::Batch`] message per lease lane. `1` (the default)
     /// disables batching entirely: every request is its own datagram,
@@ -76,10 +67,6 @@ pub struct ClientConfig {
     /// retained set overflows. Releasing costs zero round trips and the
     /// next open of the same file finds the lock already held.
     pub lazy_release: bool,
-    /// Retained-release cap: absorbing one more voluntary release evicts
-    /// the oldest retained lock through the eager flush+commit+release
-    /// path it originally skipped.
-    pub lazy_release_cap: usize,
     /// Block-cache capacity in blocks. Clean blocks past the limit evict
     /// in LRU order after each read is served; dirty write-back blocks
     /// are never evicted. `usize::MAX` (the default) is unbounded; `0`
@@ -110,16 +97,12 @@ impl ClientConfig {
             disks,
             lease: LeaseConfig::default(),
             block_size: 4096,
-            rto: LocalNs::from_millis(250),
-            max_rto: LocalNs::from_secs(2),
             flush_interval: LocalNs::from_secs(2),
             lease_enabled: true,
             gen_concurrency: 1,
             flush_window: 16,
-            function_ship: false,
             batch_cap: 1,
             lazy_release: false,
-            lazy_release_cap: 32,
             cache_capacity: usize::MAX,
             shared_read: true,
             phase3_gate: true,
@@ -285,7 +268,7 @@ struct Lane {
     queue: Vec<(RequestBody, Purpose, bool)>,
     /// The coalesced request in flight and when it left: the queue waits
     /// behind it, until its response or first retransmission. Only a
-    /// request with a retransmit timer gates, so the wait is within `rto`.
+    /// request with a retransmit timer gates, so the wait is within `RTO`.
     gate: Option<(ReqSeq, LocalNs)>,
     /// Round trip of the last answered gate (`MAX`: none yet). A gate
     /// twice this old is presumed lost and new requests do not wait behind
@@ -490,8 +473,8 @@ pub struct ClientNode<Ob> {
     /// fresh odd `wseq` from it, making tags unique across all of this
     /// client's locks and shards (see `WriteTag`'s uniqueness contract).
     next_wseq: u64,
-    pending_san: HashMap<u64, SanOp>,
-    next_san_req: u64,
+    san_ops: HashMap<u64, SanOp>,
+    next_san_id: u64,
     flushes: HashMap<u64, FlushCampaign>,
     next_flush_id: u64,
     /// In-flight client-driven renames.
@@ -522,6 +505,15 @@ pub struct ClientNode<Ob> {
 
 /// Cap on the retained per-client result log.
 const RESULT_LOG_CAP: usize = 16_384;
+
+/// Initial request retransmission timeout.
+const RTO: LocalNs = LocalNs::from_millis(250);
+/// Retransmission backoff cap.
+const MAX_RTO: LocalNs = LocalNs::from_secs(2);
+/// Retained-release cap: absorbing one more voluntary release evicts the
+/// oldest retained lock through the eager flush+commit+release path it
+/// originally skipped.
+const LAZY_RELEASE_CAP: usize = 32;
 
 /// Flush-reason codes recorded in `client.batch.flush_reason`: the size
 /// cap filled the batch.
@@ -577,8 +569,8 @@ impl<Ob> ClientNode<Ob> {
             ops: HashMap::new(),
             next_op_id: 1,
             next_wseq: 0,
-            pending_san: HashMap::new(),
-            next_san_req: 1,
+            san_ops: HashMap::new(),
+            next_san_id: 1,
             flushes: HashMap::new(),
             next_flush_id: 1,
             renames: HashMap::new(),
@@ -865,7 +857,7 @@ impl<Ob> ClientNode<Ob> {
         let server = l.addr;
         let timer = if retry {
             let token = self.timers.insert(ClientTimer::ReqRetry(seq));
-            Some(ctx.set_timer(self.cfg.rto, token))
+            Some(ctx.set_timer(RTO, token))
         } else {
             None
         };
@@ -876,7 +868,7 @@ impl<Ob> ClientNode<Ob> {
                 purpose,
                 lane,
                 session,
-                cur_rto: self.cfg.rto,
+                cur_rto: RTO,
                 timer,
             },
         );
@@ -898,7 +890,6 @@ impl<Ob> ClientNode<Ob> {
         // future ACK grants must run from a send the ACK is known to
         // follow, and only the first transmission has that property for
         // every copy the server might be answering (§3.1).
-        let max_rto = self.cfg.max_rto;
         let me = ctx.node();
         // An unanswered Hello probes the lane's other address on every
         // retransmission: a dead primary never sends the NotPrimary
@@ -915,7 +906,7 @@ impl<Ob> ClientNode<Ob> {
             return;
         };
         let server = self.lanes[p.lane].addr;
-        p.cur_rto = p.cur_rto.times(2).min(max_rto);
+        p.cur_rto = p.cur_rto.times(2).min(MAX_RTO);
         let token = self.timers.insert(ClientTimer::ReqRetry(seq));
         let delay = p.cur_rto;
         let msg = Request {
@@ -1056,7 +1047,7 @@ impl<Ob> ClientNode<Ob> {
         self.lanes[lane].hello_inflight = false;
         let map = self.map;
         self.flushes.retain(|_, f| map.owner_of(f.ino) != sid);
-        self.pending_san.retain(|_, p| {
+        self.san_ops.retain(|_, p| {
             let ino = match p {
                 SanOp::OpRead { ino, .. } => *ino,
                 SanOp::FlushWrite { ino, .. } => *ino,
@@ -1586,43 +1577,19 @@ impl<Ob> ClientNode<Ob> {
             FsOp::Rename { .. } => {
                 unreachable!("renames never take the resolve path")
             }
-            FsOp::Read { offset, len, .. } => {
-                if self.cfg.function_ship {
-                    let (offset, len) = (*offset, *len);
-                    active.state = OpState::MetaWait;
-                    self.send_request(
-                        lane,
-                        RequestBody::ReadData { ino, offset, len },
-                        Purpose::Meta { op: id },
-                        true,
-                        ctx,
-                    );
+            FsOp::Read { .. } => {
+                // Shared-read mode lets N clients serve a hot file
+                // from N caches; disabled, reads contend for the
+                // exclusive lock like writes (the E17 baseline).
+                let mode = if self.cfg.shared_read {
+                    LockMode::SharedRead
                 } else {
-                    // Shared-read mode lets N clients serve a hot file
-                    // from N caches; disabled, reads contend for the
-                    // exclusive lock like writes (the E17 baseline).
-                    let mode = if self.cfg.shared_read {
-                        LockMode::SharedRead
-                    } else {
-                        LockMode::Exclusive
-                    };
-                    self.ensure_lock_then(id, ino, mode, ctx);
-                }
+                    LockMode::Exclusive
+                };
+                self.ensure_lock_then(id, ino, mode, ctx);
             }
-            FsOp::Write { offset, data, .. } => {
-                if self.cfg.function_ship {
-                    let (offset, data) = (*offset, data.clone());
-                    active.state = OpState::MetaWait;
-                    self.send_request(
-                        lane,
-                        RequestBody::WriteData { ino, offset, data },
-                        Purpose::Meta { op: id },
-                        true,
-                        ctx,
-                    );
-                } else {
-                    self.ensure_lock_then(id, ino, LockMode::Exclusive, ctx);
-                }
+            FsOp::Write { .. } => {
+                self.ensure_lock_then(id, ino, LockMode::Exclusive, ctx);
             }
             FsOp::Flush { .. } => {
                 let dirty = self.cache.dirty_of(ino);
@@ -1669,7 +1636,7 @@ impl<Ob> ClientNode<Ob> {
     fn retain_release(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.lazy_retained.retain(|i| *i != ino);
         self.lazy_retained.push(ino);
-        while self.lazy_retained.len() > self.cfg.lazy_release_cap.max(1) {
+        while self.lazy_retained.len() > LAZY_RELEASE_CAP {
             let evict = self.lazy_retained.remove(0);
             if matches!(self.locks.get(&evict), Some(LockEntry::Held(_))) {
                 if self.cache.dirty_of(evict).is_empty() {
@@ -2197,8 +2164,7 @@ impl<Ob> ClientNode<Ob> {
             let hi = end.min(bstart + bs);
             // Odd wseq from the client-global counter: still monotone
             // within this lock's epoch, and never equal to any other tag
-            // this client's writes produce under any epoch of any shard
-            // (server-stamped tags take the even values).
+            // this client's writes produce under any epoch of any shard.
             self.next_wseq += 1;
             let tag = WriteTag {
                 writer: me,
@@ -2268,9 +2234,9 @@ impl<Ob> ClientNode<Ob> {
         what: SanOp,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
-        let req_id = self.next_san_req;
-        self.next_san_req += 1;
-        self.pending_san.insert(req_id, what);
+        let req_id = self.next_san_id;
+        self.next_san_id += 1;
+        self.san_ops.insert(req_id, what);
         self.stats.cache_misses += 1;
         if let Some(obs) = &self.obs {
             obs.cache_misses.inc();
@@ -2340,9 +2306,9 @@ impl<Ob> ClientNode<Ob> {
                 }
                 continue;
             };
-            let req_id = self.next_san_req;
-            self.next_san_req += 1;
-            self.pending_san.insert(
+            let req_id = self.next_san_id;
+            self.next_san_id += 1;
+            self.san_ops.insert(
                 req_id,
                 SanOp::FlushWrite {
                     campaign,
@@ -2926,7 +2892,6 @@ impl<Ob> ClientNode<Ob> {
                     Ok(ReplyBody::Dir { entries }) => Ok(FsData::Entries(
                         entries.into_iter().map(|(n, _)| n).collect(),
                     )),
-                    Ok(ReplyBody::Data { data }) => Ok(FsData::Bytes(data)),
                     Ok(_) => Err(FsErr::Invalid),
                     Err(e) => Err(map_fs_error(e)),
                 };
@@ -3196,7 +3161,7 @@ impl<Ob> ClientNode<Ob> {
                     ino,
                     idx,
                     epoch,
-                }) = self.pending_san.remove(&req_id)
+                }) = self.san_ops.remove(&req_id)
                 else {
                     return;
                 };
@@ -3242,7 +3207,7 @@ impl<Ob> ClientNode<Ob> {
                     ino,
                     idx,
                     tag,
-                }) = self.pending_san.remove(&req_id)
+                }) = self.san_ops.remove(&req_id)
                 else {
                     return;
                 };
@@ -3457,7 +3422,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.deferred_demands.clear();
         self.cache.invalidate_all();
         self.ops.clear();
-        self.pending_san.clear();
+        self.san_ops.clear();
         self.flushes.clear();
         self.renames.clear();
         self.list_fanout.clear();

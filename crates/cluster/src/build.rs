@@ -10,7 +10,7 @@ use tank_client::{ClientConfig, ClientNode, OpGen};
 use tank_consistency::{CheckOptions, Checker, Event};
 use tank_core::{legal_rate_range, LeaseConfig};
 use tank_proto::{NetMsg, NodeId, ServerId};
-use tank_server::{DataPath, RecoveryPolicy, ServerConfig, ServerNode};
+use tank_server::{RecoveryPolicy, ServerConfig, ServerNode};
 use tank_shard::ShardMap;
 use tank_sim::world::Control;
 use tank_sim::{ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
@@ -52,8 +52,6 @@ pub struct ClusterConfig {
     /// values mean shorter replays and more compaction work (E16 sweeps
     /// this).
     pub compact_threshold: usize,
-    /// Data path (direct SAN vs function shipping).
-    pub data_path: DataPath,
     /// Control network characteristics.
     pub ctl_net: NetParams,
     /// SAN characteristics.
@@ -87,8 +85,6 @@ pub struct ClusterConfig {
     pub batch_cap: usize,
     /// Client lazy lock release (retain voluntary releases locally).
     pub lazy_release: bool,
-    /// Retained-release cap per client when `lazy_release` is on.
-    pub lazy_release_cap: usize,
     /// Client block-cache capacity in blocks (`usize::MAX` = unbounded,
     /// `0` = no read caching — the E17 cache-off baseline).
     pub cache_capacity: usize,
@@ -126,7 +122,6 @@ impl Default for ClusterConfig {
             lease: LeaseConfig::default(),
             policy: RecoveryPolicy::LeaseFence,
             compact_threshold: tank_meta::wal::DEFAULT_COMPACT_THRESHOLD,
-            data_path: DataPath::DirectSan,
             ctl_net: NetParams::default(),
             san_net: NetParams {
                 latency_ns: 50_000,
@@ -144,7 +139,6 @@ impl Default for ClusterConfig {
             flush_window: 16,
             batch_cap: 1,
             lazy_release: false,
-            lazy_release_cap: 32,
             cache_capacity: usize::MAX,
             shared_read: true,
             phase3_gate: true,
@@ -248,26 +242,29 @@ impl Cluster {
 
         assert!(cfg.shards >= 1, "a cluster needs at least one shard");
         let map = ShardMap::new(cfg.shards);
-        let mut servers = Vec::new();
-        for sid in map.servers() {
+        // One shard's server node; its standby mirror is built the same way.
+        let shard_server = |sid: ServerId| {
             let mut scfg = ServerConfig::default();
             scfg.lease = cfg.lease;
             scfg.policy = cfg.policy;
             scfg.compact_threshold = cfg.compact_threshold;
-            scfg.data_path = cfg.data_path;
             scfg.nack_suspect = cfg.nack_suspect;
             scfg.recovery_grace = cfg.recovery_grace;
             scfg.harden_grace = cfg.harden_grace;
             scfg.disks = disks.clone();
             scfg.sid = sid;
             scfg.map = map;
-            let mut server_node: ServerNode<Event> =
+            let mut node: ServerNode<Event> =
                 ServerNode::new(scfg, cfg.total_blocks, cfg.block_size, Box::new(map_server));
             if let Some(reg) = &cfg.obs {
-                server_node.set_obs(reg.clone());
+                node.set_obs(reg.clone());
             }
+            node
+        };
+        let mut servers = Vec::new();
+        for sid in map.servers() {
             servers.push(world.add_node(
-                Box::new(server_node),
+                Box::new(shard_server(sid)),
                 clock_of(NodeRole::Server(sid.0 as usize)),
             ));
         }
@@ -279,24 +276,8 @@ impl Cluster {
         let mut standby_servers = Vec::new();
         if cfg.standbys {
             for sid in map.servers() {
-                let mut scfg = ServerConfig::default();
-                scfg.lease = cfg.lease;
-                scfg.policy = cfg.policy;
-                scfg.compact_threshold = cfg.compact_threshold;
-                scfg.data_path = cfg.data_path;
-                scfg.nack_suspect = cfg.nack_suspect;
-                scfg.recovery_grace = cfg.recovery_grace;
-                scfg.harden_grace = cfg.harden_grace;
-                scfg.disks = disks.clone();
-                scfg.sid = sid;
-                scfg.map = map;
-                let mut node: ServerNode<Event> =
-                    ServerNode::new(scfg, cfg.total_blocks, cfg.block_size, Box::new(map_server));
-                if let Some(reg) = &cfg.obs {
-                    node.set_obs(reg.clone());
-                }
                 standby_servers.push(world.add_node(
-                    Box::new(node),
+                    Box::new(shard_server(sid)),
                     clock_of(NodeRole::Server(cfg.shards as usize + sid.0 as usize)),
                 ));
             }
@@ -326,11 +307,9 @@ impl Cluster {
             ccfg.flush_window = cfg.flush_window;
             ccfg.batch_cap = cfg.batch_cap;
             ccfg.lazy_release = cfg.lazy_release;
-            ccfg.lazy_release_cap = cfg.lazy_release_cap;
             ccfg.cache_capacity = cfg.cache_capacity;
             ccfg.shared_read = cfg.shared_read;
             ccfg.phase3_gate = cfg.phase3_gate;
-            ccfg.function_ship = matches!(cfg.data_path, DataPath::FunctionShip);
             let mut node: ClientNode<Event> = ClientNode::new(ccfg, Box::new(map_client));
             if let Some(reg) = &cfg.obs {
                 node.set_obs(reg.clone());

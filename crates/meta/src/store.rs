@@ -261,8 +261,7 @@ impl MetaStore {
         Ok(())
     }
 
-    /// Block map and size of a file (server-internal; also used by the
-    /// function-shipping baseline).
+    /// Block map and size of a file (server-internal).
     pub fn file_extent(&self, ino: Ino) -> Result<(Vec<BlockId>, u64), MetaError> {
         let inode = self.inodes.get(ino).ok_or(MetaError::NotFound)?;
         Ok((inode.blocks.clone(), inode.size))

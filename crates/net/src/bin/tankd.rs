@@ -30,6 +30,12 @@ fn main() -> std::io::Result<()> {
                 });
                 cfg.incarnation = n;
             }
+            flag if flag.starts_with("--") => {
+                eprintln!(
+                    "unknown flag {flag}\nusage: tankd [BIND_ADDR] [--recover] [--incarnation N]"
+                );
+                std::process::exit(2);
+            }
             other => addr = other.to_string(),
         }
     }

@@ -87,6 +87,13 @@ struct ClientState {
     server_incarnation: Option<u64>,
 }
 
+/// Request retry budget.
+const RETRIES: u32 = 8;
+/// Initial per-attempt timeout; doubles per retry up to [`MAX_RTO`].
+const RTO: Duration = Duration::from_millis(150);
+/// Backoff ceiling.
+const MAX_RTO: Duration = Duration::from_secs(2);
+
 /// A synchronous Storage Tank protocol client over UDP.
 ///
 /// Every acknowledged request renews the lease from its *send* time; a
@@ -103,12 +110,6 @@ pub struct TankClient {
     state: Arc<Mutex<ClientState>>,
     stop: Arc<AtomicBool>,
     rng: Mutex<ChaCha8Rng>,
-    /// Request retry budget.
-    retries: u32,
-    /// Initial per-attempt timeout; doubles per retry up to `max_rto`.
-    rto: Duration,
-    /// Backoff ceiling.
-    max_rto: Duration,
     /// Metric handles when connected through [`TankClient::connect_observed`].
     obs: Option<NetClientObs>,
 }
@@ -167,9 +168,6 @@ impl TankClient {
             state: state.clone(),
             stop: stop.clone(),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(faults.seed ^ 0xBAC0_FF5E)),
-            retries: 8,
-            rto: Duration::from_millis(150),
-            max_rto: Duration::from_secs(2),
             obs: registry.map(|r| NetClientObs::new(r)),
         };
         {
@@ -356,9 +354,9 @@ impl TankClient {
             };
             (seq, NetMsg::Ctl(CtlMsg::Request(req)).encoded().to_vec())
         };
-        let mut rto = self.rto;
+        let mut rto = RTO;
         let t0 = mono_now();
-        for attempt in 0..=self.retries {
+        for attempt in 0..=RETRIES {
             let (tx, rx) = mpsc::channel();
             locked(&self.state).pending.insert(seq, tx);
             self.sock
@@ -383,7 +381,7 @@ impl TankClient {
                     // server's dedup window makes this at-most-once) and
                     // back off exponentially.
                     locked(&self.state).pending.remove(&seq);
-                    rto = (rto * 2).min(self.max_rto);
+                    rto = (rto * 2).min(MAX_RTO);
                 }
             }
         }

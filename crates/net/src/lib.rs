@@ -3,9 +3,9 @@
 //! The simulator proves the protocol's properties; this crate proves the
 //! protocol is not simulator-bound. The *same* sans-io state machines —
 //! [`tank_core::ClientLease`], [`tank_core::LeaseAuthority`], the lock
-//! manager, session table and metadata store — are driven here by OS
-//! threads, wall-clock timers and UDP datagrams instead of virtual time
-//! and a virtual network:
+//! service, session table and metadata store — are driven here by
+//! wall-clock timers and UDP datagrams instead of virtual time and a
+//! virtual network:
 //!
 //! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
 //!   (`tankd` is its binary form), event-driven and single-threaded: a
@@ -13,14 +13,14 @@
 //!   ready datagram per wakeup, executes the batch to completion against
 //!   state it owns and flushes the replies together, with all protocol
 //!   timers multiplexed into the poll timeout (DESIGN.md §15). No SAN exists
-//!   here, so the data path is metadata + locks only and fencing is
-//!   recorded rather than enforced; everything lease-related is the real
+//!   here, so the server carries metadata + locks only and fences nothing:
+//!   a steal is direct (the "Fencing before a steal" row of DESIGN.md
+//!   §15's difference table). Everything lease-related is the real
 //!   protocol: opportunistic renewal, NACKs for suspect clients,
-//!   `τ(1+ε)` timers, steal-on-expiry behind an optional harden grace,
-//!   and the fail-stop recovery grace window (`--recover`): a restarted
-//!   server refuses grants and mutations for `τ(1+ε)` so every lease
-//!   that might have been outstanding at the crash has expired on its
-//!   holder's clock.
+//!   `τ(1+ε)` timers, steal-on-expiry, and the fail-stop recovery grace
+//!   window (`--recover`): a restarted server refuses grants and
+//!   mutations for `τ(1+ε)` so every lease that might have been
+//!   outstanding at the crash has expired on its holder's clock.
 //! * [`TankClient`] — a synchronous client: request/retry with stable
 //!   sequence numbers (at-most-once at the server) under exponential
 //!   backoff with jitter, implicit lease renewal on every acknowledged

@@ -535,10 +535,6 @@ impl LeaseServer {
                 self.meta.commit_write(ino, new_size, now)?;
                 Ok(ReplyBody::Ok)
             }
-            RequestBody::ReadData { .. } | RequestBody::WriteData { .. } => {
-                // No SAN behind this server; data stays with the client.
-                Err(FsError::Invalid)
-            }
             RequestBody::Hello { .. } | RequestBody::LockAcquire { .. } | RequestBody::Batch(_) => {
                 Err(FsError::Invalid)
             }

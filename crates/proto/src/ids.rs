@@ -171,12 +171,9 @@ pub struct OpId(pub u64);
 /// **Uniqueness contract.** Whole tags are unique system-wide, not just
 /// ordered per block — the happens-before auditor resolves a disk-side
 /// harden back to its `(ino, block)` through the tag alone, and epochs are
-/// per-shard counters that collide across shards. The two tag minters split
-/// the `wseq` space to guarantee it: client-minted tags draw odd values
-/// from a per-client global counter; server-stamped tags (function-shipped
-/// writes, minted under the *client's* writer id) use the even value
-/// `2 × shard id`, unique per stamped write because every stamp takes a
-/// fresh epoch from its shard.
+/// per-shard counters that collide across shards. Clients are the only
+/// minters, and each draws `wseq` from one per-client global counter, so no
+/// two of a client's tags agree on it whatever their epochs and shards.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

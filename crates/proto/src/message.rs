@@ -98,14 +98,6 @@ pub enum RequestBody {
     AllocBlocks { ino: Ino, count: u32 },
     /// Commit new file size/mtime after the client hardened data to the SAN.
     CommitWrite { ino: Ino, new_size: u64 },
-    /// Function-shipped read (baseline data path: server performs the I/O).
-    ReadData { ino: Ino, offset: u64, len: u32 },
-    /// Function-shipped write.
-    WriteData {
-        ino: Ino,
-        offset: u64,
-        data: Vec<u8>,
-    },
     /// First half of a (possibly cross-shard) rename: link `name → ino`
     /// into directory `dir` on the shard owning `dir`. The client holds
     /// exclusive locks on both parent directories (acquired in global
@@ -125,8 +117,8 @@ pub enum RequestBody {
     /// elements in order and stops at the first file-system error
     /// (first-error-stops); the reply is [`ReplyBody::Batch`] with one
     /// per-element outcome. Elements must be [`RequestBody::batchable`]:
-    /// nesting and ops that answer asynchronously (lock acquires, SAN
-    /// round trips) are rejected at the wire layer and by the server.
+    /// nesting and ops that answer asynchronously (lock acquires) are
+    /// rejected at the wire layer and by the server.
     Batch(Vec<RequestBody>),
 }
 
@@ -152,8 +144,6 @@ impl RequestBody {
             RequestBody::PushAck { .. } => "push_ack",
             RequestBody::AllocBlocks { .. } => "alloc_blocks",
             RequestBody::CommitWrite { .. } => "commit_write",
-            RequestBody::ReadData { .. } => "read_data",
-            RequestBody::WriteData { .. } => "write_data",
             RequestBody::RenameLink { .. } => "rename_link",
             RequestBody::RenameUnlink { .. } => "rename_unlink",
             RequestBody::Batch(_) => "batch",
@@ -168,8 +158,6 @@ impl RequestBody {
     /// * `Hello` — establishes the session a batch would already need;
     /// * `LockAcquire` — may queue on a conflicting holder and answer
     ///   *later* via the grant path, so it has no in-order reply;
-    /// * `ReadData` / `WriteData` — function-shipped SAN round trips that
-    ///   suspend the request on the sim server;
     /// * `RenameLink` / `RenameUnlink` — the two halves of a rename span
     ///   shards and must stay individually addressable for the
     ///   link-before-unlink argument;
@@ -190,8 +178,6 @@ impl RequestBody {
             | RequestBody::CommitWrite { .. } => true,
             RequestBody::Hello { .. }
             | RequestBody::LockAcquire { .. }
-            | RequestBody::ReadData { .. }
-            | RequestBody::WriteData { .. }
             | RequestBody::RenameLink { .. }
             | RequestBody::RenameUnlink { .. }
             | RequestBody::Batch(_) => false,
@@ -214,8 +200,7 @@ impl RequestBody {
             | RequestBody::RenameUnlink { .. }
             | RequestBody::SetAttr { .. }
             | RequestBody::AllocBlocks { .. }
-            | RequestBody::CommitWrite { .. }
-            | RequestBody::WriteData { .. } => true,
+            | RequestBody::CommitWrite { .. } => true,
             // A batch needs full service exactly when any element does —
             // first-error-stops would otherwise half-execute it against a
             // recovering server.
@@ -226,8 +211,7 @@ impl RequestBody {
             | RequestBody::ReadDir { .. }
             | RequestBody::GetAttr { .. }
             | RequestBody::LockRelease { .. }
-            | RequestBody::PushAck { .. }
-            | RequestBody::ReadData { .. } => false,
+            | RequestBody::PushAck { .. } => false,
         }
     }
 }
@@ -275,8 +259,6 @@ pub enum ReplyBody {
     },
     /// Additional blocks allocated to the file (full new map returned).
     Allocated { blocks: Vec<BlockId> },
-    /// Function-shipped read result.
-    Data { data: Vec<u8> },
     /// Per-element outcomes of a [`RequestBody::Batch`]. Under
     /// first-error-stops semantics the vector holds one `Ok` per executed
     /// element up to (and excluding) the first failure, then that failure
@@ -299,7 +281,6 @@ impl ReplyBody {
             ReplyBody::Dir { .. } => "dir",
             ReplyBody::LockGranted { .. } => "lock_granted",
             ReplyBody::Allocated { .. } => "allocated",
-            ReplyBody::Data { .. } => "data",
             ReplyBody::Batch(_) => "batch",
         }
     }
@@ -501,7 +482,6 @@ impl CtlMsg {
 /// costs its own body plus a small per-element framing overhead).
 fn request_body_size(body: &RequestBody) -> usize {
     match body {
-        RequestBody::WriteData { data, .. } => 16 + data.len(),
         RequestBody::Create { name, .. }
         | RequestBody::Lookup { name, .. }
         | RequestBody::Mkdir { name, .. }
@@ -517,8 +497,7 @@ fn request_body_size(body: &RequestBody) -> usize {
         | RequestBody::LockRelease { .. }
         | RequestBody::PushAck { .. }
         | RequestBody::AllocBlocks { .. }
-        | RequestBody::CommitWrite { .. }
-        | RequestBody::ReadData { .. } => 16,
+        | RequestBody::CommitWrite { .. } => 16,
         RequestBody::Batch(elems) => {
             8 + elems
                 .iter()
@@ -531,7 +510,6 @@ fn request_body_size(body: &RequestBody) -> usize {
 /// Approximate body size of a successful reply, recursing into batches.
 fn reply_body_size(body: &ReplyBody) -> usize {
     match body {
-        ReplyBody::Data { data } => 8 + data.len(),
         ReplyBody::Dir { entries } => 8 + entries.iter().map(|(n, _)| n.len() + 12).sum::<usize>(),
         ReplyBody::LockGranted { blocks, .. } | ReplyBody::Allocated { blocks } => {
             24 + 8 * blocks.len()
@@ -600,10 +578,9 @@ mod tests {
     #[test]
     fn size_hint_scales_with_payload() {
         let small = req(RequestBody::KeepAlive).size_hint();
-        let big = req(RequestBody::WriteData {
-            ino: Ino(1),
-            offset: 0,
-            data: vec![0u8; 4096],
+        let big = req(RequestBody::Create {
+            parent: Ino(1),
+            name: "n".repeat(4096),
         })
         .size_hint();
         assert!(big > small + 4000);
@@ -618,18 +595,12 @@ mod tests {
         }
         .batchable());
         assert!(RequestBody::KeepAlive.batchable());
-        // Async answers, session establishment, SAN round trips, renames,
-        // and nesting all stay out of batches.
+        // Async answers, session establishment, renames and nesting all
+        // stay out of batches.
         assert!(!RequestBody::Hello { map_epoch: 0 }.batchable());
         assert!(!RequestBody::LockAcquire {
             ino: Ino(1),
             mode: LockMode::SharedRead,
-        }
-        .batchable());
-        assert!(!RequestBody::ReadData {
-            ino: Ino(1),
-            offset: 0,
-            len: 8,
         }
         .batchable());
         assert!(!RequestBody::RenameLink {

@@ -278,18 +278,6 @@ impl WireEncode for RequestBody {
                 buf.put_u64_le(ino.0);
                 buf.put_u64_le(*new_size);
             }
-            RequestBody::ReadData { ino, offset, len } => {
-                buf.put_u8(14);
-                buf.put_u64_le(ino.0);
-                buf.put_u64_le(*offset);
-                buf.put_u32_le(*len);
-            }
-            RequestBody::WriteData { ino, offset, data } => {
-                buf.put_u8(15);
-                buf.put_u64_le(ino.0);
-                buf.put_u64_le(*offset);
-                put_bytes(buf, data);
-            }
             RequestBody::RenameLink { dir, name, ino } => {
                 buf.put_u8(16);
                 buf.put_u64_le(dir.0);
@@ -374,16 +362,8 @@ impl WireDecode for RequestBody {
                 ino: Ino(get_u64(buf)?),
                 new_size: get_u64(buf)?,
             },
-            14 => RequestBody::ReadData {
-                ino: Ino(get_u64(buf)?),
-                offset: get_u64(buf)?,
-                len: get_u32(buf)?,
-            },
-            15 => RequestBody::WriteData {
-                ino: Ino(get_u64(buf)?),
-                offset: get_u64(buf)?,
-                data: get_bytes(buf)?,
-            },
+            // Tags 14 and 15 are retired (never reuse them): they fall to
+            // the catch-all below.
             16 => RequestBody::RenameLink {
                 dir: Ino(get_u64(buf)?),
                 name: get_str(buf)?,
@@ -474,10 +454,6 @@ impl WireEncode for ReplyBody {
                 buf.put_u8(7);
                 put_blocks(buf, blocks);
             }
-            ReplyBody::Data { data } => {
-                buf.put_u8(8);
-                put_bytes(buf, data);
-            }
             ReplyBody::Batch(outcomes) => {
                 debug_assert!(outcomes.len() <= MAX_BATCH_ELEMS, "batch over element cap");
                 buf.put_u8(9);
@@ -543,9 +519,8 @@ impl WireDecode for ReplyBody {
             7 => ReplyBody::Allocated {
                 blocks: get_blocks(buf)?,
             },
-            8 => ReplyBody::Data {
-                data: get_bytes(buf)?,
-            },
+            // Tag 8 is retired (never reuse it): it falls to the catch-all
+            // below.
             9 => {
                 let n = get_u32(buf)? as usize;
                 if n > MAX_BATCH_ELEMS {
@@ -1109,16 +1084,6 @@ mod tests {
                 ino: Ino(2),
                 new_size: 4096,
             },
-            RequestBody::ReadData {
-                ino: Ino(2),
-                offset: 512,
-                len: 128,
-            },
-            RequestBody::WriteData {
-                ino: Ino(2),
-                offset: 0,
-                data: vec![1, 2, 3],
-            },
             RequestBody::RenameLink {
                 dir: Ino(1),
                 name: "moved".into(),
@@ -1194,7 +1159,6 @@ mod tests {
             ResponseOutcome::Acked(Ok(ReplyBody::Allocated {
                 blocks: vec![BlockId(5)],
             })),
-            ResponseOutcome::Acked(Ok(ReplyBody::Data { data: vec![9; 100] })),
             ResponseOutcome::Acked(Ok(ReplyBody::Batch(vec![]))),
             ResponseOutcome::Acked(Ok(ReplyBody::Batch(vec![
                 Ok(ReplyBody::Resolved {
@@ -1455,6 +1419,44 @@ mod tests {
         buf.put_u32_le(u32::MAX);
         let mut bytes = buf.freeze();
         assert_eq!(ReplyBody::decode(&mut bytes), Err(WireError::TooLong));
+    }
+
+    #[test]
+    fn retired_tags_are_rejected() {
+        // Request tags 14 / 15 and reply tag 8 once carried function-shipped
+        // data. Patch the body tag (the last byte) of a well-formed message
+        // and append what used to be a valid payload.
+        let patched = |msg: CtlMsg, tag: u8| {
+            let mut bytes = NetMsg::Ctl(msg).encoded().to_vec();
+            *bytes.last_mut().expect("non-empty encoding") = tag;
+            bytes.extend_from_slice(&[0u8; 24]);
+            NetMsg::decode(&mut Bytes::from(bytes))
+        };
+        let request = |body| {
+            CtlMsg::Request(Request {
+                src: NodeId(5),
+                session: SessionId(2),
+                seq: ReqSeq(42),
+                body,
+            })
+        };
+        let bad_tag = |what, tag| Err(WireError::BadTag { what, tag });
+        for tag in [14u8, 15] {
+            let single = request(RequestBody::KeepAlive);
+            assert_eq!(patched(single, tag), bad_tag("RequestBody", tag));
+            // One retired element poisons the whole batch.
+            let elems = vec![RequestBody::GetAttr { ino: Ino(1) }, RequestBody::KeepAlive];
+            let batch = request(RequestBody::Batch(elems));
+            assert_eq!(patched(batch, tag), bad_tag("RequestBody", tag));
+        }
+        let response = CtlMsg::Response(Response {
+            dst: NodeId(5),
+            session: SessionId(2),
+            seq: ReqSeq(42),
+            incarnation: Incarnation(7),
+            outcome: ResponseOutcome::Acked(Ok(ReplyBody::Ok)),
+        });
+        assert_eq!(patched(response, 8), bad_tag("ReplyBody", 8));
     }
 
     #[test]

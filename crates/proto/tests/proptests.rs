@@ -79,21 +79,6 @@ fn arb_request_body() -> impl Strategy<Value = RequestBody> {
             ino: Ino(i),
             new_size: s
         }),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(i, o, l)| RequestBody::ReadData {
-            ino: Ino(i),
-            offset: o,
-            len: l
-        }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..512)
-        )
-            .prop_map(|(i, o, data)| RequestBody::WriteData {
-                ino: Ino(i),
-                offset: o,
-                data
-            }),
         (any::<u64>(), arb_name(), any::<u64>()).prop_map(|(d, name, i)| {
             RequestBody::RenameLink {
                 dir: Ino(d),
@@ -136,7 +121,6 @@ fn arb_reply_body() -> impl Strategy<Value = ReplyBody> {
         proptest::collection::vec(any::<u64>(), 0..32).prop_map(|b| ReplyBody::Allocated {
             blocks: b.into_iter().map(BlockId).collect()
         }),
-        proptest::collection::vec(any::<u8>(), 0..512).prop_map(|data| ReplyBody::Data { data }),
     ]
 }
 

@@ -1,4 +1,4 @@
-//! Server configuration: recovery policy, data path, timing knobs.
+//! Server configuration: recovery policy, timing knobs.
 
 use tank_core::LeaseConfig;
 use tank_proto::{NodeId, ServerId};
@@ -30,17 +30,6 @@ pub enum RecoveryPolicy {
     LeaseFence,
 }
 
-/// Whether clients reach data directly on the SAN or ship I/O through the
-/// server (the traditional-server baseline of §1.1 / experiment E9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub enum DataPath {
-    /// Clients perform block I/O themselves (Storage Tank).
-    DirectSan,
-    /// Clients send `ReadData`/`WriteData` requests; the server performs
-    /// the block I/O on their behalf.
-    FunctionShip,
-}
-
 /// Full server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -53,8 +42,6 @@ pub struct ServerConfig {
     pub map: ShardMap,
     /// Recovery policy for unresponsive clients.
     pub policy: RecoveryPolicy,
-    /// Data path mode.
-    pub data_path: DataPath,
     /// The SAN disks this server manages (fencing targets).
     pub disks: Vec<NodeId>,
     /// When an unanswered demand becomes a delivery error.
@@ -107,7 +94,6 @@ impl Default for ServerConfig {
             sid: ServerId(0),
             map: ShardMap::single(),
             policy: RecoveryPolicy::LeaseFence,
-            data_path: DataPath::DirectSan,
             disks: Vec::new(),
             ladder: DemandLadder::default(),
             nack_suspect: true,
@@ -126,7 +112,6 @@ mod tests {
     fn default_is_the_papers_protocol() {
         let c = ServerConfig::default();
         assert_eq!(c.policy, RecoveryPolicy::LeaseFence);
-        assert_eq!(c.data_path, DataPath::DirectSan);
         assert!(c.ladder.retries >= 1);
     }
 }

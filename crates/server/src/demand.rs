@@ -122,11 +122,6 @@ impl LockService {
         self.out.pop_front()
     }
 
-    /// See [`LockManager::stamp_epoch`].
-    pub fn stamp_epoch(&mut self) -> Epoch {
-        self.table.stamp_epoch()
-    }
-
     /// Fail-stop recovery: holders, waiters and demands are volatile and
     /// gone; grants resume above `epoch_floor`.
     pub fn reset(&mut self, epoch_floor: u64) {

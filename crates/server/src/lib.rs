@@ -31,7 +31,7 @@ pub mod node;
 pub mod obs;
 pub mod session;
 
-pub use config::{DataPath, RecoveryPolicy, ServerConfig};
+pub use config::{RecoveryPolicy, ServerConfig};
 pub use demand::{DemandLadder, LadderTimer, LockEffect, LockService};
 pub use events::ServerEvent;
 pub use fence::FenceController;

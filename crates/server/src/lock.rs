@@ -292,12 +292,6 @@ impl LockManager {
     pub fn waiting(&self) -> usize {
         self.locks.values().map(|st| st.waiters.len()).sum()
     }
-
-    /// Bump and return a fresh epoch for a non-lock write path (the
-    /// function-shipping baseline stamps its serialized writes this way).
-    pub fn stamp_epoch(&mut self) -> Epoch {
-        self.next_epoch()
-    }
 }
 
 #[cfg(test)]
@@ -500,6 +494,5 @@ mod tests {
             panic!()
         };
         assert!(g2.epoch > g1.epoch);
-        assert!(m.stamp_epoch() > g2.epoch);
     }
 }

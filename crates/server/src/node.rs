@@ -26,11 +26,11 @@ use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     BlockRange, CtlMsg, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, ReplMsg,
-    ReqSeq, Request, Response, RouteError, SanMsg, SessionId, WriteTag,
+    ReqSeq, Request, Response, RouteError, SanMsg, SessionId,
 };
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
-use crate::config::{DataPath, RecoveryPolicy, ServerConfig};
+use crate::config::{RecoveryPolicy, ServerConfig};
 use crate::demand::{LadderTimer, LockEffect, LockService};
 use crate::events::ServerEvent;
 use crate::fence::FenceController;
@@ -84,16 +84,6 @@ enum ServerTimer {
     ReplTick,
 }
 
-/// A function-shipped I/O waiting on the SAN.
-#[derive(Debug, Clone)]
-struct SanPending {
-    client: NodeId,
-    session: SessionId,
-    seq: ReqSeq,
-    /// For writes: (ino, resulting size) committed on success.
-    commit: Option<(Ino, u64)>,
-}
-
 /// The server node.
 pub struct ServerNode<Ob> {
     cfg: ServerConfig,
@@ -104,8 +94,6 @@ pub struct ServerNode<Ob> {
     sessions: SessionTable,
     fences: FenceController,
     timers: TokenMap<ServerTimer>,
-    pending_san: HashMap<u64, SanPending>,
-    next_san_req: u64,
     /// Bumped on every fail-stop restart; stamped on every response so
     /// clients detect restarts.
     incarnation: Incarnation,
@@ -172,8 +160,6 @@ impl<Ob> ServerNode<Ob> {
             sessions: SessionTable::new(),
             fences: FenceController::new(),
             timers: TokenMap::new(),
-            pending_san: HashMap::new(),
-            next_san_req: 1,
             incarnation: Incarnation(1),
             recovering: false,
             stats: ServerStats::default(),
@@ -729,12 +715,6 @@ impl<Ob> ServerNode<Ob> {
                     .acquire(client, ino, mode, answers, &self.sessions);
                 self.apply_locks(ctx);
             }
-            RequestBody::ReadData { ino, offset, len } => {
-                self.do_read_data(client, session, seq, ino, offset, len, ctx);
-            }
-            RequestBody::WriteData { ino, offset, data } => {
-                self.do_write_data(client, session, seq, ino, offset, data, ctx);
-            }
             RequestBody::Batch(elems) => {
                 self.do_batch(client, session, seq, elems, ctx);
             }
@@ -914,142 +894,10 @@ impl<Ob> ServerNode<Ob> {
                     r.map(|_| ReplyBody::Ok)
                 }
             }
-            RequestBody::Hello { .. }
-            | RequestBody::LockAcquire { .. }
-            | RequestBody::ReadData { .. }
-            | RequestBody::WriteData { .. }
-            | RequestBody::Batch(_) => Err(FsError::Invalid),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn do_read_data(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        ino: Ino,
-        offset: u64,
-        len: u32,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        if self.cfg.data_path != DataPath::FunctionShip {
-            return self.ack(client, session, seq, Err(FsError::Invalid), ctx);
-        }
-        let bs = self.meta.block_size() as u64;
-        assert!(
-            offset.is_multiple_of(bs) && len as u64 == bs,
-            "function-ship I/O is whole-block"
-        );
-        let Ok((blocks, size)) = self.meta.file_extent(ino) else {
-            return self.ack(client, session, seq, Err(FsError::NotFound), ctx);
-        };
-        let idx = (offset / bs) as usize;
-        if offset >= size || idx >= blocks.len() {
-            // Reading past EOF returns zeroes without touching the SAN.
-            return self.ack(
-                client,
-                session,
-                seq,
-                Ok(ReplyBody::Data {
-                    data: vec![0u8; len as usize],
-                }),
-                ctx,
-            );
-        }
-        let req_id = self.next_san_req;
-        self.next_san_req += 1;
-        self.pending_san.insert(
-            req_id,
-            SanPending {
-                client,
-                session,
-                seq,
-                commit: None,
-            },
-        );
-        let disk = self.disk_for(blocks[idx]);
-        ctx.send(
-            NetId::SAN,
-            disk,
-            NetMsg::San(SanMsg::ReadBlock {
-                req_id,
-                block: blocks[idx],
-            }),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn do_write_data(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        ino: Ino,
-        offset: u64,
-        data: Vec<u8>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        if self.cfg.data_path != DataPath::FunctionShip {
-            return self.ack(client, session, seq, Err(FsError::Invalid), ctx);
-        }
-        let bs = self.meta.block_size() as u64;
-        assert!(
-            offset.is_multiple_of(bs) && data.len() as u64 == bs,
-            "function-ship I/O is whole-block"
-        );
-        let idx = (offset / bs) as usize;
-        let Ok((mut blocks, _)) = self.meta.file_extent(ino) else {
-            return self.ack(client, session, seq, Err(FsError::NotFound), ctx);
-        };
-        if idx >= blocks.len() {
-            let need = (idx + 1 - blocks.len()) as u32;
-            match self.meta.alloc_blocks(ino, need).map_err(FsError::from) {
-                Ok(b) => blocks = b,
-                Err(e) => return self.ack(client, session, seq, Err(e), ctx),
+            RequestBody::Hello { .. } | RequestBody::LockAcquire { .. } | RequestBody::Batch(_) => {
+                Err(FsError::Invalid)
             }
         }
-        let req_id = self.next_san_req;
-        self.next_san_req += 1;
-        let new_size = offset + bs;
-        self.pending_san.insert(
-            req_id,
-            SanPending {
-                client,
-                session,
-                seq,
-                commit: Some((ino, new_size)),
-            },
-        );
-        // The server serializes all function-shipped writes, so a stamped
-        // epoch gives the checker the same total order locks would. The
-        // even wseq carries this shard's id: epochs are per-shard
-        // counters, so without it two shards could stamp the same
-        // (writer, epoch, wseq) for one client and break the tag
-        // uniqueness contract (client-minted tags take the odd values).
-        let tag = WriteTag {
-            writer: client,
-            epoch: self.locks.stamp_epoch(),
-            wseq: 2 * self.cfg.sid.0 as u64,
-        };
-        self.wal_append(&WalRecord::EpochWatermark(tag.epoch.0));
-        let block = blocks[idx];
-        let disk = self.disk_for(block);
-        ctx.send(
-            NetId::SAN,
-            disk,
-            NetMsg::San(SanMsg::WriteBlock {
-                req_id,
-                block,
-                data,
-                tag,
-            }),
-        );
-    }
-
-    /// Which disk a block lives on (shared striping rule from tank-proto).
-    fn disk_for(&self, block: tank_proto::BlockId) -> NodeId {
-        self.cfg.disks[tank_proto::stripe_disk(block, self.cfg.disks.len())]
     }
 
     fn on_san(&mut self, san: SanMsg, from: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -1058,34 +906,6 @@ impl<Ob> ServerNode<Ob> {
                 if let Some((client, FenceOp::Fence)) = self.fences.on_response(req_id, from) {
                     self.fence_complete(client, ctx);
                 }
-            }
-            SanMsg::ReadResp { req_id, result } => {
-                let Some(p) = self.pending_san.remove(&req_id) else {
-                    return;
-                };
-                let reply = match result {
-                    Ok(ok) => Ok(ReplyBody::Data { data: ok.data }),
-                    Err(_) => Err(FsError::Invalid),
-                };
-                self.ack(p.client, p.session, p.seq, reply, ctx);
-            }
-            SanMsg::WriteResp { req_id, result } => {
-                let Some(p) = self.pending_san.remove(&req_id) else {
-                    return;
-                };
-                let reply = match result {
-                    Ok(()) => {
-                        if let Some((ino, new_size)) = p.commit {
-                            let now = ctx.now().0;
-                            if self.meta.commit_write(ino, new_size, now).is_ok() {
-                                self.wal_append(&WalRecord::Commit { ino, new_size, now });
-                            }
-                        }
-                        Ok(ReplyBody::Ok)
-                    }
-                    Err(_) => Err(FsError::Invalid),
-                };
-                self.ack(p.client, p.session, p.seq, reply, ctx);
             }
             other => {
                 // Protocol anomaly: counted and traced, never printed —
@@ -1278,7 +1098,6 @@ impl<Ob> ServerNode<Ob> {
             });
         }
         self.authority = LeaseAuthority::new(self.cfg.lease);
-        self.pending_san.clear();
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.
         self.timers.cancel_where(|_| true);
@@ -1318,9 +1137,7 @@ impl<Ob> ServerNode<Ob> {
             | RequestBody::LockAcquire { ino, .. }
             | RequestBody::LockRelease { ino, .. }
             | RequestBody::AllocBlocks { ino, .. }
-            | RequestBody::CommitWrite { ino, .. }
-            | RequestBody::ReadData { ino, .. }
-            | RequestBody::WriteData { ino, .. } => Some(*ino),
+            | RequestBody::CommitWrite { ino, .. } => Some(*ino),
             // A batch has no single governing inode; the routing gate
             // checks every element instead (see `on_request`).
             RequestBody::Batch(_) => None,
@@ -1572,7 +1389,6 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
             self.sessions = SessionTable::new();
             self.locks.reset(0);
             self.authority = LeaseAuthority::new(self.cfg.lease);
-            self.pending_san.clear();
             self.timers.cancel_where(|_| true);
             self.condemn_armed_at.clear();
         } else {

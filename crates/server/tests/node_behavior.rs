@@ -5,9 +5,10 @@
 use tank_core::LeaseConfig;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SessionId,
+    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SanError, SanMsg,
+    SanReadOk, SessionId, WriteTag,
 };
-use tank_server::{ServerConfig, ServerNode};
+use tank_server::{ServerConfig, ServerNode, ServerStats};
 use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 
 /// Sends a fixed list of raw requests (one per ms) and records responses.
@@ -425,4 +426,53 @@ fn application_errors_still_ack() {
             "op {i} should be an ACKed error: {o:?}"
         );
     }
+}
+
+/// Delivers SAN read/write completions the server never asked for.
+struct StrayDisk(NodeId);
+
+impl Actor<NetMsg, ()> for StrayDisk {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+        let read = SanMsg::ReadResp {
+            req_id: 1,
+            result: Ok(SanReadOk {
+                data: vec![7; 512],
+                tag: WriteTag::default(),
+            }),
+        };
+        let write = SanMsg::WriteResp {
+            req_id: 1,
+            result: Err(SanError::Fenced),
+        };
+        ctx.send(NetId::SAN, self.0, NetMsg::San(read));
+        ctx.send(NetId::SAN, self.0, NetMsg::San(write));
+    }
+    fn on_message(&mut self, _f: NodeId, _n: NetId, _m: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {}
+    fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<'_, NetMsg, ()>) {}
+}
+
+#[test]
+fn stray_san_completions_are_counted_and_never_acted_on() {
+    // The server's only SAN business is fencing: a read or write
+    // completion is a protocol anomaly, whatever request id it carries.
+    let registry = std::sync::Arc::new(tank_obs::Registry::new());
+    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
+    w.add_network(NetId::SAN, NetParams::ideal(100_000));
+    let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1024, 512);
+    let server = w.add_node(
+        Box::new(node.with_obs(registry.clone())),
+        ClockSpec::ideal(),
+    );
+    w.add_node(Box::new(StrayDisk(server)), ClockSpec::ideal());
+    w.run_until(SimTime::from_secs(1));
+
+    assert_eq!(
+        registry.snapshot().counter("server.unexpected_msgs"),
+        Some(2)
+    );
+    let s = w.node_ref::<ServerNode<()>>(server).unwrap();
+    assert_eq!(s.stats(), ServerStats::default());
+    assert_eq!(w.stats().sent_on(NetId::SAN), 2, "only the strays");
+    assert_eq!(w.stats().sent_on(NetId::CONTROL), 0);
 }

@@ -21,7 +21,7 @@ use tank_proto::OpId;
 use tank_sim::{CausalRecord, LocalNs, NetId, NetParams, NodeId, SimTime};
 
 const BS: usize = 512;
-/// The client's initial retransmission timeout (`ClientConfig::rto`).
+/// The client's initial retransmission timeout (`RTO` in `tank_client::node`).
 const RTO: SimTime = SimTime::from_millis(250);
 /// Worst control round trip on the default LAN: 2 × (100 µs + 50 µs).
 const RTT_MAX_NS: u64 = 300_000;
