@@ -2,8 +2,9 @@
 //!
 //! τ trades recovery speed against maintenance cost and flush headroom:
 //!
-//! * contested-file unavailability after a failure ≈ detection + τ(1+ε)
-//!   (grows linearly with τ);
+//! * contested-file unavailability after a failure ≈ max(detection,
+//!   τ(1+ε)) — the lease wait counts from the holder's last ACK, so
+//!   detection runs inside it (grows linearly with τ);
 //! * idle-client keep-alive traffic ∝ 1/τ;
 //! * phase-4 length ∝ τ — small τ risks stranding dirty data.
 //!
@@ -133,6 +134,6 @@ fn main() {
     }
     print!("{}", t.render());
     println!();
-    println!("shape: unavailability ≈ detect + τ(1+ε) (linear in τ); keep-alive cost ∝ 1/τ;");
+    println!("shape: unavailability ≈ max(detect, τ(1+ε)) (linear in τ); keep-alive cost ∝ 1/τ;");
     println!("stranding falls to zero once phase 4 (15% of τ) covers the dirty cache.");
 }

@@ -4,7 +4,10 @@
 //! work**: `standing_of` on an empty table is the entire fast path, and the
 //! experiments measure exactly that ([`AuthorityStats`]). Only a *delivery
 //! error* — a client failing to respond to a retried server push — creates
-//! a per-client record and arms a timer of `τ(1+ε)` in server-local time.
+//! a per-client record and arms a timer of `τ(1+ε)` in server-local time,
+//! counted from the last ACK the server sent that client: Theorem 3.1's
+//! earliest safe moment, so detecting the error and waiting out the lease
+//! overlap instead of adding up.
 //!
 //! While a client's timer runs the server must not ACK it (that would
 //! grant a lease, §3.1) and answers valid requests with NACKs so a
@@ -16,6 +19,7 @@
 use std::collections::HashMap;
 
 use serde::Serialize;
+use tank_proto::NackReason;
 use tank_sim::{LocalNs, NodeId};
 
 use crate::config::LeaseConfig;
@@ -34,6 +38,21 @@ pub enum ClientStanding {
     /// The timer fired and the locks were stolen. Requests are NACKed with
     /// `SessionExpired` until the client sends `Hello`.
     Expired,
+}
+
+impl ClientStanding {
+    /// What a client in this standing is told in place of *any* ACK —
+    /// including the answer to a request admitted while it was still
+    /// `Good`, such as a lock acquire that was queued behind a holder. An
+    /// ACK renews the lease from the request's first send, and that may be
+    /// later than the ACK the running timer counts from.
+    pub fn refusal(self) -> Option<NackReason> {
+        match self {
+            ClientStanding::Good => None,
+            ClientStanding::Suspect { .. } => Some(NackReason::LeaseTimingOut),
+            ClientStanding::Expired => Some(NackReason::SessionExpired),
+        }
+    }
 }
 
 /// Work/memory accounting proving the "passive server" claim (abstract:
@@ -84,14 +103,20 @@ impl LeaseAuthority {
     }
 
     /// A delivery error was detected for `client` (a retried push went
-    /// unanswered). Arms the `τ(1+ε)` timer if none is running. Returns
-    /// the server-local fire time if a new timer was armed — the caller
-    /// must schedule a wakeup and call [`on_timer`](Self::on_timer) then.
-    pub fn on_delivery_error(&mut self, client: NodeId, now: LocalNs) -> Option<LocalNs> {
+    /// unanswered), which the server has not ACKed since server-local
+    /// `since`. Arms the `τ(1+ε)` timer from `since` if none is running.
+    /// Returns the server-local fire time if a new timer was armed — the
+    /// caller must schedule a wakeup (at once, if that time has passed) and
+    /// call [`on_timer`](Self::on_timer) then.
+    ///
+    /// `since` must be no earlier than the last ACK sent to `client`: every
+    /// lease it holds began at or before that ACK (`t_C1 ≤ t_S2`), so all
+    /// of them end before `since + τ(1+ε)` on this clock.
+    pub fn on_delivery_error(&mut self, client: NodeId, since: LocalNs) -> Option<LocalNs> {
         match self.tracked.get(&client) {
             Some(_) => None, // already suspect or expired
             None => {
-                let fires_at = now.plus(self.cfg.server_timeout());
+                let fires_at = since.plus(self.cfg.server_timeout());
                 self.tracked
                     .insert(client, ClientStanding::Suspect { fires_at });
                 self.stats.timers_started += 1;
@@ -218,6 +243,20 @@ mod tests {
         assert_eq!(fires, LocalNs(5 * S + 11 * S), "τ(1+ε) = 11s after 5s");
         // Second error is absorbed by the running timer.
         assert_eq!(a.on_delivery_error(C1, LocalNs(6 * S)), None);
+    }
+
+    #[test]
+    fn a_wait_already_served_fires_on_the_next_timer() {
+        // Detection took longer than τ(1+ε): the last ACK was at 5s, the
+        // error is declared at 20s, and the timer is already due.
+        let mut a = auth();
+        let fires = a.on_delivery_error(C1, LocalNs(5 * S)).expect("new timer");
+        assert_eq!(fires, LocalNs(16 * S));
+        assert!(matches!(a.standing_of(C1), ClientStanding::Suspect { .. }));
+        // A second error while suspect is still absorbed.
+        assert_eq!(a.on_delivery_error(C1, LocalNs(19 * S)), None);
+        assert!(a.on_timer(C1, LocalNs(20 * S)), "due at once: steal");
+        assert_eq!(a.standing_of(C1), ClientStanding::Expired);
     }
 
     #[test]

@@ -207,6 +207,27 @@ mod tests {
             prop_assert!(!s.safe(), "margin {}", s.margin());
         }
 
+        /// Negative control for the timer's anchor: the server counts
+        /// τ(1+ε) from the last ACK it sent (`error_at = t_s2`, the
+        /// earliest case above). Count from any earlier and some legal
+        /// clock pair — client slowest, server fastest, no message delay —
+        /// has the steal land inside the lease that ACK granted.
+        #[test]
+        fn an_anchor_before_the_last_ack_breaks_safety(
+            eps in 0.0f64..0.2,
+            early_ns in 1.0f64..5e9,
+            t_s2 in 5e9f64..50e9,
+            tau_ns in 1e6f64..60e9,
+        ) {
+            let (lo, hi) = legal_rate_range(eps);
+            let at_ack = TimingScenario::earliest(lo, hi, t_s2, t_s2, tau_ns, eps);
+            prop_assert!(at_ack.within_contract());
+            prop_assert!(at_ack.margin() >= -1e-3, "margin {}", at_ack.margin());
+            let before_ack = TimingScenario { error_at: t_s2 - early_ns, ..at_ack };
+            prop_assert!(!before_ack.within_contract());
+            prop_assert!(!before_ack.safe(), "margin {}", before_ack.margin());
+        }
+
         /// The dual worst case (client fast, server slow) is harmless:
         /// the client merely expires early. Safety never depends on which
         /// side is fast.

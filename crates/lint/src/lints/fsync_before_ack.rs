@@ -14,9 +14,10 @@
 //! `wal_fsync`/`wal_sync_and_ship` marks it durable, and constructing a
 //! `CtlMsg::Response` while not durable is a violation. A response send
 //! with no sync anywhere before it in the same function is also flagged
-//! — the two replay paths (hello replay, dedup-window replay) resend
-//! *cached* responses whose state was synced when first produced, and
-//! carry inline allows saying exactly that.
+//! — the server has one function that builds a `CtlMsg::Response`
+//! (`ServerNode::send_response`), and the two replay paths (hello replay,
+//! dedup-window replay) that resend *cached*, already-synced responses
+//! go out through it like any fresh answer.
 
 use crate::report::Violation;
 use crate::source::SourceFile;

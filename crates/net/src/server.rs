@@ -18,16 +18,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use tank_core::{ClientStanding, LeaseAuthority, LeaseConfig};
+use tank_core::{LeaseAuthority, LeaseConfig};
 use tank_meta::MetaStore;
 use tank_obs::{names, Counter, Histogram, Registry};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::wire::response_datagram;
 use tank_proto::{
     CtlMsg, Incarnation, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
     SessionId, WireEncode,
 };
 use tank_server::session::{Admission, SessionTable};
 use tank_server::{DemandLadder, LadderTimer, LockEffect, LockService, ServerStats};
+use tank_sim::LocalNs;
 
 use crate::fault::{FaultConfig, FaultySocket};
 use crate::mono_now;
@@ -111,6 +113,12 @@ pub struct LeaseServer {
     stats: ServerStats,
     /// Encoded responses awaiting transmission (see [`Self::flush`]).
     outbox: Vec<(SocketAddr, Bytes)>,
+    /// The local clock, read once per wakeup: before the due timers fire,
+    /// and again after the drain. Every request in a batch was sent before
+    /// that second reading, so an ACK stamped with it bounds the lease the
+    /// ACK renews (`t_C1 ≤ stamp`); a reading cached from before the drain
+    /// would not.
+    now: LocalNs,
     /// Wall-clock vectored-batch execution histogram (when observed).
     batch_exec_ns: Option<Arc<Histogram>>,
 }
@@ -167,6 +175,7 @@ impl LeaseServer {
             recovering: false,
             stats: ServerStats::default(),
             outbox: Vec::new(),
+            now: mono_now(),
             batch_exec_ns: registry.map(|r| r.histogram_def(&names::SERVER_BATCH_EXEC_NS)),
         };
         if cfg.recover {
@@ -217,6 +226,17 @@ impl LeaseServer {
         }
     }
 
+    /// Queue `resp` for `addr`: the one place a response is put on the
+    /// wire, fresh or replayed. An ACK renews its addressee's lease, so any
+    /// lease wait against the addressee restarts at this wakeup's clock
+    /// reading.
+    fn send_response(&mut self, addr: SocketAddr, resp: &Response) {
+        if resp.is_ack() {
+            self.locks.acked(resp.dst, self.now);
+        }
+        self.outbox.push((addr, response_datagram(resp)));
+    }
+
     fn respond(
         &mut self,
         addr: SocketAddr,
@@ -225,39 +245,37 @@ impl LeaseServer {
         seq: ReqSeq,
         outcome: ResponseOutcome,
     ) {
-        let msg = NetMsg::Ctl(CtlMsg::Response(Response {
+        let resp = Response {
             dst: client,
             session,
             seq,
             incarnation: self.incarnation,
             outcome,
-        }));
-        self.send(addr, &msg);
-        // Encoded first, so the replay cache takes the response itself
-        // rather than a deep copy of it.
-        if let NetMsg::Ctl(CtlMsg::Response(resp)) = msg {
-            if resp.is_ack() {
-                self.sessions.record_response(client, seq, resp);
-            } else {
-                self.stats.nacks += 1;
-            }
+        };
+        self.send_response(addr, &resp);
+        if resp.is_ack() {
+            self.sessions.record_response(client, seq, resp);
+        } else {
+            self.stats.nacks += 1;
         }
     }
 
     fn on_timer(&mut self, ev: TimerEv) {
         match ev {
             TimerEv::Ladder(timer) => {
-                if let Some(client) = self.locks.timer_fired(timer) {
-                    self.delivery_error(client);
+                if let Some((client, since)) = self.locks.timer_fired(timer) {
+                    self.delivery_error(client, since);
                 }
                 self.apply_locks();
             }
             TimerEv::LeaseExpiry(client) => {
-                if self.authority.on_timer(client, mono_now()) {
+                if self.authority.on_timer(client, self.now) {
                     // No SAN sits behind this server, so fencing is a
                     // no-op and the steal happens directly.
                     self.stats.steals += 1;
-                    let stolen = self.locks.drop_client(client, true, &self.sessions);
+                    let stolen = self
+                        .locks
+                        .drop_client(client, true, &self.sessions, self.now);
                     self.stats.locks_stolen += stolen as u64;
                     self.apply_locks();
                 }
@@ -268,10 +286,12 @@ impl LeaseServer {
         }
     }
 
-    fn delivery_error(&mut self, client: NodeId) {
+    /// `client` went unanswered through the demand ladder and has not been
+    /// ACKed since `since`: its lease wait began there, not now.
+    fn delivery_error(&mut self, client: NodeId, since: LocalNs) {
         self.stats.delivery_errors += 1;
-        if let Some(fires_at) = self.authority.on_delivery_error(client, mono_now()) {
-            let delay = Duration::from_nanos(fires_at.0.saturating_sub(mono_now().0));
+        if let Some(fires_at) = self.authority.on_delivery_error(client, since) {
+            let delay = Duration::from_nanos(fires_at.minus(self.now).0);
             self.timers.arm(delay, TimerEv::LeaseExpiry(client));
         }
     }
@@ -296,6 +316,17 @@ impl LeaseServer {
                     else {
                         continue;
                     };
+                    // The gate on the way out: this acquire was admitted
+                    // while its sender stood `Good`, but it waited, and a
+                    // delivery error against the sender may have come
+                    // first. An ACK now would renew a lease from the
+                    // acquire's first send — possibly later than the ACK
+                    // the running timer counts from.
+                    if let Some(reason) = self.authority.standing_of(g.client).refusal() {
+                        let outcome = ResponseOutcome::Nacked(reason);
+                        self.respond(addr, g.client, session, seq, outcome);
+                        continue;
+                    }
                     let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or_default();
                     let reply = ReplyBody::LockGranted {
                         ino: g.ino,
@@ -329,40 +360,29 @@ impl LeaseServer {
                 ResponseOutcome::Nacked(NackReason::Recovering),
             );
         }
-        match self.authority.standing_of(client) {
-            ClientStanding::Good => {}
-            ClientStanding::Suspect { .. } => {
-                return self.respond(
-                    addr,
-                    client,
-                    req.session,
-                    req.seq,
-                    ResponseOutcome::Nacked(NackReason::LeaseTimingOut),
-                );
-            }
-            ClientStanding::Expired => {
-                if !matches!(req.body, RequestBody::Hello { .. }) {
-                    return self.respond(
-                        addr,
-                        client,
-                        req.session,
-                        req.seq,
-                        ResponseOutcome::Nacked(NackReason::SessionExpired),
-                    );
-                }
+        // §3.3: a suspect client gets NACKs, an expired one gets NACKs for
+        // everything but Hello.
+        let hello = matches!(req.body, RequestBody::Hello { .. });
+        match self.authority.standing_of(client).refusal() {
+            None => {}
+            Some(NackReason::SessionExpired) if hello => {}
+            Some(reason) => {
+                let outcome = ResponseOutcome::Nacked(reason);
+                return self.respond(addr, client, req.session, req.seq, outcome);
             }
         }
-        if matches!(req.body, RequestBody::Hello { .. }) {
+        if hello {
             // Hello sits outside the session dedup window; duplicates
             // are suppressed by (client, seq) so a replayed datagram
             // cannot mint a second session and orphan the first.
             if let Some(resp) = self.sessions.hello_replay(client, req.seq) {
                 self.stats.replays += 1;
-                self.send(addr, &NetMsg::Ctl(CtlMsg::Response(resp)));
+                self.send_response(addr, &resp);
                 return;
             }
             self.stats.requests += 1;
-            self.locks.drop_client(client, false, &self.sessions);
+            self.locks
+                .drop_client(client, false, &self.sessions, self.now);
             self.apply_locks();
             self.authority.on_new_session(client);
             let session = self.sessions.begin(client);
@@ -376,8 +396,8 @@ impl LeaseServer {
                     map_epoch: 0,
                 })),
             };
-            self.sessions.record_hello(client, req.seq, resp.clone());
-            self.send(addr, &NetMsg::Ctl(CtlMsg::Response(resp)));
+            self.send_response(addr, &resp);
+            self.sessions.record_hello(client, req.seq, resp);
             return;
         }
         match self.sessions.admit(client, req.session, req.seq) {
@@ -387,7 +407,7 @@ impl LeaseServer {
             }
             Admission::Replay(resp) => {
                 self.stats.replays += 1;
-                self.send(addr, &NetMsg::Ctl(CtlMsg::Response(*resp)));
+                self.send_response(addr, &resp);
             }
             Admission::InProgress => {}
             Admission::WrongSession => {
@@ -414,7 +434,7 @@ impl LeaseServer {
                 }
                 let answers = (session, seq);
                 self.locks
-                    .acquire(client, ino, mode, answers, &self.sessions);
+                    .acquire(client, ino, mode, answers, &self.sessions, self.now);
                 self.apply_locks();
             }
             RequestBody::Batch(elems) => {
@@ -512,7 +532,8 @@ impl LeaseServer {
                 Ok(ReplyBody::Attr { attr })
             }
             RequestBody::LockRelease { ino, epoch } => {
-                self.locks.release(client, ino, epoch, &self.sessions);
+                self.locks
+                    .release(client, ino, epoch, &self.sessions, self.now);
                 self.apply_locks();
                 Ok(ReplyBody::Ok)
             }
@@ -569,6 +590,7 @@ impl LeaseServer {
         let mut requests: Vec<(SocketAddr, Request)> = Vec::new();
         loop {
             let now = Instant::now();
+            self.now = mono_now();
             while let Some(ev) = self.timers.pop_due(now) {
                 self.on_timer(ev);
             }
@@ -589,6 +611,8 @@ impl LeaseServer {
             let mut drained = 0;
             if ready {
                 drained = drain_ready(sock, &mut scratch, &mut batch, MAX_BATCH);
+                // After the drain, never before it: see the field.
+                self.now = mono_now();
                 decode_batch(&batch, &mut requests);
                 for (peer, req) in requests.drain(..) {
                     self.on_request(peer, req);

@@ -15,8 +15,8 @@ use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_net::{DirFaults, FaultConfig, TankClient};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, Response, ServerPush, SessionId,
-    WireDecode, WireEncode, MAX_DATAGRAM,
+    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
+    ServerPush, SessionId, WireDecode, WireEncode, MAX_DATAGRAM,
 };
 use tank_server::DemandLadder;
 use tank_sim::LocalNs;
@@ -118,7 +118,8 @@ fn dead_client_is_timed_out_and_its_lock_stolen() {
     let c2 = TankClient::connect(&addr, short_lease()).unwrap();
     let t0 = Instant::now();
     // The grant arrives only after the lease expires (~600ms·1.01 past
-    // the delivery error) — the client retries until then.
+    // the first demand: the retry ladder runs inside the lease wait, not
+    // before it) — the client retries until then.
     let mut granted = None;
     for _ in 0..40 {
         match c2.lock(file, LockMode::Exclusive) {
@@ -715,6 +716,98 @@ fn a_foreign_push_ack_does_not_stop_the_retry_ladder() {
     ));
     let stats = server.stop();
     assert!(stats.delivery_errors >= 1 && stats.locks_stolen >= 1);
+}
+
+#[test]
+fn a_silent_holders_lock_is_back_a_lease_after_the_demand_not_a_ladder_later() {
+    // The default ladder takes 4 × 200ms to give up on a holder. The
+    // lease wait runs beside it, from the last ACK the holder was sent, so
+    // the waiter is granted τ(1+ε) after the first demand; run one after
+    // the other they could never take less than τ(1+ε) + 800ms.
+    let lease = LeaseConfig::with_tau(LocalNs::from_secs(1));
+    let cfg = NetServerConfig {
+        lease,
+        ..NetServerConfig::default()
+    };
+    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let mut holder = RawPeer::hello(server.addr);
+    let ino = holder.create("hot");
+    holder.lock(ino);
+    let mut waiter = RawPeer::hello(server.addr);
+    let mode = LockMode::Exclusive;
+    // Read before the acquire is sent, so before the demand it provokes.
+    let asked_at = Instant::now();
+    let parked = waiter.send(RequestBody::LockAcquire { ino, mode });
+    assert!(matches!(holder.recv(), Some(CtlMsg::Push(_))), "demanded");
+
+    // The holder stays silent: no PushAck, no keep-alive, no release.
+    let grant = (0..20).find_map(|_| waiter.response());
+    let waited = asked_at.elapsed();
+    let grant = grant.expect("granted once the lock was stolen");
+    assert_eq!(grant.seq, parked);
+    assert!(matches!(
+        grant.outcome,
+        ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { .. }))
+    ));
+    let floor = Duration::from_nanos(lease.server_timeout().0);
+    assert!(waited >= floor, "stolen inside the lease: {waited:?}");
+    assert!(
+        waited < floor + Duration::from_millis(600),
+        "the ladder was served before the lease wait, not beside it: {waited:?}"
+    );
+    let stats = server.stop();
+    assert_eq!((stats.delivery_errors, stats.steals), (1, 1));
+}
+
+#[test]
+fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
+    // The holder of `f` ignores the waiter's demand and, 300ms into the
+    // retry ladder, queues for `g` behind a neighbour. The ladder runs out
+    // at 800ms and the holder's τ(1+ε) counts from the demand; the
+    // neighbour lets go of `g` at ≈ 1s. The holder's turn has come, but an
+    // ACK would renew its lease from the acquire's send — 300ms past what
+    // the steal allows for — so it must be told its lease is timing out.
+    let cfg = NetServerConfig {
+        lease: LeaseConfig::with_tau(LocalNs::from_secs(2)),
+        ..NetServerConfig::default()
+    };
+    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let mode = LockMode::Exclusive;
+    let mut holder = RawPeer::hello(server.addr);
+    let f = holder.create("f");
+    holder.lock(f);
+    let mut neighbour = RawPeer::hello(server.addr);
+    let g = neighbour.create("g");
+    let epoch = neighbour.lock(g);
+    let mut waiter = RawPeer::hello(server.addr);
+    let for_f = waiter.send(RequestBody::LockAcquire { ino: f, mode });
+    assert!(matches!(holder.recv(), Some(CtlMsg::Push(_))), "demanded");
+    let demanded_at = Instant::now();
+
+    std::thread::sleep(Duration::from_millis(300));
+    let for_g = holder.send(RequestBody::LockAcquire { ino: g, mode });
+    // The neighbour is flushing: it acks the demand now and releases later.
+    let Some(CtlMsg::Push(ServerPush { push_seq, .. })) = neighbour.recv() else {
+        panic!("expected the demand for g");
+    };
+    let flushing = RequestBody::PushAck { push_seq };
+    assert_eq!(neighbour.call(flushing), Ok(ReplyBody::Ok));
+    std::thread::sleep(Duration::from_millis(1_000).saturating_sub(demanded_at.elapsed()));
+    let release = RequestBody::LockRelease { ino: g, epoch };
+    assert_eq!(neighbour.call(release), Ok(ReplyBody::Ok));
+
+    let answer = holder.response().expect("the queued acquire is answered");
+    assert_eq!(answer.seq, for_g);
+    let refused = ResponseOutcome::Nacked(NackReason::LeaseTimingOut);
+    assert_eq!(answer.outcome, refused, "never an ACK");
+    // And the steal is still timed from the demand.
+    let grant = (0..20).find_map(|_| waiter.response());
+    assert_eq!(grant.expect("granted once f was stolen").seq, for_f);
+    let waited = demanded_at.elapsed();
+    assert!(waited < Duration::from_millis(2_020 + 600), "{waited:?}");
+    let stats = server.stop();
+    assert_eq!((stats.delivery_errors, stats.steals), (1, 1));
+    assert_eq!(stats.locks_stolen, 2, "f, and g too");
 }
 
 #[test]

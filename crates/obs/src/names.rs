@@ -261,13 +261,14 @@ pub const SERVER_UNEXPECTED_MSGS: MetricDef = counter(
     "server.unexpected_msgs",
     "messages the server could not interpret",
 );
-/// Time from arming a condemnation timer to its firing, server-local ns.
-/// Theorem 3.1 requires every value ≤ `τ_s(1+ε)`.
+/// Time from arming a condemnation timer to its firing, server-local ns:
+/// what is left of the `τ_s(1+ε)` that began at the client's last ACK, so
+/// every value is ≤ `τ_s(1+ε)`.
 pub const SERVER_STEAL_LATENCY_NS: MetricDef = histogram(
     "server.steal_latency_ns",
     "ns",
     DURATION_BOUNDS_NS,
-    "condemnation-timer arm-to-fire latency",
+    "condemnation-timer arm-to-fire latency (the residual lease wait)",
 );
 /// Wall-clock time executing one batch's elements (net stack only — the
 /// sim server executes in zero virtual time).

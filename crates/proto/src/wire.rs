@@ -622,6 +622,38 @@ fn nack_from(tag: u8) -> Result<NackReason, WireError> {
 
 // --------------------------------------------------------------- CtlMsg
 
+fn put_response(buf: &mut BytesMut, r: &Response) {
+    buf.put_u8(1);
+    buf.put_u32_le(r.dst.0);
+    buf.put_u64_le(r.session.0);
+    buf.put_u64_le(r.seq.0);
+    buf.put_u64_le(r.incarnation.0);
+    match &r.outcome {
+        ResponseOutcome::Acked(Ok(body)) => {
+            buf.put_u8(0);
+            body.encode(buf);
+        }
+        ResponseOutcome::Acked(Err(e)) => {
+            buf.put_u8(1);
+            buf.put_u8(fs_error_tag(*e));
+        }
+        ResponseOutcome::Nacked(n) => {
+            buf.put_u8(2);
+            buf.put_u8(nack_tag(*n));
+        }
+    }
+}
+
+/// The datagram `NetMsg::Ctl(CtlMsg::Response(resp))` encodes to, for a
+/// sender that keeps the response (a replay cache) and would otherwise
+/// deep-copy it into a message just to encode it.
+pub fn response_datagram(resp: &Response) -> Bytes {
+    let mut buf = BytesMut::with_capacity(64);
+    buf.put_u8(0);
+    put_response(&mut buf, resp);
+    buf.freeze()
+}
+
 impl WireEncode for CtlMsg {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -632,27 +664,7 @@ impl WireEncode for CtlMsg {
                 buf.put_u64_le(r.seq.0);
                 r.body.encode(buf);
             }
-            CtlMsg::Response(r) => {
-                buf.put_u8(1);
-                buf.put_u32_le(r.dst.0);
-                buf.put_u64_le(r.session.0);
-                buf.put_u64_le(r.seq.0);
-                buf.put_u64_le(r.incarnation.0);
-                match &r.outcome {
-                    ResponseOutcome::Acked(Ok(body)) => {
-                        buf.put_u8(0);
-                        body.encode(buf);
-                    }
-                    ResponseOutcome::Acked(Err(e)) => {
-                        buf.put_u8(1);
-                        buf.put_u8(fs_error_tag(*e));
-                    }
-                    ResponseOutcome::Nacked(n) => {
-                        buf.put_u8(2);
-                        buf.put_u8(nack_tag(*n));
-                    }
-                }
-            }
+            CtlMsg::Response(r) => put_response(buf, r),
             CtlMsg::Push(p) => {
                 buf.put_u8(2);
                 buf.put_u32_le(p.dst.0);
@@ -1184,13 +1196,17 @@ mod tests {
             ResponseOutcome::Nacked(NackReason::Misrouted(RouteError::NotPrimary)),
         ];
         for outcome in outcomes {
-            roundtrip(NetMsg::Ctl(CtlMsg::Response(Response {
+            let resp = Response {
                 dst: NodeId(5),
                 session: SessionId(2),
                 seq: ReqSeq(42),
                 incarnation: Incarnation(7),
                 outcome,
-            })));
+            };
+            let by_ref = response_datagram(&resp);
+            let msg = NetMsg::Ctl(CtlMsg::Response(resp));
+            assert_eq!(by_ref, msg.encoded(), "{msg:?}");
+            roundtrip(msg);
         }
     }
 

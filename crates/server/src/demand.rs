@@ -6,7 +6,8 @@
 //! safety argument hangs on. It lives here once; the simulator's
 //! [`ServerNode`](crate::ServerNode) and `tank-net`'s reactor both drive it.
 //!
-//! **Contract.** A [`LockService`] performs no I/O and reads no clock.
+//! **Contract.** A [`LockService`] performs no I/O and reads no clock:
+//! a verb that can start a demand is told the server-local `now`.
 //! Each verb queues the [`LockEffect`]s its driver must carry out, *in
 //! order*, and the driver drains them with [`LockService::next_effect`];
 //! nothing here builds a response, so every answer still passes through
@@ -14,6 +15,20 @@
 //! are never cancelled: push seqs are never reused, so a [`LadderTimer`]
 //! that outlives its push (acked, released, dropped with its client) finds
 //! nothing to do when the driver hands it back on firing.
+//!
+//! **The anchor.** The ladder decides when to *stop ACKing* a holder, not
+//! when its lease wait begins. Theorem 3.1 makes a steal safe τ(1+ε)
+//! after the last ACK the server sent, so every outstanding demand keeps
+//! `since` — the time of its first transmission, moved forward by each
+//! ACK the driver reports to the holder through [`LockService::acked`] —
+//! and a delivery error hands it back: detection and the lease wait run
+//! concurrently, and no per-client state exists outside an outstanding
+//! demand. The error drops the client's demands, so `since` stops moving:
+//! from then until the steal the driver must send that client no ACK at
+//! all. The request gate sees to fresh requests; a [`LockEffect::Granted`]
+//! for an acquire that queued *before* the error is the one ACK that
+//! could still fall due, and the driver answers it with the lease
+//! authority's refusal instead (`ClientStanding::refusal`).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -66,7 +81,8 @@ pub enum LockEffect {
     Arm(LocalNs, LadderTimer),
     /// Send `push`; `retry` is false for a demand's first transmission.
     Push { push: ServerPush, retry: bool },
-    /// This grant now exists; answer `answers` (always set).
+    /// This grant now exists; answer `answers` (always set) — with a NACK
+    /// if the lease authority has condemned the client while it queued.
     Granted(Grant),
     /// The requester already held a covering grant: answer `answers` with
     /// it. No new grant exists.
@@ -86,6 +102,8 @@ struct PendingPush {
     epoch: Epoch,
     retries_left: u32,
     acked: bool,
+    /// No ACK has gone to `dst` after this server-local time.
+    since: LocalNs,
 }
 
 /// The lock table and every demand outstanding against its holders.
@@ -138,6 +156,7 @@ impl LockService {
         mode: LockMode,
         answers: (SessionId, ReqSeq),
         sessions: &SessionTable,
+        now: LocalNs,
     ) {
         let (session, seq) = answers;
         let answers = Some(answers);
@@ -160,9 +179,9 @@ impl LockService {
                 let blocked = ServerEvent::RequestBlocked { client, ino, seq };
                 self.out.push_back(LockEffect::Event(blocked));
                 for holder in demand_from {
-                    self.start_demand(holder, ino, mode, sessions);
+                    self.start_demand(holder, ino, mode, sessions, now);
                 }
-                self.deliver(sessions);
+                self.deliver(sessions, now);
             }
         }
     }
@@ -170,7 +189,14 @@ impl LockService {
     /// `LockRelease { ino, epoch }` from `client`. A stale-epoch release is
     /// ignored by the lock table, so it must not cancel the demand for the
     /// grant still held.
-    pub fn release(&mut self, client: NodeId, ino: Ino, epoch: Epoch, sessions: &SessionTable) {
+    pub fn release(
+        &mut self,
+        client: NodeId,
+        ino: Ino,
+        epoch: Epoch,
+        sessions: &SessionTable,
+        now: LocalNs,
+    ) {
         let held = self.table.holding_epoch(client, ino);
         self.queue
             .extend(self.table.release(client, ino, Some(epoch)));
@@ -180,7 +206,7 @@ impl LockService {
             // The demand (if any) is satisfied.
             self.pushes.retain(|_, p| p.dst != client || p.ino != ino);
         }
-        self.deliver(sessions);
+        self.deliver(sessions, now);
     }
 
     /// `PushAck { push_seq }` from `from`: the client is flushing; give it
@@ -200,11 +226,26 @@ impl LockService {
         }
     }
 
+    /// An ACK is about to leave for `client` at server-local `now`: no
+    /// demand outstanding against it may count the lease wait from any
+    /// earlier. Drivers call this for *every* ACK-carrying datagram; with
+    /// no demand outstanding it is one emptiness test.
+    pub fn acked(&mut self, client: NodeId, now: LocalNs) {
+        if self.pushes.is_empty() {
+            return;
+        }
+        for p in self.pushes.values_mut().filter(|p| p.dst == client) {
+            p.since = p.since.max(now);
+        }
+    }
+
     /// A ladder timer fired. Returns the client a delivery error is now
-    /// declared against, if any; every push to it has been dropped.
+    /// declared against, if any, and the time since which it has not been
+    /// ACKed — the lease wait runs from there, not from now. Every push to
+    /// the client has been dropped.
     #[must_use]
-    pub fn timer_fired(&mut self, timer: LadderTimer) -> Option<NodeId> {
-        let unreachable = match timer {
+    pub fn timer_fired(&mut self, timer: LadderTimer) -> Option<(NodeId, LocalNs)> {
+        let (unreachable, since) = match timer {
             LadderTimer::PushRetry(push_seq) => {
                 let p = self.pushes.get_mut(&push_seq)?;
                 if p.acked {
@@ -215,7 +256,7 @@ impl LockService {
                     self.send_push(push_seq, true);
                     return None;
                 }
-                p.dst
+                (p.dst, p.since)
             }
             LadderTimer::ReleaseWait(push_seq) => {
                 // PushAcked but never released — unless the demanded grant
@@ -225,19 +266,28 @@ impl LockService {
                 if self.table.holding_epoch(p.dst, p.ino) != Some(p.epoch) {
                     return None;
                 }
-                p.dst
+                (p.dst, p.since)
             }
         };
         // Stop pushing at the unresponsive client.
         self.pushes.retain(|_, p| p.dst != unreachable);
-        Some(unreachable)
+        Some((unreachable, since))
     }
 
     /// Take everything `client` holds or waits for — `LockStolen` events
     /// when `stolen` (lease expiry), `LockReleased` otherwise (a fresh
     /// session abandons the old one's locks) — and grant whoever that
-    /// unblocks. Returns the number of locks taken.
-    pub fn drop_client(&mut self, client: NodeId, stolen: bool, sessions: &SessionTable) -> usize {
+    /// unblocks. The demands for those locks go with them: a ladder left
+    /// running would later declare a delivery error against whatever
+    /// session the client has by then. Returns the number of locks taken.
+    pub fn drop_client(
+        &mut self,
+        client: NodeId,
+        stolen: bool,
+        sessions: &SessionTable,
+        now: LocalNs,
+    ) -> usize {
+        self.pushes.retain(|_, p| p.dst != client);
         let (taken, grants) = self.table.steal_all(client);
         for &(ino, epoch) in &taken {
             self.out.push_back(LockEffect::Event(if stolen {
@@ -247,7 +297,7 @@ impl LockService {
             }));
         }
         self.queue.extend(grants);
-        self.deliver(sessions);
+        self.deliver(sessions, now);
         taken.len()
     }
 
@@ -262,6 +312,7 @@ impl LockService {
         ino: Ino,
         mode_needed: LockMode,
         sessions: &SessionTable,
+        now: LocalNs,
     ) {
         // One outstanding demand per (holder, ino) is enough.
         let same = |p: &PendingPush| (p.dst, p.ino) == (holder, ino);
@@ -287,6 +338,7 @@ impl LockService {
                 epoch,
                 retries_left: self.ladder.retries,
                 acked: false,
+                since: now,
             },
         );
         self.send_push(push_seq, false);
@@ -315,7 +367,7 @@ impl LockService {
     /// demands to session-less holders release their locks, which may
     /// produce further grants, and so on — a work queue keeps the stack
     /// flat.
-    fn deliver(&mut self, sessions: &SessionTable) {
+    fn deliver(&mut self, sessions: &SessionTable, now: LocalNs) {
         let mut guard = 0u32;
         while !self.queue.is_empty() {
             guard += 1;
@@ -332,7 +384,7 @@ impl LockService {
             for i in 0..self.touched.len() {
                 let ino = self.touched[i];
                 for (holder, mode) in self.table.pending_demands(ino) {
-                    self.start_demand(holder, ino, mode, sessions);
+                    self.start_demand(holder, ino, mode, sessions, now);
                 }
             }
         }
@@ -343,6 +395,8 @@ impl LockService {
 mod tests {
     use super::LockEffect::{Arm, Event, Granted, Held, Push};
     use super::*;
+    use proptest::prelude::*;
+    use tank_core::{LeaseAuthority, LeaseConfig};
     use LadderTimer::{PushRetry, ReleaseWait};
 
     const A: NodeId = NodeId(10);
@@ -358,8 +412,9 @@ mod tests {
         release_timeout: LocalNs(500),
     };
 
-    /// A service and its session table; a verb returns what it asked for.
-    struct Rig(LockService, SessionTable);
+    /// A service, its session table and the server's clock (set with
+    /// [`Rig::at`]); a verb returns what it asked for.
+    struct Rig(LockService, SessionTable, LocalNs);
 
     /// The session [`Rig::new`] opens for A to D (1 to 4).
     fn session(c: NodeId) -> SessionId {
@@ -370,26 +425,41 @@ mod tests {
         fn new() -> Rig {
             let mut sessions = SessionTable::new();
             let _ = [A, B, C, D].map(|c| sessions.begin(c));
-            Rig(LockService::new(LADDER), sessions)
+            Rig(LockService::new(LADDER), sessions, LocalNs(0))
+        }
+        fn at(&mut self, now: u64) -> &mut Rig {
+            self.2 = LocalNs(now);
+            self
         }
         fn effects(&mut self) -> Vec<LockEffect> {
             std::iter::from_fn(|| self.0.next_effect()).collect()
         }
         fn acquire(&mut self, c: NodeId, ino: Ino, seq: u64) -> Vec<LockEffect> {
             let answers = (session(c), ReqSeq(seq));
-            self.0.acquire(c, ino, X, answers, &self.1);
+            self.0.acquire(c, ino, X, answers, &self.1, self.2);
             self.effects()
         }
         fn release(&mut self, c: NodeId, ino: Ino, epoch: u64) -> Vec<LockEffect> {
-            self.0.release(c, ino, Epoch(epoch), &self.1);
+            self.0.release(c, ino, Epoch(epoch), &self.1, self.2);
             self.effects()
         }
         fn ack(&mut self, from: NodeId, push_seq: u64) -> Vec<LockEffect> {
             self.0.push_ack(from, push_seq);
             self.effects()
         }
-        fn fire(&mut self, timer: LadderTimer) -> (Option<NodeId>, Vec<LockEffect>) {
-            (self.0.timer_fired(timer), self.effects())
+        /// The client a delivery error is declared against, and since when.
+        fn fire(&mut self, timer: LadderTimer) -> (Option<(NodeId, u64)>, Vec<LockEffect>) {
+            let error = self.0.timer_fired(timer).map(|(c, since)| (c, since.0));
+            (error, self.effects())
+        }
+        /// The server sends `to` an ACK.
+        fn acked(&mut self, to: NodeId) -> Vec<LockEffect> {
+            self.0.acked(to, self.2);
+            self.effects()
+        }
+        fn drop_client(&mut self, c: NodeId) -> (usize, Vec<LockEffect>) {
+            let taken = self.0.drop_client(c, false, &self.1, self.2);
+            (taken, self.effects())
         }
     }
 
@@ -466,7 +536,7 @@ mod tests {
         for _ in 0..LADDER.retries {
             assert_eq!(r.fire(PushRetry(1)), (None, resent.clone()));
         }
-        assert_eq!(r.fire(PushRetry(1)), (Some(A), vec![]));
+        assert_eq!(r.fire(PushRetry(1)), (Some((A, 0)), vec![]));
         assert_eq!(r.fire(PushRetry(2)), (None, vec![]), "dropped with A");
     }
 
@@ -481,7 +551,7 @@ mod tests {
         assert_eq!(r.ack(A, 1), [wait]);
         assert_eq!(r.ack(A, 1), [], "a duplicate ack arms nothing");
         assert_eq!(r.fire(PushRetry(1)), (None, vec![]), "retries stopped");
-        assert_eq!(r.fire(ReleaseWait(1)), (Some(A), vec![]), "still held");
+        assert_eq!(r.fire(ReleaseWait(1)), (Some((A, 0)), vec![]), "still held");
     }
 
     #[test]
@@ -489,9 +559,70 @@ mod tests {
         let mut r = contended();
         assert_eq!(r.ack(A, 1).len(), 1);
         // A's fresh session abandons the grant; no release names push 1.
-        assert_eq!(r.0.drop_client(A, false, &r.1), 1);
-        assert_eq!(r.effects(), [released(A, F, 1), Granted(grant(B, F, 3, 2))]);
+        let handed_on = vec![released(A, F, 1), Granted(grant(B, F, 3, 2))];
+        assert_eq!(r.drop_client(A), (1, handed_on));
         assert_eq!(r.fire(ReleaseWait(1)), (None, vec![]));
+    }
+
+    #[test]
+    fn a_fresh_session_takes_the_old_sessions_demands_with_its_locks() {
+        let mut r = contended();
+        // A re-Hellos mid-ladder: its grant goes to B, and demand 1 with it.
+        let handed_on = vec![released(A, F, 1), Granted(grant(B, F, 3, 2))];
+        assert_eq!(r.drop_client(A), (1, handed_on));
+        // Left outstanding, the ladder would run out against A's *fresh*
+        // session; instead its timers find nothing to do.
+        for _ in 0..=LADDER.retries {
+            assert_eq!(r.fire(PushRetry(1)), (None, vec![]));
+        }
+    }
+
+    /// A holds F; B's conflicting acquire sends demand 1 at t = 100.
+    fn contended_at_100() -> Rig {
+        let mut r = Rig::new();
+        assert_eq!(r.acquire(A, F, 1), [Granted(grant(A, F, 1, 1))]);
+        // No demand outstanding: an ACK (here, A's grant) leaves no mark.
+        assert_eq!(r.at(70).acked(A), []);
+        let [arm, push] = demand(A, 1, F, 1, false);
+        assert_eq!(r.at(100).acquire(B, F, 2), [blocked(B, F, 2), arm, push]);
+        r
+    }
+
+    #[test]
+    fn a_silent_holder_is_timed_from_the_first_transmission_not_the_last_retry() {
+        let mut r = contended_at_100();
+        let resent = demand(A, 1, F, 1, true).to_vec();
+        assert_eq!(r.at(150).fire(PushRetry(1)), (None, resent.clone()));
+        assert_eq!(r.at(200).fire(PushRetry(1)), (None, resent));
+        assert_eq!(r.at(250).fire(PushRetry(1)), (Some((A, 100)), vec![]));
+    }
+
+    #[test]
+    fn an_ack_to_the_holder_moves_the_anchor_and_an_ack_to_anyone_else_does_not() {
+        let mut r = contended_at_100();
+        let resent = demand(A, 1, F, 1, true).to_vec();
+        assert_eq!(r.at(150).fire(PushRetry(1)), (None, resent.clone()));
+        // A's keep-alive got through and is answered; so is one of C's.
+        assert_eq!(r.at(160).acked(A), []);
+        assert_eq!(r.at(190).acked(C), []);
+        assert_eq!(r.at(200).fire(PushRetry(1)), (None, resent));
+        assert_eq!(r.at(250).fire(PushRetry(1)), (Some((A, 160)), vec![]));
+    }
+
+    #[test]
+    fn a_release_wait_is_timed_from_the_push_ack_reply_or_any_later_ack() {
+        let wait = [Arm(LADDER.release_timeout, ReleaseWait(1))];
+        let mut r = contended_at_100();
+        assert_eq!(r.at(120).ack(A, 1), wait);
+        assert_eq!(r.acked(A), [], "the reply to the PushAck");
+        assert_eq!(r.at(620).fire(ReleaseWait(1)), (Some((A, 120)), vec![]));
+        // The same, but A keeps renewing while it fails to release.
+        let mut r = contended_at_100();
+        assert_eq!(r.at(120).ack(A, 1), wait);
+        for t in [120, 300, 480] {
+            assert_eq!(r.at(t).acked(A), []);
+        }
+        assert_eq!(r.at(620).fire(ReleaseWait(1)), (Some((A, 480)), vec![]));
     }
 
     #[test]
@@ -537,5 +668,103 @@ mod tests {
         assert_eq!(out.len(), 1 + DEPTH as usize);
         assert!(out[1..].iter().all(|e| matches!(e, Granted(_))));
         assert!(r.0.table().holds(NodeId(100 + DEPTH - 1), F, X));
+    }
+
+    proptest! {
+        /// Whatever the interleaving of lock traffic, ACKs, ladder timers
+        /// and lease timers, a delivery error never counts the lease wait
+        /// from before an ACK the server sent that client, and no ACK
+        /// follows between the error and the steal — Theorem 3.1's
+        /// hypothesis (`theorem.rs` has the negative control: an earlier
+        /// anchor is unsafe). The driver is modelled with its two rules:
+        /// every ACK is reported to `acked`, and nobody the lease authority
+        /// has condemned is ACKed — not at the request gate, and not when a
+        /// grant it queued for earlier falls due.
+        #[test]
+        fn a_steal_is_never_timed_from_before_an_ack_to_that_client(
+            steps in proptest::collection::vec((0u8..7, 0usize..4, 0usize..2, 1u64..40), 1..160),
+        ) {
+            let clients = [A, B, C, D];
+            let who_is = |c: NodeId| (c.0 - A.0) as usize;
+            let mut r = Rig::new();
+            let mut auth = LeaseAuthority::new(LeaseConfig::with_tau(LocalNs(150)));
+            let mut last_ack = [None::<u64>; 4];
+            let mut timers: Vec<LadderTimer> = Vec::new();
+            let mut pushes: Vec<(NodeId, u64)> = Vec::new();
+            // Armed lease timers: (client, since, fires_at).
+            let mut condemned: Vec<(NodeId, u64, LocalNs)> = Vec::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for (kind, who, which, dt) in steps {
+                now += dt;
+                r.at(now);
+                let (c, ino) = (clients[who], [F, G][which]);
+                // The request gate: a condemned client is NACKed.
+                let refused = auth.standing_of(c).refusal().is_some();
+                let effects = match kind {
+                    0 | 1 if !refused => {
+                        seq += 1;
+                        r.acquire(c, ino, seq)
+                    }
+                    2 if !refused => match r.0.table().holding_epoch(c, ino) {
+                        Some(epoch) => r.release(c, ino, epoch.0),
+                        None => vec![],
+                    },
+                    // Any other request of `c`'s (a keep-alive) is answered.
+                    3 if !refused => {
+                        last_ack[who] = Some(now);
+                        r.acked(c)
+                    }
+                    4 if !pushes.is_empty() => {
+                        let (dst, push_seq) = pushes[which * who % pushes.len()];
+                        match auth.standing_of(dst).refusal() {
+                            None => r.ack(dst, push_seq),
+                            Some(_) => vec![],
+                        }
+                    }
+                    5 if !timers.is_empty() => {
+                        let timer = timers.swap_remove(which * who % timers.len());
+                        let (error, effects) = r.fire(timer);
+                        if let Some((c, since)) = error {
+                            let acked = last_ack[who_is(c)];
+                            prop_assert!(since <= now);
+                            prop_assert!(acked.is_none_or(|t| t <= since), "{acked:?} > {since}");
+                            if let Some(fires_at) = auth.on_delivery_error(c, LocalNs(since)) {
+                                condemned.push((c, since, fires_at));
+                            }
+                        }
+                        effects
+                    }
+                    // The oldest lease timer, if it is due: steal, and the
+                    // client comes back with a Hello.
+                    6 if condemned.first().is_some_and(|d| d.2 <= LocalNs(now)) => {
+                        let (c, since, _) = condemned.remove(0);
+                        prop_assert!(auth.on_timer(c, LocalNs(now)));
+                        let acked = last_ack[who_is(c)];
+                        prop_assert!(acked.is_none_or(|t| t <= since), "{acked:?} > {since}");
+                        r.0.drop_client(c, true, &r.1, LocalNs(now));
+                        auth.on_new_session(c);
+                        last_ack[who_is(c)] = Some(now);
+                        r.acked(c);
+                        r.effects()
+                    }
+                    _ => vec![],
+                };
+                // What the driver does with them: an answer is an ACK,
+                // unless the lease authority says otherwise.
+                for e in effects {
+                    match e {
+                        Arm(_, timer) => timers.push(timer),
+                        Push { push, .. } => pushes.push((push.dst, push.push_seq)),
+                        Granted(g) | Held(g) => {
+                            if auth.standing_of(g.client).refusal().is_none() {
+                                last_ack[who_is(g.client)] = Some(now);
+                                r.acked(g.client);
+                            }
+                        }
+                        Event(_) => {}
+                    }
+                }
+            }
+        }
     }
 }

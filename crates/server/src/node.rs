@@ -103,7 +103,7 @@ pub struct ServerNode<Ob> {
     observe: Box<dyn Fn(ServerEvent) -> Option<Ob>>,
     obs: Option<ServerObs>,
     /// When each client's condemnation timer was armed (server-local),
-    /// consumed at fire time to measure steal latency against `τ_s(1+ε)`.
+    /// consumed at fire time to measure the residual steal latency.
     condemn_armed_at: HashMap<NodeId, LocalNs>,
     /// The slice of the shared disks this shard governs: the only range it
     /// allocates from, and the only range its fence commands cover — a
@@ -425,10 +425,24 @@ impl<Ob> ServerNode<Ob> {
         } else {
             self.stats.nacks += 1;
         }
+        self.send_response(resp, ctx);
+    }
+
+    /// The one place a response meets the wire, fresh or replayed.
+    fn send_response(&mut self, resp: Response, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         // Write-ahead discipline: everything this response reports must be
-        // durable before the response exists on the wire.
+        // durable before the response exists on the wire. (A replayed
+        // response was synced when first produced; nothing is pending.)
         self.wal_sync_and_ship(ctx);
-        ctx.send(NetId::CONTROL, client, NetMsg::Ctl(CtlMsg::Response(resp)));
+        if resp.is_ack() {
+            // An ACK renews its addressee's lease from when the request
+            // was sent — before now, since it has been received — so any
+            // lease wait against the addressee restarts here (Theorem 3.1:
+            // t_C1 ≤ t_S2).
+            self.locks.acked(resp.dst, ctx.now());
+        }
+        let dst = resp.dst;
+        ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Response(resp)));
     }
 
     fn ack(
@@ -463,6 +477,22 @@ impl<Ob> ServerNode<Ob> {
             });
         }
         self.respond(client, session, seq, ResponseOutcome::Nacked(reason), ctx);
+    }
+
+    /// Tell a client the lease authority is timing out, or has expired,
+    /// that it will not be ACKed (§3.1). Without the §3.3 optimization a
+    /// suspect is silently ignored instead — correct but wasteful.
+    fn refuse(
+        &mut self,
+        client: NodeId,
+        session: SessionId,
+        seq: ReqSeq,
+        reason: NackReason,
+        ctx: &mut Ctx<'_, NetMsg, Ob>,
+    ) {
+        if reason != NackReason::LeaseTimingOut || self.cfg.nack_suspect {
+            self.nack(client, session, seq, reason, ctx);
+        }
     }
 
     // -------------------------------------------------------------- locks
@@ -536,6 +566,15 @@ impl<Ob> ServerNode<Ob> {
         let Some((session, seq)) = g.answers else {
             return;
         };
+        // The gate on the way out: the acquire was admitted while its
+        // sender stood `Good`, but it waited, and a delivery error against
+        // the sender may have come first. An ACK now would renew a lease
+        // from the acquire's first send — possibly later than the ACK the
+        // running timer counts from — so the waiter is told what a fresh
+        // request would be.
+        if let Some(reason) = self.authority.standing_of(g.client).refusal() {
+            return self.refuse(g.client, session, seq, reason, ctx);
+        }
         let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or((Vec::new(), 0));
         let reply = ReplyBody::LockGranted {
             ino: g.ino,
@@ -549,7 +588,9 @@ impl<Ob> ServerNode<Ob> {
 
     // ----------------------------------------------------------- recovery
 
-    fn delivery_error(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    /// `client` went unanswered through the demand ladder; `since` is the
+    /// last time this server ACKed it (or first demanded, if later).
+    fn delivery_error(&mut self, client: NodeId, since: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.stats.delivery_errors += 1;
         if let Some(obs) = &self.obs {
             obs.delivery_errors.inc();
@@ -570,16 +611,25 @@ impl<Ob> ServerNode<Ob> {
                 self.begin_fence(client, ctx);
             }
             RecoveryPolicy::LeaseFence => {
-                let now = ctx.now();
-                if let Some(fires_at) = self.authority.on_delivery_error(client, now) {
-                    let delay = LocalNs(fires_at.0.saturating_sub(now.0));
+                // The lease wait began at the last ACK, not now: the time
+                // detection took has already been served (Theorem 3.1's
+                // earliest case, `error_at = t_S2`).
+                if let Some(fires_at) = self.authority.on_delivery_error(client, since) {
+                    let now = ctx.now();
+                    let delay = fires_at.minus(now);
                     let token = self.timers.insert(ServerTimer::LeaseExpiry(client));
                     ctx.set_timer(delay, token);
                     self.condemn_armed_at.entry(client).or_insert(now);
                     if let Some(obs) = &self.obs {
                         obs.condemn_armed.inc();
                         obs.trace(ctx, "condemn-armed", || {
-                            format!("client=n{} fires_in_ns={}", client.0, delay.0)
+                            format!(
+                                "client=n{} fires_in_ns={} since_ns={} overlap_ns={}",
+                                client.0,
+                                delay.0,
+                                since.0,
+                                now.minus(since).0
+                            )
                         });
                     }
                 }
@@ -637,7 +687,9 @@ impl<Ob> ServerNode<Ob> {
 
     fn do_steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.stats.steals += 1;
-        let stolen = self.locks.drop_client(client, true, &self.sessions) as u64;
+        let stolen = self
+            .locks
+            .drop_client(client, true, &self.sessions, ctx.now()) as u64;
         self.stats.locks_stolen += stolen;
         if let Some(obs) = &self.obs {
             obs.steals.inc();
@@ -658,12 +710,11 @@ impl<Ob> ServerNode<Ob> {
         // one the client is actually using.
         if let Some(resp) = self.sessions.hello_replay(client, req.seq) {
             self.stats.replays += 1;
-            // tank-lint: allow(L6) resends the cached hello reply; its state was synced when first produced
-            ctx.send(NetId::CONTROL, client, NetMsg::Ctl(CtlMsg::Response(resp)));
-            return;
+            return self.send_response(resp, ctx);
         }
         // A fresh session abandons everything the old incarnation held.
-        self.locks.drop_client(client, false, &self.sessions);
+        self.locks
+            .drop_client(client, false, &self.sessions, ctx.now());
         self.apply_locks(ctx);
         self.authority.on_new_session(client);
         if self.fences.is_fenced(client) {
@@ -694,10 +745,7 @@ impl<Ob> ServerNode<Ob> {
             })),
         };
         self.sessions.record_hello(client, req.seq, resp.clone());
-        // Hello bypasses `respond` (it addresses the new session), so it
-        // carries its own group-commit point.
-        self.wal_sync_and_ship(ctx);
-        ctx.send(NetId::CONTROL, client, NetMsg::Ctl(CtlMsg::Response(resp)));
+        self.send_response(resp, ctx);
     }
 
     fn execute(&mut self, client: NodeId, req: Request, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -712,7 +760,7 @@ impl<Ob> ServerNode<Ob> {
                 }
                 let answers = (session, seq);
                 self.locks
-                    .acquire(client, ino, mode, answers, &self.sessions);
+                    .acquire(client, ino, mode, answers, &self.sessions, ctx.now());
                 self.apply_locks(ctx);
             }
             RequestBody::Batch(elems) => {
@@ -860,7 +908,8 @@ impl<Ob> ServerNode<Ob> {
                 }
             }
             RequestBody::LockRelease { ino, epoch } => {
-                self.locks.release(client, ino, epoch, &self.sessions);
+                self.locks
+                    .release(client, ino, epoch, &self.sessions, ctx.now());
                 self.apply_locks(ctx);
                 Ok(ReplyBody::Ok)
             }
@@ -1213,25 +1262,13 @@ impl<Ob> ServerNode<Ob> {
         }
         // Lease authority gate (§3.3): a suspect client gets NACKs,
         // an expired client gets NACKs for everything but Hello.
-        match self.authority.standing_of(from) {
-            ClientStanding::Good => {}
-            ClientStanding::Suspect { .. } => {
-                if self.cfg.nack_suspect {
-                    self.nack(from, req.session, req.seq, NackReason::LeaseTimingOut, ctx);
-                }
-                // Without the §3.3 optimization the request is silently
-                // ignored — correct but wasteful.
-                return;
-            }
-            ClientStanding::Expired => {
-                if matches!(req.body, RequestBody::Hello { .. }) {
-                    self.stats.requests += 1;
-                    return self.do_hello(from, &req, ctx);
-                }
-                return self.nack(from, req.session, req.seq, NackReason::SessionExpired, ctx);
-            }
+        let hello = matches!(req.body, RequestBody::Hello { .. });
+        match self.authority.standing_of(from).refusal() {
+            None => {}
+            Some(NackReason::SessionExpired) if hello => {}
+            Some(reason) => return self.refuse(from, req.session, req.seq, reason, ctx),
         }
-        if matches!(req.body, RequestBody::Hello { .. }) {
+        if hello {
             self.stats.requests += 1;
             return self.do_hello(from, &req, ctx);
         }
@@ -1242,8 +1279,7 @@ impl<Ob> ServerNode<Ob> {
             }
             Admission::Replay(resp) => {
                 self.stats.replays += 1;
-                // tank-lint: allow(L6) dedup-window replay of an already-durable response (synced before first send)
-                ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Response(*resp)));
+                self.send_response(*resp, ctx);
             }
             Admission::InProgress => {}
             Admission::WrongSession => {
@@ -1299,8 +1335,8 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         };
         match t {
             ServerTimer::Ladder(timer) => {
-                if let Some(client) = self.locks.timer_fired(timer) {
-                    self.delivery_error(client, ctx);
+                if let Some((client, since)) = self.locks.timer_fired(timer) {
+                    self.delivery_error(client, since, ctx);
                 }
                 self.apply_locks(ctx);
             }
@@ -1310,9 +1346,11 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
                 if self.authority.on_timer(client, now) {
                     if let Some(obs) = &self.obs {
                         obs.condemn_fired.inc();
-                        // The measured side of Theorem 3.1: how long the
-                        // server actually waited before declaring the lease
-                        // dead. Must never exceed τ_s(1+ε).
+                        // The measured side of Theorem 3.1: the *residual*
+                        // wait, from the delivery error to the lease being
+                        // declared dead. Detection overlaps the τ_s(1+ε)
+                        // that began at the last ACK, so this is at most
+                        // τ_s(1+ε) and usually less by the ladder's length.
                         let latency = armed_at.map_or(0, |t| now.0.saturating_sub(t.0));
                         obs.steal_latency_ns.observe(latency);
                         obs.trace(ctx, "condemned", || {

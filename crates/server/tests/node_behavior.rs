@@ -476,3 +476,117 @@ fn stray_san_completions_are_counted_and_never_acted_on() {
     assert_eq!(w.stats().sent_on(NetId::SAN), 2, "only the strays");
     assert_eq!(w.stats().sent_on(NetId::CONTROL), 0);
 }
+
+/// Sends each request at its own time (ms) and records every response; a
+/// push is never answered, so a demand on this peer's lock runs its ladder
+/// out.
+struct SilentPeer {
+    server: NodeId,
+    script: Vec<(u64, Request)>,
+    responses: Vec<(ReqSeq, ResponseOutcome)>,
+}
+
+impl Actor<NetMsg, ()> for SilentPeer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+        for (i, (at, _)) in self.script.iter().enumerate() {
+            ctx.set_timer(LocalNs::from_millis(*at), i as u64);
+        }
+    }
+    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {
+        if let NetMsg::Ctl(CtlMsg::Response(r)) = msg {
+            self.responses.push((r.seq, r.outcome));
+        }
+    }
+    fn on_timer(&mut self, i: u64, ctx: &mut Ctx<'_, NetMsg, ()>) {
+        let req = self.script[i as usize].1.clone();
+        ctx.send(
+            NetId::CONTROL,
+            self.server,
+            NetMsg::Ctl(CtlMsg::Request(req)),
+        );
+    }
+}
+
+#[test]
+fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
+    // A holds f0 and, 200 ms after C's demand for it went out, queues for
+    // f1 behind B. A never answers the demand; B releases f1 100 ms after
+    // the delivery error against A. The grant exists, but an ACK would
+    // renew A's lease from 300 ms — the acquire's first send — while the
+    // steal is timed from the demand at 100 ms: A must hear a NACK.
+    let acquire = |ino| RequestBody::LockAcquire {
+        ino: Ino(ino),
+        mode: LockMode::Exclusive,
+    };
+    let hello = RequestBody::Hello { map_epoch: 0 };
+    let scripts = [
+        vec![
+            (1, req(1, 0, 1, hello.clone())),
+            (10, req(1, 1, 2, acquire(2))),
+            (300, req(1, 1, 3, acquire(3))),
+        ],
+        vec![
+            (2, req(2, 0, 1, hello.clone())),
+            (11, req(2, 2, 2, acquire(3))),
+            (
+                1_000,
+                req(
+                    2,
+                    2,
+                    3,
+                    RequestBody::LockRelease {
+                        ino: Ino(3),
+                        epoch: Epoch(2),
+                    },
+                ),
+            ),
+        ],
+        vec![(3, req(3, 0, 1, hello)), (100, req(3, 3, 2, acquire(2)))],
+    ];
+    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
+    w.add_network(NetId::SAN, NetParams::ideal(100_000));
+    let mut cfg = ServerConfig::default();
+    cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
+    let server = w.add_node(
+        Box::new(ServerNode::<()>::unobserved(cfg, 1024, 512)),
+        ClockSpec::ideal(),
+    );
+    {
+        let s = w.node_mut::<ServerNode<()>>(server).unwrap();
+        assert_eq!(s.precreate_file("f0", 4), Ino(2));
+        assert_eq!(s.precreate_file("f1", 4), Ino(3));
+    }
+    let [a, b, c] = scripts.map(|script| {
+        let peer = SilentPeer {
+            server,
+            script,
+            responses: Vec::new(),
+        };
+        w.add_node(Box::new(peer), ClockSpec::ideal())
+    });
+    let granted = |o: &ResponseOutcome, ino| matches!(o, ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { ino: i, .. })) if *i == Ino(ino));
+
+    // Past the error (≈ 900 ms) and B's release, short of the steal.
+    w.run_until(SimTime::from_millis(1_500));
+    let stats = w.node_ref::<ServerNode<()>>(server).unwrap().stats();
+    assert_eq!((stats.delivery_errors, stats.steals), (1, 0));
+    let of = |w: &World<NetMsg>, n| w.node_ref::<SilentPeer>(n).unwrap().responses.clone();
+    let to_a = of(&w, a);
+    assert_eq!(to_a.len(), 3, "{to_a:?}");
+    assert!(granted(&to_a[1].1, 2));
+    let refused = ResponseOutcome::Nacked(NackReason::LeaseTimingOut);
+    assert_eq!(to_a[2], (ReqSeq(3), refused), "never an ACK");
+    assert!(matches!(
+        of(&w, b)[2].1,
+        ResponseOutcome::Acked(Ok(ReplyBody::Ok))
+    ));
+    assert_eq!(of(&w, c).len(), 1, "C still waits");
+
+    // The steal, τ(1+ε) after the demand A never answered.
+    w.run_until(SimTime::from_millis(2_500));
+    let stats = w.node_ref::<ServerNode<()>>(server).unwrap().stats();
+    assert_eq!((stats.steals, stats.locks_stolen), (1, 2), "f0, and f1 too");
+    assert!(granted(&of(&w, c)[1].1, 2));
+    assert_eq!(of(&w, a).len(), 3, "nothing more for A");
+}

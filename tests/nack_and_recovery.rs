@@ -14,7 +14,8 @@ use tank_cluster::{Cluster, ClusterConfig, RunReport};
 use tank_consistency::Event;
 use tank_core::LeaseConfig;
 use tank_server::RecoveryPolicy;
-use tank_sim::{LocalNs, SimTime};
+use tank_sim::world::Control;
+use tank_sim::{LocalNs, NetId, NodeId, SimTime};
 
 const BS: usize = 512;
 
@@ -153,20 +154,199 @@ fn suspect_client_is_never_acked_before_steal() {
 
 #[test]
 fn heal_before_timer_fires_still_rides_to_completion() {
-    // The partition heals at 2.5s but the τ(1+ε) timer started ≈2s runs
-    // to ≈4s: the server must NOT cancel it (no ACKs in between), and the
-    // steal happens even though the client is reachable again.
+    // The partition heals at 2.5s but the τ(1+ε) timer — counted from the
+    // demand C0 never answered, ≈1.2s — runs to ≈3.2s: the server must NOT
+    // cancel it (no ACKs in between), and the steal happens even though
+    // the client is reachable again.
     let (cluster, report) = transient(true);
-    let c0 = cluster.clients[0];
+    let (c0, c1) = (cluster.clients[0], cluster.clients[1]);
     let evs = cluster.world.observations();
+    // C1 blocks in the step that first transmits the demand to C0.
+    let t_demand = evs
+        .iter()
+        .find(|(_, _, e)| matches!(e, Event::RequestBlocked { client, .. } if *client == c1))
+        .map(|(t, _, _)| *t)
+        .expect("C1's request conflicted");
     let t_steal = evs
         .iter()
         .find(|(_, _, e)| matches!(e, Event::LockStolen { client, .. } if *client == c0))
         .map(|(t, _, _)| *t)
         .expect("steal happened despite the heal");
+    assert!(t_steal > t(2_500), "after the heal, got {t_steal}");
+    // In true time: τ(1+ε) on the fastest legal server clock is still τ;
+    // on the slowest, with the fence round trip, under τ(1+ε) + 100ms.
+    let lease = cluster.config().lease;
+    let waited = t_steal.0 - t_demand.0;
     assert!(
-        t_steal > t(3_500) && t_steal < t(6_000),
-        "steal ≈ error + τ(1+ε), got {t_steal}"
+        waited >= lease.tau.0 && waited <= lease.server_timeout().0 + ms(100).0,
+        "steal ≈ first demand + τ(1+ε), got {t_demand} → {t_steal}"
     );
     assert_eq!(report.server.steals, 1);
+}
+
+/// τ = 2s, ε = 1 %, every clock skewed within ε, causal log on.
+fn skewed(clients: usize, files: usize, seed: u64) -> Cluster {
+    let mut cfg = ClusterConfig::default();
+    cfg.clients = clients;
+    cfg.files = files;
+    cfg.file_blocks = 4;
+    cfg.block_size = BS;
+    cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
+    cfg.lease.epsilon = 0.01;
+    cfg.policy = RecoveryPolicy::LeaseFence;
+    cfg.skew_clocks = true;
+    cfg.record_hb = true;
+    Cluster::build(cfg, seed)
+}
+
+#[test]
+fn a_holder_that_keeps_renewing_is_timed_from_its_last_ack() {
+    // The dual of Figure 2: C0 is cut off from the SAN only. It answers
+    // C1's demand with a PushAck, cannot harden its dirty block, and so
+    // never releases — while its keep-alives go on being ACKed. The release
+    // wait runs out and the τ(1+ε) then counts from the *last of those
+    // ACKs*, not from the demand: anything earlier would steal inside a
+    // lease the server itself renewed. Skewed clocks, ten seeds.
+    for seed in 0..10 {
+        let mut cluster = skewed(2, 1, seed);
+        let write = |byte| FsOp::Write {
+            path: "/f0".into(),
+            offset: 0,
+            data: vec![byte; BS],
+        };
+        cluster.attach_script(0, Script::new().at(ms(1_200), write(1)));
+        cluster.attach_script(1, Script::new().at(ms(1_500), write(2)));
+        // Healed once C0 is condemned, so its phase-4 flush has somewhere
+        // to go: nothing is stranded, and nothing is released either.
+        cluster.isolate_san(0, t(1_000), Some(t(3_800)));
+        cluster.run_until(SimTime::from_secs(12));
+        let hb = cluster.hb_audit();
+        assert!(hb.ok(), "seed {seed}:\n{}", hb.render());
+        let report = cluster.finish();
+        assert!(report.check.safe(), "seed {seed}: {:#?}", report.check);
+        assert_eq!(report.check.dirty_discarded, 0, "seed {seed}");
+        assert_eq!(report.server.steals, 1, "seed {seed}");
+
+        let c0 = cluster.clients[0];
+        let evs = cluster.world.observations();
+        let when = |pred: &dyn Fn(NodeId, &Event) -> bool| {
+            let hit = evs.iter().find(|(_, n, e)| pred(*n, e));
+            hit.map(|(t, _, _)| *t)
+                .unwrap_or_else(|| panic!("seed {seed}: event missing"))
+        };
+        let t_err = when(&|_, e| matches!(e, Event::DeliveryError { client } if *client == c0));
+        let t_dead = when(&|n, e| n == c0 && matches!(e, Event::CacheInvalidated { .. }));
+        let t_steal = when(&|_, e| matches!(e, Event::LockStolen { client, .. } if *client == c0));
+        // C0 renewed right up to the error, so the whole lease is still to
+        // be waited out: far more than what is left counting from the demand.
+        let lease = cluster.config().lease;
+        assert!(
+            t_steal.0 - t_err.0 > lease.tau.0 / 2,
+            "seed {seed}: timed from the demand: error {t_err}, steal {t_steal}"
+        );
+        // Theorem 3.1 in true time, at its tight edge.
+        assert!(
+            t_dead <= t_steal,
+            "seed {seed}: client invalidated at {t_dead}, server stole at {t_steal}"
+        );
+        // §3.1: not one renewal once the timer is armed.
+        let renewed = evs.iter().any(|(tt, n, e)| {
+            *n == c0 && *tt > t_err && *tt < t_steal && matches!(e, Event::Resumed { .. })
+        });
+        assert!(!renewed, "seed {seed}: renewed between error and steal");
+    }
+}
+
+#[test]
+fn a_waiter_condemned_while_queued_is_not_acked_when_its_turn_comes() {
+    // C0 holds /f0 and stops *hearing* the server at 1.0s, just before C1's
+    // demand for it goes out. 550ms into the retry ladder C0 asks for /f1,
+    // which slow C2 holds; the acquire gets through and queues, and then
+    // C0 cannot be heard either. The ladder runs out, C0's τ(1+ε) counts
+    // from the demand, the server→C0 direction heals — and then C2's
+    // release makes C0's grant fall due. An ACK would renew C0 from the
+    // *acquire's* first send, 550ms later than the steal allows for.
+    // Skewed clocks, ten seeds.
+    for seed in 0..10 {
+        let mut cluster = skewed(3, 2, seed);
+        let write = |file: &str, byte| FsOp::Write {
+            path: file.into(),
+            offset: 0,
+            data: vec![byte; BS],
+        };
+        let read = |file: &str| FsOp::Read {
+            path: file.into(),
+            offset: 0,
+            len: BS as u32,
+        };
+        let stat = FsOp::Stat { path: "/f0".into() };
+        // C0 has written /f1 before (so it need not look it up again) and
+        // given it up to C2; its stat at 0.9s is its last renewal.
+        let c0 = Script::new()
+            .at(ms(200), write("/f0", 1))
+            .at(ms(300), write("/f1", 3))
+            .at(ms(900), stat)
+            .at(ms(1_600), write("/f1", 4))
+            .at(ms(3_300), read("/f0"));
+        cluster.attach_script(0, c0);
+        cluster.attach_script(1, Script::new().at(ms(1_050), write("/f0", 2)));
+        cluster.attach_script(2, Script::new().at(ms(600), read("/f1")));
+        let (c0, server) = (cluster.clients[0], cluster.servers[0]);
+        let net = NetId::CONTROL;
+        let deaf = (server, c0);
+        let mute = (c0, server);
+        for (at, (src, dst), block) in [
+            (1_000, deaf, true),
+            (1_620, mute, true),
+            (1_900, deaf, false),
+            (3_500, mute, false),
+        ] {
+            let control = if block {
+                Control::BlockDirected { net, src, dst }
+            } else {
+                Control::UnblockDirected { net, src, dst }
+            };
+            cluster.world.schedule_control(t(at), control);
+        }
+        // C2 answers the demand for /f1 inside its own ladder, but late
+        // enough to land after the error against C0.
+        cluster.slow_client(2, t(1_000), ms(400).0, Some(t(2_500)));
+        cluster.run_until(SimTime::from_secs(12));
+        let hb = cluster.hb_audit();
+        assert!(hb.ok(), "seed {seed}:\n{}", hb.render());
+        let report = cluster.finish();
+        assert!(report.check.safe(), "seed {seed}: {:#?}", report.check);
+        assert_eq!(report.check.dirty_discarded, 0, "seed {seed}");
+        assert_eq!(report.server.steals, 1, "seed {seed}");
+        assert_eq!(
+            report.server.locks_stolen, 2,
+            "seed {seed}: /f0, and /f1 too"
+        );
+
+        let evs = cluster.world.observations();
+        let when = |pred: &dyn Fn(NodeId, &Event) -> bool| {
+            let hit = evs.iter().find(|(_, n, e)| pred(*n, e));
+            hit.map(|(t, _, _)| *t)
+                .unwrap_or_else(|| panic!("seed {seed}: event missing"))
+        };
+        let t_err = when(&|_, e| matches!(e, Event::DeliveryError { client } if *client == c0));
+        let t_dead = when(&|n, e| n == c0 && matches!(e, Event::CacheInvalidated { .. }));
+        let t_steal = when(&|_, e| matches!(e, Event::LockStolen { client, .. } if *client == c0));
+        // The scenario is the one described: C0's turn for /f1 (ino 3)
+        // came between the error and the steal.
+        let fell_due = evs.iter().any(|(tt, _, e)| {
+            let f1 =
+                matches!(e, Event::LockGranted { client, ino, .. } if *client == c0 && ino.0 == 3);
+            f1 && *tt > t_err && *tt < t_steal
+        });
+        assert!(fell_due, "seed {seed}: no grant inside the suspect window");
+        assert!(
+            t_dead <= t_steal,
+            "seed {seed}: client invalidated at {t_dead}, server stole at {t_steal}"
+        );
+        let renewed = evs.iter().any(|(tt, n, e)| {
+            *n == c0 && *tt > t_err && *tt < t_steal && matches!(e, Event::Resumed { .. })
+        });
+        assert!(!renewed, "seed {seed}: renewed between error and steal");
+    }
 }

@@ -152,12 +152,14 @@ fn counters_and_checker_event_stream_agree() {
     );
     let steal = snap.histogram("server.steal_latency_ns").unwrap();
     assert_eq!(steal.count, 1);
-    // Every steal obeyed the Theorem 3.1 bound: the server waited its
-    // full τ(1+ε) from arming the condemnation timer to firing it.
+    // The histogram holds the *residual* wait, from arming the
+    // condemnation timer to firing it: the τ(1+ε) of Theorem 3.1 began at
+    // the last ACK, so detection has already served part of it and what
+    // is left can only be shorter.
     let bound = cluster.config().lease.server_timeout().0;
     assert!(
         steal.max <= Some(bound),
-        "steal latency {:?} exceeds τ(1+ε) = {bound}",
+        "residual steal latency {:?} exceeds τ(1+ε) = {bound}",
         steal.max
     );
     assert_eq!(snap.counter("server.condemn.fired"), Some(1));
