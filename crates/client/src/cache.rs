@@ -9,7 +9,9 @@
 //! least-recently-used order. Dirty blocks are never evicted — they are the
 //! write-back queue, and only drain by being hardened to the SAN
 //! ([`BlockCache::mark_clean`]) or discarded wholesale at lease expiry
-//! ([`BlockCache::invalidate_all`]). The coherence contract governing when
+//! ([`BlockCache::invalidate_all`]). Eviction never scans: the clean
+//! blocks are indexed by last-use stamp, so the victim is the index's
+//! first entry. The coherence contract governing when
 //! cached data may be *served* lives one layer up, in the lease FSM — see
 //! `CACHING.md` for the phase↔admission table.
 
@@ -92,6 +94,11 @@ pub struct BlockCache {
     capacity: usize,
     /// Monotonic LRU clock.
     tick: u64,
+    /// Eviction order: every **clean** block, keyed by its `last_use`
+    /// stamp (stamps are unique — each comes from a fresh `tick`). The
+    /// first entry is the block a scan for the coldest clean block would
+    /// find. Dirty blocks are absent: they are pinned.
+    lru: BTreeMap<u64, (Ino, u32)>,
 }
 
 impl Default for BlockCache {
@@ -115,6 +122,7 @@ impl BlockCache {
             blocks: 0,
             capacity,
             tick: 0,
+            lru: BTreeMap::new(),
         }
     }
 
@@ -165,6 +173,7 @@ impl BlockCache {
                 last_use: stamp,
             },
         );
+        self.lru.insert(stamp, (ino, idx));
         self.blocks += 1;
     }
 
@@ -173,6 +182,10 @@ impl BlockCache {
         self.tick += 1;
         let stamp = self.tick;
         if let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) {
+            if !b.dirty {
+                self.lru.remove(&b.last_use);
+                self.lru.insert(stamp, (ino, idx));
+            }
             b.last_use = stamp;
         }
     }
@@ -205,28 +218,24 @@ impl BlockCache {
         let mut evicted = 0;
         while self.blocks > self.capacity {
             // Coldest clean block across all files.
-            let victim = self
-                .files
-                .iter()
-                .flat_map(|(ino, f)| {
-                    f.iter()
-                        .filter(|(_, b)| !b.dirty)
-                        .map(move |(idx, b)| (b.last_use, *ino, *idx))
-                })
-                .min();
-            let Some((_, ino, idx)) = victim else {
+            let Some((_, (ino, idx))) = self.lru.pop_first() else {
                 break; // everything left is dirty
             };
-            if let Some(f) = self.files.get_mut(&ino) {
-                f.remove(&idx);
-                self.blocks -= 1;
-                evicted += 1;
-                if f.is_empty() {
-                    self.files.remove(&ino);
-                }
-            }
+            self.remove_block(ino, idx);
+            evicted += 1;
         }
         evicted
+    }
+
+    /// Drop one block that is already out of the eviction order.
+    fn remove_block(&mut self, ino: Ino, idx: u32) {
+        if let Some(f) = self.files.get_mut(&ino) {
+            f.remove(&idx);
+            self.blocks -= 1;
+            if f.is_empty() {
+                self.files.remove(&ino);
+            }
+        }
     }
 
     /// Write `data` at `offset` within block `idx`, marking it dirty with
@@ -239,6 +248,9 @@ impl BlockCache {
         let file = self.files.entry(ino).or_default();
         match file.get_mut(&idx) {
             Some(b) => {
+                if !b.dirty {
+                    self.lru.remove(&b.last_use);
+                }
                 b.data[offset..offset + data.len()].copy_from_slice(data);
                 b.tag = tag;
                 b.dirty = true;
@@ -276,6 +288,13 @@ impl BlockCache {
             .unwrap_or_default()
     }
 
+    /// How many dirty blocks one inode has.
+    pub fn dirty_len(&self, ino: Ino) -> usize {
+        self.files
+            .get(&ino)
+            .map_or(0, |file| file.values().filter(|b| b.dirty).count())
+    }
+
     /// All inodes with any cached block (dirty or clean), sorted.
     pub fn inos(&self) -> Vec<Ino> {
         let mut v: Vec<Ino> = self.files.keys().copied().collect();
@@ -309,8 +328,9 @@ impl BlockCache {
     /// re-dirtied by a newer local write while the flush was in flight).
     pub fn mark_clean(&mut self, ino: Ino, idx: u32, tag: WriteTag) {
         if let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) {
-            if b.tag == tag {
+            if b.tag == tag && b.dirty {
                 b.dirty = false;
+                self.lru.insert(b.last_use, (ino, idx));
             }
         }
     }
@@ -320,6 +340,9 @@ impl BlockCache {
     pub fn invalidate_ino(&mut self, ino: Ino) -> usize {
         match self.files.remove(&ino) {
             Some(file) => {
+                for b in file.values().filter(|b| !b.dirty) {
+                    self.lru.remove(&b.last_use);
+                }
                 self.blocks -= file.len();
                 file.len()
             }
@@ -332,14 +355,49 @@ impl BlockCache {
     pub fn invalidate_all(&mut self) -> usize {
         let dirty = self.dirty_count();
         self.files.clear();
+        self.lru.clear();
         self.blocks = 0;
         dirty
+    }
+}
+
+/// The eviction rule the order index replaced, kept as the test oracle:
+/// find each victim by scanning every block of every file.
+#[cfg(test)]
+impl BlockCache {
+    /// Every clean block with its stamp, found the slow way.
+    fn clean_by_scan(&self) -> impl Iterator<Item = (u64, (Ino, u32))> + '_ {
+        self.files.iter().flat_map(|(ino, f)| {
+            f.iter()
+                .filter(|(_, b)| !b.dirty)
+                .map(move |(idx, b)| (b.last_use, (*ino, *idx)))
+        })
+    }
+
+    /// [`trim`](Self::trim) with every victim chosen by the scan.
+    fn trim_by_scan(&mut self) -> usize {
+        let mut evicted = 0;
+        while self.blocks > self.capacity {
+            let Some((stamp, (ino, idx))) = self.clean_by_scan().min() else {
+                break;
+            };
+            self.lru.remove(&stamp);
+            self.remove_block(ino, idx);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// The order index holds exactly the clean blocks, under their stamps.
+    fn lru_is_exact(&self) -> bool {
+        self.clean_by_scan().collect::<BTreeMap<_, _>>() == self.lru
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tank_proto::{Epoch, NodeId};
 
     const F: Ino = Ino(1);
@@ -501,5 +559,97 @@ mod tests {
         c.write(F, 3, 0, &[3; 8], tag(3));
         let idxs: Vec<u32> = c.dirty_of(F).iter().map(|(i, _, _)| *i).collect();
         assert_eq!(idxs, vec![1, 3, 5]);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Fill { ino: u64, idx: u32 },
+        Touch { ino: u64, idx: u32 },
+        Write { ino: u64, idx: u32 },
+        MarkClean { ino: u64, idx: u32, current: bool },
+        Trim,
+        InvalidateIno { ino: u64 },
+        InvalidateAll,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let block = || (0u64..3, 0u32..5);
+        prop_oneof![
+            block().prop_map(|(ino, idx)| Op::Fill { ino, idx }),
+            block().prop_map(|(ino, idx)| Op::Fill { ino, idx }),
+            block().prop_map(|(ino, idx)| Op::Touch { ino, idx }),
+            block().prop_map(|(ino, idx)| Op::Write { ino, idx }),
+            (block(), any::<bool>()).prop_map(|((ino, idx), current)| Op::MarkClean {
+                ino,
+                idx,
+                current
+            }),
+            Just(Op::Trim),
+            Just(Op::Trim),
+            (0u64..3).prop_map(|ino| Op::InvalidateIno { ino }),
+            Just(Op::InvalidateAll),
+        ]
+    }
+
+    proptest! {
+        /// The order index evicts exactly what the scan it replaced would
+        /// have: two caches fed one op sequence, one trimmed through the
+        /// index and one through the scan, hold the same blocks in the
+        /// same states after every step and report the same evictions.
+        #[test]
+        fn indexed_trim_matches_the_scan_oracle(
+            capacity in 0usize..8,
+            ops in proptest::collection::vec(arb_op(), 1..300),
+        ) {
+            let mut fast = BlockCache::with_capacity(8, capacity);
+            let mut slow = BlockCache::with_capacity(8, capacity);
+            let mut wseq = 0u64;
+            for op in ops {
+                wseq += 1;
+                match op {
+                    Op::Fill { ino, idx } => {
+                        fast.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
+                        slow.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
+                    }
+                    Op::Touch { ino, idx } => {
+                        fast.touch(Ino(ino), idx);
+                        slow.touch(Ino(ino), idx);
+                    }
+                    Op::Write { ino, idx } => {
+                        fast.write(Ino(ino), idx, 0, &[wseq as u8; 8], tag(wseq));
+                        slow.write(Ino(ino), idx, 0, &[wseq as u8; 8], tag(wseq));
+                    }
+                    Op::MarkClean { ino, idx, current } => {
+                        // The block's own tag hardens it; a stale one must not.
+                        let t = match fast.get(Ino(ino), idx) {
+                            Some(b) if current => b.tag,
+                            _ => tag(0),
+                        };
+                        fast.mark_clean(Ino(ino), idx, t);
+                        slow.mark_clean(Ino(ino), idx, t);
+                    }
+                    Op::Trim => prop_assert_eq!(fast.trim(), slow.trim_by_scan()),
+                    Op::InvalidateIno { ino } => {
+                        prop_assert_eq!(fast.invalidate_ino(Ino(ino)), slow.invalidate_ino(Ino(ino)));
+                    }
+                    Op::InvalidateAll => {
+                        prop_assert_eq!(fast.invalidate_all(), slow.invalidate_all());
+                    }
+                }
+                prop_assert!(fast.lru_is_exact());
+                prop_assert!(slow.lru_is_exact());
+                prop_assert_eq!(fast.len(), slow.len());
+                prop_assert_eq!(fast.inos(), slow.inos());
+                for ino in fast.inos() {
+                    for idx in 0..5 {
+                        let (a, b) = (fast.get(ino, idx), slow.get(ino, idx));
+                        prop_assert_eq!(
+                            a.map(|b| (b.tag, b.dirty, b.last_use)),
+                            b.map(|b| (b.tag, b.dirty, b.last_use))
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -211,6 +211,15 @@ pub enum ClientEvent {
         /// True if served from the local cache.
         from_cache: bool,
     },
+    /// A `Stat` was answered, from the attributes cached under a held lock
+    /// or by the server; the checker audits that a cached answer was given
+    /// inside a grant and a live lease phase.
+    AttrServed {
+        /// File.
+        ino: Ino,
+        /// True if answered from the lock-protected attribute cache.
+        from_cache: bool,
+    },
     /// The lease expired and the cache was invalidated; `discarded_dirty`
     /// counts dirty blocks that had NOT been hardened (should be zero when
     /// phase 4 had time to run).

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use tank_core::{ClientLease, LeaseAction, LeaseConfig, Phase};
 use tank_obs::Registry;
-use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     stripe_disk, BlockId, CtlMsg, Epoch, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
     OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId, ServerPush, SessionId,
@@ -144,6 +144,11 @@ pub struct ClientStats {
     pub fenced_io: u64,
     /// Requests retransmitted.
     pub retransmits: u64,
+    /// `Stat`s answered from the attributes cached under a held lock.
+    pub attr_hits: u64,
+    /// `Stat`s answered by the server (a `GetAttr` or resolving `Lookup`
+    /// reply).
+    pub attr_misses: u64,
 }
 
 /// Timer tokens.
@@ -178,6 +183,15 @@ enum Purpose {
     /// The final metadata action of an op.
     Meta {
         op: OpId,
+    },
+    /// The `GetAttr` of a `Stat`. `under` pins the grant epoch and
+    /// own-mutation generation the request left under (`None`: it left
+    /// outside a held grant, or behind an unanswered own mutation); the
+    /// reply enters the lock's attribute cache only if both still stand.
+    Attr {
+        op: OpId,
+        ino: Ino,
+        under: Option<(Epoch, u64)>,
     },
     /// Lock acquisition for an inode (ops park on the ino). `gen` pins
     /// the lock-state era the request belongs to: a response that crosses
@@ -353,6 +367,23 @@ struct LockInfo {
     /// Size the server has confirmed.
     committed_size: u64,
     upgrading: bool,
+    /// The inode's attributes, cached under this grant (CACHING.md,
+    /// "Cached attributes"). They live here so that everything that ends
+    /// the grant — release, demand, expiry, restart — ends them too.
+    attr: Option<CachedAttr>,
+    /// Own-mutation generation: how many requests that change the inode
+    /// at the server (`CommitWrite`, `AllocBlocks`) this client has sent
+    /// under this grant. Each one drops `attr`.
+    mutations: u64,
+}
+
+/// What a `GetAttr` reply admitted under a grant said of the inode. The
+/// size is absent: while the lock is held, [`LockInfo::size`] is the
+/// authority (it includes the holder's uncommitted growth).
+#[derive(Debug, Clone, Copy)]
+struct CachedAttr {
+    version: u64,
+    is_dir: bool,
 }
 
 /// An in-flight local operation.
@@ -765,6 +796,14 @@ impl<Ob> ClientNode<Ob> {
         retry: bool,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
+        // An own request that changes an inode at the server outdates
+        // whatever attributes are cached under its lock.
+        if let Some(ino) = mutated_ino(&body) {
+            if let Some(LockEntry::Held(info)) = self.locks.get_mut(&ino) {
+                info.mutations += 1;
+                info.attr = None;
+            }
+        }
         if self.cfg.batch_cap <= 1 || !body.batchable() {
             // Sync point: anything already queued (e.g. a CommitWrite)
             // must reach the server before this request executes, so the
@@ -1078,7 +1117,7 @@ impl<Ob> ClientNode<Ob> {
         owned.sort();
         let mut discarded = 0;
         for ino in owned {
-            discarded += self.cache.dirty_of(ino).len();
+            discarded += self.cache.dirty_len(ino);
             self.cache.invalidate_ino(ino);
         }
         self.name_cache.retain(|_, ino| map.owner_of(*ino) != sid);
@@ -1556,10 +1595,14 @@ impl<Ob> ClientNode<Ob> {
             }
             FsOp::Stat { .. } => {
                 active.state = OpState::MetaWait;
+                if self.stat_from_lock(id, ino, ctx) {
+                    return;
+                }
+                let under = self.attr_admissible(ino);
                 self.send_request(
                     lane,
                     RequestBody::GetAttr { ino },
-                    Purpose::Meta { op: id },
+                    Purpose::Attr { op: id, ino, under },
                     true,
                     ctx,
                 );
@@ -1592,8 +1635,7 @@ impl<Ob> ClientNode<Ob> {
                 self.ensure_lock_then(id, ino, LockMode::Exclusive, ctx);
             }
             FsOp::Flush { .. } => {
-                let dirty = self.cache.dirty_of(ino);
-                if dirty.is_empty() {
+                if self.cache.dirty_len(ino) == 0 {
                     self.finish_flush_commit(ino, Some(id), ctx);
                 } else {
                     active.state = OpState::WaitFlush;
@@ -1616,8 +1658,7 @@ impl<Ob> ClientNode<Ob> {
                     self.retain_release(ino, ctx);
                     return self.complete_op(id, Ok(FsData::Unit), ctx);
                 }
-                let dirty = self.cache.dirty_of(ino);
-                if dirty.is_empty() {
+                if self.cache.dirty_len(ino) == 0 {
                     self.ops.get_mut(&id).unwrap().state = OpState::WaitFlush;
                     self.commit_then_release(ino, Some(id), ctx);
                 } else {
@@ -1639,7 +1680,7 @@ impl<Ob> ClientNode<Ob> {
         while self.lazy_retained.len() > LAZY_RELEASE_CAP {
             let evict = self.lazy_retained.remove(0);
             if matches!(self.locks.get(&evict), Some(LockEntry::Held(_))) {
-                if self.cache.dirty_of(evict).is_empty() {
+                if self.cache.dirty_len(evict) == 0 {
                     self.commit_then_release(evict, None, ctx);
                 } else {
                     self.start_flush(evict, AfterFlush::Release { complete: None }, ctx);
@@ -1748,6 +1789,8 @@ impl<Ob> ClientNode<Ob> {
                 size,
                 committed_size: size,
                 upgrading: false,
+                attr: None,
+                mutations: 0,
             }),
         );
         self.kick_parked(ino, ctx);
@@ -1764,7 +1807,7 @@ impl<Ob> ClientNode<Ob> {
         match self.locks.get(&ino) {
             Some(LockEntry::Held(_)) => {
                 // Hand the holding over (flush first), full teardown.
-                if self.cache.dirty_of(ino).is_empty() {
+                if self.cache.dirty_len(ino) == 0 {
                     self.commit_then_release(ino, None, ctx);
                 } else {
                     self.start_flush(ino, AfterFlush::Release { complete: None }, ctx);
@@ -1952,6 +1995,108 @@ impl<Ob> ClientNode<Ob> {
             self.locks.get(&ino),
             Some(LockEntry::Held(info)) if info.epoch == epoch
         )
+    }
+
+    /// Serve a `Stat` from the attributes cached under the lock on `ino`:
+    /// the entry must be `Held` with admitted attributes and the lane in
+    /// phase 1–2 (the serve funnel reads use). The size reported is the
+    /// holder's local one — under `Exclusive` it includes growth not yet
+    /// committed, which only this client can have caused.
+    fn stat_from_lock(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) -> bool {
+        if !self.cache_usable(ino) {
+            return false;
+        }
+        let Some(LockEntry::Held(info)) = self.locks.get(&ino) else {
+            return false;
+        };
+        let Some(attr) = info.attr else {
+            return false;
+        };
+        let data = FsData::Attr {
+            size: info.size,
+            is_dir: attr.is_dir,
+            version: attr.version,
+        };
+        self.stats.attr_hits += 1;
+        if let Some(obs) = &self.obs {
+            obs.attr_hits.inc();
+        }
+        self.emit(
+            ClientEvent::AttrServed {
+                ino,
+                from_cache: true,
+            },
+            ctx,
+        );
+        self.complete_op(id, Ok(data), ctx);
+        true
+    }
+
+    /// Complete a `Stat` with attributes the server just sent.
+    fn stat_from_server(
+        &mut self,
+        id: OpId,
+        ino: Ino,
+        attr: FileAttr,
+        ctx: &mut Ctx<'_, NetMsg, Ob>,
+    ) {
+        if !self.ops.contains_key(&id) {
+            return; // the op already failed (lane expiry): nothing is served
+        }
+        self.stats.attr_misses += 1;
+        if let Some(obs) = &self.obs {
+            obs.attr_misses.inc();
+        }
+        self.emit(
+            ClientEvent::AttrServed {
+                ino,
+                from_cache: false,
+            },
+            ctx,
+        );
+        let data = FsData::Attr {
+            size: attr.size,
+            is_dir: attr.is_dir,
+            version: attr.version,
+        };
+        self.complete_op(id, Ok(data), ctx);
+    }
+
+    /// What a `GetAttr` for `ino` leaving now may later be admitted
+    /// under: the held grant's epoch and own-mutation generation. `None`
+    /// when no grant is `Held`, or when an own mutation of the inode is
+    /// still unanswered — the network may deliver it *after* this request,
+    /// and the reply would then describe the inode before it.
+    fn attr_admissible(&self, ino: Ino) -> Option<(Epoch, u64)> {
+        let Some(LockEntry::Held(info)) = self.locks.get(&ino) else {
+            return None;
+        };
+        let unanswered = self.pending.values().any(|p| mutates(&p.body, ino))
+            || self.lanes[self.lane_of_ino(ino)]
+                .queue
+                .iter()
+                .any(|(body, _, _)| mutates(body, ino));
+        (!unanswered).then_some((info.epoch, info.mutations))
+    }
+
+    /// Admission gate for the attribute cache, the attribute half of
+    /// [`may_admit`](Self::may_admit): the reply's request must have left
+    /// under the grant still held, and no own mutation of the inode may
+    /// have been sent since — one that was has changed the version this
+    /// reply reports (or is about to).
+    fn admit_attr(&mut self, ino: Ino, under: (Epoch, u64), attr: &FileAttr) {
+        let (epoch, mutations) = under;
+        if !self.may_admit(ino, epoch) {
+            return;
+        }
+        if let Some(LockEntry::Held(info)) = self.locks.get_mut(&ino) {
+            if info.mutations == mutations {
+                info.attr = Some(CachedAttr {
+                    version: attr.version,
+                    is_dir: attr.is_dir,
+                });
+            }
+        }
     }
 
     fn finish_read(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -2442,8 +2587,7 @@ impl<Ob> ClientNode<Ob> {
         // trip. Releasing with dirty blocks would discard acknowledged
         // data, so flush again first. Once `Releasing` is set below, no
         // further write can apply.
-        if !self.cache.dirty_of(ino).is_empty()
-            && matches!(self.locks.get(&ino), Some(LockEntry::Held(_)))
+        if self.cache.dirty_len(ino) > 0 && matches!(self.locks.get(&ino), Some(LockEntry::Held(_)))
         {
             return self.start_flush(ino, AfterFlush::Release { complete }, ctx);
         }
@@ -2523,8 +2667,7 @@ impl<Ob> ClientNode<Ob> {
                         if let Some(obs) = &self.obs {
                             obs.cache_revokes.inc();
                         }
-                        let dirty = self.cache.dirty_of(ino);
-                        if dirty.is_empty() {
+                        if self.cache.dirty_len(ino) == 0 {
                             self.commit_then_release(ino, None, ctx);
                         } else {
                             self.start_flush(ino, AfterFlush::Release { complete: None }, ctx);
@@ -2734,7 +2877,10 @@ impl<Ob> ClientNode<Ob> {
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
         match purpose {
-            Purpose::Resolve { op } | Purpose::Meta { op } | Purpose::Alloc { op, .. } => {
+            Purpose::Resolve { op }
+            | Purpose::Meta { op }
+            | Purpose::Attr { op, .. }
+            | Purpose::Alloc { op, .. } => {
                 self.complete_op(op, Err(err), ctx);
             }
             Purpose::Lock { ino, gen } => {
@@ -2859,15 +3005,7 @@ impl<Ob> ClientNode<Ob> {
                             // Resolution finished. Stat can complete right
                             // here from the lookup's attributes.
                             if matches!(a.op, FsOp::Stat { .. }) {
-                                return self.complete_op(
-                                    op,
-                                    Ok(FsData::Attr {
-                                        size: attr.size,
-                                        is_dir: attr.is_dir,
-                                        version: attr.version,
-                                    }),
-                                    ctx,
-                                );
+                                return self.stat_from_server(op, ino, attr, ctx);
                             }
                             self.op_resolved(op, ino, ctx);
                         } else {
@@ -2881,14 +3019,18 @@ impl<Ob> ClientNode<Ob> {
                     self.complete_op(op, Err(e), ctx);
                 }
             },
+            Purpose::Attr { op, ino, under } => match result {
+                Ok(ReplyBody::Attr { attr }) => {
+                    if let Some(under) = under {
+                        self.admit_attr(ino, under, &attr);
+                    }
+                    self.stat_from_server(op, ino, attr, ctx);
+                }
+                other => self.dispatch_reply(lane, Purpose::Meta { op }, other, ctx),
+            },
             Purpose::Meta { op } => {
                 let outcome: FsResult = match result {
                     Ok(ReplyBody::Created { .. }) | Ok(ReplyBody::Ok) => Ok(FsData::Unit),
-                    Ok(ReplyBody::Attr { attr }) => Ok(FsData::Attr {
-                        size: attr.size,
-                        is_dir: attr.is_dir,
-                        version: attr.version,
-                    }),
                     Ok(ReplyBody::Dir { entries }) => Ok(FsData::Entries(
                         entries.into_iter().map(|(n, _)| n).collect(),
                     )),
@@ -3270,6 +3412,27 @@ fn map_fs_error(e: FsError) -> FsErr {
         FsError::NoSpace => FsErr::NoSpace,
         FsError::NotLocked | FsError::Invalid => FsErr::Invalid,
         FsError::Unavailable => FsErr::Unavailable,
+    }
+}
+
+/// The inode whose attributes `body` changes at the server when executed
+/// (`None` for everything else, a `Batch` included: see [`mutates`]).
+fn mutated_ino(body: &RequestBody) -> Option<Ino> {
+    if let RequestBody::CommitWrite { ino, .. }
+    | RequestBody::AllocBlocks { ino, .. }
+    | RequestBody::SetAttr { ino, .. } = body
+    {
+        Some(*ino)
+    } else {
+        None
+    }
+}
+
+/// Whether `body`, or any element of it, changes `ino`'s attributes.
+fn mutates(body: &RequestBody, ino: Ino) -> bool {
+    match body {
+        RequestBody::Batch(elems) => elems.iter().any(|b| mutates(b, ino)),
+        single => mutated_ino(single) == Some(ino),
     }
 }
 

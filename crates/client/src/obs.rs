@@ -50,6 +50,10 @@ pub struct ClientObs {
     pub writeback_flushes: Arc<Counter>,
     /// `client.cache.revokes`.
     pub cache_revokes: Arc<Counter>,
+    /// `client.attr.hits`.
+    pub attr_hits: Arc<Counter>,
+    /// `client.attr.misses`.
+    pub attr_misses: Arc<Counter>,
 }
 
 impl std::fmt::Debug for ClientObs {
@@ -80,6 +84,8 @@ impl ClientObs {
             cache_evictions: registry.counter_def(&names::CLIENT_CACHE_EVICTIONS),
             writeback_flushes: registry.counter_def(&names::CLIENT_CACHE_WRITEBACK_FLUSHES),
             cache_revokes: registry.counter_def(&names::CLIENT_CACHE_REVOKES),
+            attr_hits: registry.counter_def(&names::CLIENT_ATTR_HITS),
+            attr_misses: registry.counter_def(&names::CLIENT_ATTR_MISSES),
             registry,
         }
     }

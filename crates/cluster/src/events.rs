@@ -28,6 +28,7 @@ pub fn map_client(ev: ClientEvent) -> Option<Event> {
             tag,
             from_cache,
         },
+        ClientEvent::AttrServed { ino, from_cache } => Event::AttrServed { ino, from_cache },
         ClientEvent::CacheInvalidated { discarded_dirty } => {
             Event::CacheInvalidated { discarded_dirty }
         }

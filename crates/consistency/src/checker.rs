@@ -168,7 +168,7 @@ pub struct BatchAtomicityViolation {
 }
 
 /// A break of the cache-coherence contract (CACHING.md): a client cache
-/// acted outside what its lease phase and lock mode permit. Three shapes,
+/// acted outside what its lease phase and lock mode permit. Five shapes,
 /// distinguished by `what`:
 ///
 /// * `"cache read while quiesced"` — a read was served from a local cache
@@ -181,6 +181,13 @@ pub struct BatchAtomicityViolation {
 /// * `"write under SharedRead grant"` — a write was acknowledged into the
 ///   cache while the client's grant for the file was SharedRead; shared
 ///   grants license reading only.
+/// * `"attr served from cache while quiesced"` — a `Stat` was answered
+///   from cached attributes on a lane in phase 3 or later (the attribute
+///   twin of the first clause; `idx` and `tag` are zero).
+/// * `"attr served from cache outside a grant"` — a `Stat` was answered
+///   from cached attributes at an instant the server's own record shows no
+///   grant of that file to that client (none yet, or already released or
+///   stolen): the attributes outlived the lock that protected them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CoherenceViolation {
     /// The client whose cache broke the contract.
@@ -227,7 +234,8 @@ pub struct CheckReport {
     /// releases of epochs never held).
     pub batch_atomicity: Vec<BatchAtomicityViolation>,
     /// Cache-coherence contract breaks (quiesced-cache reads, dirty
-    /// blocks surviving a steal, writes under shared grants).
+    /// blocks surviving a steal, writes under shared grants, cached
+    /// attributes served while quiesced or outside a grant).
     pub coherence: Vec<CoherenceViolation>,
     /// Server recovery windows observed in the event stream.
     pub server_recoveries: u64,
@@ -429,6 +437,30 @@ impl Checker {
                                 from_cache: *from_cache,
                             });
                         }
+                    }
+                }
+                Event::AttrServed {
+                    ino,
+                    from_cache: true,
+                } => {
+                    // Cached attributes are served under the same two
+                    // conditions as cached blocks: a live lease phase, and
+                    // a grant the server still records.
+                    let mut flag = |what| {
+                        report.coherence.push(CoherenceViolation {
+                            client: *node,
+                            ino: *ino,
+                            idx: 0,
+                            tag: WriteTag::default(),
+                            what,
+                            at: *t,
+                        })
+                    };
+                    if quiesced.contains(&(*node, shard_of(*ino))) {
+                        flag("attr served from cache while quiesced");
+                    }
+                    if !granted_mode.contains_key(&(*node, *ino)) {
+                        flag("attr served from cache outside a grant");
                     }
                 }
                 Event::OpCompleted { ok, err, .. } => {
@@ -1224,6 +1256,88 @@ mod tests {
         assert_eq!(r.coherence.len(), 1, "{r:?}");
         assert_eq!(r.coherence[0].what, "cache read while quiesced");
         assert_eq!(r.coherence[0].at, t(2));
+        assert!(!r.safe());
+    }
+
+    #[test]
+    fn attr_served_from_cache_while_quiesced_is_flagged() {
+        // The attribute twin of the clause above: inside a grant, a
+        // cached `Stat` between Quiesced and Resumed breaks the contract;
+        // the same answer from the server, or after Resumed, does not.
+        let served = |from_cache| Event::AttrServed { ino: F, from_cache };
+        let r = check(vec![
+            (
+                t(0),
+                NodeId(0),
+                Event::LockGranted {
+                    client: C1,
+                    ino: F,
+                    epoch: Epoch(1),
+                    mode: tank_proto::LockMode::SharedRead,
+                },
+            ),
+            (t(1), C1, Event::Quiesced { shard: 0 }),
+            (t(2), C1, served(true)),
+            (t(3), C1, served(false)),
+            (t(4), C1, Event::Resumed { shard: 0 }),
+            (t(5), C1, served(true)),
+        ]);
+        assert_eq!(r.coherence.len(), 1, "{r:?}");
+        assert_eq!(r.coherence[0].what, "attr served from cache while quiesced");
+        assert_eq!(r.coherence[0].at, t(2));
+        assert!(!r.safe());
+    }
+
+    #[test]
+    fn attr_served_from_cache_outside_a_grant_is_flagged() {
+        // Cached attributes live and die with the lock: served before any
+        // grant, after the release, or after a steal, they have outlived
+        // it. Another client's grant licenses nothing.
+        let served = Event::AttrServed {
+            ino: F,
+            from_cache: true,
+        };
+        let grant = |client, epoch| Event::LockGranted {
+            client,
+            ino: F,
+            epoch: Epoch(epoch),
+            mode: tank_proto::LockMode::SharedRead,
+        };
+        let r = check(vec![
+            (t(1), NodeId(0), grant(C2, 1)),
+            (t(2), C1, served.clone()), // never granted to C1
+            (t(3), NodeId(0), grant(C1, 2)),
+            (t(4), C1, served.clone()), // inside the grant: fine
+            (
+                t(5),
+                NodeId(0),
+                Event::LockReleased {
+                    client: C1,
+                    ino: F,
+                    epoch: Epoch(2),
+                },
+            ),
+            (t(6), C1, served.clone()), // after the release
+            (t(7), NodeId(0), grant(C1, 3)),
+            (
+                t(8),
+                NodeId(0),
+                Event::LockStolen {
+                    client: C1,
+                    ino: F,
+                    epoch: Epoch(3),
+                },
+            ),
+            (t(9), C1, served), // after the steal
+        ]);
+        let at: Vec<SimTime> = r
+            .coherence
+            .iter()
+            .filter(|c| c.what == "attr served from cache outside a grant")
+            .map(|c| c.at)
+            .collect();
+        assert_eq!(at, vec![t(2), t(6), t(9)], "{r:?}");
+        assert_eq!(r.coherence.len(), 3, "{r:?}");
         assert!(!r.safe());
     }
 

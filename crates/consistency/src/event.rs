@@ -53,6 +53,14 @@ pub enum Event {
         /// Served from local cache (true) or SAN (false).
         from_cache: bool,
     },
+    /// A `Stat` was answered for a local process.
+    AttrServed {
+        /// File.
+        ino: Ino,
+        /// Answered from the attributes cached under a held lock (true)
+        /// or by the server (false).
+        from_cache: bool,
+    },
     /// The client discarded its cache; `discarded_dirty` dirty blocks had
     /// not been hardened.
     CacheInvalidated {

@@ -96,6 +96,30 @@ pub fn cross_check(events: &[(SimTime, NodeId, Event)], snapshot: &Snapshot) -> 
             }),
         ),
         (
+            names::CLIENT_ATTR_HITS.name,
+            count(events, |e| {
+                matches!(
+                    e,
+                    Event::AttrServed {
+                        from_cache: true,
+                        ..
+                    }
+                )
+            }),
+        ),
+        (
+            names::CLIENT_ATTR_MISSES.name,
+            count(events, |e| {
+                matches!(
+                    e,
+                    Event::AttrServed {
+                        from_cache: false,
+                        ..
+                    }
+                )
+            }),
+        ),
+        (
             names::SERVER_DELIVERY_ERRORS.name,
             count(events, |e| matches!(e, Event::DeliveryError { .. })),
         ),

@@ -1,5 +1,6 @@
-//! L7 `phase-gated-cache-access`: the client block cache is only touched
-//! through its two gates, and only from the two files that own it.
+//! L7 `phase-gated-cache-access`: the client's lock-protected cache —
+//! blocks, and the attributes cached beside them — is only touched through
+//! its two gates, and only from the two files that own it.
 //!
 //! CACHING.md's coherence contract hangs on two funnels: cached data is
 //! *served* only while the lane's lease phase allows it (`cache_usable`,
@@ -9,7 +10,7 @@
 //! checker's coherence audit exists to catch at runtime; this lint
 //! catches it at review time instead.
 //!
-//! Three clauses:
+//! Five clauses:
 //!
 //! 1. the `BlockCache` type is confined to `client/src/cache.rs` (its
 //!    home) and `client/src/node.rs` (its one consumer); any other
@@ -19,7 +20,11 @@
 //!    `may_admit` in the same function;
 //! 3. a function that both reads the cache (`.get(`) and serves a
 //!    `ReadServed` event must consult `cache_usable` in the same
-//!    function.
+//!    function;
+//! 4. a function that emits `AttrServed { from_cache: true }` — a `Stat`
+//!    answered from cached attributes — must consult `cache_usable`;
+//! 5. a function that stores attributes into a `LockInfo` (`attr = Some(`
+//!    or a field `attr: Some(`) must consult `may_admit`.
 
 use crate::report::Violation;
 use crate::source::SourceFile;
@@ -88,6 +93,45 @@ pub fn check(files: &[SourceFile]) -> Vec<Violation> {
                     });
                 }
             }
+            // The attribute tenant of the same cache: clauses 4 and 5.
+            let spells = |i: usize, words: &[&str]| {
+                words.iter().enumerate().all(|(k, w)| {
+                    toks.get(i + k)
+                        .is_some_and(|t| t.is_ident(w) || t.is_punct(w))
+                })
+            };
+            let cached_serve = (start..end).find(|&i| {
+                toks[i].is_ident("AttrServed")
+                    && (i..end)
+                        .take_while(|&j| !toks[j].is_punct("}"))
+                        .any(|j| spells(j, &["from_cache", ":", "true"]))
+            });
+            if let (Some(i), false) = (cached_serve, mentions("cache_usable")) {
+                out.push(Violation {
+                    file: f.rel.clone(),
+                    line: toks[i].line,
+                    col: toks[i].col,
+                    lint: "L7".into(),
+                    message: "`AttrServed { from_cache: true }` without consulting \
+                              `cache_usable` in this function: a quiesced lane (phase \
+                              3+) must not answer a `Stat` from cached attributes"
+                        .into(),
+                });
+            }
+            let store_at = (start..end)
+                .find(|&i| spells(i, &["attr", "=", "Some"]) || spells(i, &["attr", ":", "Some"]));
+            if let (Some(i), false) = (store_at, mentions("may_admit")) {
+                out.push(Violation {
+                    file: f.rel.clone(),
+                    line: toks[i].line,
+                    col: toks[i].col,
+                    lint: "L7".into(),
+                    message: "attributes stored into a `LockInfo` without consulting \
+                              `may_admit` in this function: a reply that crossed a \
+                              release or re-grant must not enter the attribute cache"
+                        .into(),
+                });
+            }
         }
     }
     out
@@ -135,6 +179,58 @@ mod tests {
              self.emit(ClientEvent::ReadServed { op, ino, idx, tag, from_cache }, ctx); }",
         );
         assert_eq!(check(&[f]).len(), 1);
+    }
+
+    #[test]
+    fn ungated_cached_attr_serve_fires() {
+        let f = SourceFile::parse(
+            "crates/client/src/node.rs",
+            "fn stat(&mut self) { \
+             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx); }",
+        );
+        let v = check(&[f]);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].message.contains("cache_usable"));
+    }
+
+    #[test]
+    fn gated_cached_attr_serve_and_server_answers_are_clean() {
+        let f = SourceFile::parse(
+            "crates/client/src/node.rs",
+            "fn stat(&mut self) { if !self.cache_usable(ino) { return; } \
+             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx); }\n\
+             fn from_server(&mut self) { \
+             self.emit(ClientEvent::AttrServed { ino, from_cache: false }, ctx); }",
+        );
+        assert!(check(&[f]).is_empty());
+    }
+
+    #[test]
+    fn ungated_attr_store_fires_in_both_spellings() {
+        for body in [
+            "info.attr = Some(CachedAttr { version, is_dir });",
+            "let info = LockInfo { attr: Some(a), mutations: 0 };",
+        ] {
+            let f = SourceFile::parse(
+                "crates/client/src/node.rs",
+                &format!("fn on_reply(&mut self) {{ {body} }}"),
+            );
+            let v = check(&[f]);
+            assert_eq!(v.len(), 1, "{body}");
+            assert!(v[0].message.contains("may_admit"));
+        }
+    }
+
+    #[test]
+    fn gated_attr_store_and_attr_drop_are_clean() {
+        let f = SourceFile::parse(
+            "crates/client/src/node.rs",
+            "fn admit(&mut self) { if !self.may_admit(ino, epoch) { return; } \
+             info.attr = Some(CachedAttr { version, is_dir }); }\n\
+             fn on_own_mutation(&mut self) { info.attr = None; }\n\
+             fn on_grant(&mut self) { let info = LockInfo { attr: None, mutations: 0 }; }",
+        );
+        assert!(check(&[f]).is_empty());
     }
 
     #[test]

@@ -77,9 +77,10 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "L7",
         name: "phase-gated-cache-access",
-        summary: "the client block cache stays behind its two gates: fills consult \
-                  `may_admit`, serve paths consult `cache_usable`, and `BlockCache` \
-                  never escapes client/src/{cache,node}.rs",
+        summary: "the client's lock-protected cache stays behind its two gates: block \
+                  fills and attribute stores consult `may_admit`, block and attribute \
+                  serve paths consult `cache_usable`, and `BlockCache` never escapes \
+                  client/src/{cache,node}.rs",
         check: cache_gate::check,
     },
     LintInfo {

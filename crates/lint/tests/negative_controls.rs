@@ -283,6 +283,48 @@ fn l7_fires_on_ungated_cache_fill() {
 }
 
 #[test]
+fn l7_fires_on_ungated_cached_attr_serve() {
+    let fixture = Fixture::new(
+        "l7-attr-serve",
+        &[(
+            "crates/client/src/node.rs",
+            "impl ClientNode {\n    fn stat(&mut self) {\n        \
+             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx);\n    }\n}\n",
+        )],
+    );
+    let report = fixture.check();
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.lint == "L7" && v.line == 3 && v.message.contains("cache_usable")),
+        "{}",
+        report.to_text()
+    );
+}
+
+#[test]
+fn l7_fires_on_ungated_attr_store() {
+    let fixture = Fixture::new(
+        "l7-attr-store",
+        &[(
+            "crates/client/src/node.rs",
+            "impl ClientNode {\n    fn on_reply(&mut self) {\n        \
+             info.attr = Some(CachedAttr { version, is_dir });\n    }\n}\n",
+        )],
+    );
+    let report = fixture.check();
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.lint == "L7" && v.line == 3 && v.message.contains("may_admit")),
+        "{}",
+        report.to_text()
+    );
+}
+
+#[test]
 fn l8_fires_on_unsorted_lock_acquisition_loop() {
     let fixture = Fixture::new(
         "l8",

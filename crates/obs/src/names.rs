@@ -195,6 +195,17 @@ pub const CLIENT_CACHE_REVOKES: MetricDef = counter(
     "client.cache.revokes",
     "held data locks revoked by a server demand",
 );
+/// `Stat`s answered from the attributes cached under a held data lock.
+/// Incremented at serve time, so it equals the number of
+/// `AttrServed { from_cache: true }` events exactly.
+pub const CLIENT_ATTR_HITS: MetricDef = counter(
+    "client.attr.hits",
+    "stats answered from the attributes cached under a held lock",
+);
+/// `Stat`s answered by the server (a `GetAttr` or resolving `Lookup`
+/// reply); one-for-one with `AttrServed { from_cache: false }` events.
+pub const CLIENT_ATTR_MISSES: MetricDef =
+    counter("client.attr.misses", "stats answered by the server");
 
 // ------------------------------------------------------------- server
 
@@ -448,6 +459,8 @@ pub const ALL: &[MetricDef] = &[
     CLIENT_CACHE_EVICTIONS,
     CLIENT_CACHE_WRITEBACK_FLUSHES,
     CLIENT_CACHE_REVOKES,
+    CLIENT_ATTR_HITS,
+    CLIENT_ATTR_MISSES,
     // server
     SERVER_LOCK_GRANTED,
     SERVER_LOCK_RELEASED,

@@ -280,6 +280,13 @@ impl LockManager {
             .map(|h| h.epoch)
     }
 
+    /// Whether a client other than `client` holds a lock on `ino`.
+    pub fn held_by_other(&self, client: NodeId, ino: Ino) -> bool {
+        self.locks
+            .get(&ino)
+            .is_some_and(|st| st.holders.keys().any(|h| *h != client))
+    }
+
     /// Whether any client holds or awaits a lock on `ino`.
     pub fn is_contended(&self, ino: Ino) -> bool {
         self.locks

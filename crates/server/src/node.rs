@@ -899,6 +899,11 @@ impl<Ob> ServerNode<Ob> {
                 // exclusive lock, like any other write.
                 if size.is_some() && !self.locks.table().holds(client, ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
+                } else if self.locks.table().held_by_other(client, ino) {
+                    // Even a touch bumps the version. A holder caches the
+                    // attributes under its lock (CACHING.md): while it
+                    // holds, nobody else may move them.
+                    Err(FsError::Unavailable)
                 } else {
                     let r = self.meta.setattr(ino, size, now).map_err(FsError::from);
                     if r.is_ok() {

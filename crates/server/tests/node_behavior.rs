@@ -590,3 +590,169 @@ fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
     assert!(granted(&of(&w, c)[1].1, 2));
     assert_eq!(of(&w, a).len(), 3, "nothing more for A");
 }
+
+#[test]
+fn a_non_holder_cannot_move_a_held_inodes_attributes() {
+    // A holder caches the attributes of the inode its lock covers
+    // (CACHING.md, "Cached attributes"), so while A holds f0 nothing B
+    // sends may change what `GetAttr` says of it. Every request shape that
+    // can name the inode is tried: B reads the attributes, sends the shape,
+    // reads them again. The shapes that reach `inodes.get_mut` (or free the
+    // inode) must be refused outright; the rest must simply change nothing.
+    let f0 = Ino(2);
+    let touch = RequestBody::SetAttr {
+        ino: f0,
+        size: None,
+    };
+    let commit = RequestBody::CommitWrite {
+        ino: f0,
+        new_size: 1 << 20,
+    };
+    let shapes: Vec<(&str, RequestBody, bool)> = vec![
+        ("touch", touch.clone(), true),
+        (
+            "truncate",
+            RequestBody::SetAttr {
+                ino: f0,
+                size: Some(0),
+            },
+            true,
+        ),
+        (
+            "alloc",
+            RequestBody::AllocBlocks { ino: f0, count: 1 },
+            true,
+        ),
+        ("commit", commit.clone(), true),
+        (
+            "unlink",
+            RequestBody::Unlink {
+                parent: Ino(1),
+                name: "f0".into(),
+            },
+            true,
+        ),
+        (
+            "create under it",
+            RequestBody::Create {
+                parent: f0,
+                name: "x".into(),
+            },
+            true,
+        ),
+        (
+            "mkdir under it",
+            RequestBody::Mkdir {
+                parent: f0,
+                name: "x".into(),
+            },
+            true,
+        ),
+        ("batched", RequestBody::Batch(vec![touch, commit]), true),
+        (
+            "second name for it",
+            RequestBody::RenameLink {
+                dir: Ino(1),
+                name: "alias".into(),
+                ino: f0,
+            },
+            false,
+        ),
+        (
+            "drop its name",
+            RequestBody::RenameUnlink {
+                dir: Ino(1),
+                name: "f0".into(),
+            },
+            false,
+        ),
+        (
+            "release of a grant B does not hold",
+            RequestBody::LockRelease {
+                ino: f0,
+                epoch: Epoch(1),
+            },
+            false,
+        ),
+        (
+            "lookup",
+            RequestBody::Lookup {
+                parent: Ino(1),
+                name: "f0".into(),
+            },
+            false,
+        ),
+        ("getattr", RequestBody::GetAttr { ino: f0 }, false),
+        ("readdir", RequestBody::ReadDir { dir: Ino(1) }, false),
+    ];
+    for mode in [LockMode::SharedRead, LockMode::Exclusive] {
+        for (what, body, must_refuse) in &shapes {
+            let hello = RequestBody::Hello { map_epoch: 0 };
+            let getattr = RequestBody::GetAttr { ino: f0 };
+            let scripts = [
+                vec![
+                    (1, req(1, 0, 1, hello.clone())),
+                    (5, req(1, 1, 2, RequestBody::LockAcquire { ino: f0, mode })),
+                ],
+                vec![
+                    (2, req(2, 0, 1, hello)),
+                    (10, req(2, 2, 2, getattr.clone())),
+                    (20, req(2, 2, 3, body.clone())),
+                    (30, req(2, 2, 4, getattr)),
+                ],
+            ];
+            let mut w: World<NetMsg> = World::new(WorldConfig::default());
+            w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
+            w.add_network(NetId::SAN, NetParams::ideal(100_000));
+            let server = w.add_node(
+                Box::new(ServerNode::<()>::unobserved(
+                    ServerConfig::default(),
+                    1024,
+                    512,
+                )),
+                ClockSpec::ideal(),
+            );
+            let precreated = w
+                .node_mut::<ServerNode<()>>(server)
+                .unwrap()
+                .precreate_file("f0", 4);
+            assert_eq!(precreated, f0);
+            let [a, b] = scripts.map(|script| {
+                let peer = SilentPeer {
+                    server,
+                    script,
+                    responses: Vec::new(),
+                };
+                w.add_node(Box::new(peer), ClockSpec::ideal())
+            });
+            w.run_until(SimTime::from_millis(50));
+            let of = |n| w.node_ref::<SilentPeer>(n).unwrap().responses.clone();
+            assert!(
+                matches!(
+                    of(a)[1].1,
+                    ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { .. }))
+                ),
+                "A holds f0"
+            );
+            let to_b = of(b);
+            assert_eq!(to_b.len(), 4, "{mode:?} {what}: {to_b:?}");
+            let attr = |o: &ResponseOutcome| match o {
+                ResponseOutcome::Acked(Ok(ReplyBody::Attr { attr })) => *attr,
+                other => panic!("{mode:?} {what}: {other:?}"),
+            };
+            assert_eq!(
+                attr(&to_b[1].1),
+                attr(&to_b[3].1),
+                "{mode:?} {what}: B moved the attributes of an inode A holds"
+            );
+            let refused = match &to_b[2].1 {
+                ResponseOutcome::Acked(Err(_)) => true,
+                ResponseOutcome::Acked(Ok(ReplyBody::Batch(outcomes))) => {
+                    outcomes.last().is_some_and(|o| o.is_err())
+                }
+                _ => false,
+            };
+            assert_eq!(refused, *must_refuse, "{mode:?} {what}: {:?}", to_b[2].1);
+        }
+    }
+}

@@ -12,15 +12,19 @@
 //!   the dirty-at-steal coherence audit,
 //! * the negative control: a client with the phase-3 cache gate disabled
 //!   keeps serving from a quiesced cache, which the coherence audit must
-//!   flag on every seed (and its gated twin must not).
+//!   flag on every seed (and its gated twin must not),
+//! * the attributes cached under a lock ("Cached attributes"): a
+//!   hand-off drops them with the lock, so the next `Stat` reports the new
+//!   holder's size; and a partitioned holder, racing a second writer under
+//!   skewed clocks, never answers a `Stat` from them once quiesced.
 
 use std::sync::Arc;
 
 use tank_client::fs::Script;
-use tank_client::FsOp;
+use tank_client::{FsData, FsOp};
 use tank_cluster::workload::{HotFileGen, Mix, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
-use tank_consistency::{CheckOptions, Checker};
+use tank_consistency::{CheckOptions, Checker, Event};
 use tank_core::LeaseConfig;
 use tank_obs::Registry;
 use tank_sim::{LocalNs, SimTime};
@@ -251,5 +255,134 @@ fn disabled_phase3_gate_trips_the_coherence_audit() {
             ungated.check.coherence
         );
         assert!(!ungated.check.safe(), "seed {seed}");
+    }
+}
+
+#[test]
+fn a_hand_off_takes_the_cached_attributes_with_the_lock() {
+    let stat = || FsOp::Stat { path: "/f0".into() };
+    let old_size = (FILE_BLOCKS as u64) * BS as u64;
+    for seed in 0..10u64 {
+        let mut cluster = Cluster::build(cache_cfg(2, 1), seed);
+        // A reads /f0 and stats it twice: the second answer comes from the
+        // lock. B then appends a block past EOF and commits, which demands
+        // A's lock away. A's third stat must report B's size.
+        cluster.attach_script(
+            0,
+            Script::new()
+                .at(
+                    ms(300),
+                    FsOp::Read {
+                        path: "/f0".into(),
+                        offset: 0,
+                        len: BS as u32,
+                    },
+                )
+                .at(ms(400), stat())
+                .at(ms(500), stat())
+                .at(ms(2_000), stat()),
+        );
+        cluster.attach_script(
+            1,
+            Script::new().at(
+                ms(1_000),
+                FsOp::Write {
+                    path: "/f0".into(),
+                    offset: old_size,
+                    data: vec![0xB0; BS],
+                },
+            ),
+        );
+        cluster.run_until(SimTime::from_secs(4));
+        cluster.settle();
+        let sizes_and_versions: Vec<(u64, u64)> = cluster
+            .client(0)
+            .results()
+            .filter_map(|(_, r)| match r {
+                Ok(FsData::Attr { size, version, .. }) => Some((*size, *version)),
+                _ => None,
+            })
+            .collect();
+        let [first, cached, after] = sizes_and_versions[..] else {
+            panic!("seed {seed}: three stats: {sizes_and_versions:?}");
+        };
+        assert_eq!(first, cached, "seed {seed}");
+        assert_eq!(first.0, old_size, "seed {seed}");
+        assert_eq!(after.0, old_size + BS as u64, "seed {seed}: B's size");
+        assert!(after.1 > cached.1, "seed {seed}: B's alloc + commit");
+        let a = cluster.client(0).stats();
+        assert_eq!(
+            (a.attr_hits, a.attr_misses),
+            (1, 2),
+            "seed {seed}: only the stat under the lock was answered from it"
+        );
+        let report = cluster.finish();
+        assert!(report.check.safe(), "seed {seed}: {:#?}", report.check);
+    }
+}
+
+#[test]
+fn a_partitioned_holder_never_stats_from_a_quiesced_lock() {
+    for seed in 0..10u64 {
+        let mut cfg = cache_cfg(2, 1);
+        cfg.skew_clocks = true;
+        cfg.record_hb = true;
+        let mut cluster = Cluster::build(cfg, seed);
+        // Two clients write, read and stat the one file, so the lock and
+        // the attributes under it change hands all run long; client 0
+        // loses the control network for six seconds in the middle.
+        let mix = Mix {
+            read_frac: 0.5,
+            meta_frac: 0.3,
+            io_size: BS as u32,
+            max_offset: (FILE_BLOCKS as u64) * BS as u64,
+            think_mean: ms(5),
+        };
+        for i in 0..2 {
+            cluster.attach_workload(i, Box::new(HotFileGen::new("/f0", mix)));
+        }
+        cluster.isolate_control(0, t(3_000), Some(t(9_000)));
+        cluster.run_until(SimTime::from_secs(14));
+        cluster.settle();
+        let hb = cluster.hb_audit();
+        assert!(hb.ok(), "seed {seed}:\n{}", hb.render());
+
+        // The claim itself, read straight off the event stream (the
+        // checker's clause says the same): between a client's Quiesced
+        // and its Resumed, no stat is answered from the lock.
+        let mut quiesced = [false; 2];
+        let mut cached_stats = 0;
+        let mut quiesces = 0;
+        for (_, node, ev) in cluster.world.observations() {
+            let Some(c) = cluster.clients.iter().position(|n| n == node) else {
+                continue;
+            };
+            match ev {
+                Event::Quiesced { .. } => {
+                    quiesced[c] = true;
+                    quiesces += 1;
+                }
+                Event::Resumed { .. } => quiesced[c] = false,
+                Event::AttrServed {
+                    from_cache: true, ..
+                } => {
+                    assert!(
+                        !quiesced[c],
+                        "seed {seed}: client {c} served while quiesced"
+                    );
+                    cached_stats += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            quiesces >= 1,
+            "seed {seed}: the partition quiesced client 0"
+        );
+        assert!(cached_stats > 0, "seed {seed}: the cache was exercised");
+
+        let report = cluster.finish();
+        assert!(report.check.safe(), "seed {seed}: {:#?}", report.check);
+        assert_eq!(report.check.dirty_discarded, 0, "seed {seed}");
     }
 }
