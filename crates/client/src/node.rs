@@ -21,11 +21,8 @@ use crate::obs::ClientObs;
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// The metadata server (shard 0 when sharded; kept for single-server
-    /// call sites).
-    pub server: NodeId,
     /// All metadata servers, indexed by [`ServerId`]. `new` fills this
-    /// with just `server`; [`ClientConfig::sharded`] takes the full set.
+    /// with its one server; [`ClientConfig::sharded`] takes the full set.
     pub servers: Vec<NodeId>,
     /// Optional warm-standby address per shard (same indexing as
     /// `servers`). When a lane's primary NACKs `Misrouted(NotPrimary)`
@@ -90,7 +87,6 @@ impl ClientConfig {
     /// Reasonable defaults against `server` and `disks`.
     pub fn new(server: NodeId, disks: Vec<NodeId>) -> Self {
         ClientConfig {
-            server,
             servers: vec![server],
             alternates: Vec::new(),
             map: ShardMap::single(),
@@ -693,24 +689,9 @@ impl<Ob> ClientNode<Ob> {
         &self.lanes[0].lease
     }
 
-    /// The lease machine leasing against `sid` (diagnostics).
-    pub fn lane_lease(&self, sid: ServerId) -> &ClientLease {
-        &self.lanes[sid.0 as usize].lease
-    }
-
     /// Dirty blocks currently in the cache.
     pub fn dirty_blocks(&self) -> usize {
         self.cache.dirty_count()
-    }
-
-    /// Whether the client currently admits new operations on every shard.
-    pub fn is_serving(&self) -> bool {
-        self.lanes.iter().all(|l| l.serving)
-    }
-
-    /// Whether ops governed by `sid` are currently admitted.
-    pub fn is_serving_shard(&self, sid: ServerId) -> bool {
-        self.lanes[sid.0 as usize].serving
     }
 
     /// Inodes whose voluntary release is being retained lazily
@@ -1553,7 +1534,7 @@ impl<Ob> ClientNode<Ob> {
             active.op,
             FsOp::Create { .. } | FsOp::Mkdir { .. } | FsOp::Delete { .. }
         ) {
-            self.name_cache.insert(op_path_of(&self.ops[&id].op), ino);
+            self.name_cache.insert(op_path(&self.ops[&id].op), ino);
         }
         let Some(active) = self.ops.get_mut(&id) else {
             return;
@@ -3451,10 +3432,6 @@ fn canonical(path: &str) -> String {
 }
 
 fn op_path(op: &FsOp) -> String {
-    canonical(op.path())
-}
-
-fn op_path_of(op: &FsOp) -> String {
     canonical(op.path())
 }
 

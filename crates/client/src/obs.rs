@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use tank_obs::{names, Counter, Histogram, Registry};
-use tank_sim::{Ctx, NodeId, Payload};
+use tank_sim::{Ctx, Payload};
 
 /// Pre-resolved client metric handles plus the trace sink.
 pub struct ClientObs {
@@ -104,12 +104,5 @@ impl ClientObs {
             kind,
             detail,
         );
-    }
-
-    /// Same, for call sites that only know the node id and a true-time
-    /// stamp (e.g. world-harness code outside a dispatch).
-    pub fn trace_at(&self, t_true_ns: u64, node: NodeId, kind: &'static str, detail: String) {
-        self.registry
-            .trace(t_true_ns, node.to_string(), kind, detail);
     }
 }

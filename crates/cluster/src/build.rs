@@ -667,17 +667,6 @@ impl Cluster {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-
-    /// Crash times recorded so far (exposed for custom checking).
-    pub fn crash_times(&self) -> &[(NodeId, SimTime)] {
-        &self.crashes
-    }
-
-    /// Convert a server-relative local duration to true ns (for scheduling
-    /// harness actions in terms of lease periods).
-    pub fn server_local_to_true(&self, d: LocalNs) -> u64 {
-        self.world.clock(self.server).local_delta_to_true(d)
-    }
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn out_of_scope_crates_are_ignored() {
-        let f = SourceFile::parse("crates/bench/src/main.rs", "LocalNs(a + b)");
+        let f = SourceFile::parse("crates/cluster/src/main.rs", "LocalNs(a + b)");
         assert!(check(&[f]).is_empty());
     }
 }

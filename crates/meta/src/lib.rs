@@ -10,6 +10,9 @@
 //! * [`BlockAllocator`] — allocation of shared-disk blocks to files;
 //! * [`MetaStore`] — the façade combining them with the operations the
 //!   server exposes (create/lookup/mkdir/readdir/unlink/attr/alloc);
+//! * [`txn`] — the one mutation table: a request is built as its redo
+//!   record, done by the function that replay redoes it with, and
+//!   answered from what that produced;
 //! * [`wal`] — a CRC-framed write-ahead log with explicit group-commit
 //!   points, modeling the private device honestly (a crash keeps only
 //!   fsynced bytes);
@@ -25,6 +28,7 @@ pub mod inode;
 pub mod namespace;
 pub mod snapshot;
 pub mod store;
+pub mod txn;
 pub mod wal;
 
 pub use alloc::BlockAllocator;
@@ -32,4 +36,5 @@ pub use inode::{Inode, InodeTable};
 pub use namespace::Namespace;
 pub use snapshot::{Recovered, Watermarks};
 pub use store::{MetaError, MetaStore};
+pub use txn::Applied;
 pub use wal::{DurableStore, WalDefect, WalRecord, WalStats};

@@ -104,11 +104,6 @@ impl Namespace {
         }
         Ok(cur)
     }
-
-    /// Number of directories (diagnostics).
-    pub fn dir_count(&self) -> usize {
-        self.dirs.len()
-    }
 }
 
 /// Namespace errors.

@@ -15,7 +15,8 @@ use crate::alloc::BlockAllocator;
 use crate::inode::{Inode, InodeTable};
 use crate::namespace::Namespace;
 use crate::store::MetaStore;
-use crate::wal::{DurableStore, ScanOutcome, WalDefect, WalRecord};
+use crate::txn::Applied;
+use crate::wal::{put_str, put_u32, put_u64, DurableStore, Rd, ScanOutcome, WalDefect, WalRecord};
 
 /// Durable counters that live beside the namespace: server-side
 /// high-water marks the WAL carries across incarnations.
@@ -31,19 +32,6 @@ pub struct Watermarks {
 
 /// Snapshot format version.
 const VERSION: u8 = 1;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
 
 /// Canonical encoding of a store plus its watermarks.
 pub fn encode(store: &MetaStore, wm: &Watermarks) -> Vec<u8> {
@@ -98,45 +86,6 @@ pub fn encode(store: &MetaStore, wm: &Watermarks) -> Vec<u8> {
     buf
 }
 
-struct Rd<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.b.len() - self.off < n {
-            return None;
-        }
-        let s = &self.b[self.off..self.off + n];
-        self.off += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-}
-
 /// Decode a snapshot back into a live store. `map`/`sid`/`block_size`
 /// are configuration, not state — the caller (the server) supplies the
 /// same values it was constructed with. Returns `None` on any
@@ -147,7 +96,7 @@ pub fn decode(
     sid: ServerId,
     block_size: usize,
 ) -> Option<(MetaStore, Watermarks)> {
-    let mut r = Rd { b: bytes, off: 0 };
+    let mut r = Rd::new(bytes);
     if r.u8()? != VERSION {
         return None;
     }
@@ -267,57 +216,30 @@ pub struct Recovered {
     pub defect: Option<WalDefect>,
 }
 
-/// Apply one WAL record to a store being rebuilt. Replay of a valid log
-/// prefix onto the matching snapshot base cannot fail; outcomes are
-/// debug-asserted rather than unwrapped so a corrupt-but-CRC-valid
-/// record degrades instead of panicking.
+/// Apply one WAL record to a store being rebuilt: the watermarks are kept
+/// here, a mutation is redone by the function that first did it
+/// ([`MetaStore::redo`]). Replay of a valid log prefix onto the matching
+/// snapshot base cannot fail; outcomes are debug-asserted rather than
+/// unwrapped so a corrupt-but-CRC-valid record degrades instead of
+/// panicking.
 pub fn apply(store: &mut MetaStore, wm: &mut Watermarks, rec: &WalRecord) {
     match rec {
-        WalRecord::Create {
-            parent,
-            name,
-            now,
-            ino,
-        } => {
-            let got = store.create(*parent, name, *now);
-            debug_assert_eq!(got.ok(), Some(*ino), "replay diverged on create");
-        }
-        WalRecord::Mkdir {
-            parent,
-            name,
-            now,
-            ino,
-        } => {
-            let got = store.mkdir(*parent, name, *now);
-            debug_assert_eq!(got.ok(), Some(*ino), "replay diverged on mkdir");
-        }
-        WalRecord::SetAttr { ino, size, now } => {
-            let got = store.setattr(*ino, *size, *now);
-            debug_assert!(got.is_ok(), "replay diverged on setattr");
-        }
-        WalRecord::Unlink { parent, name } => {
-            let got = store.unlink(*parent, name);
-            debug_assert!(got.is_ok(), "replay diverged on unlink");
-        }
-        WalRecord::RenameLink { dir, name, ino } => {
-            let got = store.rename_link(*dir, name, *ino);
-            debug_assert!(got.is_ok(), "replay diverged on rename_link");
-        }
-        WalRecord::RenameUnlink { dir, name } => {
-            let got = store.rename_unlink(*dir, name);
-            debug_assert!(got.is_ok(), "replay diverged on rename_unlink");
-        }
-        WalRecord::Alloc { ino, count } => {
-            let got = store.alloc_blocks(*ino, *count);
-            debug_assert!(got.is_ok(), "replay diverged on alloc");
-        }
-        WalRecord::Commit { ino, new_size, now } => {
-            let got = store.commit_write(*ino, *new_size, *now);
-            debug_assert!(got.is_ok(), "replay diverged on commit");
-        }
         WalRecord::SessionWatermark(v) => wm.session = wm.session.max(*v),
         WalRecord::EpochWatermark(v) => wm.epoch = wm.epoch.max(*v),
         WalRecord::Incarnation(v) => wm.incarnation = wm.incarnation.max(*v),
+        WalRecord::Create { ino, .. } | WalRecord::Mkdir { ino, .. } => {
+            let got = store.redo(rec);
+            debug_assert_eq!(got, Ok(Applied::Minted(*ino)), "replay diverged on {rec:?}");
+        }
+        WalRecord::SetAttr { .. }
+        | WalRecord::Unlink { .. }
+        | WalRecord::RenameLink { .. }
+        | WalRecord::RenameUnlink { .. }
+        | WalRecord::Alloc { .. }
+        | WalRecord::Commit { .. } => {
+            let got = store.redo(rec);
+            debug_assert!(got.is_ok(), "replay diverged on {rec:?}");
+        }
     }
 }
 

@@ -183,16 +183,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ------------------------------------------------------------- codec
+// (the little-endian primitives are shared with the snapshot encoding)
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "name too long for the log");
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
@@ -200,14 +201,14 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Bounds-checked little-endian reader; every getter returns `None` past
 /// the end instead of panicking (the log is untrusted input after a
-/// crash).
-struct Rd<'a> {
+/// crash). Shared with the snapshot decoder.
+pub(crate) struct Rd<'a> {
     b: &'a [u8],
     off: usize,
 }
 
 impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Self {
+    pub(crate) fn new(b: &'a [u8]) -> Self {
         Rd { b, off: 0 }
     }
 
@@ -220,7 +221,7 @@ impl<'a> Rd<'a> {
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
@@ -228,17 +229,17 @@ impl<'a> Rd<'a> {
         self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
     }
 
-    fn str(&mut self) -> Option<String> {
+    pub(crate) fn str(&mut self) -> Option<String> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()

@@ -430,11 +430,6 @@ impl TankClient {
         }
     }
 
-    /// Re-establish a session after expiry (public for tests/tools).
-    pub fn rehello(&self) -> Result<()> {
-        self.hello()
-    }
-
     /// Current lease phase on this client's clock.
     pub fn lease_phase(&self) -> Phase {
         let mut st = locked(&self.state);

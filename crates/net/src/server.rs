@@ -447,10 +447,10 @@ impl LeaseServer {
         }
     }
 
-    /// Vectored batch execution: elements run in order, the first
-    /// file-system error stops the rest, and the whole batch is answered
-    /// with one ACK carrying per-element outcomes. Wall-clock execution
-    /// time lands in `server.batch.exec_ns` when observed.
+    /// Vectored batch execution under the one batch rule
+    /// ([`RequestBody::run_batch`]), answered with one ACK carrying
+    /// per-element outcomes. Wall-clock execution time lands in
+    /// `server.batch.exec_ns` when observed.
     fn do_batch(
         &mut self,
         addr: SocketAddr,
@@ -459,21 +459,9 @@ impl LeaseServer {
         seq: ReqSeq,
         elems: Vec<RequestBody>,
     ) {
-        let t0 = Instant::now();
-        let mut outcomes: Vec<Result<ReplyBody, FsError>> = Vec::with_capacity(elems.len());
-        for body in elems {
-            let result = if body.batchable() {
-                self.execute_sync(client, body)
-            } else {
-                Err(FsError::Invalid)
-            };
-            let stop = result.is_err();
-            outcomes.push(result);
-            if stop {
-                break;
-            }
-        }
-        if let Some(h) = &self.batch_exec_ns {
+        let t0 = self.batch_exec_ns.is_some().then(Instant::now);
+        let reply = RequestBody::run_batch(elems, |body| self.execute_sync(client, body));
+        if let (Some(h), Some(t0)) = (&self.batch_exec_ns, t0) {
             h.observe(t0.elapsed().as_nanos() as u64);
         }
         self.respond(
@@ -481,56 +469,21 @@ impl LeaseServer {
             client,
             session,
             seq,
-            ResponseOutcome::Acked(Ok(ReplyBody::Batch(outcomes))),
+            ResponseOutcome::Acked(Ok(reply)),
         );
     }
 
-    /// Execute one synchronously-answerable body. `LockAcquire` (which
-    /// may queue and answer later) and session shapes are `Invalid` here;
-    /// [`Self::execute`] routes them first, and batches exclude them.
+    /// Execute one synchronously-answerable body: session traffic is
+    /// answered here, a metadata request passes this server's admission
+    /// check and is then executed by the one mutation table
+    /// ([`MetaStore::execute`]), stamped with this wakeup's clock reading.
+    /// The redo record it returns is dropped: this server's metadata is
+    /// RAM-only (DESIGN.md §15, row 2). `LockAcquire` (which may queue and
+    /// answer later) and session shapes come back `Invalid` from the
+    /// store; [`Self::execute`] routes them first, and batches exclude them.
     fn execute_sync(&mut self, client: NodeId, body: RequestBody) -> Result<ReplyBody, FsError> {
-        let now = mono_now().0;
         match body {
             RequestBody::KeepAlive => Ok(ReplyBody::Ok),
-            RequestBody::Create { parent, name } => {
-                let ino = self.meta.create(parent, &name, now)?;
-                Ok(ReplyBody::Created { ino })
-            }
-            RequestBody::Mkdir { parent, name } => {
-                let ino = self.meta.mkdir(parent, &name, now)?;
-                Ok(ReplyBody::Created { ino })
-            }
-            RequestBody::Lookup { parent, name } => {
-                let (ino, attr) = self.meta.lookup(parent, &name)?;
-                Ok(ReplyBody::Resolved { ino, attr })
-            }
-            RequestBody::ReadDir { dir } => {
-                let entries = self.meta.readdir(dir)?;
-                Ok(ReplyBody::Dir { entries })
-            }
-            RequestBody::RenameLink { dir, name, ino } => {
-                self.meta.rename_link(dir, &name, ino)?;
-                Ok(ReplyBody::Ok)
-            }
-            RequestBody::RenameUnlink { dir, name } => {
-                self.meta.rename_unlink(dir, &name)?;
-                Ok(ReplyBody::Ok)
-            }
-            RequestBody::Unlink { parent, name } => match self.meta.lookup(parent, &name) {
-                Ok((ino, _)) if self.locks.table().is_contended(ino) => Err(FsError::Unavailable),
-                _ => {
-                    self.meta.unlink(parent, &name)?;
-                    Ok(ReplyBody::Ok)
-                }
-            },
-            RequestBody::GetAttr { ino } => {
-                let attr = self.meta.getattr(ino)?;
-                Ok(ReplyBody::Attr { attr })
-            }
-            RequestBody::SetAttr { ino, size } => {
-                let attr = self.meta.setattr(ino, size, now)?;
-                Ok(ReplyBody::Attr { attr })
-            }
             RequestBody::LockRelease { ino, epoch } => {
                 self.locks
                     .release(client, ino, epoch, &self.sessions, self.now);
@@ -542,23 +495,45 @@ impl LeaseServer {
                 self.apply_locks();
                 Ok(ReplyBody::Ok)
             }
-            RequestBody::AllocBlocks { ino, count } => {
-                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
-                    return Err(FsError::NotLocked);
+            body => {
+                self.admit(client, &body)?;
+                let (reply, _unlogged) = self.meta.execute(body, self.now.0)?;
+                Ok(reply)
+            }
+        }
+    }
+
+    /// What this server refuses before the metadata store sees it: the
+    /// lock rules a mutation must satisfy (DESIGN.md §15, row 1 — no rule
+    /// for `SetAttr`, so an unlocked truncation goes through).
+    fn admit(&mut self, client: NodeId, body: &RequestBody) -> Result<(), FsError> {
+        let locks = self.locks.table();
+        match body {
+            RequestBody::Unlink { parent, name } => match self.meta.lookup(*parent, name) {
+                Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
+                _ => Ok(()),
+            },
+            RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
+                if locks.holds(client, *ino, LockMode::Exclusive) {
+                    Ok(())
+                } else {
+                    Err(FsError::NotLocked)
                 }
-                let blocks = self.meta.alloc_blocks(ino, count)?;
-                Ok(ReplyBody::Allocated { blocks })
             }
-            RequestBody::CommitWrite { ino, new_size } => {
-                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
-                    return Err(FsError::NotLocked);
-                }
-                self.meta.commit_write(ino, new_size, now)?;
-                Ok(ReplyBody::Ok)
-            }
-            RequestBody::Hello { .. } | RequestBody::LockAcquire { .. } | RequestBody::Batch(_) => {
-                Err(FsError::Invalid)
-            }
+            RequestBody::Hello { .. }
+            | RequestBody::KeepAlive
+            | RequestBody::Create { .. }
+            | RequestBody::Lookup { .. }
+            | RequestBody::Mkdir { .. }
+            | RequestBody::ReadDir { .. }
+            | RequestBody::GetAttr { .. }
+            | RequestBody::SetAttr { .. }
+            | RequestBody::LockAcquire { .. }
+            | RequestBody::LockRelease { .. }
+            | RequestBody::PushAck { .. }
+            | RequestBody::RenameLink { .. }
+            | RequestBody::RenameUnlink { .. }
+            | RequestBody::Batch(_) => Ok(()),
         }
     }
 }

@@ -825,3 +825,44 @@ fn observed_server_records_reactor_and_batch_instruments() {
     assert_eq!(drained.sum, 2, "the hello and the batch");
     assert_eq!(snap.histogram("server.batch.exec_ns").unwrap().count, 1);
 }
+
+#[test]
+fn mutations_are_stamped_with_the_wakeups_clock_reading() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let mut peer = RawPeer::hello(server.addr);
+    let named = |name: &str| (ROOT, name.to_owned());
+    let mtime_of = |peer: &mut RawPeer, name: &str| {
+        let (parent, name) = named(name);
+        match peer.call(RequestBody::Lookup { parent, name }) {
+            Ok(ReplyBody::Resolved { attr, .. }) => attr.mtime,
+            other => panic!("lookup: {other:?}"),
+        }
+    };
+    // One datagram is one wakeup at most: its elements share a stamp.
+    let create = |name: &str| {
+        let (parent, name) = named(name);
+        RequestBody::Create { parent, name }
+    };
+    let batch = RequestBody::Batch(vec![create("a"), create("b")]);
+    assert!(matches!(peer.call(batch), Ok(ReplyBody::Batch(o)) if o.iter().all(Result::is_ok)));
+    let (a, b) = (mtime_of(&mut peer, "a"), mtime_of(&mut peer, "b"));
+    assert_eq!(a, b, "one wakeup, one clock reading");
+    // Across wakeups the stamp never goes back, and a wakeup a sleep later
+    // reads a later clock.
+    let mut last = a;
+    for i in 0..20 {
+        if i == 10 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let name = format!("f{i}");
+        peer.create(&name);
+        let mtime = mtime_of(&mut peer, &name);
+        assert!(mtime >= last, "mtime went back: {last} -> {mtime}");
+        last = mtime;
+    }
+    assert!(
+        last - a >= 5_000_000,
+        "stamps follow the clock: {a} -> {last}"
+    );
+    server.stop();
+}

@@ -318,11 +318,6 @@ impl Registry {
         self.trace.lock().unwrap().clone()
     }
 
-    /// Drain the recorded trace events.
-    pub fn take_trace_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.trace.lock().unwrap())
-    }
-
     /// Immutable snapshot of every registered instrument, names sorted.
     pub fn snapshot(&self) -> Snapshot {
         let counters = self
@@ -393,12 +388,6 @@ impl Registry {
             ));
         }
         out
-    }
-
-    /// Render every registered counter and histogram as text (names
-    /// sorted; zero-valued instruments included so absence is visible).
-    pub fn render_metrics(&self) -> String {
-        self.snapshot().render()
     }
 }
 

@@ -184,6 +184,34 @@ impl RequestBody {
         }
     }
 
+    /// The batch rule, spelled once: run `elems` in order through `exec`;
+    /// an element that is not [`batchable`](Self::batchable) fails
+    /// `Invalid` without running (wire decoding already rejects nesting;
+    /// a lock acquire cannot produce an in-order synchronous reply); the
+    /// first file-system error stops the rest, which are never executed
+    /// and get no outcome entry. The caller answers with one ACK carrying
+    /// the returned [`ReplyBody::Batch`] — one message, one lease renewal,
+    /// exactly the §3.1 accounting a single op would get.
+    pub fn run_batch(
+        elems: Vec<RequestBody>,
+        mut exec: impl FnMut(RequestBody) -> Result<ReplyBody, FsError>,
+    ) -> ReplyBody {
+        let mut outcomes = Vec::with_capacity(elems.len());
+        for body in elems {
+            let result = if body.batchable() {
+                exec(body)
+            } else {
+                Err(FsError::Invalid)
+            };
+            let stop = result.is_err();
+            outcomes.push(result);
+            if stop {
+                break;
+            }
+        }
+        ReplyBody::Batch(outcomes)
+    }
+
     /// True for request bodies that need the server's full authority —
     /// anything that grants a lock or mutates metadata — which a server
     /// in its recovery grace window must refuse. Everything else (Hello,

@@ -228,11 +228,6 @@ impl<Ob> ServerNode<Ob> {
         self.incarnation
     }
 
-    /// True while the post-restart recovery grace window is open.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
-    }
-
     /// True while this node is a warm standby (not yet elected).
     pub fn is_standby(&self) -> bool {
         self.standby
@@ -255,11 +250,6 @@ impl<Ob> ServerNode<Ob> {
         &self.wal
     }
 
-    /// The durable device, mutable (tests inject torn tails / bit flips).
-    pub fn wal_mut(&mut self) -> &mut DurableStore {
-        &mut self.wal
-    }
-
     /// Durable-log statistics (appends / fsyncs / compactions).
     pub fn wal_stats(&self) -> WalStats {
         self.wal.stats()
@@ -280,31 +270,27 @@ impl<Ob> ServerNode<Ob> {
     /// size covering them (harness setup; not a protocol path). Returns
     /// its inode.
     pub fn precreate_file(&mut self, name: &str, blocks: u32) -> Ino {
-        let root = self.meta.root();
-        let ino = self.meta.create(root, name, 0).expect("precreate: create");
-        self.wal.append(&WalRecord::Create {
-            parent: root,
-            name: name.to_owned(),
-            now: 0,
-            ino,
-        });
+        let parent = self.meta.root();
+        let name = name.to_owned();
+        let ReplyBody::Created { ino } = self.precreate(RequestBody::Create { parent, name })
+        else {
+            unreachable!("create answers Created");
+        };
         if blocks > 0 {
-            self.meta
-                .alloc_blocks(ino, blocks)
-                .expect("precreate: alloc");
-            self.wal.append(&WalRecord::Alloc { ino, count: blocks });
-            let size = blocks as u64 * self.meta.block_size() as u64;
-            self.meta
-                .commit_write(ino, size, 0)
-                .expect("precreate: commit");
-            self.wal.append(&WalRecord::Commit {
-                ino,
-                new_size: size,
-                now: 0,
-            });
+            self.precreate(RequestBody::AllocBlocks { ino, count: blocks });
+            let new_size = blocks as u64 * self.meta.block_size() as u64;
+            self.precreate(RequestBody::CommitWrite { ino, new_size });
         }
         self.wal.fsync();
         ino
+    }
+
+    /// One setup transaction at time zero: executed and logged like a
+    /// request, with no admission check in front of it.
+    fn precreate(&mut self, body: RequestBody) -> ReplyBody {
+        let (reply, rec) = self.meta.execute(body, 0).expect("precreate");
+        self.wal.append(&rec.expect("a mutation logs"));
+        reply
     }
 
     fn emit(&mut self, ev: ServerEvent, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -773,11 +759,9 @@ impl<Ob> ServerNode<Ob> {
         }
     }
 
-    /// Vectored execution of a batch: elements run in order and the first
-    /// file-system error stops the rest (later elements are never
-    /// executed and get no outcome entry). The batch is answered with one
-    /// ACK carrying the per-element outcomes — one message, one lease
-    /// renewal, exactly the §3.1 accounting a single op would get.
+    /// Vectored execution of a batch under the one batch rule
+    /// ([`RequestBody::run_batch`]), answered with one ACK carrying the
+    /// per-element outcomes.
     fn do_batch(
         &mut self,
         client: NodeId,
@@ -786,132 +770,27 @@ impl<Ob> ServerNode<Ob> {
         elems: Vec<RequestBody>,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
-        let mut outcomes: Vec<Result<ReplyBody, FsError>> = Vec::with_capacity(elems.len());
-        for body in elems {
-            // Wire decoding already rejects nesting; non-batchable shapes
-            // (lock acquires, SAN round trips...) cannot produce an
-            // in-order synchronous reply, so they fail the element rather
-            // than wedging the batch.
-            let result = if body.batchable() {
-                self.execute_sync(client, body, ctx)
-            } else {
-                Err(FsError::Invalid)
-            };
-            let stop = result.is_err();
-            outcomes.push(result);
-            if stop {
-                break;
-            }
-        }
-        self.ack(client, session, seq, Ok(ReplyBody::Batch(outcomes)), ctx);
+        let reply = RequestBody::run_batch(elems, |body| self.execute_sync(client, body, ctx));
+        self.ack(client, session, seq, Ok(reply), ctx);
     }
 
     /// Execute one synchronously-answerable request body and return its
-    /// file-system outcome. Shapes that answer asynchronously
-    /// (`LockAcquire` may queue behind a conflicting holder; the SAN data
-    /// path suspends the request) or that carry session semantics are
-    /// `Invalid` here — [`Self::execute`] routes them to their own
-    /// handlers before delegating, and batch elements exclude them.
+    /// file-system outcome: session traffic is answered here, a metadata
+    /// request passes this server's admission check and is then executed
+    /// by the one mutation table ([`MetaStore::execute`]); the record it
+    /// returns is appended to the log. Shapes that answer asynchronously
+    /// (`LockAcquire` may queue behind a conflicting holder) or that carry
+    /// session semantics come back `Invalid` from the store —
+    /// [`Self::execute`] routes them to their own handlers before
+    /// delegating, and batch elements exclude them.
     fn execute_sync(
         &mut self,
         client: NodeId,
         body: RequestBody,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) -> Result<ReplyBody, FsError> {
-        let now = ctx.now().0;
         match body {
             RequestBody::KeepAlive => Ok(ReplyBody::Ok),
-            RequestBody::Create { parent, name } => {
-                let r = self.meta.create(parent, &name, now).map_err(FsError::from);
-                if let Ok(ino) = r {
-                    self.wal_append(&WalRecord::Create {
-                        parent,
-                        name,
-                        now,
-                        ino,
-                    });
-                }
-                r.map(|ino| ReplyBody::Created { ino })
-            }
-            RequestBody::Mkdir { parent, name } => {
-                let r = self.meta.mkdir(parent, &name, now).map_err(FsError::from);
-                if let Ok(ino) = r {
-                    self.wal_append(&WalRecord::Mkdir {
-                        parent,
-                        name,
-                        now,
-                        ino,
-                    });
-                }
-                r.map(|ino| ReplyBody::Created { ino })
-            }
-            RequestBody::Lookup { parent, name } => self
-                .meta
-                .lookup(parent, &name)
-                .map_err(FsError::from)
-                .map(|(ino, attr)| ReplyBody::Resolved { ino, attr }),
-            RequestBody::ReadDir { dir } => self
-                .meta
-                .readdir(dir)
-                .map_err(FsError::from)
-                .map(|entries| ReplyBody::Dir { entries }),
-            RequestBody::RenameLink { dir, name, ino } => {
-                let r = self
-                    .meta
-                    .rename_link(dir, &name, ino)
-                    .map_err(FsError::from);
-                if r.is_ok() {
-                    self.wal_append(&WalRecord::RenameLink { dir, name, ino });
-                }
-                r.map(|_| ReplyBody::Ok)
-            }
-            RequestBody::RenameUnlink { dir, name } => {
-                let r = self.meta.rename_unlink(dir, &name).map_err(FsError::from);
-                if r.is_ok() {
-                    self.wal_append(&WalRecord::RenameUnlink { dir, name });
-                }
-                r.map(|_| ReplyBody::Ok)
-            }
-            RequestBody::Unlink { parent, name } => {
-                // Unlinking a locked file would free its blocks for
-                // reallocation while a holder may still flush to them —
-                // block reuse corruption. Deny while contended.
-                match self.meta.lookup(parent, &name) {
-                    Ok((ino, _)) if self.locks.table().is_contended(ino) => {
-                        Err(FsError::Unavailable)
-                    }
-                    _ => {
-                        let r = self.meta.unlink(parent, &name).map_err(FsError::from);
-                        if r.is_ok() {
-                            self.wal_append(&WalRecord::Unlink { parent, name });
-                        }
-                        r.map(|_| ReplyBody::Ok)
-                    }
-                }
-            }
-            RequestBody::GetAttr { ino } => self
-                .meta
-                .getattr(ino)
-                .map_err(FsError::from)
-                .map(|attr| ReplyBody::Attr { attr }),
-            RequestBody::SetAttr { ino, size } => {
-                // Truncation changes data visibility: it requires the
-                // exclusive lock, like any other write.
-                if size.is_some() && !self.locks.table().holds(client, ino, LockMode::Exclusive) {
-                    Err(FsError::NotLocked)
-                } else if self.locks.table().held_by_other(client, ino) {
-                    // Even a touch bumps the version. A holder caches the
-                    // attributes under its lock (CACHING.md): while it
-                    // holds, nobody else may move them.
-                    Err(FsError::Unavailable)
-                } else {
-                    let r = self.meta.setattr(ino, size, now).map_err(FsError::from);
-                    if r.is_ok() {
-                        self.wal_append(&WalRecord::SetAttr { ino, size, now });
-                    }
-                    r.map(|attr| ReplyBody::Attr { attr })
-                }
-            }
             RequestBody::LockRelease { ino, epoch } => {
                 self.locks
                     .release(client, ino, epoch, &self.sessions, ctx.now());
@@ -923,34 +802,63 @@ impl<Ob> ServerNode<Ob> {
                 self.apply_locks(ctx);
                 Ok(ReplyBody::Ok)
             }
-            RequestBody::AllocBlocks { ino, count } => {
-                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
+            body => {
+                self.admit(client, &body)?;
+                let (reply, rec) = self.meta.execute(body, ctx.now().0)?;
+                if let Some(rec) = rec {
+                    self.wal_append(&rec);
+                }
+                Ok(reply)
+            }
+        }
+    }
+
+    /// What this server refuses before the metadata store sees it: the
+    /// lock rules a mutation must satisfy (DESIGN.md §15, row 1).
+    fn admit(&mut self, client: NodeId, body: &RequestBody) -> Result<(), FsError> {
+        let locks = self.locks.table();
+        match body {
+            // Unlinking a locked file would free its blocks for
+            // reallocation while a holder may still flush to them —
+            // block reuse corruption. Deny while contended.
+            RequestBody::Unlink { parent, name } => match self.meta.lookup(*parent, name) {
+                Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
+                _ => Ok(()),
+            },
+            RequestBody::SetAttr { ino, size } => {
+                // Truncation changes data visibility: it requires the
+                // exclusive lock, like any other write.
+                if size.is_some() && !locks.holds(client, *ino, LockMode::Exclusive) {
                     Err(FsError::NotLocked)
+                } else if locks.held_by_other(client, *ino) {
+                    // Even a touch bumps the version. A holder caches the
+                    // attributes under its lock (CACHING.md): while it
+                    // holds, nobody else may move them.
+                    Err(FsError::Unavailable)
                 } else {
-                    let r = self.meta.alloc_blocks(ino, count).map_err(FsError::from);
-                    if r.is_ok() {
-                        self.wal_append(&WalRecord::Alloc { ino, count });
-                    }
-                    r.map(|blocks| ReplyBody::Allocated { blocks })
+                    Ok(())
                 }
             }
-            RequestBody::CommitWrite { ino, new_size } => {
-                if !self.locks.table().holds(client, ino, LockMode::Exclusive) {
-                    Err(FsError::NotLocked)
+            RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
+                if locks.holds(client, *ino, LockMode::Exclusive) {
+                    Ok(())
                 } else {
-                    let r = self
-                        .meta
-                        .commit_write(ino, new_size, now)
-                        .map_err(FsError::from);
-                    if r.is_ok() {
-                        self.wal_append(&WalRecord::Commit { ino, new_size, now });
-                    }
-                    r.map(|_| ReplyBody::Ok)
+                    Err(FsError::NotLocked)
                 }
             }
-            RequestBody::Hello { .. } | RequestBody::LockAcquire { .. } | RequestBody::Batch(_) => {
-                Err(FsError::Invalid)
-            }
+            RequestBody::Hello { .. }
+            | RequestBody::KeepAlive
+            | RequestBody::Create { .. }
+            | RequestBody::Lookup { .. }
+            | RequestBody::Mkdir { .. }
+            | RequestBody::ReadDir { .. }
+            | RequestBody::GetAttr { .. }
+            | RequestBody::LockAcquire { .. }
+            | RequestBody::LockRelease { .. }
+            | RequestBody::PushAck { .. }
+            | RequestBody::RenameLink { .. }
+            | RequestBody::RenameUnlink { .. }
+            | RequestBody::Batch(_) => Ok(()),
         }
     }
 

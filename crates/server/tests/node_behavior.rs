@@ -42,6 +42,13 @@ impl Actor<NetMsg, ()> for Requester {
 }
 
 fn run_script(script_builder: impl Fn(NodeId) -> Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
+    run_script_wal(script_builder).0
+}
+
+/// [`run_script`], also returning the server's durable log bytes.
+fn run_script_wal(
+    script_builder: impl Fn(NodeId) -> Vec<Request>,
+) -> (Vec<(ReqSeq, ResponseOutcome)>, Vec<u8>) {
     let mut w: World<NetMsg> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     w.add_network(NetId::SAN, NetParams::ideal(100_000));
@@ -66,10 +73,13 @@ fn run_script(script_builder: impl Fn(NodeId) -> Vec<Request>) -> Vec<(ReqSeq, R
         ClockSpec::ideal(),
     );
     w.run_until(SimTime::from_secs(2));
-    w.node_ref::<Requester>(requester)
+    let responses = w
+        .node_ref::<Requester>(requester)
         .unwrap()
         .responses
-        .clone()
+        .clone();
+    let wal = w.node_ref::<ServerNode<()>>(server).unwrap().wal();
+    (responses, wal.durable_delta(0).to_vec())
 }
 
 fn req(src: u32, session: u64, seq: u64, body: RequestBody) -> Request {
@@ -755,4 +765,112 @@ fn a_non_holder_cannot_move_a_held_inodes_attributes() {
             assert_eq!(refused, *must_refuse, "{mode:?} {what}: {:?}", to_b[2].1);
         }
     }
+}
+
+/// The durable log of [`the_wal_bytes_of_a_fixed_script_match_the_golden`]'s
+/// script, captured at the commit before metadata execution moved behind
+/// `MetaStore::execute`: same records, same order, same bytes.
+const GOLDEN_WAL_HEX: &str = concat!(
+    "1d000000b17a587f000100000000000000020000000000000000000000000000",
+    "00020066300d0000009790c8cc0602000000000000000400000019000000aff2",
+    "2d310702000000000000000008000000000000000000000000000009000000ae",
+    "9e8dbf0a01000000000000000900000028b67b910801000000000000001c0000",
+    "007b27508a0001000000000000000300000000000000200b2000000000000100",
+    "611c0000007b04e42b0101000000000000000400000000000000604d2f000000",
+    "0000010064090000006ba200860901000000000000000d00000041e4baca0603",
+    "0000000000000003000000190000007ed277a5070300000000000000dc050000",
+    "0000000020145d00000000001a000000cb8ab34f020300000000000000010002",
+    "00000000000060566c000000000012000000d4a1480602040000000000000000",
+    "a0987b000000000015000000743bb67404040000000000000003000000000000",
+    "00020061320c00000046558f190501000000000000000100610d000000ded280",
+    "af030400000000000000020061321d000000ec23a24600010000000000000005",
+    "000000000000002026d70000000000020062311d00000078337cc30001000000",
+    "0000000006000000000000006068e6000000000002006331",
+);
+
+#[test]
+fn the_wal_bytes_of_a_fixed_script_match_the_golden() {
+    use RequestBody::{AllocBlocks, Batch, CommitWrite, LockRelease, SetAttr, Unlink};
+    let (root, f0, a, d) = (Ino(1), Ino(2), Ino(3), Ino(4));
+    let named = |parent: Ino, name: &str| (parent, name.to_owned());
+    let create = |name: &str| {
+        let (parent, name) = named(root, name);
+        RequestBody::Create { parent, name }
+    };
+    let unlink_a2 = || {
+        let (parent, name) = named(d, "a2");
+        Unlink { parent, name }
+    };
+    let (mode, epoch) = (LockMode::Exclusive, Epoch(1));
+    let script = vec![
+        create("a"),
+        RequestBody::Mkdir {
+            parent: root,
+            name: "d".into(),
+        },
+        RequestBody::LockAcquire { ino: a, mode },
+        AllocBlocks { ino: a, count: 3 },
+        CommitWrite {
+            ino: a,
+            new_size: 1500,
+        },
+        SetAttr {
+            ino: a,
+            size: Some(512),
+        },
+        SetAttr { ino: d, size: None },
+        RequestBody::RenameLink {
+            dir: d,
+            name: "a2".into(),
+            ino: a,
+        },
+        RequestBody::RenameUnlink {
+            dir: root,
+            name: "a".into(),
+        },
+        // Refused: the file is still locked. Nothing is logged.
+        unlink_a2(),
+        LockRelease { ino: a, epoch },
+        unlink_a2(),
+        // The second element fails in the store, the third never runs.
+        Batch(vec![create("b1"), create("b1"), create("b2")]),
+        // The second element is refused before the store sees it (f0 is
+        // not locked), the third never runs.
+        Batch(vec![
+            create("c1"),
+            AllocBlocks { ino: f0, count: 1 },
+            create("c2"),
+        ]),
+    ];
+    let (rs, wal) = run_script_wal(|_| {
+        let hello = req(1, 0, 1, RequestBody::Hello { map_epoch: 0 });
+        let rest = script.iter().zip(2..);
+        std::iter::once(hello)
+            .chain(rest.map(|(body, seq)| req(1, 1, seq, body.clone())))
+            .collect()
+    });
+    // `replies[i]` answers `script[i]`.
+    let replies: Vec<_> = rs[1..]
+        .iter()
+        .map(|(_, outcome)| match outcome {
+            ResponseOutcome::Acked(result) => result.clone(),
+            nack => panic!("{nack:?}"),
+        })
+        .collect();
+    let created = |ino| Ok(ReplyBody::Created { ino });
+    assert_eq!(replies[0], created(a));
+    assert_eq!(replies[1], created(d));
+    assert!(matches!(&replies[2], Ok(ReplyBody::LockGranted { epoch: e, .. }) if *e == epoch));
+    assert!(matches!(&replies[3], Ok(ReplyBody::Allocated { blocks }) if blocks.len() == 3));
+    assert!(matches!(&replies[5], Ok(ReplyBody::Attr { attr }) if attr.size == 512));
+    assert!(matches!(&replies[6], Ok(ReplyBody::Attr { attr }) if attr.is_dir));
+    for i in [4, 7, 8, 10, 11] {
+        assert_eq!(replies[i], Ok(ReplyBody::Ok), "script[{i}]");
+    }
+    assert_eq!(replies[9], Err(FsError::Unavailable));
+    let batch = |first, then| Ok(ReplyBody::Batch(vec![created(first), Err(then)]));
+    assert_eq!(replies[12], batch(Ino(5), FsError::Exists));
+    assert_eq!(replies[13], batch(Ino(6), FsError::NotLocked));
+    let hex: String = wal.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN_WAL_HEX);
 }

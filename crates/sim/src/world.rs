@@ -11,7 +11,7 @@ use tank_obs::{names, Counter, Registry};
 use crate::actor::{Actor, Ctx, Effect, TimerId};
 use crate::net::{NetId, NetParams, Network};
 use crate::stats::MsgStats;
-use crate::time::{Clock, ClockSpec, LocalNs, SimTime};
+use crate::time::{Clock, ClockSpec, SimTime};
 use crate::{NodeId, Payload};
 
 /// World construction parameters.
@@ -297,29 +297,14 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
         id
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Current true time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// A node's current local-clock reading.
-    pub fn local_now(&self, node: NodeId) -> LocalNs {
-        self.clocks[node.index()].local(self.now)
-    }
-
     /// A node's clock (for harness-side conversions).
     pub fn clock(&self, node: NodeId) -> &Clock {
         &self.clocks[node.index()]
-    }
-
-    /// Whether a node is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.index()]
     }
 
     /// Message statistics so far.
@@ -330,11 +315,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     /// Observations emitted so far (true-time stamped, in emission order).
     pub fn observations(&self) -> &[(SimTime, NodeId, Ob)] {
         &self.observations
-    }
-
-    /// Drain observations, leaving the buffer empty.
-    pub fn take_observations(&mut self) -> Vec<(SimTime, NodeId, Ob)> {
-        std::mem::take(&mut self.observations)
     }
 
     /// Recorded trace lines (empty unless `record_trace`).
@@ -675,6 +655,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::LocalNs;
 
     /// Minimal payload for tests.
     #[derive(Debug, Clone, PartialEq)]

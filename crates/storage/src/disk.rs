@@ -155,11 +155,6 @@ impl<Ob> DiskNode<Ob> {
         self.store.get(&block).map(|b| b.tag).unwrap_or_default()
     }
 
-    /// Peek at a block's contents (harness use; not a SAN op).
-    pub fn block_data(&self, block: BlockId) -> Option<&[u8]> {
-        self.store.get(&block).map(|b| b.data.as_slice())
-    }
-
     /// Number of blocks ever written (memory accounting).
     pub fn blocks_written(&self) -> usize {
         self.store.len()
