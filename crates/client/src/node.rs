@@ -1661,11 +1661,7 @@ impl<Ob> ClientNode<Ob> {
         while self.lazy_retained.len() > LAZY_RELEASE_CAP {
             let evict = self.lazy_retained.remove(0);
             if matches!(self.locks.get(&evict), Some(LockEntry::Held(_))) {
-                if self.cache.dirty_len(evict) == 0 {
-                    self.commit_then_release(evict, None, ctx);
-                } else {
-                    self.start_flush(evict, AfterFlush::Release { complete: None }, ctx);
-                }
+                self.hand_back(evict, ctx);
             }
         }
     }
@@ -1689,18 +1685,7 @@ impl<Ob> ClientNode<Ob> {
                 }
                 self.park(id, ino, mode);
                 if need_send {
-                    let gen = self.gen_of(ino);
-                    let lane = self.lane_of_ino(ino);
-                    self.send_request(
-                        lane,
-                        RequestBody::LockAcquire {
-                            ino,
-                            mode: LockMode::Exclusive,
-                        },
-                        Purpose::Lock { ino, gen },
-                        true,
-                        ctx,
-                    );
+                    self.send_acquire(ino, LockMode::Exclusive, ctx);
                 }
             }
             Some(LockEntry::Acquiring) => self.park(id, ino, mode),
@@ -1708,16 +1693,27 @@ impl<Ob> ClientNode<Ob> {
             None => {
                 self.locks.insert(ino, LockEntry::Acquiring);
                 self.park(id, ino, mode);
-                let gen = self.gen_of(ino);
-                let lane = self.lane_of_ino(ino);
-                self.send_request(
-                    lane,
-                    RequestBody::LockAcquire { ino, mode },
-                    Purpose::Lock { ino, gen },
-                    true,
-                    ctx,
-                );
+                self.send_acquire(ino, mode, ctx);
             }
+        }
+    }
+
+    /// Ask `ino`'s server for the lock in `mode`, under the lock's current
+    /// generation so a reply to an earlier tenure is recognised as stale.
+    fn send_acquire(&mut self, ino: Ino, mode: LockMode, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let gen = self.gen_of(ino);
+        let lane = self.lane_of_ino(ino);
+        let body = RequestBody::LockAcquire { ino, mode };
+        self.send_request(lane, body, Purpose::Lock { ino, gen }, true, ctx);
+    }
+
+    /// Hand a held lock back to its server: straight away when nothing
+    /// under it is dirty, after a write-back flush otherwise.
+    fn hand_back(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        if self.cache.dirty_len(ino) == 0 {
+            self.commit_then_release(ino, None, ctx);
+        } else {
+            self.start_flush(ino, AfterFlush::Release { complete: None }, ctx);
         }
     }
 
@@ -1786,14 +1782,8 @@ impl<Ob> ClientNode<Ob> {
             return;
         };
         match self.locks.get(&ino) {
-            Some(LockEntry::Held(_)) => {
-                // Hand the holding over (flush first), full teardown.
-                if self.cache.dirty_len(ino) == 0 {
-                    self.commit_then_release(ino, None, ctx);
-                } else {
-                    self.start_flush(ino, AfterFlush::Release { complete: None }, ctx);
-                }
-            }
+            // Hand the holding over (flush first), full teardown.
+            Some(LockEntry::Held(_)) => self.hand_back(ino, ctx),
             Some(LockEntry::Releasing(info)) if info.epoch == demanded => {}
             Some(LockEntry::Releasing(_)) | Some(LockEntry::Acquiring) => {
                 // Still in motion: keep waiting.
@@ -1837,18 +1827,7 @@ impl<Ob> ClientNode<Ob> {
                     }
                     still_parked.push(id);
                     if need_send {
-                        let gen = self.gen_of(ino);
-                        let lane = self.lane_of_ino(ino);
-                        self.send_request(
-                            lane,
-                            RequestBody::LockAcquire {
-                                ino,
-                                mode: LockMode::Exclusive,
-                            },
-                            Purpose::Lock { ino, gen },
-                            true,
-                            ctx,
-                        );
+                        self.send_acquire(ino, LockMode::Exclusive, ctx);
                     }
                 }
                 Some(LockEntry::Acquiring) | Some(LockEntry::Releasing(_)) => still_parked.push(id),
@@ -1856,15 +1835,7 @@ impl<Ob> ClientNode<Ob> {
                     // Lock vanished (release/expiry): restart acquisition.
                     self.locks.insert(ino, LockEntry::Acquiring);
                     still_parked.push(id);
-                    let gen = self.gen_of(ino);
-                    let lane = self.lane_of_ino(ino);
-                    self.send_request(
-                        lane,
-                        RequestBody::LockAcquire { ino, mode },
-                        Purpose::Lock { ino, gen },
-                        true,
-                        ctx,
-                    );
+                    self.send_acquire(ino, mode, ctx);
                 }
             }
         }
@@ -2648,11 +2619,7 @@ impl<Ob> ClientNode<Ob> {
                         if let Some(obs) = &self.obs {
                             obs.cache_revokes.inc();
                         }
-                        if self.cache.dirty_len(ino) == 0 {
-                            self.commit_then_release(ino, None, ctx);
-                        } else {
-                            self.start_flush(ino, AfterFlush::Release { complete: None }, ctx);
-                        }
+                        self.hand_back(ino, ctx);
                     }
                     Some(LockEntry::Releasing(info)) if info.epoch == epoch => {
                         // Already releasing exactly this grant.

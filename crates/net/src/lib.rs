@@ -2,17 +2,21 @@
 //!
 //! The simulator proves the protocol's properties; this crate proves the
 //! protocol is not simulator-bound. The *same* sans-io state machines —
-//! [`tank_core::ClientLease`], [`tank_core::LeaseAuthority`], the lock
-//! service, session table and metadata store — are driven here by
+//! [`tank_core::ClientLease`] and the server's whole request path,
+//! [`tank_server::ServerCore`] (gates, Hello, session window, lock
+//! service, lease authority, metadata store) — are driven here by
 //! wall-clock timers and UDP datagrams instead of virtual time and a
 //! virtual network:
 //!
 //! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
 //!   (`tankd` is its binary form), event-driven and single-threaded: a
 //!   readiness reactor ([`poll`] + [`reactor`]) batch-drains every
-//!   ready datagram per wakeup, executes the batch to completion against
-//!   state it owns and flushes the replies together, with all protocol
-//!   timers multiplexed into the poll timeout (DESIGN.md §15). No SAN exists
+//!   ready datagram per wakeup, runs each request to completion through
+//!   the core it owns, carries out the core's effects, and flushes the
+//!   replies together, with all protocol timers multiplexed into the poll
+//!   timeout (DESIGN.md §15). It differs from the simulator's server in
+//!   its `SetAttr` admission rule and in dropping the core's log records
+//!   (DESIGN.md §15, rows 1–2). No SAN exists
 //!   here, so the server carries metadata + locks only and fences nothing:
 //!   a steal is direct (the "Fencing before a steal" row of DESIGN.md
 //!   §15's difference table). Everything lease-related is the real

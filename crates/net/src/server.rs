@@ -1,10 +1,11 @@
 //! The UDP lease/lock/metadata server: one run-to-completion thread.
 //!
-//! The reactor thread owns the protocol state outright. It waits for
-//! socket readiness ([`crate::poll`]) with its timeout bounded by the
-//! earliest pending protocol timer, fires what is due, drains every
-//! ready datagram into an arena batch ([`crate::reactor`]), decodes and
-//! executes the batch in arrival order, and flushes every reply the
+//! The reactor thread owns the protocol state outright: a
+//! [`ServerCore`], the request path the simulator's server runs too. It
+//! waits for socket readiness ([`crate::poll`]) with its timeout bounded
+//! by the earliest pending protocol timer, fires what is due, drains
+//! every ready datagram into an arena batch ([`crate::reactor`]), hands
+//! the batch to the core in arrival order, and flushes every reply the
 //! wakeup produced in one go. Push retries, release waits, lease
 //! expiries and the recovery window are all multiplexed into the poll
 //! timeout — nothing sleeps per event, nothing is handed
@@ -18,17 +19,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use tank_core::{LeaseAuthority, LeaseConfig};
+use tank_core::LeaseConfig;
 use tank_meta::MetaStore;
 use tank_obs::{names, Counter, Histogram, Registry};
-use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::message::{FsError, RequestBody};
 use tank_proto::wire::response_datagram;
-use tank_proto::{
-    CtlMsg, Incarnation, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
-    SessionId, WireEncode,
-};
-use tank_server::session::{Admission, SessionTable};
-use tank_server::{DemandLadder, LadderTimer, LockEffect, LockService, ServerStats};
+use tank_proto::{CtlMsg, Incarnation, LockMode, NetMsg, NodeId, Request, WireEncode};
+use tank_server::lock::LockManager;
+use tank_server::{DemandLadder, Effect, LadderTimer, ServerConfig, ServerCore, ServerStats};
 use tank_sim::LocalNs;
 
 use crate::fault::{FaultConfig, FaultySocket};
@@ -99,18 +97,13 @@ enum TimerEv {
 /// requests run against it one at a time, to completion. All sends go
 /// through the `outbox` field and leave together at the end of a wakeup.
 pub struct LeaseServer {
-    meta: MetaStore,
-    locks: LockService,
-    authority: LeaseAuthority,
-    sessions: SessionTable,
-    /// addr ⟷ node id mapping (ids assigned on first contact).
+    /// The request path, shared with the simulator's `ServerNode`.
+    core: ServerCore,
+    /// addr ⟷ node id mapping (ids assigned on first contact, from 1:
+    /// node `n`'s address is `addrs[n - 1]`).
     ids: HashMap<SocketAddr, NodeId>,
-    addrs: HashMap<NodeId, SocketAddr>,
-    next_id: u32,
+    addrs: Vec<SocketAddr>,
     timers: TimerQueue<TimerEv>,
-    incarnation: Incarnation,
-    recovering: bool,
-    stats: ServerStats,
     /// Encoded responses awaiting transmission (see [`Self::flush`]).
     outbox: Vec<(SocketAddr, Bytes)>,
     /// The local clock, read once per wakeup: before the due timers fire,
@@ -162,18 +155,21 @@ impl LeaseServer {
         let sock = FaultySocket::bind(addr, cfg.faults)?;
         let bound = sock.local_addr()?;
         sock.set_nonblocking(true)?;
+        // One shard of the single-shard map: every inode is governed
+        // here, so the routing gates pass everything but a Hello from
+        // another map epoch.
+        let shard = ServerConfig {
+            lease: cfg.lease,
+            ladder: cfg.ladder,
+            ..ServerConfig::default()
+        };
+        let mut core = ServerCore::new(&shard, 1 << 16, 4096);
+        core.incarnation = Incarnation(cfg.incarnation);
         let mut server = LeaseServer {
-            meta: MetaStore::new(1 << 16, 4096),
-            locks: LockService::new(cfg.ladder),
-            authority: LeaseAuthority::new(cfg.lease),
-            sessions: SessionTable::new(),
+            core,
             ids: HashMap::new(),
-            addrs: HashMap::new(),
-            next_id: 1,
+            addrs: Vec::new(),
             timers: TimerQueue::new(),
-            incarnation: Incarnation(cfg.incarnation),
-            recovering: false,
-            stats: ServerStats::default(),
             outbox: Vec::new(),
             now: mono_now(),
             batch_exec_ns: registry.map(|r| r.histogram_def(&names::SERVER_BATCH_EXEC_NS)),
@@ -184,7 +180,7 @@ impl LeaseServer {
             // granting anything. Every lease that might have been live at
             // the crash expires on its holder's clock within τ(1+ε) of
             // the crash — and the crash predates our startup.
-            server.recovering = true;
+            server.core.recovering = true;
             let grace = Duration::from_nanos(cfg.lease.server_timeout().0);
             server.timers.arm(grace, TimerEv::RecoveryDone);
         }
@@ -206,16 +202,10 @@ impl LeaseServer {
         if let Some(&id) = self.ids.get(&addr) {
             return id;
         }
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
+        self.addrs.push(addr);
+        let id = NodeId(self.addrs.len() as u32);
         self.ids.insert(addr, id);
-        self.addrs.insert(id, addr);
         id
-    }
-
-    /// Queue a message for transmission at the next [`Self::flush`].
-    fn send(&mut self, addr: SocketAddr, msg: &NetMsg) {
-        self.outbox.push((addr, msg.encoded()));
     }
 
     /// Transmit everything queued, in order, keeping the buffer.
@@ -226,319 +216,69 @@ impl LeaseServer {
         }
     }
 
-    /// Queue `resp` for `addr`: the one place a response is put on the
-    /// wire, fresh or replayed. An ACK renews its addressee's lease, so any
-    /// lease wait against the addressee restarts at this wakeup's clock
-    /// reading.
-    fn send_response(&mut self, addr: SocketAddr, resp: &Response) {
-        if resp.is_ack() {
-            self.locks.acked(resp.dst, self.now);
+    fn on_request(&mut self, addr: SocketAddr, req: Request) {
+        let client = self.node_of(addr);
+        let batch = matches!(req.body, RequestBody::Batch(_));
+        let t0 = (batch && self.batch_exec_ns.is_some()).then(Instant::now);
+        self.core.on_request(client, req, self.now, admit);
+        if let (Some(h), Some(t0)) = (&self.batch_exec_ns, t0) {
+            h.observe(t0.elapsed().as_nanos() as u64);
         }
-        self.outbox.push((addr, response_datagram(resp)));
-    }
-
-    fn respond(
-        &mut self,
-        addr: SocketAddr,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        outcome: ResponseOutcome,
-    ) {
-        let resp = Response {
-            dst: client,
-            session,
-            seq,
-            incarnation: self.incarnation,
-            outcome,
-        };
-        self.send_response(addr, &resp);
-        if resp.is_ack() {
-            self.sessions.record_response(client, seq, resp);
-        } else {
-            self.stats.nacks += 1;
-        }
+        self.drain();
     }
 
     fn on_timer(&mut self, ev: TimerEv) {
         match ev {
             TimerEv::Ladder(timer) => {
-                if let Some((client, since)) = self.locks.timer_fired(timer) {
-                    self.delivery_error(client, since);
+                // `client` went unanswered through the demand ladder and
+                // has not been ACKed since `since`: its lease wait began
+                // there, not now.
+                if let Some((client, since)) = self.core.ladder_fired(timer, self.now) {
+                    if let Some(fires_at) = self.core.authority.on_delivery_error(client, since) {
+                        let delay = Duration::from_nanos(fires_at.minus(self.now).0);
+                        self.timers.arm(delay, TimerEv::LeaseExpiry(client));
+                    }
                 }
-                self.apply_locks();
             }
             TimerEv::LeaseExpiry(client) => {
-                if self.authority.on_timer(client, self.now) {
+                if self.core.authority.on_timer(client, self.now) {
                     // No SAN sits behind this server, so fencing is a
                     // no-op and the steal happens directly.
-                    self.stats.steals += 1;
-                    let stolen = self
-                        .locks
-                        .drop_client(client, true, &self.sessions, self.now);
-                    self.stats.locks_stolen += stolen as u64;
-                    self.apply_locks();
+                    self.core.steal(client, self.now);
                 }
             }
-            TimerEv::RecoveryDone => {
-                self.recovering = false;
-            }
+            TimerEv::RecoveryDone => self.core.recovering = false,
         }
+        self.drain();
     }
 
-    /// `client` went unanswered through the demand ladder and has not been
-    /// ACKed since `since`: its lease wait began there, not now.
-    fn delivery_error(&mut self, client: NodeId, since: LocalNs) {
-        self.stats.delivery_errors += 1;
-        if let Some(fires_at) = self.authority.on_delivery_error(client, since) {
-            let delay = Duration::from_nanos(fires_at.minus(self.now).0);
-            self.timers.arm(delay, TimerEv::LeaseExpiry(client));
-        }
-    }
-
-    /// Carry out, in order, what the lock service asked for.
-    fn apply_locks(&mut self) {
-        while let Some(effect) = self.locks.next_effect() {
+    /// Carry out, in order, what the core decided: the one place a
+    /// response is put on the wire, fresh or replayed.
+    fn drain(&mut self) {
+        while let Some(effect) = self.core.next_effect() {
             match effect {
-                LockEffect::Arm(after, timer) => {
-                    self.timers
-                        .arm(Duration::from_nanos(after.0), TimerEv::Ladder(timer));
-                }
-                LockEffect::Push { push, .. } => {
-                    self.stats.pushes_sent += 1;
-                    if let Some(&addr) = self.addrs.get(&push.dst) {
-                        self.send(addr, &NetMsg::Ctl(CtlMsg::Push(push)));
+                Effect::Respond(resp) => {
+                    if let Some(&addr) = self.addrs.get(index_of(resp.dst)) {
+                        self.outbox.push((addr, response_datagram(resp)));
                     }
                 }
-                LockEffect::Granted(g) | LockEffect::Held(g) => {
-                    let (Some((session, seq)), Some(&addr)) =
-                        (g.answers, self.addrs.get(&g.client))
-                    else {
-                        continue;
-                    };
-                    // The gate on the way out: this acquire was admitted
-                    // while its sender stood `Good`, but it waited, and a
-                    // delivery error against the sender may have come
-                    // first. An ACK now would renew a lease from the
-                    // acquire's first send — possibly later than the ACK
-                    // the running timer counts from.
-                    if let Some(reason) = self.authority.standing_of(g.client).refusal() {
-                        let outcome = ResponseOutcome::Nacked(reason);
-                        self.respond(addr, g.client, session, seq, outcome);
-                        continue;
+                Effect::Push { push, .. } => {
+                    if let Some(&addr) = self.addrs.get(index_of(push.dst)) {
+                        let msg = NetMsg::Ctl(CtlMsg::Push(push));
+                        self.outbox.push((addr, msg.encoded()));
                     }
-                    let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or_default();
-                    let reply = ReplyBody::LockGranted {
-                        ino: g.ino,
-                        mode: g.mode,
-                        epoch: g.epoch,
-                        blocks,
-                        size,
-                    };
-                    let outcome = ResponseOutcome::Acked(Ok(reply));
-                    self.respond(addr, g.client, session, seq, outcome);
                 }
-                // Nothing consumes an event log here.
-                LockEffect::Event(_) => {}
-            }
-        }
-    }
-
-    fn on_request(&mut self, addr: SocketAddr, req: Request) {
-        let client = self.node_of(addr);
-        // The recovery gate comes first: while the grace window is open
-        // nothing may be granted or mutated, no matter how fresh the
-        // session looks. The NACK does not condemn the client's cache —
-        // it means "retry after a delay".
-        if self.recovering && req.body.needs_full_service() {
-            self.stats.recovery_nacks += 1;
-            return self.respond(
-                addr,
-                client,
-                req.session,
-                req.seq,
-                ResponseOutcome::Nacked(NackReason::Recovering),
-            );
-        }
-        // §3.3: a suspect client gets NACKs, an expired one gets NACKs for
-        // everything but Hello.
-        let hello = matches!(req.body, RequestBody::Hello { .. });
-        match self.authority.standing_of(client).refusal() {
-            None => {}
-            Some(NackReason::SessionExpired) if hello => {}
-            Some(reason) => {
-                let outcome = ResponseOutcome::Nacked(reason);
-                return self.respond(addr, client, req.session, req.seq, outcome);
-            }
-        }
-        if hello {
-            // Hello sits outside the session dedup window; duplicates
-            // are suppressed by (client, seq) so a replayed datagram
-            // cannot mint a second session and orphan the first.
-            if let Some(resp) = self.sessions.hello_replay(client, req.seq) {
-                self.stats.replays += 1;
-                self.send_response(addr, &resp);
-                return;
-            }
-            self.stats.requests += 1;
-            self.locks
-                .drop_client(client, false, &self.sessions, self.now);
-            self.apply_locks();
-            self.authority.on_new_session(client);
-            let session = self.sessions.begin(client);
-            let resp = Response {
-                dst: client,
-                session,
-                seq: req.seq,
-                incarnation: self.incarnation,
-                outcome: ResponseOutcome::Acked(Ok(ReplyBody::HelloOk {
-                    session,
-                    map_epoch: 0,
-                })),
-            };
-            self.send_response(addr, &resp);
-            self.sessions.record_hello(client, req.seq, resp);
-            return;
-        }
-        match self.sessions.admit(client, req.session, req.seq) {
-            Admission::Execute => {
-                self.stats.requests += 1;
-                self.execute(addr, client, req);
-            }
-            Admission::Replay(resp) => {
-                self.stats.replays += 1;
-                self.send_response(addr, &resp);
-            }
-            Admission::InProgress => {}
-            Admission::WrongSession => {
-                self.respond(
-                    addr,
-                    client,
-                    req.session,
-                    req.seq,
-                    ResponseOutcome::Nacked(NackReason::StaleSession),
-                );
-            }
-        }
-    }
-
-    fn execute(&mut self, addr: SocketAddr, client: NodeId, req: Request) {
-        let session = req.session;
-        let seq = req.seq;
-        match req.body {
-            RequestBody::Hello { .. } => unreachable!(),
-            RequestBody::LockAcquire { ino, mode } => {
-                if let Err(e) = self.meta.getattr(ino) {
-                    let outcome = ResponseOutcome::Acked(Err(e.into()));
-                    return self.respond(addr, client, session, seq, outcome);
+                Effect::Arm(after, timer) => {
+                    let after = Duration::from_nanos(after.0);
+                    self.timers.arm(after, TimerEv::Ladder(timer));
                 }
-                let answers = (session, seq);
-                self.locks
-                    .acquire(client, ino, mode, answers, &self.sessions, self.now);
-                self.apply_locks();
-            }
-            RequestBody::Batch(elems) => {
-                self.do_batch(addr, client, session, seq, elems);
-            }
-            body => {
-                let result = self.execute_sync(client, body);
-                self.respond(addr, client, session, seq, ResponseOutcome::Acked(result));
+                // Metadata is RAM-only here (DESIGN.md §15, row 2), and
+                // nothing consumes an event log.
+                Effect::Log(_) | Effect::Event(_) => {}
             }
         }
     }
 
-    /// Vectored batch execution under the one batch rule
-    /// ([`RequestBody::run_batch`]), answered with one ACK carrying
-    /// per-element outcomes. Wall-clock execution time lands in
-    /// `server.batch.exec_ns` when observed.
-    fn do_batch(
-        &mut self,
-        addr: SocketAddr,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        elems: Vec<RequestBody>,
-    ) {
-        let t0 = self.batch_exec_ns.is_some().then(Instant::now);
-        let reply = RequestBody::run_batch(elems, |body| self.execute_sync(client, body));
-        if let (Some(h), Some(t0)) = (&self.batch_exec_ns, t0) {
-            h.observe(t0.elapsed().as_nanos() as u64);
-        }
-        self.respond(
-            addr,
-            client,
-            session,
-            seq,
-            ResponseOutcome::Acked(Ok(reply)),
-        );
-    }
-
-    /// Execute one synchronously-answerable body: session traffic is
-    /// answered here, a metadata request passes this server's admission
-    /// check and is then executed by the one mutation table
-    /// ([`MetaStore::execute`]), stamped with this wakeup's clock reading.
-    /// The redo record it returns is dropped: this server's metadata is
-    /// RAM-only (DESIGN.md §15, row 2). `LockAcquire` (which may queue and
-    /// answer later) and session shapes come back `Invalid` from the
-    /// store; [`Self::execute`] routes them first, and batches exclude them.
-    fn execute_sync(&mut self, client: NodeId, body: RequestBody) -> Result<ReplyBody, FsError> {
-        match body {
-            RequestBody::KeepAlive => Ok(ReplyBody::Ok),
-            RequestBody::LockRelease { ino, epoch } => {
-                self.locks
-                    .release(client, ino, epoch, &self.sessions, self.now);
-                self.apply_locks();
-                Ok(ReplyBody::Ok)
-            }
-            RequestBody::PushAck { push_seq } => {
-                self.locks.push_ack(client, push_seq);
-                self.apply_locks();
-                Ok(ReplyBody::Ok)
-            }
-            body => {
-                self.admit(client, &body)?;
-                let (reply, _unlogged) = self.meta.execute(body, self.now.0)?;
-                Ok(reply)
-            }
-        }
-    }
-
-    /// What this server refuses before the metadata store sees it: the
-    /// lock rules a mutation must satisfy (DESIGN.md §15, row 1 — no rule
-    /// for `SetAttr`, so an unlocked truncation goes through).
-    fn admit(&mut self, client: NodeId, body: &RequestBody) -> Result<(), FsError> {
-        let locks = self.locks.table();
-        match body {
-            RequestBody::Unlink { parent, name } => match self.meta.lookup(*parent, name) {
-                Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
-                _ => Ok(()),
-            },
-            RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
-                if locks.holds(client, *ino, LockMode::Exclusive) {
-                    Ok(())
-                } else {
-                    Err(FsError::NotLocked)
-                }
-            }
-            RequestBody::Hello { .. }
-            | RequestBody::KeepAlive
-            | RequestBody::Create { .. }
-            | RequestBody::Lookup { .. }
-            | RequestBody::Mkdir { .. }
-            | RequestBody::ReadDir { .. }
-            | RequestBody::GetAttr { .. }
-            | RequestBody::SetAttr { .. }
-            | RequestBody::LockAcquire { .. }
-            | RequestBody::LockRelease { .. }
-            | RequestBody::PushAck { .. }
-            | RequestBody::RenameLink { .. }
-            | RequestBody::RenameUnlink { .. }
-            | RequestBody::Batch(_) => Ok(()),
-        }
-    }
-}
-
-impl LeaseServer {
     /// The reactor loop, run to completion on this thread: fire due
     /// timers, wait for readiness bounded by the next deadline, drain up
     /// to [`MAX_BATCH`] datagrams, execute them in arrival order, and flush
@@ -603,7 +343,7 @@ impl LeaseServer {
                 o.datagrams_per_wakeup.observe(drained as u64);
             }
         }
-        self.stats
+        self.core.stats
     }
 }
 
@@ -612,4 +352,47 @@ fn sleeper_poller() -> Poller {
     let mut p = Poller::sleeper();
     p.register_token(0);
     p
+}
+
+/// Where node `id`'s address sits in `LeaseServer::addrs`.
+fn index_of(id: NodeId) -> usize {
+    (id.0 as usize).wrapping_sub(1)
+}
+
+/// What this server refuses before the metadata store sees it: the lock
+/// rules a mutation must satisfy (DESIGN.md §15, row 1 — no rule for
+/// `SetAttr`, so an unlocked truncation goes through).
+fn admit(
+    locks: &LockManager,
+    meta: &mut MetaStore,
+    client: NodeId,
+    body: &RequestBody,
+) -> Result<(), FsError> {
+    match body {
+        RequestBody::Unlink { parent, name } => match meta.lookup(*parent, name) {
+            Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
+            _ => Ok(()),
+        },
+        RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
+            if locks.holds(client, *ino, LockMode::Exclusive) {
+                Ok(())
+            } else {
+                Err(FsError::NotLocked)
+            }
+        }
+        RequestBody::Hello { .. }
+        | RequestBody::KeepAlive
+        | RequestBody::Create { .. }
+        | RequestBody::Lookup { .. }
+        | RequestBody::Mkdir { .. }
+        | RequestBody::ReadDir { .. }
+        | RequestBody::GetAttr { .. }
+        | RequestBody::SetAttr { .. }
+        | RequestBody::LockAcquire { .. }
+        | RequestBody::LockRelease { .. }
+        | RequestBody::PushAck { .. }
+        | RequestBody::RenameLink { .. }
+        | RequestBody::RenameUnlink { .. }
+        | RequestBody::Batch(_) => Ok(()),
+    }
 }

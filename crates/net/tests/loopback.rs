@@ -866,3 +866,31 @@ fn mutations_are_stamped_with_the_wakeups_clock_reading() {
     );
     server.stop();
 }
+
+#[test]
+fn a_hello_from_another_map_epoch_is_misrouted() {
+    // tankd runs the routing gates of the single-shard map: every inode is
+    // its own, but a client holding another map must not open a session.
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.connect(server.addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let hello = NetMsg::Ctl(CtlMsg::Request(Request {
+        src: NodeId(0),
+        session: SessionId(0),
+        seq: ReqSeq(1),
+        body: RequestBody::Hello { map_epoch: 7 },
+    }));
+    sock.send(&hello.encoded()).unwrap();
+    let mut buf = vec![0u8; MAX_DATAGRAM];
+    let n = sock.recv(&mut buf).expect("answered");
+    let Ok(NetMsg::Ctl(CtlMsg::Response(resp))) =
+        NetMsg::decode(&mut bytes::Bytes::copy_from_slice(&buf[..n]))
+    else {
+        panic!("expected a response");
+    };
+    let stale_map = NackReason::Misrouted(tank_proto::RouteError::StaleMap);
+    assert_eq!(resp.outcome, ResponseOutcome::Nacked(stale_map));
+    let stats = server.stop();
+    assert_eq!((stats.requests, stats.nacks), (0, 1));
+}

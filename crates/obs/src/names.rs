@@ -281,8 +281,8 @@ pub const SERVER_STEAL_LATENCY_NS: MetricDef = histogram(
     DURATION_BOUNDS_NS,
     "condemnation-timer arm-to-fire latency (the residual lease wait)",
 );
-/// Wall-clock time executing one batch's elements (net stack only — the
-/// sim server executes in zero virtual time).
+/// Wall-clock time the request path takes over one `Batch` request (net
+/// stack only — the sim server executes in zero virtual time).
 pub const SERVER_BATCH_EXEC_NS: MetricDef = histogram(
     "server.batch.exec_ns",
     "ns",

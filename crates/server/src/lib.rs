@@ -1,20 +1,26 @@
-//! The Storage Tank metadata/lock server node.
+//! The Storage Tank metadata/lock server.
 //!
-//! One [`ServerNode`] actor combines:
+//! One sans-I/O [`ServerCore`] answers every client request — routing,
+//! recovery and §3.3 lease-authority gates, Hello and its replay cache,
+//! the at-most-once session window, dispatch, and the answer to every
+//! grant — over state it owns:
 //!
 //! * the metadata store (`tank-meta`) — namespace, inodes, allocation;
 //! * a [`LockService`] — the [`LockManager`] (shared/exclusive data locks
 //!   on inodes with FIFO waiter queues, §1.2, §2) plus the demand / retry /
-//!   release-wait ladder that declares delivery errors; sans-I/O, and
-//!   shared with `tank-net`'s UDP server;
+//!   release-wait ladder that declares delivery errors;
 //! * the passive [`tank_core::LeaseAuthority`] — armed only by delivery
 //!   errors, NACKing suspect clients, stealing locks after `τ(1+ε)` (§3);
-//! * a [`FenceController`] — constructs fences at the SAN disks before
-//!   locks are stolen (§6: "at the same time the server times-out a
-//!   client's locks, it constructs a fence between that client and its
-//!   storage devices");
 //! * per-client [`SessionTable`] state — session incarnations, at-most-once
 //!   windows, response caching for duplicate suppression.
+//!
+//! Two drivers carry out the [`Effect`]s it queues: the simulator's
+//! [`ServerNode`] actor and `tank-net`'s UDP reactor (`tankd`). The node
+//! adds what needs disks, a log or a standby: the write-ahead log and its
+//! group commit, replication, and a [`FenceController`] that constructs
+//! fences at the SAN disks before locks are stolen (§6: "at the same time
+//! the server times-out a client's locks, it constructs a fence between
+//! that client and its storage devices").
 //!
 //! The [`RecoveryPolicy`] knob selects what happens when a client stops
 //! responding, which is exactly the axis the paper's argument runs along:
@@ -29,6 +35,7 @@ pub mod fence;
 pub mod lock;
 pub mod node;
 pub mod obs;
+pub mod request;
 pub mod session;
 
 pub use config::{RecoveryPolicy, ServerConfig};
@@ -36,6 +43,7 @@ pub use demand::{DemandLadder, LadderTimer, LockEffect, LockService};
 pub use events::ServerEvent;
 pub use fence::FenceController;
 pub use lock::{LockManager, LockRequestOutcome};
-pub use node::{ServerNode, ServerStats};
+pub use node::ServerNode;
 pub use obs::ServerObs;
+pub use request::{Admit, Effect, ServerCore, ServerStats};
 pub use session::SessionTable;

@@ -1,21 +1,14 @@
-//! The Storage Tank server actor.
+//! The Storage Tank server actor: the simulator's driver of the one
+//! request path.
 //!
-//! Wires the metadata store, lock manager, passive lease authority, fence
-//! controller and session table into one message-driven node. See the
-//! crate docs for the architecture; the key protocol rules enforced here:
-//!
-//! * every client-initiated request is answered exactly once (dedup via
-//!   the session window; duplicates replay the cached response);
-//! * application errors ride inside ACKs (they still renew leases);
-//!   protocol NACKs (§3.3) are reserved for suspect/expired clients;
-//! * the server never initiates lease traffic; its only initiated messages
-//!   are pushes (lock demands), and a push that stays unanswered through
-//!   its retry budget *is* the delivery error that engages the configured
-//!   [`RecoveryPolicy`];
-//! * with [`RecoveryPolicy::LeaseFence`], once the authority's timer is
-//!   armed the client is never ACKed again until it re-Hellos after the
-//!   steal (§3.1's correctness rule), and fencing is constructed before
-//!   locks are redistributed (§6).
+//! Every client request is answered by the node's [`ServerCore`] — gates,
+//! Hello, session window, dispatch and grant answers. The node carries out
+//! what the core decides (the log append, the group commit before every
+//! response, sends, timers, counters, traces and events) and keeps what
+//! only a server with disks, a log and a standby has: the
+//! [`RecoveryPolicy`] a delivery error engages, fencing before a steal
+//! (§6), `harden_grace`, WAL recovery and replication. A standby NACKs
+//! every request before the core sees it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,44 +19,17 @@ use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     BlockRange, CtlMsg, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, ReplMsg,
-    ReqSeq, Request, Response, RouteError, SanMsg, SessionId,
+    Request, Response, RouteError, SanMsg,
 };
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 use crate::config::{RecoveryPolicy, ServerConfig};
-use crate::demand::{LadderTimer, LockEffect, LockService};
+use crate::demand::LadderTimer;
 use crate::events::ServerEvent;
 use crate::fence::FenceController;
-use crate::lock::{Grant, LockManager};
+use crate::lock::LockManager;
 use crate::obs::ServerObs;
-use crate::session::{Admission, SessionTable};
-
-/// Operation counters for the experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct ServerStats {
-    /// Requests received (after dedup).
-    pub requests: u64,
-    /// Protocol NACKs sent.
-    pub nacks: u64,
-    /// Pushes (demands/invalidations) sent, including retries.
-    pub pushes_sent: u64,
-    /// Delivery errors declared.
-    pub delivery_errors: u64,
-    /// Lock-steal campaigns executed.
-    pub steals: u64,
-    /// Individual locks stolen.
-    pub locks_stolen: u64,
-    /// Fence campaigns completed.
-    pub fences_completed: u64,
-    /// Duplicate requests replayed from the response cache.
-    pub replays: u64,
-    /// Fail-stop restarts recovered from.
-    pub recoveries: u64,
-    /// Requests refused with `Recovering` during a grace window.
-    pub recovery_nacks: u64,
-    /// Standby takeovers via the diskless-lease election.
-    pub elections: u64,
-}
+use crate::request::{Effect, ServerCore, ServerStats};
 
 /// Timer tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,19 +53,11 @@ enum ServerTimer {
 /// The server node.
 pub struct ServerNode<Ob> {
     cfg: ServerConfig,
-    id: Option<NodeId>,
-    meta: MetaStore,
-    locks: LockService,
-    authority: LeaseAuthority,
-    sessions: SessionTable,
+    /// The request path: store, locks, leases, sessions, the incarnation
+    /// (bumped on every fail-stop restart) and the counters.
+    core: ServerCore,
     fences: FenceController,
     timers: TokenMap<ServerTimer>,
-    /// Bumped on every fail-stop restart; stamped on every response so
-    /// clients detect restarts.
-    incarnation: Incarnation,
-    /// True while inside the post-restart recovery grace window.
-    recovering: bool,
-    stats: ServerStats,
     observe: Box<dyn Fn(ServerEvent) -> Option<Ob>>,
     obs: Option<ServerObs>,
     /// When each client's condemnation timer was armed (server-local),
@@ -147,22 +105,13 @@ impl<Ob> ServerNode<Ob> {
         block_size: usize,
         observe: Box<dyn Fn(ServerEvent) -> Option<Ob>>,
     ) -> Self {
-        let authority = LeaseAuthority::new(cfg.lease);
         let fence_range = cfg.map.block_range(cfg.sid, total_blocks);
-        let meta = MetaStore::new_sharded(cfg.map, cfg.sid, total_blocks, block_size);
         let wal = DurableStore::new(cfg.compact_threshold);
         ServerNode {
-            locks: LockService::new(cfg.ladder),
+            core: ServerCore::new(&cfg, total_blocks, block_size),
             cfg,
-            id: None,
-            meta,
-            authority,
-            sessions: SessionTable::new(),
             fences: FenceController::new(),
             timers: TokenMap::new(),
-            incarnation: Incarnation(1),
-            recovering: false,
-            stats: ServerStats::default(),
             observe,
             obs: None,
             condemn_armed_at: HashMap::new(),
@@ -200,32 +149,32 @@ impl<Ob> ServerNode<Ob> {
 
     /// Operation counters.
     pub fn stats(&self) -> ServerStats {
-        self.stats
+        self.core.stats
     }
 
     /// The lease authority (accounting access for the experiments).
     pub fn authority(&self) -> &LeaseAuthority {
-        &self.authority
+        &self.core.authority
     }
 
     /// The metadata store (harvest access).
     pub fn meta(&self) -> &MetaStore {
-        &self.meta
+        &self.core.meta
     }
 
     /// The lock manager (harvest access).
     pub fn locks(&self) -> &LockManager {
-        self.locks.table()
+        self.core.locks.table()
     }
 
     /// Root inode convenience.
     pub fn root_ino(&self) -> Ino {
-        self.meta.root()
+        self.core.meta.root()
     }
 
     /// The current server incarnation.
     pub fn incarnation(&self) -> Incarnation {
-        self.incarnation
+        self.core.incarnation
     }
 
     /// True while this node is a warm standby (not yet elected).
@@ -258,7 +207,7 @@ impl<Ob> ServerNode<Ob> {
     /// Canonical byte image of the current namespace + allocator state
     /// (watermark-free), for byte-identical comparison in tests.
     pub fn namespace_image(&self) -> Vec<u8> {
-        snapshot::encode(&self.meta, &Watermarks::default())
+        snapshot::encode(&self.core.meta, &Watermarks::default())
     }
 
     /// The namespace image captured at the last recovery or promotion.
@@ -270,7 +219,7 @@ impl<Ob> ServerNode<Ob> {
     /// size covering them (harness setup; not a protocol path). Returns
     /// its inode.
     pub fn precreate_file(&mut self, name: &str, blocks: u32) -> Ino {
-        let parent = self.meta.root();
+        let parent = self.root_ino();
         let name = name.to_owned();
         let ReplyBody::Created { ino } = self.precreate(RequestBody::Create { parent, name })
         else {
@@ -278,7 +227,7 @@ impl<Ob> ServerNode<Ob> {
         };
         if blocks > 0 {
             self.precreate(RequestBody::AllocBlocks { ino, count: blocks });
-            let new_size = blocks as u64 * self.meta.block_size() as u64;
+            let new_size = blocks as u64 * self.core.meta.block_size() as u64;
             self.precreate(RequestBody::CommitWrite { ino, new_size });
         }
         self.wal.fsync();
@@ -288,7 +237,7 @@ impl<Ob> ServerNode<Ob> {
     /// One setup transaction at time zero: executed and logged like a
     /// request, with no admission check in front of it.
     fn precreate(&mut self, body: RequestBody) -> ReplyBody {
-        let (reply, rec) = self.meta.execute(body, 0).expect("precreate");
+        let (reply, rec) = self.core.meta.execute(body, 0).expect("precreate");
         self.wal.append(&rec.expect("a mutation logs"));
         reply
     }
@@ -327,21 +276,24 @@ impl<Ob> ServerNode<Ob> {
     /// monotonically past everything this incarnation issued.
     fn watermarks(&self) -> Watermarks {
         Watermarks {
-            session: self.sessions.watermark(),
-            epoch: self.locks.table().epoch_watermark(),
-            incarnation: self.incarnation.0,
+            session: self.core.sessions.watermark(),
+            epoch: self.core.locks.table().epoch_watermark(),
+            incarnation: self.core.incarnation.0,
         }
     }
 
     /// Group commit: fsync the log tail, fold it into a snapshot when it
     /// outgrows the threshold, and ship new durable bytes to the warm
     /// standby. Called at every acknowledgment point — no response leaves
-    /// this node before the records that justify it are durable.
+    /// this node before the records that justify it are durable. The core
+    /// runs a request to completion before any of its effects are carried
+    /// out, so mid-drain the store can be ahead of the log: a snapshot of
+    /// it is folded in only once no record is still queued behind it.
     fn wal_sync_and_ship(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.wal_fsync(ctx);
-        if self.wal.needs_compaction() {
+        if self.wal.needs_compaction() && !self.core.logs_queued() {
             let wm = self.watermarks();
-            let bytes = snapshot::encode(&self.meta, &wm);
+            let bytes = snapshot::encode(&self.core.meta, &wm);
             self.wal.install_snapshot(bytes);
             if let Some(obs) = &self.obs {
                 obs.snapshot_compactions.inc();
@@ -389,110 +341,33 @@ impl<Ob> ServerNode<Ob> {
         );
     }
 
-    // ------------------------------------------------------------ replies
+    // ------------------------------------------------------------ effects
 
-    fn respond(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        outcome: ResponseOutcome,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        let resp = Response {
-            dst: client,
-            session,
-            seq,
-            incarnation: self.incarnation,
-            outcome,
-        };
-        if resp.is_ack() {
-            self.sessions.record_response(client, seq, resp.clone());
-        } else {
-            self.stats.nacks += 1;
-        }
-        self.send_response(resp, ctx);
-    }
-
-    /// The one place a response meets the wire, fresh or replayed.
-    fn send_response(&mut self, resp: Response, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        // Write-ahead discipline: everything this response reports must be
-        // durable before the response exists on the wire. (A replayed
-        // response was synced when first produced; nothing is pending.)
-        self.wal_sync_and_ship(ctx);
-        if resp.is_ack() {
-            // An ACK renews its addressee's lease from when the request
-            // was sent — before now, since it has been received — so any
-            // lease wait against the addressee restarts here (Theorem 3.1:
-            // t_C1 ≤ t_S2).
-            self.locks.acked(resp.dst, ctx.now());
-        }
-        let dst = resp.dst;
-        ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Response(resp)));
-    }
-
-    fn ack(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        result: Result<ReplyBody, FsError>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        self.respond(client, session, seq, ResponseOutcome::Acked(result), ctx);
-    }
-
-    fn nack(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        reason: NackReason,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        if let Some(obs) = &self.obs {
-            match reason {
-                NackReason::LeaseTimingOut => obs.nack_lease_timing_out.inc(),
-                NackReason::SessionExpired => obs.nack_session_expired.inc(),
-                NackReason::StaleSession => obs.nack_stale_session.inc(),
-                NackReason::Recovering => obs.nack_recovering.inc(),
-                NackReason::Misrouted(_) => obs.nack_misrouted.inc(),
-            }
-            obs.trace(ctx, "nack", || {
-                format!("client=n{} seq={} reason={reason:?}", client.0, seq.0)
-            });
-        }
-        self.respond(client, session, seq, ResponseOutcome::Nacked(reason), ctx);
-    }
-
-    /// Tell a client the lease authority is timing out, or has expired,
-    /// that it will not be ACKed (§3.1). Without the §3.3 optimization a
-    /// suspect is silently ignored instead — correct but wasteful.
-    fn refuse(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        reason: NackReason,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        if reason != NackReason::LeaseTimingOut || self.cfg.nack_suspect {
-            self.nack(client, session, seq, reason, ctx);
-        }
-    }
-
-    // -------------------------------------------------------------- locks
-
-    /// Carry out, in order, what the lock service asked for.
-    fn apply_locks(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        while let Some(effect) = self.locks.next_effect() {
+    /// Carry out, in order, what the core decided.
+    fn drain(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        while let Some(effect) = self.core.next_effect() {
             match effect {
-                LockEffect::Arm(after, timer) => {
-                    let token = self.timers.insert(ServerTimer::Ladder(timer));
-                    ctx.set_timer(after, token);
+                Effect::Respond(resp) => {
+                    let resp = resp.clone();
+                    if let (ResponseOutcome::Nacked(reason), Some(obs)) = (&resp.outcome, &self.obs)
+                    {
+                        match reason {
+                            NackReason::LeaseTimingOut => obs.nack_lease_timing_out.inc(),
+                            NackReason::SessionExpired => obs.nack_session_expired.inc(),
+                            NackReason::StaleSession => obs.nack_stale_session.inc(),
+                            NackReason::Recovering => obs.nack_recovering.inc(),
+                            NackReason::Misrouted(_) => obs.nack_misrouted.inc(),
+                        }
+                        obs.trace(ctx, "nack", || {
+                            format!(
+                                "client=n{} seq={} reason={reason:?}",
+                                resp.dst.0, resp.seq.0
+                            )
+                        });
+                    }
+                    self.send_response(resp, ctx);
                 }
-                LockEffect::Push { push, retry } => {
-                    self.stats.pushes_sent += 1;
+                Effect::Push { push, retry } => {
                     if let Some(obs) = &self.obs {
                         if !retry {
                             obs.datalock_revokes.inc();
@@ -504,72 +379,70 @@ impl<Ob> ServerNode<Ob> {
                     }
                     ctx.send(NetId::CONTROL, push.dst, NetMsg::Ctl(CtlMsg::Push(push)));
                 }
-                LockEffect::Granted(g) => {
-                    // Grant epochs order conflicting ownership across
-                    // crashes; the watermark must be durable before the
-                    // grant is ACKed.
-                    self.wal_append(&WalRecord::EpochWatermark(g.epoch.0));
-                    if let Some(obs) = &self.obs {
-                        obs.lock_granted.inc();
-                        match g.mode {
-                            LockMode::SharedRead => obs.datalock_shared_grants.inc(),
-                            LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
-                        }
-                        obs.trace(ctx, "grant", || {
-                            format!("client=n{} ino={} epoch={}", g.client.0, g.ino.0, g.epoch.0)
-                        });
-                    }
-                    self.emit(
-                        ServerEvent::LockGranted {
-                            client: g.client,
-                            ino: g.ino,
-                            epoch: g.epoch,
-                            mode: g.mode,
-                        },
-                        ctx,
-                    );
-                    self.answer_grant(g, ctx);
+                Effect::Arm(after, timer) => {
+                    let token = self.timers.insert(ServerTimer::Ladder(timer));
+                    ctx.set_timer(after, token);
                 }
-                LockEffect::Held(g) => self.answer_grant(g, ctx),
-                LockEffect::Event(ev) => {
-                    if let (ServerEvent::LockReleased { client, ino, epoch }, Some(obs)) =
-                        (ev, &self.obs)
-                    {
-                        obs.lock_released.inc();
-                        obs.trace(ctx, "release", || {
-                            format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
-                        });
-                    }
-                    self.emit(ev, ctx);
-                }
+                Effect::Log(rec) => self.wal_append(&rec),
+                Effect::Event(ev) => self.on_event(ev, ctx),
             }
         }
     }
 
-    /// Answer the `LockAcquire` a grant belongs to, on the session it asked
-    /// with: a waiter that re-sessioned while queued ignores the answer.
-    fn answer_grant(&mut self, g: Grant, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let Some((session, seq)) = g.answers else {
-            return;
-        };
-        // The gate on the way out: the acquire was admitted while its
-        // sender stood `Good`, but it waited, and a delivery error against
-        // the sender may have come first. An ACK now would renew a lease
-        // from the acquire's first send — possibly later than the ACK the
-        // running timer counts from — so the waiter is told what a fresh
-        // request would be.
-        if let Some(reason) = self.authority.standing_of(g.client).refusal() {
-            return self.refuse(g.client, session, seq, reason, ctx);
+    /// The one place a response meets the wire, fresh or replayed.
+    fn send_response(&mut self, resp: Response, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        // Write-ahead discipline: everything this response reports must be
+        // durable before the response exists on the wire. (A replayed
+        // response was synced when first produced; nothing is pending.)
+        self.wal_sync_and_ship(ctx);
+        let dst = resp.dst;
+        ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Response(resp)));
+    }
+
+    /// Count, trace and report a core event; a fresh session also lifts
+    /// the fence its client may be behind.
+    fn on_event(&mut self, ev: ServerEvent, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        match ev {
+            ServerEvent::LockGranted {
+                client,
+                ino,
+                epoch,
+                mode,
+            } => {
+                if let Some(obs) = &self.obs {
+                    obs.lock_granted.inc();
+                    match mode {
+                        LockMode::SharedRead => obs.datalock_shared_grants.inc(),
+                        LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
+                    }
+                    obs.trace(ctx, "grant", || {
+                        format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
+                    });
+                }
+            }
+            ServerEvent::LockReleased { client, ino, epoch } => {
+                if let Some(obs) = &self.obs {
+                    obs.lock_released.inc();
+                    obs.trace(ctx, "release", || {
+                        format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
+                    });
+                }
+            }
+            ServerEvent::NewSession { client } => {
+                if self.fences.is_fenced(client) {
+                    self.fence_cmd(client, FenceOp::Unfence, ctx);
+                }
+                if let Some(obs) = &self.obs {
+                    obs.sessions.inc();
+                    let session = self.core.sessions.current(client).map_or(0, |s| s.0);
+                    obs.trace(ctx, "session", || {
+                        format!("client=n{} session={session}", client.0)
+                    });
+                }
+            }
+            _ => {}
         }
-        let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or((Vec::new(), 0));
-        let reply = ReplyBody::LockGranted {
-            ino: g.ino,
-            mode: g.mode,
-            epoch: g.epoch,
-            blocks,
-            size,
-        };
-        self.ack(g.client, session, seq, Ok(reply), ctx);
+        self.emit(ev, ctx);
     }
 
     // ----------------------------------------------------------- recovery
@@ -577,7 +450,6 @@ impl<Ob> ServerNode<Ob> {
     /// `client` went unanswered through the demand ladder; `since` is the
     /// last time this server ACKed it (or first demanded, if later).
     fn delivery_error(&mut self, client: NodeId, since: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.stats.delivery_errors += 1;
         if let Some(obs) = &self.obs {
             obs.delivery_errors.inc();
             obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
@@ -589,18 +461,18 @@ impl<Ob> ServerNode<Ob> {
                 // unavailable until the client reappears.
             }
             RecoveryPolicy::StealImmediately => {
-                self.sessions.remove(client);
+                self.core.sessions.remove(client);
                 self.do_steal(client, ctx);
             }
             RecoveryPolicy::FenceThenSteal => {
-                self.sessions.remove(client);
+                self.core.sessions.remove(client);
                 self.begin_fence(client, ctx);
             }
             RecoveryPolicy::LeaseFence => {
                 // The lease wait began at the last ACK, not now: the time
                 // detection took has already been served (Theorem 3.1's
                 // earliest case, `error_at = t_S2`).
-                if let Some(fires_at) = self.authority.on_delivery_error(client, since) {
+                if let Some(fires_at) = self.core.authority.on_delivery_error(client, since) {
                     let now = ctx.now();
                     let delay = fires_at.minus(now);
                     let token = self.timers.insert(ServerTimer::LeaseExpiry(client));
@@ -624,45 +496,32 @@ impl<Ob> ServerNode<Ob> {
     }
 
     fn begin_fence(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let disks = self.cfg.disks.clone();
-        let sends = self.fences.begin(client, FenceOp::Fence, &disks);
-        if sends.is_empty() {
+        if !self.fence_cmd(client, FenceOp::Fence, ctx) {
             // No disks configured: fence is trivially in force.
             self.fence_complete(client, ctx);
-            return;
-        }
-        for (req_id, disk) in sends {
-            ctx.send(
-                NetId::SAN,
-                disk,
-                NetMsg::San(SanMsg::FenceCmd {
-                    req_id,
-                    target: client,
-                    op: FenceOp::Fence,
-                    range: self.fence_range,
-                }),
-            );
         }
     }
 
-    fn begin_unfence(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    /// Send `op` against `client` to every disk over this shard's slice;
+    /// false when there is no disk to send it to.
+    fn fence_cmd(&mut self, client: NodeId, op: FenceOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> bool {
         let disks = self.cfg.disks.clone();
-        for (req_id, disk) in self.fences.begin(client, FenceOp::Unfence, &disks) {
-            ctx.send(
-                NetId::SAN,
-                disk,
-                NetMsg::San(SanMsg::FenceCmd {
-                    req_id,
-                    target: client,
-                    op: FenceOp::Unfence,
-                    range: self.fence_range,
-                }),
-            );
+        let sends = self.fences.begin(client, op, &disks);
+        let (target, range) = (client, self.fence_range);
+        for &(req_id, disk) in &sends {
+            let cmd = SanMsg::FenceCmd {
+                req_id,
+                target,
+                op,
+                range,
+            };
+            ctx.send(NetId::SAN, disk, NetMsg::San(cmd));
         }
+        !sends.is_empty()
     }
 
     fn fence_complete(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.stats.fences_completed += 1;
+        self.core.stats.fences_completed += 1;
         if let Some(obs) = &self.obs {
             obs.fences.inc();
             obs.trace(ctx, "fence", || format!("client=n{}", client.0));
@@ -672,11 +531,7 @@ impl<Ob> ServerNode<Ob> {
     }
 
     fn do_steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.stats.steals += 1;
-        let stolen = self
-            .locks
-            .drop_client(client, true, &self.sessions, ctx.now()) as u64;
-        self.stats.locks_stolen += stolen;
+        let stolen = self.core.steal(client, ctx.now()) as u64;
         if let Some(obs) = &self.obs {
             obs.steals.inc();
             obs.lock_stolen.add(stolen);
@@ -684,182 +539,7 @@ impl<Ob> ServerNode<Ob> {
                 format!("client=n{} locks={stolen}", client.0)
             });
         }
-        self.apply_locks(ctx);
-    }
-
-    // ----------------------------------------------------------- requests
-
-    fn do_hello(&mut self, client: NodeId, req: &Request, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        // Hello sits outside the session dedup window (it *creates* the
-        // session), so duplicates are suppressed by (client, seq) here:
-        // re-executing one would mint a second session and orphan the
-        // one the client is actually using.
-        if let Some(resp) = self.sessions.hello_replay(client, req.seq) {
-            self.stats.replays += 1;
-            return self.send_response(resp, ctx);
-        }
-        // A fresh session abandons everything the old incarnation held.
-        self.locks
-            .drop_client(client, false, &self.sessions, ctx.now());
-        self.apply_locks(ctx);
-        self.authority.on_new_session(client);
-        if self.fences.is_fenced(client) {
-            self.begin_unfence(client, ctx);
-        }
-        let session = self.sessions.begin(client);
-        // The session watermark is the at-most-once fix: a reborn server
-        // restores it from the log, so post-crash sessions can never reuse
-        // an id whose dedup window a surviving client still holds open.
-        self.wal_append(&WalRecord::SessionWatermark(self.sessions.watermark()));
-        if let Some(obs) = &self.obs {
-            obs.sessions.inc();
-            obs.trace(ctx, "session", || {
-                format!("client=n{} session={}", client.0, session.0)
-            });
-        }
-        self.emit(ServerEvent::NewSession { client }, ctx);
-        // Hello replies are addressed with the *new* session so the lease
-        // renewal lands in the new incarnation.
-        let resp = Response {
-            dst: client,
-            session,
-            seq: req.seq,
-            incarnation: self.incarnation,
-            outcome: ResponseOutcome::Acked(Ok(ReplyBody::HelloOk {
-                session,
-                map_epoch: self.cfg.map.epoch(),
-            })),
-        };
-        self.sessions.record_hello(client, req.seq, resp.clone());
-        self.send_response(resp, ctx);
-    }
-
-    fn execute(&mut self, client: NodeId, req: Request, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let session = req.session;
-        let seq = req.seq;
-        match req.body {
-            RequestBody::Hello { .. } => unreachable!("hello handled before execute"),
-            RequestBody::LockAcquire { ino, mode } => {
-                // Locking a nonexistent file is an application error.
-                if let Err(e) = self.meta.getattr(ino) {
-                    return self.ack(client, session, seq, Err(e.into()), ctx);
-                }
-                let answers = (session, seq);
-                self.locks
-                    .acquire(client, ino, mode, answers, &self.sessions, ctx.now());
-                self.apply_locks(ctx);
-            }
-            RequestBody::Batch(elems) => {
-                self.do_batch(client, session, seq, elems, ctx);
-            }
-            body => {
-                let result = self.execute_sync(client, body, ctx);
-                self.ack(client, session, seq, result, ctx);
-            }
-        }
-    }
-
-    /// Vectored execution of a batch under the one batch rule
-    /// ([`RequestBody::run_batch`]), answered with one ACK carrying the
-    /// per-element outcomes.
-    fn do_batch(
-        &mut self,
-        client: NodeId,
-        session: SessionId,
-        seq: ReqSeq,
-        elems: Vec<RequestBody>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
-        let reply = RequestBody::run_batch(elems, |body| self.execute_sync(client, body, ctx));
-        self.ack(client, session, seq, Ok(reply), ctx);
-    }
-
-    /// Execute one synchronously-answerable request body and return its
-    /// file-system outcome: session traffic is answered here, a metadata
-    /// request passes this server's admission check and is then executed
-    /// by the one mutation table ([`MetaStore::execute`]); the record it
-    /// returns is appended to the log. Shapes that answer asynchronously
-    /// (`LockAcquire` may queue behind a conflicting holder) or that carry
-    /// session semantics come back `Invalid` from the store —
-    /// [`Self::execute`] routes them to their own handlers before
-    /// delegating, and batch elements exclude them.
-    fn execute_sync(
-        &mut self,
-        client: NodeId,
-        body: RequestBody,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) -> Result<ReplyBody, FsError> {
-        match body {
-            RequestBody::KeepAlive => Ok(ReplyBody::Ok),
-            RequestBody::LockRelease { ino, epoch } => {
-                self.locks
-                    .release(client, ino, epoch, &self.sessions, ctx.now());
-                self.apply_locks(ctx);
-                Ok(ReplyBody::Ok)
-            }
-            RequestBody::PushAck { push_seq } => {
-                self.locks.push_ack(client, push_seq);
-                self.apply_locks(ctx);
-                Ok(ReplyBody::Ok)
-            }
-            body => {
-                self.admit(client, &body)?;
-                let (reply, rec) = self.meta.execute(body, ctx.now().0)?;
-                if let Some(rec) = rec {
-                    self.wal_append(&rec);
-                }
-                Ok(reply)
-            }
-        }
-    }
-
-    /// What this server refuses before the metadata store sees it: the
-    /// lock rules a mutation must satisfy (DESIGN.md §15, row 1).
-    fn admit(&mut self, client: NodeId, body: &RequestBody) -> Result<(), FsError> {
-        let locks = self.locks.table();
-        match body {
-            // Unlinking a locked file would free its blocks for
-            // reallocation while a holder may still flush to them —
-            // block reuse corruption. Deny while contended.
-            RequestBody::Unlink { parent, name } => match self.meta.lookup(*parent, name) {
-                Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
-                _ => Ok(()),
-            },
-            RequestBody::SetAttr { ino, size } => {
-                // Truncation changes data visibility: it requires the
-                // exclusive lock, like any other write.
-                if size.is_some() && !locks.holds(client, *ino, LockMode::Exclusive) {
-                    Err(FsError::NotLocked)
-                } else if locks.held_by_other(client, *ino) {
-                    // Even a touch bumps the version. A holder caches the
-                    // attributes under its lock (CACHING.md): while it
-                    // holds, nobody else may move them.
-                    Err(FsError::Unavailable)
-                } else {
-                    Ok(())
-                }
-            }
-            RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
-                if locks.holds(client, *ino, LockMode::Exclusive) {
-                    Ok(())
-                } else {
-                    Err(FsError::NotLocked)
-                }
-            }
-            RequestBody::Hello { .. }
-            | RequestBody::KeepAlive
-            | RequestBody::Create { .. }
-            | RequestBody::Lookup { .. }
-            | RequestBody::Mkdir { .. }
-            | RequestBody::ReadDir { .. }
-            | RequestBody::GetAttr { .. }
-            | RequestBody::LockAcquire { .. }
-            | RequestBody::LockRelease { .. }
-            | RequestBody::PushAck { .. }
-            | RequestBody::RenameLink { .. }
-            | RequestBody::RenameUnlink { .. }
-            | RequestBody::Batch(_) => Ok(()),
-        }
+        self.drain(ctx);
     }
 
     fn on_san(&mut self, san: SanMsg, from: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -972,7 +652,7 @@ impl<Ob> ServerNode<Ob> {
                         NetId::CONTROL,
                         peer,
                         NetMsg::Repl(ReplMsg::Heartbeat {
-                            incarnation: self.incarnation,
+                            incarnation: self.incarnation(),
                         }),
                     );
                 }
@@ -1000,7 +680,7 @@ impl<Ob> ServerNode<Ob> {
         // Single-failover scope: the dead primary does not come back as
         // our standby; stop addressing it.
         self.peer = None;
-        self.stats.elections += 1;
+        self.core.stats.elections += 1;
         if let Some(obs) = &self.obs {
             obs.failover_elections.inc();
             obs.trace(ctx, "failover", || {
@@ -1024,17 +704,12 @@ impl<Ob> ServerNode<Ob> {
             self.total_blocks,
             self.block_size,
         );
-        self.meta = recovered.store;
-        self.sessions = SessionTable::new();
-        self.sessions
-            .restore_watermark(recovered.watermarks.session);
+        self.core.meta = recovered.store;
         // The incarnation is read back from the log, never from memory: a
         // replacement process — or the standby holding a mirror — computes
         // the same successor, and it is fsynced before anything is served
         // so the *next* recovery sees it too.
-        self.incarnation = Incarnation(recovered.watermarks.incarnation + 1);
-        self.wal_append(&WalRecord::Incarnation(self.incarnation.0));
-        self.wal_fsync(ctx);
+        let incarnation = Incarnation(recovered.watermarks.incarnation + 1);
         // Incarnation-qualified epoch floor: the logged `EpochWatermark`
         // can lag reality — an unfsynced tail dies with the crash, and a
         // standby's mirror misses whatever the final replication deltas
@@ -1044,8 +719,12 @@ impl<Ob> ServerNode<Ob> {
         // (each incarnation owns a disjoint 4-billion-epoch range, and
         // incarnations strictly increase) makes cross-incarnation epoch
         // monotonicity unconditional instead of watermark-dependent.
-        let epoch_floor = recovered.watermarks.epoch.max(self.incarnation.0 << 32);
-        self.locks.reset(epoch_floor);
+        let epoch_floor = recovered.watermarks.epoch.max(incarnation.0 << 32);
+        let session_floor = recovered.watermarks.session;
+        self.core.incarnation = incarnation;
+        self.core.restart(session_floor, epoch_floor);
+        self.wal_append(&WalRecord::Incarnation(incarnation.0));
+        self.wal_fsync(ctx);
         self.last_replay_image = Some(self.namespace_image());
         if let Some(obs) = &self.obs {
             // Modeled replay cost: 1µs per record (the sim replays in zero
@@ -1055,54 +734,25 @@ impl<Ob> ServerNode<Ob> {
             obs.trace(ctx, "replay", || {
                 format!(
                     "records={} defect={:?} incarnation={}",
-                    recovered.replayed, recovered.defect, self.incarnation.0
+                    recovered.replayed, recovered.defect, incarnation.0
                 )
             });
         }
-        self.authority = LeaseAuthority::new(self.cfg.lease);
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.
         self.timers.cancel_where(|_| true);
         self.condemn_armed_at.clear();
         if self.cfg.recovery_grace {
-            self.recovering = true;
+            self.core.recovering = true;
             if let Some(obs) = &self.obs {
                 obs.recovery_began.inc();
                 obs.trace(ctx, "recovery", || {
-                    format!("began incarnation={}", self.incarnation.0)
+                    format!("began incarnation={}", incarnation.0)
                 });
             }
             self.emit(ServerEvent::RecoveryBegan, ctx);
             let token = self.timers.insert(ServerTimer::RecoveryDone);
             ctx.set_timer(self.cfg.lease.server_timeout(), token);
-        }
-    }
-
-    /// The inode whose shard ownership governs where `body` may execute:
-    /// dentry operations go to the directory's owner, inode operations to
-    /// the inode's owner. Session traffic (Hello, keep-alives, push acks)
-    /// is per-server and ungoverned.
-    fn governing_ino(body: &RequestBody) -> Option<Ino> {
-        match body {
-            RequestBody::Hello { .. } | RequestBody::KeepAlive | RequestBody::PushAck { .. } => {
-                None
-            }
-            RequestBody::Create { parent, .. }
-            | RequestBody::Lookup { parent, .. }
-            | RequestBody::Mkdir { parent, .. }
-            | RequestBody::Unlink { parent, .. } => Some(*parent),
-            RequestBody::ReadDir { dir }
-            | RequestBody::RenameLink { dir, .. }
-            | RequestBody::RenameUnlink { dir, .. } => Some(*dir),
-            RequestBody::GetAttr { ino }
-            | RequestBody::SetAttr { ino, .. }
-            | RequestBody::LockAcquire { ino, .. }
-            | RequestBody::LockRelease { ino, .. }
-            | RequestBody::AllocBlocks { ino, .. }
-            | RequestBody::CommitWrite { ino, .. } => Some(*ino),
-            // A batch has no single governing inode; the routing gate
-            // checks every element instead (see `on_request`).
-            RequestBody::Batch(_) => None,
         }
     }
 
@@ -1112,105 +762,23 @@ impl<Ob> ServerNode<Ob> {
         // redirect is not a lease judgment — the client rotates to the
         // shard's other address and retries.
         if self.standby {
-            return self.nack(
-                from,
-                req.session,
-                req.seq,
-                NackReason::Misrouted(RouteError::NotPrimary),
-                ctx,
-            );
+            let not_primary = NackReason::Misrouted(RouteError::NotPrimary);
+            self.core.nack((from, req.session, req.seq), not_primary);
+        } else {
+            self.core.on_request(from, req, ctx.now(), admit);
         }
-        // Routing gate next: a request this shard does not govern must
-        // not touch any state here — not even the session window — and a
-        // Hello carrying a stale shard-map epoch would register a session
-        // the client will route wrongly against. `Misrouted` is a
-        // protocol-level redirect, not a lease judgment: like
-        // `Recovering`, it does not condemn the client's cache.
-        if let RequestBody::Hello { map_epoch } = req.body {
-            if map_epoch != self.cfg.map.epoch() {
-                return self.nack(
-                    from,
-                    req.session,
-                    req.seq,
-                    NackReason::Misrouted(RouteError::StaleMap),
-                    ctx,
-                );
-            }
-        } else if let RequestBody::Batch(elems) = &req.body {
-            // Element-wise routing: a batch executes atomically on one
-            // shard, so every element's governing inode must be owned
-            // here — otherwise the whole batch is redirected before any
-            // element runs (never a partial cross-shard execution).
-            let misrouted = elems.iter().any(|e| {
-                Self::governing_ino(e).is_some_and(|gov| self.cfg.map.owner_of(gov) != self.cfg.sid)
-            });
-            if misrouted {
-                return self.nack(
-                    from,
-                    req.session,
-                    req.seq,
-                    NackReason::Misrouted(RouteError::NotOwner),
-                    ctx,
-                );
-            }
-        } else if let Some(gov) = Self::governing_ino(&req.body) {
-            if self.cfg.map.owner_of(gov) != self.cfg.sid {
-                return self.nack(
-                    from,
-                    req.session,
-                    req.seq,
-                    NackReason::Misrouted(RouteError::NotOwner),
-                    ctx,
-                );
-            }
-        }
-        // Recovery gate next: a freshly-restarted server has no lock or
-        // lease state, so until the grace window closes it cannot know
-        // whether a grant would conflict with a surviving pre-crash
-        // holder. Unlike the lease-authority NACKs below, `Recovering`
-        // does not condemn the client's cache — its lease is still good.
-        if self.recovering && req.body.needs_full_service() {
-            self.stats.recovery_nacks += 1;
-            return self.nack(from, req.session, req.seq, NackReason::Recovering, ctx);
-        }
-        // Lease authority gate (§3.3): a suspect client gets NACKs,
-        // an expired client gets NACKs for everything but Hello.
-        let hello = matches!(req.body, RequestBody::Hello { .. });
-        match self.authority.standing_of(from).refusal() {
-            None => {}
-            Some(NackReason::SessionExpired) if hello => {}
-            Some(reason) => return self.refuse(from, req.session, req.seq, reason, ctx),
-        }
-        if hello {
-            self.stats.requests += 1;
-            return self.do_hello(from, &req, ctx);
-        }
-        match self.sessions.admit(from, req.session, req.seq) {
-            Admission::Execute => {
-                self.stats.requests += 1;
-                self.execute(from, req, ctx);
-            }
-            Admission::Replay(resp) => {
-                self.stats.replays += 1;
-                self.send_response(*resp, ctx);
-            }
-            Admission::InProgress => {}
-            Admission::WrongSession => {
-                self.nack(from, req.session, req.seq, NackReason::StaleSession, ctx);
-            }
-        }
+        self.drain(ctx);
     }
 }
 
 impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.id = Some(ctx.node());
         if !self.standby {
             // Every response is stamped with an incarnation that recovery
             // reads back from the log — so the first incarnation must be
             // durable before anything is acknowledged. (A standby appends
             // nothing of its own: its log stays a byte-exact mirror.)
-            self.wal_append(&WalRecord::Incarnation(self.incarnation.0));
+            self.wal_append(&WalRecord::Incarnation(self.incarnation().0));
             self.wal_fsync(ctx);
         }
         if self.peer.is_some() {
@@ -1248,15 +816,16 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         };
         match t {
             ServerTimer::Ladder(timer) => {
-                if let Some((client, since)) = self.locks.timer_fired(timer) {
+                let error = self.core.ladder_fired(timer, ctx.now());
+                self.drain(ctx);
+                if let Some((client, since)) = error {
                     self.delivery_error(client, since, ctx);
                 }
-                self.apply_locks(ctx);
             }
             ServerTimer::LeaseExpiry(client) => {
                 let now = ctx.now();
                 let armed_at = self.condemn_armed_at.remove(&client);
-                if self.authority.on_timer(client, now) {
+                if self.core.authority.on_timer(client, now) {
                     if let Some(obs) = &self.obs {
                         obs.condemn_fired.inc();
                         // The measured side of Theorem 3.1: the *residual*
@@ -1296,12 +865,12 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
                 // Steal only if the client is still expired: a Hello during
                 // the grace already abandoned its old locks (and reset its
                 // standing), so there is nothing left to fence-and-steal.
-                if self.authority.standing_of(client) == ClientStanding::Expired {
+                if self.core.authority.standing_of(client) == ClientStanding::Expired {
                     self.begin_fence(client, ctx);
                 }
             }
             ServerTimer::RecoveryDone => {
-                self.recovering = false;
+                self.core.recovering = false;
                 if let Some(obs) = &self.obs {
                     obs.recovery_ended.inc();
                     obs.trace(ctx, "recovery", || "ended".to_owned());
@@ -1331,15 +900,13 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     /// expired its lease and flushed its cache (the Theorem 3.1
     /// rate-synchronization argument, applied to recovery).
     fn on_restart(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.stats.recoveries += 1;
+        self.core.stats.recoveries += 1;
         if self.standby {
             // A restarted standby has no clients to protect; it resumes
             // mirroring. Its log must stay byte-aligned with the primary's
             // durable prefix, so it appends nothing of its own — recovery
             // already truncated the torn tail via `on_crash`.
-            self.sessions = SessionTable::new();
-            self.locks.reset(0);
-            self.authority = LeaseAuthority::new(self.cfg.lease);
+            self.core.restart(0, 0);
             self.timers.cancel_where(|_| true);
             self.condemn_armed_at.clear();
         } else {
@@ -1356,5 +923,58 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
             let token = self.timers.insert(ServerTimer::ReplTick);
             ctx.set_timer(self.repl_interval(), token);
         }
+    }
+}
+
+/// What this server refuses before the metadata store sees it: the lock
+/// rules a mutation must satisfy (DESIGN.md §15, row 1).
+fn admit(
+    locks: &LockManager,
+    meta: &mut MetaStore,
+    client: NodeId,
+    body: &RequestBody,
+) -> Result<(), FsError> {
+    match body {
+        // Unlinking a locked file would free its blocks for
+        // reallocation while a holder may still flush to them —
+        // block reuse corruption. Deny while contended.
+        RequestBody::Unlink { parent, name } => match meta.lookup(*parent, name) {
+            Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
+            _ => Ok(()),
+        },
+        RequestBody::SetAttr { ino, size } => {
+            // Truncation changes data visibility: it requires the
+            // exclusive lock, like any other write.
+            if size.is_some() && !locks.holds(client, *ino, LockMode::Exclusive) {
+                Err(FsError::NotLocked)
+            } else if locks.held_by_other(client, *ino) {
+                // Even a touch bumps the version. A holder caches the
+                // attributes under its lock (CACHING.md): while it
+                // holds, nobody else may move them.
+                Err(FsError::Unavailable)
+            } else {
+                Ok(())
+            }
+        }
+        RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
+            if locks.holds(client, *ino, LockMode::Exclusive) {
+                Ok(())
+            } else {
+                Err(FsError::NotLocked)
+            }
+        }
+        RequestBody::Hello { .. }
+        | RequestBody::KeepAlive
+        | RequestBody::Create { .. }
+        | RequestBody::Lookup { .. }
+        | RequestBody::Mkdir { .. }
+        | RequestBody::ReadDir { .. }
+        | RequestBody::GetAttr { .. }
+        | RequestBody::LockAcquire { .. }
+        | RequestBody::LockRelease { .. }
+        | RequestBody::PushAck { .. }
+        | RequestBody::RenameLink { .. }
+        | RequestBody::RenameUnlink { .. }
+        | RequestBody::Batch(_) => Ok(()),
     }
 }

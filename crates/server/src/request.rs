@@ -1,0 +1,823 @@
+//! The request path: one sans-I/O server core, driven by both servers.
+//!
+//! Every ACK renews a lease, a client the lease authority is timing out is
+//! NACKed instead (§3.3), and a Hello opens the session those renewals
+//! count against. [`ServerCore`] is that path, once: the simulator's
+//! [`ServerNode`](crate::ServerNode) and `tank-net`'s reactor each own one
+//! and differ only in how they carry out its [`Effect`]s and in the
+//! [`Admit`] rule they pass in (DESIGN.md §15).
+//!
+//! **Contract.** The core performs no I/O and reads no clock: each verb is
+//! given the server-local `now`. It queues effects in order, and the
+//! driver drains them with [`ServerCore::next_effect`], carrying each out
+//! before the next. Every ACK is reported to the lock service
+//! (`acked(dst, now)`) as it is queued. A response is lent to the driver,
+//! then kept for duplicates to replay: the core never builds a
+//! `CtlMsg::Response`, and an [`Effect::Respond`] reaches the wire through
+//! the driver's one send funnel, behind that driver's commit point.
+
+use std::collections::VecDeque;
+
+use tank_core::{LeaseAuthority, LeaseConfig};
+use tank_meta::{MetaStore, WalRecord};
+use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::{
+    Incarnation, Ino, NackReason, NodeId, ReqSeq, Request, Response, RouteError, ServerId,
+    ServerPush, SessionId,
+};
+use tank_shard::ShardMap;
+use tank_sim::LocalNs;
+
+use crate::config::ServerConfig;
+use crate::demand::{LadderTimer, LockEffect, LockService};
+use crate::events::ServerEvent;
+use crate::lock::{Grant, LockManager};
+use crate::session::{Admission, SessionTable};
+
+/// Operation counters for the experiments.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+pub struct ServerStats {
+    /// Requests received (after dedup).
+    pub requests: u64,
+    /// Protocol NACKs sent.
+    pub nacks: u64,
+    /// Pushes (demands/invalidations) sent, including retries.
+    pub pushes_sent: u64,
+    /// Delivery errors declared.
+    pub delivery_errors: u64,
+    /// Lock-steal campaigns executed.
+    pub steals: u64,
+    /// Individual locks stolen.
+    pub locks_stolen: u64,
+    /// Fence campaigns completed.
+    pub fences_completed: u64,
+    /// Duplicate requests replayed from the response cache.
+    pub replays: u64,
+    /// Fail-stop restarts recovered from.
+    pub recoveries: u64,
+    /// Requests refused with `Recovering` during a grace window.
+    pub recovery_nacks: u64,
+    /// Standby takeovers via the diskless-lease election.
+    pub elections: u64,
+}
+
+/// What a driver refuses before the metadata store sees a request — its
+/// lock rules for mutations (DESIGN.md §15, row 1) — passed to
+/// [`ServerCore::on_request`] the way an executor is passed to
+/// [`RequestBody::run_batch`].
+pub type Admit = fn(&LockManager, &mut MetaStore, NodeId, &RequestBody) -> Result<(), FsError>;
+
+/// Where an answer goes: the client, its session and the request's seq.
+pub(crate) type ReplyTo = (NodeId, SessionId, ReqSeq);
+
+/// One thing a driver must do on the core's behalf. The core queues
+/// owned effects and lends each response out (`R = &Response`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Effect<R = Response> {
+    /// Put this response on the wire, after the driver's commit point.
+    Respond(R),
+    /// Send `push`; `retry` is false for a demand's first transmission.
+    Push {
+        /// The push.
+        push: ServerPush,
+        /// A re-send of an unacknowledged push.
+        retry: bool,
+    },
+    /// After this long, hand the timer back to [`ServerCore::ladder_fired`].
+    Arm(LocalNs, LadderTimer),
+    /// Append this redo record before the next response leaves (a driver
+    /// with no log drops it: DESIGN.md §15, row 2).
+    Log(WalRecord),
+    /// This happened (a fresh session also lifts a fence on its client).
+    Event(ServerEvent),
+}
+
+/// The state every client request is answered from. The drivers' own
+/// policies — recovery, fencing, the grace window, their counters — use
+/// the public fields; outside this crate, the lock service, the session
+/// table and the effect queue are reached only through the verbs.
+#[derive(Debug)]
+pub struct ServerCore {
+    /// The passive lease authority: armed by a delivery error, it condemns.
+    pub authority: LeaseAuthority,
+    /// Stamped on every response so clients detect restarts.
+    pub incarnation: Incarnation,
+    /// True while inside the post-restart recovery grace window.
+    pub recovering: bool,
+    /// Operation counters.
+    pub stats: ServerStats,
+    map: ShardMap,
+    sid: ServerId,
+    lease: LeaseConfig,
+    nack_suspect: bool,
+    pub(crate) meta: MetaStore,
+    pub(crate) locks: LockService,
+    pub(crate) sessions: SessionTable,
+    /// Decided, not yet handed out; a response carries whether its
+    /// duplicates replay it.
+    out: VecDeque<Effect<(Response, bool)>>,
+    /// The response last lent to the driver.
+    lent: Option<(Response, bool)>,
+}
+
+impl ServerCore {
+    /// Shard `cfg.sid` of `cfg.map` over a fresh store, incarnation 1.
+    pub fn new(cfg: &ServerConfig, total_blocks: u64, block_size: usize) -> ServerCore {
+        ServerCore {
+            meta: MetaStore::new_sharded(cfg.map, cfg.sid, total_blocks, block_size),
+            authority: LeaseAuthority::new(cfg.lease),
+            incarnation: Incarnation(1),
+            recovering: false,
+            stats: ServerStats::default(),
+            map: cfg.map,
+            sid: cfg.sid,
+            lease: cfg.lease,
+            nack_suspect: cfg.nack_suspect,
+            locks: LockService::new(cfg.ladder),
+            sessions: SessionTable::new(),
+            out: VecDeque::new(),
+            lent: None,
+        }
+    }
+
+    /// What the driver must do next; `None` once it has caught up. A lent
+    /// response is kept for replay when the next effect is asked for, so
+    /// a driver drains to `None` before its next verb.
+    pub fn next_effect(&mut self) -> Option<Effect<&Response>> {
+        if let Some((resp, true)) = self.lent.take() {
+            self.sessions.record_response(resp.dst, resp.seq, resp);
+        }
+        Some(match self.out.pop_front()? {
+            Effect::Respond(sent) => Effect::Respond(&self.lent.insert(sent).0),
+            Effect::Push { push, retry } => Effect::Push { push, retry },
+            Effect::Arm(after, timer) => Effect::Arm(after, timer),
+            Effect::Log(rec) => Effect::Log(rec),
+            Effect::Event(ev) => Effect::Event(ev),
+        })
+    }
+
+    /// True while a [`Effect::Log`] is still queued: the store already
+    /// reflects a change the driver's log does not hold yet.
+    pub(crate) fn logs_queued(&self) -> bool {
+        self.out.iter().any(|e| matches!(e, Effect::Log(_)))
+    }
+
+    /// Fail-stop restart: sessions, locks and leases are volatile and
+    /// gone; sessions resume above `session_floor`, epochs above
+    /// `epoch_floor`.
+    pub(crate) fn restart(&mut self, session_floor: u64, epoch_floor: u64) {
+        self.sessions = SessionTable::new();
+        self.sessions.restore_watermark(session_floor);
+        self.locks.reset(epoch_floor);
+        self.authority = LeaseAuthority::new(self.lease);
+    }
+
+    /// A ladder timer fired. Returns the client a delivery error is now
+    /// declared against and since when it has not been ACKed — where the
+    /// driver's recovery policy starts from.
+    pub fn ladder_fired(&mut self, timer: LadderTimer, now: LocalNs) -> Option<(NodeId, LocalNs)> {
+        let error = self.locks.timer_fired(timer);
+        self.stats.delivery_errors += u64::from(error.is_some());
+        self.pump(now);
+        error
+    }
+
+    /// Take every lock `client` holds or waits for (its lease has expired)
+    /// and grant whoever that unblocks. Returns the number of locks taken.
+    pub fn steal(&mut self, client: NodeId, now: LocalNs) -> usize {
+        self.stats.steals += 1;
+        let stolen = self.locks.drop_client(client, true, &self.sessions, now);
+        self.stats.locks_stolen += stolen as u64;
+        self.pump(now);
+        stolen
+    }
+
+    /// Answer with a protocol NACK.
+    pub(crate) fn nack(&mut self, to: ReplyTo, reason: NackReason) {
+        self.stats.nacks += 1;
+        let resp = self.response(to, ResponseOutcome::Nacked(reason));
+        self.out.push_back(Effect::Respond((resp, false)));
+    }
+
+    /// One request from `from`, received at server-local `now`; `admit` is
+    /// the driver's rule for who may run a metadata mutation.
+    pub fn on_request(&mut self, from: NodeId, req: Request, now: LocalNs, admit: Admit) {
+        let to = (from, req.session, req.seq);
+        let body = req.body;
+        // Routing gate first: a request this shard does not govern must
+        // not touch any state here, not even the session window. Like
+        // `Recovering`, `Misrouted` is a redirect, not a lease judgment.
+        if let Some(route) = self.misrouted(&body) {
+            return self.nack(to, NackReason::Misrouted(route));
+        }
+        // Recovery gate next: a freshly-restarted server cannot know
+        // whether a grant would conflict with a surviving pre-crash holder
+        // until the grace window closes.
+        if self.recovering && body.needs_full_service() {
+            self.stats.recovery_nacks += 1;
+            return self.nack(to, NackReason::Recovering);
+        }
+        // Lease authority gate (§3.3): a suspect client gets NACKs,
+        // an expired client gets NACKs for everything but Hello.
+        let hello = matches!(body, RequestBody::Hello { .. });
+        match self.authority.standing_of(from).refusal() {
+            None => {}
+            Some(NackReason::SessionExpired) if hello => {}
+            Some(reason) => return self.refuse(to, reason),
+        }
+        if hello {
+            return self.do_hello(from, req.seq, now);
+        }
+        match self.sessions.admit(from, req.session, req.seq) {
+            Admission::Execute => self.stats.requests += 1,
+            Admission::Replay(resp) => {
+                self.stats.replays += 1;
+                return self.send(*resp, false, now);
+            }
+            Admission::InProgress => return,
+            Admission::WrongSession => return self.nack(to, NackReason::StaleSession),
+        }
+        match body {
+            RequestBody::LockAcquire { ino, mode } => {
+                // Locking a nonexistent file is an application error.
+                if let Err(e) = self.meta.getattr(ino) {
+                    return self.ack(to, Err(e.into()), now);
+                }
+                let answers = (req.session, req.seq);
+                self.locks
+                    .acquire(from, ino, mode, answers, &self.sessions, now);
+                self.pump(now);
+            }
+            RequestBody::Batch(elems) => self.do_batch(to, elems, now, admit),
+            body => {
+                let result = self.execute_sync(from, body, now, admit);
+                self.ack(to, result, now);
+            }
+        }
+    }
+
+    /// Why `body` may not execute on this shard, if it may not: a Hello
+    /// from another map epoch would register a session the client routes
+    /// wrongly against, and a batch runs on one shard or not at all.
+    fn misrouted(&self, body: &RequestBody) -> Option<RouteError> {
+        let foreign = |b: &RequestBody| {
+            governing_ino(b).is_some_and(|gov| self.map.owner_of(gov) != self.sid)
+        };
+        let stray = match body {
+            RequestBody::Hello { map_epoch } => {
+                return (*map_epoch != self.map.epoch()).then_some(RouteError::StaleMap);
+            }
+            RequestBody::Batch(elems) => elems.iter().any(foreign),
+            single => foreign(single),
+        };
+        stray.then_some(RouteError::NotOwner)
+    }
+
+    fn do_hello(&mut self, client: NodeId, seq: ReqSeq, now: LocalNs) {
+        // Hello sits outside the session dedup window (it *creates* the
+        // session), so duplicates are suppressed by (client, seq) here:
+        // re-executing one would mint a second session and orphan the
+        // one the client is actually using. A replay is not a request.
+        if let Some(resp) = self.sessions.hello_replay(client, seq) {
+            self.stats.replays += 1;
+            return self.send(resp, false, now);
+        }
+        self.stats.requests += 1;
+        // A fresh session abandons everything the old incarnation held.
+        self.locks.drop_client(client, false, &self.sessions, now);
+        self.pump(now);
+        self.authority.on_new_session(client);
+        let session = self.sessions.begin(client);
+        // The session watermark is the at-most-once fix: a reborn server
+        // restores it from the log, so post-crash sessions can never reuse
+        // an id whose dedup window a surviving client still holds open.
+        let watermark = WalRecord::SessionWatermark(self.sessions.watermark());
+        self.out.push_back(Effect::Log(watermark));
+        let fresh = ServerEvent::NewSession { client };
+        self.out.push_back(Effect::Event(fresh));
+        // Addressed with the *new* session, so the lease renewal lands in
+        // the new incarnation.
+        let map_epoch = self.map.epoch();
+        let ok = ResponseOutcome::Acked(Ok(ReplyBody::HelloOk { session, map_epoch }));
+        let resp = self.response((client, session, seq), ok);
+        self.sessions.record_hello(client, seq, resp.clone());
+        self.send(resp, false, now);
+    }
+
+    /// Vectored execution of a batch under the one batch rule, answered
+    /// with one ACK carrying the per-element outcomes.
+    fn do_batch(&mut self, to: ReplyTo, elems: Vec<RequestBody>, now: LocalNs, admit: Admit) {
+        let reply = RequestBody::run_batch(elems, |body| self.execute_sync(to.0, body, now, admit));
+        self.ack(to, Ok(reply), now);
+    }
+
+    /// Execute one synchronously-answerable body: session traffic here, a
+    /// metadata request through `admit` and the one mutation table, its
+    /// redo record queued as a [`Effect::Log`]. `LockAcquire` and Hello
+    /// come back `Invalid` from the store: they are routed before this,
+    /// and batch elements exclude them.
+    fn execute_sync(
+        &mut self,
+        client: NodeId,
+        body: RequestBody,
+        now: LocalNs,
+        admit: Admit,
+    ) -> Result<ReplyBody, FsError> {
+        match body {
+            RequestBody::KeepAlive => Ok(ReplyBody::Ok),
+            RequestBody::LockRelease { ino, epoch } => {
+                self.locks.release(client, ino, epoch, &self.sessions, now);
+                self.pump(now);
+                Ok(ReplyBody::Ok)
+            }
+            RequestBody::PushAck { push_seq } => {
+                self.locks.push_ack(client, push_seq);
+                self.pump(now);
+                Ok(ReplyBody::Ok)
+            }
+            body => {
+                admit(self.locks.table(), &mut self.meta, client, &body)?;
+                let (reply, rec) = self.meta.execute(body, now.0)?;
+                self.out.extend(rec.map(Effect::Log));
+                Ok(reply)
+            }
+        }
+    }
+
+    /// Turn what the lock service decided into effects, in order.
+    fn pump(&mut self, now: LocalNs) {
+        while let Some(effect) = self.locks.next_effect() {
+            match effect {
+                LockEffect::Arm(after, timer) => self.out.push_back(Effect::Arm(after, timer)),
+                LockEffect::Push { push, retry } => {
+                    self.stats.pushes_sent += 1;
+                    self.out.push_back(Effect::Push { push, retry });
+                }
+                LockEffect::Granted(g) => {
+                    // Grant epochs order conflicting ownership across
+                    // crashes; the watermark must be durable before the
+                    // grant is ACKed.
+                    let (client, ino, epoch, mode) = (g.client, g.ino, g.epoch, g.mode);
+                    let watermark = WalRecord::EpochWatermark(epoch.0);
+                    self.out.push_back(Effect::Log(watermark));
+                    let granted = ServerEvent::LockGranted {
+                        client,
+                        ino,
+                        epoch,
+                        mode,
+                    };
+                    self.out.push_back(Effect::Event(granted));
+                    self.answer_grant(g, now);
+                }
+                LockEffect::Held(g) => self.answer_grant(g, now),
+                LockEffect::Event(ev) => self.out.push_back(Effect::Event(ev)),
+            }
+        }
+    }
+
+    /// Answer the `LockAcquire` a grant belongs to, on the session it asked
+    /// with: a waiter that re-sessioned while queued ignores the answer.
+    fn answer_grant(&mut self, g: Grant, now: LocalNs) {
+        let Some((session, seq)) = g.answers else {
+            return;
+        };
+        // The gate on the way out: the acquire was admitted while its
+        // sender stood `Good`, but it waited, and a delivery error against
+        // the sender may have come first. An ACK now would renew a lease
+        // from the acquire's first send — possibly later than the ACK the
+        // running timer counts from — so the waiter is told what a fresh
+        // request would be.
+        let to = (g.client, session, seq);
+        if let Some(reason) = self.authority.standing_of(g.client).refusal() {
+            return self.refuse(to, reason);
+        }
+        let (blocks, size) = self.meta.file_extent(g.ino).unwrap_or_default();
+        let (ino, mode, epoch) = (g.ino, g.mode, g.epoch);
+        let reply = ReplyBody::LockGranted {
+            ino,
+            mode,
+            epoch,
+            blocks,
+            size,
+        };
+        self.ack(to, Ok(reply), now);
+    }
+
+    /// Tell a client the lease authority is timing out, or has expired,
+    /// that it will not be ACKed (§3.1). Without the §3.3 optimization a
+    /// suspect is silently ignored instead — correct but wasteful.
+    fn refuse(&mut self, to: ReplyTo, reason: NackReason) {
+        if reason != NackReason::LeaseTimingOut || self.nack_suspect {
+            self.nack(to, reason);
+        }
+    }
+
+    /// ACK a fresh request, keeping the answer for duplicates to replay.
+    fn ack(&mut self, to: ReplyTo, result: Result<ReplyBody, FsError>, now: LocalNs) {
+        let resp = self.response(to, ResponseOutcome::Acked(result));
+        self.send(resp, true, now);
+    }
+
+    /// Queue an ACK, fresh or replayed; with `replay`, duplicates of its
+    /// request are answered with it once the driver has sent it. It renews
+    /// its addressee's lease from the request's send, before `now`, so any
+    /// lease wait against the addressee restarts here (Theorem 3.1:
+    /// t_C1 ≤ t_S2).
+    fn send(&mut self, resp: Response, replay: bool, now: LocalNs) {
+        self.locks.acked(resp.dst, now);
+        self.out.push_back(Effect::Respond((resp, replay)));
+    }
+
+    fn response(&self, (dst, session, seq): ReplyTo, outcome: ResponseOutcome) -> Response {
+        let incarnation = self.incarnation;
+        Response {
+            dst,
+            session,
+            seq,
+            incarnation,
+            outcome,
+        }
+    }
+}
+
+/// The inode whose shard governs `body`: dentry operations go to the
+/// directory's owner, inode operations to the inode's. Session traffic is
+/// per-server, and a batch is checked element by element.
+fn governing_ino(body: &RequestBody) -> Option<Ino> {
+    match body {
+        RequestBody::Hello { .. }
+        | RequestBody::KeepAlive
+        | RequestBody::PushAck { .. }
+        | RequestBody::Batch(_) => None,
+        RequestBody::Create { parent, .. }
+        | RequestBody::Lookup { parent, .. }
+        | RequestBody::Mkdir { parent, .. }
+        | RequestBody::Unlink { parent, .. } => Some(*parent),
+        RequestBody::ReadDir { dir }
+        | RequestBody::RenameLink { dir, .. }
+        | RequestBody::RenameUnlink { dir, .. } => Some(*dir),
+        RequestBody::GetAttr { ino }
+        | RequestBody::SetAttr { ino, .. }
+        | RequestBody::LockAcquire { ino, .. }
+        | RequestBody::LockRelease { ino, .. }
+        | RequestBody::AllocBlocks { ino, .. }
+        | RequestBody::CommitWrite { ino, .. } => Some(*ino),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Effect::{Arm, Event, Log, Push, Respond};
+    use super::*;
+    use tank_proto::wire::response_datagram;
+    use tank_proto::{Epoch, LockMode, PushBody};
+
+    use crate::demand::DemandLadder;
+
+    const A: NodeId = NodeId(10);
+    const B: NodeId = NodeId(11);
+    const ROOT: Ino = Ino(1);
+    /// The first inode the store mints.
+    const F: Ino = Ino(2);
+    const X: LockMode = LockMode::Exclusive;
+    const NOW: LocalNs = LocalNs(1_000);
+
+    /// Every mutation may run: the gates under test are the core's own.
+    fn admit_all(
+        _: &LockManager,
+        _: &mut MetaStore,
+        _: NodeId,
+        _: &RequestBody,
+    ) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn core_with(cfg: ServerConfig) -> ServerCore {
+        ServerCore::new(&cfg, 1024, 512)
+    }
+
+    fn core() -> ServerCore {
+        core_with(ServerConfig::default())
+    }
+
+    /// Send one request at [`NOW`] and take every effect it queued.
+    fn send(
+        c: &mut ServerCore,
+        from: NodeId,
+        session: u64,
+        seq: u64,
+        body: RequestBody,
+    ) -> Vec<Effect> {
+        let (session, seq) = (SessionId(session), ReqSeq(seq));
+        let req = Request {
+            src: from,
+            session,
+            seq,
+            body,
+        };
+        c.on_request(from, req, NOW, admit_all);
+        std::iter::from_fn(|| c.next_effect().map(owned)).collect()
+    }
+
+    /// The effect with its lent response copied out.
+    fn owned(effect: Effect<&Response>) -> Effect {
+        match effect {
+            Respond(resp) => Respond(resp.clone()),
+            Push { push, retry } => Push { push, retry },
+            Arm(after, timer) => Arm(after, timer),
+            Log(rec) => Log(rec),
+            Event(ev) => Event(ev),
+        }
+    }
+
+    fn hello() -> RequestBody {
+        RequestBody::Hello { map_epoch: 0 }
+    }
+
+    fn create(name: &str) -> RequestBody {
+        let (parent, name) = (ROOT, name.to_owned());
+        RequestBody::Create { parent, name }
+    }
+
+    fn created(name: &str, ino: Ino) -> WalRecord {
+        let (parent, name, now) = (ROOT, name.to_owned(), NOW.0);
+        WalRecord::Create {
+            parent,
+            name,
+            now,
+            ino,
+        }
+    }
+
+    fn response(dst: NodeId, session: u64, seq: u64, outcome: ResponseOutcome) -> Effect {
+        Respond(Response {
+            dst,
+            session: SessionId(session),
+            seq: ReqSeq(seq),
+            incarnation: Incarnation(1),
+            outcome,
+        })
+    }
+
+    fn ack(dst: NodeId, session: u64, seq: u64, result: Result<ReplyBody, FsError>) -> Effect {
+        response(dst, session, seq, ResponseOutcome::Acked(result))
+    }
+
+    fn nack(dst: NodeId, session: u64, seq: u64, reason: NackReason) -> Effect {
+        response(dst, session, seq, ResponseOutcome::Nacked(reason))
+    }
+
+    /// What a fresh Hello (seq `seq`) minting session `session` queues.
+    fn fresh_hello(client: NodeId, session: u64, seq: u64) -> [Effect; 3] {
+        let ok = ReplyBody::HelloOk {
+            session: SessionId(session),
+            map_epoch: 0,
+        };
+        [
+            Log(WalRecord::SessionWatermark(session)),
+            Event(ServerEvent::NewSession { client }),
+            ack(client, session, seq, Ok(ok)),
+        ]
+    }
+
+    fn granted(client: NodeId, session: u64, seq: u64, epoch: u64) -> Effect {
+        let reply = ReplyBody::LockGranted {
+            ino: F,
+            mode: X,
+            epoch: Epoch(epoch),
+            blocks: Vec::new(),
+            size: 0,
+        };
+        ack(client, session, seq, Ok(reply))
+    }
+
+    #[test]
+    fn the_recovery_gate_refuses_full_service_and_still_serves_keep_alives() {
+        let mut c = core();
+        c.recovering = true;
+        assert_eq!(send(&mut c, A, 0, 1, hello()), fresh_hello(A, 1, 1));
+        let refused = nack(A, 1, 2, NackReason::Recovering);
+        assert_eq!(send(&mut c, A, 1, 2, create("a")), [refused]);
+        let acquire = RequestBody::LockAcquire { ino: ROOT, mode: X };
+        assert_eq!(
+            send(&mut c, A, 1, 3, acquire),
+            [nack(A, 1, 3, NackReason::Recovering)]
+        );
+        let kept = ack(A, 1, 4, Ok(ReplyBody::Ok));
+        assert_eq!(send(&mut c, A, 1, 4, RequestBody::KeepAlive), [kept]);
+        let s = c.stats;
+        assert_eq!((s.recovery_nacks, s.nacks, s.requests), (2, 2, 2));
+    }
+
+    #[test]
+    fn a_suspect_is_nacked_or_with_nack_suspect_off_ignored() {
+        for nack_suspect in [true, false] {
+            let mut c = core_with(ServerConfig {
+                nack_suspect,
+                ..ServerConfig::default()
+            });
+            assert_eq!(send(&mut c, A, 0, 1, hello()), fresh_hello(A, 1, 1));
+            assert!(c.authority.on_delivery_error(A, NOW).is_some());
+            let answer = send(&mut c, A, 1, 2, RequestBody::KeepAlive);
+            if nack_suspect {
+                assert_eq!(answer, [nack(A, 1, 2, NackReason::LeaseTimingOut)]);
+                assert_eq!(c.stats.nacks, 1);
+            } else {
+                assert_eq!(answer, [], "silently ignored");
+                assert_eq!(c.stats.nacks, 0);
+            }
+            assert_eq!(c.stats.requests, 1, "the Hello only");
+        }
+    }
+
+    #[test]
+    fn an_expired_client_is_served_a_hello_and_nothing_else() {
+        let mut c = core();
+        assert_eq!(send(&mut c, A, 0, 1, hello()), fresh_hello(A, 1, 1));
+        let fires_at = c.authority.on_delivery_error(A, NOW).unwrap();
+        assert!(c.authority.on_timer(A, fires_at));
+        let getattr = RequestBody::GetAttr { ino: ROOT };
+        let expired = nack(A, 1, 2, NackReason::SessionExpired);
+        assert_eq!(send(&mut c, A, 1, 2, getattr.clone()), [expired]);
+        assert_eq!(send(&mut c, A, 1, 3, hello()), fresh_hello(A, 2, 3));
+        let answer = send(&mut c, A, 2, 4, getattr);
+        assert!(matches!(
+            &answer[..],
+            [Respond(Response {
+                outcome: ResponseOutcome::Acked(Ok(ReplyBody::Attr { .. })),
+                ..
+            })]
+        ));
+    }
+
+    #[test]
+    fn a_duplicated_hello_is_replayed_and_not_counted_as_a_request() {
+        let mut c = core();
+        let first = send(&mut c, A, 0, 1, hello());
+        assert_eq!(first, fresh_hello(A, 1, 1));
+        let again = send(&mut c, A, 0, 1, hello());
+        let (Respond(sent), [Respond(replayed)]) = (&first[2], &again[..]) else {
+            panic!("{again:?}");
+        };
+        assert_eq!(response_datagram(sent), response_datagram(replayed));
+        let s = c.stats;
+        assert_eq!((s.requests, s.replays), (1, 1));
+        assert_eq!(c.sessions.watermark(), 1, "one session minted");
+    }
+
+    #[test]
+    fn the_session_window_executes_replays_waits_and_refuses() {
+        let mut c = core();
+        send(&mut c, A, 0, 1, hello());
+        send(&mut c, B, 0, 1, hello());
+        // Execute: fresh.
+        let made = ack(A, 1, 2, Ok(ReplyBody::Created { ino: F }));
+        let execute = [Log(created("f", F)), made.clone()];
+        assert_eq!(send(&mut c, A, 1, 2, create("f")), execute);
+        // Replay: the duplicate is answered from the cache, not executed.
+        assert_eq!(send(&mut c, A, 1, 2, create("f")), [made]);
+        // In progress: a queued acquire's duplicate waits for the grant.
+        let acquire = RequestBody::LockAcquire { ino: F, mode: X };
+        let held = send(&mut c, A, 1, 3, acquire.clone());
+        assert_eq!(held[2], granted(A, 1, 3, 1));
+        let queued = send(&mut c, B, 2, 2, acquire.clone());
+        let blocked = ServerEvent::RequestBlocked {
+            client: B,
+            ino: F,
+            seq: ReqSeq(2),
+        };
+        assert!(matches!(&queued[..], [Event(e), Arm(..), Push { .. }] if *e == blocked));
+        assert_eq!(send(&mut c, B, 2, 2, acquire), []);
+        // Stale session.
+        let stale = nack(A, 9, 4, NackReason::StaleSession);
+        assert_eq!(send(&mut c, A, 9, 4, RequestBody::KeepAlive), [stale]);
+        let s = c.stats;
+        assert_eq!((s.requests, s.replays, s.nacks), (5, 1, 1));
+    }
+
+    #[test]
+    fn routing_gates_misroute_another_maps_hello_and_a_foreign_batch_element() {
+        let mut c = core();
+        let stale = nack(A, 0, 1, NackReason::Misrouted(RouteError::StaleMap));
+        let other_map = RequestBody::Hello { map_epoch: 1 };
+        assert_eq!(send(&mut c, A, 0, 1, other_map), [stale]);
+        assert_eq!(c.sessions.watermark(), 0, "no session minted");
+        assert_eq!(c.stats.requests, 0);
+        // Shard 0 of 2: `Ino(2)` is shard 1's root.
+        let mut c = core_with(ServerConfig {
+            map: ShardMap::new(2),
+            ..ServerConfig::default()
+        });
+        send(&mut c, A, 0, 1, hello());
+        let getattr = |ino| RequestBody::GetAttr { ino };
+        let batch = RequestBody::Batch(vec![getattr(ROOT), getattr(Ino(2))]);
+        let foreign = nack(A, 1, 2, NackReason::Misrouted(RouteError::NotOwner));
+        assert_eq!(send(&mut c, A, 1, 2, batch), [foreign]);
+    }
+
+    #[test]
+    fn a_grant_that_falls_due_while_its_waiter_is_condemned_is_a_nack() {
+        let mut c = core();
+        send(&mut c, A, 0, 1, hello());
+        send(&mut c, B, 0, 1, hello());
+        send(&mut c, A, 1, 2, create("f"));
+        let acquire = RequestBody::LockAcquire { ino: F, mode: X };
+        send(&mut c, A, 1, 3, acquire.clone());
+        let queued = send(&mut c, B, 2, 2, acquire);
+        let demand = ServerPush {
+            dst: A,
+            session: SessionId(1),
+            push_seq: 1,
+            body: PushBody::Demand {
+                ino: F,
+                mode_needed: X,
+                epoch: Epoch(1),
+            },
+        };
+        let retry = LadderTimer::PushRetry(1);
+        assert_eq!(
+            queued[1..],
+            [
+                Arm(DemandLadder::default().retry_interval, retry),
+                Push {
+                    push: demand,
+                    retry: false
+                }
+            ]
+        );
+        // B is condemned while it waits; A then lets go.
+        assert!(c.authority.on_delivery_error(B, NOW).is_some());
+        let release = RequestBody::LockRelease {
+            ino: F,
+            epoch: Epoch(1),
+        };
+        let handed_on = [
+            Event(ServerEvent::LockReleased {
+                client: A,
+                ino: F,
+                epoch: Epoch(1),
+            }),
+            Log(WalRecord::EpochWatermark(3)),
+            Event(ServerEvent::LockGranted {
+                client: B,
+                ino: F,
+                epoch: Epoch(3),
+                mode: X,
+            }),
+            nack(B, 2, 2, NackReason::LeaseTimingOut),
+            ack(A, 1, 4, Ok(ReplyBody::Ok)),
+        ];
+        assert_eq!(send(&mut c, A, 1, 4, release), handed_on);
+    }
+
+    #[test]
+    fn a_batch_stops_at_its_first_file_system_error_and_logs_nothing_after_it() {
+        let mut c = core();
+        send(&mut c, A, 0, 1, hello());
+        let batch = RequestBody::Batch(vec![create("a"), create("a"), create("b")]);
+        let outcomes = vec![Ok(ReplyBody::Created { ino: F }), Err(FsError::Exists)];
+        let answer = ack(A, 1, 2, Ok(ReplyBody::Batch(outcomes)));
+        assert_eq!(send(&mut c, A, 1, 2, batch), [Log(created("a", F)), answer]);
+    }
+
+    #[test]
+    fn records_are_queued_in_the_order_the_log_appends_them() {
+        let mut c = core();
+        let logs = |effects: Vec<Effect>| -> Vec<WalRecord> {
+            let logged = effects.into_iter().filter_map(|e| match e {
+                Log(rec) => Some(rec),
+                _ => None,
+            });
+            logged.collect()
+        };
+        let acquire = RequestBody::LockAcquire { ino: F, mode: X };
+        let alloc = RequestBody::AllocBlocks { ino: F, count: 2 };
+        let release = RequestBody::LockRelease {
+            ino: F,
+            epoch: Epoch(1),
+        };
+        let batch = RequestBody::Batch(vec![create("g"), release, create("h")]);
+        let script = [
+            (0, 1, hello()),
+            (1, 2, create("f")),
+            (1, 3, acquire),
+            (1, 4, alloc),
+            (1, 5, batch),
+            (1, 6, hello()),
+        ];
+        let mut log = Vec::new();
+        for (session, seq, body) in script {
+            log.extend(logs(send(&mut c, A, session, seq, body)));
+        }
+        let expected = [
+            WalRecord::SessionWatermark(1),
+            created("f", F),
+            WalRecord::EpochWatermark(1),
+            WalRecord::Alloc { ino: F, count: 2 },
+            created("g", Ino(3)),
+            created("h", Ino(4)),
+            WalRecord::SessionWatermark(2),
+        ];
+        assert_eq!(log, expected);
+    }
+}
