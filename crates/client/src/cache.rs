@@ -5,25 +5,39 @@
 //! audited by the offline checker exactly like reads served from disk.
 //!
 //! The cache holds at most [`BlockCache::capacity`] blocks; when an insert
-//! pushes it past that, [`BlockCache::trim`] evicts **clean** blocks in
-//! least-recently-used order. Dirty blocks are never evicted — they are the
-//! write-back queue, and only drain by being hardened to the SAN
+//! pushes it past that, [`BlockCache::trim`] evicts **evictable** blocks —
+//! clean and unpinned — fewest decayed reads first, least recently used
+//! among equals. Only reads count ([`BlockCache::touch`]): a fill or a
+//! write adds nothing, so a block written and hardened but never read is
+//! the first to go. Counts outlive eviction (a history of counts, no data)
+//! and halve every `16 × capacity` counted reads, so a hot set that moves
+//! is followed. Dirty blocks are never evicted — they are the write-back
+//! queue, and only drain by being hardened to the SAN
 //! ([`BlockCache::mark_clean`]) or discarded wholesale at lease expiry
-//! ([`BlockCache::invalidate_all`]). Eviction never scans: the clean
-//! blocks are indexed by last-use stamp, so the victim is the index's
-//! first entry. The coherence contract governing when
-//! cached data may be *served* lives one layer up, in the lease FSM — see
-//! `CACHING.md` for the phase↔admission table.
+//! ([`BlockCache::invalidate_all`]). Pinned blocks ([`BlockCache::pin`])
+//! are the ones an in-flight read has yet to serve. Eviction never scans:
+//! the evictable blocks are indexed by (read count, last use), so the
+//! victim is the index's first entry. The coherence contract governing
+//! when cached data may be *served* lives one layer up, in the lease FSM —
+//! see `CACHING.md` for the phase↔admission table.
 
 use std::collections::{BTreeMap, HashMap};
 
 use tank_proto::{Ino, WriteTag};
 
+/// Counted reads between two halvings of every read count, per block of
+/// capacity: `W = 16 × capacity`. A halving re-keys every evictable block,
+/// so this spreads its cost to 1/16 of a re-key per read; and since the
+/// counts sum to at most `(S + W) / 2` after each halving, the history
+/// never holds more than `2W = 32 × capacity` entries.
+const AGING_READS_PER_BLOCK: u64 = 16;
+
 /// Lifecycle state of one cached block. `CACHING.md`'s state table mirrors
 /// this enum; a doc-contract test diffs the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
-    /// Identical to the on-disk copy; may be evicted at any time.
+    /// Identical to the on-disk copy; evictable unless a read it was
+    /// fetched for is still in flight.
     Clean,
     /// Newer than the on-disk copy; pinned until written back.
     Dirty,
@@ -51,7 +65,8 @@ pub struct CachedBlock {
     pub tag: WriteTag,
     /// Dirty = newer than the on-disk copy; must be written back.
     pub dirty: bool,
-    /// Last-use stamp for LRU eviction (monotonic insert/serve counter).
+    /// Stamp of the last fill, read or write: orders blocks of equal read
+    /// count, least recent first (monotonic, unique per block).
     last_use: u64,
 }
 
@@ -76,10 +91,11 @@ impl CachedBlock {
 /// let mut c = BlockCache::with_capacity(8, 2);
 /// c.fill(Ino(1), 0, vec![0; 8], WriteTag::default());
 /// c.fill(Ino(1), 1, vec![1; 8], WriteTag::default());
+/// c.touch(Ino(1), 0);                         // block 0 has been read
 /// c.fill(Ino(1), 2, vec![2; 8], WriteTag::default());
-/// assert_eq!(c.trim(), 1);                    // block 0 was least recent
-/// assert!(c.get(Ino(1), 0).is_none());
-/// assert!(c.get(Ino(1), 2).is_some());
+/// assert_eq!(c.trim(), 1);                    // block 1 was never read, and older than 2
+/// assert!(c.get(Ino(1), 1).is_none());
+/// assert!(c.get(Ino(1), 0).is_some());
 /// ```
 #[derive(Debug)]
 pub struct BlockCache {
@@ -92,13 +108,23 @@ pub struct BlockCache {
     /// Max blocks retained across files (`usize::MAX` = unbounded;
     /// `0` = retain nothing clean — the "no read cache" baseline).
     capacity: usize,
-    /// Monotonic LRU clock.
+    /// Monotonic use clock.
     tick: u64,
-    /// Eviction order: every **clean** block, keyed by its `last_use`
-    /// stamp (stamps are unique — each comes from a fresh `tick`). The
-    /// first entry is the block a scan for the coldest clean block would
-    /// find. Dirty blocks are absent: they are pinned.
-    lru: BTreeMap<u64, (Ino, u32)>,
+    /// Eviction order: every **evictable** block — clean and unpinned —
+    /// keyed by (decayed read count, `last_use`); stamps are unique, so
+    /// keys are. The first entry is the block a scan for the fewest-read,
+    /// then least recent, evictable block would find. Dirty and pinned
+    /// blocks are absent.
+    order: BTreeMap<(u32, u64), (Ino, u32)>,
+    /// Decayed read count per block, cached or not. Counts only — no data,
+    /// no tag — so it needs no invalidation, and a block evicted and
+    /// fetched again resumes its count. Kept only by a cache that chooses
+    /// victims (bounded, nonzero capacity).
+    reads: HashMap<(Ino, u32), u32>,
+    /// Counted reads since the counts last halved.
+    reads_since_aging: u64,
+    /// Pins per block: how many in-flight reads have yet to serve it.
+    pins: HashMap<(Ino, u32), u32>,
 }
 
 impl Default for BlockCache {
@@ -113,8 +139,9 @@ impl BlockCache {
         BlockCache::with_capacity(block_size, usize::MAX)
     }
 
-    /// Cache holding at most `capacity` blocks (clean blocks evict LRU;
-    /// dirty blocks may transiently exceed the limit).
+    /// Cache holding at most `capacity` blocks (clean blocks evict fewest
+    /// reads first; dirty and pinned blocks may transiently exceed the
+    /// limit).
     pub fn with_capacity(block_size: usize, capacity: usize) -> Self {
         BlockCache {
             files: HashMap::new(),
@@ -122,7 +149,10 @@ impl BlockCache {
             blocks: 0,
             capacity,
             tick: 0,
-            lru: BTreeMap::new(),
+            order: BTreeMap::new(),
+            reads: HashMap::new(),
+            reads_since_aging: 0,
+            pins: HashMap::new(),
         }
     }
 
@@ -151,6 +181,34 @@ impl BlockCache {
         self.files.get(&ino)?.get(&idx)
     }
 
+    /// Counted reads between two agings, or `None` for a cache that never
+    /// chooses among victims: an unbounded one evicts nothing, a capacity-0
+    /// one every evictable block.
+    fn window(&self) -> Option<u64> {
+        (self.capacity > 0 && self.capacity < usize::MAX)
+            .then(|| AGING_READS_PER_BLOCK.saturating_mul(self.capacity as u64))
+    }
+
+    /// A block's decayed read count.
+    fn reads_of(&self, ino: Ino, idx: u32) -> u32 {
+        self.reads.get(&(ino, idx)).copied().unwrap_or(0)
+    }
+
+    /// Put a clean block into the eviction order, unless a pin holds it
+    /// out.
+    fn enter_order(&mut self, ino: Ino, idx: u32, last_use: u64) {
+        if !self.pins.contains_key(&(ino, idx)) {
+            let key = (self.reads_of(ino, idx), last_use);
+            self.order.insert(key, (ino, idx));
+        }
+    }
+
+    /// Take a block out of the eviction order; `false` if it was not in it.
+    fn leave_order(&mut self, ino: Ino, idx: u32, last_use: u64) -> bool {
+        let key = (self.reads_of(ino, idx), last_use);
+        self.order.remove(&key).is_some()
+    }
+
     /// Insert a *clean* block (fetched from disk). A no-op when the block
     /// is already cached: while a lock is held, the cached copy is always
     /// at least as new as the disk (only our own flushes change the disk),
@@ -173,31 +231,61 @@ impl BlockCache {
                 last_use: stamp,
             },
         );
-        self.lru.insert(stamp, (ino, idx));
         self.blocks += 1;
+        self.enter_order(ino, idx, stamp);
     }
 
-    /// Refresh a block's LRU stamp (a read was served from it).
+    /// Count a read served from a block: one more read, and a fresh
+    /// last-use stamp. Every `16 × capacity` counted reads, all counts
+    /// halve.
     pub fn touch(&mut self, ino: Ino, idx: u32) {
         self.tick += 1;
         let stamp = self.tick;
-        if let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) {
-            if !b.dirty {
-                self.lru.remove(&b.last_use);
-                self.lru.insert(stamp, (ino, idx));
+        let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) else {
+            return;
+        };
+        let last = std::mem::replace(&mut b.last_use, stamp);
+        let in_order = self.leave_order(ino, idx, last);
+        let Some(window) = self.window() else {
+            if in_order {
+                self.order.insert((0, stamp), (ino, idx));
             }
-            b.last_use = stamp;
+            return;
+        };
+        let reads = self.reads.entry((ino, idx)).or_default();
+        *reads += 1;
+        if in_order {
+            self.order.insert((*reads, stamp), (ino, idx));
+        }
+        self.reads_since_aging += 1;
+        if self.reads_since_aging >= window {
+            self.age();
         }
     }
 
-    /// Evict least-recently-used **clean** blocks until the cache is back
-    /// within capacity; returns how many were dropped. Dirty blocks are
-    /// never evicted (they are the write-back queue), so the cache can
-    /// transiently exceed capacity while dirty data awaits hardening.
+    /// Halve every read count, drop the zeros, and re-key the order to
+    /// match.
+    fn age(&mut self) {
+        self.reads_since_aging = 0;
+        self.reads.retain(|_, n| {
+            *n /= 2;
+            *n > 0
+        });
+        self.order = std::mem::take(&mut self.order)
+            .into_iter()
+            .map(|((n, last), block)| ((n / 2, last), block))
+            .collect();
+    }
+
+    /// Evict evictable blocks — fewest decayed reads first, least recent
+    /// among equals — until the cache is back within capacity; returns how
+    /// many were dropped. Dirty blocks are never evicted (they are the
+    /// write-back queue), nor are pinned ones, so the cache can
+    /// transiently exceed capacity.
     ///
-    /// Callers invoke this *after* a read has been served, never between
-    /// the SAN fetch and the serve — at capacity 0 every fetched block
-    /// lives exactly long enough to answer its read.
+    /// Callers pin every block a read is waiting on and unpin it only once
+    /// the read is served — at capacity 0 every fetched block lives
+    /// exactly long enough to answer its read.
     ///
     /// ```
     /// use tank_client::cache::BlockCache;
@@ -217,9 +305,8 @@ impl BlockCache {
     pub fn trim(&mut self) -> usize {
         let mut evicted = 0;
         while self.blocks > self.capacity {
-            // Coldest clean block across all files.
-            let Some((_, (ino, idx))) = self.lru.pop_first() else {
-                break; // everything left is dirty
+            let Some((_, (ino, idx))) = self.order.pop_first() else {
+                break; // everything left is dirty or pinned
             };
             self.remove_block(ino, idx);
             evicted += 1;
@@ -238,19 +325,52 @@ impl BlockCache {
         }
     }
 
+    /// Hold block `idx` of `ino` out of the eviction order until a matching
+    /// [`unpin`](Self::unpin). A read pins every block it waits on, so no
+    /// other read's trim can evict one between its fetch and its serve.
+    /// Pins count (two reads may wait on one block) and belong to the
+    /// block, not to a cached copy: a pin may be taken before the block is
+    /// fetched, and invalidation still drops a pinned block — the pin then
+    /// holds whatever copy is fetched next.
+    pub fn pin(&mut self, ino: Ino, idx: u32) {
+        let pins = self.pins.entry((ino, idx)).or_default();
+        *pins += 1;
+        if *pins == 1 {
+            if let Some(last) = self.get(ino, idx).map(|b| b.last_use) {
+                self.leave_order(ino, idx, last);
+            }
+        }
+    }
+
+    /// Release one [`pin`](Self::pin). With the last one gone, a cached
+    /// clean block rejoins the eviction order.
+    pub fn unpin(&mut self, ino: Ino, idx: u32) {
+        let Some(pins) = self.pins.get_mut(&(ino, idx)) else {
+            return;
+        };
+        *pins -= 1;
+        if *pins > 0 {
+            return;
+        }
+        self.pins.remove(&(ino, idx));
+        if let Some(last) = self.get(ino, idx).filter(|b| !b.dirty).map(|b| b.last_use) {
+            self.enter_order(ino, idx, last);
+        }
+    }
+
     /// Write `data` at `offset` within block `idx`, marking it dirty with
     /// `tag`. The block must already be cached (callers read-modify-write
     /// uncached partial blocks) unless the write covers the whole block.
+    /// A write is not a read: the block's read count stays as it was.
     pub fn write(&mut self, ino: Ino, idx: u32, offset: usize, data: &[u8], tag: WriteTag) {
         debug_assert!(offset + data.len() <= self.block_size);
         self.tick += 1;
         let stamp = self.tick;
+        let reads = self.reads_of(ino, idx);
         let file = self.files.entry(ino).or_default();
         match file.get_mut(&idx) {
             Some(b) => {
-                if !b.dirty {
-                    self.lru.remove(&b.last_use);
-                }
+                self.order.remove(&(reads, b.last_use));
                 b.data[offset..offset + data.len()].copy_from_slice(data);
                 b.tag = tag;
                 b.dirty = true;
@@ -327,27 +447,27 @@ impl BlockCache {
     /// disk — but only if the tag still matches (the block may have been
     /// re-dirtied by a newer local write while the flush was in flight).
     pub fn mark_clean(&mut self, ino: Ino, idx: u32, tag: WriteTag) {
-        if let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) {
-            if b.tag == tag && b.dirty {
-                b.dirty = false;
-                self.lru.insert(b.last_use, (ino, idx));
-            }
+        let Some(b) = self.files.get_mut(&ino).and_then(|f| f.get_mut(&idx)) else {
+            return;
+        };
+        if b.tag == tag && b.dirty {
+            b.dirty = false;
+            let last = b.last_use;
+            self.enter_order(ino, idx, last);
         }
     }
 
     /// Drop every cached block of one inode (e.g. after releasing its
     /// lock). Dirty data is discarded — callers flush first.
     pub fn invalidate_ino(&mut self, ino: Ino) -> usize {
-        match self.files.remove(&ino) {
-            Some(file) => {
-                for b in file.values().filter(|b| !b.dirty) {
-                    self.lru.remove(&b.last_use);
-                }
-                self.blocks -= file.len();
-                file.len()
-            }
-            None => 0,
+        let Some(file) = self.files.remove(&ino) else {
+            return 0;
+        };
+        for (&idx, b) in &file {
+            self.leave_order(ino, idx, b.last_use);
         }
+        self.blocks -= file.len();
+        file.len()
     }
 
     /// Drop everything (lease expiry). Returns how many dirty blocks were
@@ -355,42 +475,9 @@ impl BlockCache {
     pub fn invalidate_all(&mut self) -> usize {
         let dirty = self.dirty_count();
         self.files.clear();
-        self.lru.clear();
+        self.order.clear();
         self.blocks = 0;
         dirty
-    }
-}
-
-/// The eviction rule the order index replaced, kept as the test oracle:
-/// find each victim by scanning every block of every file.
-#[cfg(test)]
-impl BlockCache {
-    /// Every clean block with its stamp, found the slow way.
-    fn clean_by_scan(&self) -> impl Iterator<Item = (u64, (Ino, u32))> + '_ {
-        self.files.iter().flat_map(|(ino, f)| {
-            f.iter()
-                .filter(|(_, b)| !b.dirty)
-                .map(move |(idx, b)| (b.last_use, (*ino, *idx)))
-        })
-    }
-
-    /// [`trim`](Self::trim) with every victim chosen by the scan.
-    fn trim_by_scan(&mut self) -> usize {
-        let mut evicted = 0;
-        while self.blocks > self.capacity {
-            let Some((stamp, (ino, idx))) = self.clean_by_scan().min() else {
-                break;
-            };
-            self.lru.remove(&stamp);
-            self.remove_block(ino, idx);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// The order index holds exactly the clean blocks, under their stamps.
-    fn lru_is_exact(&self) -> bool {
-        self.clean_by_scan().collect::<BTreeMap<_, _>>() == self.lru
     }
 }
 
@@ -412,6 +499,16 @@ mod tests {
 
     fn cache() -> BlockCache {
         BlockCache::new(8)
+    }
+
+    /// One read the way the client serves it: fetch on a miss, count the
+    /// read, trim.
+    fn read(c: &mut BlockCache, ino: Ino, idx: u32) {
+        if c.get(ino, idx).is_none() {
+            c.fill(ino, idx, vec![0; 8], tag(0));
+        }
+        c.touch(ino, idx);
+        c.trim();
     }
 
     #[test]
@@ -561,12 +658,213 @@ mod tests {
         assert_eq!(idxs, vec![1, 3, 5]);
     }
 
+    #[test]
+    fn a_pinned_block_waits_for_its_last_unpin() {
+        let mut c = BlockCache::with_capacity(8, 0);
+        // Two reads wait on block 0; the pin precedes the fetch.
+        c.pin(F, 0);
+        c.pin(F, 0);
+        c.fill(F, 0, vec![1; 8], tag(1));
+        assert_eq!(c.trim(), 0, "pinned: out of the eviction order");
+        c.unpin(F, 0);
+        assert_eq!(c.trim(), 0, "one read still waits on it");
+        // Invalidation drops it anyway; the pin holds the next copy.
+        assert_eq!(c.invalidate_ino(F), 1);
+        c.fill(F, 0, vec![2; 8], tag(2));
+        assert_eq!(c.trim(), 0);
+        c.unpin(F, 0);
+        assert_eq!(c.trim(), 1, "served: evictable again");
+        assert!(c.pins.is_empty());
+    }
+
+    #[test]
+    fn a_block_read_often_survives_a_stream_of_one_time_reads() {
+        for k in 2..5 {
+            let mut c = BlockCache::with_capacity(8, 4);
+            for _ in 0..k {
+                read(&mut c, F, 0);
+            }
+            for idx in 1..=4 {
+                read(&mut c, Ino(2), idx);
+            }
+            assert!(c.get(F, 0).is_some(), "read {k} times, evicted by a scan");
+            assert_eq!(c.len(), 4);
+        }
+    }
+
+    #[test]
+    fn a_written_then_hardened_block_goes_before_a_block_read_once() {
+        let mut c = BlockCache::with_capacity(8, 1);
+        read(&mut c, F, 0);
+        c.write(F, 1, 0, &[1; 8], tag(1));
+        c.mark_clean(F, 1, tag(1));
+        assert_eq!(c.trim(), 1);
+        assert!(c.get(F, 1).is_none(), "never read: the first victim");
+        assert!(c.get(F, 0).is_some(), "read once, though less recent");
+    }
+
+    #[test]
+    fn an_evicted_block_resumes_its_count_when_fetched_again() {
+        let mut c = BlockCache::with_capacity(8, 1);
+        read(&mut c, F, 0);
+        read(&mut c, F, 0);
+        for _ in 0..3 {
+            read(&mut c, F, 1);
+        }
+        assert!(c.get(F, 0).is_none(), "evicted once block 1 caught up");
+        // Fetched again, block 0 picks up at three reads and, as the more
+        // recent of two equals, keeps its place.
+        read(&mut c, F, 0);
+        assert!(c.get(F, 0).is_some(), "a resumed 3 beats an older 3");
+        assert!(c.get(F, 1).is_none());
+        assert_eq!(c.reads_of(F, 0), 3);
+    }
+
+    #[test]
+    fn a_moved_hot_set_owns_the_cache_within_two_windows() {
+        const CAP: u32 = 8;
+        let mut c = BlockCache::with_capacity(8, CAP as usize);
+        let w = c.window().unwrap();
+        for i in 0..4 * w {
+            read(&mut c, Ino(1), (i % CAP as u64) as u32);
+        }
+        assert!((0..CAP).all(|idx| c.get(Ino(1), idx).is_some()));
+        for i in 0..2 * w {
+            read(&mut c, Ino(2), (i % CAP as u64) as u32);
+        }
+        for idx in 0..CAP {
+            assert!(c.get(Ino(2), idx).is_some(), "new hot block {idx} cached");
+            assert!(c.get(Ino(1), idx).is_none(), "old hot block {idx} gone");
+        }
+    }
+
+    #[test]
+    fn the_history_stays_within_32_times_capacity() {
+        // xorshift64: a fixed, dependency-free op stream.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let ops: Vec<(u64, Ino, u32)> = (0..100_000)
+            .map(|_| (next(100), Ino(next(64)), next(64) as u32))
+            .collect();
+        for capacity in [1, 8, 64, usize::MAX] {
+            let mut c = BlockCache::with_capacity(8, capacity);
+            for (i, &(what, ino, idx)) in ops.iter().enumerate() {
+                match what {
+                    0..=79 => read(&mut c, ino, idx),
+                    80..=94 => c.write(ino, idx, 0, &[1; 8], tag(i as u64)),
+                    95..=98 => {
+                        if let Some(t) = c.get(ino, idx).map(|b| b.tag) {
+                            c.mark_clean(ino, idx, t);
+                        }
+                    }
+                    _ => {
+                        c.invalidate_ino(ino);
+                    }
+                }
+                let bound = 32usize.saturating_mul(capacity);
+                assert!(c.reads.len() <= bound, "{} > {bound}", c.reads.len());
+            }
+            if capacity == usize::MAX {
+                assert!(c.reads.is_empty(), "an unbounded cache keeps no history");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_counts_evict_in_lru_order() {
+        const CAP: u32 = 5;
+        let mut c = BlockCache::with_capacity(8, CAP as usize);
+        let used = [3, 1, 4, 0, 2];
+        for idx in 0..CAP {
+            c.fill(F, idx, vec![0; 8], tag(0));
+        }
+        for idx in used {
+            c.touch(F, idx);
+        }
+        // Each newcomer, read once like the rest, pushes out the least
+        // recently used of the equals.
+        for (k, victim) in used.into_iter().enumerate() {
+            read(&mut c, Ino(2), k as u32);
+            assert!(c.get(F, victim).is_none(), "{victim} evicted {k}th");
+            assert_eq!(c.len(), CAP as usize);
+        }
+    }
+
+    /// The eviction rule stated independently of the cache: read counts
+    /// with their aging, and pins.
+    #[derive(Default)]
+    struct Model {
+        window: Option<u64>,
+        reads: HashMap<(Ino, u32), u32>,
+        since: u64,
+        pins: HashMap<(Ino, u32), u32>,
+    }
+
+    impl Model {
+        fn new(capacity: usize) -> Model {
+            Model {
+                window: (capacity > 0).then_some(16 * capacity as u64),
+                ..Model::default()
+            }
+        }
+
+        fn read(&mut self, block: (Ino, u32)) {
+            let Some(window) = self.window else {
+                return;
+            };
+            *self.reads.entry(block).or_default() += 1;
+            self.since += 1;
+            if self.since == window {
+                self.since = 0;
+                self.reads.retain(|_, n| {
+                    *n /= 2;
+                    *n > 0
+                });
+            }
+        }
+
+        /// Every evictable block with its rank, found by scanning the cache.
+        fn evictable(&self, c: &BlockCache) -> BTreeMap<(u32, u64), (Ino, u32)> {
+            c.files
+                .iter()
+                .flat_map(|(ino, f)| f.iter().map(move |(idx, b)| ((*ino, *idx), b)))
+                .filter(|(block, b)| !b.dirty && !self.pins.contains_key(block))
+                .map(|(block, b)| {
+                    let n = self.reads.get(&block).copied().unwrap_or(0);
+                    ((n, b.last_use), block)
+                })
+                .collect()
+        }
+
+        /// [`BlockCache::trim`] with every victim chosen by the scan.
+        fn trim_by_scan(&self, c: &mut BlockCache) -> usize {
+            let mut evicted = 0;
+            while c.blocks > c.capacity {
+                let Some((key, (ino, idx))) = self.evictable(c).pop_first() else {
+                    break;
+                };
+                c.order.remove(&key);
+                c.remove_block(ino, idx);
+                evicted += 1;
+            }
+            evicted
+        }
+    }
+
     #[derive(Debug, Clone)]
     enum Op {
         Fill { ino: u64, idx: u32 },
         Touch { ino: u64, idx: u32 },
+        Read { ino: u64, idx: u32 },
         Write { ino: u64, idx: u32 },
         MarkClean { ino: u64, idx: u32, current: bool },
+        Pin { ino: u64, idx: u32 },
+        Unpin { nth: usize },
         Trim,
         InvalidateIno { ino: u64 },
         InvalidateAll,
@@ -574,16 +872,22 @@ mod tests {
 
     fn arb_op() -> impl Strategy<Value = Op> {
         let block = || (0u64..3, 0u32..5);
+        let read = move || block().prop_map(|(ino, idx)| Op::Read { ino, idx });
         prop_oneof![
             block().prop_map(|(ino, idx)| Op::Fill { ino, idx }),
-            block().prop_map(|(ino, idx)| Op::Fill { ino, idx }),
             block().prop_map(|(ino, idx)| Op::Touch { ino, idx }),
+            read(),
+            read(),
+            read(),
+            read(),
             block().prop_map(|(ino, idx)| Op::Write { ino, idx }),
             (block(), any::<bool>()).prop_map(|((ino, idx), current)| Op::MarkClean {
                 ino,
                 idx,
                 current
             }),
+            block().prop_map(|(ino, idx)| Op::Pin { ino, idx }),
+            any::<usize>().prop_map(|nth| Op::Unpin { nth }),
             Just(Op::Trim),
             Just(Op::Trim),
             (0u64..3).prop_map(|ino| Op::InvalidateIno { ino }),
@@ -592,17 +896,22 @@ mod tests {
     }
 
     proptest! {
-        /// The order index evicts exactly what the scan it replaced would
-        /// have: two caches fed one op sequence, one trimmed through the
+        /// The order index evicts exactly what a scan for the evictable
+        /// block with the fewest decayed reads, least recent among equals,
+        /// would: two caches fed one op sequence, one trimmed through the
         /// index and one through the scan, hold the same blocks in the
         /// same states after every step and report the same evictions.
+        /// Read counts and pins come from an independent model, so a
+        /// cache that miscounts a read, ages wrongly or lets a pinned
+        /// block into its order fails here.
         #[test]
         fn indexed_trim_matches_the_scan_oracle(
             capacity in 0usize..8,
-            ops in proptest::collection::vec(arb_op(), 1..300),
+            ops in proptest::collection::vec(arb_op(), 1..400),
         ) {
             let mut fast = BlockCache::with_capacity(8, capacity);
             let mut slow = BlockCache::with_capacity(8, capacity);
+            let mut model = Model::new(capacity);
             let mut wseq = 0u64;
             for op in ops {
                 wseq += 1;
@@ -611,7 +920,16 @@ mod tests {
                         fast.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
                         slow.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
                     }
-                    Op::Touch { ino, idx } => {
+                    Op::Touch { ino, idx } | Op::Read { ino, idx } => {
+                        // A read is the client's: a fill (a no-op if the
+                        // block is cached), then a touch.
+                        if matches!(op, Op::Read { .. }) {
+                            fast.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
+                            slow.fill(Ino(ino), idx, vec![wseq as u8; 8], tag(wseq));
+                        }
+                        if fast.get(Ino(ino), idx).is_some() {
+                            model.read((Ino(ino), idx));
+                        }
                         fast.touch(Ino(ino), idx);
                         slow.touch(Ino(ino), idx);
                     }
@@ -628,7 +946,25 @@ mod tests {
                         fast.mark_clean(Ino(ino), idx, t);
                         slow.mark_clean(Ino(ino), idx, t);
                     }
-                    Op::Trim => prop_assert_eq!(fast.trim(), slow.trim_by_scan()),
+                    Op::Pin { ino, idx } => {
+                        *model.pins.entry((Ino(ino), idx)).or_default() += 1;
+                        fast.pin(Ino(ino), idx);
+                        slow.pin(Ino(ino), idx);
+                    }
+                    Op::Unpin { nth } => {
+                        let mut pinned: Vec<(Ino, u32)> = model.pins.keys().copied().collect();
+                        pinned.sort();
+                        if let Some(&(ino, idx)) = pinned.get(nth % pinned.len().max(1)) {
+                            let n = model.pins.get_mut(&(ino, idx)).unwrap();
+                            *n -= 1;
+                            if *n == 0 {
+                                model.pins.remove(&(ino, idx));
+                            }
+                            fast.unpin(ino, idx);
+                            slow.unpin(ino, idx);
+                        }
+                    }
+                    Op::Trim => prop_assert_eq!(fast.trim(), model.trim_by_scan(&mut slow)),
                     Op::InvalidateIno { ino } => {
                         prop_assert_eq!(fast.invalidate_ino(Ino(ino)), slow.invalidate_ino(Ino(ino)));
                     }
@@ -636,8 +972,9 @@ mod tests {
                         prop_assert_eq!(fast.invalidate_all(), slow.invalidate_all());
                     }
                 }
-                prop_assert!(fast.lru_is_exact());
-                prop_assert!(slow.lru_is_exact());
+                prop_assert_eq!(&fast.reads, &model.reads);
+                prop_assert_eq!(&fast.order, &model.evictable(&fast));
+                prop_assert_eq!(&slow.order, &model.evictable(&slow));
                 prop_assert_eq!(fast.len(), slow.len());
                 prop_assert_eq!(fast.inos(), slow.inos());
                 for ino in fast.inos() {

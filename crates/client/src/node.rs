@@ -65,10 +65,11 @@ pub struct ClientConfig {
     /// next open of the same file finds the lock already held.
     pub lazy_release: bool,
     /// Block-cache capacity in blocks. Clean blocks past the limit evict
-    /// in LRU order after each read is served; dirty write-back blocks
-    /// are never evicted. `usize::MAX` (the default) is unbounded; `0`
-    /// retains no clean data at all — the "every read pays a SAN round
-    /// trip" baseline E17 measures against.
+    /// after each read is served, fewest decayed reads first (least
+    /// recently used among equals); dirty write-back blocks, and blocks a
+    /// read in flight waits on, are never evicted. `usize::MAX` (the
+    /// default) is unbounded; `0` retains no clean data at all — the
+    /// "every read pays a SAN round trip" baseline E17 measures against.
     pub cache_capacity: usize,
     /// Request `SharedRead` data locks for reads (the default), letting N
     /// clients serve a hot file from N caches concurrently. Disabled,
@@ -136,6 +137,10 @@ pub struct ClientStats {
     pub flushed_blocks: u64,
     /// Clean blocks evicted by the cache-capacity limit.
     pub cache_evictions: u64,
+    /// Read blocks fetched again because they left the cache between
+    /// their fetch and their serve (only a lock hand-off mid-read drops a
+    /// block a read waits on).
+    pub cache_refetches: u64,
     /// SAN I/Os rejected because this client was fenced.
     pub fenced_io: u64,
     /// Requests retransmitted.
@@ -494,6 +499,9 @@ pub struct ClientNode<Ob> {
     /// misses), so the serve step can label `ReadServed.from_cache`
     /// accurately per block.
     read_fetched: HashMap<OpId, Vec<u32>>,
+    /// Blocks each in-flight read or read-modify-write has pinned in the
+    /// cache (the blocks it waits on), released when it serves or ends.
+    op_pins: HashMap<OpId, (Ino, Vec<u32>)>,
     ops: HashMap<OpId, ActiveOp>,
     next_op_id: u64,
     /// Global write-tag counter: every client-minted [`WriteTag`] draws a
@@ -593,6 +601,7 @@ impl<Ob> ClientNode<Ob> {
             deferred_demands: HashMap::new(),
             cache,
             read_fetched: HashMap::new(),
+            op_pins: HashMap::new(),
             ops: HashMap::new(),
             next_op_id: 1,
             next_wseq: 0,
@@ -1917,12 +1926,16 @@ impl<Ob> ClientNode<Ob> {
                 );
             }
         }
-        if !fetched.is_empty() {
-            self.read_fetched.entry(id).or_default().extend(fetched);
-        }
         if waiting == 0 {
-            self.finish_read(id, ino, ctx);
-        } else if let Some(a) = self.ops.get_mut(&id) {
+            return self.finish_read(id, ino, ctx);
+        }
+        // The read now waits on the SAN: pin every block it will serve, so
+        // no other read's trim evicts one before it is answered.
+        for idx in (first..=last).filter(|&idx| (idx as usize) < nblocks) {
+            self.pin_for(id, ino, idx);
+        }
+        self.read_fetched.entry(id).or_default().extend(fetched);
+        if let Some(a) = self.ops.get_mut(&id) {
             a.state = OpState::SanReads {
                 waiting,
                 then_write: false,
@@ -2077,13 +2090,18 @@ impl<Ob> ClientNode<Ob> {
         let end = (offset + len as u64).min(size);
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
-        // A concurrent read's capacity trim may have evicted a block this
-        // op counted on while its SAN fetches were in flight: refetch
-        // before serving (zeros here would be silent corruption).
+        // The op's blocks are pinned against capacity trims, but a lock
+        // hand-off while its SAN fetches were in flight drops the file's
+        // blocks all the same: refetch before serving (zeros here would be
+        // silent corruption).
         let mut missing = 0;
         for idx in first..=last {
             if self.cache.get(ino, idx).is_none() && (idx as usize) < nblocks {
                 missing += 1;
+                self.stats.cache_refetches += 1;
+                if let Some(obs) = &self.obs {
+                    obs.cache_refetches.inc();
+                }
                 self.read_fetched.entry(id).or_default().push(idx);
                 self.san_read(
                     ino,
@@ -2137,6 +2155,7 @@ impl<Ob> ClientNode<Ob> {
         for &(idx, _, _) in &served {
             self.cache.touch(ino, idx);
         }
+        self.unpin_op(id);
         let evicted = self.cache.trim();
         if evicted > 0 {
             self.stats.cache_evictions += evicted as u64;
@@ -2196,11 +2215,16 @@ impl<Ob> ClientNode<Ob> {
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
         let mut waiting = 0;
+        let mut partial: Vec<u32> = Vec::new();
         for idx in first..=last {
             let bstart = idx as u64 * bs;
             let covers_fully = offset <= bstart && end >= bstart + bs;
             let has_live_data = bstart < size && (idx as usize) < blocks.len();
-            if !covers_fully && has_live_data && self.cache.get(ino, idx).is_none() {
+            if covers_fully || !has_live_data {
+                continue;
+            }
+            partial.push(idx);
+            if self.cache.get(ino, idx).is_none() {
                 waiting += 1;
                 self.san_read(
                     ino,
@@ -2217,8 +2241,14 @@ impl<Ob> ClientNode<Ob> {
             }
         }
         if waiting == 0 {
-            self.apply_write(id, ino, ctx);
-        } else if let Some(a) = self.ops.get_mut(&id) {
+            return self.apply_write(id, ino, ctx);
+        }
+        // Pin the partial blocks until the write lands: one evicted in the
+        // meantime would be rewritten around zeros, its live bytes lost.
+        for idx in partial {
+            self.pin_for(id, ino, idx);
+        }
+        if let Some(a) = self.ops.get_mut(&id) {
             a.state = OpState::SanReads {
                 waiting,
                 then_write: true,
@@ -2319,6 +2349,25 @@ impl<Ob> ClientNode<Ob> {
             );
         }
         self.complete_op(id, Ok(FsData::Unit), ctx);
+    }
+
+    /// Pin block `idx` of `ino` for op `id` (once per op), so no capacity
+    /// trim evicts it before the op has used it.
+    fn pin_for(&mut self, id: OpId, ino: Ino, idx: u32) {
+        let (_, pinned) = self.op_pins.entry(id).or_insert_with(|| (ino, Vec::new()));
+        if !pinned.contains(&idx) {
+            pinned.push(idx);
+            self.cache.pin(ino, idx);
+        }
+    }
+
+    /// Release every pin op `id` holds.
+    fn unpin_op(&mut self, id: OpId) {
+        if let Some((ino, pinned)) = self.op_pins.remove(&id) {
+            for idx in pinned {
+                self.cache.unpin(ino, idx);
+            }
+        }
     }
 
     // --------------------------------------------------------------- SAN
@@ -3220,6 +3269,7 @@ impl<Ob> ClientNode<Ob> {
         }
         self.list_fanout.remove(&id);
         self.read_fetched.remove(&id);
+        self.unpin_op(id);
         let kind = active.op.kind();
         match &result {
             Ok(_) => self.stats.completed += 1,
@@ -3527,7 +3577,10 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.name_cache.clear();
         self.parked.clear();
         self.deferred_demands.clear();
-        self.cache.invalidate_all();
+        // Read counts and the dead ops' pins go with the blocks.
+        self.cache = BlockCache::with_capacity(self.cfg.block_size, self.cfg.cache_capacity);
+        self.read_fetched.clear();
+        self.op_pins.clear();
         self.ops.clear();
         self.san_ops.clear();
         self.flushes.clear();

@@ -46,6 +46,8 @@ pub struct ClientObs {
     pub cache_misses: Arc<Counter>,
     /// `client.cache.evictions`.
     pub cache_evictions: Arc<Counter>,
+    /// `client.cache.refetches`.
+    pub cache_refetches: Arc<Counter>,
     /// `client.cache.writeback_flushes`.
     pub writeback_flushes: Arc<Counter>,
     /// `client.cache.revokes`.
@@ -82,6 +84,7 @@ impl ClientObs {
             cache_hits: registry.counter_def(&names::CLIENT_CACHE_HITS),
             cache_misses: registry.counter_def(&names::CLIENT_CACHE_MISSES),
             cache_evictions: registry.counter_def(&names::CLIENT_CACHE_EVICTIONS),
+            cache_refetches: registry.counter_def(&names::CLIENT_CACHE_REFETCHES),
             writeback_flushes: registry.counter_def(&names::CLIENT_CACHE_WRITEBACK_FLUSHES),
             cache_revokes: registry.counter_def(&names::CLIENT_CACHE_REVOKES),
             attr_hits: registry.counter_def(&names::CLIENT_ATTR_HITS),

@@ -30,6 +30,8 @@
 //!   Exclusive-only reads;
 //! * **baseline honesty** — capacity 0 may hit only on dirty blocks
 //!   pinned awaiting write-back (its hit rate stays small);
+//! * **capacity pays** — with SharedRead on, the hit rate does not fall
+//!   as capacity grows 0 → 4 → 16 → unbounded;
 //! * **safety** — zero checker violations across every swept config.
 //!
 //! `--smoke` shrinks durations and seed counts for CI; the assertions
@@ -54,10 +56,10 @@ fn cache_cfg(capacity: usize, shared: bool) -> ClusterConfig {
     cfg.block_size = BS;
     cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
     cfg.lease.epsilon = 0.01;
-    // ONE closed-loop process per client: concurrent processes share the
-    // client's cache, and at tiny capacities each one's finish-trim
-    // evicts the other's in-flight blocks — a refetch-thrash regime that
-    // would muddy the capacity curve under measurement here.
+    // One closed-loop process per client, as in every earlier capture of
+    // this sweep, so the curve stays comparable with them. (More would not
+    // thrash a tiny cache: a read pins the blocks it waits on until it is
+    // served.)
     cfg.gen_concurrency = 1;
     // Disk-ish SAN: ~5 ms per block round trip. This is the cost a cache
     // hit avoids — with the default 50 µs SAN the cache would be
@@ -207,6 +209,20 @@ fn main() {
          (hit rate {:.3} vs unbounded {:.3})",
         off.1,
         on.1
+    );
+    // SharedRead-on configs sit at the even indices, in capacity order.
+    let curve: Vec<f64> = rates.iter().step_by(2).map(|r| r.1).collect();
+    assert!(
+        curve.windows(2).all(|w| w[0] <= w[1]),
+        "the SharedRead hit rate must not fall as capacity grows: {curve:?}"
+    );
+    println!(
+        "capacity: SharedRead hit rate never falls as capacity grows ({})",
+        curve
+            .iter()
+            .map(|h| format!("{:.1}%", h * 100.0))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
     assert!(
         on.0 > off.0,

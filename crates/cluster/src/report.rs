@@ -132,6 +132,7 @@ impl RunReport {
             t.cache_hits += c.cache_hits;
             t.cache_misses += c.cache_misses;
             t.cache_evictions += c.cache_evictions;
+            t.cache_refetches += c.cache_refetches;
             t.flushed_blocks += c.flushed_blocks;
             t.fenced_io += c.fenced_io;
             t.retransmits += c.retransmits;

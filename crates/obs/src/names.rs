@@ -183,6 +183,13 @@ pub const CLIENT_CACHE_EVICTIONS: MetricDef = counter(
     "client.cache.evictions",
     "clean blocks evicted by the capacity limit",
 );
+/// Read blocks fetched again because they left the cache between their
+/// fetch and their serve. A read pins the blocks it waits on, so only a
+/// lock hand-off mid-read (which drops the file's blocks) causes one.
+pub const CLIENT_CACHE_REFETCHES: MetricDef = counter(
+    "client.cache.refetches",
+    "read blocks fetched again because they left the cache before serve",
+);
 /// Dirty write-back blocks hardened to the SAN (periodic flush, demand
 /// flush, or the phase-4 flush-everything campaign).
 pub const CLIENT_CACHE_WRITEBACK_FLUSHES: MetricDef = counter(
@@ -457,6 +464,7 @@ pub const ALL: &[MetricDef] = &[
     CLIENT_CACHE_HITS,
     CLIENT_CACHE_MISSES,
     CLIENT_CACHE_EVICTIONS,
+    CLIENT_CACHE_REFETCHES,
     CLIENT_CACHE_WRITEBACK_FLUSHES,
     CLIENT_CACHE_REVOKES,
     CLIENT_ATTR_HITS,
