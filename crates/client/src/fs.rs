@@ -70,7 +70,12 @@ pub enum FsOp {
         /// File path.
         path: String,
     },
-    /// Release any lock held on the file (flushing first).
+    /// Release any lock held on the file (flushing first). An eager
+    /// release completes when its `LockRelease` is sent: every dirty block
+    /// is hardened on the SAN, a size commit it needed has been answered
+    /// (or travels in the release's batch), and the lock is `Releasing`,
+    /// serving nothing. The server's answer is not awaited. With lazy
+    /// release the lock is retained and the op completes at once.
     Release {
         /// File path.
         path: String,

@@ -211,9 +211,12 @@ enum Purpose {
     Commit {
         ino: Ino,
     },
-    /// Commit whose completion triggers a lock release (demand path).
+    /// Commit whose answer (or failure) sends the lock release, at
+    /// `batch_cap = 1`. `complete` is the eager `Release` op the release
+    /// completes when it leaves.
     CommitThenRelease {
         ino: Ino,
+        complete: Option<OpId>,
     },
     /// Lock release of our current holding (success tears down local
     /// state).
@@ -522,10 +525,6 @@ pub struct ClientNode<Ob> {
     /// A queued closed-loop op waiting for its think-time timer.
     gen_op_queued: bool,
     queued_gen_op: Option<FsOp>,
-    /// Ops to complete when a commit-then-release chain finishes.
-    release_after_commit: HashMap<Ino, Option<OpId>>,
-    /// Ops to complete when a release reply arrives.
-    release_completes: HashMap<Ino, Option<OpId>>,
     /// Inodes whose voluntary release was absorbed locally (lazy
     /// release), oldest first. The lock stays `Held`; a server demand or
     /// cap overflow sends it back through the eager release path.
@@ -616,8 +615,6 @@ impl<Ob> ClientNode<Ob> {
             script: Script::new(),
             gen_op_queued: false,
             queued_gen_op: None,
-            release_after_commit: HashMap::new(),
-            release_completes: HashMap::new(),
             lazy_retained: Vec::new(),
             next_poll_at: None,
             results: std::collections::VecDeque::new(),
@@ -786,14 +783,7 @@ impl<Ob> ClientNode<Ob> {
         retry: bool,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
-        // An own request that changes an inode at the server outdates
-        // whatever attributes are cached under its lock.
-        if let Some(ino) = mutated_ino(&body) {
-            if let Some(LockEntry::Held(info)) = self.locks.get_mut(&ino) {
-                info.mutations += 1;
-                info.attr = None;
-            }
-        }
+        self.note_mutation(&body);
         if self.cfg.batch_cap <= 1 || !body.batchable() {
             // Sync point: anything already queued (e.g. a CommitWrite)
             // must reach the server before this request executes, so the
@@ -811,18 +801,33 @@ impl<Ob> ClientNode<Ob> {
                 | Purpose::PushAckSend
                 | Purpose::ReleaseStale
                 | Purpose::Release { .. }
-                | Purpose::CommitThenRelease { .. }
         );
+        let cap = self.batch_cap();
         let l = &mut self.lanes[lane];
         l.queue.push((body, purpose, retry));
         let gate_age = l.gate.map(|(_, sent)| ctx.now().minus(sent));
-        let cap = self.cfg.batch_cap.min(tank_proto::MAX_BATCH_ELEMS);
         if urgent {
             self.flush_batch(lane, FLUSH_SYNC, ctx);
         } else if l.queue.len() >= cap {
             self.flush_batch(lane, FLUSH_SIZE, ctx);
         } else if gate_age.is_none_or(|age| age > l.gate_rtt.times(2)) {
             self.flush_batch(lane, FLUSH_IDLE, ctx);
+        }
+    }
+
+    /// Elements per coalesced request.
+    fn batch_cap(&self) -> usize {
+        self.cfg.batch_cap.min(tank_proto::MAX_BATCH_ELEMS)
+    }
+
+    /// An own request that changes an inode at the server outdates
+    /// whatever attributes are cached under its lock.
+    fn note_mutation(&mut self, body: &RequestBody) {
+        if let Some(ino) = mutated_ino(body) {
+            if let Some(LockEntry::Held(info)) = self.locks.get_mut(&ino) {
+                info.mutations += 1;
+                info.attr = None;
+            }
         }
     }
 
@@ -2534,14 +2539,15 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    /// Demand path tail: ensure committed size, then release.
+    /// Release tail, for an eager `Release` and a hand-back alike: ensure
+    /// the committed size, then release. `complete` rides in the commit's
+    /// purpose to [`send_release`](Self::send_release), which completes it.
     fn commit_then_release(
         &mut self,
         ino: Ino,
         complete: Option<OpId>,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
-        // Stash the op to complete on the release reply via Purpose.
         let needs_commit = match self.locks.get(&ino) {
             Some(LockEntry::Held(info)) => info.size > info.committed_size,
             _ => false,
@@ -2555,26 +2561,29 @@ impl<Ob> ClientNode<Ob> {
                 // Pipelined handover: queue the commit, then let the
                 // (urgent) release flush the lane — both travel in ONE
                 // batch and the 2-round-trip commit→release chain costs
-                // a single round trip. The server executes them in order;
-                // if the commit fails, first-error-stops leaves the
+                // a single round trip. The commit never leaves on its own,
+                // not even on an idle lane: a release that overtook it
+                // would make the server refuse it `NotLocked`, and the
+                // size would be lost. The server executes the batch in
+                // order; if the commit fails, first-error-stops leaves the
                 // release unexecuted and the lease machinery recovers.
                 let lane = self.lane_of_ino(ino);
-                self.send_request(
-                    lane,
-                    RequestBody::CommitWrite { ino, new_size },
-                    Purpose::Commit { ino },
-                    true,
-                    ctx,
-                );
+                if self.lanes[lane].queue.len() + 2 > self.batch_cap() {
+                    self.flush_batch(lane, FLUSH_SIZE, ctx);
+                }
+                let commit = RequestBody::CommitWrite { ino, new_size };
+                self.note_mutation(&commit);
+                self.lanes[lane]
+                    .queue
+                    .push((commit, Purpose::Commit { ino }, true));
                 self.send_release(ino, complete, ctx);
                 return;
             }
-            self.release_after_commit.insert(ino, complete);
             let lane = self.lane_of_ino(ino);
             self.send_request(
                 lane,
                 RequestBody::CommitWrite { ino, new_size },
-                Purpose::CommitThenRelease { ino },
+                Purpose::CommitThenRelease { ino, complete },
                 true,
                 ctx,
             );
@@ -2609,7 +2618,6 @@ impl<Ob> ClientNode<Ob> {
                 // (with its exact epoch) is pure server-side cleanup.
             }
         }
-        self.release_completes.insert(ino, complete);
         let lane = self.lane_of_ino(ino);
         self.send_request(
             lane,
@@ -2618,6 +2626,15 @@ impl<Ob> ClientNode<Ob> {
             true,
             ctx,
         );
+        // The op's completion point. Every dirty block is hardened (the
+        // gate above), a needed size commit was answered or shares the
+        // release's batch, and `Releasing` serves nothing and parks every
+        // new op on the ino until the answer: the answer cannot change
+        // what the op promised, so it is not awaited (as `Flush` does not
+        // await its commit).
+        if let Some(id) = complete {
+            self.complete_op(id, Ok(FsData::Unit), ctx);
+        }
     }
 
     fn on_released(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -2630,9 +2647,6 @@ impl<Ob> ClientNode<Ob> {
         self.bump_gen(ino);
         self.lazy_retained.retain(|i| *i != ino);
         self.cache.invalidate_ino(ino);
-        if let Some(complete) = self.release_completes.remove(&ino).flatten() {
-            self.complete_op(complete, Ok(FsData::Unit), ctx);
-        }
         // Ops that arrived while releasing re-acquire.
         self.kick_parked(ino, ctx);
     }
@@ -2911,11 +2925,11 @@ impl<Ob> ClientNode<Ob> {
                 // unknown. Keep the Releasing state and the cache — the
                 // lease machinery now owns recovery (phase-4 flush still
                 // works from the retained grant info; expiry or session
-                // reset cleans up).
+                // reset cleans up). No op waits here: an eager `Release`
+                // completed when this message left.
                 let _ = ino;
             }
-            Purpose::CommitThenRelease { ino } => {
-                let complete = self.release_after_commit.remove(&ino).flatten();
+            Purpose::CommitThenRelease { ino, complete } => {
                 self.send_release(ino, complete, ctx);
             }
             Purpose::Hello { .. } => {
@@ -3105,13 +3119,12 @@ impl<Ob> ClientNode<Ob> {
                     }
                 }
             }
-            Purpose::CommitThenRelease { ino } => {
+            Purpose::CommitThenRelease { ino, complete } => {
                 if result.is_ok() {
                     if let Some(LockEntry::Held(info)) = self.locks.get_mut(&ino) {
                         info.committed_size = info.size.max(info.committed_size);
                     }
                 }
-                let complete = self.release_after_commit.remove(&ino).flatten();
                 self.send_release(ino, complete, ctx);
             }
             Purpose::Release { ino } => {
