@@ -37,7 +37,7 @@
 //!    batching must stay within 10 % of cap 1.
 //!
 //! All regimes run every seed through the offline checker (including
-//! the batch-atomicity audit). Emitted as `BENCH_batch.json`.
+//! the batch-atomicity audit).
 //!
 //! Acceptance built into the binary:
 //! * **negative control** — cap 1 + lazy off is the pre-batching wire
@@ -50,9 +50,6 @@
 //! * **no latency tax** — on the LAN regime cap 8 must reach ≥ 0.90 ×
 //!   the ops/s of cap 1;
 //! * **safety** — zero checker violations across every swept config.
-//!
-//! `--smoke` shrinks durations and seed counts for CI; the assertions
-//! are identical.
 
 use tank_client::{FsOp, OpGen};
 use tank_cluster::table::{f, Table};
@@ -378,9 +375,8 @@ fn lan_once(cap: usize, seed: u64, secs: u64) -> (u64, u64, usize) {
     )
 }
 
-/// One row of a cap sweep: (batch cap, ops ok, ops/s, control datagrams
-/// per op).
-type Row = (usize, u64, f64, f64);
+/// One row of a cap sweep: (batch cap, ops/s, control datagrams per op).
+type Row = (usize, f64, f64);
 
 /// Run `once(cap, seed)` — returning (ops ok, control datagrams, checker
 /// violations) — over `caps` × `seeds`, with ops/s over `rate_secs` per
@@ -410,42 +406,29 @@ fn sweep(
             f(ops_per_sec),
             f(msgs_per_op),
         ]);
-        rows.push((cap, ops_sum, ops_per_sec, msgs_per_op));
+        rows.push((cap, ops_per_sec, msgs_per_op));
     }
     print!("{}", table.render());
     (rows, violations)
 }
 
-/// A sweep's rows as the elements of a JSON array.
-fn rows_json(rows: &[Row], seeds: u64, secs: u64) -> String {
-    let mut out = String::new();
-    for (k, (cap, ops_sum, ops_per_sec, msgs_per_op)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"batch_cap\": {cap}, \"seeds\": {seeds}, \"duration_s\": {secs}, \
-             \"ops_ok\": {ops_sum}, \"ops_per_sec\": {ops_per_sec:.2}, \
-             \"ctl_msgs_per_op\": {msgs_per_op:.3} }}{}\n",
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out
-}
-
 /// Virtual seconds `Cluster::settle()` appends after the timed run
 /// (2τ + 5 s at τ = 2 s). The workload keeps flowing through it, so the
-/// honest rate denominator is `secs + SETTLE_S` — that also makes the
-/// reported ops/s independent of the chosen run length (smoke and full
-/// sweeps land on the same rates).
+/// honest rate denominator is `secs + SETTLE_S`, which also makes the
+/// reported ops/s independent of the run length.
 const SETTLE_S: u64 = 9;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (secs, seeds): (u64, u64) = if smoke { (6, 2) } else { (20, 10) };
+    let (secs, seeds) = (20u64, 10u64);
     let caps: Vec<usize> = vec![1, 2, 4, 8, 16];
 
     println!("E15 — control-path batching + lazy lock release");
+    println!("({secs}s runs, {seeds} seeds per config)");
     println!(
-        "({secs}s runs, {seeds} seeds per config, ctl RTT ~19.5ms{})",
-        if smoke { ", --smoke" } else { "" }
+        "ops/sec in every regime is closed-loop, set by its control RTT and think time \
+         (latency ~19.5 ms + {} ms, storm ~4 ms + 1 ms, LAN ~250 us + 0-40 us): \
+         it compares configs, not server capacity",
+        THINK_MEAN.0 / 1_000_000
     );
 
     let mut t = Table::new(&[
@@ -456,12 +439,11 @@ fn main() {
         "ctl msgs/op",
         "violations",
     ]);
-    let mut bench = String::from("{\n  \"bench\": \"batch_lazy_release\",\n  \"points\": [\n");
     let mut total_violations = 0usize;
     let mut baseline = 0.0f64;
     let mut best = 0.0f64;
     let configs: Vec<(usize, bool)> = caps.iter().flat_map(|&c| [(c, false), (c, true)]).collect();
-    for (k, &(cap, lazy)) in configs.iter().enumerate() {
+    for &(cap, lazy) in &configs {
         let mut ops_sum = 0u64;
         let mut req_sum = 0u64;
         let mut violations = 0usize;
@@ -488,12 +470,6 @@ fn main() {
             violations.to_string(),
         ]);
         total_violations += violations;
-        bench.push_str(&format!(
-            "    {{ \"batch_cap\": {cap}, \"lazy_release\": {lazy}, \"seeds\": {seeds}, \
-             \"duration_s\": {secs}, \"ops_ok\": {ops_sum}, \"ops_per_sec\": {ops_per_sec:.2}, \
-             \"ctl_msgs_per_op\": {msgs_per_op:.2} }}{}\n",
-            if k + 1 < configs.len() { "," } else { "" }
-        ));
     }
     let speedup = best / baseline.max(1e-9);
     print!("{}", t.render());
@@ -534,7 +510,7 @@ fn main() {
     // overlapped pipelining on latency (the network already carries
     // concurrent singles in parallel); its win is DATAGRAM COUNT — the
     // per-message server cost §1.1's scalability argument cares about.
-    let (storm_secs, storm_seeds): (u64, u64) = if smoke { (4, 2) } else { (10, 5) };
+    let (storm_secs, storm_seeds) = (10u64, 5u64);
     let storm_caps: Vec<usize> = vec![1, 2, 4, 8, 16];
     println!("stat storm (16 concurrent processes/client, metro RTT ~4ms):");
     let (storm_rows, storm_violations) = sweep(
@@ -546,35 +522,35 @@ fn main() {
     assert_eq!(storm_violations, 0, "checker violations in the stat storm");
     let storm_base = storm_rows[0];
     let storm_best = *storm_rows.last().unwrap();
-    let msg_ratio = storm_best.3 / storm_base.3.max(1e-9);
+    let msg_ratio = storm_best.2 / storm_base.2.max(1e-9);
     assert!(
-        storm_best.3 <= 0.30,
+        storm_best.2 <= 0.30,
         "cap 16 must bring the storm to <= 0.30 control datagrams per op \
          (got {:.3} vs {:.3} at cap 1)",
-        storm_best.3,
-        storm_base.3
-    );
-    assert!(
-        (storm_best.2 / storm_base.2 - 1.0).abs() <= 0.01,
-        "batching must not trade storm throughput for message count \
-         ({:.2} vs {:.2} ops/s)",
         storm_best.2,
         storm_base.2
+    );
+    assert!(
+        (storm_best.1 / storm_base.1 - 1.0).abs() <= 0.01,
+        "batching must not trade storm throughput for message count \
+         ({:.2} vs {:.2} ops/s)",
+        storm_best.1,
+        storm_base.1
     );
     println!(
         "message load: {:.2} -> {:.2} ctl datagrams/op at cap 16 ({:.1}x fewer), \
          throughput within {:.0}%",
-        storm_base.3,
-        storm_best.3,
+        storm_base.2,
+        storm_best.2,
         1.0 / msg_ratio.max(1e-9),
-        (1.0 - storm_best.2 / storm_base.2).abs() * 100.0
+        (1.0 - storm_best.1 / storm_base.1).abs() * 100.0
     );
 
     // ---- LAN regime: the repo benchmark's shape. Four processes never
     // fill a batch, so a flush rule that waits for company taxes every op
     // (a 500 µs flush timer ran cap 8 at 0.72x cap 1 here); waiting only
     // behind a request already in flight must not.
-    let (lan_secs, lan_seeds): (u64, u64) = if smoke { (1, 2) } else { (2, 5) };
+    let (lan_secs, lan_seeds) = (2u64, 5u64);
     println!();
     println!("LAN (benchmark shape: 8 clients x 4 processes, RTT ~250us, lazy release on):");
     let (lan_rows, lan_violations) = sweep(&storm_caps, lan_seeds, lan_secs, |cap, seed| {
@@ -583,32 +559,18 @@ fn main() {
     assert_eq!(lan_violations, 0, "checker violations in the LAN regime");
     let lan_base = lan_rows[0];
     let lan_cap8 = *lan_rows.iter().find(|r| r.0 == 8).expect("cap 8 row");
-    let lan_ratio = lan_cap8.2 / lan_base.2.max(1e-9);
+    let lan_ratio = lan_cap8.1 / lan_base.1.max(1e-9);
     assert!(
         lan_ratio >= 0.90,
         "batching must not tax a lightly loaded lane: cap 8 ran at {:.2}x cap 1 \
          ({:.0} vs {:.0} ops/s)",
         lan_ratio,
-        lan_cap8.2,
-        lan_base.2
+        lan_cap8.1,
+        lan_base.1
     );
     println!(
         "latency tax: cap 8 runs at {lan_ratio:.2}x cap 1 ({:.0} vs {:.0} ops/s), \
          {:.2} -> {:.2} ctl datagrams/op",
-        lan_cap8.2, lan_base.2, lan_base.3, lan_cap8.3
+        lan_cap8.1, lan_base.1, lan_base.2, lan_cap8.2
     );
-
-    bench.push_str("  ],\n  \"stat_storm\": [\n");
-    bench.push_str(&rows_json(&storm_rows, storm_seeds, storm_secs));
-    bench.push_str("  ],\n  \"lan\": [\n");
-    bench.push_str(&rows_json(&lan_rows, lan_seeds, lan_secs));
-    bench.push_str(&format!(
-        "  ],\n  \"baseline_ops_per_sec\": {baseline:.2},\n  \"best_ops_per_sec\": {best:.2},\n  \
-         \"speedup\": {speedup:.2},\n  \"storm_msgs_per_op_cap1\": {:.3},\n  \
-         \"storm_msgs_per_op_cap16\": {:.3},\n  \"lan_cap8_over_cap1\": {lan_ratio:.3}\n}}\n",
-        storm_base.3, storm_best.3
-    ));
-
-    std::fs::write("BENCH_batch.json", &bench).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
 }

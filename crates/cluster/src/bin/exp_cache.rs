@@ -21,7 +21,7 @@
 //!
 //! Every run goes through the offline checker — including the coherence
 //! audit (no read from a quiesced cache, no dirty block surviving a
-//! steal, no write under a shared grant). Emitted as `BENCH_cache.json`.
+//! steal, no write under a shared grant).
 //!
 //! Acceptance built into the binary:
 //! * **cache wins** — unbounded capacity must beat the capacity-0
@@ -33,9 +33,6 @@
 //! * **capacity pays** — with SharedRead on, the hit rate does not fall
 //!   as capacity grows 0 → 4 → 16 → unbounded;
 //! * **safety** — zero checker violations across every swept config.
-//!
-//! `--smoke` shrinks durations and seed counts for CI; the assertions
-//! are identical.
 
 use tank_cluster::table::{f, Table};
 use tank_cluster::workload::{Mix, ZipfGen};
@@ -124,16 +121,11 @@ fn label(capacity: usize) -> String {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (secs, seeds): (u64, u64) = if smoke { (6, 2) } else { (20, 8) };
+    let (secs, seeds) = (20u64, 8u64);
     let capacities: Vec<usize> = vec![0, 4, 16, usize::MAX];
 
     println!("E17 — client block cache: capacity x lock-mode sweep");
-    println!(
-        "({secs}s runs, {seeds} seeds per config, Zipf(1.0) 95%-read, \
-         SAN ~5ms{})",
-        if smoke { ", --smoke" } else { "" }
-    );
+    println!("({secs}s runs, {seeds} seeds per config, Zipf(1.0) 95%-read, SAN ~5ms)");
 
     let mut t = Table::new(&[
         "capacity",
@@ -143,7 +135,6 @@ fn main() {
         "hit rate",
         "violations",
     ]);
-    let mut bench = String::from("{\n  \"bench\": \"client_block_cache\",\n  \"points\": [\n");
     let configs: Vec<(usize, bool)> = capacities
         .iter()
         .flat_map(|&c| [(c, true), (c, false)])
@@ -151,7 +142,7 @@ fn main() {
     let mut total_violations = 0usize;
     // (ops/s, hit rate) per config, keyed like `configs`.
     let mut rates: Vec<(f64, f64)> = Vec::new();
-    for (k, &(capacity, shared)) in configs.iter().enumerate() {
+    for &(capacity, shared) in &configs {
         let mut ops_sum = 0u64;
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -175,18 +166,6 @@ fn main() {
         ]);
         total_violations += violations;
         rates.push((ops_per_sec, hit_rate));
-        bench.push_str(&format!(
-            "    {{ \"capacity\": {}, \"shared_read\": {shared}, \"seeds\": {seeds}, \
-             \"duration_s\": {secs}, \"ops_ok\": {ops_sum}, \"ops_per_sec\": {ops_per_sec:.2}, \
-             \"cache_hits\": {hits}, \"cache_misses\": {misses}, \
-             \"hit_rate\": {hit_rate:.4} }}{}\n",
-            if capacity == usize::MAX {
-                "\"unbounded\"".to_string()
-            } else {
-                capacity.to_string()
-            },
-            if k + 1 < configs.len() { "," } else { "" }
-        ));
     }
     print!("{}", t.render());
 
@@ -254,18 +233,4 @@ fn main() {
         excl.0,
         on.0 / excl.0.max(1e-9)
     );
-
-    bench.push_str(&format!(
-        "  ],\n  \"baseline_ops_per_sec\": {:.2},\n  \"cached_ops_per_sec\": {:.2},\n  \
-         \"cache_speedup\": {:.2},\n  \"exclusive_ops_per_sec\": {:.2},\n  \
-         \"shared_over_exclusive\": {:.2},\n  \"hit_rate_unbounded\": {:.4}\n}}\n",
-        off.0,
-        on.0,
-        on.0 / off.0.max(1e-9),
-        excl.0,
-        on.0 / excl.0.max(1e-9),
-        on.1
-    ));
-    std::fs::write("BENCH_cache.json", &bench).expect("write BENCH_cache.json");
-    println!("wrote BENCH_cache.json");
 }

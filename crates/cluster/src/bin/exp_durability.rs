@@ -6,8 +6,7 @@
 //!    mid-run crash/restart, across WAL compaction thresholds. Smaller
 //!    thresholds buy shorter replays (fewer records survive past each
 //!    snapshot) at the price of more compaction work. Group-commit
-//!    amortization shows up as fsyncs ≪ appends. Emitted as
-//!    `BENCH_wal.json`.
+//!    amortization shows up as fsyncs ≪ appends.
 //! 2. **Failover vs restart** — the same crash, resolved two ways: the
 //!    primary restarts after a 1s outage, or it never comes back and the
 //!    warm standby elects itself after τ(1+ε) of replication silence.
@@ -17,9 +16,6 @@
 //!    and standby) replays through the offline auditor: monotone
 //!    watermarks, strictly increasing incarnations, no double-minted
 //!    inode, durable prefix fully decodable.
-//!
-//! `--smoke` shrinks durations and seed counts for CI; the assertions
-//! are identical.
 
 use std::sync::Arc;
 use tank_cluster::table::{f, Table};
@@ -143,18 +139,11 @@ fn recovery_run(failover: bool, seed: u64, secs: u64) -> (u64, u64, usize, usize
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (secs, seeds, thresholds): (u64, u64, Vec<usize>) = if smoke {
-        (8, 2, vec![8 << 10, 64 << 10])
-    } else {
-        (20, 10, vec![8 << 10, 16 << 10, 64 << 10, 256 << 10])
-    };
+    let (secs, seeds) = (20u64, 10u64);
+    let thresholds: Vec<usize> = vec![8 << 10, 16 << 10, 64 << 10, 256 << 10];
 
     println!("E16 — durable metadata: WAL cost, compaction cadence, failover");
-    println!(
-        "({secs}s runs, {seeds} seeds per point{})",
-        if smoke { ", --smoke" } else { "" }
-    );
+    println!("({secs}s runs, {seeds} seeds per point)");
     println!();
 
     // 1: compaction-cadence sweep (with a mid-run crash/restart so every
@@ -168,11 +157,10 @@ fn main() {
         "max replay",
         "violations",
     ]);
-    let mut bench = String::from("{\n  \"bench\": \"wal_cadence\",\n  \"points\": [\n");
     let mut total_violations = 0usize;
     let mut compactions_by_point = Vec::new();
     let mut replay_by_point = Vec::new();
-    for (k, &threshold) in thresholds.iter().enumerate() {
+    for &threshold in &thresholds {
         let mut ops_sum = 0u64;
         let mut appends = 0u64;
         let mut fsyncs = 0u64;
@@ -200,14 +188,7 @@ fn main() {
         total_violations += violations;
         compactions_by_point.push(compactions);
         replay_by_point.push(replay_max);
-        bench.push_str(&format!(
-            "    {{ \"threshold\": {threshold}, \"seeds\": {seeds}, \"duration_s\": {secs}, \
-             \"ops_ok\": {ops_sum}, \"wal_appends\": {appends}, \"wal_fsyncs\": {fsyncs}, \
-             \"compactions\": {compactions}, \"max_replay_ns\": {replay_max} }}{}\n",
-            if k + 1 < thresholds.len() { "," } else { "" }
-        ));
     }
-    bench.push_str("  ]\n}\n");
     print!("{}", t.render());
     assert_eq!(total_violations, 0, "cadence sweep must be checker-clean");
     // Group commit earned its keep: many appends per fsync would show up
@@ -223,8 +204,6 @@ fn main() {
         "smaller thresholds must not replay more than larger ones"
     );
     println!("sweep: zero violations; tighter cadence → more compactions, shorter replay");
-    std::fs::write("BENCH_wal.json", &bench).expect("write BENCH_wal.json");
-    println!("wrote BENCH_wal.json");
     println!();
 
     // 2 + 3: failover vs restart, each device audited.

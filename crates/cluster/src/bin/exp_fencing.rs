@@ -4,6 +4,9 @@
 //! stranded acknowledged writes (lost updates), stale cache reads served
 //! to local processes, and honest denials. The lease protocol converts
 //! silent corruption into explicit, bounded unavailability.
+//!
+//! Asserted: fencing-only loses updates while denying nothing; leases
+//! lose nothing and every lease run is safe.
 
 use tank_client::fs::Script;
 use tank_client::FsOp;
@@ -107,9 +110,21 @@ fn main() {
         ("LeaseFence (§3)", RecoveryPolicy::LeaseFence, true),
     ] {
         let s = run_seeds(&seeds, |seed| run(policy, lease, seed));
+        let lost = s.total(|r| r.check.lost_updates.len() as u64);
+        if lease {
+            assert!(
+                s.all_safe() && lost == 0,
+                "{label}: a lease run was unsafe or lost updates"
+            );
+        } else {
+            assert!(
+                lost > 0 && s.total(|r| r.check.ops_denied) == 0,
+                "{label}: fencing-only must lose updates without one honest denial"
+            );
+        }
         t.row(vec![
             label.into(),
-            s.total(|r| r.check.lost_updates.len() as u64).to_string(),
+            lost.to_string(),
             s.total(|r| r.check.stale_reads.len() as u64).to_string(),
             s.total(|r| r.check.write_order_violations.len() as u64)
                 .to_string(),

@@ -6,6 +6,10 @@
 //! schemes on the lease-layer world, reporting maintenance messages per
 //! useful op, peak server lease-state bytes, and lease-related server
 //! operations.
+//!
+//! Asserted: for active tank clients all three are 0 in every cell; idle
+//! tank clients send keep-alives but still cost the server no lease bytes
+//! and no lease operations.
 
 use tank_baselines::{run_lease_layer, LayerParams, Scheme};
 use tank_cluster::table::{f, Table};
@@ -30,6 +34,13 @@ fn sweep(label: &str, params_of: &dyn Fn(usize) -> LayerParams, xs: &[usize]) {
             Scheme::NfsPoll,
         ] {
             let r = run_lease_layer(scheme, params_of(x));
+            if scheme == Scheme::Tank {
+                assert_eq!(
+                    (r.maintenance_msgs, r.peak_lease_bytes, r.server_lease_ops),
+                    (0, 0, 0),
+                    "{label} = {x}: tank's lease cost is not zero"
+                );
+            }
             t.row(vec![
                 x.to_string(),
                 r.scheme.label().into(),
@@ -88,6 +99,13 @@ fn main() {
                 ..base
             },
         );
+        if scheme == Scheme::Tank {
+            assert_eq!(
+                (r.peak_lease_bytes, r.server_lease_ops),
+                (0, 0),
+                "idle tank clients cost the server lease state or work"
+            );
+        }
         t.row(vec![
             r.scheme.label().into(),
             r.maintenance_msgs.to_string(),

@@ -8,6 +8,10 @@
 //! Phase 4 is 15% of τ by default; past its SAN bandwidth the client
 //! starts losing acknowledged writes, which is the sizing guidance the
 //! phase fractions exist for.
+//!
+//! Asserted: the active client never leaves phase 1, the isolated client
+//! walks the phases in order, and every block hardens at ≤ 256 dirty
+//! blocks.
 
 use tank_client::fs::Script;
 use tank_client::FsOp;
@@ -30,6 +34,7 @@ fn phase_timeline() {
     }
     let mut t = Table::new(&["t (s)", "active client", "isolated client"]);
     let mut seq = 100u64;
+    let mut walked: Vec<Phase> = Vec::new();
     for step in 0..=22 {
         let now = LocalNs(step * 500_000_000); // 0.5s steps
                                                // The active client does an op every step and gets it ACKed.
@@ -38,6 +43,14 @@ fn phase_timeline() {
         active.on_ack(ReqSeq(seq), now.plus(LocalNs(500_000)));
         let _ = active.poll(now);
         let _ = isolated.poll(now);
+        assert_eq!(
+            active.phase(now),
+            Phase::Valid,
+            "the active client left phase 1"
+        );
+        if walked.last() != Some(&isolated.phase(now)) {
+            walked.push(isolated.phase(now));
+        }
         t.row(vec![
             f(now.as_secs_f64()),
             format!("{:?}", active.phase(now)),
@@ -48,6 +61,17 @@ fn phase_timeline() {
         }
     }
     print!("{}", t.render());
+    assert_eq!(
+        walked,
+        [
+            Phase::Valid,
+            Phase::Renewal,
+            Phase::Suspect,
+            Phase::ExpectedFailure,
+            Phase::Expired
+        ],
+        "the isolated client's phases out of order"
+    );
 }
 
 /// Phase-4 flush completion vs dirty-cache size: isolate a client holding
@@ -104,6 +128,10 @@ fn main() {
     let mut t = Table::new(&["dirty blocks", "hardened before expiry", "fraction"]);
     for n in [64u32, 128, 256, 384, 512, 768, 1024] {
         let (done, total) = flush_completion(n, 5);
+        assert!(
+            n > 256 || done == total,
+            "{n} dirty blocks: only {done} hardened before expiry"
+        );
         t.row(vec![
             n.to_string(),
             done.to_string(),

@@ -9,6 +9,9 @@
 //! * phase-4 length ∝ τ — small τ risks stranding dirty data.
 //!
 //! The sweep reports all three per τ, from the full stack.
+//!
+//! Asserted: all three are monotone in τ (unavailability rises, keep-alive
+//! cost and stranding fall), and nothing is stranded from τ = 2 s up.
 
 use tank_baselines::{run_lease_layer, LayerParams, Scheme};
 use tank_client::fs::Script;
@@ -106,11 +109,12 @@ fn main() {
         "idle keep-alives /min/client",
         "stranded dirty of 256",
     ]);
+    // (unavailability, keep-alive rate, stranded) at the previous τ.
+    let mut prev = (0.0, f64::INFINITY, u64::MAX);
     for tau_s in [1u64, 2, 5, 10, 30] {
         let tau = LocalNs::from_secs(tau_s);
         let unavail = unavailability_s(tau, 11)
-            .map(f)
-            .unwrap_or_else(|| "∞".into());
+            .unwrap_or_else(|| panic!("τ={tau_s}s: the contested file never came back"));
         // Idle keep-alive rate from the lease layer (per client per min).
         let layer = run_lease_layer(
             Scheme::Tank,
@@ -125,9 +129,16 @@ fn main() {
         );
         let ka_rate = layer.maintenance_msgs as f64 / 4.0 / 2.0; // per client per minute
         let lost = stranded(tau, 256, 5);
+        assert!(
+            unavail > prev.0 && ka_rate < prev.1 && lost <= prev.2,
+            "τ={tau_s}s: not monotone in τ ({unavail} s, {ka_rate}/min, {lost} stranded \
+             after {prev:?})"
+        );
+        assert!(tau_s < 2 || lost == 0, "τ={tau_s}s: {lost} blocks stranded");
+        prev = (unavail, ka_rate, lost);
         t.row(vec![
             tau_s.to_string(),
-            unavail,
+            f(unavail),
             f(ka_rate),
             lost.to_string(),
         ]);

@@ -11,6 +11,9 @@
 //! * what happens when a V client chooses NOT to pay: objects whose lease
 //!   lapses must drop from the cache (the caching-policy arm), measured
 //!   as forced evictions per minute.
+//!
+//! Asserted: tank's maintenance messages, lease bytes and server-side lease
+//! operations are 0 at every cache size.
 
 use tank_baselines::{run_lease_layer, LayerParams, Scheme};
 use tank_cluster::table::{f, Table};
@@ -41,6 +44,15 @@ fn main() {
         };
         let tank = run_lease_layer(Scheme::Tank, p);
         let v = run_lease_layer(Scheme::VLease, p);
+        assert_eq!(
+            (
+                tank.maintenance_msgs,
+                tank.peak_lease_bytes,
+                tank.server_lease_ops
+            ),
+            (0, 0, 0),
+            "{m} objects/client: tank's lease cost is not zero"
+        );
         t.row(vec![
             m.to_string(),
             tank.maintenance_msgs.to_string(),

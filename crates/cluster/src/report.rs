@@ -139,72 +139,6 @@ impl RunReport {
         }
         t
     }
-
-    /// JSON form (for EXPERIMENTS.md regeneration). Written by hand — the
-    /// offline build has no serde_json — covering the fields the tables
-    /// consume: traffic, server/authority counters, client totals, and the
-    /// audit verdict with violation counts.
-    pub fn to_json(&self) -> String {
-        let t = self.client_totals();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"seed\": {},\n",
-                "  \"end_ns\": {},\n",
-                "  \"msg\": {{ \"ctl_sent\": {}, \"ctl_delivered\": {}, \"ctl_bytes\": {}, ",
-                "\"san_sent\": {}, \"san_bytes\": {}, \"keepalives\": {}, \"nacks\": {}, ",
-                "\"demands\": {} }},\n",
-                "  \"server\": {{ \"requests\": {}, \"pushes_sent\": {}, \"delivery_errors\": {}, ",
-                "\"steals\": {}, \"locks_stolen\": {}, \"fences_completed\": {}, \"replays\": {} }},\n",
-                "  \"authority_memory_bytes\": {},\n",
-                "  \"meta_transactions\": {},\n",
-                "  \"clients\": {{ \"submitted\": {}, \"completed\": {}, \"denied\": {}, ",
-                "\"failed\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"flushed_blocks\": {}, ",
-                "\"fenced_io\": {}, \"retransmits\": {} }},\n",
-                "  \"check\": {{ \"safe\": {}, \"lost_updates\": {}, \"stale_reads\": {}, ",
-                "\"write_order_violations\": {}, \"coherence\": {}, \"fence_rejections\": {}, ",
-                "\"ops_ok\": {}, \"ops_denied\": {}, \"ops_failed\": {} }}\n",
-                "}}"
-            ),
-            self.seed,
-            self.end.0,
-            self.msg.ctl_sent,
-            self.msg.ctl_delivered,
-            self.msg.ctl_bytes,
-            self.msg.san_sent,
-            self.msg.san_bytes,
-            self.msg.keepalives,
-            self.msg.nacks,
-            self.msg.demands,
-            self.server.requests,
-            self.server.pushes_sent,
-            self.server.delivery_errors,
-            self.server.steals,
-            self.server.locks_stolen,
-            self.server.fences_completed,
-            self.server.replays,
-            self.authority_memory_bytes,
-            self.meta_transactions,
-            t.submitted,
-            t.completed,
-            t.denied,
-            t.failed,
-            t.cache_hits,
-            t.cache_misses,
-            t.flushed_blocks,
-            t.fenced_io,
-            t.retransmits,
-            self.check.safe(),
-            self.check.lost_updates.len(),
-            self.check.stale_reads.len(),
-            self.check.write_order_violations.len(),
-            self.check.coherence.len(),
-            self.check.fence_rejections,
-            self.check.ops_ok,
-            self.check.ops_denied,
-            self.check.ops_failed,
-        )
-    }
 }
 
 impl std::fmt::Display for RunReport {

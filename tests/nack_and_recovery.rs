@@ -105,10 +105,24 @@ fn nack_tells_the_client_immediately() {
     assert!(late_ok, "C0 serves again after re-Hello");
 }
 
+/// When C0 recovered: its first new session after the partition began.
+fn recovered_at(cluster: &Cluster) -> SimTime {
+    let c0 = cluster.clients[0];
+    cluster
+        .world
+        .observations()
+        .iter()
+        .find(|(tt, _, e)| {
+            *tt > t(1_000) && matches!(e, Event::NewSession { client } if *client == c0)
+        })
+        .map(|(tt, _, _)| *tt)
+        .expect("C0 recovered")
+}
+
 #[test]
 fn without_nack_recovery_still_works_but_costs_more_messages() {
-    let (_, with_nack) = transient(true);
-    let (_, without) = transient(false);
+    let (nacked, with_nack) = transient(true);
+    let (ignored, without) = transient(false);
     // Both are safe — NACKs are an optimization, not a safety feature.
     assert!(with_nack.check.safe());
     assert!(without.check.safe());
@@ -120,6 +134,13 @@ fn without_nack_recovery_still_works_but_costs_more_messages() {
     assert!(
         rt_without > rt_with,
         "ignoring costs retransmissions: with={rt_with} without={rt_without}"
+    );
+    // ...and the NACK's news is never slower than the client's own lease
+    // machinery giving up.
+    let (fast, slow) = (recovered_at(&nacked), recovered_at(&ignored));
+    assert!(
+        fast <= slow,
+        "the NACKed client recovered at {fast}, the ignored one at {slow}"
     );
 }
 

@@ -120,7 +120,13 @@ fn lease_fence_is_safe_and_available() {
     assert!(report.check.safe(), "violations: {:#?}", report.check);
 
     // C1 eventually got the lock: exactly one closed unavailability
-    // window, lasting roughly τ(1+ε) plus demand detection.
+    // window, opened by the conflict that sends C0 its demand. C0's lease
+    // wait runs from its anchor, the last ACK it was sent or the demand's
+    // first send if that is later (DESIGN.md §3). C0 hears nothing after
+    // the demand, so C1 is granted at the demand + τ_s(1+ε): the delivery
+    // error's detection runs inside the wait, not in front of it. The
+    // tolerance is the server clock's legal skew, ε·τ_s(1+ε) ≈ 20 ms,
+    // plus 5 ms for the fence's round trip; measured: 7 ms over.
     let windows: Vec<_> = report
         .check
         .unavailability
@@ -130,10 +136,14 @@ fn lease_fence_is_safe_and_available() {
     assert_eq!(windows.len(), 1, "windows: {windows:?}");
     let w = windows[0];
     let until = w.until.expect("C1 was eventually granted");
-    let waited_s = (until.0 - w.from.0) as f64 / 1e9;
+    let lease = cluster.config().lease;
+    let late_ns = (until.0 - w.from.0) as f64 - lease.server_timeout().0 as f64;
+    let tolerance_ns = lease.epsilon * lease.server_timeout().0 as f64 + 5e6;
     assert!(
-        (1.5..6.0).contains(&waited_s),
-        "wait ≈ delivery-error detection + τ(1+ε), got {waited_s}s"
+        late_ns.abs() <= tolerance_ns,
+        "C1 granted {:.1} ms off the demand + τ(1+ε) (tolerance {:.1} ms)",
+        late_ns / 1e6,
+        tolerance_ns / 1e6
     );
 
     // The server followed the §3/§6 recovery order:

@@ -7,7 +7,8 @@
 //! holder's own clock — and that holder quiesces and flushes — before
 //! any conflicting grant can be issued. The checker must find zero lost
 //! updates, zero stale reads, and zero grants inside the window, across
-//! every seed. The negative control (grace disabled) must corrupt.
+//! every seed. The negative control (grace disabled) must grant inside
+//! the would-be window on every seed.
 
 use tank_cluster::workload::{Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig, RunReport};
@@ -174,11 +175,11 @@ fn restart_under_heavy_duplication_replays_at_most_once() {
 #[test]
 fn disabling_the_grace_window_is_demonstrably_unsafe() {
     // Negative control: a restarted server that grants immediately races
-    // surviving lease holders. Somewhere in the sweep the checker must
-    // catch it — at minimum as grants inside the would-be grace window,
-    // and typically as outright lost updates or stale reads too.
-    let mut early = 0usize;
-    let mut corruptions = 0usize;
+    // surviving lease holders. The checker must catch it on every seed as
+    // grants inside the would-be grace window. Those are the mechanism;
+    // data corruption (lost updates, stale reads) is the consequence the
+    // early grants make possible, and whether a seed's schedule turns one
+    // into the other is luck.
     for seed in 0..10u64 {
         let mut cfg = base_cfg();
         cfg.recovery_grace = false;
@@ -186,19 +187,10 @@ fn disabling_the_grace_window_is_demonstrably_unsafe() {
         attach_contending_workloads(&mut cluster);
         cluster.crash_server(SimTime::from_secs(8), SimTime::from_secs(9));
         let report = run_to_end(&mut cluster);
-        early += report.check.early_grants.len();
-        corruptions += report.check.lost_updates.len()
-            + report.check.stale_reads.len()
-            + report.check.write_order_violations.len();
+        assert!(
+            !report.check.early_grants.is_empty(),
+            "seed {seed}: without the grace window, grants land while pre-crash \
+             leases are live"
+        );
     }
-    assert!(
-        early > 0,
-        "without the grace window, grants land while pre-crash leases are live"
-    );
-    // Early grants are the mechanism; data corruption is the consequence.
-    // The sweep should surface at least one of the two consequences.
-    assert!(
-        early + corruptions > 0,
-        "the unsafe configuration must be caught somewhere in the sweep"
-    );
 }
