@@ -533,7 +533,7 @@ pub struct ClientNode<Ob> {
     /// Recent operation results (ring buffer) for harness/test harvesting.
     results: std::collections::VecDeque<(OpId, FsResult)>,
     stats: ClientStats,
-    observe: Box<dyn Fn(ClientEvent) -> Option<Ob>>,
+    observe: Box<dyn Fn(ClientEvent) -> Option<Ob> + Send>,
     obs: Option<ClientObs>,
 }
 
@@ -562,7 +562,7 @@ const FLUSH_ACK: u64 = 3;
 impl<Ob> ClientNode<Ob> {
     /// New client. `observe` converts client events into world
     /// observations.
-    pub fn new(cfg: ClientConfig, observe: Box<dyn Fn(ClientEvent) -> Option<Ob>>) -> Self {
+    pub fn new(cfg: ClientConfig, observe: Box<dyn Fn(ClientEvent) -> Option<Ob> + Send>) -> Self {
         let cache = BlockCache::with_capacity(cfg.block_size, cfg.cache_capacity);
         let map = cfg.map;
         assert_eq!(
@@ -1279,13 +1279,31 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    /// Submit an operation on behalf of a local process.
-    fn submit(&mut self, op: FsOp, from_gen: bool, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    /// Submit an operation on behalf of a local process, now. Its result
+    /// is logged for [`result_of`](Self::result_of) and announced by a
+    /// [`ClientEvent::OpCompleted`] once it completes — within this call,
+    /// if it is refused at admission.
+    pub fn submit(&mut self, op: FsOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> OpId {
+        self.start_op(op, false, ctx)
+    }
+
+    fn start_op(&mut self, op: FsOp, from_gen: bool, ctx: &mut Ctx<'_, NetMsg, Ob>) -> OpId {
         self.stats.submitted += 1;
         let id = OpId(self.next_op_id);
         self.next_op_id += 1;
+        self.emit(
+            ClientEvent::OpSubmitted {
+                op: id,
+                kind: op.kind(),
+            },
+            ctx,
+        );
+        self.route_op(id, op, from_gen, ctx);
+        id
+    }
+
+    fn route_op(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         let kind = op.kind();
-        self.emit(ClientEvent::OpSubmitted { op: id, kind }, ctx);
         if let FsOp::Rename { .. } = &op {
             return self.submit_rename(id, op, from_gen, ctx);
         }
@@ -1625,6 +1643,10 @@ impl<Ob> ClientNode<Ob> {
                     LockMode::Exclusive
                 };
                 self.ensure_lock_then(id, ino, mode, ctx);
+            }
+            FsOp::Write { data, .. } if data.is_empty() => {
+                // Nothing to write: no lock, no block, no size change.
+                self.complete_op(id, Ok(FsData::Unit), ctx);
             }
             FsOp::Write { .. } => {
                 self.ensure_lock_then(id, ino, LockMode::Exclusive, ctx);
@@ -3555,7 +3577,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
             ClientTimer::NextOp => {
                 if let Some(op) = self.queued_gen_op.take() {
                     self.gen_op_queued = false;
-                    self.submit(op, true, ctx);
+                    self.start_op(op, true, ctx);
                     // With spare concurrency, line up the next op now.
                     self.maybe_next_gen_op(ctx);
                 } else {
@@ -3564,7 +3586,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
             }
             ClientTimer::ScriptOp(i) => {
                 let op = self.script.steps[i].1.clone();
-                self.submit(op, false, ctx);
+                self.submit(op, ctx);
             }
         }
         self.pump_lease(ctx);

@@ -332,6 +332,36 @@ fn sub_block_rmw_write_preserves_surrounding_bytes() {
 }
 
 #[test]
+fn zero_length_writes_complete_without_the_lock() {
+    // An empty write changes nothing: it completes at once, takes no lock
+    // and allocates no block, at offset 0 as anywhere else.
+    let empty = |offset| FsOp::Write {
+        path: "/f".into(),
+        offset,
+        data: vec![],
+    };
+    let s0 = Script::new()
+        .at(ms(10), FsOp::Create { path: "/f".into() })
+        .at(ms(20), empty(0))
+        .at(ms(30), empty(10 * BS as u64))
+        .at(ms(40), FsOp::Stat { path: "/f".into() });
+    let mut r = rig(vec![s0], LeaseConfig::default());
+    r.world.run_until(SimTime::from_secs(1));
+    let res = results_of(&r, 0);
+    assert_eq!(res.len(), 4, "{res:?}");
+    assert_eq!(
+        (&res[1].1, &res[2].1),
+        (&Ok(FsData::Unit), &Ok(FsData::Unit))
+    );
+    match &res[3].1 {
+        Ok(FsData::Attr { size, .. }) => assert_eq!(*size, 0, "nothing grew"),
+        other => panic!("stat: {other:?}"),
+    }
+    let srv = r.world.node_ref::<ServerNode<()>>(r.server).unwrap();
+    assert_eq!(srv.locks().epoch_watermark(), 0, "no lock was ever granted");
+}
+
+#[test]
 fn keepalives_preserve_idle_client_lease() {
     // An idle client (no ops after 100ms) must stay in good standing via
     // keep-alives: after several lease periods its lease is still valid

@@ -4,9 +4,10 @@
 //! The NACK/retransmit design (DESIGN.md §6–7) assumes a malformed or
 //! truncated datagram is an *event* the protocol handles — a node that
 //! panics on a bad frame turns a lossy network into a crash fault. So on
-//! the wire-facing paths (`proto::wire`, all of `net`), `unwrap()` and
-//! `expect()` are banned outside tests; errors there are `WireError`/
-//! `NetClientError` values that feed the existing recovery machinery.
+//! the wire-facing paths (`proto::wire`, all of `net` and `netclient`),
+//! `unwrap()` and `expect()` are banned outside tests; failures there are
+//! `WireError`/`io::Error` values, or dropped datagrams the retransmit
+//! machinery covers.
 //! Genuinely unreachable cases (e.g. lock poisoning on a crate-private
 //! mutex) use an inline `tank-lint: allow(L3)` with the argument spelled
 //! out, or better, a non-panicking idiom.
@@ -15,7 +16,9 @@ use crate::report::Violation;
 use crate::source::SourceFile;
 
 fn in_scope(rel: &str) -> bool {
-    rel == "crates/proto/src/wire.rs" || rel.starts_with("crates/net/src/")
+    rel == "crates/proto/src/wire.rs"
+        || rel.starts_with("crates/net/src/")
+        || rel.starts_with("crates/netclient/src/")
 }
 
 pub fn check(files: &[SourceFile]) -> Vec<Violation> {
@@ -60,19 +63,21 @@ mod tests {
 
     #[test]
     fn flags_unwrap_and_expect_in_net() {
-        let f = SourceFile::parse(
-            "crates/net/src/client.rs",
-            "let g = m.lock().unwrap();\nlet v = x.expect(\"decode\");",
-        );
-        let v = check(&[f]);
-        assert_eq!(v.len(), 2);
-        assert_eq!((v[0].line, v[1].line), (1, 2));
+        for rel in ["crates/net/src/server.rs", "crates/netclient/src/lib.rs"] {
+            let f = SourceFile::parse(
+                rel,
+                "let g = m.lock().unwrap();\nlet v = x.expect(\"decode\");",
+            );
+            let v = check(&[f]);
+            assert_eq!(v.len(), 2, "{rel}");
+            assert_eq!((v[0].line, v[1].line), (1, 2));
+        }
     }
 
     #[test]
     fn unwrap_or_else_is_fine() {
         let f = SourceFile::parse(
-            "crates/net/src/client.rs",
+            "crates/netclient/src/lib.rs",
             "let g = m.lock().unwrap_or_else(|p| p.into_inner());",
         );
         assert!(check(&[f]).is_empty());
@@ -81,7 +86,7 @@ mod tests {
     #[test]
     fn tests_and_other_crates_are_out_of_scope() {
         let in_tests = SourceFile::parse(
-            "crates/net/src/client.rs",
+            "crates/netclient/src/lib.rs",
             "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }",
         );
         let elsewhere = SourceFile::parse("crates/core/src/lib.rs", "x.unwrap();");

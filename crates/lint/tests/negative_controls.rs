@@ -119,7 +119,7 @@ fn l3_fires_on_unwrap_in_net() {
     let fixture = Fixture::new(
         "l3",
         &[(
-            "crates/net/src/client.rs",
+            "crates/netclient/src/lib.rs",
             "pub fn bad(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
         )],
     );

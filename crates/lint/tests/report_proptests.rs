@@ -77,7 +77,7 @@ proptest! {
             SourceFile::parse("crates/core/src/a.rs", "fn f() { let t = Instant::now(); }"),
             SourceFile::parse("crates/core/src/b.rs", "fn g() { let r = thread_rng(); }"),
             SourceFile::parse("crates/client/src/c.rs", "let x = LocalNs(a.0 * 2);"),
-            SourceFile::parse("crates/net/src/client.rs", "fn h(v: Option<u8>) { v.unwrap(); }"),
+            SourceFile::parse("crates/netclient/src/lib.rs", "fn h(v: Option<u8>) { v.unwrap(); }"),
             SourceFile::parse("crates/proto/src/clean.rs", "pub fn ok() {}"),
             SourceFile::parse(
                 "crates/server/src/d.rs",

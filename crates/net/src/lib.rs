@@ -1,12 +1,12 @@
 //! Real-network binding of the Storage Tank lease protocol.
 //!
 //! The simulator proves the protocol's properties; this crate proves the
-//! protocol is not simulator-bound. The *same* sans-io state machines —
-//! [`tank_core::ClientLease`] and the server's whole request path,
+//! protocol is not simulator-bound. The server's whole request path,
 //! [`tank_server::ServerCore`] (gates, Hello, session window, lock
-//! service, lease authority, metadata store) — are driven here by
+//! service, lease authority, metadata store), is driven here by
 //! wall-clock timers and UDP datagrams instead of virtual time and a
-//! virtual network:
+//! virtual network; `tank-netclient` does the same for the client, over
+//! this crate's socket and timer queue:
 //!
 //! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
 //!   (`tankd` is its binary form), event-driven and single-threaded: a
@@ -25,12 +25,6 @@
 //!   window (`--recover`): a restarted server refuses grants and
 //!   mutations for `τ(1+ε)` so every lease that might have been
 //!   outstanding at the crash has expired on its holder's clock.
-//! * [`TankClient`] — a synchronous client: request/retry with stable
-//!   sequence numbers (at-most-once at the server) under exponential
-//!   backoff with jitter, implicit lease renewal on every acknowledged
-//!   request, a keep-alive thread driven by the lease machine's own wakeup
-//!   schedule, automatic demand handling, and server-restart detection via
-//!   the incarnation number stamped on every response.
 //! * [`FaultySocket`] — a seeded fault-injection shim (drop / duplicate /
 //!   delay, per direction) both endpoints use as their transport, so the
 //!   retry and dedup machinery is exercised against real datagram loss.
@@ -39,7 +33,6 @@
 //! process-local epoch ([`mono_now`]), which is exactly the "local clock"
 //! the paper's rate-synchronization assumption speaks about.
 
-pub mod client;
 pub mod fault;
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod mmsg;
@@ -47,7 +40,6 @@ pub mod poll;
 pub mod reactor;
 pub mod server;
 
-pub use client::TankClient;
 pub use fault::{DirFaults, FaultConfig, FaultySocket};
 pub use poll::Poller;
 pub use server::{LeaseServer, ServerHandle};

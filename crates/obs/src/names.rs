@@ -411,24 +411,6 @@ pub const NET_FAULT_RECV_DUP: MetricDef = counter(
     "net.fault.recv_dup",
     "datagrams duplicated on receive by fault injection",
 );
-/// Requests that exhausted all retries without any reply.
-pub const NET_CLIENT_TIMEOUTS: MetricDef =
-    counter("net.client.timeouts", "requests that exhausted all retries");
-/// Wall-clock round-trip time per completed request (first send to final
-/// reply), in ns.
-pub const NET_CLIENT_RTT_NS: MetricDef = histogram(
-    "net.client.rtt_ns",
-    "ns",
-    DURATION_BOUNDS_NS,
-    "round-trip time per completed request",
-);
-/// Retransmissions needed per completed request (0 = first try).
-pub const NET_CLIENT_RETRANSMISSIONS: MetricDef = histogram(
-    "net.client.retransmissions",
-    "attempts",
-    SMALL_COUNT_BOUNDS,
-    "retransmissions needed per completed request",
-);
 /// Datagrams that failed to decode in the client's receive loop.
 pub const NET_CLIENT_DECODE_ERRORS: MetricDef = counter(
     "net.client.decode_errors",
@@ -515,9 +497,6 @@ pub const ALL: &[MetricDef] = &[
     NET_FAULT_SEND_DELAYED,
     NET_FAULT_RECV_DROPPED,
     NET_FAULT_RECV_DUP,
-    NET_CLIENT_TIMEOUTS,
-    NET_CLIENT_RTT_NS,
-    NET_CLIENT_RETRANSMISSIONS,
     NET_CLIENT_DECODE_ERRORS,
     NET_REACTOR_WAKEUPS,
     NET_REACTOR_DATAGRAMS_PER_WAKEUP,

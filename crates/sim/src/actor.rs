@@ -8,7 +8,9 @@
 //!
 //! Effects are buffered in the context and applied by the world after the
 //! handler returns, which keeps dispatch single-borrow and makes handlers
-//! atomic with respect to the event queue.
+//! atomic with respect to the event queue. The world is one driver of an
+//! actor; [`Ctx::new`] and [`Ctx::into_effects`] let another (a real
+//! socket and wall-clock timers) run the same actor code.
 
 use std::any::Any;
 
@@ -24,7 +26,7 @@ pub struct TimerId(pub(crate) u64);
 
 /// Buffered effect produced by a handler.
 #[derive(Debug)]
-pub(crate) enum Effect<P, Ob> {
+pub enum Effect<P, Ob> {
     /// Send a datagram.
     Send { net: NetId, dst: NodeId, msg: P },
     /// Arm a timer (fire time already converted to true time).
@@ -43,16 +45,43 @@ pub(crate) enum Effect<P, Ob> {
 
 /// Execution context handed to actor handlers.
 pub struct Ctx<'a, P, Ob> {
-    pub(crate) node: NodeId,
-    pub(crate) now_true: SimTime,
-    pub(crate) clock: &'a Clock,
-    pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) next_timer_id: &'a mut u64,
+    node: NodeId,
+    now_true: SimTime,
+    clock: &'a Clock,
+    rng: &'a mut ChaCha8Rng,
+    next_timer_id: &'a mut u64,
     pub(crate) effects: Vec<Effect<P, Ob>>,
     pub(crate) tracing: bool,
 }
 
 impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
+    /// A context for one activation of `node` at true time `now`, with
+    /// no effects yet and tracing off. Timer ids are drawn from
+    /// `next_timer_id`, which the driver keeps across activations.
+    pub fn new(
+        node: NodeId,
+        now: SimTime,
+        clock: &'a Clock,
+        rng: &'a mut ChaCha8Rng,
+        next_timer_id: &'a mut u64,
+    ) -> Self {
+        Ctx {
+            node,
+            now_true: now,
+            clock,
+            rng,
+            next_timer_id,
+            effects: Vec::new(),
+            tracing: false,
+        }
+    }
+
+    /// The effects the handler produced, in order, for the driver to
+    /// carry out.
+    pub fn into_effects(self) -> Vec<Effect<P, Ob>> {
+        self.effects
+    }
+
     /// This node's id.
     #[inline]
     pub fn node(&self) -> NodeId {

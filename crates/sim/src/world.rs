@@ -520,17 +520,17 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
         let mut actor = self.actors[node.index()]
             .take()
             .expect("re-entrant dispatch on one node");
-        let mut ctx = Ctx {
+        let mut ctx = Ctx::new(
             node,
-            now_true: self.now,
-            clock: &self.clocks[node.index()],
-            rng: &mut self.rngs[node.index()],
-            next_timer_id: &mut self.next_timer_id,
-            effects: std::mem::take(&mut self.effects_buf),
-            tracing: self.record_trace,
-        };
+            self.now,
+            &self.clocks[node.index()],
+            &mut self.rngs[node.index()],
+            &mut self.next_timer_id,
+        );
+        ctx.effects = std::mem::take(&mut self.effects_buf);
+        ctx.tracing = self.record_trace;
         f(actor.as_mut(), &mut ctx);
-        let mut effects = ctx.effects;
+        let mut effects = ctx.into_effects();
         self.actors[node.index()] = Some(actor);
         self.apply_effects(node, &mut effects, dispatch_id);
         self.effects_buf = effects;
