@@ -1,9 +1,10 @@
-//! The local-process file API: operations, results, observable events,
-//! and the workload-generator trait.
+//! The local-process file API: operations, results and the
+//! workload-generator trait.
 
 use rand_chacha::ChaCha8Rng;
-use tank_proto::{Ino, OpId, WriteTag};
 use tank_sim::LocalNs;
+
+pub use tank_proto::FsErr;
 
 /// A file-system operation submitted by a local process.
 ///
@@ -136,114 +137,8 @@ pub enum FsData {
     Entries(Vec<String>),
 }
 
-/// Operation errors as seen by local processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsErr {
-    /// No such file or directory.
-    NotFound,
-    /// Already exists.
-    Exists,
-    /// Out of space.
-    NoSpace,
-    /// Invalid operation (e.g. dir misuse).
-    Invalid,
-    /// The client is quiesced or dead: it has (or suspects it has) lost
-    /// contact with the server and will not start new work (§3.2 phase 3;
-    /// this is the honest error an isolated Storage Tank client returns,
-    /// where a fenced-only client would silently serve stale cache).
-    Suspended,
-    /// The operation was in flight when the lease expired; its effects are
-    /// not guaranteed (dirty data was flushed to disk, but locks are gone).
-    LeaseLost,
-    /// The file is locked by an unreachable client and the server's policy
-    /// honors its locks (§2's indefinite unavailability, surfaced when the
-    /// harness gives up waiting).
-    Unavailable,
-}
-
 /// Final result of one submitted operation.
 pub type FsResult = Result<FsData, FsErr>;
-
-/// Observable client events for the offline checker and the availability
-/// accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientEvent {
-    /// A local process submitted an operation.
-    OpSubmitted {
-        /// Operation id (unique per client).
-        op: OpId,
-        /// Kind label (for reports).
-        kind: &'static str,
-    },
-    /// The operation completed (successfully or not).
-    OpCompleted {
-        /// Operation id.
-        op: OpId,
-        /// Kind label.
-        kind: &'static str,
-        /// Whether it succeeded.
-        ok: bool,
-        /// The error, if not.
-        err: Option<FsErr>,
-    },
-    /// A write was acknowledged to a local process *into the cache*: the
-    /// contract under write-back caching is that this version eventually
-    /// hardens (unless superseded by a newer local write, the file is
-    /// deleted, or the client fail-stops). A version that is acked here,
-    /// never superseded, and never hardened is a **lost update** — §2.1's
-    /// stranded dirty data.
-    WriteAcked {
-        /// Operation id.
-        op: OpId,
-        /// File.
-        ino: Ino,
-        /// Block index within the file.
-        idx: u32,
-        /// Version tag of the cached data.
-        tag: WriteTag,
-    },
-    /// A read returned data for one block, served from cache or disk; the
-    /// checker compares `tag` with what should have been visible.
-    ReadServed {
-        /// Operation id.
-        op: OpId,
-        /// File.
-        ino: Ino,
-        /// Block index.
-        idx: u32,
-        /// Version tag of the data served.
-        tag: WriteTag,
-        /// True if served from the local cache.
-        from_cache: bool,
-    },
-    /// A `Stat` was answered, from the attributes cached under a held lock
-    /// or by the server; the checker audits that a cached answer was given
-    /// inside a grant and a live lease phase.
-    AttrServed {
-        /// File.
-        ino: Ino,
-        /// True if answered from the lock-protected attribute cache.
-        from_cache: bool,
-    },
-    /// The lease expired and the cache was invalidated; `discarded_dirty`
-    /// counts dirty blocks that had NOT been hardened (should be zero when
-    /// phase 4 had time to run).
-    CacheInvalidated {
-        /// Dirty blocks lost.
-        discarded_dirty: usize,
-    },
-    /// The client began quiescing one lease lane (entered phase 3).
-    Quiesced {
-        /// Shard (server index) whose lane quiesced.
-        shard: u16,
-    },
-    /// The client resumed service on one lane (renewed after quiesce, or
-    /// re-Helloed).
-    Resumed {
-        /// Shard (server index) whose lane resumed.
-        shard: u16,
-    },
-}
 
 /// Closed-loop workload generator: after each completed operation the
 /// client asks for the next one plus a think time. `Send`, like the

@@ -26,6 +26,6 @@ pub mod node;
 pub mod obs;
 
 pub use cache::{BlockCache, BlockState};
-pub use fs::{ClientEvent, FsData, FsErr, FsOp, OpGen};
+pub use fs::{FsData, FsErr, FsOp, OpGen};
 pub use node::{ClientConfig, ClientNode, ClientStats};
 pub use obs::ClientObs;

@@ -7,15 +7,15 @@ use tank_core::{ClientLease, LeaseAction, LeaseConfig, Phase};
 use tank_obs::Registry;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    stripe_disk, BlockId, CtlMsg, Epoch, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
-    OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId, ServerPush, SessionId,
-    WriteTag,
+    stripe_disk, BlockId, CtlMsg, Epoch, Event, Incarnation, Ino, LockMode, NackReason, NetMsg,
+    NodeId, OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId, ServerPush,
+    SessionId, WriteTag,
 };
 use tank_shard::ShardMap;
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TimerId, TokenMap};
 
 use crate::cache::BlockCache;
-use crate::fs::{ClientEvent, FsData, FsErr, FsOp, FsResult, OpGen, Script};
+use crate::fs::{FsData, FsErr, FsOp, FsResult, OpGen, Script};
 use crate::obs::ClientObs;
 
 /// Client configuration.
@@ -533,7 +533,7 @@ pub struct ClientNode<Ob> {
     /// Recent operation results (ring buffer) for harness/test harvesting.
     results: std::collections::VecDeque<(OpId, FsResult)>,
     stats: ClientStats,
-    observe: Box<dyn Fn(ClientEvent) -> Option<Ob> + Send>,
+    observe: Box<dyn Fn(Event) -> Option<Ob> + Send>,
     obs: Option<ClientObs>,
 }
 
@@ -562,7 +562,7 @@ const FLUSH_ACK: u64 = 3;
 impl<Ob> ClientNode<Ob> {
     /// New client. `observe` converts client events into world
     /// observations.
-    pub fn new(cfg: ClientConfig, observe: Box<dyn Fn(ClientEvent) -> Option<Ob> + Send>) -> Self {
+    pub fn new(cfg: ClientConfig, observe: Box<dyn Fn(Event) -> Option<Ob> + Send>) -> Self {
         let cache = BlockCache::with_capacity(cfg.block_size, cfg.cache_capacity);
         let map = cfg.map;
         assert_eq!(
@@ -641,20 +641,13 @@ impl<Ob> ClientNode<Ob> {
         self
     }
 
-    /// Attach a closed-loop workload generator (before the world starts).
-    pub fn with_workload(mut self, gen: Box<dyn OpGen>) -> Self {
-        self.gen = Some(gen);
-        self
-    }
-
     /// Attach a fixed script (before the world starts).
     pub fn with_script(mut self, script: Script) -> Self {
         self.script = script;
         self
     }
 
-    /// Setter form of [`with_workload`](Self::with_workload) for nodes
-    /// already registered in a world.
+    /// Attach a closed-loop workload generator.
     pub fn set_workload(&mut self, gen: Box<dyn OpGen>) {
         self.gen = Some(gen);
     }
@@ -761,7 +754,7 @@ impl<Ob> ClientNode<Ob> {
         *self.lock_gen.entry(ino).or_insert(0) += 1;
     }
 
-    fn emit(&mut self, ev: ClientEvent, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn emit(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         if let Some(ob) = (self.observe)(ev) {
             ctx.observe(ob);
         }
@@ -1010,7 +1003,7 @@ impl<Ob> ClientNode<Ob> {
                     format!("active session={} shard={}", session.0, sid.0)
                 });
             }
-            self.emit(ClientEvent::Resumed { shard: sid.0 }, ctx);
+            self.emit(Event::Resumed { shard: sid.0 }, ctx);
         }
         self.pump_lease(ctx);
         if self.cfg.flush_interval.0 > 0 {
@@ -1125,7 +1118,7 @@ impl<Ob> ClientNode<Ob> {
             });
         }
         self.emit(
-            ClientEvent::CacheInvalidated {
+            Event::CacheInvalidated {
                 discarded_dirty: discarded,
             },
             ctx,
@@ -1168,7 +1161,7 @@ impl<Ob> ClientNode<Ob> {
                             obs.phase_quiesce.inc();
                             obs.trace(ctx, "phase", || format!("quiescing shard={}", sid.0));
                         }
-                        self.emit(ClientEvent::Quiesced { shard: sid.0 }, ctx);
+                        self.emit(Event::Quiesced { shard: sid.0 }, ctx);
                     }
                     LeaseAction::BeginFlush => {
                         // Phase 4: harden everything dirty under THIS
@@ -1208,7 +1201,7 @@ impl<Ob> ClientNode<Ob> {
                                     format!("active resumed shard={}", sid.0)
                                 });
                             }
-                            self.emit(ClientEvent::Resumed { shard: sid.0 }, ctx);
+                            self.emit(Event::Resumed { shard: sid.0 }, ctx);
                         }
                         self.maybe_next_gen_op(ctx);
                     }
@@ -1266,7 +1259,7 @@ impl<Ob> ClientNode<Ob> {
         self.stats.denied += 1;
         self.log_result(id, &Err(err));
         self.emit(
-            ClientEvent::OpCompleted {
+            Event::OpCompleted {
                 op: id,
                 kind,
                 ok: false,
@@ -1281,7 +1274,7 @@ impl<Ob> ClientNode<Ob> {
 
     /// Submit an operation on behalf of a local process, now. Its result
     /// is logged for [`result_of`](Self::result_of) and announced by a
-    /// [`ClientEvent::OpCompleted`] once it completes — within this call,
+    /// [`Event::OpCompleted`] once it completes — within this call,
     /// if it is refused at admission.
     pub fn submit(&mut self, op: FsOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> OpId {
         self.start_op(op, false, ctx)
@@ -1292,7 +1285,7 @@ impl<Ob> ClientNode<Ob> {
         let id = OpId(self.next_op_id);
         self.next_op_id += 1;
         self.emit(
-            ClientEvent::OpSubmitted {
+            Event::OpSubmitted {
                 op: id,
                 kind: op.kind(),
             },
@@ -2014,7 +2007,7 @@ impl<Ob> ClientNode<Ob> {
             obs.attr_hits.inc();
         }
         self.emit(
-            ClientEvent::AttrServed {
+            Event::AttrServed {
                 ino,
                 from_cache: true,
             },
@@ -2040,7 +2033,7 @@ impl<Ob> ClientNode<Ob> {
             obs.attr_misses.inc();
         }
         self.emit(
-            ClientEvent::AttrServed {
+            Event::AttrServed {
                 ino,
                 from_cache: false,
             },
@@ -2192,8 +2185,7 @@ impl<Ob> ClientNode<Ob> {
         }
         for (idx, tag, from_cache) in served {
             self.emit(
-                ClientEvent::ReadServed {
-                    op: id,
+                Event::ReadServed {
                     ino,
                     idx,
                     tag,
@@ -2349,15 +2341,7 @@ impl<Ob> ClientNode<Ob> {
             info.size > info.committed_size
         };
         for (idx, tag) in acked {
-            self.emit(
-                ClientEvent::WriteAcked {
-                    op: id,
-                    ino,
-                    idx,
-                    tag,
-                },
-                ctx,
-            );
+            self.emit(Event::WriteAcked { ino, idx, tag }, ctx);
         }
         if grew {
             // Commit size growth eagerly so other clients' views (block
@@ -3313,7 +3297,7 @@ impl<Ob> ClientNode<Ob> {
         let err = result.as_ref().err().copied();
         self.log_result(id, &result);
         self.emit(
-            ClientEvent::OpCompleted {
+            Event::OpCompleted {
                 op: id,
                 kind,
                 ok: result.is_ok(),

@@ -10,10 +10,10 @@
 use std::collections::HashMap;
 
 use tank_client::fs::Script;
-use tank_client::{ClientConfig, ClientEvent, ClientNode, FsData, FsOp};
+use tank_client::{ClientConfig, ClientNode, FsData, FsOp};
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    BlockId, CtlMsg, Epoch, Incarnation, Ino, NetMsg, NodeId, Request, Response, SessionId,
+    BlockId, CtlMsg, Epoch, Event, Incarnation, Ino, NetMsg, NodeId, Request, Response, SessionId,
 };
 use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 
@@ -87,13 +87,13 @@ impl ScriptedServer {
     }
 }
 
-impl Actor<NetMsg, ClientEvent> for ScriptedServer {
+impl Actor<NetMsg, Event> for ScriptedServer {
     fn on_message(
         &mut self,
         from: NodeId,
         _net: NetId,
         msg: NetMsg,
-        ctx: &mut Ctx<'_, NetMsg, ClientEvent>,
+        ctx: &mut Ctx<'_, NetMsg, Event>,
     ) {
         let NetMsg::Ctl(CtlMsg::Request(Request {
             session, seq, body, ..
@@ -123,7 +123,7 @@ impl Actor<NetMsg, ClientEvent> for ScriptedServer {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, ClientEvent>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, Event>) {
         let (to, resp) = self.delayed[token as usize].clone();
         ctx.send(NetId::CONTROL, to, NetMsg::Ctl(CtlMsg::Response(resp)));
     }
@@ -157,18 +157,18 @@ struct Outcome {
 }
 
 fn run(server: ScriptedServer, script: Script) -> Outcome {
-    let mut world: World<NetMsg, ClientEvent> = World::new(WorldConfig::default());
+    let mut world: World<NetMsg, Event> = World::new(WorldConfig::default());
     world.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     world.add_network(NetId::SAN, NetParams::ideal(100_000));
     let server = world.add_node(Box::new(server), ClockSpec::ideal());
     let mut cfg = ClientConfig::new(server, vec![server]);
     cfg.block_size = BS;
     cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<ClientEvent>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(SimTime::from_millis(400));
 
-    let node = world.node_ref::<ClientNode<ClientEvent>>(client).unwrap();
+    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
     let stats = node
         .results()
         .filter_map(|(_, r)| match r {
@@ -180,7 +180,7 @@ fn run(server: ScriptedServer, script: Script) -> Outcome {
         .observations()
         .iter()
         .filter_map(|(_, _, ev)| match ev {
-            ClientEvent::AttrServed { ino, from_cache } => {
+            Event::AttrServed { ino, from_cache } => {
                 assert_eq!(*ino, F);
                 Some(*from_cache)
             }

@@ -11,7 +11,7 @@
 use tank_client::fs::Script;
 use tank_client::FsOp;
 use tank_cluster::table::Table;
-use tank_cluster::{run_seeds, Cluster, ClusterConfig, RunReport};
+use tank_cluster::{Cluster, ClusterConfig, RunReport};
 use tank_core::LeaseConfig;
 use tank_server::RecoveryPolicy;
 use tank_sim::{LocalNs, SimTime};
@@ -109,32 +109,29 @@ fn main() {
         ),
         ("LeaseFence (§3)", RecoveryPolicy::LeaseFence, true),
     ] {
-        let s = run_seeds(&seeds, |seed| run(policy, lease, seed));
-        let lost = s.total(|r| r.check.lost_updates.len() as u64);
+        let runs: Vec<RunReport> = seeds.iter().map(|&seed| run(policy, lease, seed)).collect();
+        let total = |f: fn(&RunReport) -> u64| runs.iter().map(f).sum::<u64>();
+        let safe = runs.iter().filter(|r| r.check.safe()).count();
+        let lost = total(|r| r.check.lost_updates.len() as u64);
         if lease {
             assert!(
-                s.all_safe() && lost == 0,
+                safe == runs.len() && lost == 0,
                 "{label}: a lease run was unsafe or lost updates"
             );
         } else {
             assert!(
-                lost > 0 && s.total(|r| r.check.ops_denied) == 0,
+                lost > 0 && total(|r| r.check.ops_denied) == 0,
                 "{label}: fencing-only must lose updates without one honest denial"
             );
         }
         t.row(vec![
             label.into(),
             lost.to_string(),
-            s.total(|r| r.check.stale_reads.len() as u64).to_string(),
-            s.total(|r| r.check.write_order_violations.len() as u64)
-                .to_string(),
-            s.total(|r| r.check.fence_rejections).to_string(),
-            s.total(|r| r.check.ops_denied).to_string(),
-            format!(
-                "{}/{}",
-                s.runs.iter().filter(|r| r.check.safe()).count(),
-                s.runs.len()
-            ),
+            total(|r| r.check.stale_reads.len() as u64).to_string(),
+            total(|r| r.check.write_order_violations.len() as u64).to_string(),
+            total(|r| r.check.fence_rejections).to_string(),
+            total(|r| r.check.ops_denied).to_string(),
+            format!("{safe}/{}", runs.len()),
         ]);
     }
     print!("{}", t.render());

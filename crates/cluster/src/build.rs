@@ -16,7 +16,6 @@ use tank_sim::world::Control;
 use tank_sim::{ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 use tank_storage::{DiskConfig, DiskNode};
 
-use crate::events::{map_client, map_disk, map_server};
 use crate::report::RunReport;
 
 /// Whole-cluster configuration.
@@ -235,7 +234,7 @@ impl Cluster {
                     blocks: cfg.total_blocks,
                     block_size: cfg.block_size,
                 },
-                Box::new(map_disk),
+                Box::new(Some),
             );
             disks.push(world.add_node(Box::new(node), clock_of(NodeRole::Disk(i))));
         }
@@ -255,7 +254,7 @@ impl Cluster {
             scfg.sid = sid;
             scfg.map = map;
             let mut node: ServerNode<Event> =
-                ServerNode::new(scfg, cfg.total_blocks, cfg.block_size, Box::new(map_server));
+                ServerNode::new(scfg, cfg.total_blocks, cfg.block_size, Box::new(Some));
             if let Some(reg) = &cfg.obs {
                 node.set_obs(reg.clone());
             }
@@ -310,7 +309,7 @@ impl Cluster {
             ccfg.cache_capacity = cfg.cache_capacity;
             ccfg.shared_read = cfg.shared_read;
             ccfg.phase3_gate = cfg.phase3_gate;
-            let mut node: ClientNode<Event> = ClientNode::new(ccfg, Box::new(map_client));
+            let mut node: ClientNode<Event> = ClientNode::new(ccfg, Box::new(Some));
             if let Some(reg) = &cfg.obs {
                 node.set_obs(reg.clone());
             }

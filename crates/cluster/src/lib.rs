@@ -28,12 +28,9 @@
 //! [`tank_server::RecoveryPolicy`] in the config.
 
 pub mod build;
-pub mod events;
 pub mod report;
-pub mod runner;
 pub mod table;
 pub mod workload;
 
 pub use build::{Cluster, ClusterConfig};
 pub use report::{MsgSummary, RunReport};
-pub use runner::{run_seeds, SeedSummary};

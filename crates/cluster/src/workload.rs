@@ -214,33 +214,6 @@ impl OpGen for PrimaryBiasGen {
     }
 }
 
-/// Pure metadata traffic (stats at a fixed rate) — drives the opportunistic
-/// renewal path without any data I/O; used by the overhead experiments.
-#[derive(Debug, Clone)]
-pub struct MetaOnlyGen {
-    files: usize,
-    period: LocalNs,
-}
-
-impl MetaOnlyGen {
-    /// One stat every `period`, round-robin over files.
-    pub fn new(files: usize, period: LocalNs) -> Self {
-        MetaOnlyGen { files, period }
-    }
-}
-
-impl OpGen for MetaOnlyGen {
-    fn next_op(&mut self, rng: &mut ChaCha8Rng, _now: LocalNs) -> Option<(LocalNs, FsOp)> {
-        let f = rng.random_range(0..self.files);
-        Some((
-            self.period,
-            FsOp::Stat {
-                path: format!("/f{f}"),
-            },
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,17 +274,6 @@ mod tests {
         for _ in 0..50 {
             let (_, op) = g.next_op(&mut r, LocalNs(0)).unwrap();
             assert_eq!(op.path(), "/hot");
-        }
-    }
-
-    #[test]
-    fn meta_only_is_all_stats_at_fixed_period() {
-        let mut g = MetaOnlyGen::new(3, LocalNs::from_millis(100));
-        let mut r = rng();
-        for _ in 0..20 {
-            let (think, op) = g.next_op(&mut r, LocalNs(0)).unwrap();
-            assert_eq!(think, LocalNs::from_millis(100));
-            assert!(matches!(op, FsOp::Stat { .. }));
         }
     }
 }

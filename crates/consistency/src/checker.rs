@@ -3,10 +3,8 @@
 use std::collections::{HashMap, HashSet};
 
 use serde::Serialize;
-use tank_proto::{BlockId, Ino, LockMode, NodeId, WriteTag};
+use tank_proto::{BlockId, Event, FsErr, Ino, LockMode, NodeId, WriteTag};
 use tank_sim::SimTime;
-
-use crate::event::Event;
 
 /// Checker configuration.
 #[derive(Debug, Clone, Default)]
@@ -466,7 +464,7 @@ impl Checker {
                 Event::OpCompleted { ok, err, .. } => {
                     if *ok {
                         report.ops_ok += 1;
-                    } else if err.as_deref() == Some("Suspended") {
+                    } else if *err == Some(FsErr::Suspended) {
                         report.ops_denied += 1;
                     } else {
                         report.ops_failed += 1;
@@ -1064,7 +1062,7 @@ mod tests {
                     op: tank_proto::OpId(2),
                     kind: "read",
                     ok: false,
-                    err: Some("Suspended".into()),
+                    err: Some(FsErr::Suspended),
                 },
             ),
             (
@@ -1074,7 +1072,7 @@ mod tests {
                     op: tank_proto::OpId(3),
                     kind: "read",
                     ok: false,
-                    err: Some("NotFound".into()),
+                    err: Some(FsErr::NotFound),
                 },
             ),
             (
@@ -1104,10 +1102,7 @@ mod tests {
             epoch: Epoch(7),
             mode: tank_proto::LockMode::Exclusive,
         };
-        let r = check(vec![
-            (t(1), NodeId(0), grant.clone()),
-            (t(2), NodeId(0), grant),
-        ]);
+        let r = check(vec![(t(1), NodeId(0), grant), (t(2), NodeId(0), grant)]);
         assert_eq!(r.batch_atomicity.len(), 1);
         assert_eq!(r.batch_atomicity[0].what, "duplicate same-epoch grant");
         assert_eq!(r.batch_atomicity[0].epoch, Epoch(7));
@@ -1305,9 +1300,9 @@ mod tests {
         };
         let r = check(vec![
             (t(1), NodeId(0), grant(C2, 1)),
-            (t(2), C1, served.clone()), // never granted to C1
+            (t(2), C1, served), // never granted to C1
             (t(3), NodeId(0), grant(C1, 2)),
-            (t(4), C1, served.clone()), // inside the grant: fine
+            (t(4), C1, served), // inside the grant: fine
             (
                 t(5),
                 NodeId(0),
@@ -1317,7 +1312,7 @@ mod tests {
                     epoch: Epoch(2),
                 },
             ),
-            (t(6), C1, served.clone()), // after the release
+            (t(6), C1, served), // after the release
             (t(7), NodeId(0), grant(C1, 3)),
             (
                 t(8),

@@ -26,7 +26,6 @@
 
 pub mod checker;
 pub mod durability;
-pub mod event;
 pub mod hb;
 pub mod obs_check;
 
@@ -34,6 +33,6 @@ pub use checker::{
     CheckOptions, CheckReport, Checker, LostUpdate, StaleRead, UnavailWindow, WriteOrderViolation,
 };
 pub use durability::{audit_store, audit_wal, DurabilityReport};
-pub use event::Event;
 pub use hb::{Access, AccessKind, EdgeKind, HbGraph, HbOptions, HbReport, RacyPair, VClock};
 pub use obs_check::cross_check;
+pub use tank_proto::Event;

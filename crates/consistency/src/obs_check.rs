@@ -1,17 +1,15 @@
 //! Cross-check between the checker's event stream and the obs registry.
 //!
 //! The consistency checker and the observability layer watch the same run
-//! through independent plumbing: the checker through `Effect::Observe`
-//! events mapped per node, the registry through counters bumped at the
+//! through independent plumbing: the checker through the `Event`s each
+//! node emits, the registry through counters bumped at the
 //! emission sites themselves. If the two disagree, one of the pipelines
 //! is dropping or double-counting — exactly the kind of instrumentation
 //! rot this module exists to catch before a perf PR trusts the numbers.
 
 use tank_obs::{names, Snapshot};
-use tank_proto::LockMode;
+use tank_proto::{Event, LockMode};
 use tank_sim::{NodeId, SimTime};
-
-use crate::event::Event;
 
 /// Count events matching `pred`.
 fn count(events: &[(SimTime, NodeId, Event)], pred: impl Fn(&Event) -> bool) -> u64 {

@@ -176,7 +176,7 @@ mod tests {
         let f = SourceFile::parse(
             "crates/client/src/node.rs",
             "fn serve(&mut self) { let b = self.cache.get(ino, idx); \
-             self.emit(ClientEvent::ReadServed { op, ino, idx, tag, from_cache }, ctx); }",
+             self.emit(Event::ReadServed { ino, idx, tag, from_cache }, ctx); }",
         );
         assert_eq!(check(&[f]).len(), 1);
     }
@@ -186,7 +186,7 @@ mod tests {
         let f = SourceFile::parse(
             "crates/client/src/node.rs",
             "fn stat(&mut self) { \
-             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx); }",
+             self.emit(Event::AttrServed { ino, from_cache: true }, ctx); }",
         );
         let v = check(&[f]);
         assert_eq!(v.len(), 1);
@@ -198,9 +198,9 @@ mod tests {
         let f = SourceFile::parse(
             "crates/client/src/node.rs",
             "fn stat(&mut self) { if !self.cache_usable(ino) { return; } \
-             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx); }\n\
+             self.emit(Event::AttrServed { ino, from_cache: true }, ctx); }\n\
              fn from_server(&mut self) { \
-             self.emit(ClientEvent::AttrServed { ino, from_cache: false }, ctx); }",
+             self.emit(Event::AttrServed { ino, from_cache: false }, ctx); }",
         );
         assert!(check(&[f]).is_empty());
     }
@@ -239,7 +239,7 @@ mod tests {
             "crates/client/src/node.rs",
             "fn serve(&mut self) { if !self.cache_usable(ino) { return; } \
              let b = self.cache.get(ino, idx); \
-             self.emit(ClientEvent::ReadServed { op, ino, idx, tag, from_cache }, ctx); }\n\
+             self.emit(Event::ReadServed { ino, idx, tag, from_cache }, ctx); }\n\
              fn gather(&mut self) { if self.cache.get(ino, idx).is_none() { fetch(); } }",
         );
         assert!(check(&[f]).is_empty());

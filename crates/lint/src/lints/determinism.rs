@@ -5,7 +5,7 @@
 //! be a function of `SimTime`/`LocalNs` and the seeded RNG: one schedule,
 //! one history. A stray `Instant::now()` or `thread_rng()` silently
 //! reintroduces wall-clock nondeterminism. The lint runs over *all*
-//! crates; the real-transport crates (`net`, `cluster`) are
+//! crates; the real-transport crates (`net`, `netclient`) are
 //! exempted by the committed allowlist, not by the rule.
 
 use crate::lexer::TokKind;

@@ -289,7 +289,7 @@ fn l7_fires_on_ungated_cached_attr_serve() {
         &[(
             "crates/client/src/node.rs",
             "impl ClientNode {\n    fn stat(&mut self) {\n        \
-             self.emit(ClientEvent::AttrServed { ino, from_cache: true }, ctx);\n    }\n}\n",
+             self.emit(Event::AttrServed { ino, from_cache: true }, ctx);\n    }\n}\n",
         )],
     );
     let report = fixture.check();

@@ -95,15 +95,6 @@ impl Namespace {
             .map(|(n, i)| (n.clone(), *i))
             .collect())
     }
-
-    /// Resolve an absolute `/`-separated path from the root.
-    pub fn resolve_path(&self, path: &str) -> Result<Ino, NsError> {
-        let mut cur = self.root;
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            cur = self.lookup(cur, part)?;
-        }
-        Ok(cur)
-    }
 }
 
 /// Namespace errors.
@@ -150,15 +141,11 @@ mod tests {
         n.link(ROOT, "dir", Ino(2), true).unwrap();
         n.link(Ino(2), "sub", Ino(3), true).unwrap();
         n.link(Ino(3), "f", Ino(4), false).unwrap();
-        assert_eq!(n.resolve_path("/dir/sub/f"), Ok(Ino(4)));
-        assert_eq!(
-            n.resolve_path("dir/sub"),
-            Ok(Ino(3)),
-            "leading slash optional"
-        );
-        assert_eq!(n.resolve_path("/"), Ok(ROOT));
-        assert_eq!(n.resolve_path("/dir/nope"), Err(NsError::NotFound));
-        assert_eq!(n.resolve_path("/dir/sub/f/deeper"), Err(NsError::NotADir));
+        assert_eq!(n.lookup(ROOT, "dir"), Ok(Ino(2)));
+        assert_eq!(n.lookup(Ino(2), "sub"), Ok(Ino(3)));
+        assert_eq!(n.lookup(Ino(3), "f"), Ok(Ino(4)));
+        assert_eq!(n.lookup(Ino(2), "nope"), Err(NsError::NotFound));
+        assert_eq!(n.lookup(Ino(4), "deeper"), Err(NsError::NotADir));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   [`SanError::DeviceError`] and a data op that needs a block fails
 //!   instead of hanging; [`TankClient::run`] refuses a `Write` outright,
 //!   since nothing could ever harden it;
-//! * observations are the node's [`ClientEvent`] stream, kept for
-//!   [`TankClient::events`].
+//! * observations are the node's [`Event`] stream — the vocabulary the
+//!   simulator's checker reads — kept for [`TankClient::events`].
 //!
 //! Time is [`mono_now`] read as true time through an ideal clock, so the
 //! node's local clock is the process's monotonic clock.
@@ -33,12 +33,12 @@ use bytes::Bytes;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tank_client::fs::FsResult;
-use tank_client::{ClientConfig, ClientEvent, ClientNode, FsErr, FsOp};
+use tank_client::{ClientConfig, ClientNode, FsErr, FsOp};
 use tank_core::LeaseConfig;
 use tank_net::reactor::TimerQueue;
 use tank_net::{mono_now, FaultConfig, FaultySocket};
 use tank_obs::{names, Counter, Registry};
-use tank_proto::{NetMsg, NodeId, SanError, SanMsg, WireDecode, WireEncode, MAX_DATAGRAM};
+use tank_proto::{Event, NetMsg, NodeId, SanError, SanMsg, WireDecode, WireEncode, MAX_DATAGRAM};
 use tank_sim::{Actor, Clock, ClockSpec, Ctx, Effect, NetId, SimTime, TimerId};
 
 /// `tankd`, as the node addresses it.
@@ -55,8 +55,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Events kept for [`TankClient::events`]; the oldest go first.
 const EVENT_LOG_CAP: usize = 1 << 16;
 
-type Node = ClientNode<ClientEvent>;
-type NodeCtx<'a> = Ctx<'a, NetMsg, ClientEvent>;
+type Node = ClientNode<Event>;
+type NodeCtx<'a> = Ctx<'a, NetMsg, Event>;
 
 /// What every activation runs against.
 struct State {
@@ -66,7 +66,7 @@ struct State {
     next_timer_id: u64,
     timers: TimerQueue<(TimerId, u64)>,
     cancelled: HashSet<TimerId>,
-    events: VecDeque<ClientEvent>,
+    events: VecDeque<Event>,
 }
 
 struct Shared {
@@ -285,7 +285,7 @@ impl TankClient {
             shared,
             thread: Some(thread),
         };
-        let resumed = ClientEvent::Resumed { shard: 0 };
+        let resumed = Event::Resumed { shard: 0 };
         let no_session = |st: &mut State| !st.events.contains(&resumed);
         let (st, waited) = (client.shared.changed)
             .wait_timeout_while(client.shared.lock(), CONNECT_TIMEOUT, no_session)
@@ -313,8 +313,8 @@ impl TankClient {
     }
 
     /// The node's events so far, oldest first (the last 65 536 of them).
-    pub fn events(&self) -> Vec<ClientEvent> {
-        self.shared.lock().events.iter().cloned().collect()
+    pub fn events(&self) -> Vec<Event> {
+        self.shared.lock().events.iter().copied().collect()
     }
 
     /// Look at the node (its lease, its counters) between activations.

@@ -8,12 +8,13 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tank_client::{ClientConfig, ClientEvent, FsData, FsErr, FsOp};
+use tank_client::{ClientConfig, FsData, FsErr, FsOp};
 use tank_core::{LeaseConfig, Phase};
 use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_net::{mono_now, DirFaults, FaultConfig};
 use tank_netclient::TankClient;
 use tank_obs::Registry;
+use tank_proto::Event;
 use tank_server::DemandLadder;
 use tank_sim::LocalNs;
 
@@ -91,7 +92,7 @@ fn until_served(client: &TankClient, op: FsOp, limit: Duration) -> Result<FsData
 }
 
 /// Wait up to `limit` for the client's event stream to satisfy `done`.
-fn wait_for_events(client: &TankClient, limit: Duration, done: impl Fn(&[ClientEvent]) -> bool) {
+fn wait_for_events(client: &TankClient, limit: Duration, done: impl Fn(&[Event]) -> bool) {
     let t0 = Instant::now();
     while !done(&client.events()) {
         assert!(t0.elapsed() < limit, "events: {:?}", client.events());
@@ -100,14 +101,14 @@ fn wait_for_events(client: &TankClient, limit: Duration, done: impl Fn(&[ClientE
 }
 
 /// `later` happens in `events` after the first `first`.
-fn after(events: &[ClientEvent], first: &ClientEvent, later: &ClientEvent) -> bool {
+fn after(events: &[Event], first: &Event, later: &Event) -> bool {
     events
         .iter()
         .skip_while(|e| *e != first)
         .any(|e| e == later)
 }
 
-const RESUMED: ClientEvent = ClientEvent::Resumed { shard: 0 };
+const RESUMED: Event = Event::Resumed { shard: 0 };
 
 #[test]
 fn metadata_roundtrip_over_udp() {
@@ -254,7 +255,7 @@ fn restarted_server_enforces_the_grace_window_then_serves() {
         stats.recovery_nacks >= 1,
         "the mutation was refused during grace"
     );
-    let invalidated = ClientEvent::CacheInvalidated { discarded_dirty: 0 };
+    let invalidated = Event::CacheInvalidated { discarded_dirty: 0 };
     assert!(
         after(&client.events(), &invalidated, &RESUMED),
         "the old session's cache went, then service resumed: {:?}",
@@ -385,7 +386,7 @@ fn a_suspect_lease_admits_nothing_until_the_server_is_back() {
 
     // Nothing renews the lease: at 0.7τ the lane enters phase 3, and an
     // op submitted then is refused at once.
-    let quiesced = ClientEvent::Quiesced { shard: 0 };
+    let quiesced = Event::Quiesced { shard: 0 };
     wait_for_events(&client, Duration::from_secs(3), |e| e.contains(&quiesced));
     assert_eq!(client.run(stat("/a")), Err(FsErr::Suspended));
 
@@ -429,7 +430,7 @@ fn a_stat_under_a_held_lock_is_answered_from_the_lock() {
     );
     let served: Vec<bool> = (client.events().iter())
         .filter_map(|e| match e {
-            ClientEvent::AttrServed { from_cache, .. } => Some(*from_cache),
+            Event::AttrServed { from_cache, .. } => Some(*from_cache),
             _ => None,
         })
         .collect();

@@ -20,7 +20,11 @@
 //!   client responds, and a persistent delivery failure is what arms the
 //!   passive lease authority (§3, §3.3);
 //! * disks speak only the SAN protocol and never initiate messages (§2).
+//!
+//! It also holds the one observable [`Event`] vocabulary every node
+//! reports, so an emitter needs no crate beyond this one to speak it.
 
+pub mod event;
 pub mod ids;
 pub mod lock;
 pub mod message;
@@ -29,6 +33,7 @@ pub mod san;
 pub mod seqwin;
 pub mod wire;
 
+pub use event::{Event, FsErr};
 pub use ids::{
     BlockId, Epoch, FileHandle, Incarnation, Ino, NodeId, OpId, ReqSeq, ServerId, SessionId,
     WriteTag,

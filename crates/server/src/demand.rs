@@ -32,10 +32,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use tank_proto::{Epoch, Ino, LockMode, NodeId, PushBody, ReqSeq, ServerPush, SessionId};
+use tank_proto::{Epoch, Event, Ino, LockMode, NodeId, PushBody, ReqSeq, ServerPush, SessionId};
 use tank_sim::LocalNs;
 
-use crate::events::ServerEvent;
 use crate::lock::{Grant, LockManager, LockRequestOutcome};
 use crate::session::SessionTable;
 
@@ -88,7 +87,7 @@ pub enum LockEffect {
     /// it. No new grant exists.
     Held(Grant),
     /// `LockReleased`, `LockStolen` or `RequestBlocked` happened.
-    Event(ServerEvent),
+    Event(Event),
 }
 
 /// An outstanding demand.
@@ -176,7 +175,7 @@ impl LockService {
             }
             LockRequestOutcome::Queued { demand_from } => {
                 // No reply yet: the grant answers the request later.
-                let blocked = ServerEvent::RequestBlocked { client, ino, seq };
+                let blocked = Event::RequestBlocked { client, ino };
                 self.out.push_back(LockEffect::Event(blocked));
                 for holder in demand_from {
                     self.start_demand(holder, ino, mode, sessions, now);
@@ -201,7 +200,7 @@ impl LockService {
         self.queue
             .extend(self.table.release(client, ino, Some(epoch)));
         if held == Some(epoch) {
-            let released = ServerEvent::LockReleased { client, ino, epoch };
+            let released = Event::LockReleased { client, ino, epoch };
             self.out.push_back(LockEffect::Event(released));
             // The demand (if any) is satisfied.
             self.pushes.retain(|_, p| p.dst != client || p.ino != ino);
@@ -291,9 +290,9 @@ impl LockService {
         let (taken, grants) = self.table.steal_all(client);
         for &(ino, epoch) in &taken {
             self.out.push_back(LockEffect::Event(if stolen {
-                ServerEvent::LockStolen { client, ino, epoch }
+                Event::LockStolen { client, ino, epoch }
             } else {
-                ServerEvent::LockReleased { client, ino, epoch }
+                Event::LockReleased { client, ino, epoch }
             }));
         }
         self.queue.extend(grants);
@@ -473,14 +472,13 @@ mod tests {
         }
     }
 
-    fn blocked(client: NodeId, ino: Ino, seq: u64) -> LockEffect {
-        let seq = ReqSeq(seq);
-        Event(ServerEvent::RequestBlocked { client, ino, seq })
+    fn blocked(client: NodeId, ino: Ino) -> LockEffect {
+        Event(tank_proto::Event::RequestBlocked { client, ino })
     }
 
     fn released(client: NodeId, ino: Ino, epoch: u64) -> LockEffect {
         let epoch = Epoch(epoch);
-        Event(ServerEvent::LockReleased { client, ino, epoch })
+        Event(tank_proto::Event::LockReleased { client, ino, epoch })
     }
 
     /// One transmission of demand `push_seq` for `dst`'s grant `epoch`.
@@ -506,7 +504,7 @@ mod tests {
         let mut r = Rig::new();
         assert_eq!(r.acquire(A, F, 1), [Granted(grant(A, F, 1, 1))]);
         let [arm, push] = demand(A, 1, F, 1, false);
-        assert_eq!(r.acquire(B, F, 2), [blocked(B, F, 2), arm, push]);
+        assert_eq!(r.acquire(B, F, 2), [blocked(B, F), arm, push]);
         r
     }
 
@@ -514,7 +512,7 @@ mod tests {
     fn a_conflict_sends_one_demand_and_a_release_hands_the_lock_on() {
         let mut r = contended();
         // A second waiter on the same (holder, ino): no second push.
-        assert_eq!(r.acquire(C, F, 3), [blocked(C, F, 3)]);
+        assert_eq!(r.acquire(C, F, 3), [blocked(C, F)]);
         // A asking again is told what it holds, not granted anew.
         assert_eq!(r.acquire(A, F, 4), [Held(grant(A, F, 1, 4))]);
         // The release grants B, and C's wait becomes a demand on B.
@@ -531,7 +529,7 @@ mod tests {
         let mut r = contended();
         assert_eq!(r.acquire(A, G, 3), [Granted(grant(A, G, 3, 3))]);
         let [arm, push] = demand(A, 2, G, 3, false);
-        assert_eq!(r.acquire(B, G, 4), [blocked(B, G, 4), arm, push]);
+        assert_eq!(r.acquire(B, G, 4), [blocked(B, G), arm, push]);
         let resent = demand(A, 1, F, 1, true).to_vec();
         for _ in 0..LADDER.retries {
             assert_eq!(r.fire(PushRetry(1)), (None, resent.clone()));
@@ -584,7 +582,7 @@ mod tests {
         // No demand outstanding: an ACK (here, A's grant) leaves no mark.
         assert_eq!(r.at(70).acked(A), []);
         let [arm, push] = demand(A, 1, F, 1, false);
-        assert_eq!(r.at(100).acquire(B, F, 2), [blocked(B, F, 2), arm, push]);
+        assert_eq!(r.at(100).acquire(B, F, 2), [blocked(B, F), arm, push]);
         r
     }
 
@@ -632,7 +630,7 @@ mod tests {
         assert_eq!(r.release(A, F, 1), [released(A, F, 1)]);
         assert_eq!(r.acquire(A, F, 2), [Granted(grant(A, F, 2, 2))]);
         let [arm, push] = demand(A, 1, F, 2, false);
-        assert_eq!(r.acquire(B, F, 3), [blocked(B, F, 3), arm, push]);
+        assert_eq!(r.acquire(B, F, 3), [blocked(B, F), arm, push]);
         assert_eq!(r.release(A, F, 1), [], "a straggler from the first tenure");
         let resent = demand(A, 1, F, 2, true).to_vec();
         assert_eq!(r.fire(PushRetry(1)), (None, resent));
@@ -644,8 +642,8 @@ mod tests {
         // the lock nobody can be sent a demand for it.
         let mut r = contended();
         r.1.remove(B);
-        assert_eq!(r.acquire(C, F, 3), [blocked(C, F, 3)]);
-        assert_eq!(r.acquire(D, F, 4), [blocked(D, F, 4)]);
+        assert_eq!(r.acquire(C, F, 3), [blocked(C, F)]);
+        assert_eq!(r.acquire(D, F, 4), [blocked(D, F)]);
         // A's release grants B, whose grant is dropped for C, whose grant
         // D's wait turns into a demand on the *new* holder.
         let (to_b, to_c) = (Granted(grant(B, F, 5, 2)), Granted(grant(C, F, 6, 3)));

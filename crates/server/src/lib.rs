@@ -30,7 +30,6 @@
 
 pub mod config;
 pub mod demand;
-pub mod events;
 pub mod fence;
 pub mod lock;
 pub mod node;
@@ -40,7 +39,6 @@ pub mod session;
 
 pub use config::{RecoveryPolicy, ServerConfig};
 pub use demand::{DemandLadder, LadderTimer, LockEffect, LockService};
-pub use events::ServerEvent;
 pub use fence::FenceController;
 pub use lock::{LockManager, LockRequestOutcome};
 pub use node::ServerNode;

@@ -18,14 +18,13 @@ use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermar
 use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    BlockRange, CtlMsg, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId, ReplMsg,
-    Request, Response, RouteError, SanMsg,
+    BlockRange, CtlMsg, Event, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
+    ReplMsg, Request, Response, RouteError, SanMsg,
 };
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 use crate::config::{RecoveryPolicy, ServerConfig};
 use crate::demand::LadderTimer;
-use crate::events::ServerEvent;
 use crate::fence::FenceController;
 use crate::lock::LockManager;
 use crate::obs::ServerObs;
@@ -58,7 +57,7 @@ pub struct ServerNode<Ob> {
     core: ServerCore,
     fences: FenceController,
     timers: TokenMap<ServerTimer>,
-    observe: Box<dyn Fn(ServerEvent) -> Option<Ob>>,
+    observe: Box<dyn Fn(Event) -> Option<Ob>>,
     obs: Option<ServerObs>,
     /// When each client's condemnation timer was armed (server-local),
     /// consumed at fire time to measure the residual steal latency.
@@ -103,7 +102,7 @@ impl<Ob> ServerNode<Ob> {
         cfg: ServerConfig,
         total_blocks: u64,
         block_size: usize,
-        observe: Box<dyn Fn(ServerEvent) -> Option<Ob>>,
+        observe: Box<dyn Fn(Event) -> Option<Ob>>,
     ) -> Self {
         let fence_range = cfg.map.block_range(cfg.sid, total_blocks);
         let wal = DurableStore::new(cfg.compact_threshold);
@@ -242,7 +241,7 @@ impl<Ob> ServerNode<Ob> {
         reply
     }
 
-    fn emit(&mut self, ev: ServerEvent, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn emit(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         if let Some(ob) = (self.observe)(ev) {
             ctx.observe(ob);
         }
@@ -260,7 +259,7 @@ impl<Ob> ServerNode<Ob> {
     }
 
     /// Push the log tail to the durable device (no-op when nothing is
-    /// pending; the fsync counter and the [`ServerEvent::WalSynced`]
+    /// pending; the fsync counter and the [`Event::WalSynced`]
     /// event only move when the watermark does).
     fn wal_fsync(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         if self.wal.fsync() {
@@ -268,7 +267,7 @@ impl<Ob> ServerNode<Ob> {
                 obs.wal_fsyncs.inc();
             }
             let durable = self.wal.durable_len() as u64;
-            self.emit(ServerEvent::WalSynced { durable }, ctx);
+            self.emit(Event::WalSynced { durable }, ctx);
         }
     }
 
@@ -401,9 +400,9 @@ impl<Ob> ServerNode<Ob> {
 
     /// Count, trace and report a core event; a fresh session also lifts
     /// the fence its client may be behind.
-    fn on_event(&mut self, ev: ServerEvent, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         match ev {
-            ServerEvent::LockGranted {
+            Event::LockGranted {
                 client,
                 ino,
                 epoch,
@@ -420,7 +419,7 @@ impl<Ob> ServerNode<Ob> {
                     });
                 }
             }
-            ServerEvent::LockReleased { client, ino, epoch } => {
+            Event::LockReleased { client, ino, epoch } => {
                 if let Some(obs) = &self.obs {
                     obs.lock_released.inc();
                     obs.trace(ctx, "release", || {
@@ -428,7 +427,7 @@ impl<Ob> ServerNode<Ob> {
                     });
                 }
             }
-            ServerEvent::NewSession { client } => {
+            Event::NewSession { client } => {
                 if self.fences.is_fenced(client) {
                     self.fence_cmd(client, FenceOp::Unfence, ctx);
                 }
@@ -454,7 +453,7 @@ impl<Ob> ServerNode<Ob> {
             obs.delivery_errors.inc();
             obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
         }
-        self.emit(ServerEvent::DeliveryError { client }, ctx);
+        self.emit(Event::DeliveryError { client }, ctx);
         match self.cfg.policy {
             RecoveryPolicy::HonorLocks => {
                 // §2 without a safety protocol: locked data simply stays
@@ -526,7 +525,7 @@ impl<Ob> ServerNode<Ob> {
             obs.fences.inc();
             obs.trace(ctx, "fence", || format!("client=n{}", client.0));
         }
-        self.emit(ServerEvent::Fenced { client }, ctx);
+        self.emit(Event::Fenced { client }, ctx);
         self.do_steal(client, ctx);
     }
 
@@ -750,7 +749,7 @@ impl<Ob> ServerNode<Ob> {
                     format!("began incarnation={}", incarnation.0)
                 });
             }
-            self.emit(ServerEvent::RecoveryBegan, ctx);
+            self.emit(Event::ServerRecovering, ctx);
             let token = self.timers.insert(ServerTimer::RecoveryDone);
             ctx.set_timer(self.cfg.lease.server_timeout(), token);
         }
@@ -839,7 +838,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
                             format!("client=n{} latency_ns={latency}", client.0)
                         });
                     }
-                    self.emit(ServerEvent::LeaseExpired { client }, ctx);
+                    self.emit(Event::LeaseExpired { client }, ctx);
                     if self.cfg.harden_grace.0 > 0 {
                         // The client can no longer be ACKed (Expired ⇒
                         // NACK), so waiting costs only availability; it
@@ -875,7 +874,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
                     obs.recovery_ended.inc();
                     obs.trace(ctx, "recovery", || "ended".to_owned());
                 }
-                self.emit(ServerEvent::RecoveryEnded, ctx);
+                self.emit(Event::ServerRecovered, ctx);
             }
             ServerTimer::ReplTick => self.on_repl_tick(ctx),
         }

@@ -22,7 +22,7 @@ use tank_core::{LeaseAuthority, LeaseConfig};
 use tank_meta::{MetaStore, WalRecord};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    Incarnation, Ino, NackReason, NodeId, ReqSeq, Request, Response, RouteError, ServerId,
+    Event, Incarnation, Ino, NackReason, NodeId, ReqSeq, Request, Response, RouteError, ServerId,
     ServerPush, SessionId,
 };
 use tank_shard::ShardMap;
@@ -30,7 +30,6 @@ use tank_sim::LocalNs;
 
 use crate::config::ServerConfig;
 use crate::demand::{LadderTimer, LockEffect, LockService};
-use crate::events::ServerEvent;
 use crate::lock::{Grant, LockManager};
 use crate::session::{Admission, SessionTable};
 
@@ -89,7 +88,7 @@ pub enum Effect<R = Response> {
     /// with no log drops it: DESIGN.md §15, row 2).
     Log(WalRecord),
     /// This happened (a fresh session also lifts a fence on its client).
-    Event(ServerEvent),
+    Event(Event),
 }
 
 /// The state every client request is answered from. The drivers' own
@@ -293,7 +292,7 @@ impl ServerCore {
         // an id whose dedup window a surviving client still holds open.
         let watermark = WalRecord::SessionWatermark(self.sessions.watermark());
         self.out.push_back(Effect::Log(watermark));
-        let fresh = ServerEvent::NewSession { client };
+        let fresh = Event::NewSession { client };
         self.out.push_back(Effect::Event(fresh));
         // Addressed with the *new* session, so the lease renewal lands in
         // the new incarnation.
@@ -360,7 +359,7 @@ impl ServerCore {
                     let (client, ino, epoch, mode) = (g.client, g.ino, g.epoch, g.mode);
                     let watermark = WalRecord::EpochWatermark(epoch.0);
                     self.out.push_back(Effect::Log(watermark));
-                    let granted = ServerEvent::LockGranted {
+                    let granted = Event::LockGranted {
                         client,
                         ino,
                         epoch,
@@ -575,7 +574,7 @@ mod tests {
         };
         [
             Log(WalRecord::SessionWatermark(session)),
-            Event(ServerEvent::NewSession { client }),
+            Event(tank_proto::Event::NewSession { client }),
             ack(client, session, seq, Ok(ok)),
         ]
     }
@@ -681,11 +680,7 @@ mod tests {
         let held = send(&mut c, A, 1, 3, acquire.clone());
         assert_eq!(held[2], granted(A, 1, 3, 1));
         let queued = send(&mut c, B, 2, 2, acquire.clone());
-        let blocked = ServerEvent::RequestBlocked {
-            client: B,
-            ino: F,
-            seq: ReqSeq(2),
-        };
+        let blocked = tank_proto::Event::RequestBlocked { client: B, ino: F };
         assert!(matches!(&queued[..], [Event(e), Arm(..), Push { .. }] if *e == blocked));
         assert_eq!(send(&mut c, B, 2, 2, acquire), []);
         // Stale session.
@@ -752,13 +747,13 @@ mod tests {
             epoch: Epoch(1),
         };
         let handed_on = [
-            Event(ServerEvent::LockReleased {
+            Event(tank_proto::Event::LockReleased {
                 client: A,
                 ino: F,
                 epoch: Epoch(1),
             }),
             Log(WalRecord::EpochWatermark(3)),
-            Event(ServerEvent::LockGranted {
+            Event(tank_proto::Event::LockGranted {
                 client: B,
                 ino: F,
                 epoch: Epoch(3),

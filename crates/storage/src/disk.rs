@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use tank_proto::{BlockId, BlockRange, FenceOp, NetMsg, SanError, SanMsg, SanReadOk, WriteTag};
+use tank_proto::{
+    BlockId, BlockRange, Event, FenceOp, NetMsg, SanError, SanMsg, SanReadOk, WriteTag,
+};
 use tank_sim::{Actor, Ctx, NetId, NodeId};
 
 /// Disk geometry and behaviour.
@@ -21,52 +23,6 @@ impl Default for DiskConfig {
             block_size: 4096,
         }
     }
-}
-
-/// Events a disk reports to its observer (experiment/checker metadata —
-/// a real disk does none of this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskEvent {
-    /// A write reached persistent storage.
-    Hardened {
-        /// The writing initiator.
-        initiator: NodeId,
-        /// The block written.
-        block: BlockId,
-        /// Provenance tag of the write.
-        tag: WriteTag,
-        /// Tag of the contents that were overwritten.
-        previous: WriteTag,
-    },
-    /// A read was served.
-    ReadServed {
-        /// The reading initiator.
-        initiator: NodeId,
-        /// The block read.
-        block: BlockId,
-        /// Tag of the contents returned.
-        tag: WriteTag,
-    },
-    /// A fence took effect: from this point on, I/O from `target` inside
-    /// `range` is rejected. Marks the disk-side end of a steal's fence
-    /// round-trip — every earlier harden by `target` in `range`
-    /// happens-before this event.
-    FenceInstalled {
-        /// The initiator being fenced out.
-        target: NodeId,
-        /// The block range the fence covers.
-        range: BlockRange,
-    },
-    /// An I/O was rejected because the initiator is fenced — the "late
-    /// command" fencing exists to stop (§6).
-    RejectedFenced {
-        /// The fenced initiator.
-        initiator: NodeId,
-        /// The block it tried to touch.
-        block: BlockId,
-        /// True for writes (the dangerous direction).
-        was_write: bool,
-    },
 }
 
 /// Operation counters.
@@ -92,8 +48,9 @@ struct Block {
 /// A shared SAN disk.
 ///
 /// Generic over the world's observation type `Ob`; the `observe` closure
-/// converts [`DiskEvent`]s into world observations (return `None` to drop
-/// them, e.g. in micro-benchmarks).
+/// converts the [`Event`]s it reports (experiment/checker metadata — a
+/// real disk does none of this) into world observations (return `None` to
+/// drop them, e.g. in micro-benchmarks).
 pub struct DiskNode<Ob> {
     cfg: DiskConfig,
     /// Sparse block store: unwritten blocks read as zeroes with the
@@ -107,12 +64,12 @@ pub struct DiskNode<Ob> {
     /// When set, every I/O fails with `DeviceError` (fault injection).
     failing: bool,
     stats: DiskStats,
-    observe: Box<dyn Fn(DiskEvent) -> Option<Ob>>,
+    observe: Box<dyn Fn(Event) -> Option<Ob>>,
 }
 
 impl<Ob> DiskNode<Ob> {
     /// New disk with the given geometry and observer.
-    pub fn new(cfg: DiskConfig, observe: Box<dyn Fn(DiskEvent) -> Option<Ob>>) -> Self {
+    pub fn new(cfg: DiskConfig, observe: Box<dyn Fn(Event) -> Option<Ob>>) -> Self {
         DiskNode {
             cfg,
             store: HashMap::new(),
@@ -126,6 +83,12 @@ impl<Ob> DiskNode<Ob> {
     /// Disk with no observer.
     pub fn unobserved(cfg: DiskConfig) -> Self {
         DiskNode::new(cfg, Box::new(|_| None))
+    }
+
+    fn emit(&self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        if let Some(ob) = (self.observe)(ev) {
+            ctx.observe(ob);
+        }
     }
 
     /// Operation counters.
@@ -275,23 +238,18 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for DiskNode<Ob> {
             SanMsg::ReadBlock { req_id, block } => {
                 let result = self.read(from, block);
                 if let Ok(ok) = &result {
-                    let ev = DiskEvent::ReadServed {
+                    let ev = Event::DiskRead {
                         initiator: from,
                         block,
                         tag: ok.tag,
                     };
-                    if let Some(ob) = (self.observe)(ev) {
-                        ctx.observe(ob);
-                    }
+                    self.emit(ev, ctx);
                 } else if matches!(result, Err(SanError::Fenced)) {
-                    let ev = DiskEvent::RejectedFenced {
+                    let ev = Event::FenceRejected {
                         initiator: from,
-                        block,
                         was_write: false,
                     };
-                    if let Some(ob) = (self.observe)(ev) {
-                        ctx.observe(ob);
-                    }
+                    self.emit(ev, ctx);
                 }
                 ctx.send(net, from, NetMsg::San(SanMsg::ReadResp { req_id, result }));
             }
@@ -303,27 +261,22 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for DiskNode<Ob> {
             } => {
                 let result = match self.write(from, block, data, tag) {
                     Ok(previous) => {
-                        let ev = DiskEvent::Hardened {
+                        let ev = Event::Hardened {
                             initiator: from,
                             block,
                             tag,
                             previous,
                         };
-                        if let Some(ob) = (self.observe)(ev) {
-                            ctx.observe(ob);
-                        }
+                        self.emit(ev, ctx);
                         Ok(())
                     }
                     Err(e) => {
                         if e == SanError::Fenced {
-                            let ev = DiskEvent::RejectedFenced {
+                            let ev = Event::FenceRejected {
                                 initiator: from,
-                                block,
                                 was_write: true,
                             };
-                            if let Some(ob) = (self.observe)(ev) {
-                                ctx.observe(ob);
-                            }
+                            self.emit(ev, ctx);
                         }
                         Err(e)
                     }
@@ -339,10 +292,12 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for DiskNode<Ob> {
                 self.stats.fence_ops += 1;
                 self.apply_fence(target, op, range);
                 if op == FenceOp::Fence {
-                    let ev = DiskEvent::FenceInstalled { target, range };
-                    if let Some(ob) = (self.observe)(ev) {
-                        ctx.observe(ob);
-                    }
+                    let ev = Event::FenceInstalled {
+                        target,
+                        range_start: range.start,
+                        range_end: range.end,
+                    };
+                    self.emit(ev, ctx);
                 }
                 ctx.send(net, from, NetMsg::San(SanMsg::FenceResp { req_id }));
             }
@@ -629,7 +584,7 @@ mod tests {
 
     #[test]
     fn observer_sees_hardened_and_fenced_events() {
-        let mut w: World<NetMsg, DiskEvent> = World::new(WorldConfig::default());
+        let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
         w.add_network(NetId::SAN, NetParams::ideal(10_000));
         let disk = w.add_node(
             Box::new(DiskNode::new(
@@ -645,8 +600,8 @@ mod tests {
         struct Driver {
             disk: NodeId,
         }
-        impl Actor<NetMsg, DiskEvent> for Driver {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, DiskEvent>) {
+        impl Actor<NetMsg, Event> for Driver {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, Event>) {
                 ctx.set_timer(LocalNs::from_millis(1), 0);
             }
             fn on_message(
@@ -654,10 +609,10 @@ mod tests {
                 _: NodeId,
                 _: NetId,
                 _: NetMsg,
-                _: &mut Ctx<'_, NetMsg, DiskEvent>,
+                _: &mut Ctx<'_, NetMsg, Event>,
             ) {
             }
-            fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_, NetMsg, DiskEvent>) {
+            fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_, NetMsg, Event>) {
                 let t = WriteTag {
                     writer: ctx.node(),
                     epoch: Epoch(1),
@@ -680,7 +635,7 @@ mod tests {
         let obs = w.observations();
         assert_eq!(obs.len(), 1);
         match obs[0].2 {
-            DiskEvent::Hardened {
+            Event::Hardened {
                 initiator, block, ..
             } => {
                 assert_eq!(initiator, driver);

@@ -7,9 +7,9 @@
 //! state. Its only anachronistic feature is bookkeeping for the
 //! experiments — each block remembers the [`tank_proto::WriteTag`] of the
 //! write that produced it, and the disk reports hardened writes / fenced
-//! rejections through a pluggable observer so the consistency checker can
-//! audit runs offline.
+//! rejections as [`tank_proto::Event`]s through a pluggable observer so
+//! the consistency checker can audit runs offline.
 
 pub mod disk;
 
-pub use disk::{DiskConfig, DiskEvent, DiskNode, DiskStats};
+pub use disk::{DiskConfig, DiskNode, DiskStats};

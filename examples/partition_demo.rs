@@ -105,7 +105,7 @@ fn main() {
             Event::NewSession { client } => Some(format!("server: new session for {client}")),
             Event::Resumed { shard } => Some(format!("{node} serving shard {shard} again")),
             Event::OpCompleted { kind, ok, err, .. } => match err {
-                Some(e) => Some(format!("{node} op {kind} → refused ({e})")),
+                Some(e) => Some(format!("{node} op {kind} → refused ({e:?})")),
                 None if *ok => Some(format!("{node} op {kind} → ok")),
                 None => None,
             },

@@ -6,11 +6,13 @@
 //! file), but the subject under test is the instrumentation: trace events,
 //! counter/histogram contents, and the cross-check between pipelines.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use tank_client::fs::Script;
 use tank_client::FsOp;
 use tank_cluster::{Cluster, ClusterConfig};
+use tank_consistency::Event;
 use tank_core::LeaseConfig;
 use tank_obs::Registry;
 use tank_server::RecoveryPolicy;
@@ -182,4 +184,125 @@ fn counters_and_checker_event_stream_agree() {
     assert!(lines
         .iter()
         .all(|l| l.starts_with("{\"t\":") && l.ends_with('}')));
+}
+
+/// The variant's name; exhaustive, so a new variant must be named here
+/// (and then emitted by one of the runs below).
+fn variant(e: &Event) -> &'static str {
+    match e {
+        Event::OpSubmitted { .. } => "OpSubmitted",
+        Event::OpCompleted { .. } => "OpCompleted",
+        Event::WriteAcked { .. } => "WriteAcked",
+        Event::ReadServed { .. } => "ReadServed",
+        Event::AttrServed { .. } => "AttrServed",
+        Event::CacheInvalidated { .. } => "CacheInvalidated",
+        Event::Quiesced { .. } => "Quiesced",
+        Event::Resumed { .. } => "Resumed",
+        Event::LockGranted { .. } => "LockGranted",
+        Event::LockReleased { .. } => "LockReleased",
+        Event::LockStolen { .. } => "LockStolen",
+        Event::RequestBlocked { .. } => "RequestBlocked",
+        Event::DeliveryError { .. } => "DeliveryError",
+        Event::LeaseExpired { .. } => "LeaseExpired",
+        Event::Fenced { .. } => "Fenced",
+        Event::NewSession { .. } => "NewSession",
+        Event::WalSynced { .. } => "WalSynced",
+        Event::ServerRecovering => "ServerRecovering",
+        Event::ServerRecovered => "ServerRecovered",
+        Event::Hardened { .. } => "Hardened",
+        Event::DiskRead { .. } => "DiskRead",
+        Event::FenceInstalled { .. } => "FenceInstalled",
+        Event::FenceRejected { .. } => "FenceRejected",
+    }
+}
+
+const ALL_VARIANTS: [&str; 23] = [
+    "OpSubmitted",
+    "OpCompleted",
+    "WriteAcked",
+    "ReadServed",
+    "AttrServed",
+    "CacheInvalidated",
+    "Quiesced",
+    "Resumed",
+    "LockGranted",
+    "LockReleased",
+    "LockStolen",
+    "RequestBlocked",
+    "DeliveryError",
+    "LeaseExpired",
+    "Fenced",
+    "NewSession",
+    "WalSynced",
+    "ServerRecovering",
+    "ServerRecovered",
+    "Hardened",
+    "DiskRead",
+    "FenceInstalled",
+    "FenceRejected",
+];
+
+fn write(fill: u8) -> FsOp {
+    FsOp::Write {
+        path: "/f0".into(),
+        offset: 0,
+        data: vec![fill; BS],
+    }
+}
+
+fn read() -> FsOp {
+    FsOp::Read {
+        path: "/f0".into(),
+        offset: 0,
+        len: 64,
+    }
+}
+
+/// One cluster of two clients on `/f0`, τ = 2 s: C0 writes, stats and
+/// reads it, then loses the control network from 1 s to 12 s with the SAN
+/// intact; C1 writes the file at 1.5 s and releases it at 8 s; C0 reads it
+/// again after the heal.
+fn contested_run(policy: RecoveryPolicy, leases: bool, crash: bool) -> BTreeSet<&'static str> {
+    let mut cfg = ClusterConfig::default();
+    cfg.clients = 2;
+    cfg.files = 1;
+    cfg.block_size = BS;
+    cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
+    cfg.lease.epsilon = 0.01;
+    cfg.policy = policy;
+    cfg.client_lease_enabled = leases;
+    let mut cluster = Cluster::build(cfg, 4321);
+    let c0 = Script::new()
+        .at(ms(500), write(0xAA))
+        .at(ms(600), FsOp::Stat { path: "/f0".into() })
+        .at(ms(700), read())
+        .at(ms(2_500), write(0xAB))
+        .at(ms(14_000), read());
+    let c1 = Script::new()
+        .at(ms(1_500), write(0xBB))
+        .at(ms(8_000), FsOp::Release { path: "/f0".into() });
+    cluster.attach_script(0, c0);
+    cluster.attach_script(1, c1);
+    cluster.isolate_control(0, t(1_000), Some(t(12_000)));
+    if crash {
+        cluster.crash_server(t(16_000), t(17_000));
+    }
+    cluster.run_until(SimTime::from_secs(25));
+    (cluster.world.observations().iter())
+        .map(|(_, _, e)| variant(e))
+        .collect()
+}
+
+/// Every variant of the one event vocabulary has a live emission site:
+/// a lease partition of a dirty holder plus a server crash and recovery
+/// emit all of them but the fence rejection, which a lease-less client
+/// writing past its fence adds.
+#[test]
+fn every_event_variant_is_emitted() {
+    let mut seen = contested_run(RecoveryPolicy::LeaseFence, true, true);
+    seen.extend(contested_run(RecoveryPolicy::FenceThenSteal, false, false));
+    let missing: Vec<&str> = (ALL_VARIANTS.into_iter())
+        .filter(|v| !seen.contains(v))
+        .collect();
+    assert!(missing.is_empty(), "never emitted: {missing:?}");
 }

@@ -15,7 +15,7 @@ use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
 
 use tank_client::fs::Script;
-use tank_client::{ClientConfig, ClientEvent, ClientNode, FsData, FsOp, OpGen};
+use tank_client::{ClientConfig, ClientNode, FsData, FsOp, OpGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_consistency::Event;
 use tank_core::LeaseConfig;
@@ -601,13 +601,13 @@ impl NackingServer {
     }
 }
 
-impl Actor<NetMsg, ClientEvent> for NackingServer {
+impl Actor<NetMsg, Event> for NackingServer {
     fn on_message(
         &mut self,
         from: NodeId,
         _net: NetId,
         msg: NetMsg,
-        ctx: &mut Ctx<'_, NetMsg, ClientEvent>,
+        ctx: &mut Ctx<'_, NetMsg, Event>,
     ) {
         let NetMsg::Ctl(CtlMsg::Request(Request { seq, body, .. })) = msg else {
             return;
@@ -625,16 +625,16 @@ impl Actor<NetMsg, ClientEvent> for NackingServer {
         ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Response(resp)));
     }
 
-    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, NetMsg, ClientEvent>) {}
+    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, NetMsg, Event>) {}
 }
 
 #[test]
 fn a_nacked_release_has_already_completed() {
-    let mut world: World<NetMsg, ClientEvent> = World::new(WorldConfig::default());
+    let mut world: World<NetMsg, Event> = World::new(WorldConfig::default());
     world.add_network(NetId::CONTROL, NetParams::ideal(L));
     world.add_network(NetId::SAN, NetParams::ideal(S));
     let server = world.add_node(Box::new(NackingServer::default()), ClockSpec::ideal());
-    let disk = DiskNode::<ClientEvent>::new(
+    let disk = DiskNode::<Event>::new(
         DiskConfig {
             blocks: 1024,
             block_size: BS,
@@ -650,19 +650,19 @@ fn a_nacked_release_has_already_completed() {
     let script = Script::new()
         .at(ms(10), write("/f", 0, 0xE5))
         .at(ms(50), release("/f"));
-    let node = ClientNode::<ClientEvent>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(t(400));
 
     let releases = &world.node_ref::<NackingServer>(server).unwrap().releases;
     assert_eq!(releases.len(), 1, "NACKed once, never retransmitted");
-    let node = world.node_ref::<ClientNode<ClientEvent>>(client).unwrap();
+    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
     assert_eq!(node.result_of(OpId(2)), Some(&Ok(FsData::Unit)));
     let done = world
         .observations()
         .iter()
         .find_map(|(at, _, e)| match e {
-            ClientEvent::OpCompleted { op: OpId(2), .. } => Some(*at),
+            Event::OpCompleted { op: OpId(2), .. } => Some(*at),
             _ => None,
         })
         .expect("the release completed");
