@@ -10,8 +10,9 @@
 # commit it, and update the numbers EXPERIMENTS.md quotes from it.
 #
 # It also keeps the experiment index whole: README.md, EXPERIMENTS.md and
-# DESIGN.md each name every bin and no `exp_*` that is not one, every capture
-# belongs to a bin, and no doc names the deleted micro-bench crate.
+# DESIGN.md each name every bin and no `exp_*` that is not one, name no
+# `cargo run --example X` without an examples/X.rs, every capture belongs to
+# a bin, and no doc names the deleted micro-bench crate.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -26,6 +27,9 @@ for doc in README.md EXPERIMENTS.md DESIGN.md; do
     done
     for name in $(grep -oE 'exp_[a-z0-9_]+' "$doc" | sort -u); do
         [ -f "$bins/$name.rs" ] || fail "$doc names $name, which is not a bin"
+    done
+    for name in $(grep -oE 'cargo run --example [A-Za-z0-9_]+' "$doc" | awk '{print $4}' | sort -u); do
+        [ -f "examples/$name.rs" ] || fail "$doc runs example $name, which has no examples/$name.rs"
     done
     if grep -nEi 'cargo bench|crates/bench|criterion' "$doc"; then
         fail "$doc still names the deleted micro-bench crate"

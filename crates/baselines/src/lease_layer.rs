@@ -2,9 +2,9 @@
 //!
 //! One server, N clients, each client "caching" M objects. Clients issue
 //! abstract useful operations (think metadata/lock requests) at a
-//! configurable rate; each scheme layers its own maintenance on top. The
-//! world measures three things per scheme (the abstract's claims, made
-//! falsifiable):
+//! configurable rate, and every one is a server round trip; each scheme
+//! layers its own maintenance on top. The world measures three things per
+//! scheme, the columns the abstract's claims are checked against:
 //!
 //! * maintenance messages (everything that is not a useful op/ack),
 //! * peak lease-state bytes at the server,
@@ -15,17 +15,14 @@ use std::collections::HashMap;
 use rand::{Rng, RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use tank_core::{ClientLease, LeaseAction, LeaseAuthority, LeaseConfig};
-use tank_proto::ReqSeq;
 use tank_sim::{
     Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, NodeId, Payload, SimTime, World, WorldConfig,
 };
 
-/// Which lease scheme the layer runs.
+/// Which comparator lease scheme the layer runs. Storage Tank itself is
+/// not one: its row is measured on the full stack (`tank-cluster`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Scheme {
-    /// Storage Tank: single lease, opportunistic renewal, passive server.
-    Tank,
     /// V-style: one lease per cached object, renewed individually.
     VLease,
     /// Frangipani-style: single lease, unconditional heartbeats, server
@@ -39,7 +36,6 @@ impl Scheme {
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
-            Scheme::Tank => "tank",
             Scheme::VLease => "v-lease",
             Scheme::Heartbeat => "heartbeat",
             Scheme::NfsPoll => "nfs-poll",
@@ -81,15 +77,11 @@ impl Default for LayerParams {
 /// Measured outcome.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct LayerReport {
-    /// The scheme measured.
-    pub scheme: Scheme,
     /// Useful operations completed.
     pub useful_ops: u64,
     /// Maintenance messages sent (client→server; the return traffic is
-    /// symmetric and counted separately).
+    /// symmetric and not counted).
     pub maintenance_msgs: u64,
-    /// All client→server datagrams.
-    pub total_msgs: u64,
     /// Peak lease-state bytes at the server.
     pub peak_lease_bytes: usize,
     /// Lease-related server operations (record updates + scan touches).
@@ -99,15 +91,35 @@ pub struct LayerReport {
     pub maint_per_op: f64,
 }
 
+impl LayerReport {
+    /// A report from its four counts; derives the maintenance ratio.
+    pub fn new(
+        useful_ops: u64,
+        maintenance_msgs: u64,
+        peak_lease_bytes: usize,
+        server_lease_ops: u64,
+    ) -> LayerReport {
+        LayerReport {
+            useful_ops,
+            maintenance_msgs,
+            peak_lease_bytes,
+            server_lease_ops,
+            maint_per_op: if useful_ops > 0 {
+                maintenance_msgs as f64 / useful_ops as f64
+            } else {
+                f64::INFINITY
+            },
+        }
+    }
+}
+
 /// Wire messages of the layer world.
 #[derive(Debug, Clone, PartialEq)]
 enum LayerMsg {
     /// A useful operation (metadata/lock work).
-    Op { seq: u64 },
+    Op,
     /// Its acknowledgement.
-    OpAck { seq: u64 },
-    /// Tank keep-alive (maintenance).
-    KeepAlive { seq: u64 },
+    OpAck,
     /// V-lease renewal for one object (maintenance).
     RenewObj { obj: u32 },
     /// V-lease renewal ack.
@@ -125,9 +137,8 @@ enum LayerMsg {
 impl Payload for LayerMsg {
     fn kind(&self) -> &'static str {
         match self {
-            LayerMsg::Op { .. } => "op",
-            LayerMsg::OpAck { .. } => "op_ack",
-            LayerMsg::KeepAlive { .. } => "keep_alive",
+            LayerMsg::Op => "op",
+            LayerMsg::OpAck => "op_ack",
             LayerMsg::RenewObj { .. } => "renew_obj",
             LayerMsg::RenewAck { .. } => "renew_ack",
             LayerMsg::Heartbeat => "heartbeat",
@@ -144,8 +155,7 @@ impl Payload for LayerMsg {
 
 /// Timer tokens (small fixed space; no TokenMap needed).
 const T_OP: u64 = 1;
-const T_LEASE_POLL: u64 = 2;
-const T_MAINT: u64 = 3;
+const T_MAINT: u64 = 2;
 
 /// A layer client.
 struct LayerClient {
@@ -154,12 +164,8 @@ struct LayerClient {
     objects: u32,
     op_period: Option<LocalNs>,
     tau: LocalNs,
-    next_seq: u64,
-    /// Tank scheme: the real client-side lease machine.
-    tank: Option<ClientLease>,
     /// V-lease: local last-renewal time per object.
     v_last: Vec<LocalNs>,
-    ops_acked: u64,
 }
 
 impl LayerClient {
@@ -170,13 +176,7 @@ impl LayerClient {
             objects: params.objects_per_client as u32,
             op_period: params.op_period,
             tau: params.tau,
-            next_seq: 1,
-            tank: match scheme {
-                Scheme::Tank => Some(ClientLease::new(LeaseConfig::with_tau(params.tau))),
-                _ => None,
-            },
             v_last: vec![LocalNs(0); params.objects_per_client],
-            ops_acked: 0,
         }
     }
 
@@ -186,11 +186,6 @@ impl LayerClient {
     }
 
     fn send_op(&mut self, ctx: &mut Ctx<'_, LayerMsg, ()>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(t) = &mut self.tank {
-            t.on_send(ReqSeq(seq), ctx.now());
-        }
         // Ops touch a random object: under V, this renews that object's
         // lease for free (the reply re-grants it), mirroring how V piggy-
         // backs renewal on use.
@@ -198,38 +193,17 @@ impl LayerClient {
             let obj = ctx.rng().random_range(0..self.objects) as usize;
             self.v_last[obj] = ctx.now();
         }
-        ctx.send(NetId::CONTROL, self.server, LayerMsg::Op { seq });
-    }
-
-    fn pump_tank(&mut self, ctx: &mut Ctx<'_, LayerMsg, ()>) {
-        let now = ctx.now();
-        let Some(t) = &mut self.tank else { return };
-        for action in t.poll(now) {
-            if action == LeaseAction::SendKeepAlive {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                t.on_send(ReqSeq(seq), now);
-                ctx.send(NetId::CONTROL, self.server, LayerMsg::KeepAlive { seq });
-            }
-        }
-        if let Some(at) = t.next_wakeup(now) {
-            ctx.set_timer(at.minus(now).plus(LocalNs(1)), T_LEASE_POLL);
-        }
+        ctx.send(NetId::CONTROL, self.server, LayerMsg::Op);
     }
 }
 
 impl Actor<LayerMsg, ()> for LayerClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, LayerMsg, ()>) {
-        // First useful op (bootstraps the Tank lease too).
         if let Some(d) = self.think(ctx.rng()) {
             ctx.set_timer(d, T_OP);
-        } else if self.scheme == Scheme::Tank {
-            // Idle tank client: bootstrap the lease with one op.
-            self.send_op(ctx);
         }
         // Scheme maintenance clocks.
         match self.scheme {
-            Scheme::Tank => {}
             Scheme::VLease => {
                 // Check object ages at τ/10 granularity.
                 ctx.set_timer(LocalNs(self.tau.0 / 10), T_MAINT);
@@ -248,21 +222,13 @@ impl Actor<LayerMsg, ()> for LayerClient {
         _from: NodeId,
         _net: NetId,
         msg: LayerMsg,
-        ctx: &mut Ctx<'_, LayerMsg, ()>,
+        _ctx: &mut Ctx<'_, LayerMsg, ()>,
     ) {
         match msg {
-            LayerMsg::OpAck { seq } | LayerMsg::KeepAlive { seq } => {
-                // (KeepAlive never arrives at a client; the arm exists for
-                // exhaustiveness.)
-                if let LayerMsg::OpAck { .. } = msg {
-                    self.ops_acked += 1;
-                }
-                if let Some(t) = &mut self.tank {
-                    t.on_ack(ReqSeq(seq), ctx.now());
-                }
-                self.pump_tank(ctx);
-            }
-            LayerMsg::RenewAck { .. } | LayerMsg::HeartbeatAck | LayerMsg::PollAck { .. } => {}
+            LayerMsg::OpAck
+            | LayerMsg::RenewAck { .. }
+            | LayerMsg::HeartbeatAck
+            | LayerMsg::PollAck { .. } => {}
             other => debug_assert!(false, "client got {other:?}"),
         }
     }
@@ -271,14 +237,11 @@ impl Actor<LayerMsg, ()> for LayerClient {
         match token {
             T_OP => {
                 self.send_op(ctx);
-                self.pump_tank(ctx);
                 if let Some(d) = self.think(ctx.rng()) {
                     ctx.set_timer(d, T_OP);
                 }
             }
-            T_LEASE_POLL => self.pump_tank(ctx),
             T_MAINT => match self.scheme {
-                Scheme::Tank => {}
                 Scheme::VLease => {
                     // Renew every object older than 0.7τ (it would expire
                     // before the next check otherwise).
@@ -318,8 +281,6 @@ impl Actor<LayerMsg, ()> for LayerClient {
 struct LayerServer {
     scheme: Scheme,
     tau: LocalNs,
-    /// Tank: the real passive authority.
-    tank: Option<LeaseAuthority>,
     /// V: (client, object) → expiry.
     v_table: HashMap<(NodeId, u32), LocalNs>,
     /// Heartbeat: client → expiry.
@@ -334,10 +295,6 @@ impl LayerServer {
         LayerServer {
             scheme,
             tau: params.tau,
-            tank: match scheme {
-                Scheme::Tank => Some(LeaseAuthority::new(LeaseConfig::with_tau(params.tau))),
-                _ => None,
-            },
             v_table: HashMap::new(),
             hb_table: HashMap::new(),
             lease_ops: 0,
@@ -348,7 +305,6 @@ impl LayerServer {
 
     fn lease_bytes(&self) -> usize {
         match self.scheme {
-            Scheme::Tank => self.tank.as_ref().map(|t| t.memory_bytes()).unwrap_or(0),
             Scheme::VLease => self.v_table.len() * (std::mem::size_of::<(NodeId, u32)>() + 8),
             Scheme::Heartbeat => self.hb_table.len() * (std::mem::size_of::<NodeId>() + 8),
             Scheme::NfsPoll => 0,
@@ -383,26 +339,15 @@ impl Actor<LayerMsg, ()> for LayerServer {
     ) {
         let now = ctx.now();
         match msg {
-            LayerMsg::Op { seq } => {
+            LayerMsg::Op => {
                 self.useful_ops += 1;
-                // Tank: the entire lease cost of an op is one standing
-                // check on an (empty) table.
-                if let Some(t) = &mut self.tank {
-                    let _ = t.may_ack(from);
-                }
                 if self.scheme == Scheme::VLease {
                     // The reply re-grants the touched object's lease; the
                     // server updates that record. (Object identity rides
                     // out of band here; one record update is the cost.)
                     self.lease_ops += 1;
                 }
-                ctx.send(net, from, LayerMsg::OpAck { seq });
-            }
-            LayerMsg::KeepAlive { seq } => {
-                if let Some(t) = &mut self.tank {
-                    let _ = t.may_ack(from);
-                }
-                ctx.send(net, from, LayerMsg::OpAck { seq });
+                ctx.send(net, from, LayerMsg::OpAck);
             }
             LayerMsg::RenewObj { obj } => {
                 self.lease_ops += 1;
@@ -441,7 +386,7 @@ impl Actor<LayerMsg, ()> for LayerServer {
                 self.hb_table.retain(|_, exp| *exp > now);
                 ctx.set_timer(LocalNs(self.tau.0 / 3), T_MAINT);
             }
-            _ => {}
+            Scheme::NfsPoll => {}
         }
     }
 }
@@ -472,37 +417,16 @@ pub fn run_lease_layer(scheme: Scheme, params: LayerParams) -> LayerReport {
     world.run_until(params.duration);
 
     let stats = world.stats();
-    let maintenance = stats.sent_kind("keep_alive", NetId::CONTROL)
-        + stats.sent_kind("renew_obj", NetId::CONTROL)
+    let maintenance = stats.sent_kind("renew_obj", NetId::CONTROL)
         + stats.sent_kind("heartbeat", NetId::CONTROL)
         + stats.sent_kind("poll", NetId::CONTROL);
-    let total = stats.sent_kind("op", NetId::CONTROL) + maintenance;
     let srv = world.node_ref::<LayerServer>(server).unwrap();
-    let useful = srv.useful_ops;
-    let lease_ops = match scheme {
-        // For Tank, count only *tracked* work (state-dependent); the
-        // empty-table standing checks are the claimed-zero cost and are
-        // reported via the authority stats in E6's detail columns.
-        Scheme::Tank => srv
-            .tank
-            .as_ref()
-            .map(|t| t.stats().tracked_checks)
-            .unwrap_or(0),
-        _ => srv.lease_ops,
-    };
-    LayerReport {
-        scheme,
-        useful_ops: useful,
-        maintenance_msgs: maintenance,
-        total_msgs: total,
-        peak_lease_bytes: srv.peak_bytes.max(srv.lease_bytes()),
-        server_lease_ops: lease_ops,
-        maint_per_op: if useful > 0 {
-            maintenance as f64 / useful as f64
-        } else {
-            f64::INFINITY
-        },
-    }
+    LayerReport::new(
+        srv.useful_ops,
+        maintenance,
+        srv.peak_bytes.max(srv.lease_bytes()),
+        srv.lease_ops,
+    )
 }
 
 #[cfg(test)]
@@ -518,25 +442,6 @@ mod tests {
             duration: SimTime::from_secs(30),
             seed: 3,
         }
-    }
-
-    #[test]
-    fn tank_active_clients_have_zero_maintenance() {
-        let r = run_lease_layer(Scheme::Tank, params());
-        assert!(r.useful_ops > 1000, "ops flowed: {}", r.useful_ops);
-        assert_eq!(r.maintenance_msgs, 0, "opportunistic renewal only");
-        assert_eq!(r.peak_lease_bytes, 0, "passive authority holds nothing");
-        assert_eq!(r.server_lease_ops, 0, "no tracked work");
-    }
-
-    #[test]
-    fn tank_idle_clients_fall_back_to_keepalives() {
-        let mut p = params();
-        p.op_period = None;
-        let r = run_lease_layer(Scheme::Tank, p);
-        assert!(r.maintenance_msgs > 0, "idle clients keep-alive");
-        // Still no server state.
-        assert_eq!(r.peak_lease_bytes, 0);
     }
 
     #[test]
@@ -596,17 +501,5 @@ mod tests {
             r.maintenance_msgs
         );
         assert_eq!(r.peak_lease_bytes, 0);
-    }
-
-    #[test]
-    fn tank_beats_everything_on_maintenance_ratio() {
-        let p = params();
-        let tank = run_lease_layer(Scheme::Tank, p);
-        let v = run_lease_layer(Scheme::VLease, p);
-        let hb = run_lease_layer(Scheme::Heartbeat, p);
-        let nfs = run_lease_layer(Scheme::NfsPoll, p);
-        assert!(tank.maint_per_op < v.maint_per_op);
-        assert!(tank.maint_per_op < hb.maint_per_op);
-        assert!(tank.maint_per_op < nfs.maint_per_op);
     }
 }

@@ -9,10 +9,9 @@
 //!    fault sweeps exercise them against the full stack.
 //!
 //! 2. **Lease-scheme baselines** (this crate) — the §4/§5 comparisons of
-//!    *lease maintenance overhead*:
+//!    *lease maintenance overhead*, for schemes the system does not
+//!    implement:
 //!
-//!    * **Storage Tank** — one lease per client, renewed opportunistically
-//!      by ordinary traffic; passive authority with zero state.
 //!    * **V-style leases** [Gray & Cheriton '89] — a lease *per cached
 //!      object*; each must be renewed before expiry or the object drops
 //!      from the cache; the authority stores a record per (client, object).
@@ -28,7 +27,9 @@
 //!    clients to a server, and each scheme adds its maintenance traffic,
 //!    server state, and server work on top. Experiments E6/E7 sweep client
 //!    and object counts and print msgs/op, bytes of lease state, and
-//!    lease-related server operations per scheme.
+//!    lease-related server operations per scheme, beside Storage Tank's own
+//!    row, which `tank-cluster` measures on the full stack in the same
+//!    units ([`LayerParams`] in, [`LayerReport`] out).
 
 pub mod lease_layer;
 

@@ -8,16 +8,17 @@
 //! * idle-client keep-alive traffic ∝ 1/τ;
 //! * phase-4 length ∝ τ — small τ risks stranding dirty data.
 //!
-//! The sweep reports all three per τ, from the full stack.
+//! The sweep reports all three per τ, from the full stack; the keep-alive
+//! rate is [`run_tank_layer`]'s idle cell.
 //!
 //! Asserted: all three are monotone in τ (unavailability rises, keep-alive
 //! cost and stranding fall), and nothing is stranded from τ = 2 s up.
 
-use tank_baselines::{run_lease_layer, LayerParams, Scheme};
+use tank_baselines::LayerParams;
 use tank_client::fs::Script;
 use tank_client::FsOp;
 use tank_cluster::table::{f, Table};
-use tank_cluster::{Cluster, ClusterConfig};
+use tank_cluster::{run_tank_layer, Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
 use tank_server::RecoveryPolicy;
 use tank_sim::{LocalNs, NetParams, SimTime};
@@ -115,19 +116,16 @@ fn main() {
         let tau = LocalNs::from_secs(tau_s);
         let unavail = unavailability_s(tau, 11)
             .unwrap_or_else(|| panic!("τ={tau_s}s: the contested file never came back"));
-        // Idle keep-alive rate from the lease layer (per client per min).
-        let layer = run_lease_layer(
-            Scheme::Tank,
-            LayerParams {
-                clients: 4,
-                objects_per_client: 16,
-                op_period: None,
-                tau,
-                duration: SimTime::from_secs(120),
-                seed: 3,
-            },
-        );
-        let ka_rate = layer.maintenance_msgs as f64 / 4.0 / 2.0; // per client per minute
+        // Idle keep-alive rate of 4 clients over 2 minutes, per client-minute.
+        let idle = run_tank_layer(LayerParams {
+            clients: 4,
+            objects_per_client: 16,
+            op_period: None,
+            tau,
+            duration: SimTime::from_secs(120),
+            seed: 3,
+        });
+        let ka_rate = idle.msg.keepalives as f64 / 4.0 / 2.0;
         let lost = stranded(tau, 256, 5);
         assert!(
             unavail > prev.0 && ka_rate < prev.1 && lost <= prev.2,

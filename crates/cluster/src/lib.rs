@@ -28,9 +28,11 @@
 //! [`tank_server::RecoveryPolicy`] in the config.
 
 pub mod build;
+pub mod lease_cost;
 pub mod report;
 pub mod table;
 pub mod workload;
 
 pub use build::{Cluster, ClusterConfig};
+pub use lease_cost::run_tank_layer;
 pub use report::{MsgSummary, RunReport};

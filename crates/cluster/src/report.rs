@@ -48,6 +48,10 @@ pub struct RunReport {
     pub authority: AuthorityStats,
     /// Authority lease-state bytes held at harvest (0 in normal operation).
     pub authority_memory_bytes: usize,
+    /// Responses held in the servers' replay caches at harvest: state for
+    /// at-most-once delivery, which every client with a session keeps
+    /// at the server whatever its lease does.
+    pub replay_entries: usize,
     /// Metadata transactions executed.
     pub meta_transactions: u64,
     /// Per-client counters.
@@ -82,6 +86,7 @@ impl RunReport {
         let mut server = ServerStats::default();
         let mut authority = tank_core::AuthorityStats::default();
         let mut authority_memory_bytes = 0;
+        let mut replay_entries = 0;
         let mut meta_transactions = 0;
         for sid in 0..cluster.servers.len() {
             let node = cluster.server_node_of(ServerId(sid as u16));
@@ -104,6 +109,7 @@ impl RunReport {
             authority.nacks += a.nacks;
             authority.peak_tracked = authority.peak_tracked.max(a.peak_tracked);
             authority_memory_bytes += node.authority().memory_bytes();
+            replay_entries += node.replay_entries();
             meta_transactions += node.meta().transactions();
         }
         RunReport {
@@ -113,6 +119,7 @@ impl RunReport {
             server,
             authority,
             authority_memory_bytes,
+            replay_entries,
             meta_transactions,
             clients: (0..cluster.clients.len())
                 .map(|i| cluster.client(i).stats())

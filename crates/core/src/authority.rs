@@ -185,10 +185,16 @@ impl LeaseAuthority {
         self.tracked.remove(&client);
     }
 
+    /// Bytes of lease state for `records` tracked clients: what the
+    /// authority holds with that many suspect or expired clients.
+    pub const fn record_bytes(records: usize) -> usize {
+        records * (std::mem::size_of::<NodeId>() + std::mem::size_of::<ClientStanding>())
+    }
+
     /// Bytes of lease state currently held. Zero during normal operation —
     /// measured, not asserted, by experiment E6.
     pub fn memory_bytes(&self) -> usize {
-        self.tracked.len() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<ClientStanding>())
+        Self::record_bytes(self.tracked.len())
     }
 
     /// Number of tracked (suspect or expired) clients.

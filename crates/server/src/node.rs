@@ -156,6 +156,12 @@ impl<Ob> ServerNode<Ob> {
         &self.core.authority
     }
 
+    /// Responses held in the session replay caches: the at-most-once
+    /// delivery state, which is not lease state.
+    pub fn replay_entries(&self) -> usize {
+        self.core.sessions.replay_entries()
+    }
+
     /// The metadata store (harvest access).
     pub fn meta(&self) -> &MetaStore {
         &self.core.meta
