@@ -272,6 +272,10 @@ struct Lane {
     /// lease expiry. Rotation swaps the two, so a bounced redirect can
     /// rotate back.
     alt: Option<NodeId>,
+    /// Until when a `NotPrimary` redirect does not rotate the lane back:
+    /// set when the lane left an address because it went silent, cleared
+    /// by the next session (see [`ClientNode::leave_silent`]).
+    rehome_until: Option<LocalNs>,
     lease: ClientLease,
     session: Option<SessionId>,
     /// The server incarnation the lane last saw (restart detector).
@@ -300,6 +304,7 @@ impl Lane {
             sid,
             addr,
             alt,
+            rehome_until: None,
             lease: ClientLease::new(lease),
             session: None,
             server_incarnation: None,
@@ -544,6 +549,10 @@ const RESULT_LOG_CAP: usize = 16_384;
 const RTO: LocalNs = LocalNs::from_millis(250);
 /// Retransmission backoff cap.
 const MAX_RTO: LocalNs = LocalNs::from_secs(2);
+/// Pause before a NACKed Hello is sent again: long enough for a server
+/// to finish timing us out, and to pace a lane's alternation between a
+/// shard's two addresses while neither answers as its primary.
+const HELLO_RETRY: LocalNs = LocalNs::from_millis(500);
 /// Retained-release cap: absorbing one more voluntary release evicts the
 /// oldest retained lock through the eager flush+commit+release path it
 /// originally skipped.
@@ -726,7 +735,7 @@ impl<Ob> ClientNode<Ob> {
     /// primary (a `NotPrimary` redirect, or silence long enough to expire
     /// the lease locally). The swap is symmetric: if the alternate turns
     /// out not to be primary either, its redirect rotates us back, and
-    /// the 500 ms hello-retry pacing keeps the ping-pong bounded until an
+    /// [`HELLO_RETRY`] pacing keeps the ping-pong bounded until an
     /// election settles the question. The incarnation watch is cleared —
     /// the new address is a different server whose incarnation we have
     /// not seen yet, not a restart of the old one.
@@ -744,6 +753,29 @@ impl<Ob> ClientNode<Ob> {
             });
         }
         true
+    }
+
+    /// Rotate away from an address that went silent: the lease ran out
+    /// locally, or a Hello went unanswered. Silence is what a dead
+    /// primary looks like, so for τ(1+ε) from the first such departure
+    /// the lane stays at the new address through its `NotPrimary`
+    /// redirects — an election there is at most that far off — and
+    /// re-`Hello`s every τ/40. Past that deadline the silent address may
+    /// be a live primary we are merely cut off from, and the lane
+    /// alternates as before. The deadline is not re-armed by later
+    /// departures; the next session clears it.
+    fn leave_silent(&mut self, lane: usize, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        if self.rotate_lane(lane, ctx) {
+            let deadline = ctx.now().plus(self.cfg.lease.server_timeout());
+            self.lanes[lane].rehome_until.get_or_insert(deadline);
+        }
+    }
+
+    /// Send lane `lane`'s Hello again after `delay`, unless it has a
+    /// session by then.
+    fn retry_hello(&mut self, lane: usize, delay: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let token = self.timers.insert(ClientTimer::HelloRetry(lane));
+        ctx.set_timer(delay, token);
     }
 
     fn gen_of(&self, ino: Ino) -> u64 {
@@ -926,7 +958,7 @@ impl<Ob> ClientNode<Ob> {
         if let Some(p) = self.pending.get(&seq) {
             if matches!(p.purpose, Purpose::Hello { .. }) {
                 let lane = p.lane;
-                self.rotate_lane(lane, ctx);
+                self.leave_silent(lane, ctx);
             }
         }
         let Some(p) = self.pending.get_mut(&seq) else {
@@ -992,6 +1024,7 @@ impl<Ob> ClientNode<Ob> {
         let l = &mut self.lanes[lane];
         l.hello_inflight = false;
         l.session = Some(session);
+        l.rehome_until = None;
         l.lease.reset_session(sent_at, now);
         let first_service = !l.serving;
         l.serving = true;
@@ -1127,8 +1160,9 @@ impl<Ob> ClientNode<Ob> {
         // A primary that let the lease run all the way out locally may be
         // gone for good. If a standby is configured, aim the re-`Hello`
         // there; if the silence was a partition and the old primary still
-        // rules, its standby's NotPrimary redirect rotates us back.
-        self.rotate_lane(lane, ctx);
+        // rules, its standby's NotPrimary redirects rotate us back once the
+        // standby had time to elect.
+        self.leave_silent(lane, ctx);
         self.send_hello(lane, ctx);
     }
 
@@ -2208,8 +2242,11 @@ impl<Ob> ClientNode<Ob> {
         let bs = self.cfg.block_size as u64;
         let end = offset + dlen as u64;
         let needed = end.div_ceil(bs) as usize;
+        if self.write_grant(id, ino, ctx).is_none() {
+            return;
+        }
         let Some(LockEntry::Held(info)) = self.locks.get(&ino) else {
-            return self.complete_op(id, Err(FsErr::LeaseLost), ctx);
+            return;
         };
         if needed > info.blocks.len() {
             let count = (needed - info.blocks.len()) as u32;
@@ -2275,6 +2312,28 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
+    /// The epoch of the `Exclusive` grant write `id` on `ino` proceeds
+    /// under. A write's preparation can outlive the grant it began under:
+    /// an `Allocated` reply or an RMW read lands after a demand took the
+    /// lock and a `SharedRead` re-grant replaced it. Under a read grant
+    /// the op goes back to wait for `Exclusive`; with no grant it fails.
+    /// `None` when the op does not proceed now.
+    fn write_grant(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) -> Option<Epoch> {
+        let (mode, epoch) = match self.locks.get(&ino) {
+            Some(LockEntry::Held(info)) => (info.mode, info.epoch),
+            _ => {
+                self.complete_op(id, Err(FsErr::LeaseLost), ctx);
+                return None;
+            }
+        };
+        if mode.covers(LockMode::Exclusive) {
+            return Some(epoch);
+        }
+        self.unpin_op(id);
+        self.ensure_lock_then(id, ino, LockMode::Exclusive, ctx);
+        None
+    }
+
     fn apply_write(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         let Some(active) = self.ops.get(&id) else {
             return;
@@ -2297,9 +2356,8 @@ impl<Ob> ClientNode<Ob> {
         let me = ctx.node();
         let bs = self.cfg.block_size as u64;
         let end = offset + data.len() as u64;
-        let epoch = match self.locks.get(&ino) {
-            Some(LockEntry::Held(info)) => info.epoch,
-            _ => return self.complete_op(id, Err(FsErr::LeaseLost), ctx),
+        let Some(epoch) = self.write_grant(id, ino, ctx) else {
+            return;
         };
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
@@ -2786,8 +2844,7 @@ impl<Ob> ClientNode<Ob> {
                 if was_hello {
                     // The server is still timing us out; try again after
                     // a respectful delay (its timer will fire eventually).
-                    let token = self.timers.insert(ClientTimer::HelloRetry(lane));
-                    ctx.set_timer(LocalNs::from_millis(500), token);
+                    self.retry_hello(lane, HELLO_RETRY, ctx);
                 }
                 self.pump_lease(ctx);
             }
@@ -2815,8 +2872,7 @@ impl<Ob> ClientNode<Ob> {
                 let was_hello = matches!(p.purpose, Purpose::Hello { .. });
                 self.fail_purpose(p.lane, p.purpose, FsErr::Unavailable, ctx);
                 if was_hello {
-                    let token = self.timers.insert(ClientTimer::HelloRetry(lane));
-                    ctx.set_timer(LocalNs::from_millis(500), token);
+                    self.retry_hello(lane, HELLO_RETRY, ctx);
                 }
             }
             NackReason::Misrouted(r) => {
@@ -2826,16 +2882,26 @@ impl<Ob> ClientNode<Ob> {
                 // op just fails back to the process, which can retry once
                 // the topology question settles. `NotPrimary` carries a
                 // hint: the shard's other address holds the role now, so
-                // rotate the lane there before retrying.
+                // rotate the lane there before retrying — unless the lane
+                // came here because that address went silent, and the
+                // standby answering may still be about to elect.
                 let was_hello = matches!(p.purpose, Purpose::Hello { .. });
                 if was_hello {
                     self.lanes[lane].hello_inflight = false;
                 }
-                let rotated = r == RouteError::NotPrimary && self.rotate_lane(lane, ctx);
+                let rehoming = self.lanes[lane]
+                    .rehome_until
+                    .is_some_and(|until| ctx.now() < until);
+                let not_primary = r == RouteError::NotPrimary;
+                let rotated = not_primary && !rehoming && self.rotate_lane(lane, ctx);
                 self.fail_purpose(p.lane, p.purpose, FsErr::Unavailable, ctx);
-                if was_hello {
-                    let token = self.timers.insert(ClientTimer::HelloRetry(lane));
-                    ctx.set_timer(LocalNs::from_millis(500), token);
+                if not_primary && rehoming {
+                    // τ/40: the lane attaches within a few percent of τ
+                    // after the election.
+                    let poll = self.cfg.lease.tau.over(40);
+                    self.retry_hello(lane, poll, ctx);
+                } else if was_hello {
+                    self.retry_hello(lane, HELLO_RETRY, ctx);
                 } else if rotated {
                     // The lane's session died with the old primary;
                     // re-register at the standby so work can resume.
@@ -2880,8 +2946,7 @@ impl<Ob> ClientNode<Ob> {
         let was_hello = matches!(p.purpose, Purpose::Hello { .. });
         self.fail_purpose(p.lane, p.purpose, FsErr::Suspended, ctx);
         if was_hello {
-            let token = self.timers.insert(ClientTimer::HelloRetry(lane));
-            ctx.set_timer(LocalNs::from_millis(500), token);
+            self.retry_hello(lane, HELLO_RETRY, ctx);
         }
         self.pump_lease(ctx);
     }

@@ -241,8 +241,8 @@ fn main() {
     print!("{}", rt.render());
     let ratio = totals[1] as f64 / totals[0].max(1) as f64;
     println!(
-        "failover throughput is {} of the restart path's (blackout ≈ τ(1+ε) \
-         election + grace vs 1s outage + grace)",
+        "failover throughput is {} of the restart path's (τ(1+ε) election vs \
+         1s outage; lock grants then wait out the grace window on both)",
         f(ratio)
     );
     assert!(

@@ -9,9 +9,10 @@
 //! demand/revocation, and the paper's passive lease authority.
 //!
 //! `--recover` starts the server inside the fail-stop recovery grace
-//! window: lock grants and metadata mutations are refused for `τ(1+ε)`
+//! window: lock grants and the mutations admitted against the lock table
+//! (delete, truncate, block allocation, rename) are refused for `τ(1+ε)`
 //! so every lease the previous incarnation might have granted has
-//! expired on its holder's clock first. Pass it (with a bumped
+//! expired on its holder's clock first. Creates and reads are served. Pass it (with a bumped
 //! `--incarnation`) whenever this address may have served before.
 
 use tank_net::server::{LeaseServer, NetServerConfig};

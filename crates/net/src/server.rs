@@ -62,12 +62,14 @@ pub struct NetServerConfig {
     /// larger value than the previous instance used, so clients can
     /// tell a restart from a long network outage.
     pub incarnation: u64,
-    /// Start in the recovery grace window: refuse lock grants and
-    /// metadata mutations for `τ(1+ε)` after startup, so every lease
-    /// that might have been outstanding at the crash has expired on its
-    /// holder's own clock (and that holder has quiesced) before any
-    /// conflicting grant can be issued. Set this whenever the bind
-    /// address may have served an earlier incarnation.
+    /// Start in the recovery grace window: refuse what reads the lock
+    /// table (lock grants and the mutations admitted against it) for
+    /// `τ(1+ε)` after startup, so every lease that might have been
+    /// outstanding at the crash has expired on its holder's own clock
+    /// (and that holder has quiesced) before any conflicting grant can be
+    /// issued. Creates, reads and session traffic are served at once.
+    /// Set this whenever the bind address may have served an earlier
+    /// incarnation.
     pub recover: bool,
     /// Fault injection applied to this server's socket.
     pub faults: FaultConfig,
@@ -361,8 +363,10 @@ fn index_of(id: NodeId) -> usize {
 
 /// What this server refuses before the metadata store sees it: the lock
 /// rules a mutation must satisfy (DESIGN.md §15, row 1 — no rule for
-/// `SetAttr`, so an unlocked truncation goes through).
-fn admit(
+/// `SetAttr`, so an unlocked truncation goes through). Public so the
+/// recovery gate's contract can be checked against it: what the grace
+/// window serves, this answers the same whatever the lock table holds.
+pub fn admit(
     locks: &LockManager,
     meta: &mut MetaStore,
     client: NodeId,

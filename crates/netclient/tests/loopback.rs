@@ -240,20 +240,29 @@ fn restarted_server_enforces_the_grace_window_then_serves() {
     let t0 = Instant::now();
     let s2 = LeaseServer::spawn(&addr, cfg).unwrap();
 
-    // The mutation is NACKed `Recovering` (`Unavailable` to the caller)
-    // until the grace window (τ(1+ε) ≈ 606ms) has passed; the stale
-    // session then costs the client its cache and a fresh Hello.
+    // The stale session costs the client its cache and a fresh Hello;
+    // then a create, which never reads the lock table, is served inside
+    // the grace window (τ(1+ε) ≈ 606ms).
     let served = until_served(&client, create("/post"), Duration::from_secs(5));
+    assert_eq!(served, DONE);
+    // A delete is admitted against the lock table, so it is NACKed
+    // `Recovering` (`Unavailable` to the caller) until the window has
+    // passed. Its first refusal also shows the create came inside it.
+    let delete = FsOp::Delete {
+        path: "/post".into(),
+    };
+    assert_eq!(client.run(delete.clone()), Err(FsErr::Unavailable));
+    let served = until_served(&client, delete, Duration::from_secs(5));
     assert_eq!(served, DONE);
     let waited = t0.elapsed();
     assert!(
         waited >= Duration::from_millis(500),
-        "grace window held the mutation back, got {waited:?}"
+        "grace window held the delete back, got {waited:?}"
     );
     let stats = s2.stop();
     assert!(
         stats.recovery_nacks >= 1,
-        "the mutation was refused during grace"
+        "the delete was refused during grace"
     );
     let invalidated = Event::CacheInvalidated { discarded_dirty: 0 };
     assert!(

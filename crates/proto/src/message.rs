@@ -212,17 +212,20 @@ impl RequestBody {
         ReplyBody::Batch(outcomes)
     }
 
-    /// True for request bodies that need the server's full authority —
-    /// anything that grants a lock or mutates metadata — which a server
-    /// in its recovery grace window must refuse. Everything else (Hello,
-    /// keep-alives, reads, releases, push acks) is benign: surviving
-    /// clients must be able to re-register and wind down while the
-    /// window is open.
+    /// True for request bodies whose outcome depends on the lock table —
+    /// a grant, or a mutation the server admits only against the locks
+    /// it knows of — which a server in its recovery grace window must
+    /// refuse: the table is empty until every pre-crash lease has run
+    /// out on its holder's clock, so an answer from it could contradict
+    /// a surviving holder. The two rename halves count too: their flow
+    /// runs under directory locks that cannot exist yet. Everything else
+    /// is served. Hello, keep-alives, reads, releases and push acks let
+    /// surviving clients re-register and wind down; `Create` and `Mkdir`
+    /// mint a fresh inode, and admission never consults the lock table
+    /// for them, in the window or out of it.
     pub fn needs_full_service(&self) -> bool {
         match self {
             RequestBody::LockAcquire { .. }
-            | RequestBody::Create { .. }
-            | RequestBody::Mkdir { .. }
             | RequestBody::Unlink { .. }
             | RequestBody::RenameLink { .. }
             | RequestBody::RenameUnlink { .. }
@@ -235,6 +238,8 @@ impl RequestBody {
             RequestBody::Batch(elems) => elems.iter().any(Self::needs_full_service),
             RequestBody::Hello { .. }
             | RequestBody::KeepAlive
+            | RequestBody::Create { .. }
+            | RequestBody::Mkdir { .. }
             | RequestBody::Lookup { .. }
             | RequestBody::ReadDir { .. }
             | RequestBody::GetAttr { .. }
@@ -655,17 +660,26 @@ mod tests {
             ino: Ino(1),
             size: None,
         };
+        let create = RequestBody::Create {
+            parent: Ino(1),
+            name: "a".into(),
+        };
         assert!(grant.needs_full_service() && mutation.needs_full_service());
         for benign in [
             RequestBody::Hello { map_epoch: 0 },
             RequestBody::KeepAlive,
             RequestBody::PushAck { push_seq: 1 },
+            RequestBody::Mkdir {
+                parent: Ino(1),
+                name: "d".into(),
+            },
+            create.clone(),
             read.clone(),
             release.clone(),
         ] {
             assert!(!benign.needs_full_service(), "{benign:?}");
         }
-        assert!(!RequestBody::Batch(vec![read.clone(), release]).needs_full_service());
+        assert!(!RequestBody::Batch(vec![read.clone(), create, release]).needs_full_service());
         assert!(RequestBody::Batch(vec![read, mutation]).needs_full_service());
     }
 

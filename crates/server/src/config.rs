@@ -52,8 +52,11 @@ pub struct ServerConfig {
     /// "further unnecessary message traffic"): the client keeps
     /// retransmitting until its own lease machinery gives up.
     pub nack_suspect: bool,
-    /// Fail-stop recovery: after a restart, refuse lock grants and
-    /// metadata mutations for the lease-expiry grace window `τ(1+ε)`.
+    /// Fail-stop recovery: after a restart, refuse what reads the lock
+    /// table for the lease-expiry grace window `τ(1+ε)`: lock grants and
+    /// the mutations admitted against it, the requests
+    /// [`needs_full_service`](tank_proto::message::RequestBody::needs_full_service)
+    /// names. Creates, reads and session traffic are served.
     ///
     /// The restarted server's lock/lease state is volatile and gone, so it
     /// cannot know which clients still hold valid leases; granting before

@@ -628,22 +628,27 @@ impl<Ob> ServerNode<Ob> {
     /// Periodic replication beat. The primary retransmits from the acked
     /// cursor (healing dropped shipments) or heartbeats when the standby
     /// is caught up; the standby checks its election clock and takes over
-    /// after τ(1+ε) of silence. Re-arms itself while a peer is wired.
+    /// after τ(1+ε) of silence. Re-arms itself while a peer is wired — the
+    /// standby no later than its election deadline, so it elects when the
+    /// silence reaches τ(1+ε), not up to a beat after.
     fn on_repl_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         if self.peer.is_none() {
             return;
         }
+        let mut next = self.repl_interval();
         if self.standby {
             // Diskless-lease election: τ(1+ε) of replication silence on
             // our own clock means every lease the primary could have
             // granted before dying has expired on its holder's clock
             // (Theorem 3.1's rate argument) — taking over cannot place a
             // new grant in conflict with a surviving pre-crash holder.
-            let now = ctx.now();
-            if now.0.saturating_sub(self.last_repl_at.0) >= self.cfg.lease.server_timeout().0 {
+            let silent = ctx.now().minus(self.last_repl_at);
+            let timeout = self.cfg.lease.server_timeout();
+            if silent >= timeout {
                 self.promote(ctx);
                 return; // promoted: no longer ticking as a mirror
             }
+            next = next.min(timeout.minus(silent));
         } else {
             // Fall back to the acked cursor so anything the standby missed
             // is reshipped; if it holds everything, just prove liveness.
@@ -666,7 +671,7 @@ impl<Ob> ServerNode<Ob> {
             }
         }
         let token = self.timers.insert(ServerTimer::ReplTick);
-        ctx.set_timer(self.repl_interval(), token);
+        ctx.set_timer(next, token);
     }
 
     /// Replication beat period: τ(1+ε)/4, so a healthy primary proves
@@ -900,10 +905,11 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     /// next incarnation from the highest one logged (stamped on every
     /// response, so surviving clients detect the restart). Because the
     /// reborn server cannot know which pre-crash leases are still valid,
-    /// it refuses lock grants and mutations for one full lease-expiry
-    /// window `τ(1+ε)`: by then every pre-crash holder's own clock has
-    /// expired its lease and flushed its cache (the Theorem 3.1
-    /// rate-synchronization argument, applied to recovery).
+    /// it refuses what reads its lock table — grants and the mutations
+    /// admitted against it — for one full lease-expiry window `τ(1+ε)`:
+    /// by then every pre-crash holder's own clock has expired its lease
+    /// and flushed its cache (the Theorem 3.1 rate-synchronization
+    /// argument, applied to recovery).
     fn on_restart(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.core.stats.recoveries += 1;
         if self.standby {
@@ -932,8 +938,10 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
 }
 
 /// What this server refuses before the metadata store sees it: the lock
-/// rules a mutation must satisfy (DESIGN.md §15, row 1).
-fn admit(
+/// rules a mutation must satisfy (DESIGN.md §15, row 1). Public so the
+/// recovery gate's contract can be checked against it: what the grace
+/// window serves, this answers the same whatever the lock table holds.
+pub fn admit(
     locks: &LockManager,
     meta: &mut MetaStore,
     client: NodeId,

@@ -595,17 +595,35 @@ mod tests {
         let mut c = core();
         c.recovering = true;
         assert_eq!(send(&mut c, A, 0, 1, hello()), fresh_hello(A, 1, 1));
+        // What reads the lock table is refused: a grant, and a mutation
+        // admitted against the locks the server knows of.
+        let touch = RequestBody::SetAttr {
+            ino: ROOT,
+            size: None,
+        };
         let refused = nack(A, 1, 2, NackReason::Recovering);
-        assert_eq!(send(&mut c, A, 1, 2, create("a")), [refused]);
+        assert_eq!(send(&mut c, A, 1, 2, touch.clone()), [refused]);
         let acquire = RequestBody::LockAcquire { ino: ROOT, mode: X };
         assert_eq!(
             send(&mut c, A, 1, 3, acquire),
             [nack(A, 1, 3, NackReason::Recovering)]
         );
-        let kept = ack(A, 1, 4, Ok(ReplyBody::Ok));
-        assert_eq!(send(&mut c, A, 1, 4, RequestBody::KeepAlive), [kept]);
+        // A create never consults the lock table: served inside the window.
+        let made = ack(A, 1, 4, Ok(ReplyBody::Created { ino: F }));
+        assert_eq!(
+            send(&mut c, A, 1, 4, create("a")),
+            [Log(created("a", F)), made]
+        );
+        let kept = ack(A, 1, 5, Ok(ReplyBody::Ok));
+        assert_eq!(send(&mut c, A, 1, 5, RequestBody::KeepAlive), [kept]);
+        // One lock-dependent element refuses the whole batch, unexecuted.
+        let batch = RequestBody::Batch(vec![create("b"), touch]);
+        assert_eq!(
+            send(&mut c, A, 1, 6, batch),
+            [nack(A, 1, 6, NackReason::Recovering)]
+        );
         let s = c.stats;
-        assert_eq!((s.recovery_nacks, s.nacks, s.requests), (2, 2, 2));
+        assert_eq!((s.recovery_nacks, s.nacks, s.requests), (3, 3, 3));
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! * the offline durability audit passes on both the primary's durable
 //!   device and the standby's mirror.
 
+use rand_chacha::ChaCha8Rng;
+use tank_client::fs::Script;
+use tank_client::{FsOp, OpGen};
 use tank_cluster::workload::{Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig, RunReport};
-use tank_consistency::durability;
-use tank_core::LeaseConfig;
+use tank_consistency::{durability, Event};
+use tank_core::{legal_rate_range, LeaseConfig};
 use tank_meta::snapshot;
 use tank_proto::ServerId;
-use tank_sim::{LocalNs, SimTime};
+use tank_sim::{LocalNs, NetParams, SimTime};
 
 fn failover_cfg(shards: u16) -> ClusterConfig {
     let mut cfg = ClusterConfig::default();
@@ -294,5 +297,131 @@ fn quiet_cluster_with_standbys_never_elects() {
         let standby = cluster.standby_node_of(ServerId(0));
         assert!(standby.is_standby(), "seed {seed}: no spurious election");
         assert_eq!(standby.stats().elections, 0, "seed {seed}");
+    }
+}
+
+/// Closed-loop `Create`s of fresh top-level names, one every 5 ms.
+struct CreateGen {
+    next: u64,
+}
+
+impl OpGen for CreateGen {
+    fn next_op(&mut self, _: &mut ChaCha8Rng, _: LocalNs) -> Option<(LocalNs, FsOp)> {
+        self.next += 1;
+        let path = format!("/n{}", self.next);
+        Some((LocalNs::from_millis(5), FsOp::Create { path }))
+    }
+}
+
+#[test]
+fn failover_serves_creates_within_one_lease_period_and_grants_after_the_window() {
+    // The benchmark drill's shape: 4 clients, one shard and its standby,
+    // τ = 2 s, ε = 0.01, a 100 µs LAN. Client 0 holds `/f0` dirty and is
+    // cut off from the primary at 4 s (it stays cut off); client 1 wants
+    // `/f0` at 4.1 s; client 2 writes its own file; client 3 creates in a
+    // closed loop. The primary dies for good at 12 s.
+    //
+    // The standby elects at its deadline, the creator's lane waits there
+    // instead of bouncing back to the corpse, and a create never reads the
+    // lock table — so the first create is acknowledged within τ(1+ε) and a
+    // few polls of the crash. Grants still wait out the whole window.
+    let crash = SimTime::from_secs(12);
+    let ms = LocalNs::from_millis;
+    for seed in 0..10u64 {
+        let lan = |latency_ns| NetParams {
+            latency_ns,
+            jitter_ns: 50_000,
+            drop_prob: 0.0,
+            dup_prob: 0.0,
+        };
+        let mut cfg = ClusterConfig {
+            clients: 4,
+            block_size: 4096,
+            file_blocks: 16,
+            ctl_net: lan(100_000),
+            san_net: lan(250_000),
+            standbys: true,
+            ..ClusterConfig::default()
+        };
+        cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
+        cfg.lease.epsilon = 0.01;
+        let window = cfg.lease.server_timeout();
+        let mut cluster = Cluster::build(cfg.clone(), seed);
+        let write = |fill: u8| FsOp::Write {
+            path: "/f0".into(),
+            offset: 0,
+            data: vec![fill; 4 * 4096],
+        };
+        let mut holder = Script::new();
+        for k in 0..40u64 {
+            holder = holder.at(ms(500 + 100 * k), write(k as u8));
+        }
+        cluster.attach_script(0, holder);
+        cluster.attach_script(1, Script::new().at(ms(4_100), write(0xBB)));
+        let writer = Mix {
+            read_frac: 0.3,
+            meta_frac: 0.0,
+            io_size: 4096,
+            max_offset: 16 * 4096,
+            think_mean: ms(2),
+        };
+        cluster.attach_workload(2, Box::new(PrimaryBiasGen::new(2, 4, 1.0, writer)));
+        cluster.attach_workload(3, Box::new(CreateGen { next: 0 }));
+        cluster.isolate_control(0, SimTime::from_secs(4), None);
+        cluster.crash_shard_with_failover(ServerId(0), crash);
+        cluster.run_until(SimTime::from_secs(22));
+        cluster.settle();
+        let report = cluster.finish();
+        assert!(report.check.safe(), "seed {seed}: {:#?}", report.check);
+        assert_eq!(report.check.dirty_discarded, 0, "seed {seed}");
+        assert_eq!(
+            cluster.standby_node_of(ServerId(0)).stats().elections,
+            1,
+            "seed {seed}"
+        );
+
+        // The first create submitted after the crash to succeed.
+        let (creator, standby) = (cluster.clients[3], cluster.standby_servers[0]);
+        let events = cluster.world.observations();
+        let mut after_crash = std::collections::HashSet::new();
+        let served = events
+            .iter()
+            .filter(|(t, node, _)| *t >= crash && *node == creator)
+            .find_map(|(t, _, ev)| match ev {
+                Event::OpSubmitted { op, .. } => {
+                    after_crash.insert(*op);
+                    None
+                }
+                Event::OpCompleted { op, ok: true, .. } if after_crash.contains(op) => Some(*t),
+                _ => None,
+            })
+            .expect("a create succeeded after the crash");
+        let bound = crash.after(window.plus(ms(100)).0);
+        assert!(served <= bound, "seed {seed}: first create at {served:?}");
+
+        // No grant from the new incarnation until τ(1+ε) has passed on its
+        // own clock — on the fastest legal clock, τ(1+ε)/√(1+ε) true time.
+        let promoted = events
+            .iter()
+            .find(|(_, node, ev)| *node == standby && *ev == Event::ServerRecovering)
+            .expect("the standby recovered")
+            .0;
+        let fastest = legal_rate_range(cfg.lease.epsilon).1;
+        let grace = promoted.after(window.scaled(1.0 / fastest).0);
+        let grants: Vec<SimTime> = events
+            .iter()
+            .filter(|(_, node, ev)| *node == standby && matches!(ev, Event::LockGranted { .. }))
+            .map(|(t, _, _)| *t)
+            .collect();
+        assert!(!grants.is_empty(), "seed {seed}: the new primary grants");
+        assert!(
+            grants.iter().all(|t| *t >= grace),
+            "seed {seed}: grant at {:?} before {grace:?}",
+            grants[0]
+        );
+        assert!(
+            served < grace,
+            "seed {seed}: the create came inside the window"
+        );
     }
 }

@@ -2,13 +2,14 @@
 //! restarts mid-run, losing all volatile state (sessions, locks, lease
 //! bookkeeping) while metadata and fence state survive on the shared
 //! disks. With the recovery grace window enabled (the default), the
-//! restarted server refuses grants and mutations for τ(1+ε), so every
-//! lease that might have been outstanding at the crash expires on its
-//! holder's own clock — and that holder quiesces and flushes — before
-//! any conflicting grant can be issued. The checker must find zero lost
-//! updates, zero stale reads, and zero grants inside the window, across
-//! every seed. The negative control (grace disabled) must grant inside
-//! the would-be window on every seed.
+//! restarted server refuses grants, and the mutations it admits against
+//! its lock table, for τ(1+ε), so every lease that might have been
+//! outstanding at the crash expires on its holder's own clock — and that
+//! holder quiesces and flushes — before any conflicting grant can be
+//! issued. The checker must find zero lost updates, zero stale reads,
+//! and zero grants inside the window, across every seed. The negative
+//! control (grace disabled) must grant inside the would-be window on
+//! every seed.
 
 use tank_cluster::workload::{Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig, RunReport};
