@@ -21,9 +21,11 @@
 //! when cached data may be *served* lives one layer up, in the lease FSM —
 //! see `CACHING.md` for the phase↔admission table.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tank_proto::{Ino, WriteTag};
+
+use crate::fxhash::HashMap;
 
 /// Counted reads between two halvings of every read count, per block of
 /// capacity: `W = 16 × capacity`. A halving re-keys every evictable block,
@@ -144,15 +146,15 @@ impl BlockCache {
     /// limit).
     pub fn with_capacity(block_size: usize, capacity: usize) -> Self {
         BlockCache {
-            files: HashMap::new(),
+            files: HashMap::default(),
             block_size,
             blocks: 0,
             capacity,
             tick: 0,
             order: BTreeMap::new(),
-            reads: HashMap::new(),
+            reads: HashMap::default(),
             reads_since_aging: 0,
-            pins: HashMap::new(),
+            pins: HashMap::default(),
         }
     }
 

@@ -22,6 +22,7 @@
 
 pub mod cache;
 pub mod fs;
+mod fxhash;
 pub mod node;
 pub mod obs;
 

@@ -1,6 +1,6 @@
 //! The Storage Tank client actor.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tank_core::{ClientLease, LeaseAction, LeaseConfig, Phase};
@@ -16,6 +16,7 @@ use tank_sim::{Actor, Ctx, LocalNs, NetId, TimerId, TokenMap};
 
 use crate::cache::BlockCache;
 use crate::fs::{FsData, FsErr, FsOp, FsResult, OpGen, Script};
+use crate::fxhash::{HashMap, HashSet};
 use crate::obs::ClientObs;
 
 /// Client configuration.
@@ -159,7 +160,7 @@ enum ClientTimer {
     LeasePoll,
     /// Retransmit a pending request.
     ReqRetry(ReqSeq),
-    /// Periodic write-back.
+    /// Periodic write-back: the next tick of the client's one chain.
     PeriodicFlush,
     /// Retry a NACKed Hello (on the given lane) once the server may have
     /// finished timing us out.
@@ -310,7 +311,7 @@ impl Lane {
             server_incarnation: None,
             serving: false,
             hello_inflight: false,
-            seen_pushes: HashSet::new(),
+            seen_pushes: HashSet::default(),
             queue: Vec::new(),
             gate: None,
             gate_rtt: LocalNs(u64::MAX),
@@ -469,7 +470,7 @@ struct FlushCampaign {
     ino: Ino,
     remaining: usize,
     in_flight: usize,
-    queue: std::collections::VecDeque<(u32, Vec<u8>, WriteTag)>,
+    queue: VecDeque<(u32, Vec<u8>, WriteTag)>,
     after: AfterFlush,
 }
 
@@ -535,15 +536,24 @@ pub struct ClientNode<Ob> {
     /// cap overflow sends it back through the eager release path.
     lazy_retained: Vec<Ino>,
     next_poll_at: Option<LocalNs>,
-    /// Recent operation results (ring buffer) for harness/test harvesting.
-    results: std::collections::VecDeque<(OpId, FsResult)>,
+    /// Token of the periodic write-back chain's pending tick. One chain
+    /// per client, however many lanes open sessions: it starts at a
+    /// `HelloOk` when none runs and ends at a tick that finds no session.
+    flush_tick: Option<u64>,
+    /// Results of the last [`RESULT_LOG_CAP`] ops that came in through
+    /// [`submit`](Self::submit) (scripts, live callers, tests), oldest
+    /// first, until a caller [takes](Self::take_result) one. Generator
+    /// ops are not logged: no caller waits on them, and their outcome is
+    /// their [`Event::OpCompleted`].
+    results: VecDeque<(OpId, FsResult)>,
     stats: ClientStats,
     observe: Box<dyn Fn(Event) -> Option<Ob> + Send>,
     obs: Option<ClientObs>,
 }
 
-/// Cap on the retained per-client result log.
-const RESULT_LOG_CAP: usize = 16_384;
+/// Cap on the retained per-client result log: the oldest result goes
+/// when one more submitted op completes.
+pub const RESULT_LOG_CAP: usize = 16_384;
 
 /// Initial request retransmission timeout.
 const RTO: LocalNs = LocalNs::from_millis(250);
@@ -601,24 +611,24 @@ impl<Ob> ClientNode<Ob> {
             map,
             lanes,
             next_seq: 1,
-            pending: HashMap::new(),
-            locks: HashMap::new(),
-            name_cache: HashMap::new(),
-            parked: HashMap::new(),
-            lock_gen: HashMap::new(),
-            deferred_demands: HashMap::new(),
+            pending: HashMap::default(),
+            locks: HashMap::default(),
+            name_cache: HashMap::default(),
+            parked: HashMap::default(),
+            lock_gen: HashMap::default(),
+            deferred_demands: HashMap::default(),
             cache,
-            read_fetched: HashMap::new(),
-            op_pins: HashMap::new(),
-            ops: HashMap::new(),
+            read_fetched: HashMap::default(),
+            op_pins: HashMap::default(),
+            ops: HashMap::default(),
             next_op_id: 1,
             next_wseq: 0,
-            san_ops: HashMap::new(),
+            san_ops: HashMap::default(),
             next_san_id: 1,
-            flushes: HashMap::new(),
+            flushes: HashMap::default(),
             next_flush_id: 1,
-            renames: HashMap::new(),
-            list_fanout: HashMap::new(),
+            renames: HashMap::default(),
+            list_fanout: HashMap::default(),
             timers: TokenMap::new(),
             gen: None,
             script: Script::new(),
@@ -626,7 +636,8 @@ impl<Ob> ClientNode<Ob> {
             queued_gen_op: None,
             lazy_retained: Vec::new(),
             next_poll_at: None,
-            results: std::collections::VecDeque::new(),
+            flush_tick: None,
+            results: VecDeque::new(),
             stats: ClientStats::default(),
             observe,
             obs: None,
@@ -671,24 +682,39 @@ impl<Ob> ClientNode<Ob> {
         self.stats
     }
 
-    /// Recent operation results, oldest first (bounded ring).
+    /// Results of the submitted ops still retained, in completion order:
+    /// the last [`RESULT_LOG_CAP`] ops that came in through
+    /// [`submit`](Self::submit) (a script's steps among them), less those
+    /// [taken](Self::take_result). Ops a workload generator issued are
+    /// never here; their outcome is their [`Event::OpCompleted`].
     pub fn results(&self) -> impl Iterator<Item = &(OpId, FsResult)> {
         self.results.iter()
     }
 
-    /// The result of one operation, if still retained.
+    /// The result of submitted op `op`, if it has completed and is still
+    /// retained (see [`results`](Self::results)). Searches newest first.
     pub fn result_of(&self, op: OpId) -> Option<&FsResult> {
         self.results
             .iter()
+            .rev()
             .find(|(id, _)| *id == op)
             .map(|(_, r)| r)
     }
 
-    fn log_result(&mut self, id: OpId, result: &FsResult) {
+    /// Remove and return the result of submitted op `op`, if it has
+    /// completed and is still retained: what a caller waiting on one op
+    /// uses, so a long-lived client retains nothing it has handed out.
+    /// Searches newest first.
+    pub fn take_result(&mut self, op: OpId) -> Option<FsResult> {
+        let at = self.results.iter().rposition(|(id, _)| *id == op)?;
+        self.results.remove(at).map(|(_, r)| r)
+    }
+
+    fn log_result(&mut self, id: OpId, result: FsResult) {
         if self.results.len() == RESULT_LOG_CAP {
             self.results.pop_front();
         }
-        self.results.push_back((id, result.clone()));
+        self.results.push_back((id, result));
     }
 
     /// The embedded lease machine of shard 0's lane (diagnostics; the
@@ -1039,11 +1065,17 @@ impl<Ob> ClientNode<Ob> {
             self.emit(Event::Resumed { shard: sid.0 }, ctx);
         }
         self.pump_lease(ctx);
-        if self.cfg.flush_interval.0 > 0 {
-            let token = self.timers.insert(ClientTimer::PeriodicFlush);
-            ctx.set_timer(self.cfg.flush_interval, token);
+        if self.cfg.flush_interval.0 > 0 && self.flush_tick.is_none() {
+            self.arm_flush_tick(ctx);
         }
         self.maybe_next_gen_op(ctx);
+    }
+
+    /// Arm the periodic write-back chain's next tick.
+    fn arm_flush_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let token = self.timers.insert(ClientTimer::PeriodicFlush);
+        self.flush_tick = Some(token);
+        ctx.set_timer(self.cfg.flush_interval, token);
     }
 
     /// Whether the op touches state governed by shard `sid`: its resolved
@@ -1291,7 +1323,9 @@ impl<Ob> ClientNode<Ob> {
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) {
         self.stats.denied += 1;
-        self.log_result(id, &Err(err));
+        if !from_gen {
+            self.log_result(id, Err(err));
+        }
         self.emit(
             Event::OpCompleted {
                 op: id,
@@ -1307,8 +1341,8 @@ impl<Ob> ClientNode<Ob> {
     }
 
     /// Submit an operation on behalf of a local process, now. Its result
-    /// is logged for [`result_of`](Self::result_of) and announced by a
-    /// [`Event::OpCompleted`] once it completes — within this call,
+    /// is logged for [`take_result`](Self::take_result) and announced by
+    /// an [`Event::OpCompleted`] once it completes — within this call,
     /// if it is refused at admission.
     pub fn submit(&mut self, op: FsOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> OpId {
         self.start_op(op, false, ctx)
@@ -1589,15 +1623,6 @@ impl<Ob> ClientNode<Ob> {
             return;
         };
         active.ino = Some(ino);
-        if !matches!(
-            active.op,
-            FsOp::Create { .. } | FsOp::Mkdir { .. } | FsOp::Delete { .. }
-        ) {
-            self.name_cache.insert(op_path(&self.ops[&id].op), ino);
-        }
-        let Some(active) = self.ops.get_mut(&id) else {
-            return;
-        };
         let lane = self.map.owner_of(ino).0 as usize;
         match &active.op {
             FsOp::Create { path } => {
@@ -1943,9 +1968,8 @@ impl<Ob> ClientNode<Ob> {
         let Some(LockEntry::Held(info)) = self.locks.get(&ino) else {
             return self.complete_op(id, Err(FsErr::LeaseLost), ctx);
         };
-        let size = info.size;
+        let (size, epoch) = (info.size, info.epoch);
         let nblocks = info.blocks.len();
-        let blocks = info.blocks.clone();
         if offset >= size || len == 0 {
             return self.complete_op(id, Ok(FsData::Bytes(Vec::new())), ctx);
         }
@@ -1953,35 +1977,29 @@ impl<Ob> ClientNode<Ob> {
         let bs = self.cfg.block_size as u64;
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
-        let epoch = match self.locks.get(&ino) {
-            Some(LockEntry::Held(info)) => info.epoch,
-            _ => return self.complete_op(id, Err(FsErr::LeaseLost), ctx),
-        };
-        let mut waiting = 0;
-        let mut fetched: Vec<u32> = Vec::new();
-        for idx in first..=last {
-            if self.cache.get(ino, idx).is_some() {
-                // Already resident: a hit, counted at serve time so the
-                // counter matches the `from_cache` events one-for-one.
-            } else if (idx as usize) < nblocks {
-                waiting += 1;
-                fetched.push(idx);
-                self.san_read(
-                    ino,
-                    idx,
-                    blocks[idx as usize],
-                    SanOp::OpRead {
-                        op: id,
-                        ino,
-                        idx,
-                        epoch,
-                    },
-                    ctx,
-                );
-            }
-        }
+        // A resident block is a hit, counted at serve time so the counter
+        // matches the `from_cache` events one-for-one; a mapped block that
+        // is not resident is fetched. Holes are neither.
+        let misses = self.uncached(ino, &info.blocks, first..=last);
+        let waiting = misses.len();
         if waiting == 0 {
             return self.finish_read(id, ino, ctx);
+        }
+        let mut fetched: Vec<u32> = Vec::with_capacity(waiting);
+        for (idx, block) in misses {
+            fetched.push(idx);
+            self.san_read(
+                ino,
+                idx,
+                block,
+                SanOp::OpRead {
+                    op: id,
+                    ino,
+                    idx,
+                    epoch,
+                },
+                ctx,
+            );
         }
         // The read now waits on the SAN: pin every block it will serve, so
         // no other read's trim evicts one before it is answered.
@@ -2136,10 +2154,7 @@ impl<Ob> ClientNode<Ob> {
             self.read_fetched.remove(&id);
             return self.complete_op(id, Err(FsErr::Suspended), ctx);
         }
-        let size = info.size;
-        let nblocks = info.blocks.len();
-        let blocks = info.blocks.clone();
-        let epoch = info.epoch;
+        let (size, epoch) = (info.size, info.epoch);
         let bs = self.cfg.block_size as u64;
         let end = (offset + len as u64).min(size);
         let first = (offset / bs) as u32;
@@ -2148,28 +2163,26 @@ impl<Ob> ClientNode<Ob> {
         // hand-off while its SAN fetches were in flight drops the file's
         // blocks all the same: refetch before serving (zeros here would be
         // silent corruption).
-        let mut missing = 0;
-        for idx in first..=last {
-            if self.cache.get(ino, idx).is_none() && (idx as usize) < nblocks {
-                missing += 1;
-                self.stats.cache_refetches += 1;
-                if let Some(obs) = &self.obs {
-                    obs.cache_refetches.inc();
-                }
-                self.read_fetched.entry(id).or_default().push(idx);
-                self.san_read(
+        let misses = self.uncached(ino, &info.blocks, first..=last);
+        let missing = misses.len();
+        for (idx, block) in misses {
+            self.stats.cache_refetches += 1;
+            if let Some(obs) = &self.obs {
+                obs.cache_refetches.inc();
+            }
+            self.read_fetched.entry(id).or_default().push(idx);
+            self.san_read(
+                ino,
+                idx,
+                block,
+                SanOp::OpRead {
+                    op: id,
                     ino,
                     idx,
-                    blocks[idx as usize],
-                    SanOp::OpRead {
-                        op: id,
-                        ino,
-                        idx,
-                        epoch,
-                    },
-                    ctx,
-                );
-            }
+                    epoch,
+                },
+                ctx,
+            );
         }
         if missing > 0 {
             if let Some(a) = self.ops.get_mut(&id) {
@@ -2265,39 +2278,35 @@ impl<Ob> ClientNode<Ob> {
         }
         // Read-modify-write: partial blocks that may hold live data and
         // are not cached must be fetched first.
-        let size = info.size;
-        let blocks = info.blocks.clone();
-        let epoch = info.epoch;
+        let (size, epoch) = (info.size, info.epoch);
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
-        let mut waiting = 0;
-        let mut partial: Vec<u32> = Vec::new();
-        for idx in first..=last {
-            let bstart = idx as u64 * bs;
-            let covers_fully = offset <= bstart && end >= bstart + bs;
-            let has_live_data = bstart < size && (idx as usize) < blocks.len();
-            if covers_fully || !has_live_data {
-                continue;
-            }
-            partial.push(idx);
-            if self.cache.get(ino, idx).is_none() {
-                waiting += 1;
-                self.san_read(
-                    ino,
-                    idx,
-                    blocks[idx as usize],
-                    SanOp::OpRead {
-                        op: id,
-                        ino,
-                        idx,
-                        epoch,
-                    },
-                    ctx,
-                );
-            }
-        }
+        let partial: Vec<u32> = (first..=last)
+            .filter(|&idx| {
+                let bstart = idx as u64 * bs;
+                let covers_fully = offset <= bstart && end >= bstart + bs;
+                let has_live_data = bstart < size && (idx as usize) < info.blocks.len();
+                !covers_fully && has_live_data
+            })
+            .collect();
+        let misses = self.uncached(ino, &info.blocks, partial.iter().copied());
+        let waiting = misses.len();
         if waiting == 0 {
             return self.apply_write(id, ino, ctx);
+        }
+        for (idx, block) in misses {
+            self.san_read(
+                ino,
+                idx,
+                block,
+                SanOp::OpRead {
+                    op: id,
+                    ino,
+                    idx,
+                    epoch,
+                },
+                ctx,
+            );
         }
         // Pin the partial blocks until the write lands: one evicted in the
         // meantime would be rewritten around zeros, its live bytes lost.
@@ -2341,7 +2350,7 @@ impl<Ob> ClientNode<Ob> {
         let FsOp::Write { offset, data, .. } = &active.op else {
             return;
         };
-        let (offset, data) = (*offset, data.clone());
+        let (offset, dlen) = (*offset, data.len());
         // §3.2: by phase 4 the flush snapshot is final. An in-flight write
         // completing now would dirty the cache *behind* the flush and be
         // discarded at expiry — refuse it instead of lying to the process.
@@ -2355,9 +2364,16 @@ impl<Ob> ClientNode<Ob> {
         }
         let me = ctx.node();
         let bs = self.cfg.block_size as u64;
-        let end = offset + data.len() as u64;
+        let end = offset + dlen as u64;
         let Some(epoch) = self.write_grant(id, ino, ctx) else {
             return;
+        };
+        // Past the last point where the op can park (`write_grant`) or be
+        // refused, it completes below: take its payload instead of cloning
+        // it. Taken any earlier, a parked write would resume empty.
+        let data = match self.ops.get_mut(&id).map(|a| &mut a.op) {
+            Some(FsOp::Write { data, .. }) => std::mem::take(data),
+            _ => return,
         };
         let first = (offset / bs) as u32;
         let last = ((end - 1) / bs) as u32;
@@ -2420,6 +2436,21 @@ impl<Ob> ClientNode<Ob> {
         self.complete_op(id, Ok(FsData::Unit), ctx);
     }
 
+    /// The blocks among `idxs` of `ino` that are mapped but not resident,
+    /// with their SAN addresses in `blocks`: what a read or a
+    /// read-modify-write must fetch, in index order.
+    fn uncached(
+        &self,
+        ino: Ino,
+        blocks: &[BlockId],
+        idxs: impl IntoIterator<Item = u32>,
+    ) -> Vec<(u32, BlockId)> {
+        idxs.into_iter()
+            .filter(|&idx| (idx as usize) < blocks.len() && self.cache.get(ino, idx).is_none())
+            .map(|idx| (idx, blocks[idx as usize]))
+            .collect()
+    }
+
     /// Pin block `idx` of `ino` for op `id` (once per op), so no capacity
     /// trim evicts it before the op has used it.
     fn pin_for(&mut self, id: OpId, ino: Ino, idx: u32) {
@@ -2470,7 +2501,7 @@ impl<Ob> ClientNode<Ob> {
             Some(LockEntry::Held(info)) | Some(LockEntry::Releasing(info)) => info.blocks.len(),
             _ => 0,
         };
-        let queue: std::collections::VecDeque<_> = dirty
+        let queue: VecDeque<_> = dirty
             .into_iter()
             .filter(|(idx, _, _)| (*idx as usize) < nblocks)
             .collect();
@@ -3089,6 +3120,10 @@ impl<Ob> ClientNode<Ob> {
                             if matches!(a.op, FsOp::Stat { .. }) {
                                 return self.stat_from_server(op, ino, attr, ctx);
                             }
+                            if !*to_parent {
+                                let path = op_path(&a.op);
+                                self.name_cache.insert(path, ino);
+                            }
                             self.op_resolved(op, ino, ctx);
                         } else {
                             self.resolve_step(op, ctx);
@@ -3360,12 +3395,14 @@ impl<Ob> ClientNode<Ob> {
             Err(_) => self.stats.failed += 1,
         }
         let err = result.as_ref().err().copied();
-        self.log_result(id, &result);
+        if !active.from_gen {
+            self.log_result(id, result);
+        }
         self.emit(
             Event::OpCompleted {
                 op: id,
                 kind,
-                ok: result.is_ok(),
+                ok: err.is_none(),
                 err,
             },
             ctx,
@@ -3611,7 +3648,10 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
                     self.send_hello(lane, ctx);
                 }
             }
-            ClientTimer::PeriodicFlush => {
+            // A tick armed before a restart belongs to a chain that is
+            // over: the new life's first `HelloOk` started another.
+            ClientTimer::PeriodicFlush if self.flush_tick == Some(token) => {
+                self.flush_tick = None;
                 if self.lanes.iter().any(|l| l.session.is_some()) {
                     for ino in self.cache.dirty_inos() {
                         // Skip files already being flushed.
@@ -3619,10 +3659,10 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
                             self.start_flush(ino, AfterFlush::Nothing, ctx);
                         }
                     }
-                    let token = self.timers.insert(ClientTimer::PeriodicFlush);
-                    ctx.set_timer(self.cfg.flush_interval, token);
+                    self.arm_flush_tick(ctx);
                 }
             }
+            ClientTimer::PeriodicFlush => {}
             ClientTimer::NextOp => {
                 if let Some(op) = self.queued_gen_op.take() {
                     self.gen_op_queued = false;
@@ -3673,6 +3713,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.gen_op_queued = false;
         self.queued_gen_op = None;
         self.next_poll_at = None;
+        self.flush_tick = None;
         for lane in 0..self.lanes.len() {
             self.send_hello(lane, ctx);
         }

@@ -1,5 +1,5 @@
 //! A write lands only under an `Exclusive` grant, whatever order its
-//! replies arrive in.
+//! replies arrive in, and lands exactly its own bytes or nothing.
 //!
 //! A scripted server answers each request when it arrives, or after a
 //! per-kind delay, and pushes a demand on a timer, so the interleaving
@@ -12,7 +12,8 @@
 use std::collections::HashMap;
 
 use tank_client::fs::Script;
-use tank_client::{ClientConfig, ClientNode, FsOp};
+use tank_client::{ClientConfig, ClientNode, FsData, FsErr, FsOp};
+use tank_core::Phase;
 use tank_proto::message::{FileAttr, FsError, PushBody, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     BlockId, CtlMsg, Epoch, Event, Incarnation, Ino, LockMode, NetMsg, NodeId, Request, Response,
@@ -31,6 +32,8 @@ const DEMAND: u64 = u64::MAX;
 struct ScriptedServer {
     /// Reply delay per `RequestBody::kind` (absent: at once).
     delays: HashMap<&'static str, LocalNs>,
+    /// Kinds never answered.
+    mute: Vec<&'static str>,
     /// Push a demand for `/f` this long after the first `AllocBlocks`.
     demand_after: Option<LocalNs>,
     client: Option<NodeId>,
@@ -105,6 +108,9 @@ impl Actor<NetMsg, Event> for ScriptedServer {
             }
         }
         self.seen.push(kind);
+        if self.mute.contains(&kind) {
+            return;
+        }
         let resp = Response {
             dst: from,
             session: if kind == "hello" {
@@ -149,6 +155,51 @@ fn ms(x: u64) -> LocalNs {
     LocalNs::from_millis(x)
 }
 
+/// Run `server` and one observed client with `script` and no periodic
+/// write-back until `until`; the world, the server and the client.
+fn run(
+    server: ScriptedServer,
+    script: Script,
+    until: SimTime,
+) -> (World<NetMsg, Event>, NodeId, NodeId) {
+    let mut world: World<NetMsg, Event> = World::new(WorldConfig::default());
+    world.add_network(NetId::CONTROL, NetParams::ideal(100_000));
+    world.add_network(NetId::SAN, NetParams::ideal(100_000));
+    let server = world.add_node(Box::new(server), ClockSpec::ideal());
+    let mut cfg = ClientConfig::new(server, vec![server]);
+    cfg.block_size = BS;
+    cfg.flush_interval = LocalNs(0);
+    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let client = world.add_node(Box::new(node), ClockSpec::ideal());
+    world.run_until(until);
+    (world, server, client)
+}
+
+fn read_all() -> FsOp {
+    FsOp::Read {
+        path: "/f".into(),
+        offset: 0,
+        len: BS as u32,
+    }
+}
+
+/// A block-long payload no other write in these tests produces.
+fn payload() -> Vec<u8> {
+    (0..BS).map(|i| (i * 7 % 251) as u8 + 1).collect()
+}
+
+/// The grant of every write acknowledged on `/f`, in order.
+fn write_epochs(world: &World<NetMsg, Event>) -> Vec<Epoch> {
+    world
+        .observations()
+        .iter()
+        .filter_map(|(_, _, ev)| match ev {
+            Event::WriteAcked { ino, tag, .. } if *ino == F => Some(tag.epoch),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn an_allocation_answered_after_a_shared_regrant_waits_for_exclusive() {
     // 10 ms: the write takes `Exclusive` (epoch 1) and asks for a block;
@@ -161,28 +212,13 @@ fn an_allocation_answered_after_a_shared_regrant_waits_for_exclusive() {
         demand_after: Some(ms(5)),
         ..Default::default()
     };
-    let read = FsOp::Read {
-        path: "/f".into(),
-        offset: 0,
-        len: BS as u32,
-    };
     let write = FsOp::Write {
         path: "/f".into(),
         offset: 0,
         data: vec![7; BS],
     };
-    let script = Script::new().at(ms(10), write).at(ms(30), read);
-
-    let mut world: World<NetMsg, Event> = World::new(WorldConfig::default());
-    world.add_network(NetId::CONTROL, NetParams::ideal(100_000));
-    world.add_network(NetId::SAN, NetParams::ideal(100_000));
-    let server = world.add_node(Box::new(server), ClockSpec::ideal());
-    let mut cfg = ClientConfig::new(server, vec![server]);
-    cfg.block_size = BS;
-    cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
-    let client = world.add_node(Box::new(node), ClockSpec::ideal());
-    world.run_until(SimTime::from_millis(400));
+    let script = Script::new().at(ms(10), write).at(ms(30), read_all());
+    let (world, server, client) = run(server, script, SimTime::from_millis(400));
 
     let server = world.node_ref::<ScriptedServer>(server).unwrap();
     use LockMode::{Exclusive as X, SharedRead as S};
@@ -203,15 +239,11 @@ fn an_allocation_answered_after_a_shared_regrant_waits_for_exclusive() {
         ],
         "one allocation: the upgrade's grant carries the block"
     );
-    let write_epochs: Vec<Epoch> = world
-        .observations()
-        .iter()
-        .filter_map(|(_, _, ev)| match ev {
-            Event::WriteAcked { ino, tag, .. } if *ino == F => Some(tag.epoch),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(write_epochs, [Epoch(3)], "written under the upgrade only");
+    assert_eq!(
+        write_epochs(&world),
+        [Epoch(3)],
+        "written under the upgrade only"
+    );
     let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
     assert_eq!(
         node.stats().failed,
@@ -219,4 +251,86 @@ fn an_allocation_answered_after_a_shared_regrant_waits_for_exclusive() {
         "the read and the write both succeed"
     );
     assert_eq!(node.results().count(), 2);
+}
+
+#[test]
+fn a_write_parked_on_an_upgrade_writes_exactly_its_own_bytes() {
+    // The schedule above: the write's `Allocated` answer lands under a
+    // `SharedRead` re-grant, the write parks for `Exclusive` and resumes
+    // after the upgrade. Its payload must still be whole when it does:
+    // the read at 200 ms, served from the cache, returns every byte.
+    let server = ScriptedServer {
+        delays: HashMap::from([("alloc_blocks", ms(50))]),
+        demand_after: Some(ms(5)),
+        ..Default::default()
+    };
+    let write = FsOp::Write {
+        path: "/f".into(),
+        offset: 0,
+        data: payload(),
+    };
+    let script = Script::new()
+        .at(ms(10), write)
+        .at(ms(30), read_all())
+        .at(ms(200), read_all());
+    let (world, server, client) = run(server, script, SimTime::from_millis(400));
+
+    let server = world.node_ref::<ScriptedServer>(server).unwrap();
+    use LockMode::{Exclusive as X, SharedRead as S};
+    assert_eq!(server.grants, [X, S, X], "the write parked for the upgrade");
+    assert_eq!(
+        write_epochs(&world),
+        [Epoch(3)],
+        "written once, under the upgrade"
+    );
+    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let results: Vec<_> = node.results().map(|(_, r)| r.clone()).collect();
+    assert_eq!(
+        results,
+        [
+            Ok(FsData::Bytes(Vec::new())),
+            Ok(FsData::Unit),
+            Ok(FsData::Bytes(payload()))
+        ],
+        "the early read saw an empty file; the late one the write's bytes"
+    );
+}
+
+#[test]
+fn a_write_refused_at_phase_4_leaves_no_dirty_block() {
+    // The server stops answering keep-alives and holds the write's
+    // `Allocated` answer for 9 s: it lands at 0.9τ of a 10 s lease, in
+    // phase 4, whose flush snapshot is final. The write must fail then
+    // and leave the cache clean; the lease has not yet expired, so
+    // nothing else has cleared it.
+    let server = ScriptedServer {
+        delays: HashMap::from([("alloc_blocks", LocalNs::from_secs(9))]),
+        mute: vec!["keep_alive"],
+        ..Default::default()
+    };
+    let write = FsOp::Write {
+        path: "/f".into(),
+        offset: 0,
+        data: payload(),
+    };
+    let script = Script::new().at(ms(10), write);
+    let (world, _, client) = run(server, script, SimTime::from_millis(9_500));
+
+    let done = world
+        .observations()
+        .iter()
+        .find_map(|(at, _, ev)| match ev {
+            Event::OpCompleted { err, .. } => Some((*at, *err)),
+            _ => None,
+        });
+    let (at, err) = done.expect("the write completed");
+    assert_eq!(err, Some(FsErr::LeaseLost));
+    assert!(
+        at >= SimTime::from_secs(9),
+        "refused when `Allocated` landed: {at:?}"
+    );
+    assert!(write_epochs(&world).is_empty(), "nothing acknowledged");
+    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    assert_eq!(node.lease().phase(LocalNs(at.0)), Phase::ExpectedFailure);
+    assert_eq!(node.dirty_blocks(), 0, "no dirty block behind the flush");
 }

@@ -305,8 +305,8 @@ impl TankClient {
         let mut st = self.shared.lock();
         let id = self.shared.activate(&mut st, |n, ctx| n.submit(op, ctx));
         loop {
-            if let Some(result) = st.node.result_of(id) {
-                return result.clone();
+            if let Some(result) = st.node.take_result(id) {
+                return result;
             }
             st = (self.shared.changed.wait(st)).unwrap_or_else(PoisonError::into_inner);
         }

@@ -138,6 +138,26 @@ fn metadata_roundtrip_over_udp() {
 }
 
 #[test]
+fn a_caller_takes_its_result_and_the_node_keeps_none() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let client = connect(server.addr, config());
+    assert_eq!(client.run(create("/a")), DONE);
+    for _ in 0..50 {
+        let attr = client.run(stat("/a"));
+        assert!(matches!(attr, Ok(FsData::Attr { .. })), "{attr:?}");
+    }
+    // Refused inside `submit`: only top-level names rename.
+    let nested = FsOp::Rename {
+        from: "/d/x".into(),
+        to: "/y".into(),
+    };
+    assert_eq!(client.run(nested), Err(FsErr::Invalid));
+    assert_eq!(client.inspect(|node| node.results().count()), 0);
+    drop(client);
+    server.stop();
+}
+
+#[test]
 fn keepalives_maintain_the_lease_while_idle() {
     let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
     let client = connect(server.addr, config());

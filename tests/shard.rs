@@ -22,7 +22,7 @@ use tank_cluster::workload::{Mix, UniformGen, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
 use tank_obs::Registry;
-use tank_proto::{Ino, ServerId};
+use tank_proto::{Event, Ino, ServerId};
 use tank_shard::ShardMap;
 use tank_sim::{LocalNs, SimTime};
 
@@ -449,4 +449,87 @@ fn crashing_one_shard_leaves_the_others_granting() {
     // All three scripted ops landed: the healthy shard never blinked, and
     // the victim served again after recovery.
     assert!(report.clients[0].completed >= 3, "{:?}", report.clients[0]);
+}
+
+/// How long the periodic write-back scenarios run.
+const WRITE_BACK_RUN_MS: u64 = 10_000;
+
+/// Client 0 rewrites the first block of `/{file}` every 250 ms for
+/// [`WRITE_BACK_RUN_MS`]; the cluster runs that long. Returns how many
+/// blocks the client hardened, and the most one write-back timer allows:
+/// one per `flush_interval`, plus one.
+fn rewrite_one_block(mut cluster: Cluster, file: &str) -> (Cluster, u64, u64) {
+    let interval_ms = cluster.config().flush_interval.0 / 1_000_000;
+    let mut script = Script::new();
+    for k in 1..WRITE_BACK_RUN_MS / 250 {
+        let write = FsOp::Write {
+            path: format!("/{file}"),
+            offset: 0,
+            data: vec![k as u8; BS],
+        };
+        script = script.at(ms(250 * k), write);
+    }
+    cluster.attach_script(0, script);
+    cluster.run_until(t(WRITE_BACK_RUN_MS));
+    let client = cluster.clients[0];
+    let hardened = cluster
+        .world
+        .observations()
+        .iter()
+        .filter(|(_, _, e)| matches!(e, Event::Hardened { initiator, .. } if *initiator == client))
+        .count() as u64;
+    (
+        cluster,
+        hardened,
+        WRITE_BACK_RUN_MS.div_ceil(interval_ms) + 1,
+    )
+}
+
+#[test]
+fn a_two_shard_client_runs_one_periodic_write_back() {
+    // Each lane's `HelloOk` once started a write-back timer chain of its
+    // own. With the shard-1 lane's session a second late, the two chains
+    // tick out of phase and a block rewritten every 250 ms hardened about
+    // twice per `flush_interval`. One chain per client: once per interval.
+    let map = ShardMap::new(2);
+    let file = file_owned_by(&map, 8, ServerId(0)).expect("8 names cannot all share one shard");
+    let mut cluster = Cluster::build(sharded_cfg(2, 1, 8), 5);
+    cluster.isolate_control_shard(0, ServerId(1), t(0), Some(t(1_000)));
+    let (cluster, hardened, bound) = rewrite_one_block(cluster, &file);
+
+    let client = cluster.clients[0];
+    let late_session = cluster
+        .world
+        .observations()
+        .iter()
+        .find_map(|(at, node, e)| match e {
+            Event::Resumed { shard: 1 } if *node == client => Some(*at),
+            _ => None,
+        });
+    let late_session = late_session.expect("the shard-1 lane got its session");
+    assert!(late_session >= t(1_000), "{late_session:?}");
+    assert!(hardened >= 2, "the periodic write-back ran: {hardened}");
+    assert!(hardened <= bound, "{hardened} hardenings, at most {bound}");
+}
+
+#[test]
+fn a_restarted_client_runs_one_periodic_write_back() {
+    // A crash shorter than `flush_interval` leaves the dead life's next
+    // tick pending past the restart: it must not run beside the chain the
+    // new session starts. A longer one drops that tick: the new session
+    // must still start a chain. The first tick falls after the crash
+    // either way, so every hardening is the new life's.
+    for down_ms in [500, 3_000] {
+        let mut cluster = Cluster::build(sharded_cfg(1, 1, 4), 5);
+        cluster.crash_client(0, t(1_000), Some(t(1_000 + down_ms)));
+        let (_, hardened, bound) = rewrite_one_block(cluster, "f0");
+        assert!(
+            hardened >= 2,
+            "down {down_ms} ms: the write-back ran: {hardened}"
+        );
+        assert!(
+            hardened <= bound,
+            "down {down_ms} ms: {hardened} hardenings, at most {bound}"
+        );
+    }
 }
