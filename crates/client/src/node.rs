@@ -2292,7 +2292,7 @@ impl<Ob> ClientNode<Ob> {
         let misses = self.uncached(ino, &info.blocks, partial.iter().copied());
         let waiting = misses.len();
         if waiting == 0 {
-            return self.apply_write(id, ino, ctx);
+            return self.apply_write(id, ino, epoch, ctx);
         }
         for (idx, block) in misses {
             self.san_read(
@@ -2343,7 +2343,11 @@ impl<Ob> ClientNode<Ob> {
         None
     }
 
-    fn apply_write(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    /// Write `id`'s payload into the cache under the `Exclusive` grant of
+    /// `epoch`. Every caller has just passed [`Self::write_grant`], or
+    /// [`Self::may_admit`] under the epoch it returned, and a grant's
+    /// epoch never changes mode: the write cannot park here.
+    fn apply_write(&mut self, id: OpId, ino: Ino, epoch: Epoch, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         let Some(active) = self.ops.get(&id) else {
             return;
         };
@@ -2365,12 +2369,9 @@ impl<Ob> ClientNode<Ob> {
         let me = ctx.node();
         let bs = self.cfg.block_size as u64;
         let end = offset + dlen as u64;
-        let Some(epoch) = self.write_grant(id, ino, ctx) else {
-            return;
-        };
-        // Past the last point where the op can park (`write_grant`) or be
-        // refused, it completes below: take its payload instead of cloning
-        // it. Taken any earlier, a parked write would resume empty.
+        // Past the phase-4 refusal the op completes below: take its
+        // payload instead of cloning it. Taken any earlier, a parked or
+        // refused write would lose its bytes.
         let data = match self.ops.get_mut(&id).map(|a| &mut a.op) {
             Some(FsOp::Write { data, .. }) => std::mem::take(data),
             _ => return,
@@ -3447,7 +3448,7 @@ impl<Ob> ClientNode<Ob> {
                             if *waiting == 0 {
                                 let then_write = *then_write;
                                 if then_write {
-                                    self.apply_write(op, ino, ctx);
+                                    self.apply_write(op, ino, epoch, ctx);
                                 } else {
                                     self.finish_read(op, ino, ctx);
                                 }

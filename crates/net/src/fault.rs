@@ -324,7 +324,10 @@ impl FaultySocket {
     }
 
     /// Set the receive timeout (also bounds how long a receive-side
-    /// drop can stall a caller: at most one extra timeout period).
+    /// drop can stall a caller: at most one extra timeout period). Like
+    /// [`send`](Self::send) and [`recv`](Self::recv), for the tests' blocking
+    /// peers: a live socket is a host's, nonblocking.
+    #[cfg(test)]
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         self.sock.set_read_timeout(dur)
     }
@@ -338,6 +341,7 @@ impl FaultySocket {
     }
 
     /// Send to the connected peer, possibly dropping/duplicating/delaying.
+    #[cfg(test)]
     pub fn send(&self, buf: &[u8]) -> std::io::Result<usize> {
         self.faulty_send(buf, None)
     }
@@ -449,6 +453,7 @@ impl FaultySocket {
     }
 
     /// Receive from the connected peer.
+    #[cfg(test)]
     pub fn recv(&self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.recv_from(buf).map(|(n, _)| n)
     }

@@ -1,39 +1,42 @@
 //! Real-network binding of the Storage Tank lease protocol.
 //!
 //! The simulator proves the protocol's properties; this crate proves the
-//! protocol is not simulator-bound. The server's whole request path,
-//! [`tank_server::ServerCore`] (gates, Hello, session window, lock
-//! service, lease authority, metadata store), is driven here by
-//! wall-clock timers and UDP datagrams instead of virtual time and a
-//! virtual network; `tank-netclient` does the same for the client, over
-//! this crate's socket and timer queue:
+//! protocol is not simulator-bound. The nodes are the simulator's own
+//! sans-I/O actors, driven here by wall-clock timers and UDP datagrams
+//! instead of virtual time and a virtual network:
 //!
-//! * [`LeaseServer`] — a metadata/lock/lease server on a UDP socket
-//!   (`tankd` is its binary form), event-driven and single-threaded: a
-//!   readiness reactor ([`poll`] + [`reactor`]) batch-drains every
-//!   ready datagram per wakeup, runs each request to completion through
-//!   the core it owns, carries out the core's effects, and flushes the
-//!   replies together, with all protocol timers multiplexed into the poll
-//!   timeout (DESIGN.md §15). It differs from the simulator's server in
-//!   its `SetAttr` admission rule and in dropping the core's log records
-//!   (DESIGN.md §15, rows 1–2). No SAN exists
-//!   here, so the server carries metadata + locks only and fences nothing:
-//!   a steal is direct (the "Fencing before a steal" row of DESIGN.md
-//!   §15's difference table). Everything lease-related is the real
-//!   protocol: opportunistic renewal, NACKs for suspect clients,
-//!   `τ(1+ε)` timers, steal-on-expiry, and the fail-stop recovery grace
-//!   window (`--recover`): a restarted server refuses grants and
-//!   mutations for `τ(1+ε)` so every lease that might have been
-//!   outstanding at the crash has expired on its holder's clock.
+//! * [`Host`] — one actor on a UDP socket and a thread of its own: an
+//!   event-driven, single-threaded readiness reactor ([`poll`] +
+//!   [`reactor`]) that batch-drains every ready datagram per wakeup,
+//!   hands each to the actor in arrival order, carries out what the
+//!   actor decided, and flushes the replies together, with every timer
+//!   multiplexed into the poll timeout (DESIGN.md §15). It is the only
+//!   driver: `tankd` and `tank-netclient`'s `TankClient` are two actors
+//!   on it.
+//! * [`LeaseServer`] — `tankd` (its binary form): the server's whole
+//!   request path, [`tank_server::ServerCore`] (gates, Hello, session
+//!   window, lock service, lease authority, metadata store), as an actor.
+//!   It differs from the simulator's server in its `SetAttr` admission
+//!   rule and in dropping the core's log records (DESIGN.md §15, rows
+//!   1–2). No SAN exists here, so the server carries metadata + locks
+//!   only and fences nothing: a steal is direct (the "Fencing before a
+//!   steal" row of DESIGN.md §15's difference table). Everything
+//!   lease-related is the real protocol: opportunistic renewal, NACKs for
+//!   suspect clients, `τ(1+ε)` timers, steal-on-expiry, and the
+//!   fail-stop recovery grace window (`--recover`): a restarted server
+//!   refuses grants and mutations for `τ(1+ε)` so every lease that might
+//!   have been outstanding at the crash has expired on its holder's own
+//!   clock.
 //! * [`FaultySocket`] — a seeded fault-injection shim (drop / duplicate /
-//!   delay, per direction) both endpoints use as their transport, so the
+//!   delay, per direction) every host uses as its transport, so the
 //!   retry and dedup machinery is exercised against real datagram loss.
 //!
-//! Timestamps given to the sans-io cores are monotonic nanoseconds from a
-//! process-local epoch ([`mono_now`]), which is exactly the "local clock"
-//! the paper's rate-synchronization assumption speaks about.
+//! Timestamps given to the sans-io actors are monotonic nanoseconds from
+//! a process-local epoch ([`mono_now`]), which is exactly the "local
+//! clock" the paper's rate-synchronization assumption speaks about.
 
 pub mod fault;
+pub mod host;
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod mmsg;
 pub mod poll;
@@ -41,6 +44,7 @@ pub mod reactor;
 pub mod server;
 
 pub use fault::{DirFaults, FaultConfig, FaultySocket};
+pub use host::Host;
 pub use poll::Poller;
 pub use server::{LeaseServer, ServerHandle};
 

@@ -1,15 +1,13 @@
-//! Building blocks of the event-driven server: a deadline heap that
-//! multiplexes every timer into the poll timeout, and a batch-drain of
-//! ready datagrams with reusable scratch.
+//! Building blocks of the host's reactor loop ([`crate::host`]): a
+//! deadline heap that multiplexes every timer into the poll timeout, and
+//! a batch-drain of ready datagrams with reusable scratch.
 //!
-//! The server composes them as one run-to-completion loop (DESIGN.md
-//! §15): the reactor thread waits on the socket with `timeout = next
-//! timer deadline`, drains *every* ready datagram into an arena per
-//! wakeup, decodes and executes the batch against the protocol state it
-//! owns, and flushes all the replies at once. Timers — push retries,
-//! release waits, lease expiries, steal grace, recovery — fire on the
-//! same thread between wakeups, so no path ever sleeps per event and no
-//! state is shared.
+//! The loop waits on the socket with `timeout = next timer deadline`,
+//! drains *every* ready datagram into an arena per wakeup, decodes the
+//! batch, hands it to the actor it owns, and flushes all the replies at
+//! once (DESIGN.md §15). Timers — push retries, release waits, lease
+//! expiries, recovery, a client's retransmissions — fire on the same
+//! thread between wakeups, so no path ever sleeps per event.
 
 use std::collections::BinaryHeap;
 use std::net::SocketAddr;
@@ -172,21 +170,34 @@ pub fn drain_ready(
     })
 }
 
-/// Decode a drained batch into requests, appending `(peer, request)` to
-/// `out` in arrival order. One shared buffer backs every frame — a
-/// single allocation per wakeup rather than one per datagram — and
-/// undecodable datagrams (noise, truncation) are skipped, exactly as the
-/// synchronous loop dropped them. Public (with [`WakeupBatch`]) so the
-/// benchmark's probe can time a full wakeup's drain-and-decode
-/// (`net.drain_ns_per_dgram`, `net.decode_batch_ns_per_dgram`).
-pub fn decode_batch(batch: &WakeupBatch, out: &mut Vec<(SocketAddr, Request)>) {
+/// Decode every datagram of a drained batch as a [`NetMsg`], handing
+/// each to `sink` with its sender, in arrival order. One shared buffer
+/// backs every frame — a single allocation per wakeup rather than one
+/// per datagram. Returns how many datagrams did not decode (noise,
+/// truncation); they are skipped.
+pub(crate) fn decode_each(batch: &WakeupBatch, mut sink: impl FnMut(SocketAddr, NetMsg)) -> usize {
     let shared = Bytes::copy_from_slice(&batch.arena);
+    let mut errors = 0;
     for &(off, len, peer) in &batch.frames {
-        let mut frame = shared.slice(off..off + len);
-        if let Ok(NetMsg::Ctl(CtlMsg::Request(req))) = NetMsg::decode(&mut frame) {
-            out.push((peer, req));
+        match NetMsg::decode(&mut shared.slice(off..off + len)) {
+            Ok(msg) => sink(peer, msg),
+            Err(_) => errors += 1,
         }
     }
+    errors
+}
+
+/// The requests of a drained batch, `(peer, request)` appended to `out`
+/// in arrival order: the host's decode (`decode_each`), keeping only
+/// requests, as a server reads them. Public (with [`WakeupBatch`]) so
+/// the benchmark's probe can time a full wakeup's drain-and-decode
+/// (`net.drain_ns_per_dgram`, `net.decode_batch_ns_per_dgram`).
+pub fn decode_batch(batch: &WakeupBatch, out: &mut Vec<(SocketAddr, Request)>) {
+    decode_each(batch, |peer, msg| {
+        if let NetMsg::Ctl(CtlMsg::Request(req)) = msg {
+            out.push((peer, req));
+        }
+    });
 }
 
 /// [`MAX_DATAGRAM`] slots in [`recv_scratch`]: one `recvmmsg` vector

@@ -1,16 +1,20 @@
 //! One request path, two drivers: the same single-client script answered by
 //! the simulator's `ServerNode` in a `World` and by `tankd`'s `LeaseServer`
-//! over UDP loopback must produce the same `(seq, outcome)` sequence. Both
-//! run one `ServerCore`; only the clocks differ, so `mtime` is masked.
+//! on the host over UDP loopback must produce the same `(seq, outcome)`
+//! sequence — for the hand-written script, and for random scripts drawn
+//! from its request kinds, duplicated seqs and re-sent Hellos among them.
+//! Both run one `ServerCore`; only the clocks differ, so `mtime` is masked.
 
 use std::net::UdpSocket;
 use std::time::Duration;
 
+use rand::{RngExt, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Ino, LockMode, NetMsg, NodeId, ReqSeq, Request, SessionId, WireDecode,
-    WireEncode, MAX_DATAGRAM,
+    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SessionId,
+    WireDecode, WireEncode, MAX_DATAGRAM,
 };
 use tank_server::{ServerConfig, ServerNode};
 use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
@@ -116,18 +120,83 @@ impl Actor<NetMsg, ()> for Requester {
     }
 }
 
+/// A Hello, then up to 20 steps: a fresh request of one of the script's
+/// kinds (on an older session now and then), an exact duplicate of an
+/// earlier request, a re-sent Hello, or a fresh Hello opening a session.
+fn random_script(rng: &mut ChaCha8Rng) -> Vec<Request> {
+    let hello = || RequestBody::Hello { map_epoch: 0 };
+    let mut script = vec![req(0, 1, hello())];
+    let mut hellos = script.clone();
+    let (mut session, mut seq) = (1, 1);
+    for _ in 0..rng.random_range(4..=20) {
+        let name = ["a", "b", "c", "d"][rng.random_range(0..4usize)].to_owned();
+        let ino = Ino(rng.random_range(1..=6));
+        let step = match rng.random_range(0..14) {
+            0 => script[rng.random_range(0..script.len())].clone(),
+            1 => hellos[rng.random_range(0..hellos.len())].clone(),
+            2 => {
+                (session, seq) = (session + 1, seq + 1);
+                hellos.push(req(0, seq, hello()));
+                hellos[hellos.len() - 1].clone()
+            }
+            kind => {
+                let parent = ROOT;
+                let body = match kind {
+                    3 | 4 => RequestBody::Create { parent, name },
+                    5 => RequestBody::Mkdir { parent, name },
+                    6 => RequestBody::Lookup { parent, name },
+                    7 => RequestBody::ReadDir { dir: ino },
+                    8 => RequestBody::GetAttr { ino },
+                    9 => RequestBody::SetAttr { ino, size: None },
+                    10 => {
+                        let lookup = RequestBody::Lookup { parent, name };
+                        let create = RequestBody::Create {
+                            parent,
+                            name: "b".into(),
+                        };
+                        let pick = [lookup, create, RequestBody::GetAttr { ino }];
+                        let len = rng.random_range(1..=3);
+                        let batch = (0..len).map(|_| pick[rng.random_range(0..3usize)].clone());
+                        RequestBody::Batch(batch.collect())
+                    }
+                    11 => {
+                        let modes = [LockMode::SharedRead, LockMode::Exclusive];
+                        let mode = modes[rng.random_range(0..2usize)];
+                        RequestBody::LockAcquire { ino, mode }
+                    }
+                    12 => RequestBody::LockRelease {
+                        ino,
+                        epoch: Epoch(rng.random_range(1..=4)),
+                    },
+                    _ => RequestBody::KeepAlive,
+                };
+                let on = if rng.random_bool(0.15) {
+                    rng.random_range(1..=session)
+                } else {
+                    session
+                };
+                seq += 1;
+                req(on, seq, body)
+            }
+        };
+        script.push(step);
+    }
+    script
+}
+
 fn run_in_world(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
     let mut w: World<NetMsg> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1 << 16, 4096);
     let server = w.add_node(Box::new(node), ClockSpec::ideal());
+    let len = script.len();
     let requester = Requester {
         server,
         script,
         answers: Vec::new(),
     };
     let requester = w.add_node(Box::new(requester), ClockSpec::ideal());
-    w.run_until(SimTime::from_millis(100));
+    w.run_until(SimTime::from_millis(100 + len as u64));
     let answers = &w.node_ref::<Requester>(requester).unwrap().answers;
     answers.clone()
 }
@@ -136,16 +205,19 @@ fn run_over_udp(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
     let server = LeaseServer::spawn("127.0.0.1:0", NetServerConfig::default()).unwrap();
     let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
     sock.connect(server.addr).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    sock.set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
     let mut buf = vec![0u8; MAX_DATAGRAM];
+    // A duplicate of a request that left no replayable answer is ignored
+    // (`InProgress`): the read times out and the script goes on.
     let answers = script
         .into_iter()
-        .map(|req| {
+        .filter_map(|req| {
             sock.send(&NetMsg::Ctl(CtlMsg::Request(req)).encoded())
                 .unwrap();
-            let n = sock.recv(&mut buf).expect("answered");
+            let n = sock.recv(&mut buf).ok()?;
             match NetMsg::decode(&mut bytes::Bytes::copy_from_slice(&buf[..n])) {
-                Ok(NetMsg::Ctl(CtlMsg::Response(r))) => (r.seq, r.outcome),
+                Ok(NetMsg::Ctl(CtlMsg::Response(r))) => Some((r.seq, r.outcome)),
                 other => panic!("server sent {other:?}"),
             }
         })
@@ -154,14 +226,15 @@ fn run_over_udp(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
     answers
 }
 
+fn mask(answers: Vec<(ReqSeq, ResponseOutcome)>) -> Vec<(ReqSeq, ResponseOutcome)> {
+    answers
+        .into_iter()
+        .map(|(seq, outcome)| (seq, masked(outcome)))
+        .collect()
+}
+
 #[test]
 fn server_node_and_tankd_answer_one_script_identically() {
-    let mask = |answers: Vec<(ReqSeq, ResponseOutcome)>| -> Vec<_> {
-        answers
-            .into_iter()
-            .map(|(seq, outcome)| (seq, masked(outcome)))
-            .collect()
-    };
     let sim = mask(run_in_world(script()));
     let udp = mask(run_over_udp(script()));
     assert_eq!(sim.len(), script().len(), "{sim:?}");
@@ -183,4 +256,26 @@ fn server_node_and_tankd_answer_one_script_identically() {
     assert_eq!(sim[10], sim[9], "duplicated seq replayed");
     let stale = ResponseOutcome::Nacked(tank_proto::NackReason::StaleSession);
     assert_eq!(*outcome(13), stale);
+}
+
+#[test]
+fn server_node_and_tankd_answer_random_scripts_identically() {
+    // Each case starts a loopback tankd: few cases, many steps each.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0E_9A7E);
+    let (mut replays, mut stale, mut grants) = (0, 0, 0);
+    for case in 0..24 {
+        let script = random_script(&mut rng);
+        let sim = mask(run_in_world(script.clone()));
+        let udp = mask(run_over_udp(script.clone()));
+        assert_eq!(sim, udp, "case {case}: {script:?}");
+        replays += sim.windows(2).filter(|w| w[0] == w[1]).count();
+        let count = |arm: fn(&ResponseOutcome) -> bool| sim.iter().filter(|a| arm(&a.1)).count();
+        stale += count(|o| matches!(o, ResponseOutcome::Nacked(NackReason::StaleSession)));
+        grants += count(|o| matches!(o, ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { .. }))));
+    }
+    // The scripts reached the arms they are drawn for.
+    assert!(
+        replays > 0 && stale > 0 && grants > 0,
+        "{replays} {stale} {grants}"
+    );
 }

@@ -411,10 +411,10 @@ pub const NET_FAULT_RECV_DUP: MetricDef = counter(
     "net.fault.recv_dup",
     "datagrams duplicated on receive by fault injection",
 );
-/// Datagrams that failed to decode in the client's receive loop.
+/// Datagrams that failed to decode in the client's host loop.
 pub const NET_CLIENT_DECODE_ERRORS: MetricDef = counter(
     "net.client.decode_errors",
-    "datagrams that failed to decode in the client recv loop",
+    "datagrams that failed to decode in the client's host loop",
 );
 /// Reactor wakeups (poll returns with ≥1 ready event or a due timer).
 pub const NET_REACTOR_WAKEUPS: MetricDef = counter("net.reactor.wakeups", "reactor poll wakeups");
