@@ -12,7 +12,7 @@ use tank_proto::{
     SessionId, WriteTag,
 };
 use tank_shard::ShardMap;
-use tank_sim::{Actor, Ctx, LocalNs, NetId, TimerId, TokenMap};
+use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 use crate::cache::BlockCache;
 use crate::fs::{FsData, FsErr, FsOp, FsResult, OpGen, Script};
@@ -158,8 +158,9 @@ pub struct ClientStats {
 enum ClientTimer {
     /// Re-poll the lease state machine.
     LeasePoll,
-    /// Retransmit a pending request.
-    ReqRetry(ReqSeq),
+    /// Retransmit every pending request that is due: the client's one
+    /// retransmit deadline (see [`ClientNode::arm_retry`]).
+    ReqRetry,
     /// Periodic write-back: the next tick of the client's one chain.
     PeriodicFlush,
     /// Retry a NACKed Hello (on the given lane) once the server may have
@@ -255,7 +256,9 @@ struct PendingReq {
     lane: usize,
     session: SessionId,
     cur_rto: LocalNs,
-    timer: Option<TimerId>,
+    /// When the request goes out again if still unanswered: its last
+    /// transmission plus `cur_rto` (`None`: it is never retransmitted).
+    due: Option<LocalNs>,
 }
 
 /// Per-server lease lane: one independent four-phase lease machine,
@@ -291,7 +294,8 @@ struct Lane {
     queue: Vec<(RequestBody, Purpose, bool)>,
     /// The coalesced request in flight and when it left: the queue waits
     /// behind it, until its response or first retransmission. Only a
-    /// request with a retransmit timer gates, so the wait is within `RTO`.
+    /// request with a retransmit deadline gates, so the wait is within
+    /// `RTO`.
     gate: Option<(ReqSeq, LocalNs)>,
     /// Round trip of the last answered gate (`MAX`: none yet). A gate
     /// twice this old is presumed lost and new requests do not wait behind
@@ -526,6 +530,11 @@ pub struct ClientNode<Ob> {
     /// In-flight root-listing fan-outs.
     list_fanout: HashMap<OpId, ListFanout>,
     timers: TokenMap<ClientTimer>,
+    /// The one armed retransmit timer: the deadline it fires at and its
+    /// token. It fires at the earliest `due` of `pending`, or earlier (a
+    /// request answered since leaves it armed). A replaced timer's token
+    /// is forgotten, so its firing does nothing.
+    retry_timer: Option<(LocalNs, u64)>,
     gen: Option<Box<dyn OpGen>>,
     script: Script,
     /// A queued closed-loop op waiting for its think-time timer.
@@ -630,6 +639,7 @@ impl<Ob> ClientNode<Ob> {
             renames: HashMap::default(),
             list_fanout: HashMap::default(),
             timers: TokenMap::new(),
+            retry_timer: None,
             gen: None,
             script: Script::new(),
             gen_op_queued: false,
@@ -680,6 +690,13 @@ impl<Ob> ClientNode<Ob> {
     /// Counters.
     pub fn stats(&self) -> ClientStats {
         self.stats
+    }
+
+    /// Timer tokens the client still acts on: its armed timers, less
+    /// those it has given up on. Bounded by what it is waiting for, not
+    /// by how many requests it has sent.
+    pub fn live_timer_tokens(&self) -> usize {
+        self.timers.len()
     }
 
     /// Results of the submitted ops still retained, in completion order:
@@ -940,12 +957,10 @@ impl<Ob> ClientNode<Ob> {
         let session = l.session.unwrap_or(SessionId(0));
         l.lease.on_send(seq, ctx.now());
         let server = l.addr;
-        let timer = if retry {
-            let token = self.timers.insert(ClientTimer::ReqRetry(seq));
-            Some(ctx.set_timer(RTO, token))
-        } else {
-            None
-        };
+        let due = retry.then(|| ctx.now().plus(RTO));
+        if let Some(due) = due {
+            self.arm_retry(due, ctx);
+        }
         self.pending.insert(
             seq,
             PendingReq {
@@ -954,7 +969,7 @@ impl<Ob> ClientNode<Ob> {
                 lane,
                 session,
                 cur_rto: RTO,
-                timer,
+                due,
             },
         );
         ctx.send(
@@ -992,15 +1007,14 @@ impl<Ob> ClientNode<Ob> {
         };
         let server = self.lanes[p.lane].addr;
         p.cur_rto = p.cur_rto.times(2).min(MAX_RTO);
-        let token = self.timers.insert(ClientTimer::ReqRetry(seq));
         let delay = p.cur_rto;
+        p.due = Some(ctx.now().plus(delay));
         let msg = Request {
             src: me,
             session: p.session,
             seq,
             body: p.body.clone(),
         };
-        p.timer = Some(ctx.set_timer(delay, token));
         self.stats.retransmits += 1;
         if let Some(obs) = &self.obs {
             obs.retransmits.inc();
@@ -1013,12 +1027,49 @@ impl<Ob> ClientNode<Ob> {
         self.open_gate(lane, seq, false, ctx);
     }
 
-    fn drop_pending(&mut self, seq: ReqSeq, ctx: &mut Ctx<'_, NetMsg, Ob>) -> Option<PendingReq> {
-        let p = self.pending.remove(&seq)?;
-        if let Some(t) = p.timer {
-            ctx.cancel_timer(t);
+    /// Make the retransmit timer fire by `due`: arm it there unless it
+    /// already fires no later. Every request's deadline is at least `RTO`
+    /// out when set, so in steady operation this arms once per `RTO`, not
+    /// once per request.
+    fn arm_retry(&mut self, due: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        if self.retry_timer.is_some_and(|(at, _)| at <= due) {
+            return;
         }
-        Some(p)
+        if let Some((_, stale)) = self.retry_timer.take() {
+            self.timers.cancel(stale);
+        }
+        let token = self.timers.insert(ClientTimer::ReqRetry);
+        ctx.set_timer(due.minus(ctx.now()), token);
+        self.retry_timer = Some((due, token));
+    }
+
+    /// The retransmit timer armed for `deadline` fired: retransmit every
+    /// request due by then, in sequence order, each followed by a lease
+    /// pump (so one sweep does what one firing per request would), and
+    /// re-arm at the next deadline.
+    fn retransmit_due(&mut self, deadline: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        // A skewed clock may read a nanosecond short of the deadline it
+        // was armed for; the requests due at it go now all the same.
+        let upto = deadline.max(ctx.now());
+        let mut due: Vec<ReqSeq> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.due.is_some_and(|d| d <= upto))
+            .map(|(s, _)| *s)
+            .collect();
+        due.sort_unstable();
+        for seq in due {
+            if self.pending.contains_key(&seq) {
+                self.retransmit(seq, ctx);
+                self.pump_lease(ctx);
+            }
+        }
+        // Sends during the sweep found the fired timer still standing and
+        // armed nothing: the next deadline is armed once, here.
+        self.retry_timer = None;
+        if let Some(next) = self.pending.values().filter_map(|p| p.due).min() {
+            self.arm_retry(next, ctx);
+        }
     }
 
     // ----------------------------------------------------------- session
@@ -1122,16 +1173,7 @@ impl<Ob> ClientNode<Ob> {
             self.complete_op(id, Err(FsErr::LeaseLost), ctx);
         }
         // Abandon outstanding requests and campaigns aimed at this lane.
-        let mut seqs: Vec<ReqSeq> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.lane == lane)
-            .map(|(s, _)| *s)
-            .collect();
-        seqs.sort();
-        for s in seqs {
-            self.drop_pending(s, ctx);
-        }
+        self.pending.retain(|_, p| p.lane != lane);
         // The unsent coalescing queue dies with the lane's pending set:
         // its purposes reference ops the sweep above already failed.
         self.lanes[lane].queue.clear();
@@ -2826,7 +2868,7 @@ impl<Ob> ClientNode<Ob> {
             .server_incarnation
             .replace(resp.incarnation)
             .is_some_and(|known| known != resp.incarnation);
-        let Some(p) = self.drop_pending(resp.seq, ctx) else {
+        let Some(p) = self.pending.remove(&resp.seq) else {
             return;
         };
         match resp.outcome {
@@ -3639,10 +3681,12 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
                 self.next_poll_at = None;
                 self.pump_lease(ctx);
             }
-            ClientTimer::ReqRetry(seq) => {
-                if self.pending.contains_key(&seq) {
-                    self.retransmit(seq, ctx);
-                }
+            ClientTimer::ReqRetry => {
+                // The sweep pumps the lease after each retransmission, and
+                // a sweep that found nothing due has nothing to pump for.
+                let (deadline, _) = self.retry_timer.expect("the current token's timer");
+                self.retransmit_due(deadline, ctx);
+                return;
             }
             ClientTimer::HelloRetry(lane) => {
                 if self.lanes[lane].session.is_none() {
@@ -3694,6 +3738,9 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.lazy_retained.clear();
         self.next_seq += 1_000_000; // fresh seq space for the new life
         self.pending.clear();
+        if let Some((_, stale)) = self.retry_timer.take() {
+            self.timers.cancel(stale);
+        }
         let held: Vec<Ino> = self.locks.keys().copied().collect();
         for ino in held {
             self.bump_gen(ino);

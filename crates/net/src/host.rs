@@ -7,7 +7,7 @@
 //! never held across the poll wait, so other threads can activate the
 //! actor between wakeups and wait for what it observes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{Counter, Histogram};
 use tank_proto::{Event, NetMsg, NodeId, WireEncode};
-use tank_sim::{Actor, Clock, ClockSpec, Ctx, Effect, NetId, SimTime, TimerId};
+use tank_sim::{Actor, Clock, ClockSpec, Ctx, Effect, NetId, SimTime};
 
 use crate::fault::FaultySocket;
 use crate::mono_now;
@@ -54,9 +54,11 @@ pub type Answerer = Box<dyn Fn(NetMsg) -> Option<NetMsg> + Send>;
 /// The loop's instruments, each recorded when present.
 #[derive(Default)]
 pub struct HostObs {
-    /// Poll wakeups (`net.reactor.wakeups`).
+    /// Poll wakeups that drained a datagram or fired a due timer
+    /// (`net.reactor.wakeups`); an idle poll timeout is not one.
     pub wakeups: Option<Arc<Counter>>,
-    /// Datagrams drained per wakeup (`net.reactor.datagrams_per_wakeup`).
+    /// Datagrams drained per such wakeup
+    /// (`net.reactor.datagrams_per_wakeup`).
     pub datagrams_per_wakeup: Option<Arc<Histogram>>,
     /// Datagrams that did not decode (`net.client.decode_errors`).
     pub decode_errors: Option<Arc<Counter>>,
@@ -67,9 +69,11 @@ struct State<A> {
     actor: A,
     clock: Clock,
     rng: ChaCha8Rng,
-    next_timer_id: u64,
-    timers: TimerQueue<(TimerId, u64)>,
-    cancelled: HashSet<TimerId>,
+    /// Armed timers' tokens. A timer always fires: an actor that gave one
+    /// up has forgotten its token.
+    timers: TimerQueue<u64>,
+    /// The effect buffer every activation is lent (see [`Ctx::new`]).
+    effects: Vec<Effect<NetMsg, Event>>,
     /// Control-network addresses: node `n` is `addrs[n - 1]`. Static
     /// entries come first; an unknown sender is numbered on first contact.
     ids: HashMap<SocketAddr, NodeId>,
@@ -88,11 +92,12 @@ impl<A: Actor<NetMsg, Event>> State<A> {
     /// answerer's replies, each an activation of its own.
     fn activate<R>(&mut self, now: SimTime, f: impl FnOnce(&mut A, &mut NetCtx<'_>) -> R) -> R {
         // The host's node is 0 to itself; its peers tell it by address.
-        let (clock, rng, ids) = (&self.clock, &mut self.rng, &mut self.next_timer_id);
-        let mut ctx = Ctx::new(NodeId(0), now, clock, rng, ids);
+        let (clock, rng) = (&self.clock, &mut self.rng);
+        let mut ctx = Ctx::new(NodeId(0), now, clock, rng, &mut self.effects);
         let out = f(&mut self.actor, &mut ctx);
+        let mut effects = std::mem::take(&mut self.effects);
         let mut replies = Vec::new();
-        for effect in ctx.into_effects() {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { net, dst, msg } if net != NetId::CONTROL => {
                     if let Some(reply) = self.answerer.as_ref().and_then(|answer| answer(msg)) {
@@ -104,12 +109,9 @@ impl<A: Actor<NetMsg, Event>> State<A> {
                         self.outbox.push((addr, msg.encoded()));
                     }
                 }
-                Effect::SetTimer { fire_at, id, token } => {
+                Effect::SetTimer { fire_at, token } => {
                     let after = Duration::from_nanos(fire_at.0.saturating_sub(now.0));
-                    self.timers.arm(after, (id, token));
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id);
+                    self.timers.arm(after, token);
                 }
                 Effect::Observe(ev) => {
                     if self.events.len() == EVENT_LOG_CAP {
@@ -121,6 +123,9 @@ impl<A: Actor<NetMsg, Event>> State<A> {
                 Effect::Trace(_) => {}
             }
         }
+        // Handed back before the answerer's replies activate the actor
+        // again: each nested activation borrows the same buffer.
+        self.effects = effects;
         for (from, net, msg) in replies {
             self.deliver(now, from, net, msg);
         }
@@ -131,17 +136,17 @@ impl<A: Actor<NetMsg, Event>> State<A> {
         self.activate(now, |a, ctx| a.on_message(from, net, msg, ctx));
     }
 
-    /// Fire every timer that is due and not cancelled; how long until
+    /// Fire every timer that is due: how many fired, and how long until
     /// the next is due.
-    fn fire_due(&mut self) -> Option<Duration> {
+    fn fire_due(&mut self) -> (usize, Option<Duration>) {
         let (now, stamp) = (Instant::now(), SimTime(mono_now().0));
-        while let Some((id, token)) = self.timers.pop_due(now) {
-            if !self.cancelled.remove(&id) {
-                self.activate(stamp, |a, ctx| a.on_timer(token, ctx));
-            }
+        let mut fired = 0;
+        while let Some(token) = self.timers.pop_due(now) {
+            self.activate(stamp, |a, ctx| a.on_timer(token, ctx));
+            fired += 1;
         }
         let next = self.timers.next_deadline();
-        next.map(|at| at.saturating_duration_since(now))
+        (fired, next.map(|at| at.saturating_duration_since(now)))
     }
 }
 
@@ -175,13 +180,16 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
     /// to the actor in arrival order, and flush the replies a `sendmmsg`
     /// vector at a time. A socket that is never empty delays due timers
     /// by one batch at most. Everything drained is answered before a stop.
+    /// A pass is recorded as a wakeup only if it fired a due timer or
+    /// drained a datagram: an idle poll timeout found no work.
     fn run(&self, mut poller: Poller, obs: HostObs) {
         let mut scratch = recv_scratch();
         let mut batch = WakeupBatch::new();
         let mut msgs: Vec<(SocketAddr, NetMsg)> = Vec::new();
         loop {
             let mut st = self.lock();
-            let wait = st.fire_due().unwrap_or(MAX_POLL).clamp(MIN_POLL, MAX_POLL);
+            let (fired, next) = st.fire_due();
+            let wait = next.unwrap_or(MAX_POLL).clamp(MIN_POLL, MAX_POLL);
             self.flush(&mut st);
             drop(st);
             let ready = poller.wait(wait).is_ok_and(|tokens| !tokens.is_empty());
@@ -214,6 +222,9 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
                 self.flush(&mut st);
             }
             poller.note_progress(drained > 0);
+            if fired == 0 && drained == 0 {
+                continue;
+            }
             if let Some(c) = &obs.wakeups {
                 c.inc();
             }
@@ -260,9 +271,8 @@ impl<A: Actor<NetMsg, Event> + Send> Host<A> {
                 actor,
                 clock: Clock::new(ClockSpec::ideal()),
                 rng: ChaCha8Rng::seed_from_u64(seed),
-                next_timer_id: 0,
                 timers: TimerQueue::new(),
-                cancelled: HashSet::new(),
+                effects: Vec::new(),
                 ids: book.iter().zip(1..).map(|(&a, n)| (a, NodeId(n))).collect(),
                 addrs: book,
                 answerer,

@@ -13,7 +13,7 @@ use tank_proto::message::RequestBody;
 use tank_proto::{
     CtlMsg, Event, NetMsg, NodeId, ReqSeq, Request, SessionId, WireDecode, WireEncode, MAX_DATAGRAM,
 };
-use tank_sim::{Actor, Ctx, LocalNs, NetId};
+use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 /// A numbered datagram.
 fn msg(n: u64) -> NetMsg {
@@ -103,23 +103,19 @@ fn echo(sock: &UdpSocket) -> u64 {
 }
 
 #[test]
-fn a_cancelled_timer_never_fires_and_a_re_armed_one_fires_once() {
+fn every_armed_timer_fires_once_in_deadline_order() {
     let (host, _) = spawn(Toy::default(), Vec::new(), None);
     let ms = LocalNs::from_millis;
     host.activate(|_, ctx| {
-        let gone = ctx.set_timer(ms(20), 1);
-        ctx.cancel_timer(gone);
-        let first = ctx.set_timer(ms(10), 2);
-        ctx.cancel_timer(first);
-        ctx.set_timer(ms(30), 2);
-        ctx.set_timer(ms(40), 3);
+        ctx.set_timer(ms(30), 3);
+        ctx.set_timer(ms(10), 1);
+        ctx.set_timer(ms(20), 2);
     });
     let done = host.wait(Duration::from_secs(5), |toy, _| {
         toy.fired.contains(&3).then_some(())
     });
     assert_eq!(done, Some(()), "the last timer fired and woke the waiter");
-    // Every other deadline fell before the last one's.
-    assert_eq!(host.inspect(|toy, _| toy.fired.clone()), vec![2, 3]);
+    assert_eq!(host.inspect(|toy, _| toy.fired.clone()), vec![1, 2, 3]);
     let seen = host.inspect(|_, events| events.iter().copied().collect::<Vec<_>>());
     let shards: Vec<u16> = seen
         .iter()
@@ -128,7 +124,86 @@ fn a_cancelled_timer_never_fires_and_a_re_armed_one_fires_once() {
             other => panic!("{other:?}"),
         })
         .collect();
-    assert_eq!(shards, vec![2, 3], "observations are kept in order");
+    assert_eq!(shards, vec![1, 2, 3], "observations are kept in order");
+}
+
+#[test]
+fn a_timer_whose_token_was_dropped_does_nothing() {
+    /// Acts on a firing only while it still holds the timer's token.
+    #[derive(Default)]
+    struct Forgetter {
+        tokens: TokenMap<u64>,
+        fired: Vec<u64>,
+    }
+    impl Actor<NetMsg, Event> for Forgetter {
+        fn on_message(&mut self, _: NodeId, _: NetId, _: NetMsg, _: &mut Ctx<'_, NetMsg, Event>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, Event>) {
+            if let Some(n) = self.tokens.take(token) {
+                self.fired.push(n);
+                ctx.observe(Event::Resumed { shard: n as u16 });
+            }
+        }
+    }
+    let (sock, _) = bind();
+    let host = Host::spawn(
+        Forgetter::default(),
+        sock,
+        Vec::new(),
+        None,
+        0,
+        HostObs::default(),
+    )
+    .unwrap();
+    let ms = LocalNs::from_millis;
+    host.activate(|f, ctx| {
+        for (n, after) in [(1, 10), (2, 20), (3, 30)] {
+            let token = f.tokens.insert(n);
+            ctx.set_timer(ms(after), token);
+            if n < 3 {
+                f.tokens.cancel(token);
+            }
+        }
+    });
+    let done = host.wait(Duration::from_secs(5), |f, _| {
+        f.fired.contains(&3).then_some(())
+    });
+    assert_eq!(done, Some(()), "the kept timer fired");
+    assert_eq!(host.inspect(|f, _| f.fired.clone()), vec![3]);
+    assert!(host.inspect(|f, _| f.tokens.is_empty()));
+}
+
+#[test]
+fn an_idle_host_records_no_wakeups() {
+    let registry = std::sync::Arc::new(Registry::new());
+    let obs = HostObs {
+        wakeups: Some(registry.counter_def(&tank_obs::names::NET_REACTOR_WAKEUPS)),
+        datagrams_per_wakeup: Some(
+            registry.histogram_def(&tank_obs::names::NET_REACTOR_DATAGRAMS_PER_WAKEUP),
+        ),
+        ..HostObs::default()
+    };
+    let (sock, addr) = bind();
+    let host = Host::spawn(Toy::default(), sock, Vec::new(), None, 0, obs).unwrap();
+    // About twenty idle poll timeouts: none of them found work.
+    std::thread::sleep(Duration::from_millis(500));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("net.reactor.wakeups"), Some(0));
+    // One datagram is one wakeup that drained one datagram.
+    let peer = peer(addr);
+    send(&peer, 1);
+    assert_eq!(echo(&peer), 1);
+    host.activate(|_, ctx| ctx.set_timer(LocalNs::from_millis(1), 7));
+    host.wait(Duration::from_secs(5), |toy, _| {
+        toy.fired.contains(&7).then_some(())
+    })
+    .expect("the timer fired");
+    std::thread::sleep(Duration::from_millis(100));
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("net.reactor.wakeups"),
+        Some(2),
+        "one drain, one timer"
+    );
 }
 
 #[test]

@@ -158,6 +158,23 @@ fn a_caller_takes_its_result_and_the_node_keeps_none() {
 }
 
 #[test]
+fn a_long_lived_client_keeps_its_timer_state_bounded() {
+    // Each answered request used to leave its retransmit timer's token
+    // behind for as long as the client lived.
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let client = connect(server.addr, config());
+    assert_eq!(client.run(create("/a")), DONE);
+    for _ in 0..2_000 {
+        let attr = client.run(stat("/a"));
+        assert!(matches!(attr, Ok(FsData::Attr { .. })), "{attr:?}");
+    }
+    let live = client.inspect(|node| node.live_timer_tokens());
+    assert!(live <= 8, "{live} live timer tokens after 2 001 ops");
+    drop(client);
+    server.stop();
+}
+
+#[test]
 fn keepalives_maintain_the_lease_while_idle() {
     let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
     let client = connect(server.addr, config());

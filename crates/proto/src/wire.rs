@@ -644,16 +644,6 @@ fn put_response(buf: &mut BytesMut, r: &Response) {
     }
 }
 
-/// The datagram `NetMsg::Ctl(CtlMsg::Response(resp))` encodes to, for a
-/// sender that keeps the response (a replay cache) and would otherwise
-/// deep-copy it into a message just to encode it.
-pub fn response_datagram(resp: &Response) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u8(0);
-    put_response(&mut buf, resp);
-    buf.freeze()
-}
-
 impl WireEncode for CtlMsg {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -1203,10 +1193,7 @@ mod tests {
                 incarnation: Incarnation(7),
                 outcome,
             };
-            let by_ref = response_datagram(&resp);
-            let msg = NetMsg::Ctl(CtlMsg::Response(resp));
-            assert_eq!(by_ref, msg.encoded(), "{msg:?}");
-            roundtrip(msg);
+            roundtrip(NetMsg::Ctl(CtlMsg::Response(resp)));
         }
     }
 

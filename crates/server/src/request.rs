@@ -468,8 +468,7 @@ fn governing_ino(body: &RequestBody) -> Option<Ino> {
 mod tests {
     use super::Effect::{Arm, Event, Log, Push, Respond};
     use super::*;
-    use tank_proto::wire::response_datagram;
-    use tank_proto::{Epoch, LockMode, PushBody};
+    use tank_proto::{CtlMsg, Epoch, LockMode, NetMsg, PushBody, WireEncode};
 
     use crate::demand::DemandLadder;
 
@@ -480,6 +479,11 @@ mod tests {
     const F: Ino = Ino(2);
     const X: LockMode = LockMode::Exclusive;
     const NOW: LocalNs = LocalNs(1_000);
+
+    /// The datagram `tankd` sends for `resp`.
+    fn datagram(resp: &Response) -> bytes::Bytes {
+        NetMsg::Ctl(CtlMsg::Response(resp.clone())).encoded()
+    }
 
     /// Every mutation may run: the gates under test are the core's own.
     fn admit_all(
@@ -676,7 +680,7 @@ mod tests {
         let (Respond(sent), [Respond(replayed)]) = (&first[2], &again[..]) else {
             panic!("{again:?}");
         };
-        assert_eq!(response_datagram(sent), response_datagram(replayed));
+        assert_eq!(datagram(sent), datagram(replayed));
         let s = c.stats;
         assert_eq!((s.requests, s.replays), (1, 1));
         assert_eq!(c.sessions.watermark(), 1, "one session minted");

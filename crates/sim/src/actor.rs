@@ -9,8 +9,13 @@
 //! Effects are buffered in the context and applied by the world after the
 //! handler returns, which keeps dispatch single-borrow and makes handlers
 //! atomic with respect to the event queue. The world is one driver of an
-//! actor; [`Ctx::new`] and [`Ctx::into_effects`] let another (a real
-//! socket and wall-clock timers) run the same actor code.
+//! actor; [`Ctx::new`], which lends the context the driver's own effect
+//! buffer, lets another (a real socket and wall-clock timers) run the same
+//! actor code.
+//!
+//! Timers cannot be cancelled. An actor that no longer wants a firing
+//! forgets its token (see [`TokenMap`](crate::TokenMap)), and the firing
+//! finds nothing to do.
 
 use std::any::Any;
 
@@ -20,23 +25,13 @@ use crate::net::NetId;
 use crate::time::{Clock, LocalNs, SimTime};
 use crate::{NodeId, Payload};
 
-/// Handle for a scheduled timer, used for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// Buffered effect produced by a handler.
 #[derive(Debug)]
 pub enum Effect<P, Ob> {
     /// Send a datagram.
     Send { net: NetId, dst: NodeId, msg: P },
     /// Arm a timer (fire time already converted to true time).
-    SetTimer {
-        fire_at: SimTime,
-        id: TimerId,
-        token: u64,
-    },
-    /// Cancel a previously armed timer.
-    CancelTimer(TimerId),
+    SetTimer { fire_at: SimTime, token: u64 },
     /// Emit an observation for offline checking.
     Observe(Ob),
     /// Append a line to the world trace (if recording).
@@ -49,37 +44,31 @@ pub struct Ctx<'a, P, Ob> {
     now_true: SimTime,
     clock: &'a Clock,
     rng: &'a mut ChaCha8Rng,
-    next_timer_id: &'a mut u64,
-    pub(crate) effects: Vec<Effect<P, Ob>>,
+    effects: &'a mut Vec<Effect<P, Ob>>,
     pub(crate) tracing: bool,
 }
 
 impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
     /// A context for one activation of `node` at true time `now`, with
-    /// no effects yet and tracing off. Timer ids are drawn from
-    /// `next_timer_id`, which the driver keeps across activations.
+    /// tracing off. The handler's effects are appended, in order, to
+    /// `effects`: the driver lends its buffer for the activation and
+    /// carries the effects out once the context is gone, so one buffer's
+    /// capacity serves every activation.
     pub fn new(
         node: NodeId,
         now: SimTime,
         clock: &'a Clock,
         rng: &'a mut ChaCha8Rng,
-        next_timer_id: &'a mut u64,
+        effects: &'a mut Vec<Effect<P, Ob>>,
     ) -> Self {
         Ctx {
             node,
             now_true: now,
             clock,
             rng,
-            next_timer_id,
-            effects: Vec::new(),
+            effects,
             tracing: false,
         }
-    }
-
-    /// The effects the handler produced, in order, for the driver to
-    /// carry out.
-    pub fn into_effects(self) -> Vec<Effect<P, Ob>> {
-        self.effects
     }
 
     /// This node's id.
@@ -110,18 +99,12 @@ impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
 
     /// Arm a timer to fire after `delay` *on this node's clock*. The world
     /// converts to true time through the node's clock rate, so a skewed
-    /// clock genuinely experiences skewed timeouts.
-    pub fn set_timer(&mut self, delay: LocalNs, token: u64) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
+    /// clock genuinely experiences skewed timeouts. An armed timer always
+    /// fires; its `token` is how the actor tells a firing it still wants
+    /// from one it has given up on.
+    pub fn set_timer(&mut self, delay: LocalNs, token: u64) {
         let fire_at = self.now_true.after(self.clock.local_delta_to_true(delay));
-        self.effects.push(Effect::SetTimer { fire_at, id, token });
-        id
-    }
-
-    /// Cancel a timer. Harmless if it already fired.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id));
+        self.effects.push(Effect::SetTimer { fire_at, token });
     }
 
     /// Emit an observation for the offline checkers. Observations carry the

@@ -32,7 +32,7 @@ pub mod time;
 pub mod token;
 pub mod world;
 
-pub use actor::{Actor, Ctx, Effect, TimerId};
+pub use actor::{Actor, Ctx, Effect};
 pub use net::{NetId, NetParams, Network};
 pub use stats::{MsgCounter, MsgStats};
 pub use time::{Clock, ClockSpec, LocalNs, SimTime};

@@ -38,7 +38,7 @@ impl<T> TokenMap<T> {
     }
 
     /// Consume a fired token, returning its value. `None` if the token was
-    /// cancelled/taken already (a timer can race its own cancellation).
+    /// dropped or taken already: the actor gave that firing up.
     pub fn take(&mut self, key: u64) -> Option<T> {
         self.live.remove(&key)
     }

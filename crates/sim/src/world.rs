@@ -1,14 +1,14 @@
 //! The world: event queue, dispatch, networks, clocks, fault injection.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use rand::{Rng, RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{names, Counter, Registry};
 
-use crate::actor::{Actor, Ctx, Effect, TimerId};
+use crate::actor::{Actor, Ctx, Effect};
 use crate::net::{NetId, NetParams, Network};
 use crate::stats::MsgStats;
 use crate::time::{Clock, ClockSpec, SimTime};
@@ -159,7 +159,6 @@ enum Pending<P> {
     },
     Timer {
         node: NodeId,
-        id: TimerId,
         token: u64,
     },
     Control(Control),
@@ -207,8 +206,6 @@ pub struct World<P: Payload, Ob = ()> {
     networks: BTreeMap<NetId, Network>,
     queue: BinaryHeap<Scheduled<P>>,
     seq: u64,
-    next_timer_id: u64,
-    cancelled: HashSet<u64>,
     seeder: ChaCha8Rng,
     net_rng: ChaCha8Rng,
     stats: MsgStats,
@@ -244,8 +241,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             networks: BTreeMap::new(),
             queue: BinaryHeap::new(),
             seq: 0,
-            next_timer_id: 1,
-            cancelled: HashSet::new(),
             seeder,
             net_rng,
             stats: MsgStats::default(),
@@ -331,6 +326,12 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     /// Total events dispatched (progress/looping diagnostics).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Events queued and not yet dispatched: datagrams in flight, armed
+    /// timers and scheduled controls.
+    pub fn queued_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Immutable access to a node downcast to its concrete type.
@@ -460,8 +461,8 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
                     self.dispatch(dst, |actor, ctx| actor.on_message(src, net, msg, ctx));
                 }
             }
-            Pending::Timer { node, id, token } => {
-                if !self.cancelled.remove(&id.0) && !self.crashed[node.index()] {
+            Pending::Timer { node, token } => {
+                if !self.crashed[node.index()] {
                     self.dispatch(node, |actor, ctx| actor.on_timer(token, ctx));
                 }
             }
@@ -525,13 +526,12 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             self.now,
             &self.clocks[node.index()],
             &mut self.rngs[node.index()],
-            &mut self.next_timer_id,
+            &mut self.effects_buf,
         );
-        ctx.effects = std::mem::take(&mut self.effects_buf);
         ctx.tracing = self.record_trace;
         f(actor.as_mut(), &mut ctx);
-        let mut effects = ctx.into_effects();
         self.actors[node.index()] = Some(actor);
+        let mut effects = std::mem::take(&mut self.effects_buf);
         self.apply_effects(node, &mut effects, dispatch_id);
         self.effects_buf = effects;
     }
@@ -541,11 +541,8 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
         for e in effects.drain(..) {
             match e {
                 Effect::Send { net, dst, msg } => self.route(net, node, dst, msg, dispatch),
-                Effect::SetTimer { fire_at, id, token } => {
-                    self.push(fire_at.max(self.now), Pending::Timer { node, id, token });
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id.0);
+                Effect::SetTimer { fire_at, token } => {
+                    self.push(fire_at.max(self.now), Pending::Timer { node, token });
                 }
                 Effect::Observe(ob) => {
                     if let Some(causal) = &mut self.causal {
@@ -656,6 +653,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
 mod tests {
     use super::*;
     use crate::time::LocalNs;
+    use crate::TokenMap;
 
     /// Minimal payload for tests.
     #[derive(Debug, Clone, PartialEq)]
@@ -874,27 +872,43 @@ mod tests {
     }
 
     #[test]
-    fn timer_cancellation() {
-        struct Canceller {
-            fired: bool,
+    fn a_timer_whose_token_was_dropped_does_nothing() {
+        /// Arms two timers and gives up on the first before it fires.
+        struct Forgetter {
+            tokens: TokenMap<&'static str>,
+            fired: Vec<(LocalNs, &'static str)>,
         }
-        impl Actor<TMsg, ()> for Canceller {
+        impl Actor<TMsg, ()> for Forgetter {
             fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg, ()>) {
-                let id = ctx.set_timer(LocalNs::from_millis(10), 1);
-                ctx.cancel_timer(id);
-                ctx.set_timer(LocalNs::from_millis(20), 2);
+                let gone = self.tokens.insert("gone");
+                ctx.set_timer(LocalNs::from_millis(10), gone);
+                self.tokens.cancel(gone);
+                let kept = self.tokens.insert("kept");
+                ctx.set_timer(LocalNs::from_millis(20), kept);
             }
             fn on_message(&mut self, _: NodeId, _: NetId, _: TMsg, _: &mut Ctx<'_, TMsg, ()>) {}
-            fn on_timer(&mut self, token: u64, _ctx: &mut Ctx<'_, TMsg, ()>) {
-                assert_eq!(token, 2, "cancelled timer must not fire");
-                self.fired = true;
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, TMsg, ()>) {
+                if let Some(what) = self.tokens.take(token) {
+                    self.fired.push((ctx.now(), what));
+                }
             }
         }
         let mut w: World<TMsg> = World::new(WorldConfig::default());
         w.add_network(NetId::CONTROL, NetParams::ideal(1));
-        let n = w.add_node(Box::new(Canceller { fired: false }), ClockSpec::ideal());
+        let n = w.add_node(
+            Box::new(Forgetter {
+                tokens: TokenMap::new(),
+                fired: Vec::new(),
+            }),
+            ClockSpec::ideal(),
+        );
+        w.run_until(SimTime::from_millis(15));
+        assert_eq!(w.queued_events(), 1, "the dropped timer still fired");
         w.run_until(SimTime::from_secs(1));
-        assert!(w.node_ref::<Canceller>(n).unwrap().fired);
+        let f = w.node_ref::<Forgetter>(n).unwrap();
+        assert_eq!(f.fired, vec![(LocalNs::from_millis(20), "kept")]);
+        assert!(f.tokens.is_empty());
+        assert_eq!(w.queued_events(), 0);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Scale smoke: a 16-client cluster under a Zipf workload for a minute of
 //! virtual time — safety holds, the lease authority stays passive, and
-//! opportunistic renewal keeps dedicated lease traffic at zero.
+//! opportunistic renewal keeps dedicated lease traffic at zero. And the
+//! simulator's own cost per op: a steady `Stat` load keeps its event
+//! queue small and costs three events per op.
 
+use rand::RngExt;
+use rand_chacha::ChaCha8Rng;
+use tank_client::{FsOp, OpGen};
 use tank_cluster::workload::{Mix, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
-use tank_sim::{LocalNs, NetId, SimTime};
+use tank_core::LeaseConfig;
+use tank_sim::{LocalNs, NetId, NetParams, SimTime};
 
 #[test]
 fn sixteen_clients_one_virtual_minute() {
@@ -64,4 +70,62 @@ fn sixteen_clients_one_virtual_minute() {
     for (i, c) in report.clients.iter().enumerate() {
         assert!(c.completed > 200, "client {i} starved: {c:?}");
     }
+}
+
+/// One process's closed loop of `Stat`s over `/f0 … /f63`, each after a
+/// think time of 0–40 µs.
+struct Stats;
+
+impl OpGen for Stats {
+    fn next_op(&mut self, rng: &mut ChaCha8Rng, _now: LocalNs) -> Option<(LocalNs, FsOp)> {
+        let path = format!("/f{}", rng.random_range(0..64u32));
+        Some((LocalNs(rng.random_range(0..=40_000)), FsOp::Stat { path }))
+    }
+}
+
+#[test]
+fn a_steady_stat_load_keeps_the_event_queue_small_and_costs_three_events_per_op() {
+    // The benchmark's `small` cluster: 8 clients, 2 shards with standbys,
+    // control net 100 µs ± 50 µs, τ = 2 s, one unbatched `Stat` at a time
+    // per client. Each op is a request, its reply and the think-time
+    // timer; each client's one retransmit deadline adds a firing per RTO.
+    let lan = |latency_ns| NetParams {
+        latency_ns,
+        jitter_ns: 50_000,
+        drop_prob: 0.0,
+        dup_prob: 0.0,
+    };
+    let mut cfg = ClusterConfig::default();
+    cfg.clients = 8;
+    cfg.shards = 2;
+    cfg.standbys = true;
+    cfg.files = 64;
+    cfg.lease = LeaseConfig {
+        epsilon: 0.01,
+        ..LeaseConfig::with_tau(LocalNs::from_secs(2))
+    };
+    cfg.ctl_net = lan(100_000);
+    cfg.san_net = lan(250_000);
+    let mut cluster = Cluster::build(cfg, 1);
+    for i in 0..8 {
+        cluster.attach_workload(i, Box::new(Stats));
+    }
+    let completed = |c: &Cluster| (0..8).map(|i| c.client(i).stats().completed).sum::<u64>();
+    cluster.run_until(SimTime::from_millis(200));
+    let (ops0, events0) = (completed(&cluster), cluster.world.events_processed());
+    let mut peak = 0;
+    for ms in (210..=1_200).step_by(10) {
+        cluster.run_until(SimTime::from_millis(ms));
+        peak = peak.max(cluster.world.queued_events());
+    }
+    let ops = completed(&cluster) - ops0;
+    let events = cluster.world.events_processed() - events0;
+    assert!(ops > 20_000, "one second of 8 closed loops: {ops} ops");
+    assert!(peak <= 64, "{peak} events queued");
+    let per_op = events as f64 / ops as f64;
+    assert!((per_op - 3.0).abs() < 0.05, "{per_op:.3} events per op");
+    assert!(
+        (0..8).all(|i| cluster.client(i).live_timer_tokens() <= 8),
+        "a client's timer tokens grow with its requests"
+    );
 }
