@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use tank_proto::{Ino, WriteTag};
 
-use crate::fxhash::HashMap;
+use tank_sim::fxhash::HashMap;
 
 /// Counted reads between two halvings of every read count, per block of
 /// capacity: `W = 16 × capacity`. A halving re-keys every evictable block,

@@ -22,7 +22,6 @@
 
 pub mod cache;
 pub mod fs;
-mod fxhash;
 pub mod node;
 pub mod obs;
 

@@ -16,8 +16,8 @@ use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
 use crate::cache::BlockCache;
 use crate::fs::{FsData, FsErr, FsOp, FsResult, OpGen, Script};
-use crate::fxhash::{HashMap, HashSet};
 use crate::obs::ClientObs;
+use tank_sim::fxhash::{HashMap, HashSet};
 
 /// Client configuration.
 #[derive(Debug, Clone)]

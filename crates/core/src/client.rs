@@ -6,9 +6,22 @@
 //! [`ClientLease::poll`] to collect edge-triggered actions (send keep-alive,
 //! quiesce, flush, expire). [`ClientLease::next_wakeup`] tells the driver
 //! when the next poll is due, so no busy polling is needed.
+//!
+//! The client node polls far more often than anything happens: after every
+//! activation and every renewing ACK. So each poll that does the work
+//! also caches its *edge*, the earliest local time at which a poll could
+//! act (the next phase boundary or keep-alive). Until then `poll` returns
+//! nothing and `next_wakeup` returns the edge, both without touching
+//! `pending` or recomputing the phase. Whatever moves the lease (an ACK
+//! that extends it, a NACK, a session reset) drops the edge. The phase
+//! offsets are integers fixed at construction, and `pending` is a
+//! seq-ordered queue: sends arrive in seq order at non-decreasing times,
+//! so an ACK usually finds its entry at the front and the entries that
+//! expire first sit there too.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
+use tank_proto::seqwin::insert_in_seq_order;
 use tank_proto::ReqSeq;
 use tank_sim::LocalNs;
 
@@ -85,12 +98,16 @@ pub enum LeaseAction {
 #[derive(Debug, Clone)]
 pub struct ClientLease {
     cfg: LeaseConfig,
+    /// `cfg`'s phase 2, 3 and 4 offsets into the lease, in local ns.
+    renew_at: u64,
+    suspect_at: u64,
+    flush_at: u64,
     /// `t_C1` of the newest granted lease (send time of the newest
     /// acknowledged message).
     lease_start: Option<LocalNs>,
-    /// Send times of in-flight requests: seq → `t_C1` (§3.1: the lease a
-    /// future ACK will grant runs from the *send* time).
-    pending: HashMap<ReqSeq, LocalNs>,
+    /// Send times of in-flight requests, `(seq, t_C1)` in seq order (§3.1:
+    /// the lease a future ACK will grant runs from the *send* time).
+    pending: VecDeque<(ReqSeq, LocalNs)>,
     /// Set by a NACK (§3.3): the cache is known invalid; at least phase 3.
     nacked: bool,
     /// Once expiry has been observed it is sticky until `reset_session`,
@@ -100,6 +117,10 @@ pub struct ClientLease {
     announced: Phase,
     /// Next keep-alive due time while in phase 2.
     keepalive_due: Option<LocalNs>,
+    /// `(at, edge)`: the last poll that did the work ran at `at`, and no
+    /// poll in `[at, edge)` can act (`edge` `None`: none until the lease
+    /// moves). `edge` is also what `next_wakeup` returns in that span.
+    edge: Option<(LocalNs, Option<LocalNs>)>,
     /// Counters for the experiments.
     renewals: u64,
     keepalives_sent: u64,
@@ -111,12 +132,16 @@ impl ClientLease {
         cfg.validate().expect("invalid lease config");
         ClientLease {
             cfg,
+            renew_at: cfg.renew_offset().0,
+            suspect_at: cfg.suspect_offset().0,
+            flush_at: cfg.flush_offset().0,
             lease_start: None,
-            pending: HashMap::new(),
+            pending: VecDeque::new(),
             nacked: false,
             expired_latch: false,
             announced: Phase::NoLease,
             keepalive_due: None,
+            edge: None,
             renewals: 0,
             keepalives_sent: 0,
         }
@@ -130,15 +155,16 @@ impl ClientLease {
     /// Record that a request was sent at local time `now`. Every
     /// client-initiated request participates in opportunistic renewal.
     pub fn on_send(&mut self, seq: ReqSeq, now: LocalNs) {
-        self.pending.insert(seq, now);
+        insert_in_seq_order(&mut self.pending, seq, now);
     }
 
     /// Record an ACK for `seq` arriving at `now`. Returns `true` when the
     /// ACK renewed the lease (the paper's `[t_C1, t_C1 + τ)` grant).
     pub fn on_ack(&mut self, seq: ReqSeq, now: LocalNs) -> bool {
-        let Some(t_c1) = self.pending.remove(&seq) else {
+        let Ok(i) = self.pending.binary_search_by_key(&seq, |e| e.0) else {
             return false;
         };
+        let (_, t_c1) = self.pending.remove(i).expect("found by the search");
         if self.expired_latch || self.nacked {
             // Cache already condemned; only a new session can help.
             return false;
@@ -150,6 +176,7 @@ impl ClientLease {
         if self.lease_start.is_none_or(|s| t_c1 > s) {
             self.lease_start = Some(t_c1);
             self.renewals += 1;
+            self.edge = None;
         }
         true
     }
@@ -159,6 +186,7 @@ impl ClientLease {
     /// acquisition until recovery.
     pub fn on_nack(&mut self, _now: LocalNs) {
         self.nacked = true;
+        self.edge = None;
     }
 
     /// Establish a fresh session after recovery. `hello_sent_at` is the
@@ -170,6 +198,7 @@ impl ClientLease {
         self.expired_latch = false;
         self.lease_start = Some(hello_sent_at);
         self.keepalive_due = None;
+        self.edge = None;
         self.announced = self.phase(now);
     }
 
@@ -184,11 +213,11 @@ impl ClientLease {
                 let elapsed = now.0.saturating_sub(s.0);
                 if elapsed >= self.cfg.tau.0 {
                     Phase::Expired
-                } else if elapsed >= self.cfg.flush_offset().0 {
+                } else if elapsed >= self.flush_at {
                     Phase::ExpectedFailure
-                } else if elapsed >= self.cfg.suspect_offset().0 {
+                } else if elapsed >= self.suspect_at {
                     Phase::Suspect
-                } else if elapsed >= self.cfg.renew_offset().0 {
+                } else if elapsed >= self.renew_at {
                     Phase::Renewal
                 } else {
                     Phase::Valid
@@ -253,12 +282,28 @@ impl ClientLease {
         self.lease_start.map(|s| s.plus(self.cfg.tau))
     }
 
+    /// The cached edge, if `now` lies before it: `Some(edge)` means no
+    /// poll at `now` can act and `edge` is the next wakeup.
+    fn before_edge(&self, now: LocalNs) -> Option<Option<LocalNs>> {
+        let (at, edge) = self.edge?;
+        (at <= now && edge.is_none_or(|e| now < e)).then_some(edge)
+    }
+
     /// Collect edge-triggered actions at local time `now`.
     pub fn poll(&mut self, now: LocalNs) -> Vec<LeaseAction> {
+        if self.before_edge(now).is_some() {
+            return Vec::new();
+        }
         // Prune in-flight entries whose eventual ACK could no longer grant
         // a live lease; bounds `pending` under persistent loss.
         let tau = self.cfg.tau.0;
-        self.pending.retain(|_, t| now.0 < t.0.saturating_add(tau));
+        while self
+            .pending
+            .front()
+            .is_some_and(|(_, t)| now.0 >= t.0.saturating_add(tau))
+        {
+            self.pending.pop_front();
+        }
 
         let ph = self.phase(now);
         let mut out = Vec::new();
@@ -286,7 +331,8 @@ impl ClientLease {
                 self.keepalive_due = None;
             }
         }
-        if self.phase(now) == Phase::Renewal {
+        // Latching expiry above leaves the phase where it was.
+        if ph == Phase::Renewal {
             let due = self.keepalive_due.get_or_insert(now);
             if now >= *due {
                 out.push(LeaseAction::SendKeepAlive);
@@ -294,6 +340,9 @@ impl ClientLease {
                 self.keepalive_due = Some(now.plus(self.cfg.keepalive_interval));
             }
         }
+        // Until the next boundary or keep-alive the phase equals
+        // `announced` and no keep-alive is due, so polls have nothing to do.
+        self.edge = Some((now, self.wakeup_after(now)));
         out
     }
 
@@ -301,17 +350,29 @@ impl ClientLease {
     /// the next phase boundary, or the next keep-alive, whichever is
     /// sooner. `None` when idle (no lease, or latched expired).
     pub fn next_wakeup(&self, now: LocalNs) -> Option<LocalNs> {
+        match self.before_edge(now) {
+            Some(edge) => edge,
+            None => self.wakeup_after(now),
+        }
+    }
+
+    /// [`Self::next_wakeup`] computed from the lease itself.
+    fn wakeup_after(&self, now: LocalNs) -> Option<LocalNs> {
         if self.expired_latch {
             return None;
         }
-        let s = self.lease_start?;
+        let s = self.lease_start?.0;
         let boundaries = [
-            s.plus(self.cfg.renew_offset()),
-            s.plus(self.cfg.suspect_offset()),
-            s.plus(self.cfg.flush_offset()),
-            s.plus(self.cfg.tau),
+            s.saturating_add(self.renew_at),
+            s.saturating_add(self.suspect_at),
+            s.saturating_add(self.flush_at),
+            s.saturating_add(self.cfg.tau.0),
         ];
-        let mut next = boundaries.into_iter().filter(|b| *b > now).min();
+        let mut next = boundaries
+            .into_iter()
+            .filter(|b| *b > now.0)
+            .min()
+            .map(LocalNs);
         if self.phase(now) == Phase::Renewal {
             let ka = self.keepalive_due.unwrap_or(now).max(now);
             next = Some(next.map_or(ka, |n| n.min(ka)));

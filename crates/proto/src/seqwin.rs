@@ -6,16 +6,28 @@
 //! retried datagram is executed at most once while the cached response can
 //! still be re-sent.
 //!
-//! The window is bounded: sequence numbers at or below the low watermark are
-//! rejected as stale; a sparse set tracks seen numbers above it. With
-//! in-order senders the set stays tiny; under loss/reorder it is bounded by
-//! the retry window.
+//! The window is a low watermark plus a fixed ring of [`WINDOW_SPAN`] bits
+//! for the numbers above it: every number at or below `low` was seen, and
+//! bit `s % WINDOW_SPAN` says whether `s` in `(low, low + span]` was. A
+//! number beyond the top slides the window up and the numbers that fall
+//! out below it count as seen. Every step is integer work on at most the
+//! words the slide crosses, and nothing is allocated after construction.
+//!
+//! The ring stays partly full in normal operation. A client numbers the
+//! requests to all its shards from one counter, so a session sees only its
+//! own shard's share of the numbers: on two shards, about every other one.
+//! The gaps never fill; each slide forgets them.
 
-use std::collections::BTreeSet;
-
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 use crate::ids::ReqSeq;
+
+/// Reorder history kept per session: a number more than this far below the
+/// newest one seen counts as seen.
+pub const WINDOW_SPAN: u64 = 4096;
+
+/// The ring's size in 64-bit words.
+const WORDS: usize = (WINDOW_SPAN / 64) as usize;
 
 /// Verdict for an incoming sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,76 +41,161 @@ pub enum SeqVerdict {
 }
 
 /// Receiver-side duplicate-suppression window for one (client, session).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DedupWindow {
     /// All sequence numbers `<= low` have been seen.
     low: u64,
-    /// Seen numbers above `low` (sparse under reordering).
-    seen: BTreeSet<u64>,
-    /// Maximum distance kept above `low` before old entries are compacted
-    /// into staleness. Zero means unbounded.
-    max_span: u64,
+    /// Seen numbers in `(low, low + span]`, bit `s % WINDOW_SPAN`.
+    bits: [u64; WORDS],
+    /// Number of set bits.
+    set: u32,
+    /// Distance kept above `low`, at most [`WINDOW_SPAN`].
+    span: u64,
+}
+
+impl Default for DedupWindow {
+    fn default() -> Self {
+        DedupWindow::with_span(WINDOW_SPAN)
+    }
 }
 
 impl DedupWindow {
-    /// Create a window that keeps at most `max_span` entries of reorder
-    /// history (0 = unbounded).
-    pub fn with_span(max_span: u64) -> Self {
+    /// Create a window that keeps `span` numbers of reorder history.
+    ///
+    /// # Panics
+    ///
+    /// If `span` is 0 or larger than [`WINDOW_SPAN`].
+    pub fn with_span(span: u64) -> Self {
+        assert!(
+            (1..=WINDOW_SPAN).contains(&span),
+            "span {span} outside 1..={WINDOW_SPAN}"
+        );
         DedupWindow {
             low: 0,
-            seen: BTreeSet::new(),
-            max_span,
+            bits: [0; WORDS],
+            set: 0,
+            span,
         }
     }
 
     /// Classify and record an incoming sequence number.
     pub fn observe(&mut self, seq: ReqSeq) -> SeqVerdict {
         let s = seq.0;
-        if s == 0 || s <= self.low {
+        if s == 0 {
             // Seq numbers start at 1; 0 is never valid.
-            return if s == 0 {
-                SeqVerdict::Stale
-            } else {
-                SeqVerdict::Duplicate
-            };
+            return SeqVerdict::Stale;
         }
-        if self.seen.contains(&s) {
+        if s <= self.low {
             return SeqVerdict::Duplicate;
         }
-        self.seen.insert(s);
-        self.compact();
+        if s == self.low + 1 && self.set == 0 {
+            // The in-order stream: nothing above the watermark to track.
+            self.low = s;
+            return SeqVerdict::Fresh;
+        }
+        if s <= self.low + self.span {
+            let (w, mask) = slot(s);
+            if self.bits[w] & mask != 0 {
+                return SeqVerdict::Duplicate;
+            }
+            self.bits[w] |= mask;
+            self.set += 1;
+            self.advance();
+            return SeqVerdict::Fresh;
+        }
+        // Beyond the top. The run above `low` is absorbed first; if it
+        // reaches `s - 1`, `s` joins it and nothing slides.
+        self.advance();
+        if s == self.low + 1 {
+            self.low = s;
+            return SeqVerdict::Fresh;
+        }
+        if s - self.low > self.span {
+            // Window overflow: the numbers that leave are treated as
+            // delivered, the standard trade-off for bounded state. Set
+            // numbers just above the new `low` are absorbed by the next
+            // `observe`, not now: the replay cache's cut follows `low`,
+            // and tests pin `low` to the sorted-set window's, step for step.
+            let new_low = s - self.span;
+            self.clear(new_low);
+            self.low = new_low;
+        }
+        let (w, mask) = slot(s);
+        self.bits[w] |= mask;
+        self.set += 1;
         SeqVerdict::Fresh
     }
 
-    /// Advance `low` over any contiguous run and enforce the span bound.
-    fn compact(&mut self) {
-        while self.seen.remove(&(self.low + 1)) {
-            self.low += 1;
-        }
-        if self.max_span != 0 {
-            while let Some(&max) = self.seen.iter().next_back() {
-                if max - self.low <= self.max_span {
-                    break;
-                }
-                // Window overflow: treat the oldest gap as delivered so the
-                // window slides. This sacrifices duplicate detection for
-                // sequence numbers older than the span, which is the
-                // standard trade-off for bounded state.
-                self.low += 1;
-                self.seen.remove(&self.low);
+    /// Advance `low` over the run of set bits just above it, clearing them.
+    fn advance(&mut self) {
+        while self.set > 0 {
+            let bit = ((self.low + 1) % WINDOW_SPAN) as u32;
+            let (w, off) = ((bit / 64) as usize, bit % 64);
+            // At most `64 - off`: the shift brings in zeros.
+            let run = (self.bits[w] >> off).trailing_ones();
+            if run == 0 {
+                return;
             }
+            self.bits[w] &= !(ones(run) << off);
+            self.set -= run;
+            self.low += u64::from(run);
         }
     }
 
-    /// Number of retained sparse entries (memory accounting).
+    /// Clear the bits of the numbers in `(low, to]`, one word at a time;
+    /// all of them at once when that covers the whole window.
+    fn clear(&mut self, to: u64) {
+        if to - self.low >= self.span {
+            self.bits = [0; WORDS];
+            self.set = 0;
+            return;
+        }
+        let mut s = self.low + 1;
+        while s <= to && self.set > 0 {
+            let bit = (s % WINDOW_SPAN) as u32;
+            let (w, off) = ((bit / 64) as usize, bit % 64);
+            // `to - s < span <= WINDOW_SPAN`, so `n` fits in a u32.
+            let n = (64 - off).min((to - s + 1) as u32);
+            let mask = ones(n) << off;
+            self.set -= (self.bits[w] & mask).count_ones();
+            self.bits[w] &= !mask;
+            s += u64::from(n);
+        }
+    }
+
+    /// Number of seen numbers above the watermark (memory accounting).
     pub fn sparse_len(&self) -> usize {
-        self.seen.len()
+        self.set as usize
     }
 
     /// Highest sequence number at or below which everything was seen.
     pub fn low_watermark(&self) -> ReqSeq {
         ReqSeq(self.low)
     }
+}
+
+/// Put `seq`'s entry into a queue kept in seq order, replacing the one
+/// already there. Entries arrive nearly in seq order, so this is almost
+/// always a push at the back; an older seq is placed by binary search.
+pub fn insert_in_seq_order<T>(queue: &mut VecDeque<(ReqSeq, T)>, seq: ReqSeq, value: T) {
+    match queue.back() {
+        Some((newest, _)) if *newest >= seq => match queue.binary_search_by_key(&seq, |e| e.0) {
+            Ok(i) => queue[i].1 = value,
+            Err(i) => queue.insert(i, (seq, value)),
+        },
+        _ => queue.push_back((seq, value)),
+    }
+}
+
+/// Word index and bit mask of `s` in the ring.
+fn slot(s: u64) -> (usize, u64) {
+    let bit = s % WINDOW_SPAN;
+    ((bit / 64) as usize, 1 << (bit % 64))
+}
+
+/// The low `n` bits set, `n` in `1..=64`.
+fn ones(n: u32) -> u64 {
+    u64::MAX >> (64 - n)
 }
 
 #[cfg(test)]
@@ -194,11 +291,41 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_window_never_slides() {
-        let mut win = DedupWindow::with_span(0);
-        for s in (2..=200u64).step_by(2) {
+    fn a_restart_jump_slides_the_window_in_one_pass() {
+        // A restarted client resumes a million numbers on. The first
+        // request is fresh and leaves `low` a span below it; what lay
+        // inside the old window is forgotten at once.
+        let mut win = DedupWindow::default();
+        for s in (2..=3000u64).step_by(2) {
             assert_eq!(win.observe(ReqSeq(s)), SeqVerdict::Fresh);
         }
-        assert_eq!(win.sparse_len(), 100);
+        assert_eq!(win.sparse_len(), 1500);
+        let s = 3000 + 1_000_000;
+        assert_eq!(win.observe(ReqSeq(s)), SeqVerdict::Fresh);
+        assert_eq!(win.low_watermark(), ReqSeq(s - WINDOW_SPAN));
+        assert_eq!(win.sparse_len(), 1);
+        assert_eq!(win.observe(ReqSeq(s)), SeqVerdict::Duplicate);
+        assert_eq!(win.observe(ReqSeq(s - 1)), SeqVerdict::Fresh);
+        assert_eq!(win.observe(ReqSeq(3001)), SeqVerdict::Duplicate);
+    }
+
+    #[test]
+    fn the_ring_wraps_without_aliasing() {
+        // Numbers exactly one ring apart share a bit; the slide must have
+        // cleared the older before the newer is set.
+        let mut win = DedupWindow::default();
+        assert_eq!(win.observe(ReqSeq(2)), SeqVerdict::Fresh);
+        let s = 2 + WINDOW_SPAN;
+        assert_eq!(win.observe(ReqSeq(s)), SeqVerdict::Fresh);
+        assert_eq!(win.low_watermark(), ReqSeq(2));
+        assert_eq!(win.sparse_len(), 1);
+        assert_eq!(win.observe(ReqSeq(s)), SeqVerdict::Duplicate);
+        assert_eq!(win.observe(ReqSeq(3)), SeqVerdict::Fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn an_unbounded_window_is_refused() {
+        DedupWindow::with_span(0);
     }
 }

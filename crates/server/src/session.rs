@@ -1,9 +1,9 @@
 //! Per-client session state: incarnations, at-most-once windows, response
 //! caching for duplicate suppression.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use tank_proto::seqwin::SeqVerdict;
+use tank_proto::seqwin::{insert_in_seq_order, SeqVerdict, WINDOW_SPAN};
 use tank_proto::{DedupWindow, NodeId, ReqSeq, Response, SessionId};
 
 /// What the server should do with an incoming request's (session, seq).
@@ -25,8 +25,10 @@ pub enum Admission {
 struct Session {
     id: SessionId,
     window: DedupWindow,
-    /// Responses kept for replay, pruned against the window's watermark.
-    replay: HashMap<ReqSeq, Response>,
+    /// Responses kept for replay, in seq order (a queued lock's grant is
+    /// recorded late, in place), pruned from the front against the
+    /// window's watermark.
+    replay: VecDeque<(ReqSeq, Response)>,
 }
 
 /// All client sessions.
@@ -46,10 +48,6 @@ pub struct SessionTable {
 /// normal stale-session path).
 const HELLO_CACHE: usize = 8;
 
-/// Reorder history kept per session (requests further behind than this are
-/// treated as stale).
-const WINDOW_SPAN: u64 = 4096;
-
 impl SessionTable {
     /// Empty table.
     pub fn new() -> Self {
@@ -64,8 +62,8 @@ impl SessionTable {
             client,
             Session {
                 id,
-                window: DedupWindow::with_span(WINDOW_SPAN),
-                replay: HashMap::new(),
+                window: DedupWindow::default(),
+                replay: VecDeque::new(),
             },
         );
         id
@@ -86,9 +84,9 @@ impl SessionTable {
         }
         match s.window.observe(seq) {
             SeqVerdict::Fresh => Admission::Execute,
-            SeqVerdict::Duplicate => match s.replay.get(&seq) {
-                Some(r) => Admission::Replay(Box::new(r.clone())),
-                None => Admission::InProgress,
+            SeqVerdict::Duplicate => match s.replay.binary_search_by_key(&seq, |e| e.0) {
+                Ok(i) => Admission::Replay(Box::new(s.replay[i].1.clone())),
+                Err(_) => Admission::InProgress,
             },
             SeqVerdict::Stale => Admission::InProgress,
         }
@@ -101,10 +99,12 @@ impl SessionTable {
             if s.id != resp.session {
                 return; // response for a dead incarnation
             }
-            s.replay.insert(seq, resp);
+            insert_in_seq_order(&mut s.replay, seq, resp);
             if s.replay.len() > (2 * WINDOW_SPAN as usize) {
                 let low = s.window.low_watermark().0.saturating_sub(WINDOW_SPAN);
-                s.replay.retain(|k, _| k.0 > low);
+                while s.replay.front().is_some_and(|e| e.0 .0 <= low) {
+                    s.replay.pop_front();
+                }
             }
         }
     }

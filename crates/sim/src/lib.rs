@@ -26,6 +26,7 @@
 //! functions of virtual time; wall-clock time never enters the simulator.
 
 pub mod actor;
+pub mod fxhash;
 pub mod net;
 pub mod stats;
 pub mod time;
