@@ -1,8 +1,6 @@
 //! Inode table: attributes and block maps.
 
-use std::collections::HashMap;
-
-use tank_proto::{BlockId, Ino};
+use tank_proto::{fxhash, BlockId, Ino};
 
 /// One file or directory.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +40,8 @@ impl Inode {
 #[derive(Debug, Clone, Default)]
 pub struct InodeTable {
     pub(crate) next: u64,
-    pub(crate) map: HashMap<Ino, Inode>,
+    /// Keyed by numbers this table minted, so hashed with Fx.
+    pub(crate) map: fxhash::HashMap<Ino, Inode>,
 }
 
 impl InodeTable {
@@ -50,7 +49,7 @@ impl InodeTable {
     pub fn new() -> Self {
         InodeTable {
             next: 1,
-            map: HashMap::new(),
+            map: fxhash::HashMap::default(),
         }
     }
 

@@ -1,30 +1,26 @@
 //! Hierarchical namespace: directories mapping names to inodes.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-use tank_proto::Ino;
+use tank_proto::{fxhash, Ino};
 
-/// The directory tree. Directory contents are `BTreeMap`s so listings are
-/// deterministic.
+/// The directory tree. A directory's entries are hashed, so resolving a
+/// name costs one hash, not an ordered string search; listings and
+/// snapshots sort by name, so neither depends on the hash.
 #[derive(Debug, Clone)]
 pub struct Namespace {
     pub(crate) root: Ino,
-    pub(crate) dirs: HashMap<Ino, BTreeMap<String, Ino>>,
-    /// Child → parent back-pointers for validation.
-    pub(crate) parent: HashMap<Ino, Ino>,
+    /// Each directory's entries. The outer key is an inode number the
+    /// server minted (Fx); the names are the clients' (SipHash).
+    pub(crate) dirs: fxhash::HashMap<Ino, HashMap<String, Ino>>,
 }
 
 impl Namespace {
     /// New namespace with the given root directory inode.
     pub fn new(root: Ino) -> Self {
-        let mut dirs = HashMap::new();
-        dirs.insert(root, BTreeMap::new());
-        Namespace {
-            root,
-            dirs,
-            parent: HashMap::new(),
-        }
+        let mut dirs = fxhash::HashMap::default();
+        dirs.insert(root, HashMap::new());
+        Namespace { root, dirs }
     }
 
     /// The root directory.
@@ -52,9 +48,8 @@ impl Namespace {
             return Err(NsError::Exists);
         }
         dir.insert(name.to_owned(), child);
-        self.parent.insert(child, parent);
         if child_is_dir {
-            self.dirs.insert(child, BTreeMap::new());
+            self.dirs.insert(child, HashMap::new());
         }
         Ok(())
     }
@@ -81,20 +76,26 @@ impl Namespace {
         }
         self.dirs.get_mut(&parent).unwrap().remove(name);
         self.dirs.remove(&child);
-        self.parent.remove(&child);
         Ok(child)
     }
 
     /// List a directory in name order.
     pub fn list(&self, dir: Ino) -> Result<Vec<(String, Ino)>, NsError> {
-        Ok(self
-            .dirs
-            .get(&dir)
-            .ok_or(NsError::NotADir)?
-            .iter()
-            .map(|(n, i)| (n.clone(), *i))
+        let entries = self.dirs.get(&dir).ok_or(NsError::NotADir)?;
+        Ok(by_name(entries)
+            .into_iter()
+            .map(|(n, i)| (n.to_owned(), i))
             .collect())
     }
+}
+
+/// A directory's entries in name order: the one order listings and
+/// snapshots show, whatever order the names were linked in.
+pub(crate) fn by_name(entries: &HashMap<String, Ino>) -> Vec<(&str, Ino)> {
+    let mut sorted: Vec<(&str, Ino)> = entries.iter().map(|(n, i)| (n.as_str(), *i)).collect();
+    // Names in one directory are distinct, so no two compare equal.
+    sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    sorted
 }
 
 /// Namespace errors.

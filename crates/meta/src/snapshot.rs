@@ -8,12 +8,14 @@
 //! model's. The `transactions` perf counter is deliberately excluded
 //! (reads bump it but are not logged, so it is not recoverable state).
 
+use std::collections::HashMap;
+
 use tank_proto::{BlockId, Ino, ServerId};
 use tank_shard::ShardMap;
 
 use crate::alloc::BlockAllocator;
 use crate::inode::{Inode, InodeTable};
-use crate::namespace::Namespace;
+use crate::namespace::{by_name, Namespace};
 use crate::store::MetaStore;
 use crate::txn::Applied;
 use crate::wal::{put_str, put_u32, put_u64, DurableStore, Rd, ScanOutcome, WalDefect, WalRecord};
@@ -59,8 +61,7 @@ pub fn encode(store: &MetaStore, wm: &Watermarks) -> Vec<u8> {
         }
     }
 
-    // Namespace, directories sorted by inode, entries already sorted
-    // (BTreeMap).
+    // Namespace, directories sorted by inode, entries by name.
     put_u64(&mut buf, store.ns.root.0);
     let mut dirs: Vec<_> = store.ns.dirs.iter().collect();
     dirs.sort_by_key(|(ino, _)| **ino);
@@ -68,7 +69,7 @@ pub fn encode(store: &MetaStore, wm: &Watermarks) -> Vec<u8> {
     for (ino, entries) in dirs {
         put_u64(&mut buf, ino.0);
         put_u32(&mut buf, entries.len() as u32);
-        for (name, child) in entries {
+        for (name, child) in by_name(entries) {
             put_str(&mut buf, name);
             put_u64(&mut buf, child.0);
         }
@@ -143,19 +144,13 @@ pub fn decode(
     for _ in 0..n_dirs {
         let dir = Ino(r.u64()?);
         let n_entries = r.u32()? as usize;
-        let mut entries = std::collections::BTreeMap::new();
+        let mut entries = HashMap::new();
         for _ in 0..n_entries {
             let name = r.str()?;
             let child = Ino(r.u64()?);
             entries.insert(name, child);
         }
         ns.dirs.insert(dir, entries);
-    }
-    // Parent back-pointers are derivable (and only used for bookkeeping).
-    for (dir, entries) in &ns.dirs {
-        for child in entries.values() {
-            ns.parent.insert(*child, *dir);
-        }
     }
 
     let base = r.u64()?;

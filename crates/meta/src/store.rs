@@ -435,6 +435,27 @@ mod tests {
     }
 
     #[test]
+    fn peer_chosen_rename_inos_key_no_fx_map() {
+        // `RenameLink` carries an inode number the peer chose. Multiples
+        // of 2^32 share Fx's low hash bits, so were such a number a key of
+        // an Fx map they would all fall into one probe chain. The link
+        // keys only its name (SipHash) and stores the number as a value.
+        let mut s = store();
+        let (inodes, dirs) = (s.inodes.len(), s.ns.dirs.len());
+        let sent: Vec<Ino> = (1..=2_000u64).map(|k| Ino(k << 32)).collect();
+        for (k, ino) in sent.iter().enumerate() {
+            s.rename_link(s.root(), &format!("r{k}"), *ino).unwrap();
+        }
+        assert_eq!(s.inodes.len(), inodes, "no inode is registered");
+        assert_eq!(s.ns.dirs.len(), dirs, "no directory is registered");
+        for (k, ino) in sent.iter().enumerate() {
+            assert_eq!(s.lookup(s.root(), &format!("r{k}")).unwrap().0, *ino);
+            assert_eq!(s.rename_unlink(s.root(), &format!("r{k}")).unwrap(), *ino);
+        }
+        assert!(s.readdir(s.root()).unwrap().is_empty());
+    }
+
+    #[test]
     fn version_bumps_on_mutation_only() {
         let mut s = store();
         let f = s.create(s.root(), "f", 0).unwrap();

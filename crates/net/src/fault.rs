@@ -16,12 +16,12 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{names, Counter, Registry};
 
 use crate::locked;
+use crate::reactor::WakeupBatch;
 
 /// Faults applied to one direction of the socket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -490,18 +490,18 @@ impl FaultySocket {
         got
     }
 
-    /// Send every `(peer, datagram)` in order. A failed send loses that
-    /// one datagram — the peer's loss, as anywhere on UDP — and the rest
-    /// still go. With no faults configured, on Linux, they leave in
-    /// `sendmmsg` batches; otherwise one [`Self::send_to`] each, so every
-    /// send-side fault still applies.
-    pub fn send_all(&self, msgs: &[(SocketAddr, Bytes)]) {
+    /// Send every datagram of `batch` to its peer, in order. A failed
+    /// send loses that one datagram — the peer's loss, as anywhere on
+    /// UDP — and the rest still go. With no faults configured, on Linux,
+    /// they leave in `sendmmsg` batches; otherwise one [`Self::send_to`]
+    /// each, so every send-side fault still applies.
+    pub fn send_all(&self, batch: &WakeupBatch) {
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         if self.cfg.is_none() {
-            return crate::mmsg::send_all(&self.sock, msgs);
+            return crate::mmsg::send_all(&self.sock, batch);
         }
-        for (peer, bytes) in msgs {
-            let _ = self.send_to(bytes, *peer);
+        for (peer, bytes) in batch.iter() {
+            let _ = self.send_to(bytes, peer);
         }
     }
 }
@@ -694,10 +694,23 @@ mod tests {
         got
     }
 
-    /// `n` numbered datagrams for `to`.
-    fn numbered(n: u8, to: SocketAddr) -> Vec<(SocketAddr, Bytes)> {
-        (0..n)
-            .map(|i| (to, Bytes::copy_from_slice(&[i; 9])))
+    /// A batch of `n` numbered datagrams for `to`, of lengths 1 to 9.
+    fn numbered(n: u8, to: SocketAddr) -> WakeupBatch {
+        let mut batch = WakeupBatch::new();
+        for i in 0..n {
+            batch.push(to, |arena| {
+                arena.extend_from_slice(&vec![i; 1 + usize::from(i % 9)])
+            });
+        }
+        batch
+    }
+
+    /// The datagrams of `batch` for `to`, in order.
+    fn datagrams_for(batch: &WakeupBatch, to: SocketAddr) -> Vec<Vec<u8>> {
+        batch
+            .iter()
+            .filter(|(peer, _)| *peer == to)
+            .map(|(_, bytes)| bytes.to_vec())
             .collect()
     }
 
@@ -706,10 +719,10 @@ mod tests {
         let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
         let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
         tx.set_nonblocking(true).unwrap();
-        let msgs = numbered(75, rx.local_addr().unwrap());
-        tx.send_all(&msgs);
-        let want: Vec<Vec<u8>> = msgs.iter().map(|(_, b)| b.to_vec()).collect();
-        assert_eq!(received(&rx), want);
+        let to = rx.local_addr().unwrap();
+        let batch = numbered(75, to);
+        tx.send_all(&batch);
+        assert_eq!(received(&rx), datagrams_for(&batch, to));
     }
 
     #[test]
@@ -721,17 +734,13 @@ mod tests {
         let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
         tx.set_nonblocking(true).unwrap();
         let bad: SocketAddr = "[::1]:9".parse().unwrap();
-        let mut msgs = numbered(40, rx.local_addr().unwrap());
+        let to = rx.local_addr().unwrap();
+        let mut batch = numbered(40, to);
         for at in [0, 1, 17, 32, 39] {
-            msgs[at].0 = bad;
+            batch.frames[at].0 = bad;
         }
-        tx.send_all(&msgs);
-        let want: Vec<Vec<u8>> = msgs
-            .iter()
-            .filter(|(to, _)| *to != bad)
-            .map(|(_, b)| b.to_vec())
-            .collect();
-        assert_eq!(received(&rx), want);
+        tx.send_all(&batch);
+        assert_eq!(received(&rx), datagrams_for(&batch, to));
     }
 
     #[test]
@@ -743,7 +752,8 @@ mod tests {
             ..FaultConfig::none()
         };
         let tx = FaultySocket::bind("127.0.0.1:0", drop_all).unwrap();
-        tx.send_all(&numbered(40, rx.local_addr().unwrap()));
+        let batch = numbered(40, rx.local_addr().unwrap());
+        tx.send_all(&batch);
         assert!(received(&rx).is_empty(), "every datagram dropped");
         let dup_all = FaultConfig {
             seed: 12,
@@ -751,7 +761,7 @@ mod tests {
             ..FaultConfig::none()
         };
         let tx = FaultySocket::bind("127.0.0.1:0", dup_all).unwrap();
-        tx.send_all(&numbered(40, rx.local_addr().unwrap()));
+        tx.send_all(&batch);
         assert_eq!(received(&rx).len(), 80, "every datagram doubled");
     }
 }

@@ -1,7 +1,7 @@
 //! One UDP host for a node: the one place a sans-I/O actor meets a real
 //! socket and the wall clock. A [`Host`] owns an [`Actor`] and all its
 //! activations run against (an ideal clock over [`mono_now`], the rng,
-//! the timers, an address book, an outbox) and runs it on the reactor
+//! the timers, an address book, a send arena) and runs it on the reactor
 //! loop of DESIGN.md §15. `tankd` ([`crate::LeaseServer`]) and
 //! `TankClient` are two actors on it. The state sits behind one mutex,
 //! never held across the poll wait, so other threads can activate the
@@ -15,7 +15,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{Counter, Histogram};
@@ -76,11 +75,15 @@ struct State<A> {
     effects: Vec<Effect<NetMsg, Event>>,
     /// Control-network addresses: node `n` is `addrs[n - 1]`. Static
     /// entries come first; an unknown sender is numbered on first contact.
+    /// Peers choose their addresses, so `ids` keeps SipHash.
     ids: HashMap<SocketAddr, NodeId>,
     addrs: Vec<SocketAddr>,
     answerer: Option<Answerer>,
-    /// Encoded datagrams awaiting transmission (see [`Shared::flush`]).
-    outbox: Vec<(SocketAddr, Bytes)>,
+    /// The send arena: every datagram awaiting transmission, encoded
+    /// back to back into one buffer and framed by its destination.
+    /// [`Shared::flush`] clears it but never frees it, so it keeps the
+    /// size of the largest flush. A send costs no buffer of its own.
+    outbox: WakeupBatch,
     events: VecDeque<Event>,
     /// An activation observed something no waiter has been told of.
     observed: bool,
@@ -106,7 +109,7 @@ impl<A: Actor<NetMsg, Event>> State<A> {
                 }
                 Effect::Send { dst, msg, .. } => {
                     if let Some(&addr) = self.addrs.get((dst.0 as usize).wrapping_sub(1)) {
-                        self.outbox.push((addr, msg.encoded()));
+                        self.outbox.push(addr, |arena| msg.encode(arena));
                     }
                 }
                 Effect::SetTimer { fire_at, token } => {
@@ -164,7 +167,9 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
     }
 
     /// Transmit, in order, what the activations queued, and wake the
-    /// waiters if they observed anything.
+    /// waiters if they observed anything. The arena and its frames are
+    /// cleared for the next activations, their capacity kept: a host in
+    /// steady state allocates nothing to send.
     fn flush(&self, st: &mut State<A>) {
         if !st.outbox.is_empty() {
             self.sock.send_all(&st.outbox);
@@ -276,7 +281,7 @@ impl<A: Actor<NetMsg, Event> + Send> Host<A> {
                 ids: book.iter().zip(1..).map(|(&a, n)| (a, NodeId(n))).collect(),
                 addrs: book,
                 answerer,
-                outbox: Vec::new(),
+                outbox: WakeupBatch::new(),
                 events: VecDeque::new(),
                 observed: false,
             }),

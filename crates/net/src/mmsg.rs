@@ -12,8 +12,9 @@
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
 use std::os::fd::AsRawFd;
 
-use bytes::Bytes;
 use tank_proto::MAX_DATAGRAM;
+
+use crate::reactor::WakeupBatch;
 
 /// Datagrams per `recvmmsg`/`sendmmsg` call. A deeper backlog (or
 /// outbox) simply takes another call.
@@ -236,18 +237,20 @@ pub(crate) fn recv_ready(
     got
 }
 
-/// Send every `(peer, datagram)` on the nonblocking `sock`, [`VLEN`] per
-/// syscall. A datagram the kernel refuses (full send buffer, unreachable
-/// family, …) is dropped and the rest still go — the peer's loss, exactly
-/// as with a discarded `send_to` result.
-pub(crate) fn send_all(sock: &UdpSocket, msgs: &[(SocketAddr, Bytes)]) {
+/// Send every datagram of `batch` to its peer on the nonblocking `sock`,
+/// [`VLEN`] per syscall; each iovec points into the batch's one arena. A
+/// datagram the kernel refuses (full send buffer, unreachable family, …)
+/// is dropped and the rest still go — the peer's loss, exactly as with a
+/// discarded `send_to` result.
+pub(crate) fn send_all(sock: &UdpSocket, batch: &WakeupBatch) {
     let mut addrs = [NO_ADDR; VLEN];
     let mut iovs = [NO_IOV; VLEN];
     let mut hdrs = [NO_HDR; VLEN];
     // As in `recv_ready`: one raw pointer per array, used for every access.
     let (addrs, iovs, hdrs) = (addrs.as_mut_ptr(), iovs.as_mut_ptr(), hdrs.as_mut_ptr());
-    for chunk in msgs.chunks(VLEN) {
-        for (i, (peer, bytes)) in chunk.iter().enumerate() {
+    for chunk in batch.frames.chunks(VLEN) {
+        for (i, (peer, range)) in chunk.iter().enumerate() {
+            let bytes = &batch.arena[range.clone()];
             let (sa, salen) = sockaddr_of(peer);
             // SAFETY: `i < chunk.len() <= VLEN` is in bounds of all three
             // arrays.
@@ -268,9 +271,8 @@ pub(crate) fn send_all(sock: &UdpSocket, msgs: &[(SocketAddr, Bytes)]) {
         let mut next = 0;
         while next < chunk.len() {
             // SAFETY: headers `next..chunk.len()` are initialised; each
-            // points at its own address slot, iovec and the bytes of a
-            // `Bytes` in `chunk`, all alive across the call; the fd is
-            // `sock`'s.
+            // points at its own address slot, iovec and a slice of the
+            // batch's arena, all alive across the call; the fd is `sock`'s.
             let rc = unsafe {
                 sys::sendmmsg(
                     sock.as_raw_fd(),

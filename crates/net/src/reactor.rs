@@ -11,9 +11,10 @@
 
 use std::collections::BinaryHeap;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use tank_proto::{CtlMsg, NetMsg, Request, WireDecode, MAX_DATAGRAM};
 
 use crate::fault::FaultySocket;
@@ -107,15 +108,17 @@ impl<E> TimerQueue<E> {
 
 // -------------------------------------------------------------- drain
 
-/// Everything one wakeup drained off the socket: raw datagram bytes
-/// packed end-to-end in `arena`, framed by `(offset, len, peer)`. Both
-/// vectors keep their capacity across wakeups, so a warm drain
-/// allocates nothing.
+/// The datagrams one wakeup handles, in either direction: what it
+/// drained off the socket, or what its activations queued to send. The
+/// bytes are packed end to end in one `arena`, each datagram framed by
+/// `(peer, range)`. Both keep their capacity across wakeups, so a warm
+/// drain or flush allocates nothing.
 pub struct WakeupBatch {
     /// Datagram payloads, packed contiguously.
-    pub arena: Vec<u8>,
-    /// One `(offset, len, peer)` frame per datagram, in arrival order.
-    pub frames: Vec<(usize, usize, SocketAddr)>,
+    pub arena: BytesMut,
+    /// One `(peer, range)` frame per datagram, in order: the datagram is
+    /// `arena[range]`.
+    pub frames: Vec<(SocketAddr, Range<usize>)>,
 }
 
 impl Default for WakeupBatch {
@@ -128,9 +131,24 @@ impl WakeupBatch {
     /// Empty batch.
     pub fn new() -> WakeupBatch {
         WakeupBatch {
-            arena: Vec::new(),
+            arena: BytesMut::new(),
             frames: Vec::new(),
         }
+    }
+
+    /// Append one datagram from or for `peer`: the bytes `write` adds to
+    /// the arena.
+    pub fn push(&mut self, peer: SocketAddr, write: impl FnOnce(&mut BytesMut)) {
+        let start = self.arena.len();
+        write(&mut self.arena);
+        self.frames.push((peer, start..self.arena.len()));
+    }
+
+    /// Each datagram's peer and bytes, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (SocketAddr, &[u8])> {
+        self.frames
+            .iter()
+            .map(|(peer, range)| (*peer, &self.arena[range.clone()]))
     }
 
     /// Forget the frames but keep the capacity.
@@ -165,8 +183,7 @@ pub fn drain_ready(
 ) -> usize {
     batch.clear();
     sock.recv_ready(scratch, max_frames, |bytes, peer| {
-        batch.frames.push((batch.arena.len(), bytes.len(), peer));
-        batch.arena.extend_from_slice(bytes);
+        batch.push(peer, |arena| arena.extend_from_slice(bytes));
     })
 }
 
@@ -178,9 +195,9 @@ pub fn drain_ready(
 pub(crate) fn decode_each(batch: &WakeupBatch, mut sink: impl FnMut(SocketAddr, NetMsg)) -> usize {
     let shared = Bytes::copy_from_slice(&batch.arena);
     let mut errors = 0;
-    for &(off, len, peer) in &batch.frames {
-        match NetMsg::decode(&mut shared.slice(off..off + len)) {
-            Ok(msg) => sink(peer, msg),
+    for (peer, range) in &batch.frames {
+        match NetMsg::decode(&mut shared.slice(range.clone())) {
+            Ok(msg) => sink(*peer, msg),
             Err(_) => errors += 1,
         }
     }
@@ -306,13 +323,12 @@ mod tests {
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), expected);
         let mut next_seq = vec![0u8; peers];
         let mut bigs = 0;
-        for &(off, len, peer) in &batch.frames {
-            let bytes = &batch.arena[off..off + len];
+        for (peer, bytes) in batch.iter() {
             let i = txs
                 .iter()
                 .position(|tx| tx.local_addr().expect("addr") == peer)
                 .expect("frame carries a sender's address");
-            if len == big.len() {
+            if bytes.len() == big.len() {
                 assert_eq!((i, bytes), (0, &big[..]), "big datagram arrived whole");
                 bigs += 1;
             } else {
@@ -359,7 +375,7 @@ mod tests {
         let mut batch = WakeupBatch::new();
         let mut scratch = recv_scratch();
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), 80);
-        let got: Vec<u8> = batch.frames.iter().map(|f| batch.arena[f.0]).collect();
+        let got: Vec<u8> = batch.iter().map(|(_, bytes)| bytes[0]).collect();
         let want: Vec<u8> = (0..40u8).flat_map(|i| [i, i]).collect();
         assert_eq!(got, want);
     }

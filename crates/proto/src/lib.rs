@@ -46,6 +46,9 @@ pub use message::{
 pub use repl::ReplMsg;
 pub use san::{stripe_disk, BlockRange, FenceOp, SanError, SanMsg, SanReadOk};
 pub use seqwin::DedupWindow;
+/// The hasher for keys a node mints, re-exported for crates that see the
+/// simulator only through this one.
+pub use tank_sim::fxhash;
 pub use wire::{WireDecode, WireEncode, WireError, MAX_DATAGRAM};
 
 /// The single payload type carried by the simulated world: a message on the

@@ -5,6 +5,7 @@ use std::collections::{HashMap, VecDeque};
 
 use tank_proto::seqwin::{insert_in_seq_order, SeqVerdict, WINDOW_SPAN};
 use tank_proto::{DedupWindow, NodeId, ReqSeq, Response, SessionId};
+use tank_sim::fxhash;
 
 /// What the server should do with an incoming request's (session, seq).
 #[derive(Debug, Clone)]
@@ -34,11 +35,13 @@ struct Session {
 /// All client sessions.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
-    sessions: HashMap<NodeId, Session>,
+    /// Keyed by the node id the host or world assigned the client (Fx).
+    sessions: fxhash::HashMap<NodeId, Session>,
     /// Responses to recent Hellos, keyed by the request seq. Hello sits
     /// outside the per-session dedup window (it *creates* the session),
     /// so without this cache a duplicated Hello datagram would mint a
     /// second session and orphan the one the client is actually using.
+    /// The client chose the seqs, so these maps keep SipHash.
     hellos: HashMap<NodeId, HashMap<ReqSeq, Response>>,
     next_session: u64,
 }

@@ -88,9 +88,13 @@ impl ShardMap {
     ///
     /// Roots belong to their own shard; everything else is placed by
     /// rendezvous hashing, so ownership is stable under any subset of
-    /// shards being up and needs no placement table.
+    /// shards being up and needs no placement table. One shard owns
+    /// everything, with no hashing.
     #[inline]
     pub fn owner_of(&self, ino: Ino) -> ServerId {
+        if self.n == 1 {
+            return ServerId(0);
+        }
         if self.is_root(ino) {
             return ServerId(ino.0 as u16 - 1);
         }
@@ -105,6 +109,9 @@ impl ShardMap {
     /// inos), so in the common case dentry and inode governance coincide.
     #[inline]
     pub fn place_top(&self, name: &str) -> ServerId {
+        if self.n == 1 {
+            return ServerId(0);
+        }
         self.rendezvous_bytes(name.as_bytes())
     }
 
@@ -180,6 +187,35 @@ mod tests {
         }
         assert_eq!(m.place_top("f17"), ServerId(0));
         assert_eq!(m.block_range(ServerId(0), 4096), BlockRange::ALL);
+    }
+
+    #[test]
+    fn the_single_shard_fast_path_agrees_with_rendezvous() {
+        // A seeded property check over random inodes and names: one shard
+        // answers without hashing, and rendezvous over a one-shard set
+        // must give the same answer.
+        let m = ShardMap::single();
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(1);
+            mix(state)
+        };
+        for _ in 0..4096 {
+            let ino = Ino(next());
+            assert_eq!(m.owner_of(ino), m.rendezvous(ino.0), "{ino}");
+            let len = (next() % 24) as usize;
+            let name: String = (0..len)
+                .map(|_| char::from(b' ' + (next() % 95) as u8))
+                .collect();
+            assert_eq!(
+                m.place_top(&name),
+                m.rendezvous_bytes(name.as_bytes()),
+                "{name:?}"
+            );
+        }
+        for ino in [Ino(0), Ino(1), Ino(2), Ino(u64::MAX)] {
+            assert_eq!(m.owner_of(ino), m.rendezvous(ino.0), "{ino}");
+        }
     }
 
     #[test]

@@ -1,12 +1,27 @@
 //! A fast, deterministic hasher for maps keyed by a node's own values.
 //!
-//! The client hashes only its own keys: ids it allocates (`OpId`,
-//! `ReqSeq`, SAN and flush ids), inodes its server assigned, and its local
-//! processes' paths; the world hashes the addresses of message-kind labels.
-//! No remote party chooses them, so SipHash's protection against crafted
-//! collisions buys nothing here, while a cached op pays for it on every
-//! lookup. This is the multiply-rotate word hash of rustc's `FxHasher`.
-//! Server maps keep `RandomState`: their keys come off the network.
+//! The rule: keys this node mints use Fx; keys a peer chooses keep
+//! SipHash (`RandomState`), whose keyed hash is what stops crafted
+//! collisions. Fx is the multiply-rotate word hash of rustc's
+//! `FxHasher`. Nobody can aim collisions at keys they did not choose, so
+//! there SipHash would cost every lookup and buy nothing. A client counts
+//! the inode numbers its server assigned as its own: that server is the
+//! authority it already trusts.
+//!
+//! Fx maps:
+//! - the client's: ids it allocates (`OpId`, `ReqSeq`, SAN and flush
+//!   ids), inodes its server assigned, and its local processes' paths;
+//! - the world's: the addresses of message-kind labels;
+//! - the metadata store's: the inode table (`InodeTable`) and the
+//!   namespace's map of directories (`Namespace`), both keyed by inode
+//!   numbers the server mints. A `RenameLink`'s inode number is the
+//!   peer's, so it is only ever a directory entry's value, never a key;
+//! - the server's session table (`SessionTable`), keyed by the `NodeId`
+//!   the host or world assigns.
+//!
+//! `RandomState` maps: the host's address book (socket addresses), the
+//! session table's Hello replies (client seqs) and each directory's
+//! entries (client-chosen names).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -208,6 +208,11 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
+    /// Drop the bytes written so far, keeping the capacity for reuse.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Turn the accumulated bytes into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
@@ -277,6 +282,16 @@ mod tests {
         assert_eq!(r.get_u64_le(), 0x0102_0304_0506_0708);
         assert_eq!(r.split_to(3).to_vec(), b"xyz");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_the_builder_for_reuse() {
+        let mut w = BytesMut::with_capacity(16);
+        w.put_slice(b"abc");
+        w.clear();
+        assert!(w.is_empty());
+        w.put_u8(7);
+        assert_eq!(&w[..], &[7]);
     }
 
     #[test]
