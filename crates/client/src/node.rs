@@ -2925,6 +2925,16 @@ impl<Ob> ClientNode<Ob> {
             NackReason::SessionExpired | NackReason::StaleSession if restarted => {
                 self.on_server_restart(p, ctx);
             }
+            NackReason::SessionExpired | NackReason::StaleSession
+                if self.lanes[lane].session != Some(p.session)
+                    && !matches!(p.purpose, Purpose::Hello { .. }) =>
+            {
+                // Sent before the lane's current session opened (say, a
+                // keep-alive the Hello's own ACK asked for, stamped before
+                // the reply was dispatched): the NACK judges the session it
+                // carried, not this one, so only that request fails.
+                self.fail_purpose(p.lane, p.purpose, FsErr::LeaseLost, ctx);
+            }
             NackReason::SessionExpired | NackReason::StaleSession => {
                 // Our session is dead at that server: its locks are stolen.
                 // Unless this was the Hello itself, restart the lane with a

@@ -14,7 +14,8 @@ use tank_client::{ClientConfig, ClientNode, FsErr, FsOp, OpGen};
 use tank_core::LeaseConfig;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Event, Incarnation, Ino, NetMsg, NodeId, ReqSeq, Request, Response, SessionId,
+    CtlMsg, Event, Incarnation, Ino, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
+    SessionId,
 };
 use tank_sim::world::Control;
 use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
@@ -33,6 +34,12 @@ struct ScriptedServer {
     lookups: Vec<(String, ReqSeq, LocalNs)>,
     /// Requests answered.
     answered: u64,
+    /// Lose the first Hello, so the session opens on its retransmission.
+    lose_first_hello: bool,
+    /// Hellos that arrived.
+    hellos: u64,
+    /// Requests that arrived under no session, refused as stale.
+    sessionless: u64,
 }
 
 impl ScriptedServer {
@@ -103,20 +110,29 @@ impl Actor<NetMsg, Event> for ScriptedServer {
         if let RequestBody::Lookup { name, .. } = &body {
             self.lookups.push((name.clone(), seq, ctx.now()));
         }
+        let hello = matches!(body, RequestBody::Hello { .. });
+        if hello {
+            self.hellos += 1;
+            if self.lose_first_hello && self.hellos == 1 {
+                return;
+            }
+        }
         if self.ignores(&body) {
             return;
         }
         self.answered += 1;
+        let outcome = if !hello && session == SessionId(0) {
+            self.sessionless += 1;
+            ResponseOutcome::Nacked(NackReason::StaleSession)
+        } else {
+            ResponseOutcome::Acked(self.execute(&body))
+        };
         let resp = Response {
             dst: from,
-            session: if matches!(body, RequestBody::Hello { .. }) {
-                SessionId(1)
-            } else {
-                session
-            },
+            session: if hello { SessionId(1) } else { session },
             seq,
             incarnation: Incarnation(1),
-            outcome: ResponseOutcome::Acked(self.execute(&body)),
+            outcome,
         };
         ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Response(resp)));
     }
@@ -273,6 +289,33 @@ fn nothing_fires_for_the_requests_of_a_life_before_a_restart() {
     let b = &srv.copies("b")[0].1;
     assert_eq!(offsets(b), SCHEDULE, "{b:?}");
     assert!(exact(b));
+}
+
+#[test]
+fn a_nack_for_a_request_sent_before_the_session_opened_leaves_the_session_alone() {
+    // The first Hello is lost and its copy leaves at 250 ms. The lease
+    // its ACK grants runs from the first send, so that ACK finds a
+    // keep-alive due and the client sends one before the reply's session
+    // is recorded: it carries no session, and the server refuses it as
+    // stale. That NACK speaks of no session the client holds: the stat
+    // after it is served under the session the Hello opened.
+    let srv = ScriptedServer {
+        lose_first_hello: true,
+        ..ScriptedServer::default()
+    };
+    let lease = LeaseConfig::with_tau(ms(600));
+    let script = Script::new().at(ms(400), stat("/a"));
+    let (mut w, s, c) = world(srv, lease, script);
+    w.run_until(SimTime::from_millis(500));
+    let srv = server(&w, s);
+    assert_eq!(srv.hellos, 2, "one session, opened by the retransmission");
+    assert!(
+        srv.sessionless > 0,
+        "a request left before the session opened"
+    );
+    let results: Vec<_> = client(&w, c).results().map(|(_, r)| r.clone()).collect();
+    assert_eq!(results.len(), 1);
+    assert!(results[0].is_ok(), "{results:?}");
 }
 
 /// Closed-loop `Stat`s of `/a`, one at a time, `count` in all.

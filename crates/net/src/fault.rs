@@ -1,19 +1,28 @@
 //! Seeded fault injection for the real UDP transport.
 //!
-//! [`FaultySocket`] wraps a [`std::net::UdpSocket`] and applies
-//! independently configured faults to each direction: datagrams may be
-//! dropped, duplicated, or delayed on send; dropped or duplicated on
-//! receive. Faults are drawn from a seeded [`ChaCha8Rng`], so a failing
-//! run is reproducible by seed. A zero [`FaultConfig`] (the default) is
-//! the identity: every datagram passes through untouched.
+//! [`FaultySocket`] wraps a [`std::net::UdpSocket`] and filters every
+//! frame that crosses it, in either direction, through one seeded fault
+//! decision: a frame may be dropped, duplicated, or — on send — held back
+//! for a while. Faults are drawn from a seeded [`ChaCha8Rng`], so a
+//! failing run is reproducible by seed. A zero [`FaultConfig`] (the
+//! default) is the identity: every datagram passes through untouched, and
+//! the socket takes no lock, draws nothing and copies nothing.
+//!
+//! The filter sits on the one syscall path: on Linux 64-bit every
+//! receive is a `recvmmsg` batch and every send a `sendmmsg` batch
+//! (`mmsg.rs`), faults or not; other platforms loop one
+//! `recv_from`/`send_to` per datagram under the same filter. A held frame
+//! waits in a deadline heap inside the socket; the host's flush sends it
+//! once it is due, and the host bounds its poll wait by the earliest held
+//! deadline as it does by its timers. No thread is involved.
 //!
 //! The shim lives *under* the protocol code — the server and client use
 //! it as their only socket type — so injected faults exercise the real
 //! retransmission, dedup-window, and lease paths rather than mocks.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::{RngExt, SeedableRng};
@@ -21,7 +30,10 @@ use rand_chacha::ChaCha8Rng;
 use tank_obs::{names, Counter, Registry};
 
 use crate::locked;
-use crate::reactor::WakeupBatch;
+use crate::reactor::{TimerQueue, WakeupBatch};
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+use crate::mmsg as sys;
 
 /// Faults applied to one direction of the socket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -30,7 +42,7 @@ pub struct DirFaults {
     pub drop_prob: f64,
     /// Probability a datagram is delivered twice.
     pub dup_prob: f64,
-    /// Probability a datagram is held back before delivery.
+    /// Probability a datagram is held back before delivery (send only).
     pub delay_prob: f64,
     /// Uniform extra delay in `[delay_min, delay_max]` when delayed.
     pub delay_min: Duration,
@@ -73,6 +85,18 @@ impl DirFaults {
     fn is_none(&self) -> bool {
         self.drop_prob == 0.0 && self.dup_prob == 0.0 && self.delay_prob == 0.0
     }
+
+    /// Why the filter could not honour these faults, if it could not.
+    fn refusal(&self) -> Option<&'static str> {
+        let probs = [self.drop_prob, self.dup_prob, self.delay_prob];
+        if !probs.iter().all(|p| (0.0..=1.0).contains(p)) {
+            Some("fault probability outside [0, 1]")
+        } else if self.delay_min > self.delay_max {
+            Some("fault delay_min exceeds delay_max")
+        } else {
+            None
+        }
+    }
 }
 
 /// Full fault configuration for a socket.
@@ -82,8 +106,8 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Faults on outgoing datagrams.
     pub send: DirFaults,
-    /// Faults on incoming datagrams (delay fields are ignored on this
-    /// side; reordering is already covered by send-side delay).
+    /// Faults on incoming datagrams. Delay is refused on this side:
+    /// reordering is already covered by send-side delay.
     pub recv: DirFaults,
 }
 
@@ -94,187 +118,129 @@ impl FaultConfig {
     }
 
     /// Whether neither direction injects anything (the seed is then
-    /// never drawn from). A socket with such a configuration is a plain
-    /// UDP socket, which is what lets it batch its syscalls.
+    /// never drawn from).
     pub fn is_none(&self) -> bool {
         self.send.is_none() && self.recv.is_none()
     }
+
+    /// `InvalidInput` unless the filter can honour every fault: each
+    /// probability in `[0, 1]` (NaN is not), a delay range that is not
+    /// inverted, and no receive-side delay.
+    fn check(&self) -> io::Result<()> {
+        let refusal = (self.send.refusal())
+            .or(self.recv.refusal())
+            .or((self.recv.delay_prob > 0.0).then_some("receive-side delay is not supported"));
+        match refusal {
+            Some(why) => Err(io::Error::new(io::ErrorKind::InvalidInput, why)),
+            None => Ok(()),
+        }
+    }
 }
 
-struct FaultState {
+/// What the filter does with one frame: deliver `copies` of it (0 is a
+/// drop, 2 a duplicate), now or `hold` from now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fate {
+    copies: usize,
+    hold: Option<Duration>,
+}
+
+/// One direction of the filter: what it injects and, when the socket is
+/// observed, the counters of what it did (`net.fault.*`).
+struct Dir {
+    faults: DirFaults,
+    dropped: Option<Arc<Counter>>,
+    dup: Option<Arc<Counter>>,
+    delayed: Option<Arc<Counter>>,
+}
+
+impl Dir {
+    /// The fault decision for one frame, the same for both directions
+    /// and both syscall paths: drop it, else duplicate and hold it
+    /// independently. A direction that injects nothing draws nothing, so
+    /// its traffic leaves the other direction's fault stream alone.
+    fn fate(&self, rng: &mut ChaCha8Rng) -> Fate {
+        let f = &self.faults;
+        let mut fate = Fate {
+            copies: 1,
+            hold: None,
+        };
+        if f.is_none() {
+            return fate;
+        }
+        if rng.random_bool(f.drop_prob) {
+            count(&self.dropped);
+            fate.copies = 0;
+            return fate;
+        }
+        if rng.random_bool(f.dup_prob) {
+            count(&self.dup);
+            fate.copies = 2;
+        }
+        if rng.random_bool(f.delay_prob) {
+            count(&self.delayed);
+            let span = f.delay_max.saturating_sub(f.delay_min).as_nanos() as u64;
+            fate.hold = Some(f.delay_min + Duration::from_nanos(rng.random_range(0..=span)));
+        }
+        fate
+    }
+}
+
+fn count(counter: &Option<Arc<Counter>>) {
+    if let Some(c) = counter {
+        c.inc();
+    }
+}
+
+/// A faulty socket's filter state: the seeded stream both directions
+/// draw from, and the frames held back on send.
+struct Filter {
     rng: ChaCha8Rng,
-    /// Receive-side duplicates waiting to be handed out.
-    pending: VecDeque<(Vec<u8>, SocketAddr)>,
+    send: Dir,
+    recv: Dir,
+    /// Delayed frames, each with its peer, in deadline order.
+    held: TimerQueue<(SocketAddr, Vec<u8>)>,
+    /// What the next send carries: the held frames now due, then what
+    /// survives of the batch. Cleared, never freed.
+    out: WakeupBatch,
 }
 
-/// A send-side datagram held back by delay injection.
-struct DelayedSend {
-    due: Instant,
-    /// Admission order; ties on `due` deliver in send order.
-    seq: u64,
-    data: Vec<u8>,
-    addr: Option<SocketAddr>,
-    copies: u32,
-}
-
-impl PartialEq for DelayedSend {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for DelayedSend {}
-impl PartialOrd for DelayedSend {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedSend {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct DelayQueueState {
-    heap: BinaryHeap<DelayedSend>,
-    next_seq: u64,
-    stop: bool,
-}
-
-/// One timer queue per socket for every delayed delivery: the delivery
-/// thread sleeps until the earliest deadline (or new work) instead of a
-/// `thread::spawn` per delayed datagram — at 10k-client offered loads a
-/// few percent of delay probability would otherwise mean thousands of
-/// one-shot threads per second.
-struct DelayQueue {
-    state: Mutex<DelayQueueState>,
-    cv: Condvar,
-}
-
-impl DelayQueue {
-    fn new() -> DelayQueue {
-        DelayQueue {
-            state: Mutex::new(DelayQueueState {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                stop: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, due: Instant, data: Vec<u8>, addr: Option<SocketAddr>, copies: u32) {
-        let mut st = locked(&self.state);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.heap.push(DelayedSend {
-            due,
-            seq,
-            data,
-            addr,
-            copies,
-        });
-        self.cv.notify_one();
-    }
-
-    /// Deliver due datagrams until stopped. Undelivered entries at stop
-    /// time are discarded — indistinguishable from datagrams lost in the
-    /// network, which is the faulty contract anyway.
-    fn run(&self, sock: &UdpSocket) {
-        let mut st = locked(&self.state);
-        loop {
-            if st.stop {
-                return;
-            }
-            let now = Instant::now();
-            match st.heap.peek() {
-                None => {
-                    st = self
-                        .cv
-                        .wait(st)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                Some(top) if top.due > now => {
-                    let dur = top.due - now;
-                    st = self
-                        .cv
-                        .wait_timeout(st, dur)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .0;
-                }
-                Some(_) => {
-                    if let Some(ds) = st.heap.pop() {
-                        // Send outside the lock so a slow syscall never
-                        // blocks producers.
-                        drop(st);
-                        for _ in 0..ds.copies {
-                            let _ = match ds.addr {
-                                Some(a) => sock.send_to(&ds.data, a),
-                                None => sock.send(&ds.data),
-                            };
-                        }
-                        st = locked(&self.state);
-                    }
-                }
-            }
-        }
-    }
-
-    fn stop(&self) {
-        locked(&self.state).stop = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Pre-resolved fault-injection counters (`net.fault.*`).
-struct FaultObs {
-    send_dropped: Arc<Counter>,
-    send_dup: Arc<Counter>,
-    send_delayed: Arc<Counter>,
-    recv_dropped: Arc<Counter>,
-    recv_dup: Arc<Counter>,
-}
-
-impl FaultObs {
-    fn new(registry: &Registry) -> FaultObs {
-        FaultObs {
-            send_dropped: registry.counter_def(&names::NET_FAULT_SEND_DROPPED),
-            send_dup: registry.counter_def(&names::NET_FAULT_SEND_DUP),
-            send_delayed: registry.counter_def(&names::NET_FAULT_SEND_DELAYED),
-            recv_dropped: registry.counter_def(&names::NET_FAULT_RECV_DROPPED),
-            recv_dup: registry.counter_def(&names::NET_FAULT_RECV_DUP),
+impl Filter {
+    fn new(cfg: FaultConfig, registry: Option<&Arc<Registry>>) -> Filter {
+        let counter = |def| registry.map(|r| r.counter_def(def));
+        Filter {
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xFA17_50CC),
+            send: Dir {
+                faults: cfg.send,
+                dropped: counter(&names::NET_FAULT_SEND_DROPPED),
+                dup: counter(&names::NET_FAULT_SEND_DUP),
+                delayed: counter(&names::NET_FAULT_SEND_DELAYED),
+            },
+            recv: Dir {
+                faults: cfg.recv,
+                dropped: counter(&names::NET_FAULT_RECV_DROPPED),
+                dup: counter(&names::NET_FAULT_RECV_DUP),
+                delayed: None,
+            },
+            held: TimerQueue::new(),
+            out: WakeupBatch::new(),
         }
     }
 }
 
 /// A UDP socket with seeded, per-direction fault injection.
 pub struct FaultySocket {
-    sock: Arc<UdpSocket>,
-    cfg: FaultConfig,
-    state: Mutex<FaultState>,
-    obs: Option<FaultObs>,
-    /// Timer queue for send-side delay injection; the delivery thread is
-    /// spawned on the first delayed datagram and joined on drop.
-    delay: Arc<DelayQueue>,
-    delay_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for FaultySocket {
-    fn drop(&mut self) {
-        self.delay.stop();
-        if let Some(handle) = locked(&self.delay_thread).take() {
-            let _ = handle.join();
-        }
-    }
+    sock: UdpSocket,
+    /// `None` when the configuration injects nothing: a receive or a send
+    /// is then the bare syscall.
+    filter: Option<Mutex<Filter>>,
 }
 
 impl FaultySocket {
-    /// Bind `addr` with faults per `cfg`.
-    pub fn bind<A: ToSocketAddrs>(addr: A, cfg: FaultConfig) -> std::io::Result<FaultySocket> {
-        Ok(Self::wrap(UdpSocket::bind(addr)?, cfg))
+    /// Bind `addr` with faults per `cfg`; `InvalidInput` if the socket
+    /// could not honour them (see [`FaultConfig::recv`]).
+    pub fn bind<A: ToSocketAddrs>(addr: A, cfg: FaultConfig) -> io::Result<FaultySocket> {
+        Self::bind_observed(addr, cfg, None)
     }
 
     /// Like [`bind`](Self::bind), with fault decisions counted into
@@ -284,200 +250,119 @@ impl FaultySocket {
         addr: A,
         cfg: FaultConfig,
         registry: Option<&Arc<Registry>>,
-    ) -> std::io::Result<FaultySocket> {
-        Ok(Self::wrap_observed(UdpSocket::bind(addr)?, cfg, registry))
-    }
-
-    /// Wrap an already-bound socket.
-    pub fn wrap(sock: UdpSocket, cfg: FaultConfig) -> FaultySocket {
-        Self::wrap_observed(sock, cfg, None)
-    }
-
-    /// Wrap an already-bound socket, counting fault decisions into
-    /// `registry` when given.
-    pub fn wrap_observed(
-        sock: UdpSocket,
-        cfg: FaultConfig,
-        registry: Option<&Arc<Registry>>,
-    ) -> FaultySocket {
-        FaultySocket {
-            sock: Arc::new(sock),
-            cfg,
-            state: Mutex::new(FaultState {
-                rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xFA17_50CC),
-                pending: VecDeque::new(),
-            }),
-            obs: registry.map(|r| FaultObs::new(r)),
-            delay: Arc::new(DelayQueue::new()),
-            delay_thread: Mutex::new(None),
-        }
+    ) -> io::Result<FaultySocket> {
+        cfg.check()?;
+        Ok(FaultySocket {
+            sock: UdpSocket::bind(addr)?,
+            filter: (!cfg.is_none()).then(|| Mutex::new(Filter::new(cfg, registry))),
+        })
     }
 
     /// The bound local address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.sock.local_addr()
     }
 
     /// UDP-connect the underlying socket.
-    pub fn connect<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<()> {
+    pub fn connect<A: ToSocketAddrs>(&self, addr: A) -> io::Result<()> {
         self.sock.connect(addr)
     }
 
-    /// Set the receive timeout (also bounds how long a receive-side
-    /// drop can stall a caller: at most one extra timeout period). Like
-    /// [`send`](Self::send) and [`recv`](Self::recv), for the tests' blocking
-    /// peers: a live socket is a host's, nonblocking.
-    #[cfg(test)]
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        self.sock.set_read_timeout(dur)
-    }
-
     /// Switch the socket to nonblocking mode (the reactor's drain
-    /// contract: recv until `WouldBlock`). Receive-side drop faults then
-    /// surface as `WouldBlock` instead of stalling — the dropped datagram
-    /// simply vanishes from the backlog.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    /// contract: recv until `WouldBlock`).
+    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         self.sock.set_nonblocking(nonblocking)
     }
 
-    /// Send to the connected peer, possibly dropping/duplicating/delaying.
-    #[cfg(test)]
-    pub fn send(&self, buf: &[u8]) -> std::io::Result<usize> {
-        self.faulty_send(buf, None)
-    }
-
-    /// Send to `addr`, possibly dropping/duplicating/delaying.
-    pub fn send_to(&self, buf: &[u8], addr: SocketAddr) -> std::io::Result<usize> {
-        self.faulty_send(buf, Some(addr))
-    }
-
-    fn faulty_send(&self, buf: &[u8], addr: Option<SocketAddr>) -> std::io::Result<usize> {
-        let f = self.cfg.send;
-        if f.is_none() {
-            return match addr {
-                Some(a) => self.sock.send_to(buf, a),
-                None => self.sock.send(buf),
-            };
-        }
-        let (dropped, copies, delay) = {
-            let mut st = locked(&self.state);
-            let dropped = st.rng.random_bool(f.drop_prob);
-            let copies = if st.rng.random_bool(f.dup_prob) { 2 } else { 1 };
-            let delay = if st.rng.random_bool(f.delay_prob) {
-                let span = f.delay_max.saturating_sub(f.delay_min).as_nanos() as u64;
-                let extra = if span == 0 {
-                    0
-                } else {
-                    st.rng.random_range(0..=span)
-                };
-                Some(f.delay_min + Duration::from_nanos(extra))
-            } else {
-                None
-            };
-            (dropped, copies, delay)
-        };
-        if let Some(obs) = &self.obs {
-            if dropped {
-                obs.send_dropped.inc();
-            }
-            if copies > 1 {
-                obs.send_dup.inc();
-            }
-            if delay.is_some() {
-                obs.send_delayed.inc();
-            }
-        }
-        if dropped {
-            // The caller sees success: a dropped datagram is
-            // indistinguishable from one lost in the network.
-            return Ok(buf.len());
-        }
-        match delay {
-            None => {
-                for _ in 0..copies {
-                    match addr {
-                        Some(a) => self.sock.send_to(buf, a)?,
-                        None => self.sock.send(buf)?,
-                    };
-                }
-            }
-            Some(d) => {
-                self.ensure_delay_thread();
-                self.delay
-                    .push(Instant::now() + d, buf.to_vec(), addr, copies);
-            }
-        }
-        Ok(buf.len())
-    }
-
-    /// Spawn the single delay-delivery thread if it is not running yet.
-    fn ensure_delay_thread(&self) {
-        let mut slot = locked(&self.delay_thread);
-        if slot.is_none() {
-            let queue = self.delay.clone();
-            let sock = self.sock.clone();
-            *slot = Some(std::thread::spawn(move || queue.run(&sock)));
-        }
-    }
-
-    /// Receive one datagram (source address included), applying
-    /// receive-side drop/duplicate faults.
-    pub fn recv_from(&self, buf: &mut [u8]) -> std::io::Result<(usize, SocketAddr)> {
-        let f = self.cfg.recv;
-        if let Some((data, peer)) = locked(&self.state).pending.pop_front() {
-            let n = data.len().min(buf.len());
-            buf[..n].copy_from_slice(&data[..n]);
-            return Ok((n, peer));
-        }
-        loop {
-            let (n, peer) = self.sock.recv_from(buf)?;
-            if f.is_none() {
-                return Ok((n, peer));
-            }
-            let mut st = locked(&self.state);
-            if st.rng.random_bool(f.drop_prob) {
-                drop(st);
-                if let Some(obs) = &self.obs {
-                    obs.recv_dropped.inc();
-                }
-                continue; // discarded on arrival; wait for the next one
-            }
-            if st.rng.random_bool(f.dup_prob) {
-                st.pending.push_back((buf[..n].to_vec(), peer));
-                if let Some(obs) = &self.obs {
-                    obs.recv_dup.inc();
-                }
-            }
-            return Ok((n, peer));
-        }
-    }
-
-    /// Receive from the connected peer.
-    #[cfg(test)]
-    pub fn recv(&self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.recv_from(buf).map(|(n, _)| n)
-    }
-
-    /// Hand every ready datagram (up to `max`) to `sink` and return how
-    /// many there were: receive until `WouldBlock`, so the socket must be
-    /// nonblocking. With no faults configured, on Linux, the backlog
-    /// comes off in `recvmmsg` batches, one datagram per
-    /// [`MAX_DATAGRAM`](tank_proto::MAX_DATAGRAM) slot of `scratch`;
-    /// otherwise one [`Self::recv_from`] per datagram, so every
-    /// receive-side fault still applies.
+    /// Hand every ready datagram (up to `max` off the socket) to `sink`
+    /// and return how many frames it was handed: receive until
+    /// `WouldBlock`, so the socket must be nonblocking. On Linux the
+    /// backlog comes off in `recvmmsg` batches, one datagram per
+    /// [`MAX_DATAGRAM`](tank_proto::MAX_DATAGRAM) slot of `scratch` (from
+    /// [`recv_scratch`](crate::reactor::recv_scratch)). Receive faults
+    /// apply per datagram: a dropped one never reaches `sink`, a
+    /// duplicated one reaches it twice in a row.
     pub fn recv_ready(
         &self,
         scratch: &mut [u8],
         max: usize,
         mut sink: impl FnMut(&[u8], SocketAddr),
     ) -> usize {
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        if self.cfg.is_none() && scratch.len() >= tank_proto::MAX_DATAGRAM {
-            return crate::mmsg::recv_ready(&self.sock, scratch, max, sink);
+        let Some(filter) = &self.filter else {
+            return sys::recv_ready(&self.sock, scratch, max, sink);
+        };
+        let f = &mut *locked(filter);
+        let mut frames = 0;
+        sys::recv_ready(&self.sock, scratch, max, |bytes, peer| {
+            let copies = f.recv.fate(&mut f.rng).copies;
+            for _ in 0..copies {
+                sink(bytes, peer);
+            }
+            frames += copies;
+        });
+        frames
+    }
+
+    /// Send every datagram of `batch` to its peer, in order, together
+    /// with every held frame now due (those first). A failed send loses
+    /// that one datagram — the peer's loss, as anywhere on UDP — and the
+    /// rest still go. On Linux they leave in `sendmmsg` batches. Send
+    /// faults apply per datagram: a dropped one is not sent, a
+    /// duplicated one is sent twice in a row, and a delayed one (both
+    /// copies, if duplicated) is held until a later call finds it due.
+    pub fn send_all(&self, batch: &WakeupBatch) {
+        let Some(filter) = &self.filter else {
+            return sys::send_all(&self.sock, batch);
+        };
+        let f = &mut *locked(filter);
+        let now = Instant::now();
+        f.out.clear();
+        while let Some((peer, bytes)) = f.held.pop_due(now) {
+            f.out.push(peer, |arena| arena.extend_from_slice(&bytes));
         }
+        for (peer, bytes) in batch.iter() {
+            let fate = f.send.fate(&mut f.rng);
+            for _ in 0..fate.copies {
+                match fate.hold {
+                    None => f.out.push(peer, |arena| arena.extend_from_slice(bytes)),
+                    Some(after) => f.held.arm_at(now + after, (peer, bytes.to_vec())),
+                }
+            }
+        }
+        sys::send_all(&self.sock, &f.out);
+    }
+
+    /// When the earliest held frame falls due, if one is held: the host
+    /// bounds its poll wait by it and flushes once it has passed.
+    pub fn next_held(&self) -> Option<Instant> {
+        locked(self.filter.as_ref()?).held.next_deadline()
+    }
+}
+
+#[cfg(unix)]
+impl std::os::fd::AsRawFd for FaultySocket {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        self.sock.as_raw_fd()
+    }
+}
+
+/// The kernel crossings where datagrams cannot be batched: one
+/// `recv_from` or `send_to` each, with `mmsg.rs`'s contracts.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+mod sys {
+    use std::net::{SocketAddr, UdpSocket};
+
+    use crate::reactor::WakeupBatch;
+
+    pub(crate) fn recv_ready(
+        sock: &UdpSocket,
+        scratch: &mut [u8],
+        max: usize,
+        mut sink: impl FnMut(&[u8], SocketAddr),
+    ) -> usize {
         let mut got = 0;
         while got < max {
-            match self.recv_from(scratch) {
+            match sock.recv_from(scratch) {
                 Ok((n, peer)) => {
                     sink(&scratch[..n], peer);
                     got += 1;
@@ -490,200 +375,42 @@ impl FaultySocket {
         got
     }
 
-    /// Send every datagram of `batch` to its peer, in order. A failed
-    /// send loses that one datagram — the peer's loss, as anywhere on
-    /// UDP — and the rest still go. With no faults configured, on Linux,
-    /// they leave in `sendmmsg` batches; otherwise one [`Self::send_to`]
-    /// each, so every send-side fault still applies.
-    pub fn send_all(&self, batch: &WakeupBatch) {
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        if self.cfg.is_none() {
-            return crate::mmsg::send_all(&self.sock, batch);
-        }
+    pub(crate) fn send_all(sock: &UdpSocket, batch: &WakeupBatch) {
         for (peer, bytes) in batch.iter() {
-            let _ = self.send_to(bytes, peer);
+            let _ = sock.send_to(bytes, peer);
         }
-    }
-}
-
-#[cfg(unix)]
-impl std::os::fd::AsRawFd for FaultySocket {
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        self.sock.as_raw_fd()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::recv_scratch;
 
-    fn pair(cfg: FaultConfig) -> (FaultySocket, FaultySocket) {
-        let a = FaultySocket::bind("127.0.0.1:0", cfg).unwrap();
-        let b = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        a.connect(b.local_addr().unwrap()).unwrap();
-        b.connect(a.local_addr().unwrap()).unwrap();
-        (a, b)
+    /// A plain receiver on loopback.
+    fn receiver() -> (UdpSocket, SocketAddr) {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = rx.local_addr().unwrap();
+        (rx, addr)
     }
 
-    #[test]
-    fn clean_config_is_identity() {
-        let (a, b) = pair(FaultConfig::none());
-        b.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        a.send(b"hello").unwrap();
-        let mut buf = [0u8; 64];
-        let n = b.recv(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"hello");
+    /// A nonblocking sender with `cfg`'s faults.
+    fn sender(cfg: FaultConfig) -> FaultySocket {
+        let tx = FaultySocket::bind("127.0.0.1:0", cfg).unwrap();
+        tx.set_nonblocking(true).unwrap();
+        tx
     }
 
-    #[test]
-    fn send_drop_loses_every_datagram_at_p1() {
-        let cfg = FaultConfig {
-            seed: 1,
-            send: DirFaults::dropping(1.0),
-            ..FaultConfig::none()
-        };
-        let (a, b) = pair(cfg);
-        b.set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        for _ in 0..5 {
-            a.send(b"x").unwrap();
-        }
-        let mut buf = [0u8; 8];
-        assert!(b.recv(&mut buf).is_err(), "all datagrams dropped");
-    }
-
-    #[test]
-    fn send_dup_doubles_every_datagram_at_p1() {
-        let cfg = FaultConfig {
-            seed: 2,
-            send: DirFaults::duplicating(1.0),
-            ..FaultConfig::none()
-        };
-        let (a, b) = pair(cfg);
-        b.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        a.send(b"once").unwrap();
-        let mut buf = [0u8; 8];
-        assert_eq!(b.recv(&mut buf).unwrap(), 4);
-        assert_eq!(b.recv(&mut buf).unwrap(), 4, "the duplicate arrives too");
-    }
-
-    #[test]
-    fn recv_dup_replays_the_datagram() {
-        let recv = DirFaults::duplicating(1.0);
-        let cfg = FaultConfig {
-            seed: 3,
-            recv,
-            ..FaultConfig::none()
-        };
-        let b = FaultySocket::bind("127.0.0.1:0", cfg).unwrap();
-        let a = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        a.connect(b.local_addr().unwrap()).unwrap();
-        b.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        a.send(b"pkt").unwrap();
-        let mut buf = [0u8; 8];
-        assert_eq!(b.recv(&mut buf).unwrap(), 3);
-        assert_eq!(b.recv(&mut buf).unwrap(), 3, "queued duplicate");
-    }
-
-    #[test]
-    fn delayed_datagram_arrives_late() {
-        let send = DirFaults::delaying(1.0, Duration::from_millis(80), Duration::from_millis(120));
-        let cfg = FaultConfig {
-            seed: 4,
+    fn send_faults(seed: u64, send: DirFaults) -> FaultConfig {
+        FaultConfig {
+            seed,
             send,
             ..FaultConfig::none()
-        };
-        let (a, b) = pair(cfg);
-        b.set_read_timeout(Some(Duration::from_millis(1000)))
-            .unwrap();
-        let t0 = std::time::Instant::now();
-        a.send(b"slow").unwrap();
-        let mut buf = [0u8; 8];
-        let n = b.recv(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"slow");
-        assert!(
-            t0.elapsed() >= Duration::from_millis(60),
-            "datagram was held back"
-        );
-    }
-
-    #[test]
-    fn delay_queue_delivers_every_datagram_through_one_thread() {
-        // A burst of delayed datagrams all arrive (the single timer queue
-        // loses nothing relative to the old thread-per-datagram scheme),
-        // and each respects its lower delay bound.
-        let send = DirFaults::delaying(1.0, Duration::from_millis(10), Duration::from_millis(60));
-        let cfg = FaultConfig {
-            seed: 7,
-            send,
-            ..FaultConfig::none()
-        };
-        let (a, b) = pair(cfg);
-        b.set_read_timeout(Some(Duration::from_millis(1000)))
-            .unwrap();
-        let t0 = std::time::Instant::now();
-        for i in 0..20u8 {
-            a.send(&[i]).unwrap();
         }
-        let mut buf = [0u8; 8];
-        let mut got = Vec::new();
-        for _ in 0..20 {
-            let n = b.recv(&mut buf).unwrap();
-            assert_eq!(n, 1);
-            got.push(buf[0]);
-        }
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-        got.sort_unstable();
-        assert_eq!(got, (0..20).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn dropping_the_socket_discards_pending_delays_without_panicking() {
-        let send = DirFaults::delaying(1.0, Duration::from_secs(5), Duration::from_secs(5));
-        let cfg = FaultConfig {
-            seed: 8,
-            send,
-            ..FaultConfig::none()
-        };
-        let (a, b) = pair(cfg);
-        a.send(b"never").unwrap();
-        drop(a); // joins the delay thread; the 5s-out datagram dies with it
-        b.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let mut buf = [0u8; 8];
-        assert!(b.recv(&mut buf).is_err(), "pending delayed send discarded");
-    }
-
-    #[test]
-    fn same_seed_same_fault_stream() {
-        let decide = |seed| {
-            let cfg = FaultConfig {
-                seed,
-                send: DirFaults::dropping(0.5),
-                ..FaultConfig::none()
-            };
-            let s = FaultySocket::bind("127.0.0.1:0", cfg).unwrap();
-            // Send into the void; what matters is the drop pattern, which
-            // we recover by observing the rng through a sibling socket.
-            let peer = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-            peer.set_read_timeout(Some(Duration::from_millis(50)))
-                .unwrap();
-            s.connect(peer.local_addr().unwrap()).unwrap();
-            let mut pattern = Vec::new();
-            let mut buf = [0u8; 8];
-            for _ in 0..16 {
-                s.send(b"p").unwrap();
-                pattern.push(peer.recv(&mut buf).is_ok());
-            }
-            pattern
-        };
-        assert_eq!(decide(9), decide(9));
     }
 
     /// What `rx` holds once the senders are done, in arrival order.
-    fn received(rx: &FaultySocket) -> Vec<Vec<u8>> {
+    fn received(rx: &UdpSocket) -> Vec<Vec<u8>> {
         rx.set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
         let mut buf = vec![0u8; 2048];
@@ -714,12 +441,135 @@ mod tests {
             .collect()
     }
 
+    /// Flush `tx` as a host would until it holds nothing: sleep to the
+    /// earliest held deadline, then send an empty outbox.
+    fn release_held(tx: &FaultySocket) {
+        while let Some(at) = tx.next_held() {
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            tx.send_all(&WakeupBatch::new());
+        }
+    }
+
+    #[test]
+    fn clean_config_is_identity() {
+        let (rx, to) = receiver();
+        let tx = sender(FaultConfig::none());
+        let batch = numbered(3, to);
+        tx.send_all(&batch);
+        assert_eq!(tx.next_held(), None);
+        assert_eq!(received(&rx), datagrams_for(&batch, to));
+    }
+
+    #[test]
+    fn send_drop_loses_every_datagram_at_p1() {
+        let (rx, to) = receiver();
+        let tx = sender(send_faults(1, DirFaults::dropping(1.0)));
+        tx.send_all(&numbered(5, to));
+        assert!(received(&rx).is_empty(), "all datagrams dropped");
+    }
+
+    #[test]
+    fn send_dup_doubles_every_datagram_at_p1() {
+        let (rx, to) = receiver();
+        let tx = sender(send_faults(2, DirFaults::duplicating(1.0)));
+        let mut batch = WakeupBatch::new();
+        batch.push(to, |arena| arena.extend_from_slice(b"once"));
+        tx.send_all(&batch);
+        assert_eq!(
+            received(&rx),
+            [b"once", b"once"],
+            "the duplicate arrives too"
+        );
+    }
+
+    #[test]
+    fn recv_dup_replays_the_datagram() {
+        let cfg = FaultConfig {
+            seed: 3,
+            recv: DirFaults::duplicating(1.0),
+            ..FaultConfig::none()
+        };
+        let rx = FaultySocket::bind("127.0.0.1:0", cfg).unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.send_to(b"pkt", rx.local_addr().unwrap()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let mut got = Vec::new();
+        let n = rx.recv_ready(&mut recv_scratch(), 16, |bytes, _| got.push(bytes.to_vec()));
+        assert_eq!((n, got), (2, vec![b"pkt".to_vec(); 2]), "queued duplicate");
+    }
+
+    #[test]
+    fn delayed_datagram_arrives_late() {
+        let (rx, to) = receiver();
+        let min = Duration::from_millis(80);
+        let delay = DirFaults::delaying(1.0, min, Duration::from_millis(120));
+        let tx = sender(send_faults(4, delay));
+        let mut batch = WakeupBatch::new();
+        batch.push(to, |arena| arena.extend_from_slice(b"slow"));
+        let t0 = Instant::now();
+        tx.send_all(&batch);
+        // Flushes before the deadline send nothing.
+        tx.send_all(&WakeupBatch::new());
+        rx.set_nonblocking(true).unwrap();
+        assert!(rx.recv(&mut [0u8; 8]).is_err(), "held, not sent");
+        rx.set_nonblocking(false).unwrap();
+        release_held(&tx);
+        assert_eq!(received(&rx), [b"slow"]);
+        assert!(t0.elapsed() >= min, "datagram was held back");
+    }
+
+    #[test]
+    fn held_frames_all_leave_once_due() {
+        // A burst of delayed datagrams all arrive, each once, and none
+        // before its lower delay bound.
+        let (rx, to) = receiver();
+        let delay = DirFaults::delaying(1.0, Duration::from_millis(10), Duration::from_millis(60));
+        let tx = sender(send_faults(7, delay));
+        let t0 = Instant::now();
+        let mut batch = WakeupBatch::new();
+        for i in 0..20u8 {
+            batch.push(to, |arena| arena.extend_from_slice(&[i]));
+        }
+        tx.send_all(&batch);
+        release_held(&tx);
+        assert!(t0.elapsed() >= Duration::from_millis(10));
+        let mut got: Vec<u8> = received(&rx).into_iter().map(|d| d[0]).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..20).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn dropping_the_socket_discards_pending_delays_without_panicking() {
+        let (rx, to) = receiver();
+        let delay = DirFaults::delaying(1.0, Duration::from_secs(5), Duration::from_secs(5));
+        let tx = sender(send_faults(8, delay));
+        tx.send_all(&numbered(1, to));
+        assert!(tx.next_held().is_some());
+        drop(tx); // the 5s-out datagram dies with the socket
+        assert!(received(&rx).is_empty(), "pending delayed send discarded");
+    }
+
+    #[test]
+    fn same_seed_same_fault_stream() {
+        let pattern = |seed| {
+            let (rx, to) = receiver();
+            sender(send_faults(seed, DirFaults::dropping(0.5))).send_all(&numbered(32, to));
+            received(&rx)
+        };
+        let first = pattern(9);
+        assert!(
+            !first.is_empty() && first.len() < 32,
+            "{} kept",
+            first.len()
+        );
+        assert_eq!(first, pattern(9));
+    }
+
     #[test]
     fn send_all_delivers_an_outbox_longer_than_one_vector_in_order() {
-        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        tx.set_nonblocking(true).unwrap();
-        let to = rx.local_addr().unwrap();
+        let (rx, to) = receiver();
+        let tx = sender(FaultConfig::none());
         let batch = numbered(75, to);
         tx.send_all(&batch);
         assert_eq!(received(&rx), datagrams_for(&batch, to));
@@ -730,11 +580,9 @@ mod tests {
         // An IPv4 socket cannot send to an IPv6 address: the kernel
         // refuses those datagrams, wherever they sit in the outbox, and
         // everything around them still goes out.
-        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        tx.set_nonblocking(true).unwrap();
+        let (rx, to) = receiver();
+        let tx = sender(FaultConfig::none());
         let bad: SocketAddr = "[::1]:9".parse().unwrap();
-        let to = rx.local_addr().unwrap();
         let mut batch = numbered(40, to);
         for at in [0, 1, 17, 32, 39] {
             batch.frames[at].0 = bad;
@@ -745,23 +593,86 @@ mod tests {
 
     #[test]
     fn send_all_goes_through_the_send_faults() {
-        let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).unwrap();
-        let drop_all = FaultConfig {
-            seed: 11,
-            send: DirFaults::dropping(1.0),
-            ..FaultConfig::none()
-        };
-        let tx = FaultySocket::bind("127.0.0.1:0", drop_all).unwrap();
-        let batch = numbered(40, rx.local_addr().unwrap());
-        tx.send_all(&batch);
+        let (rx, to) = receiver();
+        let batch = numbered(40, to);
+        sender(send_faults(11, DirFaults::dropping(1.0))).send_all(&batch);
         assert!(received(&rx).is_empty(), "every datagram dropped");
-        let dup_all = FaultConfig {
-            seed: 12,
-            send: DirFaults::duplicating(1.0),
+        sender(send_faults(12, DirFaults::duplicating(1.0))).send_all(&batch);
+        assert_eq!(received(&rx).len(), 80, "every datagram doubled");
+    }
+
+    #[test]
+    fn send_all_sends_exactly_what_the_filter_kept_in_order() {
+        // 75 frames, more than two send vectors: replaying the filter's
+        // decisions from the same seed predicts every datagram the
+        // receiver gets, duplicates beside their originals.
+        let (rx, to) = receiver();
+        let faults = DirFaults {
+            drop_prob: 0.3,
+            dup_prob: 0.3,
+            ..DirFaults::none()
+        };
+        let cfg = send_faults(13, faults);
+        let batch = numbered(75, to);
+        sender(cfg).send_all(&batch);
+        let mut replay = Filter::new(cfg, None);
+        let mut want = Vec::new();
+        let mut fates = [0; 3];
+        for bytes in datagrams_for(&batch, to) {
+            let fate = replay.send.fate(&mut replay.rng);
+            fates[fate.copies] += 1;
+            want.extend(std::iter::repeat_n(bytes, fate.copies));
+        }
+        assert!(
+            fates.iter().all(|&n| n > 0),
+            "drops, passes and dups: {fates:?}"
+        );
+        assert_eq!(received(&rx), want);
+    }
+
+    fn refused(cfg: FaultConfig) -> bool {
+        let bound = FaultySocket::bind("127.0.0.1:0", cfg);
+        matches!(bound, Err(e) if e.kind() == io::ErrorKind::InvalidInput)
+    }
+
+    #[test]
+    fn a_receive_side_delay_is_refused() {
+        let delay = DirFaults::delaying(0.1, Duration::ZERO, Duration::from_millis(5));
+        let cfg = FaultConfig {
+            recv: delay,
             ..FaultConfig::none()
         };
-        let tx = FaultySocket::bind("127.0.0.1:0", dup_all).unwrap();
-        tx.send_all(&batch);
-        assert_eq!(received(&rx).len(), 80, "every datagram doubled");
+        assert!(refused(cfg));
+        assert!(!refused(send_faults(0, delay)), "a send-side one is not");
+    }
+
+    #[test]
+    fn a_probability_outside_the_unit_interval_is_refused() {
+        for p in [-0.1, 1.5, f64::INFINITY] {
+            assert!(refused(send_faults(0, DirFaults::dropping(p))), "{p}");
+            let recv = FaultConfig {
+                recv: DirFaults::duplicating(p),
+                ..FaultConfig::none()
+            };
+            assert!(refused(recv), "{p}");
+        }
+        assert!(!refused(send_faults(0, DirFaults::dropping(1.0))));
+    }
+
+    #[test]
+    fn a_nan_probability_is_refused() {
+        let nan = DirFaults::delaying(f64::NAN, Duration::ZERO, Duration::ZERO);
+        assert!(refused(send_faults(0, nan)));
+        assert!(refused(send_faults(0, DirFaults::duplicating(f64::NAN))));
+    }
+
+    #[test]
+    fn an_inverted_delay_range_is_refused() {
+        let inverted = DirFaults::delaying(0.5, Duration::from_millis(9), Duration::from_millis(3));
+        assert!(refused(send_faults(0, inverted)));
+        let registry = Arc::new(Registry::new());
+        let observed =
+            FaultySocket::bind_observed("127.0.0.1:0", send_faults(0, inverted), Some(&registry));
+        assert!(observed.is_err(), "bind_observed refuses it too");
     }
 }

@@ -29,8 +29,9 @@ use crate::reactor::{decode_each, drain_ready, recv_scratch, TimerQueue, WakeupB
 /// Shortest poll timeout: epoll has millisecond resolution, and a
 /// sub-millisecond timeout must not busy-spin.
 const MIN_POLL: Duration = Duration::from_millis(1);
-/// Longest poll timeout: bounds how late the loop notices a stop request
-/// or a timer armed from another thread.
+/// Longest poll timeout: bounds how late the loop notices a stop request,
+/// a timer armed from another thread, or a frame held back by a send from
+/// one.
 const MAX_POLL: Duration = Duration::from_millis(25);
 /// Replies queued before a batch flushes early. One `sendmmsg` vector:
 /// a fuller outbox would not save a syscall, it would only make the
@@ -59,7 +60,8 @@ pub struct HostObs {
     /// Datagrams drained per such wakeup
     /// (`net.reactor.datagrams_per_wakeup`).
     pub datagrams_per_wakeup: Option<Arc<Histogram>>,
-    /// Datagrams that did not decode (`net.client.decode_errors`).
+    /// Datagrams that did not decode (`net.client.decode_errors` or
+    /// `net.server.decode_errors`).
     pub decode_errors: Option<Arc<Counter>>,
 }
 
@@ -139,17 +141,16 @@ impl<A: Actor<NetMsg, Event>> State<A> {
         self.activate(now, |a, ctx| a.on_message(from, net, msg, ctx));
     }
 
-    /// Fire every timer that is due: how many fired, and how long until
-    /// the next is due.
-    fn fire_due(&mut self) -> (usize, Option<Duration>) {
-        let (now, stamp) = (Instant::now(), SimTime(mono_now().0));
+    /// Fire every timer due at `now`: how many fired, and when the next
+    /// is due.
+    fn fire_due(&mut self, now: Instant) -> (usize, Option<Instant>) {
+        let stamp = SimTime(mono_now().0);
         let mut fired = 0;
         while let Some(token) = self.timers.pop_due(now) {
             self.activate(stamp, |a, ctx| a.on_timer(token, ctx));
             fired += 1;
         }
-        let next = self.timers.next_deadline();
-        (fired, next.map(|at| at.saturating_duration_since(now)))
+        (fired, self.timers.next_deadline())
     }
 }
 
@@ -166,12 +167,14 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Transmit, in order, what the activations queued, and wake the
+    /// Transmit, in order, what the activations queued, with any frame
+    /// the socket's fault filter held back that is now due, and wake the
     /// waiters if they observed anything. The arena and its frames are
     /// cleared for the next activations, their capacity kept: a host in
     /// steady state allocates nothing to send.
     fn flush(&self, st: &mut State<A>) {
-        if !st.outbox.is_empty() {
+        let held_due = |at| at <= Instant::now();
+        if !st.outbox.is_empty() || self.sock.next_held().is_some_and(held_due) {
             self.sock.send_all(&st.outbox);
             st.outbox.clear();
         }
@@ -181,10 +184,11 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
     }
 
     /// The reactor loop: fire due timers, wait for readiness bounded by
-    /// the next deadline, drain up to [`MAX_BATCH`] datagrams, hand them
-    /// to the actor in arrival order, and flush the replies a `sendmmsg`
-    /// vector at a time. A socket that is never empty delays due timers
-    /// by one batch at most. Everything drained is answered before a stop.
+    /// the next deadline (a timer's, or a frame's the fault filter holds),
+    /// drain up to [`MAX_BATCH`] datagrams, hand them to the actor in
+    /// arrival order, and flush the replies a `sendmmsg` vector at a
+    /// time. A socket that is never empty delays due timers by one batch
+    /// at most. Everything drained is answered before a stop.
     /// A pass is recorded as a wakeup only if it fired a due timer or
     /// drained a datagram: an idle poll timeout found no work.
     fn run(&self, mut poller: Poller, obs: HostObs) {
@@ -192,11 +196,13 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
         let mut batch = WakeupBatch::new();
         let mut msgs: Vec<(SocketAddr, NetMsg)> = Vec::new();
         loop {
-            let mut st = self.lock();
-            let (fired, next) = st.fire_due();
-            let wait = next.unwrap_or(MAX_POLL).clamp(MIN_POLL, MAX_POLL);
+            let (mut st, now) = (self.lock(), Instant::now());
+            let (fired, timer) = st.fire_due(now);
             self.flush(&mut st);
             drop(st);
+            let next = timer.into_iter().chain(self.sock.next_held()).min();
+            let wait = next.map_or(MAX_POLL, |at| at.saturating_duration_since(now));
+            let wait = wait.clamp(MIN_POLL, MAX_POLL);
             let ready = poller.wait(wait).is_ok_and(|tokens| !tokens.is_empty());
             // A stopped node must not answer what raced its stop.
             if self.stop.load(Ordering::SeqCst) {

@@ -28,8 +28,9 @@
 //!   have been outstanding at the crash has expired on its holder's own
 //!   clock.
 //! * [`FaultySocket`] — a seeded fault-injection shim (drop / duplicate /
-//!   delay, per direction) every host uses as its transport, so the
-//!   retry and dedup machinery is exercised against real datagram loss.
+//!   delay, per direction) every host uses as its transport: a filter on
+//!   each frame of the batched syscalls, so the retry and dedup machinery
+//!   is exercised against real datagram loss on the path that ships.
 //!
 //! Timestamps given to the sans-io actors are monotonic nanoseconds from
 //! a process-local epoch ([`mono_now`]), which is exactly the "local

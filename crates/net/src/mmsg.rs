@@ -3,11 +3,11 @@
 //! replies, in the same raw-`extern "C"` style as [`crate::poll`] — the
 //! libc `std` already links, no new dependency. Linux on 64-bit targets
 //! only (the struct layouts below are that ABI's); everywhere else
-//! [`FaultySocket`](crate::FaultySocket) keeps its per-datagram loop.
+//! [`FaultySocket`](crate::FaultySocket) loops one datagram per syscall.
 //!
-//! Nothing here knows about fault injection: `FaultySocket` calls in only
-//! when it has no faults configured, so the batched path can never
-//! bypass it.
+//! Nothing here knows about fault injection: `FaultySocket` is the only
+//! caller, and it filters each frame on its way in or out, so the batched
+//! path is the one every configuration runs.
 
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
 use std::os::fd::AsRawFd;

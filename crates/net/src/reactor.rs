@@ -171,10 +171,11 @@ impl WakeupBatch {
 /// Drain every ready datagram (up to `max_frames`) from `sock` into
 /// `batch`: recv until `WouldBlock`, the contract that makes one wakeup
 /// observe the entire backlog. `scratch` is the fixed receive buffer from
-/// [`recv_scratch`], reused across calls; where the socket can batch its
+/// [`recv_scratch`], reused across calls; where the socket batches its
 /// receives ([`FaultySocket::recv_ready`]) each of its [`MAX_DATAGRAM`]
-/// slots takes one datagram per syscall. Returns the number of datagrams
-/// drained.
+/// slots takes one datagram per syscall. Returns the number of frames
+/// drained: the datagrams received, less those the socket's fault filter
+/// dropped, plus the copies it made.
 pub fn drain_ready(
     sock: &FaultySocket,
     scratch: &mut [u8],
@@ -264,7 +265,7 @@ mod tests {
     #[test]
     fn drain_empties_the_entire_backlog_in_one_wakeup() {
         let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).expect("bind rx");
-        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).expect("bind tx");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
         let addr = rx.local_addr().expect("addr");
         for i in 0..17u8 {
             tx.send_to(&[i; 3], addr).expect("send");
@@ -285,7 +286,7 @@ mod tests {
     #[test]
     fn drain_respects_the_frame_cap() {
         let rx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).expect("bind rx");
-        let tx = FaultySocket::bind("127.0.0.1:0", FaultConfig::none()).expect("bind tx");
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
         let addr = rx.local_addr().expect("addr");
         for _ in 0..8 {
             tx.send_to(b"x", addr).expect("send");
@@ -300,9 +301,10 @@ mod tests {
 
     /// `per_peer` numbered datagrams from each of `peers` sockets bound
     /// to `bind`, plus one near-`MAX_DATAGRAM` datagram from the first:
-    /// every one must come out of the drain once, whole, under its
-    /// sender's address — however many receive vectors that takes.
-    fn drain_a_burst(bind: &str, faults: FaultConfig, peers: usize, per_peer: u8) {
+    /// `copies` of every one (0, 1 or 2, as `faults` decide) must come out
+    /// of the drain, whole, side by side, under its sender's address —
+    /// however many receive vectors that takes.
+    fn drain_a_burst(bind: &str, faults: FaultConfig, copies: usize, peers: usize, per_peer: u8) {
         let rx = FaultySocket::bind(bind, faults).expect("bind rx");
         let addr = rx.local_addr().expect("addr");
         let txs: Vec<UdpSocket> = (0..peers)
@@ -319,11 +321,15 @@ mod tests {
         rx.set_nonblocking(true).expect("nonblocking");
         let mut batch = WakeupBatch::new();
         let mut scratch = recv_scratch();
-        let expected = 1 + peers * per_peer as usize;
-        assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), expected);
+        let sent = 1 + peers * per_peer as usize;
+        let drained = drain_ready(&rx, &mut scratch, &mut batch, 1024);
+        assert_eq!(drained, copies * sent);
+        let frames: Vec<(SocketAddr, &[u8])> = batch.iter().collect();
         let mut next_seq = vec![0u8; peers];
         let mut bigs = 0;
-        for (peer, bytes) in batch.iter() {
+        for same in frames.chunks(copies.max(1)) {
+            let (peer, bytes) = same[0];
+            assert!(same.iter().all(|f| *f == same[0]), "copies side by side");
             let i = txs
                 .iter()
                 .position(|tx| tx.local_addr().expect("addr") == peer)
@@ -336,15 +342,25 @@ mod tests {
                 next_seq[i] += 1;
             }
         }
-        assert_eq!(bigs, 1);
-        assert_eq!(next_seq, vec![per_peer; peers]);
+        let kept = copies.min(1);
+        assert_eq!(bigs, kept);
+        assert_eq!(next_seq, vec![per_peer * kept as u8; peers]);
         assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), 0);
+    }
+
+    /// Receive faults that make every datagram's fate `recv`'s.
+    fn receiving(recv: DirFaults) -> FaultConfig {
+        FaultConfig {
+            seed: 5,
+            recv,
+            ..FaultConfig::none()
+        }
     }
 
     #[test]
     fn drain_spans_receive_vectors_and_keeps_every_peer_address() {
         // 9 × 8 + 1 = 73 datagrams: more than two 32-slot vectors.
-        drain_a_burst("127.0.0.1:0", FaultConfig::none(), 9, 8);
+        drain_a_burst("127.0.0.1:0", FaultConfig::none(), 1, 9, 8);
     }
 
     #[test]
@@ -352,31 +368,25 @@ mod tests {
         if UdpSocket::bind("[::1]:0").is_err() {
             return; // no IPv6 loopback on this host
         }
-        drain_a_burst("[::1]:0", FaultConfig::none(), 3, 12);
+        drain_a_burst("[::1]:0", FaultConfig::none(), 1, 3, 12);
     }
 
     #[test]
-    fn a_faulty_socket_drains_one_datagram_at_a_time_with_its_faults_applied() {
-        // Every datagram duplicated on receive: the injected copies can
-        // only appear if the drain went through `recv_from`.
-        let faults = FaultConfig {
-            seed: 5,
-            recv: DirFaults::duplicating(1.0),
-            ..FaultConfig::none()
-        };
-        let rx = FaultySocket::bind("127.0.0.1:0", faults).expect("bind rx");
-        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
-        for i in 0..40u8 {
-            tx.send_to(&[i], rx.local_addr().expect("addr"))
-                .expect("send");
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        rx.set_nonblocking(true).expect("nonblocking");
-        let mut batch = WakeupBatch::new();
-        let mut scratch = recv_scratch();
-        assert_eq!(drain_ready(&rx, &mut scratch, &mut batch, 1024), 80);
-        let got: Vec<u8> = batch.iter().map(|(_, bytes)| bytes[0]).collect();
-        let want: Vec<u8> = (0..40u8).flat_map(|i| [i, i]).collect();
-        assert_eq!(got, want);
+    fn drain_duplicates_every_datagram_in_place_across_receive_vectors() {
+        // The same 73-datagram burst through a receive filter that
+        // duplicates everything: 146 frames, each beside its twin.
+        drain_a_burst(
+            "127.0.0.1:0",
+            receiving(DirFaults::duplicating(1.0)),
+            2,
+            9,
+            8,
+        );
+    }
+
+    #[test]
+    fn drain_hands_over_nothing_when_every_datagram_is_dropped() {
+        // The backlog is still consumed: the next drain finds it empty.
+        drain_a_burst("127.0.0.1:0", receiving(DirFaults::dropping(1.0)), 0, 9, 8);
     }
 }

@@ -98,8 +98,8 @@ impl LeaseServer {
     }
 
     /// [`spawn`](Self::spawn) with an observability registry: records the
-    /// `server.batch.exec_ns` execution histogram and the
-    /// `net.reactor.*` loop instruments.
+    /// `server.batch.exec_ns` execution histogram, the `net.reactor.*`
+    /// loop instruments and `net.server.decode_errors`.
     pub fn spawn_observed(
         addr: &str,
         cfg: NetServerConfig,
@@ -127,7 +127,7 @@ impl LeaseServer {
             wakeups: registry.map(|r| r.counter_def(&names::NET_REACTOR_WAKEUPS)),
             datagrams_per_wakeup: registry
                 .map(|r| r.histogram_def(&names::NET_REACTOR_DATAGRAMS_PER_WAKEUP)),
-            decode_errors: None,
+            decode_errors: registry.map(|r| r.counter_def(&names::NET_SERVER_DECODE_ERRORS)),
         };
         // No static peers: clients are numbered from 1 on first contact.
         let host = Host::spawn(server, sock, Vec::new(), None, cfg.faults.seed, obs)?;

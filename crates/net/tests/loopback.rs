@@ -539,6 +539,26 @@ fn observed_server_records_reactor_and_batch_instruments() {
 }
 
 #[test]
+fn datagrams_tankd_cannot_decode_are_counted() {
+    let registry = std::sync::Arc::new(tank_obs::Registry::new());
+    let server = LeaseServer::spawn_observed("127.0.0.1:0", server_cfg(), Some(&registry)).unwrap();
+    let noise = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for junk in [&b"\xff noise"[..], &[0xFF; 7], &[]] {
+        noise.send_to(junk, server.addr).unwrap();
+    }
+    // The hello queues behind the noise, so its answer means the noise
+    // was drained and decoded first.
+    let mut peer = RawPeer::hello(server.addr);
+    assert!(peer.call(RequestBody::GetAttr { ino: ROOT }).is_ok());
+    let stats = server.stop();
+    assert_eq!(stats.requests, 2, "the noise reached no request path");
+    assert_eq!(
+        registry.snapshot().counter("net.server.decode_errors"),
+        Some(3)
+    );
+}
+
+#[test]
 fn mutations_are_stamped_with_the_wakeups_clock_reading() {
     let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
     let mut peer = RawPeer::hello(server.addr);

@@ -423,6 +423,34 @@ fn observed_client_records_rtt_and_fault_metrics() {
 }
 
 #[test]
+fn delayed_client_sends_reorder_but_every_create_completes_once() {
+    let server = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
+    let registry = Arc::new(Registry::new());
+    // 30% of this client's datagrams (requests AND keep-alives) are held
+    // 5–40 ms by its socket and leave from its host's loop once due, so
+    // later sends overtake them.
+    let delay = DirFaults::delaying(0.3, Duration::from_millis(5), Duration::from_millis(40));
+    let faults = FaultConfig {
+        seed: 11,
+        send: delay,
+        ..FaultConfig::none()
+    };
+    let addr = server.addr.to_string();
+    let client = TankClient::connect(&addr, config(), faults, Some(&registry)).unwrap();
+    for i in 0..10 {
+        assert_eq!(client.run(create(&format!("/d{i}"))), DONE);
+    }
+    match client.run(list("/")) {
+        Ok(FsData::Entries(names)) => assert_eq!(names.len(), 10),
+        other => panic!("list: {other:?}"),
+    }
+    drop(client);
+    server.stop();
+    let delayed = registry.snapshot().counter("net.fault.send_delayed");
+    assert!(delayed.unwrap_or(0) > 0, "some send was held: {delayed:?}");
+}
+
+#[test]
 fn a_suspect_lease_admits_nothing_until_the_server_is_back() {
     let s1 = LeaseServer::spawn("127.0.0.1:0", server_cfg()).unwrap();
     let addr = s1.addr.to_string();

@@ -416,6 +416,11 @@ pub const NET_CLIENT_DECODE_ERRORS: MetricDef = counter(
     "net.client.decode_errors",
     "datagrams that failed to decode in the client's host loop",
 );
+/// Datagrams that failed to decode in `tankd`'s host loop.
+pub const NET_SERVER_DECODE_ERRORS: MetricDef = counter(
+    "net.server.decode_errors",
+    "datagrams that failed to decode in the server's host loop",
+);
 /// Reactor wakeups (poll returns with ≥1 ready event or a due timer).
 pub const NET_REACTOR_WAKEUPS: MetricDef = counter("net.reactor.wakeups", "reactor poll wakeups");
 /// Datagrams drained from the socket per reactor wakeup.
@@ -498,6 +503,7 @@ pub const ALL: &[MetricDef] = &[
     NET_FAULT_RECV_DROPPED,
     NET_FAULT_RECV_DUP,
     NET_CLIENT_DECODE_ERRORS,
+    NET_SERVER_DECODE_ERRORS,
     NET_REACTOR_WAKEUPS,
     NET_REACTOR_DATAGRAMS_PER_WAKEUP,
 ];
