@@ -1,6 +1,7 @@
 //! L7 `phase-gated-cache-access`: the client's lock-protected cache —
 //! blocks, and the attributes cached beside them — is only touched through
-//! its two gates, and only from the two files that own it.
+//! its two gates, and only from the code that owns it: the cache's own
+//! file and the client's `node` module tree.
 //!
 //! CACHING.md's coherence contract hangs on two funnels: cached data is
 //! *served* only while the lane's lease phase allows it (`cache_usable`,
@@ -13,7 +14,8 @@
 //! Five clauses:
 //!
 //! 1. the `BlockCache` type is confined to `client/src/cache.rs` (its
-//!    home) and `client/src/node.rs` (its one consumer); any other
+//!    home) and the `node` module tree, `client/src/node.rs` and every
+//!    file under `client/src/node/` (its one consumer); any other
 //!    mention is a violation (`client/src/lib.rs` re-exports it for the
 //!    cache's own integration tests, on the committed allowlist);
 //! 2. a function that calls `.fill(` on the cache must consult
@@ -31,13 +33,20 @@ use crate::source::SourceFile;
 
 use super::scan;
 
-const CACHE_FILES: &[&str] = &["crates/client/src/cache.rs", "crates/client/src/node.rs"];
+/// The cache's home.
+const CACHE_HOME: &str = "crates/client/src/cache.rs";
+
+/// Whether `rel` belongs to the cache's one consumer: the client's `node`
+/// module, whose code is split over `node.rs` and its child modules.
+fn in_node_tree(rel: &str) -> bool {
+    rel == "crates/client/src/node.rs" || rel.starts_with("crates/client/src/node/")
+}
 
 pub fn check(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     for f in files {
         let toks = &f.tokens;
-        if !CACHE_FILES.contains(&f.rel.as_str()) {
+        if f.rel != CACHE_HOME && !in_node_tree(&f.rel) {
             for t in toks {
                 if t.is_ident("BlockCache") {
                     out.push(Violation {
@@ -45,9 +54,10 @@ pub fn check(files: &[SourceFile]) -> Vec<Violation> {
                         line: t.line,
                         col: t.col,
                         lint: "L7".into(),
-                        message: "`BlockCache` outside client/src/{cache,node}.rs: every \
-                                  cache access must flow through the gated paths in \
-                                  node.rs, not reach the cache directly"
+                        message: "`BlockCache` outside client/src/cache.rs and the \
+                                  client's `node` module tree: every cache access must \
+                                  flow through the gated paths there, not reach the \
+                                  cache directly"
                             .into(),
                     });
                 }
@@ -57,7 +67,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Violation> {
         // Inside the owning files the gates themselves apply. The cache
         // implementation file defines fill/get; only the consumer is
         // held to the gate rule.
-        if f.rel != "crates/client/src/node.rs" {
+        if !in_node_tree(&f.rel) {
             continue;
         }
         for (start, end) in scan::fn_bodies(toks) {
@@ -159,6 +169,23 @@ mod tests {
             "fn on_resp(&mut self) { self.cache.fill(ino, idx, data, tag); }",
         );
         assert_eq!(check(&[f]).len(), 1);
+    }
+
+    #[test]
+    fn the_node_module_tree_is_held_to_the_gates_and_may_name_the_cache() {
+        let f = SourceFile::parse(
+            "crates/client/src/node/data.rs",
+            "fn on_resp(&mut self, c: &BlockCache) { self.cache.fill(ino, idx, data, tag); }",
+        );
+        let v = check(&[f]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("may_admit"));
+        let f = SourceFile::parse("crates/client/src/nodes.rs", "fn f(c: &BlockCache) {}");
+        assert_eq!(
+            check(&[f]).len(),
+            1,
+            "a sibling named like the tree is not in it"
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub const LINTS: &[LintInfo] = &[
         summary: "the client's lock-protected cache stays behind its two gates: block \
                   fills and attribute stores consult `may_admit`, block and attribute \
                   serve paths consult `cache_usable`, and `BlockCache` never escapes \
-                  client/src/{cache,node}.rs",
+                  client/src/cache.rs and the node module tree (node.rs, node/*.rs)",
         check: cache_gate::check,
     },
     LintInfo {

@@ -283,6 +283,33 @@ fn l7_fires_on_ungated_cache_fill() {
 }
 
 #[test]
+fn l7_fires_on_ungated_cache_fill_in_a_child_module_of_node() {
+    // The client's node module is split over node.rs and node/*.rs: the
+    // gates hold in every file of the tree, and the cache may be named
+    // there.
+    let fixture = Fixture::new(
+        "l7-fill-child",
+        &[(
+            "crates/client/src/node/data.rs",
+            "use crate::cache::BlockCache;\n\nimpl ClientNode {\n    fn on_resp(&mut self) {\n        \
+             self.cache.fill(ino, idx, data, tag);\n    }\n}\n",
+        )],
+    );
+    let report = fixture.check();
+    let l7: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.lint == "L7")
+        .collect();
+    assert_eq!(l7.len(), 1, "{}", report.to_text());
+    assert!(
+        l7[0].line == 5 && l7[0].message.contains("may_admit"),
+        "{}",
+        report.to_text()
+    );
+}
+
+#[test]
 fn l7_fires_on_ungated_cached_attr_serve() {
     let fixture = Fixture::new(
         "l7-attr-serve",
