@@ -14,8 +14,8 @@ use tank_client::{ClientConfig, ClientNode, FsErr, FsOp, OpGen};
 use tank_core::LeaseConfig;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Event, Incarnation, Ino, NackReason, NetMsg, NodeId, ReqSeq, Request, Response,
-    SessionId,
+    CtlMsg, Event, Incarnation, Ino, NackReason, NetMsg, NodeId, PushBody, ReqSeq, Request,
+    Response, ServerPush, SessionId,
 };
 use tank_sim::world::Control;
 use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
@@ -40,6 +40,13 @@ struct ScriptedServer {
     hellos: u64,
     /// Requests that arrived under no session, refused as stale.
     sessionless: u64,
+    /// Push an invalidation to the client when the lost Hello arrives,
+    /// and hold the stale NACKs back until a Hello is answered: they
+    /// then land after the session they do not belong to has opened.
+    push_before_session: bool,
+    held: Vec<Response>,
+    /// Keep-alives that arrived.
+    keepalives: u64,
 }
 
 impl ScriptedServer {
@@ -58,7 +65,7 @@ impl ScriptedServer {
             RequestBody::GetAttr { .. } => ReplyBody::Attr {
                 attr: FileAttr::default(),
             },
-            RequestBody::KeepAlive => ReplyBody::Ok,
+            RequestBody::KeepAlive | RequestBody::PushAck { .. } => ReplyBody::Ok,
             unexpected => panic!("the scripted server has no answer to {unexpected:?}"),
         })
     }
@@ -114,8 +121,20 @@ impl Actor<NetMsg, Event> for ScriptedServer {
         if hello {
             self.hellos += 1;
             if self.lose_first_hello && self.hellos == 1 {
+                if self.push_before_session {
+                    let push = ServerPush {
+                        dst: from,
+                        session: SessionId(0),
+                        push_seq: 1,
+                        body: PushBody::Invalidate { ino: ino_of("a") },
+                    };
+                    ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Push(push)));
+                }
                 return;
             }
+        }
+        if matches!(body, RequestBody::KeepAlive) {
+            self.keepalives += 1;
         }
         if self.ignores(&body) {
             return;
@@ -134,7 +153,15 @@ impl Actor<NetMsg, Event> for ScriptedServer {
             incarnation: Incarnation(1),
             outcome,
         };
+        if self.push_before_session && !hello && session == SessionId(0) {
+            return self.held.push(resp);
+        }
         ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Response(resp)));
+        if hello {
+            for resp in std::mem::take(&mut self.held) {
+                ctx.send(NetId::CONTROL, from, NetMsg::Ctl(CtlMsg::Response(resp)));
+            }
+        }
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, NetMsg, Event>) {}
@@ -292,15 +319,41 @@ fn nothing_fires_for_the_requests_of_a_life_before_a_restart() {
 }
 
 #[test]
-fn a_nack_for_a_request_sent_before_the_session_opened_leaves_the_session_alone() {
+fn a_lost_first_hello_sends_nothing_without_a_session() {
     // The first Hello is lost and its copy leaves at 250 ms. The lease
     // its ACK grants runs from the first send, so that ACK finds a
-    // keep-alive due and the client sends one before the reply's session
-    // is recorded: it carries no session, and the server refuses it as
-    // stale. That NACK speaks of no session the client holds: the stat
-    // after it is served under the session the Hello opened.
+    // keep-alive due before the reply's session is recorded. The
+    // keep-alive waits for the session: the server sees no request
+    // without one, and keep-alives under the session that opened.
     let srv = ScriptedServer {
         lose_first_hello: true,
+        ..ScriptedServer::default()
+    };
+    let lease = LeaseConfig::with_tau(ms(600));
+    let script = Script::new().at(ms(400), stat("/a"));
+    let (mut w, s, c) = world(srv, lease, script);
+    w.run_until(SimTime::from_millis(1_000));
+    let srv = server(&w, s);
+    assert_eq!(srv.hellos, 2, "one session, opened by the retransmission");
+    assert_eq!(srv.sessionless, 0, "no request left without a session");
+    assert!(srv.keepalives > 0, "the lease was kept alive");
+    let results: Vec<_> = client(&w, c).results().map(|(_, r)| r.clone()).collect();
+    assert_eq!(results.len(), 1);
+    assert!(results[0].is_ok(), "{results:?}");
+}
+
+#[test]
+fn a_nack_for_a_request_sent_before_the_session_opened_leaves_the_session_alone() {
+    // The first Hello is lost and its copy leaves at 250 ms. Meanwhile
+    // the server pushes an invalidation, and the client acks it with no
+    // session to stamp. The server refuses the ack as stale, and the
+    // refusal lands just after the retransmitted Hello's reply. That
+    // NACK speaks of no session the client holds: no third Hello
+    // follows, and the stat after it is served under the session the
+    // Hello opened.
+    let srv = ScriptedServer {
+        lose_first_hello: true,
+        push_before_session: true,
         ..ScriptedServer::default()
     };
     let lease = LeaseConfig::with_tau(ms(600));
