@@ -21,7 +21,8 @@
 //!   1–2). No SAN exists here, so the server carries metadata + locks
 //!   only and fences nothing: a steal is direct (the "Fencing before a
 //!   steal" row of DESIGN.md §15's difference table). Everything
-//!   lease-related is the real protocol: opportunistic renewal, NACKs for
+//!   lease-related is the real protocol, decided in the core as it is in
+//!   the simulator: opportunistic renewal, NACKs for
 //!   suspect clients, `τ(1+ε)` timers, steal-on-expiry, and the
 //!   fail-stop recovery grace window (`--recover`): a restarted server
 //!   refuses grants and mutations for `τ(1+ε)` so every lease that might

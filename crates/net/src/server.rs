@@ -1,9 +1,10 @@
 //! The UDP lease/lock/metadata server: [`ServerCore`], the request path
 //! the simulator's server runs too, as an [`Actor`] on the [`Host`]. A
-//! request datagram is one `on_request`; a core effect is a send or a
-//! timer — push retries, release waits, lease expiries and the recovery
-//! window all fire on the host's one thread. DESIGN.md §15 walks the
-//! architecture.
+//! request datagram is one `on_request`, a fired timer one `timer_fired`;
+//! the core arms and decides every timer (push retries, release waits,
+//! lease expiries, the recovery window), and this driver only sends,
+//! sets timers and steals — there is no SAN to fence. DESIGN.md §15 walks
+//! the architecture.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use tank_obs::{names, Histogram, Registry};
 use tank_proto::message::{FsError, RequestBody};
 use tank_proto::{CtlMsg, Event, Incarnation, LockMode, NetMsg, NodeId};
 use tank_server::lock::LockManager;
-use tank_server::{DemandLadder, Effect, LadderTimer, ServerConfig, ServerCore, ServerStats};
+use tank_server::{CoreTimer, DemandLadder, Effect, ServerConfig, ServerCore, ServerStats};
 use tank_sim::{Actor, NetId, TokenMap};
 
 use crate::fault::{FaultConfig, FaultySocket};
@@ -58,19 +59,12 @@ impl Default for NetServerConfig {
     }
 }
 
-/// The server's timers.
-enum TimerEv {
-    Ladder(LadderTimer),
-    LeaseExpiry(NodeId),
-    RecoveryDone,
-}
-
 /// `tankd`'s node: the request path, its timers and its one instrument.
 /// Requests and timers run against it one at a time, to completion.
 pub struct LeaseServer {
     /// The request path, shared with the simulator's `ServerNode`.
     core: ServerCore,
-    timers: TokenMap<TimerEv>,
+    timers: TokenMap<CoreTimer>,
     /// Wall-clock vectored-batch execution histogram (when observed).
     batch_exec_ns: Option<Arc<Histogram>>,
 }
@@ -117,7 +111,10 @@ impl LeaseServer {
         };
         let mut core = ServerCore::new(&shard, 1 << 16, 4096);
         core.incarnation = Incarnation(cfg.incarnation);
-        core.recovering = cfg.recover;
+        if cfg.recover {
+            // Its timer is set when `on_start` drains.
+            core.begin_recovery();
+        }
         let server = LeaseServer {
             core,
             timers: TokenMap::new(),
@@ -140,15 +137,20 @@ impl LeaseServer {
         while let Some(effect) = self.core.next_effect() {
             match effect {
                 Effect::Respond(resp) => {
-                    let msg = NetMsg::Ctl(CtlMsg::Response(resp.clone()));
-                    ctx.send(NetId::CONTROL, resp.dst, msg);
+                    let dst = resp.dst;
+                    ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Response(resp)));
                 }
                 Effect::Push { push, .. } => {
                     ctx.send(NetId::CONTROL, push.dst, NetMsg::Ctl(CtlMsg::Push(push)));
                 }
                 Effect::Arm(after, timer) => {
-                    let token = self.timers.insert(TimerEv::Ladder(timer));
+                    let token = self.timers.insert(timer);
                     ctx.set_timer(after, token);
+                }
+                // No SAN sits behind this server, so fencing is a no-op
+                // and the steal happens directly (DESIGN.md §15, row 3).
+                Effect::Steal(client) | Effect::Fence(client) => {
+                    self.core.steal(client, ctx.now());
                 }
                 // Metadata is RAM-only here (DESIGN.md §15, row 2), and
                 // nothing consumes an event log.
@@ -160,14 +162,7 @@ impl LeaseServer {
 
 impl Actor<NetMsg, Event> for LeaseServer {
     fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
-        if self.core.recovering {
-            // Diskless recovery (§6): every lease that might have been
-            // live at the crash expires on its holder's clock within
-            // τ(1+ε) of it — and the crash predates our startup.
-            let grace = self.core.authority.config().server_timeout();
-            let token = self.timers.insert(TimerEv::RecoveryDone);
-            ctx.set_timer(grace, token);
-        }
+        self.drain(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, _net: NetId, msg: NetMsg, ctx: &mut NetCtx<'_>) {
@@ -186,32 +181,10 @@ impl Actor<NetMsg, Event> for LeaseServer {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut NetCtx<'_>) {
-        let Some(ev) = self.timers.take(token) else {
-            return;
-        };
-        let now = ctx.now();
-        match ev {
-            TimerEv::Ladder(timer) => {
-                // `client` went unanswered through the demand ladder and
-                // has not been ACKed since `since`: its lease wait began
-                // there, not now.
-                if let Some((client, since)) = self.core.ladder_fired(timer, now) {
-                    if let Some(fires_at) = self.core.authority.on_delivery_error(client, since) {
-                        let token = self.timers.insert(TimerEv::LeaseExpiry(client));
-                        ctx.set_timer(fires_at.minus(now), token);
-                    }
-                }
-            }
-            TimerEv::LeaseExpiry(client) => {
-                if self.core.authority.on_timer(client, now) {
-                    // No SAN sits behind this server, so fencing is a
-                    // no-op and the steal happens directly.
-                    self.core.steal(client, now);
-                }
-            }
-            TimerEv::RecoveryDone => self.core.recovering = false,
+        if let Some(timer) = self.timers.take(token) {
+            self.core.timer_fired(timer, ctx.now());
+            self.drain(ctx);
         }
-        self.drain(ctx);
     }
 }
 

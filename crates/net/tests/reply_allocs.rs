@@ -52,8 +52,8 @@ static COUNTING: Counting = Counting;
 const GETATTR_ALLOCS: f64 = 1.0;
 /// Measured steady state: allocations per 32-op batch of `GetAttr` and
 /// `Lookup` answered — that buffer, the request's element list and its 16
-/// names, the reply's outcome list (the replay cache keeps it) and the
-/// copy of it the send takes.
+/// names, the reply's outcome list (the send takes it) and the copy of it
+/// the replay cache keeps.
 const BATCH_ALLOCS: f64 = 20.0;
 /// Room for the rare allocation that is not per request (a spurious
 /// wakeup's empty receive batch); a buffer per reply costs two.

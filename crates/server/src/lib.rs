@@ -14,16 +14,20 @@
 //! * per-client [`SessionTable`] state — session incarnations, at-most-once
 //!   windows, response caching for duplicate suppression.
 //!
-//! Two drivers carry out the [`Effect`]s it queues: the simulator's
-//! [`ServerNode`] actor and `tank-net`'s UDP reactor (`tankd`). The node
-//! adds what needs disks, a log or a standby: the write-ahead log and its
-//! group commit, replication, and a [`FenceController`] that constructs
-//! fences at the SAN disks before locks are stolen (§6: "at the same time
-//! the server times-out a client's locks, it constructs a fence between
-//! that client and its storage devices").
+//! The core also arms and decides every lease timer ([`CoreTimer`]: the
+//! demand ladder, the lease expiry, the steal grace, the recovery
+//! window). Two drivers carry out the [`Effect`]s it queues: the
+//! simulator's [`ServerNode`] actor and `tank-net`'s UDP reactor
+//! (`tankd`); a driver only fences or steals. The node adds what needs
+//! disks, a log or a standby: the write-ahead log and its group commit,
+//! replication, and a [`FenceController`] that constructs fences at the
+//! SAN disks before locks are stolen (§6: "at the same time the server
+//! times-out a client's locks, it constructs a fence between that client
+//! and its storage devices").
 //!
-//! The [`RecoveryPolicy`] knob selects what happens when a client stops
-//! responding, which is exactly the axis the paper's argument runs along:
+//! The [`RecoveryPolicy`] knob, applied by the core, selects what happens
+//! when a client stops responding, which is exactly the axis the paper's
+//! argument runs along:
 //! honor locks forever (§2's indefinite unavailability), steal immediately
 //! (traditional servers — unsafe on a SAN), fence-then-steal (§2.1's
 //! inadequate fix), or the paper's lease protocol with fencing.
@@ -43,5 +47,5 @@ pub use fence::FenceController;
 pub use lock::{LockManager, LockRequestOutcome};
 pub use node::ServerNode;
 pub use obs::ServerObs;
-pub use request::{Admit, Effect, ServerCore, ServerStats};
+pub use request::{Admit, CoreTimer, Effect, ServerCore, ServerStats};
 pub use session::SessionTable;

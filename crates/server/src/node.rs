@@ -2,18 +2,20 @@
 //! request path.
 //!
 //! Every client request is answered by the node's [`ServerCore`] — gates,
-//! Hello, session window, dispatch and grant answers. The node carries out
-//! what the core decides (the log append, the group commit before every
-//! response, sends, timers, counters, traces and events) and keeps what
-//! only a server with disks, a log and a standby has: the
-//! [`RecoveryPolicy`] a delivery error engages, fencing before a steal
-//! (§6), `harden_grace`, WAL recovery and replication. A standby NACKs
-//! every request before the core sees it.
+//! Hello, session window, dispatch and grant answers — and every lease
+//! timer is armed and decided there: the demand ladder, the lease expiry
+//! the [`RecoveryPolicy`](crate::RecoveryPolicy) starts, `harden_grace`
+//! and the recovery window. The node carries out what the core decides
+//! (the log append, the group commit before every response, sends,
+//! timers, counters, traces and events) and keeps what only a server with
+//! disks, a log and a standby has: fencing before a steal (§6), WAL
+//! recovery and replication. A standby NACKs every request before the
+//! core sees it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tank_core::{ClientStanding, LeaseAuthority};
+use tank_core::LeaseAuthority;
 use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermarks};
 use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
@@ -23,27 +25,17 @@ use tank_proto::{
 };
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
-use crate::config::{RecoveryPolicy, ServerConfig};
-use crate::demand::LadderTimer;
+use crate::config::ServerConfig;
 use crate::fence::FenceController;
 use crate::lock::LockManager;
 use crate::obs::ServerObs;
-use crate::request::{Effect, ServerCore, ServerStats};
+use crate::request::{CoreTimer, Effect, ServerCore, ServerStats};
 
 /// Timer tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerTimer {
-    /// The demand ladder's retry and release-wait timers.
-    Ladder(LadderTimer),
-    /// The lease authority's τ(1+ε) timer for a client.
-    LeaseExpiry(NodeId),
-    /// Steal-side grace for in-flight hardens: the lease expired (the
-    /// client is condemned and NACKed) but the fence-and-steal waits
-    /// `harden_grace` for SAN writes the client issued before its own
-    /// expiry to land.
-    StealGrace(NodeId),
-    /// The post-restart recovery grace window elapsed.
-    RecoveryDone,
+    /// One the core armed, handed back to it.
+    Core(CoreTimer),
     /// Periodic replication beat: the primary retransmits/heartbeats, the
     /// standby checks its election clock. Armed only when a peer is wired.
     ReplTick,
@@ -153,7 +145,7 @@ impl<Ob> ServerNode<Ob> {
 
     /// The lease authority (accounting access for the experiments).
     pub fn authority(&self) -> &LeaseAuthority {
-        &self.core.authority
+        self.core.authority()
     }
 
     /// Responses held in the session replay caches: the at-most-once
@@ -353,7 +345,6 @@ impl<Ob> ServerNode<Ob> {
         while let Some(effect) = self.core.next_effect() {
             match effect {
                 Effect::Respond(resp) => {
-                    let resp = resp.clone();
                     if let (ResponseOutcome::Nacked(reason), Some(obs)) = (&resp.outcome, &self.obs)
                     {
                         match reason {
@@ -384,13 +375,40 @@ impl<Ob> ServerNode<Ob> {
                     }
                     ctx.send(NetId::CONTROL, push.dst, NetMsg::Ctl(CtlMsg::Push(push)));
                 }
-                Effect::Arm(after, timer) => {
-                    let token = self.timers.insert(ServerTimer::Ladder(timer));
-                    ctx.set_timer(after, token);
-                }
+                Effect::Arm(after, timer) => self.arm(after, timer, ctx),
                 Effect::Log(rec) => self.wal_append(&rec),
                 Effect::Event(ev) => self.on_event(ev, ctx),
+                Effect::Fence(client) => self.begin_fence(client, ctx),
+                Effect::Steal(client) => self.steal(client, ctx),
             }
+        }
+    }
+
+    /// Set a core timer; a lease expiry's arming is counted and traced,
+    /// and its steal latency measured from here.
+    fn arm(&mut self, after: LocalNs, timer: CoreTimer, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let token = self.timers.insert(ServerTimer::Core(timer));
+        ctx.set_timer(after, token);
+        let now = ctx.now();
+        if let CoreTimer::LeaseExpiry(client, _) = timer {
+            self.condemn_armed_at.entry(client).or_insert(now);
+        }
+        let Some(obs) = &self.obs else {
+            return;
+        };
+        match timer {
+            CoreTimer::LeaseExpiry(client, since) => {
+                obs.condemn_armed.inc();
+                obs.trace(ctx, "condemn-armed", || {
+                    let overlap = now.minus(since).0;
+                    let (n, after, since) = (client.0, after.0, since.0);
+                    format!("client=n{n} fires_in_ns={after} since_ns={since} overlap_ns={overlap}")
+                });
+            }
+            CoreTimer::StealGrace(client) => obs.trace(ctx, "steal-grace", || {
+                format!("client=n{} fires_in_ns={}", client.0, after.0)
+            }),
+            CoreTimer::Ladder(_) | CoreTimer::RecoveryDone => {}
         }
     }
 
@@ -407,14 +425,53 @@ impl<Ob> ServerNode<Ob> {
     /// Count, trace and report a core event; a fresh session also lifts
     /// the fence its client may be behind.
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        match ev {
-            Event::LockGranted {
-                client,
-                ino,
-                epoch,
-                mode,
-            } => {
-                if let Some(obs) = &self.obs {
+        // Owed whether or not anyone observes: the unfence, and the end of
+        // a lease wait's latency measurement.
+        let armed_at = match ev {
+            Event::NewSession { client } if self.fences.is_fenced(client) => {
+                self.fence_cmd(client, FenceOp::Unfence, ctx);
+                None
+            }
+            Event::LeaseExpired { client } => self.condemn_armed_at.remove(&client),
+            _ => None,
+        };
+        if let Some(obs) = &self.obs {
+            match ev {
+                Event::DeliveryError { client } => {
+                    obs.delivery_errors.inc();
+                    obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
+                }
+                Event::LeaseExpired { client } => {
+                    obs.condemn_fired.inc();
+                    // The measured side of Theorem 3.1: the *residual*
+                    // wait, from the delivery error to the lease being
+                    // declared dead. Detection overlaps the τ_s(1+ε) that
+                    // began at the last ACK, so this is at most τ_s(1+ε)
+                    // and usually less by the ladder's length.
+                    let now = ctx.now();
+                    let latency = armed_at.map_or(0, |t| now.0.saturating_sub(t.0));
+                    obs.steal_latency_ns.observe(latency);
+                    obs.trace(ctx, "condemned", || {
+                        format!("client=n{} latency_ns={latency}", client.0)
+                    });
+                }
+                Event::ServerRecovering => {
+                    obs.recovery_began.inc();
+                    let incarnation = self.core.incarnation.0;
+                    obs.trace(ctx, "recovery", || {
+                        format!("began incarnation={incarnation}")
+                    });
+                }
+                Event::ServerRecovered => {
+                    obs.recovery_ended.inc();
+                    obs.trace(ctx, "recovery", || "ended".to_owned());
+                }
+                Event::LockGranted {
+                    client,
+                    ino,
+                    epoch,
+                    mode,
+                } => {
                     obs.lock_granted.inc();
                     match mode {
                         LockMode::SharedRead => obs.datalock_shared_grants.inc(),
@@ -424,81 +481,26 @@ impl<Ob> ServerNode<Ob> {
                         format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
                     });
                 }
-            }
-            Event::LockReleased { client, ino, epoch } => {
-                if let Some(obs) = &self.obs {
+                Event::LockReleased { client, ino, epoch } => {
                     obs.lock_released.inc();
                     obs.trace(ctx, "release", || {
                         format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
                     });
                 }
-            }
-            Event::NewSession { client } => {
-                if self.fences.is_fenced(client) {
-                    self.fence_cmd(client, FenceOp::Unfence, ctx);
-                }
-                if let Some(obs) = &self.obs {
+                Event::NewSession { client } => {
                     obs.sessions.inc();
                     let session = self.core.sessions.current(client).map_or(0, |s| s.0);
                     obs.trace(ctx, "session", || {
                         format!("client=n{} session={session}", client.0)
                     });
                 }
+                _ => {}
             }
-            _ => {}
         }
         self.emit(ev, ctx);
     }
 
     // ----------------------------------------------------------- recovery
-
-    /// `client` went unanswered through the demand ladder; `since` is the
-    /// last time this server ACKed it (or first demanded, if later).
-    fn delivery_error(&mut self, client: NodeId, since: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if let Some(obs) = &self.obs {
-            obs.delivery_errors.inc();
-            obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
-        }
-        self.emit(Event::DeliveryError { client }, ctx);
-        match self.cfg.policy {
-            RecoveryPolicy::HonorLocks => {
-                // §2 without a safety protocol: locked data simply stays
-                // unavailable until the client reappears.
-            }
-            RecoveryPolicy::StealImmediately => {
-                self.core.sessions.remove(client);
-                self.do_steal(client, ctx);
-            }
-            RecoveryPolicy::FenceThenSteal => {
-                self.core.sessions.remove(client);
-                self.begin_fence(client, ctx);
-            }
-            RecoveryPolicy::LeaseFence => {
-                // The lease wait began at the last ACK, not now: the time
-                // detection took has already been served (Theorem 3.1's
-                // earliest case, `error_at = t_S2`).
-                if let Some(fires_at) = self.core.authority.on_delivery_error(client, since) {
-                    let now = ctx.now();
-                    let delay = fires_at.minus(now);
-                    let token = self.timers.insert(ServerTimer::LeaseExpiry(client));
-                    ctx.set_timer(delay, token);
-                    self.condemn_armed_at.entry(client).or_insert(now);
-                    if let Some(obs) = &self.obs {
-                        obs.condemn_armed.inc();
-                        obs.trace(ctx, "condemn-armed", || {
-                            format!(
-                                "client=n{} fires_in_ns={} since_ns={} overlap_ns={}",
-                                client.0,
-                                delay.0,
-                                since.0,
-                                now.minus(since).0
-                            )
-                        });
-                    }
-                }
-            }
-        }
-    }
 
     fn begin_fence(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         if !self.fence_cmd(client, FenceOp::Fence, ctx) {
@@ -532,10 +534,12 @@ impl<Ob> ServerNode<Ob> {
             obs.trace(ctx, "fence", || format!("client=n{}", client.0));
         }
         self.emit(Event::Fenced { client }, ctx);
-        self.do_steal(client, ctx);
+        self.steal(client, ctx);
     }
 
-    fn do_steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    /// Take `client`'s locks; the grants that unblocks are drained by the
+    /// caller.
+    fn steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         let stolen = self.core.steal(client, ctx.now()) as u64;
         if let Some(obs) = &self.obs {
             obs.steals.inc();
@@ -544,7 +548,6 @@ impl<Ob> ServerNode<Ob> {
                 format!("client=n{} locks={stolen}", client.0)
             });
         }
-        self.drain(ctx);
     }
 
     fn on_san(&mut self, san: SanMsg, from: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
@@ -552,6 +555,7 @@ impl<Ob> ServerNode<Ob> {
             SanMsg::FenceResp { req_id } => {
                 if let Some((client, FenceOp::Fence)) = self.fences.on_response(req_id, from) {
                     self.fence_complete(client, ctx);
+                    self.drain(ctx);
                 }
             }
             other => {
@@ -748,21 +752,9 @@ impl<Ob> ServerNode<Ob> {
                 )
             });
         }
-        // Timers armed before the crash may still fire; invalidating the
-        // tokens (while keeping the counter monotonic) makes them no-ops.
-        self.timers.cancel_where(|_| true);
-        self.condemn_armed_at.clear();
         if self.cfg.recovery_grace {
-            self.core.recovering = true;
-            if let Some(obs) = &self.obs {
-                obs.recovery_began.inc();
-                obs.trace(ctx, "recovery", || {
-                    format!("began incarnation={}", incarnation.0)
-                });
-            }
-            self.emit(Event::ServerRecovering, ctx);
-            let token = self.timers.insert(ServerTimer::RecoveryDone);
-            ctx.set_timer(self.cfg.lease.server_timeout(), token);
+            self.core.begin_recovery();
+            self.drain(ctx);
         }
     }
 
@@ -825,67 +817,9 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
             return;
         };
         match t {
-            ServerTimer::Ladder(timer) => {
-                let error = self.core.ladder_fired(timer, ctx.now());
+            ServerTimer::Core(timer) => {
+                self.core.timer_fired(timer, ctx.now());
                 self.drain(ctx);
-                if let Some((client, since)) = error {
-                    self.delivery_error(client, since, ctx);
-                }
-            }
-            ServerTimer::LeaseExpiry(client) => {
-                let now = ctx.now();
-                let armed_at = self.condemn_armed_at.remove(&client);
-                if self.core.authority.on_timer(client, now) {
-                    if let Some(obs) = &self.obs {
-                        obs.condemn_fired.inc();
-                        // The measured side of Theorem 3.1: the *residual*
-                        // wait, from the delivery error to the lease being
-                        // declared dead. Detection overlaps the τ_s(1+ε)
-                        // that began at the last ACK, so this is at most
-                        // τ_s(1+ε) and usually less by the ladder's length.
-                        let latency = armed_at.map_or(0, |t| now.0.saturating_sub(t.0));
-                        obs.steal_latency_ns.observe(latency);
-                        obs.trace(ctx, "condemned", || {
-                            format!("client=n{} latency_ns={latency}", client.0)
-                        });
-                    }
-                    self.emit(Event::LeaseExpired { client }, ctx);
-                    if self.cfg.harden_grace.0 > 0 {
-                        // The client can no longer be ACKed (Expired ⇒
-                        // NACK), so waiting costs only availability; it
-                        // lets SAN writes issued before the client's own
-                        // expiry land instead of being caught mid-flight
-                        // by the steal.
-                        let token = self.timers.insert(ServerTimer::StealGrace(client));
-                        ctx.set_timer(self.cfg.harden_grace, token);
-                        if let Some(obs) = &self.obs {
-                            obs.trace(ctx, "steal-grace", || {
-                                format!(
-                                    "client=n{} fires_in_ns={}",
-                                    client.0, self.cfg.harden_grace.0
-                                )
-                            });
-                        }
-                    } else {
-                        self.begin_fence(client, ctx);
-                    }
-                }
-            }
-            ServerTimer::StealGrace(client) => {
-                // Steal only if the client is still expired: a Hello during
-                // the grace already abandoned its old locks (and reset its
-                // standing), so there is nothing left to fence-and-steal.
-                if self.core.authority.standing_of(client) == ClientStanding::Expired {
-                    self.begin_fence(client, ctx);
-                }
-            }
-            ServerTimer::RecoveryDone => {
-                self.core.recovering = false;
-                if let Some(obs) = &self.obs {
-                    obs.recovery_ended.inc();
-                    obs.trace(ctx, "recovery", || "ended".to_owned());
-                }
-                self.emit(Event::ServerRecovered, ctx);
             }
             ServerTimer::ReplTick => self.on_repl_tick(ctx),
         }
@@ -912,14 +846,16 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     /// argument, applied to recovery).
     fn on_restart(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.core.stats.recoveries += 1;
+        // Timers armed before the crash may still fire; invalidating the
+        // tokens (while keeping the counter monotonic) makes them no-ops.
+        self.timers.cancel_where(|_| true);
+        self.condemn_armed_at.clear();
         if self.standby {
             // A restarted standby has no clients to protect; it resumes
             // mirroring. Its log must stay byte-aligned with the primary's
             // durable prefix, so it appends nothing of its own — recovery
             // already truncated the torn tail via `on_crash`.
             self.core.restart(0, 0);
-            self.timers.cancel_where(|_| true);
-            self.condemn_armed_at.clear();
         } else {
             self.recover_from_wal(ctx);
         }

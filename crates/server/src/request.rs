@@ -2,7 +2,9 @@
 //!
 //! Every ACK renews a lease, a client the lease authority is timing out is
 //! NACKed instead (§3.3), and a Hello opens the session those renewals
-//! count against. [`ServerCore`] is that path, once: the simulator's
+//! count against. A delivery error starts the `τ(1+ε)` wait from the last
+//! ACK, and the client's locks are taken only when it ends (Theorem 3.1).
+//! [`ServerCore`] is that path, once: the simulator's
 //! [`ServerNode`](crate::ServerNode) and `tank-net`'s reactor each own one
 //! and differ only in how they carry out its [`Effect`]s and in the
 //! [`Admit`] rule they pass in (DESIGN.md §15).
@@ -11,14 +13,16 @@
 //! given the server-local `now`. It queues effects in order, and the
 //! driver drains them with [`ServerCore::next_effect`], carrying each out
 //! before the next. Every ACK is reported to the lock service
-//! (`acked(dst, now)`) as it is queued. A response is lent to the driver,
-//! then kept for duplicates to replay: the core never builds a
+//! (`acked(dst, now)`) and, if duplicates replay it, recorded in the
+//! session table as it is queued; the core never builds a
 //! `CtlMsg::Response`, and an [`Effect::Respond`] reaches the wire through
-//! the driver's one send funnel, behind that driver's commit point.
+//! the driver's one send funnel, behind that driver's commit point. The
+//! core arms and decides every lease timer ([`CoreTimer`]); a driver only
+//! fences or steals.
 
 use std::collections::VecDeque;
 
-use tank_core::{LeaseAuthority, LeaseConfig};
+use tank_core::{ClientStanding, LeaseAuthority, LeaseConfig};
 use tank_meta::{MetaStore, WalRecord};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
@@ -28,7 +32,7 @@ use tank_proto::{
 use tank_shard::ShardMap;
 use tank_sim::LocalNs;
 
-use crate::config::ServerConfig;
+use crate::config::{RecoveryPolicy, ServerConfig};
 use crate::demand::{LadderTimer, LockEffect, LockService};
 use crate::lock::{Grant, LockManager};
 use crate::session::{Admission, SessionTable};
@@ -69,12 +73,28 @@ pub type Admit = fn(&LockManager, &mut MetaStore, NodeId, &RequestBody) -> Resul
 /// Where an answer goes: the client, its session and the request's seq.
 pub(crate) type ReplyTo = (NodeId, SessionId, ReqSeq);
 
-/// One thing a driver must do on the core's behalf. The core queues
-/// owned effects and lends each response out (`R = &Response`).
+/// A timer the core armed, handed back to [`ServerCore::timer_fired`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoreTimer {
+    /// The demand ladder's retry and release-wait timers.
+    Ladder(LadderTimer),
+    /// The lease authority's `τ(1+ε)` timer for a client, counted from
+    /// the last time the server ACKed it: `(client, since)`.
+    LeaseExpiry(NodeId, LocalNs),
+    /// Steal-side grace for in-flight hardens: the lease expired (the
+    /// client is NACKed and never ACKed again), but the fence-and-steal
+    /// waits `harden_grace` for SAN writes issued before the client's own
+    /// expiry to land.
+    StealGrace(NodeId),
+    /// The post-restart recovery grace window elapsed.
+    RecoveryDone,
+}
+
+/// One thing a driver must do on the core's behalf.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Effect<R = Response> {
+pub enum Effect {
     /// Put this response on the wire, after the driver's commit point.
-    Respond(R),
+    Respond(Response),
     /// Send `push`; `retry` is false for a demand's first transmission.
     Push {
         /// The push.
@@ -82,41 +102,46 @@ pub enum Effect<R = Response> {
         /// A re-send of an unacknowledged push.
         retry: bool,
     },
-    /// After this long, hand the timer back to [`ServerCore::ladder_fired`].
-    Arm(LocalNs, LadderTimer),
+    /// After this long, hand the timer back to [`ServerCore::timer_fired`].
+    Arm(LocalNs, CoreTimer),
     /// Append this redo record before the next response leaves (a driver
     /// with no log drops it: DESIGN.md §15, row 2).
     Log(WalRecord),
     /// This happened (a fresh session also lifts a fence on its client).
     Event(Event),
+    /// Take this client's locks now, with [`ServerCore::steal`].
+    Steal(NodeId),
+    /// Fence this client at the disks, then steal (a driver with none
+    /// steals at once: DESIGN.md §15, row 3).
+    Fence(NodeId),
 }
 
 /// The state every client request is answered from. The drivers' own
-/// policies — recovery, fencing, the grace window, their counters — use
-/// the public fields; outside this crate, the lock service, the session
-/// table and the effect queue are reached only through the verbs.
+/// work — fencing, the log, their counters — uses the public fields and
+/// the read accessors; outside this crate, the lease authority, the
+/// recovery window, the lock service, the session table and the effect
+/// queue are reached only through the verbs.
 #[derive(Debug)]
 pub struct ServerCore {
-    /// The passive lease authority: armed by a delivery error, it condemns.
-    pub authority: LeaseAuthority,
     /// Stamped on every response so clients detect restarts.
     pub incarnation: Incarnation,
-    /// True while inside the post-restart recovery grace window.
-    pub recovering: bool,
     /// Operation counters.
     pub stats: ServerStats,
+    /// The passive lease authority: armed by a delivery error, it condemns.
+    authority: LeaseAuthority,
+    /// True while inside the post-restart recovery grace window.
+    recovering: bool,
     map: ShardMap,
     sid: ServerId,
     lease: LeaseConfig,
     nack_suspect: bool,
+    policy: RecoveryPolicy,
+    harden_grace: LocalNs,
     pub(crate) meta: MetaStore,
     pub(crate) locks: LockService,
     pub(crate) sessions: SessionTable,
-    /// Decided, not yet handed out; a response carries whether its
-    /// duplicates replay it.
-    out: VecDeque<Effect<(Response, bool)>>,
-    /// The response last lent to the driver.
-    lent: Option<(Response, bool)>,
+    /// Decided, not yet handed out.
+    out: VecDeque<Effect>,
 }
 
 impl ServerCore {
@@ -132,27 +157,27 @@ impl ServerCore {
             sid: cfg.sid,
             lease: cfg.lease,
             nack_suspect: cfg.nack_suspect,
+            policy: cfg.policy,
+            harden_grace: cfg.harden_grace,
             locks: LockService::new(cfg.ladder),
             sessions: SessionTable::new(),
             out: VecDeque::new(),
-            lent: None,
         }
     }
 
-    /// What the driver must do next; `None` once it has caught up. A lent
-    /// response is kept for replay when the next effect is asked for, so
-    /// a driver drains to `None` before its next verb.
-    pub fn next_effect(&mut self) -> Option<Effect<&Response>> {
-        if let Some((resp, true)) = self.lent.take() {
-            self.sessions.record_response(resp.dst, resp.seq, resp);
-        }
-        Some(match self.out.pop_front()? {
-            Effect::Respond(sent) => Effect::Respond(&self.lent.insert(sent).0),
-            Effect::Push { push, retry } => Effect::Push { push, retry },
-            Effect::Arm(after, timer) => Effect::Arm(after, timer),
-            Effect::Log(rec) => Effect::Log(rec),
-            Effect::Event(ev) => Effect::Event(ev),
-        })
+    /// What the driver must do next; `None` once it has caught up.
+    pub fn next_effect(&mut self) -> Option<Effect> {
+        self.out.pop_front()
+    }
+
+    /// The lease authority (accounting access).
+    pub fn authority(&self) -> &LeaseAuthority {
+        &self.authority
+    }
+
+    /// True while the recovery grace window is open.
+    pub fn recovering(&self) -> bool {
+        self.recovering
     }
 
     /// True while a [`Effect::Log`] is still queued: the store already
@@ -171,14 +196,76 @@ impl ServerCore {
         self.authority = LeaseAuthority::new(self.lease);
     }
 
-    /// A ladder timer fired. Returns the client a delivery error is now
-    /// declared against and since when it has not been ACKed — where the
-    /// driver's recovery policy starts from.
-    pub fn ladder_fired(&mut self, timer: LadderTimer, now: LocalNs) -> Option<(NodeId, LocalNs)> {
-        let error = self.locks.timer_fired(timer);
-        self.stats.delivery_errors += u64::from(error.is_some());
-        self.pump(now);
-        error
+    /// Open the recovery grace window (diskless recovery, §6): what reads
+    /// the lock table is refused for `τ(1+ε)`, by which time every lease
+    /// live at the crash has expired on its holder's clock.
+    pub fn begin_recovery(&mut self) {
+        self.recovering = true;
+        self.out.push_back(Effect::Event(Event::ServerRecovering));
+        let done = Effect::Arm(self.lease.server_timeout(), CoreTimer::RecoveryDone);
+        self.out.push_back(done);
+    }
+
+    /// A timer the core armed fired at server-local `now`.
+    pub fn timer_fired(&mut self, timer: CoreTimer, now: LocalNs) {
+        match timer {
+            CoreTimer::Ladder(timer) => {
+                let error = self.locks.timer_fired(timer);
+                self.pump(now);
+                if let Some((client, since)) = error {
+                    self.delivery_error(client, since, now);
+                }
+            }
+            // Only a client still suspect and past its `fires_at` expires
+            // (`on_timer` marks it `Expired`).
+            CoreTimer::LeaseExpiry(client, _) if self.authority.on_timer(client, now) => {
+                let expired = Event::LeaseExpired { client };
+                self.out.push_back(Effect::Event(expired));
+                self.out.push_back(match self.harden_grace {
+                    LocalNs(0) => Effect::Fence(client),
+                    grace => Effect::Arm(grace, CoreTimer::StealGrace(client)),
+                });
+            }
+            // A Hello during the grace already abandoned the old locks
+            // (and reset the standing): nothing is left to take.
+            CoreTimer::StealGrace(client)
+                if self.authority.standing_of(client) == ClientStanding::Expired =>
+            {
+                self.out.push_back(Effect::Fence(client));
+            }
+            CoreTimer::LeaseExpiry(..) | CoreTimer::StealGrace(_) => {}
+            CoreTimer::RecoveryDone => {
+                self.recovering = false;
+                self.out.push_back(Effect::Event(Event::ServerRecovered));
+            }
+        }
+    }
+
+    /// `client` went unanswered through the demand ladder and has not been
+    /// ACKed since `since`: the configured [`RecoveryPolicy`] starts here.
+    fn delivery_error(&mut self, client: NodeId, since: LocalNs, now: LocalNs) {
+        self.stats.delivery_errors += 1;
+        let error = Event::DeliveryError { client };
+        self.out.push_back(Effect::Event(error));
+        let steal = match self.policy {
+            // §2 without a safety protocol: locked data simply stays
+            // unavailable until the client reappears.
+            RecoveryPolicy::HonorLocks => return,
+            RecoveryPolicy::StealImmediately => Effect::Steal(client),
+            RecoveryPolicy::FenceThenSteal => Effect::Fence(client),
+            RecoveryPolicy::LeaseFence => {
+                // The lease wait began at the last ACK, not now: the time
+                // detection took has already been served (Theorem 3.1's
+                // earliest case, `error_at = t_S2`).
+                if let Some(fires_at) = self.authority.on_delivery_error(client, since) {
+                    let expiry = CoreTimer::LeaseExpiry(client, since);
+                    self.out.push_back(Effect::Arm(fires_at.minus(now), expiry));
+                }
+                return;
+            }
+        };
+        self.sessions.remove(client);
+        self.out.push_back(steal);
     }
 
     /// Take every lock `client` holds or waits for (its lease has expired)
@@ -195,7 +282,7 @@ impl ServerCore {
     pub(crate) fn nack(&mut self, to: ReplyTo, reason: NackReason) {
         self.stats.nacks += 1;
         let resp = self.response(to, ResponseOutcome::Nacked(reason));
-        self.out.push_back(Effect::Respond((resp, false)));
+        self.out.push_back(Effect::Respond(resp));
     }
 
     /// One request from `from`, received at server-local `now`; `admit` is
@@ -347,7 +434,10 @@ impl ServerCore {
     fn pump(&mut self, now: LocalNs) {
         while let Some(effect) = self.locks.next_effect() {
             match effect {
-                LockEffect::Arm(after, timer) => self.out.push_back(Effect::Arm(after, timer)),
+                LockEffect::Arm(after, timer) => {
+                    let timer = CoreTimer::Ladder(timer);
+                    self.out.push_back(Effect::Arm(after, timer));
+                }
                 LockEffect::Push { push, retry } => {
                     self.stats.pushes_sent += 1;
                     self.out.push_back(Effect::Push { push, retry });
@@ -418,13 +508,17 @@ impl ServerCore {
     }
 
     /// Queue an ACK, fresh or replayed; with `replay`, duplicates of its
-    /// request are answered with it once the driver has sent it. It renews
-    /// its addressee's lease from the request's send, before `now`, so any
+    /// request are answered with a copy kept now. It renews its
+    /// addressee's lease from the request's send, before `now`, so any
     /// lease wait against the addressee restarts here (Theorem 3.1:
     /// t_C1 ≤ t_S2).
     fn send(&mut self, resp: Response, replay: bool, now: LocalNs) {
         self.locks.acked(resp.dst, now);
-        self.out.push_back(Effect::Respond((resp, replay)));
+        if replay {
+            let (dst, seq) = (resp.dst, resp.seq);
+            self.sessions.record_response(dst, seq, resp.clone());
+        }
+        self.out.push_back(Effect::Respond(resp));
     }
 
     fn response(&self, (dst, session, seq): ReplyTo, outcome: ResponseOutcome) -> Response {
@@ -466,7 +560,7 @@ fn governing_ino(body: &RequestBody) -> Option<Ino> {
 
 #[cfg(test)]
 mod tests {
-    use super::Effect::{Arm, Event, Log, Push, Respond};
+    use super::Effect::{Arm, Event, Fence, Log, Push, Respond, Steal};
     use super::*;
     use tank_proto::{CtlMsg, Epoch, LockMode, NetMsg, PushBody, WireEncode};
 
@@ -503,13 +597,18 @@ mod tests {
         core_with(ServerConfig::default())
     }
 
-    /// Send one request at [`NOW`] and take every effect it queued.
-    fn send(
+    /// Take every effect the core has queued.
+    fn drain(c: &mut ServerCore) -> Vec<Effect> {
+        std::iter::from_fn(|| c.next_effect()).collect()
+    }
+
+    /// Send one request at `now` and take every effect it queued.
+    fn send_at(
         c: &mut ServerCore,
         from: NodeId,
-        session: u64,
-        seq: u64,
+        (session, seq): (u64, u64),
         body: RequestBody,
+        now: LocalNs,
     ) -> Vec<Effect> {
         let (session, seq) = (SessionId(session), ReqSeq(seq));
         let req = Request {
@@ -518,19 +617,25 @@ mod tests {
             seq,
             body,
         };
-        c.on_request(from, req, NOW, admit_all);
-        std::iter::from_fn(|| c.next_effect().map(owned)).collect()
+        c.on_request(from, req, now, admit_all);
+        drain(c)
     }
 
-    /// The effect with its lent response copied out.
-    fn owned(effect: Effect<&Response>) -> Effect {
-        match effect {
-            Respond(resp) => Respond(resp.clone()),
-            Push { push, retry } => Push { push, retry },
-            Arm(after, timer) => Arm(after, timer),
-            Log(rec) => Log(rec),
-            Event(ev) => Event(ev),
-        }
+    /// Send one request at [`NOW`] and take every effect it queued.
+    fn send(
+        c: &mut ServerCore,
+        from: NodeId,
+        session: u64,
+        seq: u64,
+        body: RequestBody,
+    ) -> Vec<Effect> {
+        send_at(c, from, (session, seq), body, NOW)
+    }
+
+    /// Hand `timer` back at `at` and take every effect it queued.
+    fn fire(c: &mut ServerCore, timer: CoreTimer, at: LocalNs) -> Vec<Effect> {
+        c.timer_fired(timer, at);
+        drain(c)
     }
 
     fn hello() -> RequestBody {
@@ -597,7 +702,8 @@ mod tests {
     #[test]
     fn the_recovery_gate_refuses_full_service_and_still_serves_keep_alives() {
         let mut c = core();
-        c.recovering = true;
+        c.begin_recovery();
+        drain(&mut c);
         assert_eq!(send(&mut c, A, 0, 1, hello()), fresh_hello(A, 1, 1));
         // What reads the lock table is refused: a grant, and a mutation
         // admitted against the locks the server knows of.
@@ -751,7 +857,7 @@ mod tests {
                 epoch: Epoch(1),
             },
         };
-        let retry = LadderTimer::PushRetry(1);
+        let retry = CoreTimer::Ladder(LadderTimer::PushRetry(1));
         assert_eq!(
             queued[1..],
             [
@@ -836,5 +942,153 @@ mod tests {
             WalRecord::SessionWatermark(2),
         ];
         assert_eq!(log, expected);
+    }
+
+    /// The lease wait, `τ(1+ε)` on the server's clock.
+    fn lease_wait() -> LocalNs {
+        ServerConfig::default().lease.server_timeout()
+    }
+
+    /// A holds `F` exclusively and B waits for it: demand 1 has been out
+    /// against A since [`NOW`].
+    fn demanded(cfg: ServerConfig) -> ServerCore {
+        let mut c = core_with(cfg);
+        send(&mut c, A, 0, 1, hello());
+        send(&mut c, B, 0, 1, hello());
+        send(&mut c, A, 1, 2, create("f"));
+        let acquire = RequestBody::LockAcquire { ino: F, mode: X };
+        send(&mut c, A, 1, 3, acquire.clone());
+        send(&mut c, B, 2, 2, acquire);
+        c
+    }
+
+    /// Demand 1 goes unanswered through the ladder, its last rung at `at`:
+    /// what the delivery error queues.
+    fn unanswered(c: &mut ServerCore, at: LocalNs) -> Vec<Effect> {
+        let ladder = DemandLadder::default();
+        let retry = CoreTimer::Ladder(LadderTimer::PushRetry(1));
+        for k in 1..=u64::from(ladder.retries) {
+            fire(c, retry, NOW.plus(ladder.retry_interval.times(k)));
+        }
+        fire(c, retry, at)
+    }
+
+    #[test]
+    fn one_delivery_error_queues_what_its_recovery_policy_asks() {
+        let last_ack = NOW.plus(LocalNs::from_millis(300));
+        let error_at = NOW.plus(LocalNs::from_secs(1));
+        let error = Event(tank_proto::Event::DeliveryError { client: A });
+        // The lease wait runs from the last ACK, not from the error.
+        let expiry = CoreTimer::LeaseExpiry(A, last_ack);
+        let residual = last_ack.plus(lease_wait()).minus(error_at);
+        let cases = [
+            (RecoveryPolicy::HonorLocks, vec![error.clone()], true),
+            (
+                RecoveryPolicy::StealImmediately,
+                vec![error.clone(), Steal(A)],
+                false,
+            ),
+            (
+                RecoveryPolicy::FenceThenSteal,
+                vec![error.clone(), Fence(A)],
+                false,
+            ),
+            (
+                RecoveryPolicy::LeaseFence,
+                vec![error.clone(), Arm(residual, expiry)],
+                true,
+            ),
+        ];
+        for (policy, queued, session_kept) in cases {
+            let mut c = demanded(ServerConfig {
+                policy,
+                ..ServerConfig::default()
+            });
+            send_at(&mut c, A, (1, 4), RequestBody::KeepAlive, last_ack);
+            assert_eq!(unanswered(&mut c, error_at), queued, "{policy:?}");
+            assert_eq!(c.sessions.current(A).is_some(), session_kept, "{policy:?}");
+            let s = c.stats;
+            assert_eq!((s.delivery_errors, s.steals), (1, 0), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_lease_wait_served_before_the_error_is_declared_expires_at_once() {
+        let mut c = demanded(ServerConfig::default());
+        let late = NOW.plus(lease_wait()).plus(LocalNs::from_secs(1));
+        let expiry = CoreTimer::LeaseExpiry(A, NOW);
+        assert_eq!(unanswered(&mut c, late)[1..], [Arm(LocalNs(0), expiry)]);
+        let expired = Event(tank_proto::Event::LeaseExpired { client: A });
+        assert_eq!(fire(&mut c, expiry, late), [expired, Fence(A)]);
+    }
+
+    #[test]
+    fn a_lease_timer_handed_back_early_or_after_a_fresh_hello_condemns_nothing() {
+        let mut c = demanded(ServerConfig::default());
+        let error_at = NOW.plus(LocalNs::from_secs(1));
+        unanswered(&mut c, error_at);
+        let expiry = CoreTimer::LeaseExpiry(A, NOW);
+        let due = NOW.plus(lease_wait());
+        // A Hello inside the wait is refused: the wait runs to its end.
+        let refused = nack(A, 1, 4, NackReason::LeaseTimingOut);
+        assert_eq!(send_at(&mut c, A, (1, 4), hello(), error_at), [refused]);
+        assert_eq!(fire(&mut c, expiry, due.minus(LocalNs(1))), []);
+        let expired = Event(tank_proto::Event::LeaseExpired { client: A });
+        assert_eq!(fire(&mut c, expiry, due), [expired, Fence(A)]);
+        // Expired, A may Hello; its fresh session owes nothing to the old.
+        let answer = send_at(&mut c, A, (1, 5), hello(), due);
+        assert!(matches!(
+            answer.last(),
+            Some(Respond(Response {
+                outcome: ResponseOutcome::Acked(Ok(ReplyBody::HelloOk { .. })),
+                ..
+            }))
+        ));
+        assert_eq!(fire(&mut c, expiry, due), []);
+    }
+
+    #[test]
+    fn a_steal_grace_steals_only_a_client_still_expired() {
+        let grace = LocalNs::from_millis(500);
+        let due = NOW.plus(lease_wait());
+        let expiry = CoreTimer::LeaseExpiry(A, NOW);
+        let expired = Event(tank_proto::Event::LeaseExpired { client: A });
+        for hello_in_grace in [false, true] {
+            let mut c = demanded(ServerConfig {
+                harden_grace: grace,
+                ..ServerConfig::default()
+            });
+            unanswered(&mut c, NOW.plus(LocalNs::from_secs(1)));
+            let graced = [expired.clone(), Arm(grace, CoreTimer::StealGrace(A))];
+            assert_eq!(fire(&mut c, expiry, due), graced);
+            let mut stolen = vec![Fence(A)];
+            if hello_in_grace {
+                send_at(&mut c, A, (1, 4), hello(), due);
+                stolen.clear();
+            }
+            let grace_over = due.plus(grace);
+            let answer = fire(&mut c, CoreTimer::StealGrace(A), grace_over);
+            assert_eq!(answer, stolen, "Hello in the grace: {hello_in_grace}");
+        }
+    }
+
+    #[test]
+    fn begin_recovery_refuses_full_service_until_recovery_done() {
+        let mut c = core();
+        c.begin_recovery();
+        let began = Event(tank_proto::Event::ServerRecovering);
+        let arm = Arm(lease_wait(), CoreTimer::RecoveryDone);
+        assert_eq!(drain(&mut c), [began, arm]);
+        send(&mut c, A, 0, 1, hello());
+        send(&mut c, A, 1, 2, create("f"));
+        let acquire = RequestBody::LockAcquire { ino: F, mode: X };
+        let refused = nack(A, 1, 3, NackReason::Recovering);
+        assert_eq!(send(&mut c, A, 1, 3, acquire.clone()), [refused]);
+        assert!(c.recovering());
+        let ended = Event(tank_proto::Event::ServerRecovered);
+        let done = NOW.plus(lease_wait());
+        assert_eq!(fire(&mut c, CoreTimer::RecoveryDone, done), [ended]);
+        assert!(!c.recovering());
+        assert_eq!(send(&mut c, A, 1, 4, acquire)[2], granted(A, 1, 4, 1));
     }
 }

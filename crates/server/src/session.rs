@@ -135,17 +135,6 @@ impl SessionTable {
         self.hellos.remove(&client);
     }
 
-    /// Forget every session (fail-stop restart: session state is volatile
-    /// — *including* the id counter; a reborn process has no memory).
-    /// Collision-freedom across incarnations comes from the WAL's
-    /// `SessionWatermark` records, restored via
-    /// [`Self::restore_watermark`] before any new session is begun.
-    pub fn reset_volatile(&mut self) {
-        self.sessions.clear();
-        self.hellos.clear();
-        self.next_session = 0;
-    }
-
     /// Restore the id counter after recovery. Monotone: never moves the
     /// counter backwards. Without this a reborn server would mint session
     /// ids that collide with pre-crash ids still held by surviving
@@ -249,9 +238,6 @@ mod tests {
         assert_eq!(replay.session, sid);
         // A *new* Hello (new seq) is not a duplicate.
         assert!(t.hello_replay(C, ReqSeq(2)).is_none());
-        // Restart wipes the cache with the rest of the volatile state.
-        t.reset_volatile();
-        assert!(t.hello_replay(C, ReqSeq(1)).is_none());
     }
 
     #[test]
