@@ -16,18 +16,15 @@
 //! * [`LeaseServer`] — `tankd` (its binary form): the server's whole
 //!   request path, [`tank_server::ServerCore`] (gates, Hello, session
 //!   window, lock service, lease authority, metadata store), as an actor.
-//!   It differs from the simulator's server in its `SetAttr` admission
-//!   rule and in dropping the core's log records (DESIGN.md §15, rows
-//!   1–2). No SAN exists here, so the server carries metadata + locks
-//!   only and fences nothing: a steal is direct (the "Fencing before a
-//!   steal" row of DESIGN.md §15's difference table). Everything
+//!   It differs from the simulator's server in DESIGN.md §15's three rows:
+//!   its admission lets an unlocked `SetAttr` through, it drops the core's
+//!   log records, and with no SAN to fence, its steal is direct. Everything
 //!   lease-related is the real protocol, decided in the core as it is in
-//!   the simulator: opportunistic renewal, NACKs for
-//!   suspect clients, `τ(1+ε)` timers, steal-on-expiry, and the
-//!   fail-stop recovery grace window (`--recover`): a restarted server
-//!   refuses grants and mutations for `τ(1+ε)` so every lease that might
-//!   have been outstanding at the crash has expired on its holder's own
-//!   clock.
+//!   the simulator: opportunistic renewal, NACKs for suspect clients,
+//!   `τ(1+ε)` timers, steal-on-expiry, and the fail-stop recovery grace
+//!   window (`--recover`): a restarted server refuses grants and mutations
+//!   for `τ(1+ε)` so every lease that might have been outstanding at the
+//!   crash has expired on its holder's own clock.
 //! * [`FaultySocket`] — a seeded fault-injection shim (drop / duplicate /
 //!   delay, per direction) every host uses as its transport: a filter on
 //!   each frame of the batched syscalls, so the retry and dedup machinery

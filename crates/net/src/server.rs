@@ -14,7 +14,7 @@ use tank_core::LeaseConfig;
 use tank_meta::MetaStore;
 use tank_obs::{names, Histogram, Registry};
 use tank_proto::message::{FsError, RequestBody};
-use tank_proto::{CtlMsg, Event, Incarnation, LockMode, NetMsg, NodeId};
+use tank_proto::{CtlMsg, Event, Incarnation, NetMsg, NodeId};
 use tank_server::lock::LockManager;
 use tank_server::{CoreTimer, DemandLadder, Effect, ServerConfig, ServerCore, ServerStats};
 use tank_sim::{Actor, NetId, TokenMap};
@@ -188,11 +188,10 @@ impl Actor<NetMsg, Event> for LeaseServer {
     }
 }
 
-/// What this server refuses before the metadata store sees it: the lock
-/// rules a mutation must satisfy (DESIGN.md §15, row 1 — no rule for
-/// `SetAttr`, so an unlocked truncation goes through). Public so the
-/// recovery gate's contract can be checked against it: what the grace
-/// window serves, this answers the same whatever the lock table holds.
+/// What this server refuses before the metadata store sees it:
+/// [`tank_server::node::admit`], but an unlocked `SetAttr` goes through
+/// (DESIGN.md §15, row 1). Public so the recovery gate's contract can be
+/// checked against it.
 pub fn admit(
     locks: &LockManager,
     meta: &mut MetaStore,
@@ -200,30 +199,7 @@ pub fn admit(
     body: &RequestBody,
 ) -> Result<(), FsError> {
     match body {
-        RequestBody::Unlink { parent, name } => match meta.lookup(*parent, name) {
-            Ok((ino, _)) if locks.is_contended(ino) => Err(FsError::Unavailable),
-            _ => Ok(()),
-        },
-        RequestBody::AllocBlocks { ino, .. } | RequestBody::CommitWrite { ino, .. } => {
-            if locks.holds(client, *ino, LockMode::Exclusive) {
-                Ok(())
-            } else {
-                Err(FsError::NotLocked)
-            }
-        }
-        RequestBody::Hello { .. }
-        | RequestBody::KeepAlive
-        | RequestBody::Create { .. }
-        | RequestBody::Lookup { .. }
-        | RequestBody::Mkdir { .. }
-        | RequestBody::ReadDir { .. }
-        | RequestBody::GetAttr { .. }
-        | RequestBody::SetAttr { .. }
-        | RequestBody::LockAcquire { .. }
-        | RequestBody::LockRelease { .. }
-        | RequestBody::PushAck { .. }
-        | RequestBody::RenameLink { .. }
-        | RequestBody::RenameUnlink { .. }
-        | RequestBody::Batch(_) => Ok(()),
+        RequestBody::SetAttr { .. } => Ok(()),
+        other => tank_server::node::admit(locks, meta, client, other),
     }
 }

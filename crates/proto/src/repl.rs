@@ -2,9 +2,10 @@
 //!
 //! The standby tails the primary's write-ahead log over the control
 //! network. Shipping is *cumulative*: every [`ReplMsg::Append`] carries
-//! the durable log delta from the offset the standby last acknowledged,
-//! so drops and duplicates self-heal on the next shipment — there is no
-//! per-message retransmission state. When the primary compacts, the
+//! the durable log delta from the offset the primary last sent, and each
+//! replication beat falls back to the offset the standby last
+//! acknowledged, so drops and duplicates self-heal by the next beat —
+//! there is no per-message retransmission state. When the primary compacts, the
 //! snapshot generation bumps and shipments include the full snapshot
 //! until the standby acknowledges the new generation.
 //!
@@ -29,7 +30,8 @@ pub enum ReplMsg {
         /// generation trails `snap_gen` (it cannot interpret log offsets
         /// against a base it does not hold).
         snapshot: Option<Vec<u8>>,
-        /// Log offset the delta starts at (the standby's last ack).
+        /// Log offset the delta starts at (the primary's send cursor, or
+        /// the standby's last ack on a beat).
         offset: u64,
         /// Durable log bytes from `offset` up to the primary's fsync
         /// watermark.

@@ -19,11 +19,11 @@
 //! window). Two drivers carry out the [`Effect`]s it queues: the
 //! simulator's [`ServerNode`] actor and `tank-net`'s UDP reactor
 //! (`tankd`); a driver only fences or steals. The node adds what needs
-//! disks, a log or a standby: the write-ahead log and its group commit,
-//! replication, and a [`FenceController`] that constructs fences at the
-//! SAN disks before locks are stolen (§6: "at the same time the server
-//! times-out a client's locks, it constructs a fence between that client
-//! and its storage devices").
+//! disks, a log or a peer: the write-ahead log and its group commit, the
+//! [`RoleCore`] that decides log shipping, heartbeats and the standby's
+//! election, and a [`FenceController`] that fences the SAN disks before
+//! locks are stolen (§6: "at the same time the server times-out a client's
+//! locks, it constructs a fence between that client and its storage devices").
 //!
 //! The [`RecoveryPolicy`] knob, applied by the core, selects what happens
 //! when a client stops responding, which is exactly the axis the paper's
@@ -39,6 +39,7 @@ pub mod lock;
 pub mod node;
 pub mod obs;
 pub mod request;
+pub mod role;
 pub mod session;
 
 pub use config::{RecoveryPolicy, ServerConfig};
@@ -48,4 +49,5 @@ pub use lock::{LockManager, LockRequestOutcome};
 pub use node::ServerNode;
 pub use obs::ServerObs;
 pub use request::{Admit, CoreTimer, Effect, ServerCore, ServerStats};
+pub use role::{Role, RoleCore, RoleEffect};
 pub use session::SessionTable;

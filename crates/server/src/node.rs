@@ -8,9 +8,9 @@
 //! and the recovery window. The node carries out what the core decides
 //! (the log append, the group commit before every response, sends,
 //! timers, counters, traces and events) and keeps what only a server with
-//! disks, a log and a standby has: fencing before a steal (§6), WAL
-//! recovery and replication. A standby NACKs every request before the
-//! core sees it.
+//! disks, a log and a peer has: fencing before a steal (§6), WAL recovery,
+//! and the shipments, beats and promotion its [`RoleCore`] decides. A
+//! standby NACKs every request before the core sees it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     BlockRange, CtlMsg, Event, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
-    ReplMsg, Request, Response, RouteError, SanMsg,
+    Request, Response, RouteError, SanMsg,
 };
 use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
 
@@ -30,15 +30,13 @@ use crate::fence::FenceController;
 use crate::lock::LockManager;
 use crate::obs::ServerObs;
 use crate::request::{CoreTimer, Effect, ServerCore, ServerStats};
+use crate::role::{RoleCore, RoleEffect};
 
-/// Timer tokens.
+/// Timer tokens: one the core armed, or the role core's beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerTimer {
-    /// One the core armed, handed back to it.
     Core(CoreTimer),
-    /// Periodic replication beat: the primary retransmits/heartbeats, the
-    /// standby checks its election clock. Armed only when a peer is wired.
-    ReplTick,
+    Role,
 }
 
 /// The server node.
@@ -66,23 +64,8 @@ pub struct ServerNode<Ob> {
     /// when no snapshot exists yet.
     total_blocks: u64,
     block_size: usize,
-    /// True while this node is a warm standby: it mirrors its peer's log
-    /// and NACKs every client request until elected.
-    standby: bool,
-    /// Replication peer: the standby when primary, the primary when
-    /// standby. `None` = replication unconfigured (the default; zero
-    /// overhead for single-node shards).
-    peer: Option<NodeId>,
-    /// Snapshot generation / durable offset the standby last acked.
-    peer_acked_gen: u64,
-    peer_acked_durable: u64,
-    /// What we last shipped (optimistic send cursor; the periodic tick
-    /// falls back to the acked cursor, which heals dropped shipments).
-    peer_sent_gen: u64,
-    peer_sent_durable: u64,
-    /// Standby's election clock: local time of the last Append/Heartbeat
-    /// from the primary.
-    last_repl_at: LocalNs,
+    /// Primary, standby or alone: shipping, heartbeats and the election.
+    role: RoleCore,
     /// Canonical state image captured at the last recovery/promotion
     /// (tests compare it byte-for-byte against the pre-crash primary).
     last_replay_image: Option<Vec<u8>>,
@@ -100,6 +83,7 @@ impl<Ob> ServerNode<Ob> {
         let wal = DurableStore::new(cfg.compact_threshold);
         ServerNode {
             core: ServerCore::new(&cfg, total_blocks, block_size),
+            role: RoleCore::new(cfg.lease.server_timeout()),
             cfg,
             fences: FenceController::new(),
             timers: TokenMap::new(),
@@ -110,13 +94,6 @@ impl<Ob> ServerNode<Ob> {
             wal,
             total_blocks,
             block_size,
-            standby: false,
-            peer: None,
-            peer_acked_gen: 0,
-            peer_acked_durable: 0,
-            peer_sent_gen: 0,
-            peer_sent_durable: 0,
-            last_repl_at: LocalNs(0),
             last_replay_image: None,
         }
     }
@@ -176,19 +153,15 @@ impl<Ob> ServerNode<Ob> {
 
     /// True while this node is a warm standby (not yet elected).
     pub fn is_standby(&self) -> bool {
-        self.standby
+        self.role.is_standby()
     }
 
     /// Wire this node into a replication pair (harness setup, before the
-    /// world starts). With `standby = true` this node becomes the warm
-    /// mirror of `peer`: it ingests log shipments, NACKs every client
-    /// request `Misrouted(NotPrimary)`, and takes over via the
-    /// diskless-lease election after τ(1+ε) of replication silence. With
-    /// `standby = false`, `peer` is the standby this primary ships its
-    /// durable log to at every group commit.
+    /// world starts): as the warm standby of `peer`, which NACKs every
+    /// client `Misrouted(NotPrimary)` until elected, or as the primary
+    /// that ships its durable log to `peer` ([`RoleCore`]).
     pub fn set_replication(&mut self, peer: NodeId, standby: bool) {
-        self.peer = Some(peer);
-        self.standby = standby;
+        self.role.wire(peer, standby);
     }
 
     /// The durable device (read access for durability audits).
@@ -282,10 +255,11 @@ impl<Ob> ServerNode<Ob> {
     /// Group commit: fsync the log tail, fold it into a snapshot when it
     /// outgrows the threshold, and ship new durable bytes to the warm
     /// standby. Called at every acknowledgment point — no response leaves
-    /// this node before the records that justify it are durable. The core
-    /// runs a request to completion before any of its effects are carried
-    /// out, so mid-drain the store can be ahead of the log: a snapshot of
-    /// it is folded in only once no record is still queued behind it.
+    /// this node before the records that justify it are durable and
+    /// shipped. The core runs a request to completion before any of its
+    /// effects are carried out, so mid-drain the store can be ahead of the
+    /// log: a snapshot of it is folded in only once no record is still
+    /// queued behind it.
     fn wal_sync_and_ship(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         self.wal_fsync(ctx);
         if self.wal.needs_compaction() && !self.core.logs_queued() {
@@ -296,46 +270,8 @@ impl<Ob> ServerNode<Ob> {
                 obs.snapshot_compactions.inc();
             }
         }
-        self.ship_delta(ctx);
-    }
-
-    /// Ship newly durable bytes to the standby, cumulatively from the last
-    /// offset we *sent*. The periodic [`ServerTimer::ReplTick`] resets the
-    /// send cursor to the last offset the standby *acked*, so dropped or
-    /// reordered shipments self-heal without retransmission state. A full
-    /// snapshot rides along while the standby's generation trails ours.
-    fn ship_delta(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if self.standby {
-            return;
-        }
-        let Some(peer) = self.peer else {
-            return;
-        };
-        let gen = self.wal.snap_gen();
-        let durable = self.wal.durable_len() as u64;
-        let (snapshot, offset) = if self.peer_sent_gen < gen {
-            // Our compaction outran the standby: re-base it.
-            (self.wal.snapshot().map(|s| s.to_vec()), 0)
-        } else {
-            (None, self.peer_sent_durable.min(durable))
-        };
-        if snapshot.is_none() && offset == durable {
-            return; // nothing new; the tick-time heartbeat covers liveness
-        }
-        let bytes = self.wal.durable_delta(offset as usize).to_vec();
-        self.peer_sent_gen = gen;
-        self.peer_sent_durable = durable;
-        ctx.send(
-            NetId::CONTROL,
-            peer,
-            NetMsg::Repl(ReplMsg::Append {
-                snap_gen: gen,
-                snapshot,
-                offset,
-                bytes,
-                durable,
-            }),
-        );
+        self.role.shipped(&self.wal);
+        self.run_role(ctx);
     }
 
     // ------------------------------------------------------------ effects
@@ -558,142 +494,42 @@ impl<Ob> ServerNode<Ob> {
                     self.drain(ctx);
                 }
             }
-            other => {
-                // Protocol anomaly: counted and traced, never printed —
-                // normal runs stay silent, exporter runs see it structured.
-                if let Some(obs) = &self.obs {
-                    obs.unexpected_msgs.inc();
-                    obs.trace(ctx, "unexpected", || format!("san {other:?}"));
-                }
-            }
+            other => self.unexpected(ctx, || format!("san {other:?}")),
+        }
+    }
+
+    /// A message this server does not take: a protocol anomaly, counted
+    /// and traced, never printed — normal runs stay silent, exporter runs
+    /// see it structured.
+    fn unexpected(&self, ctx: &Ctx<'_, NetMsg, Ob>, what: impl FnOnce() -> String) {
+        if let Some(obs) = &self.obs {
+            obs.unexpected_msgs.inc();
+            obs.trace(ctx, "unexpected", what);
         }
     }
 
     // -------------------------------------------------------- replication
 
-    /// Replication traffic: shipments and heartbeats land on the standby,
-    /// cumulative acks land back on the primary. Role mismatches (a dead
-    /// primary's stray shipment arriving after our promotion) are counted
-    /// as anomalies and dropped.
-    fn on_repl(&mut self, from: NodeId, msg: ReplMsg, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        match msg {
-            ReplMsg::Append {
-                snap_gen,
-                snapshot,
-                offset,
-                bytes,
-                durable,
-            } => {
-                if !self.standby {
-                    if let Some(obs) = &self.obs {
-                        obs.unexpected_msgs.inc();
-                        obs.trace(ctx, "unexpected", || {
-                            format!("repl_append at non-standby from n{}", from.0)
-                        });
-                    }
-                    return;
+    /// Carry out, in order, what the role core decided.
+    fn run_role(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        while let Some(effect) = self.role.next_effect() {
+            match effect {
+                RoleEffect::Send(to, msg) => ctx.send(NetId::CONTROL, to, NetMsg::Repl(msg)),
+                RoleEffect::Beat(after) => {
+                    let token = self.timers.insert(ServerTimer::Role);
+                    ctx.set_timer(after, token);
                 }
-                self.last_repl_at = ctx.now();
-                self.wal
-                    .ingest(snap_gen, snapshot.as_deref(), offset, &bytes, durable);
-                ctx.send(
-                    NetId::CONTROL,
-                    from,
-                    NetMsg::Repl(ReplMsg::AppendAck {
-                        snap_gen: self.wal.snap_gen(),
-                        durable: self.wal.durable_len() as u64,
-                    }),
-                );
-            }
-            ReplMsg::AppendAck { snap_gen, durable } => {
-                if self.standby {
-                    return; // stray ack; harmless
-                }
-                // Acks are cumulative within a generation; one from before
-                // our last compaction is stale (the tick re-bases the
-                // standby with a snapshot shipment).
-                if snap_gen == self.wal.snap_gen() {
-                    if snap_gen > self.peer_acked_gen {
-                        self.peer_acked_gen = snap_gen;
-                        self.peer_acked_durable = durable;
-                    } else {
-                        self.peer_acked_durable = self.peer_acked_durable.max(durable);
-                    }
-                }
-            }
-            ReplMsg::Heartbeat { .. } => {
-                if self.standby {
-                    self.last_repl_at = ctx.now();
+                RoleEffect::Promote => self.promote(ctx),
+                RoleEffect::Unexpected(from, kind) => {
+                    self.unexpected(ctx, || format!("{kind} from n{}", from.0));
                 }
             }
         }
     }
 
-    /// Periodic replication beat. The primary retransmits from the acked
-    /// cursor (healing dropped shipments) or heartbeats when the standby
-    /// is caught up; the standby checks its election clock and takes over
-    /// after τ(1+ε) of silence. Re-arms itself while a peer is wired — the
-    /// standby no later than its election deadline, so it elects when the
-    /// silence reaches τ(1+ε), not up to a beat after.
-    fn on_repl_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if self.peer.is_none() {
-            return;
-        }
-        let mut next = self.repl_interval();
-        if self.standby {
-            // Diskless-lease election: τ(1+ε) of replication silence on
-            // our own clock means every lease the primary could have
-            // granted before dying has expired on its holder's clock
-            // (Theorem 3.1's rate argument) — taking over cannot place a
-            // new grant in conflict with a surviving pre-crash holder.
-            let silent = ctx.now().minus(self.last_repl_at);
-            let timeout = self.cfg.lease.server_timeout();
-            if silent >= timeout {
-                self.promote(ctx);
-                return; // promoted: no longer ticking as a mirror
-            }
-            next = next.min(timeout.minus(silent));
-        } else {
-            // Fall back to the acked cursor so anything the standby missed
-            // is reshipped; if it holds everything, just prove liveness.
-            self.peer_sent_gen = self.peer_acked_gen;
-            self.peer_sent_durable = self.peer_acked_durable;
-            let caught_up = self.peer_acked_gen == self.wal.snap_gen()
-                && self.peer_acked_durable >= self.wal.durable_len() as u64;
-            if caught_up {
-                if let Some(peer) = self.peer {
-                    ctx.send(
-                        NetId::CONTROL,
-                        peer,
-                        NetMsg::Repl(ReplMsg::Heartbeat {
-                            incarnation: self.incarnation(),
-                        }),
-                    );
-                }
-            } else {
-                self.ship_delta(ctx);
-            }
-        }
-        let token = self.timers.insert(ServerTimer::ReplTick);
-        ctx.set_timer(next, token);
-    }
-
-    /// Replication beat period: τ(1+ε)/4, so a healthy primary proves
-    /// liveness several times per election window.
-    fn repl_interval(&self) -> LocalNs {
-        LocalNs(self.cfg.lease.server_timeout().0 / 4)
-    }
-
-    /// Standby takeover: become the shard's primary by recovering from the
-    /// mirrored log, exactly as a restarted primary recovers from its own.
-    /// By election time every pre-crash lease has expired at its holder,
-    /// and the recovery grace window (opened inside the shared recovery
-    /// path) re-runs the same proximity argument for the new incarnation.
+    /// The role core's election: recover from the mirror as a restarted
+    /// primary recovers from its own, grace window included, and serve.
     fn promote(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        self.standby = false;
-        // Single-failover scope: the dead primary does not come back as
-        // our standby; stop addressing it.
-        self.peer = None;
         self.core.stats.elections += 1;
         if let Some(obs) = &self.obs {
             obs.failover_elections.inc();
@@ -763,7 +599,7 @@ impl<Ob> ServerNode<Ob> {
         // shard state and must not touch even the session window. The
         // redirect is not a lease judgment — the client rotates to the
         // shard's other address and retries.
-        if self.standby {
+        if self.role.is_standby() {
             let not_primary = NackReason::Misrouted(RouteError::NotPrimary);
             self.core.nack((from, req.session, req.seq), not_primary);
         } else {
@@ -775,19 +611,14 @@ impl<Ob> ServerNode<Ob> {
 
 impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if !self.standby {
+        if self.role.start(ctx.now()) {
             // Every response is stamped with an incarnation that recovery
             // reads back from the log — so the first incarnation must be
-            // durable before anything is acknowledged. (A standby appends
-            // nothing of its own: its log stays a byte-exact mirror.)
+            // durable before anything is acknowledged.
             self.wal_append(&WalRecord::Incarnation(self.incarnation().0));
             self.wal_fsync(ctx);
         }
-        if self.peer.is_some() {
-            self.last_repl_at = ctx.now();
-            let token = self.timers.insert(ServerTimer::ReplTick);
-            ctx.set_timer(self.repl_interval(), token);
-        }
+        self.run_role(ctx);
     }
 
     fn on_message(
@@ -800,28 +631,26 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         match msg {
             NetMsg::Ctl(CtlMsg::Request(req)) => self.on_request(from, req, ctx),
             NetMsg::San(san) => self.on_san(san, from, ctx),
-            NetMsg::Repl(repl) => self.on_repl(from, repl, ctx),
-            NetMsg::Ctl(other) => {
-                // Responses and pushes address clients; a server receiving
-                // one is a routing anomaly worth counting, not crashing on.
-                if let Some(obs) = &self.obs {
-                    obs.unexpected_msgs.inc();
-                    obs.trace(ctx, "unexpected", || format!("ctl {}", other.kind()));
-                }
+            NetMsg::Repl(repl) => {
+                self.role.on_repl(from, repl, ctx.now(), &mut self.wal);
+                self.run_role(ctx);
             }
+            // Responses and pushes address clients: a routing anomaly.
+            NetMsg::Ctl(other) => self.unexpected(ctx, || format!("ctl {}", other.kind())),
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let Some(t) = self.timers.take(token) else {
-            return;
-        };
-        match t {
-            ServerTimer::Core(timer) => {
+        match self.timers.take(token) {
+            Some(ServerTimer::Core(timer)) => {
                 self.core.timer_fired(timer, ctx.now());
                 self.drain(ctx);
             }
-            ServerTimer::ReplTick => self.on_repl_tick(ctx),
+            Some(ServerTimer::Role) => {
+                self.role.tick(ctx.now(), &self.wal, self.core.incarnation);
+                self.run_role(ctx);
+            }
+            None => {}
         }
     }
 
@@ -850,26 +679,13 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         // tokens (while keeping the counter monotonic) makes them no-ops.
         self.timers.cancel_where(|_| true);
         self.condemn_armed_at.clear();
-        if self.standby {
-            // A restarted standby has no clients to protect; it resumes
-            // mirroring. Its log must stay byte-aligned with the primary's
-            // durable prefix, so it appends nothing of its own — recovery
-            // already truncated the torn tail via `on_crash`.
-            self.core.restart(0, 0);
-        } else {
+        if self.role.start(ctx.now()) {
             self.recover_from_wal(ctx);
+        } else {
+            // A standby resumes mirroring; `on_crash` cut its torn tail.
+            self.core.restart(0, 0);
         }
-        // Replication resumes conservatively from offset zero; the
-        // standby's cumulative ingest skips everything it already holds.
-        self.peer_acked_gen = 0;
-        self.peer_acked_durable = 0;
-        self.peer_sent_gen = 0;
-        self.peer_sent_durable = 0;
-        if self.peer.is_some() {
-            self.last_repl_at = ctx.now();
-            let token = self.timers.insert(ServerTimer::ReplTick);
-            ctx.set_timer(self.repl_interval(), token);
-        }
+        self.run_role(ctx);
     }
 }
 
