@@ -967,7 +967,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.next_seq += 1_000_000; // fresh seq space for the new life
         self.pending.clear();
         if let Some((_, stale)) = self.retry_timer.take() {
-            self.timers.cancel(stale);
+            self.timers.take(stale);
         }
         let held: Vec<Ino> = self.locks.keys().copied().collect();
         for ino in held {

@@ -254,7 +254,7 @@ impl<Ob> ClientNode<Ob> {
             return;
         }
         if let Some((_, stale)) = self.retry_timer.take() {
-            self.timers.cancel(stale);
+            self.timers.take(stale);
         }
         let token = self.timers.insert(ClientTimer::ReqRetry);
         ctx.set_timer(due.minus(ctx.now()), token);

@@ -8,13 +8,12 @@
 //! default) is the identity: every datagram passes through untouched, and
 //! the socket takes no lock, draws nothing and copies nothing.
 //!
-//! The filter sits on the one syscall path: on Linux 64-bit every
-//! receive is a `recvmmsg` batch and every send a `sendmmsg` batch
-//! (`mmsg.rs`), faults or not; other platforms loop one
-//! `recv_from`/`send_to` per datagram under the same filter. A held frame
-//! waits in a deadline heap inside the socket; the host's flush sends it
-//! once it is due, and the host bounds its poll wait by the earliest held
-//! deadline as it does by its timers. No thread is involved.
+//! The filter sits on the one syscall path: every receive is a
+//! `recvmmsg` batch and every send a `sendmmsg` batch (`mmsg.rs`),
+//! faults or not. A held frame waits in a deadline heap inside the
+//! socket; the host's flush sends it once it is due, and the host bounds
+//! its poll wait by the earliest held deadline as it does by its timers.
+//! No thread is involved.
 //!
 //! The shim lives *under* the protocol code — the server and client use
 //! it as their only socket type — so injected faults exercise the real
@@ -32,8 +31,7 @@ use tank_obs::{names, Counter, Registry};
 use crate::locked;
 use crate::reactor::{TimerQueue, WakeupBatch};
 
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-use crate::mmsg as sys;
+use crate::mmsg;
 
 /// Faults applied to one direction of the socket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -155,8 +153,8 @@ struct Dir {
 }
 
 impl Dir {
-    /// The fault decision for one frame, the same for both directions
-    /// and both syscall paths: drop it, else duplicate and hold it
+    /// The fault decision for one frame, the same for both directions:
+    /// drop it, else duplicate and hold it
     /// independently. A direction that injects nothing draws nothing, so
     /// its traffic leaves the other direction's fault stream alone.
     fn fate(&self, rng: &mut ChaCha8Rng) -> Fate {
@@ -276,8 +274,8 @@ impl FaultySocket {
 
     /// Hand every ready datagram (up to `max` off the socket) to `sink`
     /// and return how many frames it was handed: receive until
-    /// `WouldBlock`, so the socket must be nonblocking. On Linux the
-    /// backlog comes off in `recvmmsg` batches, one datagram per
+    /// `WouldBlock`, so the socket must be nonblocking. The backlog
+    /// comes off in `recvmmsg` batches, one datagram per
     /// [`MAX_DATAGRAM`](tank_proto::MAX_DATAGRAM) slot of `scratch` (from
     /// [`recv_scratch`](crate::reactor::recv_scratch)). Receive faults
     /// apply per datagram: a dropped one never reaches `sink`, a
@@ -289,11 +287,11 @@ impl FaultySocket {
         mut sink: impl FnMut(&[u8], SocketAddr),
     ) -> usize {
         let Some(filter) = &self.filter else {
-            return sys::recv_ready(&self.sock, scratch, max, sink);
+            return mmsg::recv_ready(&self.sock, scratch, max, sink);
         };
         let f = &mut *locked(filter);
         let mut frames = 0;
-        sys::recv_ready(&self.sock, scratch, max, |bytes, peer| {
+        mmsg::recv_ready(&self.sock, scratch, max, |bytes, peer| {
             let copies = f.recv.fate(&mut f.rng).copies;
             for _ in 0..copies {
                 sink(bytes, peer);
@@ -306,13 +304,13 @@ impl FaultySocket {
     /// Send every datagram of `batch` to its peer, in order, together
     /// with every held frame now due (those first). A failed send loses
     /// that one datagram — the peer's loss, as anywhere on UDP — and the
-    /// rest still go. On Linux they leave in `sendmmsg` batches. Send
+    /// rest still go. They leave in `sendmmsg` batches. Send
     /// faults apply per datagram: a dropped one is not sent, a
     /// duplicated one is sent twice in a row, and a delayed one (both
     /// copies, if duplicated) is held until a later call finds it due.
     pub fn send_all(&self, batch: &WakeupBatch) {
         let Some(filter) = &self.filter else {
-            return sys::send_all(&self.sock, batch);
+            return mmsg::send_all(&self.sock, batch);
         };
         let f = &mut *locked(filter);
         let now = Instant::now();
@@ -329,7 +327,7 @@ impl FaultySocket {
                 }
             }
         }
-        sys::send_all(&self.sock, &f.out);
+        mmsg::send_all(&self.sock, &f.out);
     }
 
     /// When the earliest held frame falls due, if one is held: the host
@@ -339,46 +337,9 @@ impl FaultySocket {
     }
 }
 
-#[cfg(unix)]
 impl std::os::fd::AsRawFd for FaultySocket {
     fn as_raw_fd(&self) -> std::os::fd::RawFd {
         self.sock.as_raw_fd()
-    }
-}
-
-/// The kernel crossings where datagrams cannot be batched: one
-/// `recv_from` or `send_to` each, with `mmsg.rs`'s contracts.
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-mod sys {
-    use std::net::{SocketAddr, UdpSocket};
-
-    use crate::reactor::WakeupBatch;
-
-    pub(crate) fn recv_ready(
-        sock: &UdpSocket,
-        scratch: &mut [u8],
-        max: usize,
-        mut sink: impl FnMut(&[u8], SocketAddr),
-    ) -> usize {
-        let mut got = 0;
-        while got < max {
-            match sock.recv_from(scratch) {
-                Ok((n, peer)) => {
-                    sink(&scratch[..n], peer);
-                    got += 1;
-                }
-                // WouldBlock = backlog empty; any transient error ends
-                // the drain the same way and the next wakeup retries.
-                Err(_) => break,
-            }
-        }
-        got
-    }
-
-    pub(crate) fn send_all(sock: &UdpSocket, batch: &WakeupBatch) {
-        for (peer, bytes) in batch.iter() {
-            let _ = sock.send_to(bytes, peer);
-        }
     }
 }
 

@@ -26,9 +26,6 @@ use crate::mono_now;
 use crate::poll::Poller;
 use crate::reactor::{decode_each, drain_ready, recv_scratch, TimerQueue, WakeupBatch};
 
-/// Shortest poll timeout: epoll has millisecond resolution, and a
-/// sub-millisecond timeout must not busy-spin.
-const MIN_POLL: Duration = Duration::from_millis(1);
 /// Longest poll timeout: bounds how late the loop notices a stop request,
 /// a timer armed from another thread, or a frame held back by a send from
 /// one.
@@ -201,8 +198,10 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
             self.flush(&mut st);
             drop(st);
             let next = timer.into_iter().chain(self.sock.next_held()).min();
+            // The poller waits at least 1 ms, so a deadline under a
+            // millisecond away cannot make this loop spin.
             let wait = next.map_or(MAX_POLL, |at| at.saturating_duration_since(now));
-            let wait = wait.clamp(MIN_POLL, MAX_POLL);
+            let wait = wait.min(MAX_POLL);
             let ready = poller.wait(wait).is_ok_and(|tokens| !tokens.is_empty());
             // A stopped node must not answer what raced its stop.
             if self.stop.load(Ordering::SeqCst) {
@@ -232,7 +231,6 @@ impl<A: Actor<NetMsg, Event>> Shared<A> {
                 }
                 self.flush(&mut st);
             }
-            poller.note_progress(drained > 0);
             if fired == 0 && drained == 0 {
                 continue;
             }

@@ -33,10 +33,16 @@
 //! Timestamps given to the sans-io actors are monotonic nanoseconds from
 //! a process-local epoch ([`mono_now`]), which is exactly the "local
 //! clock" the paper's rate-synchronization assumption speaks about.
+//!
+//! The crate targets 64-bit Linux only: it waits with `epoll` and moves
+//! datagrams with `recvmmsg`/`sendmmsg`, declared against that ABI. Any
+//! other target fails to build.
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+compile_error!("tank-net targets 64-bit Linux: it needs epoll and recvmmsg/sendmmsg");
 
 pub mod fault;
 pub mod host;
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod mmsg;
 pub mod poll;
 pub mod reactor;

@@ -1,9 +1,8 @@
 //! Batched datagram syscalls for the reactor: `recvmmsg` drains up to
 //! [`VLEN`] datagrams per kernel crossing and `sendmmsg` flushes as many
 //! replies, in the same raw-`extern "C"` style as [`crate::poll`] — the
-//! libc `std` already links, no new dependency. Linux on 64-bit targets
-//! only (the struct layouts below are that ABI's); everywhere else
-//! [`FaultySocket`](crate::FaultySocket) loops one datagram per syscall.
+//! libc `std` already links, no new dependency. The struct layouts below
+//! are 64-bit Linux's, the only target the crate builds for.
 //!
 //! Nothing here knows about fault injection: `FaultySocket` is the only
 //! caller, and it filters each frame on its way in or out, so the batched

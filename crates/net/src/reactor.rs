@@ -218,17 +218,11 @@ pub fn decode_batch(batch: &WakeupBatch, out: &mut Vec<(SocketAddr, Request)>) {
     });
 }
 
-/// [`MAX_DATAGRAM`] slots in [`recv_scratch`]: one `recvmmsg` vector
-/// where receives are batched, a single slot elsewhere.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-const RECV_SLOTS: usize = crate::mmsg::VLEN;
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-const RECV_SLOTS: usize = 1;
-
-/// The fixed receive buffer for [`drain_ready`]. Zeroed pages the kernel
-/// never writes stay unmapped, so small datagrams keep it cheap.
+/// The fixed receive buffer for [`drain_ready`]: one `recvmmsg` vector
+/// of [`MAX_DATAGRAM`] slots. Zeroed pages the kernel never writes stay
+/// unmapped, so small datagrams keep it cheap.
 pub fn recv_scratch() -> Vec<u8> {
-    vec![0u8; RECV_SLOTS * MAX_DATAGRAM]
+    vec![0u8; crate::mmsg::VLEN * MAX_DATAGRAM]
 }
 
 #[cfg(test)]

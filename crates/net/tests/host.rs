@@ -160,7 +160,7 @@ fn a_timer_whose_token_was_dropped_does_nothing() {
             let token = f.tokens.insert(n);
             ctx.set_timer(ms(after), token);
             if n < 3 {
-                f.tokens.cancel(token);
+                f.tokens.take(token);
             }
         }
     });

@@ -3,8 +3,10 @@
 //! The paper's server does no lease work "until a message delivery error
 //! occurs", so the code that *declares* one — lock conflict → `Demand` push
 //! → retries → `PushAck` → release wait → delivery error — is what the
-//! safety argument hangs on. It lives here once; the simulator's
-//! [`ServerNode`](crate::ServerNode) and `tank-net`'s reactor both drive it.
+//! safety argument hangs on. It lives here once, and only
+//! [`ServerCore`](crate::ServerCore) calls its verbs: the simulator's
+//! [`ServerNode`](crate::ServerNode) and `tank-net`'s `LeaseServer` reach
+//! it through their core.
 //!
 //! **Contract.** A [`LockService`] performs no I/O and reads no clock:
 //! a verb that can start a demand is told the server-local `now`.

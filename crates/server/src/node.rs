@@ -677,7 +677,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         self.core.stats.recoveries += 1;
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.
-        self.timers.cancel_where(|_| true);
+        self.timers.clear();
         self.condemn_armed_at.clear();
         if self.role.start(ctx.now()) {
             self.recover_from_wal(ctx);

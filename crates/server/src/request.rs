@@ -5,8 +5,8 @@
 //! count against. A delivery error starts the `τ(1+ε)` wait from the last
 //! ACK, and the client's locks are taken only when it ends (Theorem 3.1).
 //! [`ServerCore`] is that path, once: the simulator's
-//! [`ServerNode`](crate::ServerNode) and `tank-net`'s reactor each own one
-//! and differ only in how they carry out its [`Effect`]s and in the
+//! [`ServerNode`](crate::ServerNode) and `tank-net`'s `LeaseServer` each
+//! own one and differ only in how they carry out its [`Effect`]s and in the
 //! [`Admit`] rule they pass in (DESIGN.md §15).
 //!
 //! **Contract.** The core performs no I/O and reads no clock: each verb is

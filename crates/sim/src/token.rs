@@ -37,26 +37,17 @@ impl<T> TokenMap<T> {
         key
     }
 
-    /// Consume a fired token, returning its value. `None` if the token was
-    /// dropped or taken already: the actor gave that firing up.
+    /// Consume a token, returning its value: a fired one, or one the
+    /// actor gives up on, so its eventual firing becomes a no-op. `None`
+    /// if the token was taken already.
     pub fn take(&mut self, key: u64) -> Option<T> {
         self.live.remove(&key)
     }
 
-    /// Inspect without consuming (periodic timers).
-    pub fn get(&self, key: u64) -> Option<&T> {
-        self.live.get(&key)
-    }
-
-    /// Drop a token so its eventual firing becomes a no-op.
-    pub fn cancel(&mut self, key: u64) -> Option<T> {
-        self.live.remove(&key)
-    }
-
-    /// Remove every token for which `pred` holds (bulk cancellation, e.g.
-    /// "all retries for session 3").
-    pub fn cancel_where(&mut self, mut pred: impl FnMut(&T) -> bool) {
-        self.live.retain(|_, v| !pred(v));
+    /// Forget every live token, so none of their firings does anything.
+    /// Keys stay monotonic: a token issued later never reuses one.
+    pub fn clear(&mut self) {
+        self.live.clear();
     }
 
     /// Number of live tokens.
@@ -94,28 +85,22 @@ mod tests {
 
     #[test]
     fn cancelled_tokens_do_not_fire() {
+        // Giving a token up before it fires is taking it early.
         let mut m = TokenMap::new();
         let k = m.insert(Tok::Flush);
-        assert_eq!(m.cancel(k), Some(Tok::Flush));
-        assert_eq!(m.take(k), None);
+        assert_eq!(m.take(k), Some(Tok::Flush));
+        assert_eq!(m.take(k), None, "its firing finds nothing");
     }
 
     #[test]
     fn bulk_cancellation() {
         let mut m = TokenMap::new();
-        let keep = m.insert(Tok::Flush);
-        m.insert(Tok::Retry(1));
-        m.insert(Tok::Retry(2));
-        m.cancel_where(|t| matches!(t, Tok::Retry(_)));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.take(keep), Some(Tok::Flush));
-    }
-
-    #[test]
-    fn get_does_not_consume() {
-        let mut m = TokenMap::new();
-        let k = m.insert(Tok::Retry(3));
-        assert_eq!(m.get(k), Some(&Tok::Retry(3)));
-        assert_eq!(m.take(k), Some(Tok::Retry(3)));
+        let gone = [m.insert(Tok::Flush), m.insert(Tok::Retry(1))];
+        m.clear();
+        assert!(m.is_empty());
+        assert!(gone.iter().all(|&k| m.take(k).is_none()), "none fires");
+        let fresh = m.insert(Tok::Retry(2));
+        assert!(!gone.contains(&fresh), "keys are never reused");
+        assert_eq!(m.take(fresh), Some(Tok::Retry(2)));
     }
 }

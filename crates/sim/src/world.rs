@@ -882,7 +882,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg, ()>) {
                 let gone = self.tokens.insert("gone");
                 ctx.set_timer(LocalNs::from_millis(10), gone);
-                self.tokens.cancel(gone);
+                self.tokens.take(gone);
                 let kept = self.tokens.insert("kept");
                 ctx.set_timer(LocalNs::from_millis(20), kept);
             }
