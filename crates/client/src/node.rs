@@ -125,7 +125,9 @@ impl ClientConfig {
     }
 }
 
-/// Client-side counters for the experiments.
+/// Client-side counters for the experiments. Those that restate an
+/// event (`submitted`, `completed`, `cache_hits`, `attr_hits`,
+/// `attr_misses`) are folded from it as it is emitted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct ClientStats {
     /// Operations submitted by local processes.
@@ -787,7 +789,46 @@ impl<Ob> ClientNode<Ob> {
         *self.lock_gen.entry(ino).or_insert(0) += 1;
     }
 
+    /// Report `ev`: the one place an event is counted. The stats and
+    /// counters that restate an event are folded from it here, and
+    /// nowhere else.
     fn emit(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+        let stats = &mut self.stats;
+        match ev {
+            Event::OpSubmitted { .. } => stats.submitted += 1,
+            Event::OpCompleted { ok: true, .. } => stats.completed += 1,
+            Event::AttrServed { from_cache, .. } if from_cache => stats.attr_hits += 1,
+            Event::AttrServed { .. } => stats.attr_misses += 1,
+            Event::ReadServed {
+                from_cache: true, ..
+            } => stats.cache_hits += 1,
+            _ => {}
+        }
+        if let Some(obs) = &self.obs {
+            match ev {
+                Event::AttrServed { from_cache, .. } if from_cache => obs.attr_hits.inc(),
+                Event::AttrServed { .. } => obs.attr_misses.inc(),
+                Event::ReadServed {
+                    from_cache: true, ..
+                } => obs.cache_hits.inc(),
+                Event::Quiesced { shard } => {
+                    obs.phase_quiesce.inc();
+                    obs.trace(ctx, "phase", || format!("quiescing shard={shard}"));
+                }
+                Event::CacheInvalidated {
+                    shard,
+                    discarded_dirty,
+                } => {
+                    obs.phase_invalid.inc();
+                    obs.lane_expiries.inc();
+                    obs.discarded_dirty.add(discarded_dirty as u64);
+                    obs.trace(ctx, "phase", || {
+                        format!("invalid shard={shard} discarded_dirty={discarded_dirty}")
+                    });
+                }
+                _ => {}
+            }
+        }
         if let Some(ob) = (self.observe)(ev) {
             ctx.observe(ob);
         }

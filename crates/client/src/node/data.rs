@@ -131,10 +131,6 @@ impl<Ob> ClientNode<Ob> {
             is_dir: attr.is_dir,
             version: attr.version,
         };
-        self.stats.attr_hits += 1;
-        if let Some(obs) = &self.obs {
-            obs.attr_hits.inc();
-        }
         self.emit(
             Event::AttrServed {
                 ino,
@@ -156,10 +152,6 @@ impl<Ob> ClientNode<Ob> {
     ) {
         if !self.ops.contains_key(&id) {
             return; // the op already failed (lane expiry): nothing is served
-        }
-        self.stats.attr_misses += 1;
-        if let Some(obs) = &self.obs {
-            obs.attr_misses.inc();
         }
         self.emit(
             Event::AttrServed {
@@ -290,11 +282,6 @@ impl<Ob> ClientNode<Ob> {
                     served.push((idx, WriteTag::default(), false));
                 }
             }
-        }
-        let hits = served.iter().filter(|(_, _, fc)| *fc).count() as u64;
-        self.stats.cache_hits += hits;
-        if let Some(obs) = &self.obs {
-            obs.cache_hits.add(hits);
         }
         for &(idx, _, _) in &served {
             self.cache.touch(ino, idx);

@@ -427,16 +427,9 @@ impl<Ob> ClientNode<Ob> {
             self.cache.invalidate_ino(ino);
         }
         self.name_cache.retain(|_, ino| map.owner_of(*ino) != sid);
-        if let Some(obs) = &self.obs {
-            obs.phase_invalid.inc();
-            obs.lane_expiries.inc();
-            obs.discarded_dirty.add(discarded as u64);
-            obs.trace(ctx, "phase", || {
-                format!("invalid shard={} discarded_dirty={discarded}", sid.0)
-            });
-        }
         self.emit(
             Event::CacheInvalidated {
+                shard: sid.0,
                 discarded_dirty: discarded,
             },
             ctx,
@@ -481,10 +474,6 @@ impl<Ob> ClientNode<Ob> {
                     }
                     LeaseAction::BeginQuiesce => {
                         self.lanes[lane].serving = false;
-                        if let Some(obs) = &self.obs {
-                            obs.phase_quiesce.inc();
-                            obs.trace(ctx, "phase", || format!("quiescing shard={}", sid.0));
-                        }
                         self.emit(Event::Quiesced { shard: sid.0 }, ctx);
                     }
                     LeaseAction::BeginFlush => {

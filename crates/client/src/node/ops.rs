@@ -68,7 +68,6 @@ impl<Ob> ClientNode<Ob> {
         from_gen: bool,
         ctx: &mut Ctx<'_, NetMsg, Ob>,
     ) -> OpId {
-        self.stats.submitted += 1;
         let id = OpId(self.next_op_id);
         self.next_op_id += 1;
         self.emit(
@@ -766,11 +765,10 @@ impl<Ob> ClientNode<Ob> {
         self.read_fetched.remove(&id);
         self.unpin_op(id);
         let kind = active.op.kind();
-        match &result {
-            Ok(_) => self.stats.completed += 1,
-            Err(_) => self.stats.failed += 1,
-        }
         let err = result.as_ref().err().copied();
+        if err.is_some() {
+            self.stats.failed += 1;
+        }
         if !active.from_gen {
             self.log_result(id, result);
         }

@@ -11,51 +11,32 @@ use std::sync::Arc;
 use tank_obs::{names, Counter, Histogram, Registry};
 use tank_sim::{Ctx, Payload};
 
-/// Pre-resolved client metric handles plus the trace sink.
+/// Pre-resolved client metric handles (each field is the `names::*`
+/// instrument [`new`](ClientObs::new) resolves it from) plus the trace
+/// sink.
 pub struct ClientObs {
     registry: Arc<Registry>,
-    /// `client.renewals`.
-    pub renewals: Arc<Counter>,
-    /// `client.phase.quiesce`.
-    pub phase_quiesce: Arc<Counter>,
-    /// `client.phase.flush`.
-    pub phase_flush: Arc<Counter>,
-    /// `client.phase.invalid`.
-    pub phase_invalid: Arc<Counter>,
-    /// `client.phase.resume`.
-    pub phase_resume: Arc<Counter>,
-    /// `client.expiry.discarded_dirty`.
-    pub discarded_dirty: Arc<Counter>,
-    /// `client.retransmits`.
-    pub retransmits: Arc<Counter>,
-    /// `client.unexpected_msgs`.
-    pub unexpected_msgs: Arc<Counter>,
-    /// `client.lane.expiries`.
-    pub lane_expiries: Arc<Counter>,
-    /// `client.rename.aborts`.
-    pub rename_aborts: Arc<Counter>,
-    /// `client.renewal_headroom_ns`.
-    pub renewal_headroom_ns: Arc<Histogram>,
-    /// `client.batch.size`.
-    pub batch_size: Arc<Histogram>,
-    /// `client.batch.flush_reason`.
-    pub batch_flush_reason: Arc<Histogram>,
-    /// `client.cache.hits`.
-    pub cache_hits: Arc<Counter>,
-    /// `client.cache.misses`.
-    pub cache_misses: Arc<Counter>,
-    /// `client.cache.evictions`.
-    pub cache_evictions: Arc<Counter>,
-    /// `client.cache.refetches`.
-    pub cache_refetches: Arc<Counter>,
-    /// `client.cache.writeback_flushes`.
-    pub writeback_flushes: Arc<Counter>,
-    /// `client.cache.revokes`.
-    pub cache_revokes: Arc<Counter>,
-    /// `client.attr.hits`.
-    pub attr_hits: Arc<Counter>,
-    /// `client.attr.misses`.
-    pub attr_misses: Arc<Counter>,
+    pub(crate) renewals: Arc<Counter>,
+    pub(crate) phase_quiesce: Arc<Counter>,
+    pub(crate) phase_flush: Arc<Counter>,
+    pub(crate) phase_invalid: Arc<Counter>,
+    pub(crate) phase_resume: Arc<Counter>,
+    pub(crate) discarded_dirty: Arc<Counter>,
+    pub(crate) retransmits: Arc<Counter>,
+    pub(crate) unexpected_msgs: Arc<Counter>,
+    pub(crate) lane_expiries: Arc<Counter>,
+    pub(crate) rename_aborts: Arc<Counter>,
+    pub(crate) renewal_headroom_ns: Arc<Histogram>,
+    pub(crate) batch_size: Arc<Histogram>,
+    pub(crate) batch_flush_reason: Arc<Histogram>,
+    pub(crate) cache_hits: Arc<Counter>,
+    pub(crate) cache_misses: Arc<Counter>,
+    pub(crate) cache_evictions: Arc<Counter>,
+    pub(crate) cache_refetches: Arc<Counter>,
+    pub(crate) writeback_flushes: Arc<Counter>,
+    pub(crate) cache_revokes: Arc<Counter>,
+    pub(crate) attr_hits: Arc<Counter>,
+    pub(crate) attr_misses: Arc<Counter>,
 }
 
 impl std::fmt::Debug for ClientObs {

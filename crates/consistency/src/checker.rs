@@ -470,7 +470,9 @@ impl Checker {
                         report.ops_failed += 1;
                     }
                 }
-                Event::CacheInvalidated { discarded_dirty } => {
+                Event::CacheInvalidated {
+                    discarded_dirty, ..
+                } => {
                     report.dirty_discarded += *discarded_dirty as u64;
                 }
                 Event::FenceRejected { .. } => {
@@ -1083,7 +1085,14 @@ mod tests {
                     was_write: true,
                 },
             ),
-            (t(5), C1, Event::CacheInvalidated { discarded_dirty: 3 }),
+            (
+                t(5),
+                C1,
+                Event::CacheInvalidated {
+                    shard: 0,
+                    discarded_dirty: 3,
+                },
+            ),
         ]);
         assert_eq!(r.ops_ok, 1);
         assert_eq!(r.ops_denied, 1);

@@ -1,11 +1,13 @@
 //! Cross-check between the checker's event stream and the obs registry.
 //!
-//! The consistency checker and the observability layer watch the same run
-//! through independent plumbing: the checker through the `Event`s each
-//! node emits, the registry through counters bumped at the
-//! emission sites themselves. If the two disagree, one of the pipelines
-//! is dropping or double-counting — exactly the kind of instrumentation
-//! rot this module exists to catch before a perf PR trusts the numbers.
+//! The checker reads the `Event`s each node emits; every counter compared
+//! here is folded from those same events, in one place per role — the
+//! client's `ClientNode::emit` and the server's `ServerObs::on_effect`.
+//! So the two are not independent plumbing: what this guards is the
+//! fold's mapping from event to name. A counter folded from the wrong
+//! event, a fold arm that drops or double-counts, or a counter bumped
+//! again outside the fold shows up as a mismatch before a perf PR trusts
+//! the numbers.
 
 use tank_obs::{names, Snapshot};
 use tank_proto::{Event, LockMode};
@@ -27,7 +29,9 @@ pub fn cross_check(events: &[(SimTime, NodeId, Event)], snapshot: &Snapshot) -> 
     let discarded_dirty: u64 = events
         .iter()
         .map(|(_, _, e)| match e {
-            Event::CacheInvalidated { discarded_dirty } => *discarded_dirty as u64,
+            Event::CacheInvalidated {
+                discarded_dirty, ..
+            } => *discarded_dirty as u64,
             _ => 0,
         })
         .sum();

@@ -122,7 +122,6 @@ impl<A: Actor<NetMsg, Event>> State<A> {
                     self.events.push_back(ev);
                     self.observed = true;
                 }
-                Effect::Trace(_) => {}
             }
         }
         // Handed back before the answerer's replies activate the actor

@@ -3,8 +3,9 @@
 //! request datagram is one `on_request`, a fired timer one `timer_fired`;
 //! the core arms and decides every timer (push retries, release waits,
 //! lease expiries, the recovery window), and this driver only sends,
-//! sets timers and steals — there is no SAN to fence. DESIGN.md §15 walks
-//! the architecture.
+//! sets timers and steals — there is no SAN to fence. Observed, it hands
+//! every effect and steal to the simulator server's own [`ServerObs`]
+//! fold. DESIGN.md §15 walks the architecture.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -16,7 +17,9 @@ use tank_obs::{names, Histogram, Registry};
 use tank_proto::message::{FsError, RequestBody};
 use tank_proto::{CtlMsg, Event, Incarnation, NetMsg, NodeId};
 use tank_server::lock::LockManager;
-use tank_server::{CoreTimer, DemandLadder, Effect, ServerConfig, ServerCore, ServerStats};
+use tank_server::{
+    CoreTimer, DemandLadder, Effect, ServerConfig, ServerCore, ServerObs, ServerStats,
+};
 use tank_sim::{Actor, NetId, TokenMap};
 
 use crate::fault::{FaultConfig, FaultySocket};
@@ -59,7 +62,7 @@ impl Default for NetServerConfig {
     }
 }
 
-/// `tankd`'s node: the request path, its timers and its one instrument.
+/// `tankd`'s node: the request path, its timers and its instruments.
 /// Requests and timers run against it one at a time, to completion.
 pub struct LeaseServer {
     /// The request path, shared with the simulator's `ServerNode`.
@@ -67,6 +70,8 @@ pub struct LeaseServer {
     timers: TokenMap<CoreTimer>,
     /// Wall-clock vectored-batch execution histogram (when observed).
     batch_exec_ns: Option<Arc<Histogram>>,
+    /// The `server.*` fold `ServerNode` runs too (when observed).
+    obs: Option<ServerObs>,
 }
 
 /// Handle returned by [`LeaseServer::spawn`].
@@ -92,8 +97,10 @@ impl LeaseServer {
     }
 
     /// [`spawn`](Self::spawn) with an observability registry: records the
-    /// `server.batch.exec_ns` execution histogram, the `net.reactor.*`
-    /// loop instruments and `net.server.decode_errors`.
+    /// `server.*` set the simulator's server records (less its log,
+    /// fences, election and recovery), the `server.batch.exec_ns`
+    /// execution histogram, the `net.reactor.*` loop instruments and
+    /// `net.server.decode_errors`.
     pub fn spawn_observed(
         addr: &str,
         cfg: NetServerConfig,
@@ -119,6 +126,7 @@ impl LeaseServer {
             core,
             timers: TokenMap::new(),
             batch_exec_ns: registry.map(|r| r.histogram_def(&names::SERVER_BATCH_EXEC_NS)),
+            obs: registry.map(|r| ServerObs::new(r.clone())),
         };
         let obs = HostObs {
             wakeups: registry.map(|r| r.counter_def(&names::NET_REACTOR_WAKEUPS)),
@@ -132,9 +140,13 @@ impl LeaseServer {
     }
 
     /// Carry out, in order, what the core decided: the one place a
-    /// response is put on the wire, fresh or replayed.
+    /// response is put on the wire, fresh or replayed. The fold counts
+    /// and traces each effect first.
     fn drain(&mut self, ctx: &mut NetCtx<'_>) {
         while let Some(effect) = self.core.next_effect() {
+            if let Some(obs) = &mut self.obs {
+                obs.on_effect(&effect, &self.core, ctx);
+            }
             match effect {
                 Effect::Respond(resp) => {
                     let dst = resp.dst;
@@ -150,10 +162,13 @@ impl LeaseServer {
                 // No SAN sits behind this server, so fencing is a no-op
                 // and the steal happens directly (DESIGN.md §15, row 3).
                 Effect::Steal(client) | Effect::Fence(client) => {
-                    self.core.steal(client, ctx.now());
+                    let stolen = self.core.steal(client, ctx.now());
+                    if let Some(obs) = &self.obs {
+                        obs.stolen(client, stolen, ctx);
+                    }
                 }
-                // Metadata is RAM-only here (DESIGN.md §15, row 2), and
-                // nothing consumes an event log.
+                // Metadata is RAM-only here (DESIGN.md §15, row 2). An
+                // event is only counted, by the fold above.
                 Effect::Log(_) | Effect::Event(_) => {}
             }
         }

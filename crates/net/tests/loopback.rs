@@ -441,7 +441,8 @@ fn a_silent_holders_lock_is_back_a_lease_after_the_demand_not_a_ladder_later() {
         lease,
         ..NetServerConfig::default()
     };
-    let server = LeaseServer::spawn("127.0.0.1:0", cfg).unwrap();
+    let registry = std::sync::Arc::new(tank_obs::Registry::new());
+    let server = LeaseServer::spawn_observed("127.0.0.1:0", cfg, Some(&registry)).unwrap();
     let mut holder = RawPeer::hello(server.addr);
     let ino = holder.create("hot");
     holder.lock(ino);
@@ -469,6 +470,29 @@ fn a_silent_holders_lock_is_back_a_lease_after_the_demand_not_a_ladder_later() {
     );
     let stats = server.stop();
     assert_eq!((stats.delivery_errors, stats.steals), (1, 1));
+    // The simulator server's fold counted the same story on tankd.
+    let snap = registry.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counter("server.sessions"), 2);
+    assert_eq!(
+        counter("server.lock.granted"),
+        2,
+        "the holder's, then the waiter's"
+    );
+    assert_eq!(
+        counter("server.demands_sent"),
+        4,
+        "a demand and its 3 retries"
+    );
+    assert_eq!(counter("server.delivery_errors"), 1);
+    assert_eq!(counter("server.condemn.fired"), 1);
+    assert_eq!(
+        (counter("server.steals"), counter("server.lock.stolen")),
+        (1, 1)
+    );
+    let latency = snap.histogram("server.steal_latency_ns").unwrap();
+    assert_eq!(latency.count, 1);
+    assert!(latency.sum <= lease.server_timeout().0, "{latency:?}");
 }
 
 #[test]

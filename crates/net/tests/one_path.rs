@@ -4,13 +4,18 @@
 //! sequence — for the hand-written script, and for random scripts drawn
 //! from its request kinds, duplicated seqs and re-sent Hellos among them.
 //! Both run one `ServerCore`; only the clocks differ, so `mtime` is masked.
+//! Both hand its effects to one instrument fold, so they also end with the
+//! same `server.*` counters — all but `server.fences`, which only a server
+//! with disks to fence moves.
 
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tank_net::server::{LeaseServer, NetServerConfig};
+use tank_obs::{names, Registry};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SessionId,
@@ -184,10 +189,25 @@ fn random_script(rng: &mut ChaCha8Rng) -> Vec<Request> {
     script
 }
 
-fn run_in_world(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
+/// What a driver answered, and the `server.*` counters it ended with.
+type Run = (Vec<(ReqSeq, ResponseOutcome)>, Vec<(String, u64)>);
+
+/// The `server.*` counters both drivers record, sorted by name.
+fn server_counters(registry: &Registry) -> Vec<(String, u64)> {
+    let mut counters: Vec<_> = (registry.snapshot().counters.into_iter())
+        .filter(|c| c.name.starts_with("server.") && c.name != names::SERVER_FENCES.name)
+        .map(|c| (c.name, c.value))
+        .collect();
+    counters.sort();
+    counters
+}
+
+fn run_in_world(script: Vec<Request>) -> Run {
     let mut w: World<NetMsg> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
-    let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1 << 16, 4096);
+    let registry = Arc::new(Registry::new());
+    let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1 << 16, 4096)
+        .with_obs(registry.clone());
     let server = w.add_node(Box::new(node), ClockSpec::ideal());
     let len = script.len();
     let requester = Requester {
@@ -198,11 +218,13 @@ fn run_in_world(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
     let requester = w.add_node(Box::new(requester), ClockSpec::ideal());
     w.run_until(SimTime::from_millis(100 + len as u64));
     let answers = &w.node_ref::<Requester>(requester).unwrap().answers;
-    answers.clone()
+    (answers.clone(), server_counters(&registry))
 }
 
-fn run_over_udp(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
-    let server = LeaseServer::spawn("127.0.0.1:0", NetServerConfig::default()).unwrap();
+fn run_over_udp(script: Vec<Request>) -> Run {
+    let registry = Arc::new(Registry::new());
+    let cfg = NetServerConfig::default();
+    let server = LeaseServer::spawn_observed("127.0.0.1:0", cfg, Some(&registry)).unwrap();
     let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
     sock.connect(server.addr).unwrap();
     sock.set_read_timeout(Some(Duration::from_millis(500)))
@@ -223,22 +245,28 @@ fn run_over_udp(script: Vec<Request>) -> Vec<(ReqSeq, ResponseOutcome)> {
         })
         .collect();
     server.stop();
-    answers
+    (answers, server_counters(&registry))
 }
 
-fn mask(answers: Vec<(ReqSeq, ResponseOutcome)>) -> Vec<(ReqSeq, ResponseOutcome)> {
-    answers
+fn mask((answers, counters): Run) -> Run {
+    let answers = answers
         .into_iter()
         .map(|(seq, outcome)| (seq, masked(outcome)))
-        .collect()
+        .collect();
+    (answers, counters)
 }
 
 #[test]
 fn server_node_and_tankd_answer_one_script_identically() {
-    let sim = mask(run_in_world(script()));
-    let udp = mask(run_over_udp(script()));
+    let (sim, sim_counters) = mask(run_in_world(script()));
+    let (udp, udp_counters) = mask(run_over_udp(script()));
     assert_eq!(sim.len(), script().len(), "{sim:?}");
     assert_eq!(sim, udp);
+    assert_eq!(sim_counters, udp_counters);
+    let counter = |name: &str| sim_counters.iter().find(|c| c.0 == name).map(|c| c.1);
+    assert_eq!(counter(names::SERVER_SESSIONS.name), Some(2));
+    assert_eq!(counter(names::SERVER_LOCK_GRANTED.name), Some(1));
+    assert_eq!(counter(names::SERVER_NACK_STALE_SESSION.name), Some(1));
     // The script reached the arms it was written for.
     let outcome = |i: usize| &sim[i].1;
     let hello_ok = |session| {
@@ -265,9 +293,10 @@ fn server_node_and_tankd_answer_random_scripts_identically() {
     let (mut replays, mut stale, mut grants) = (0, 0, 0);
     for case in 0..24 {
         let script = random_script(&mut rng);
-        let sim = mask(run_in_world(script.clone()));
-        let udp = mask(run_over_udp(script.clone()));
+        let (sim, sim_counters) = mask(run_in_world(script.clone()));
+        let (udp, udp_counters) = mask(run_over_udp(script.clone()));
         assert_eq!(sim, udp, "case {case}: {script:?}");
+        assert_eq!(sim_counters, udp_counters, "case {case}: {script:?}");
         replays += sim.windows(2).filter(|w| w[0] == w[1]).count();
         let count = |arm: fn(&ResponseOutcome) -> bool| sim.iter().filter(|a| arm(&a.1)).count();
         stale += count(|o| matches!(o, ResponseOutcome::Nacked(NackReason::StaleSession)));

@@ -301,7 +301,10 @@ fn restarted_server_enforces_the_grace_window_then_serves() {
         stats.recovery_nacks >= 1,
         "the delete was refused during grace"
     );
-    let invalidated = Event::CacheInvalidated { discarded_dirty: 0 };
+    let invalidated = Event::CacheInvalidated {
+        shard: 0,
+        discarded_dirty: 0,
+    };
     assert!(
         after(&client.events(), &invalidated, &RESUMED),
         "the old session's cache went, then service resumed: {:?}",

@@ -94,10 +94,12 @@ pub enum Event {
         /// or by the server (false).
         from_cache: bool,
     },
-    /// The lease expired and the client discarded its cache;
-    /// `discarded_dirty` dirty blocks had not been hardened (zero when
-    /// phase 4 had time to run).
+    /// One lease lane expired and the client discarded its cache of that
+    /// shard; `discarded_dirty` dirty blocks had not been hardened (zero
+    /// when phase 4 had time to run).
     CacheInvalidated {
+        /// Shard (server index) whose lane expired.
+        shard: u16,
         /// Unhardened dirty blocks lost at invalidation.
         discarded_dirty: usize,
     },

@@ -12,18 +12,17 @@
 //! and the shipments, beats and promotion its [`RoleCore`] decides. A
 //! standby NACKs every request before the core sees it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tank_core::LeaseAuthority;
 use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermarks};
 use tank_obs::Registry;
-use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
+use tank_proto::message::{FsError, ReplyBody, RequestBody};
 use tank_proto::{
     BlockRange, CtlMsg, Event, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
     Request, Response, RouteError, SanMsg,
 };
-use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
+use tank_sim::{Actor, Ctx, NetId, TokenMap};
 
 use crate::config::ServerConfig;
 use crate::fence::FenceController;
@@ -49,9 +48,6 @@ pub struct ServerNode<Ob> {
     timers: TokenMap<ServerTimer>,
     observe: Box<dyn Fn(Event) -> Option<Ob>>,
     obs: Option<ServerObs>,
-    /// When each client's condemnation timer was armed (server-local),
-    /// consumed at fire time to measure the residual steal latency.
-    condemn_armed_at: HashMap<NodeId, LocalNs>,
     /// The slice of the shared disks this shard governs: the only range it
     /// allocates from, and the only range its fence commands cover — a
     /// shard must never fence another shard's traffic (§6, sharded).
@@ -89,7 +85,6 @@ impl<Ob> ServerNode<Ob> {
             timers: TokenMap::new(),
             observe,
             obs: None,
-            condemn_armed_at: HashMap::new(),
             fence_range,
             wal,
             total_blocks,
@@ -276,75 +271,36 @@ impl<Ob> ServerNode<Ob> {
 
     // ------------------------------------------------------------ effects
 
-    /// Carry out, in order, what the core decided.
+    /// Carry out, in order, what the core decided; the fold counts and
+    /// traces each effect first.
     fn drain(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
         while let Some(effect) = self.core.next_effect() {
+            if let Some(obs) = &mut self.obs {
+                obs.on_effect(&effect, &self.core, ctx);
+            }
             match effect {
-                Effect::Respond(resp) => {
-                    if let (ResponseOutcome::Nacked(reason), Some(obs)) = (&resp.outcome, &self.obs)
-                    {
-                        match reason {
-                            NackReason::LeaseTimingOut => obs.nack_lease_timing_out.inc(),
-                            NackReason::SessionExpired => obs.nack_session_expired.inc(),
-                            NackReason::StaleSession => obs.nack_stale_session.inc(),
-                            NackReason::Recovering => obs.nack_recovering.inc(),
-                            NackReason::Misrouted(_) => obs.nack_misrouted.inc(),
-                        }
-                        obs.trace(ctx, "nack", || {
-                            format!(
-                                "client=n{} seq={} reason={reason:?}",
-                                resp.dst.0, resp.seq.0
-                            )
-                        });
-                    }
-                    self.send_response(resp, ctx);
-                }
-                Effect::Push { push, retry } => {
-                    if let Some(obs) = &self.obs {
-                        if !retry {
-                            obs.datalock_revokes.inc();
-                        }
-                        obs.demands_sent.inc();
-                        obs.trace(ctx, "demand", || {
-                            format!("client=n{} push_seq={}", push.dst.0, push.push_seq)
-                        });
-                    }
+                Effect::Respond(resp) => self.send_response(resp, ctx),
+                Effect::Push { push, .. } => {
                     ctx.send(NetId::CONTROL, push.dst, NetMsg::Ctl(CtlMsg::Push(push)));
                 }
-                Effect::Arm(after, timer) => self.arm(after, timer, ctx),
+                Effect::Arm(after, timer) => {
+                    let token = self.timers.insert(ServerTimer::Core(timer));
+                    ctx.set_timer(after, token);
+                }
                 Effect::Log(rec) => self.wal_append(&rec),
-                Effect::Event(ev) => self.on_event(ev, ctx),
+                Effect::Event(ev) => {
+                    // A fresh session lifts the fence its client may be
+                    // behind.
+                    if let Event::NewSession { client } = ev {
+                        if self.fences.is_fenced(client) {
+                            self.fence_cmd(client, FenceOp::Unfence, ctx);
+                        }
+                    }
+                    self.emit(ev, ctx);
+                }
                 Effect::Fence(client) => self.begin_fence(client, ctx),
                 Effect::Steal(client) => self.steal(client, ctx),
             }
-        }
-    }
-
-    /// Set a core timer; a lease expiry's arming is counted and traced,
-    /// and its steal latency measured from here.
-    fn arm(&mut self, after: LocalNs, timer: CoreTimer, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let token = self.timers.insert(ServerTimer::Core(timer));
-        ctx.set_timer(after, token);
-        let now = ctx.now();
-        if let CoreTimer::LeaseExpiry(client, _) = timer {
-            self.condemn_armed_at.entry(client).or_insert(now);
-        }
-        let Some(obs) = &self.obs else {
-            return;
-        };
-        match timer {
-            CoreTimer::LeaseExpiry(client, since) => {
-                obs.condemn_armed.inc();
-                obs.trace(ctx, "condemn-armed", || {
-                    let overlap = now.minus(since).0;
-                    let (n, after, since) = (client.0, after.0, since.0);
-                    format!("client=n{n} fires_in_ns={after} since_ns={since} overlap_ns={overlap}")
-                });
-            }
-            CoreTimer::StealGrace(client) => obs.trace(ctx, "steal-grace", || {
-                format!("client=n{} fires_in_ns={}", client.0, after.0)
-            }),
-            CoreTimer::Ladder(_) | CoreTimer::RecoveryDone => {}
         }
     }
 
@@ -356,84 +312,6 @@ impl<Ob> ServerNode<Ob> {
         self.wal_sync_and_ship(ctx);
         let dst = resp.dst;
         ctx.send(NetId::CONTROL, dst, NetMsg::Ctl(CtlMsg::Response(resp)));
-    }
-
-    /// Count, trace and report a core event; a fresh session also lifts
-    /// the fence its client may be behind.
-    fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        // Owed whether or not anyone observes: the unfence, and the end of
-        // a lease wait's latency measurement.
-        let armed_at = match ev {
-            Event::NewSession { client } if self.fences.is_fenced(client) => {
-                self.fence_cmd(client, FenceOp::Unfence, ctx);
-                None
-            }
-            Event::LeaseExpired { client } => self.condemn_armed_at.remove(&client),
-            _ => None,
-        };
-        if let Some(obs) = &self.obs {
-            match ev {
-                Event::DeliveryError { client } => {
-                    obs.delivery_errors.inc();
-                    obs.trace(ctx, "delivery-error", || format!("client=n{}", client.0));
-                }
-                Event::LeaseExpired { client } => {
-                    obs.condemn_fired.inc();
-                    // The measured side of Theorem 3.1: the *residual*
-                    // wait, from the delivery error to the lease being
-                    // declared dead. Detection overlaps the τ_s(1+ε) that
-                    // began at the last ACK, so this is at most τ_s(1+ε)
-                    // and usually less by the ladder's length.
-                    let now = ctx.now();
-                    let latency = armed_at.map_or(0, |t| now.0.saturating_sub(t.0));
-                    obs.steal_latency_ns.observe(latency);
-                    obs.trace(ctx, "condemned", || {
-                        format!("client=n{} latency_ns={latency}", client.0)
-                    });
-                }
-                Event::ServerRecovering => {
-                    obs.recovery_began.inc();
-                    let incarnation = self.core.incarnation.0;
-                    obs.trace(ctx, "recovery", || {
-                        format!("began incarnation={incarnation}")
-                    });
-                }
-                Event::ServerRecovered => {
-                    obs.recovery_ended.inc();
-                    obs.trace(ctx, "recovery", || "ended".to_owned());
-                }
-                Event::LockGranted {
-                    client,
-                    ino,
-                    epoch,
-                    mode,
-                } => {
-                    obs.lock_granted.inc();
-                    match mode {
-                        LockMode::SharedRead => obs.datalock_shared_grants.inc(),
-                        LockMode::Exclusive => obs.datalock_exclusive_grants.inc(),
-                    }
-                    obs.trace(ctx, "grant", || {
-                        format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
-                    });
-                }
-                Event::LockReleased { client, ino, epoch } => {
-                    obs.lock_released.inc();
-                    obs.trace(ctx, "release", || {
-                        format!("client=n{} ino={} epoch={}", client.0, ino.0, epoch.0)
-                    });
-                }
-                Event::NewSession { client } => {
-                    obs.sessions.inc();
-                    let session = self.core.sessions.current(client).map_or(0, |s| s.0);
-                    obs.trace(ctx, "session", || {
-                        format!("client=n{} session={session}", client.0)
-                    });
-                }
-                _ => {}
-            }
-        }
-        self.emit(ev, ctx);
     }
 
     // ----------------------------------------------------------- recovery
@@ -476,13 +354,9 @@ impl<Ob> ServerNode<Ob> {
     /// Take `client`'s locks; the grants that unblocks are drained by the
     /// caller.
     fn steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        let stolen = self.core.steal(client, ctx.now()) as u64;
+        let stolen = self.core.steal(client, ctx.now());
         if let Some(obs) = &self.obs {
-            obs.steals.inc();
-            obs.lock_stolen.add(stolen);
-            obs.trace(ctx, "steal", || {
-                format!("client=n{} locks={stolen}", client.0)
-            });
+            obs.stolen(client, stolen, ctx);
         }
     }
 
@@ -678,7 +552,9 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.
         self.timers.clear();
-        self.condemn_armed_at.clear();
+        if let Some(obs) = &mut self.obs {
+            obs.restarted();
+        }
         if self.role.start(ctx.now()) {
             self.recover_from_wal(ctx);
         } else {

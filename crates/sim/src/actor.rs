@@ -34,8 +34,6 @@ pub enum Effect<P, Ob> {
     SetTimer { fire_at: SimTime, token: u64 },
     /// Emit an observation for offline checking.
     Observe(Ob),
-    /// Append a line to the world trace (if recording).
-    Trace(String),
 }
 
 /// Execution context handed to actor handlers.
@@ -45,15 +43,14 @@ pub struct Ctx<'a, P, Ob> {
     clock: &'a Clock,
     rng: &'a mut ChaCha8Rng,
     effects: &'a mut Vec<Effect<P, Ob>>,
-    pub(crate) tracing: bool,
 }
 
 impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
-    /// A context for one activation of `node` at true time `now`, with
-    /// tracing off. The handler's effects are appended, in order, to
-    /// `effects`: the driver lends its buffer for the activation and
-    /// carries the effects out once the context is gone, so one buffer's
-    /// capacity serves every activation.
+    /// A context for one activation of `node` at true time `now`. The
+    /// handler's effects are appended, in order, to `effects`: the driver
+    /// lends its buffer for the activation and carries the effects out
+    /// once the context is gone, so one buffer's capacity serves every
+    /// activation.
     pub fn new(
         node: NodeId,
         now: SimTime,
@@ -67,7 +64,6 @@ impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
             clock,
             rng,
             effects,
-            tracing: false,
         }
     }
 
@@ -117,14 +113,6 @@ impl<'a, P: Payload, Ob> Ctx<'a, P, Ob> {
     #[inline]
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
         self.rng
-    }
-
-    /// Append a trace line (no-op unless the world records traces). The
-    /// closure keeps formatting off the hot path.
-    pub fn trace(&mut self, f: impl FnOnce() -> String) {
-        if self.tracing {
-            self.effects.push(Effect::Trace(f()));
-        }
     }
 }
 

@@ -19,7 +19,8 @@ use crate::{NodeId, Payload};
 pub struct WorldConfig {
     /// Master seed; every random decision in the run derives from it.
     pub seed: u64,
-    /// Record human-readable trace lines emitted via [`Ctx::trace`].
+    /// Open the tracing gate of the registry attached with
+    /// [`World::set_obs`]: the nodes' structured trace events are recorded.
     pub record_trace: bool,
     /// Record the causal skeleton of the run — send, deliver, and observe
     /// records grouped by dispatch — for offline happens-before analysis.
@@ -210,7 +211,6 @@ pub struct World<P: Payload, Ob = ()> {
     net_rng: ChaCha8Rng,
     stats: MsgStats,
     observations: Vec<(SimTime, NodeId, Ob)>,
-    trace: Vec<(SimTime, NodeId, String)>,
     record_trace: bool,
     events_processed: u64,
     obs: Option<WorldObs>,
@@ -245,7 +245,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             net_rng,
             stats: MsgStats::default(),
             observations: Vec::new(),
-            trace: Vec::new(),
             record_trace: config.record_trace,
             events_processed: 0,
             obs: None,
@@ -257,10 +256,8 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     }
 
     /// Attach an observability registry. Registers the sim-layer metric
-    /// contract, forwards the world's `record_trace` flag into the
-    /// registry's tracing gate, and mirrors every [`Ctx::trace`] line into
-    /// the registry's structured trace stream (stamped with true time and
-    /// the emitting node).
+    /// contract and forwards the world's `record_trace` flag into the
+    /// registry's tracing gate.
     pub fn set_obs(&mut self, registry: Arc<Registry>) {
         names::register_all(&registry);
         registry.set_tracing(self.record_trace);
@@ -310,11 +307,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     /// Observations emitted so far (true-time stamped, in emission order).
     pub fn observations(&self) -> &[(SimTime, NodeId, Ob)] {
         &self.observations
-    }
-
-    /// Recorded trace lines (empty unless `record_trace`).
-    pub fn trace(&self) -> &[(SimTime, NodeId, String)] {
-        &self.trace
     }
 
     /// The causal log (None unless the world was built with
@@ -528,7 +520,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             &mut self.rngs[node.index()],
             &mut self.effects_buf,
         );
-        ctx.tracing = self.record_trace;
         f(actor.as_mut(), &mut ctx);
         self.actors[node.index()] = Some(actor);
         let mut effects = std::mem::take(&mut self.effects_buf);
@@ -554,13 +545,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
                         });
                     }
                     self.observations.push((self.now, node, ob));
-                }
-                Effect::Trace(line) => {
-                    if let Some(obs) = &self.obs {
-                        obs.registry
-                            .trace(self.now.0, node.to_string(), "sim", line.clone());
-                    }
-                    self.trace.push((self.now, node, line));
                 }
             }
         }

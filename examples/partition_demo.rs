@@ -89,7 +89,7 @@ fn main() {
             Event::Quiesced { shard } => Some(format!(
                 "{node} quiesced shard {shard} (phase 3: stops serving)"
             )),
-            Event::CacheInvalidated { discarded_dirty } => Some(format!(
+            Event::CacheInvalidated { discarded_dirty, .. } => Some(format!(
                 "{node} lease expired locally: cache invalidated ({discarded_dirty} dirty blocks lost)"
             )),
             Event::DeliveryError { client } => {
