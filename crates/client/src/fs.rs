@@ -141,8 +141,8 @@ pub enum FsData {
 pub type FsResult = Result<FsData, FsErr>;
 
 /// Closed-loop workload generator: after each completed operation the
-/// client asks for the next one plus a think time. `Send`, like the
-/// node's observer, so a node can be driven from any thread.
+/// client asks for the next one plus a think time. `Send`, so a node
+/// can be driven from any thread.
 pub trait OpGen: Send {
     /// The next operation, or `None` when the workload is exhausted.
     fn next_op(&mut self, rng: &mut ChaCha8Rng, now: LocalNs) -> Option<(LocalNs, FsOp)>;

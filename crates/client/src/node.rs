@@ -1,4 +1,7 @@
-//! The Storage Tank client actor.
+//! The Storage Tank client actor: one [`ClientNode`], an
+//! `Actor<NetMsg, Event>` the simulator's world and a UDP host both run.
+//! Its handlers take a [`NodeCtx`] and report every [`Event`] through
+//! `emit`, the one place the node's counters fold from what it reports.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -8,11 +11,11 @@ use tank_obs::Registry;
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
     stripe_disk, BlockId, CtlMsg, Epoch, Event, Incarnation, Ino, LockMode, NackReason, NetMsg,
-    NodeId, OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId, ServerPush,
-    SessionId, WriteTag,
+    NodeCtx, NodeId, OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId,
+    ServerPush, SessionId, WriteTag,
 };
 use tank_shard::ShardMap;
-use tank_sim::{Actor, Ctx, LocalNs, NetId, TokenMap};
+use tank_sim::{Actor, LocalNs, NetId, TokenMap};
 
 use crate::cache::BlockCache;
 use crate::fs::{FsData, FsErr, FsOp, FsResult, OpGen, Script};
@@ -159,6 +162,27 @@ pub struct ClientStats {
     /// `Stat`s answered by the server (a `GetAttr` or resolving `Lookup`
     /// reply).
     pub attr_misses: u64,
+}
+
+/// Field-by-field sum: a fleet's totals. The cluster's
+/// `client_totals_sum_every_field` test names every field, so a new one
+/// cannot be left out unnoticed.
+impl std::ops::AddAssign for ClientStats {
+    fn add_assign(&mut self, o: ClientStats) {
+        self.submitted += o.submitted;
+        self.completed += o.completed;
+        self.denied += o.denied;
+        self.failed += o.failed;
+        self.cache_hits += o.cache_hits;
+        self.cache_misses += o.cache_misses;
+        self.flushed_blocks += o.flushed_blocks;
+        self.cache_evictions += o.cache_evictions;
+        self.cache_refetches += o.cache_refetches;
+        self.fenced_io += o.fenced_io;
+        self.retransmits += o.retransmits;
+        self.attr_hits += o.attr_hits;
+        self.attr_misses += o.attr_misses;
+    }
 }
 
 /// Timer tokens.
@@ -487,7 +511,7 @@ struct FlushCampaign {
 }
 
 /// The client node.
-pub struct ClientNode<Ob> {
+pub struct ClientNode {
     cfg: ClientConfig,
     id: NodeId,
     /// The shard map (copied from the config; routes every request).
@@ -564,7 +588,6 @@ pub struct ClientNode<Ob> {
     /// their [`Event::OpCompleted`].
     results: VecDeque<(OpId, FsResult)>,
     stats: ClientStats,
-    observe: Box<dyn Fn(Event) -> Option<Ob> + Send>,
     obs: Option<ClientObs>,
 }
 
@@ -595,10 +618,9 @@ const FLUSH_SYNC: u64 = 2;
 /// The request in flight was answered or retransmitted.
 const FLUSH_ACK: u64 = 3;
 
-impl<Ob> ClientNode<Ob> {
-    /// New client. `observe` converts client events into world
-    /// observations.
-    pub fn new(cfg: ClientConfig, observe: Box<dyn Fn(Event) -> Option<Ob> + Send>) -> Self {
+impl ClientNode {
+    /// New client.
+    pub fn new(cfg: ClientConfig) -> Self {
         let cache = BlockCache::with_capacity(cfg.block_size, cfg.cache_capacity);
         let map = cfg.map;
         assert_eq!(
@@ -657,26 +679,14 @@ impl<Ob> ClientNode<Ob> {
             flush_tick: None,
             results: VecDeque::new(),
             stats: ClientStats::default(),
-            observe,
             obs: None,
         }
-    }
-
-    /// Client with no observer.
-    pub fn unobserved(cfg: ClientConfig) -> Self {
-        ClientNode::new(cfg, Box::new(|_| None))
     }
 
     /// Attach an observability registry: lease-lifecycle counters, the
     /// renewal-headroom histogram, and structured trace events.
     pub fn set_obs(&mut self, registry: Arc<Registry>) {
         self.obs = Some(ClientObs::new(registry));
-    }
-
-    /// Builder form of [`set_obs`](Self::set_obs).
-    pub fn with_obs(mut self, registry: Arc<Registry>) -> Self {
-        self.set_obs(registry);
-        self
     }
 
     /// Attach a fixed script (before the world starts).
@@ -792,12 +802,14 @@ impl<Ob> ClientNode<Ob> {
     /// Report `ev`: the one place an event is counted. The stats and
     /// counters that restate an event are folded from it here, and
     /// nowhere else.
-    fn emit(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn emit(&mut self, ev: Event, ctx: &mut NodeCtx<'_>) {
         let stats = &mut self.stats;
         match ev {
             Event::OpSubmitted { .. } => stats.submitted += 1,
             Event::OpCompleted { ok: true, .. } => stats.completed += 1,
-            Event::AttrServed { from_cache, .. } if from_cache => stats.attr_hits += 1,
+            Event::AttrServed {
+                from_cache: true, ..
+            } => stats.attr_hits += 1,
             Event::AttrServed { .. } => stats.attr_misses += 1,
             Event::ReadServed {
                 from_cache: true, ..
@@ -806,7 +818,9 @@ impl<Ob> ClientNode<Ob> {
         }
         if let Some(obs) = &self.obs {
             match ev {
-                Event::AttrServed { from_cache, .. } if from_cache => obs.attr_hits.inc(),
+                Event::AttrServed {
+                    from_cache: true, ..
+                } => obs.attr_hits.inc(),
                 Event::AttrServed { .. } => obs.attr_misses.inc(),
                 Event::ReadServed {
                     from_cache: true, ..
@@ -829,9 +843,7 @@ impl<Ob> ClientNode<Ob> {
                 _ => {}
             }
         }
-        if let Some(ob) = (self.observe)(ev) {
-            ctx.observe(ob);
-        }
+        ctx.observe(ev);
     }
 }
 
@@ -892,8 +904,8 @@ fn last_component(path: &str) -> String {
         .to_owned()
 }
 
-impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+impl Actor<NetMsg, Event> for ClientNode {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.id = ctx.node();
         // Arm scripted ops. Script times are *delays from client start*
         // measured on the client's own clock (clocks are not offset-
@@ -908,13 +920,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         }
     }
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        _net: NetId,
-        msg: NetMsg,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    fn on_message(&mut self, from: NodeId, _net: NetId, msg: NetMsg, ctx: &mut NodeCtx<'_>) {
         match msg {
             NetMsg::Ctl(CtlMsg::Response(resp)) => self.on_response(resp, ctx),
             NetMsg::Ctl(CtlMsg::Push(push)) => self.on_push(from, push, ctx),
@@ -941,7 +947,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
         self.pump_lease(ctx);
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>) {
         let Some(t) = self.timers.take(token) else {
             return;
         };
@@ -997,7 +1003,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ClientNode<Ob> {
 
     fn on_crash(&mut self) {}
 
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
         // Volatile state is gone: caches, locks, lease, session, pending
         // everything. (The workload generator and script also restart from
         // wherever they were — local processes died with the machine.)

@@ -3,11 +3,11 @@
 
 use super::*;
 
-impl<Ob> ClientNode<Ob> {
+impl ClientNode {
     // ------------------------------------------------------------ data ops
 
     /// The op holds a covering lock; run its data phase.
-    pub(super) fn run_data_op(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn run_data_op(&mut self, id: OpId, ino: Ino, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.get(&id) else {
             return;
         };
@@ -29,14 +29,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    fn run_read(
-        &mut self,
-        id: OpId,
-        ino: Ino,
-        offset: u64,
-        len: u32,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    fn run_read(&mut self, id: OpId, ino: Ino, offset: u64, len: u32, ctx: &mut NodeCtx<'_>) {
         let Some(LockEntry::Held(info)) = self.locks.get(&ino) else {
             return self.complete_op(id, Err(FsErr::LeaseLost), ctx);
         };
@@ -111,12 +104,7 @@ impl<Ob> ClientNode<Ob> {
     /// phase 1–2 (the serve funnel reads use). The size reported is the
     /// holder's local one — under `Exclusive` it includes growth not yet
     /// committed, which only this client can have caused.
-    pub(super) fn stat_from_lock(
-        &mut self,
-        id: OpId,
-        ino: Ino,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) -> bool {
+    pub(super) fn stat_from_lock(&mut self, id: OpId, ino: Ino, ctx: &mut NodeCtx<'_>) -> bool {
         if !self.cache_usable(ino) {
             return false;
         }
@@ -148,7 +136,7 @@ impl<Ob> ClientNode<Ob> {
         id: OpId,
         ino: Ino,
         attr: FileAttr,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         if !self.ops.contains_key(&id) {
             return; // the op already failed (lane expiry): nothing is served
@@ -205,7 +193,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    fn finish_read(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn finish_read(&mut self, id: OpId, ino: Ino, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.get(&id) else {
             return;
         };
@@ -314,7 +302,7 @@ impl<Ob> ClientNode<Ob> {
         ino: Ino,
         offset: u64,
         dlen: usize,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         let bs = self.cfg.block_size as u64;
         let end = offset + dlen as u64;
@@ -391,7 +379,7 @@ impl<Ob> ClientNode<Ob> {
     /// lock and a `SharedRead` re-grant replaced it. Under a read grant
     /// the op goes back to wait for `Exclusive`; with no grant it fails.
     /// `None` when the op does not proceed now.
-    fn write_grant(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) -> Option<Epoch> {
+    fn write_grant(&mut self, id: OpId, ino: Ino, ctx: &mut NodeCtx<'_>) -> Option<Epoch> {
         let (mode, epoch) = match self.locks.get(&ino) {
             Some(LockEntry::Held(info)) => (info.mode, info.epoch),
             _ => {
@@ -411,7 +399,7 @@ impl<Ob> ClientNode<Ob> {
     /// `epoch`. Every caller has just passed [`Self::write_grant`], or
     /// [`Self::may_admit`] under the epoch it returned, and a grant's
     /// epoch never changes mode: the write cannot park here.
-    fn apply_write(&mut self, id: OpId, ino: Ino, epoch: Epoch, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn apply_write(&mut self, id: OpId, ino: Ino, epoch: Epoch, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.get(&id) else {
             return;
         };
@@ -543,7 +531,7 @@ impl<Ob> ClientNode<Ob> {
         _idx: u32,
         block: BlockId,
         what: SanOp,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         let req_id = self.next_san_id;
         self.next_san_id += 1;
@@ -560,7 +548,7 @@ impl<Ob> ClientNode<Ob> {
         );
     }
 
-    pub(super) fn on_san_resp(&mut self, san: SanMsg, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn on_san_resp(&mut self, san: SanMsg, ctx: &mut NodeCtx<'_>) {
         match san {
             SanMsg::ReadResp { req_id, result } => {
                 let Some(SanOp::OpRead {

@@ -4,7 +4,7 @@
 
 use super::*;
 
-impl<Ob> ClientNode<Ob> {
+impl ClientNode {
     /// Swap the lane's address with its alternate, if one is configured.
     /// Called when the current address stops answering as the shard's
     /// primary (a `NotPrimary` redirect, or silence long enough to expire
@@ -14,7 +14,7 @@ impl<Ob> ClientNode<Ob> {
     /// election settles the question. The incarnation watch is cleared —
     /// the new address is a different server whose incarnation we have
     /// not seen yet, not a restart of the old one.
-    fn rotate_lane(&mut self, lane: usize, ctx: &mut Ctx<'_, NetMsg, Ob>) -> bool {
+    fn rotate_lane(&mut self, lane: usize, ctx: &mut NodeCtx<'_>) -> bool {
         let l = &mut self.lanes[lane];
         let Some(alt) = l.alt else { return false };
         let old = std::mem::replace(&mut l.addr, alt);
@@ -39,7 +39,7 @@ impl<Ob> ClientNode<Ob> {
     /// be a live primary we are merely cut off from, and the lane
     /// alternates as before. The deadline is not re-armed by later
     /// departures; the next session clears it.
-    fn leave_silent(&mut self, lane: usize, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn leave_silent(&mut self, lane: usize, ctx: &mut NodeCtx<'_>) {
         if self.rotate_lane(lane, ctx) {
             let deadline = ctx.now().plus(self.cfg.lease.server_timeout());
             self.lanes[lane].rehome_until.get_or_insert(deadline);
@@ -48,7 +48,7 @@ impl<Ob> ClientNode<Ob> {
 
     /// Send lane `lane`'s Hello again after `delay`, unless it has a
     /// session by then.
-    fn retry_hello(&mut self, lane: usize, delay: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn retry_hello(&mut self, lane: usize, delay: LocalNs, ctx: &mut NodeCtx<'_>) {
         let token = self.timers.insert(ClientTimer::HelloRetry(lane));
         ctx.set_timer(delay, token);
     }
@@ -67,7 +67,7 @@ impl<Ob> ClientNode<Ob> {
         body: RequestBody,
         purpose: Purpose,
         retry: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         self.note_mutation(&body);
         if self.cfg.batch_cap <= 1 || !body.batchable() {
@@ -119,13 +119,7 @@ impl<Ob> ClientNode<Ob> {
 
     /// `seq` was answered (or else retransmitted): if the lane's queue
     /// was waiting behind it, the wait is over.
-    fn open_gate(
-        &mut self,
-        lane: usize,
-        seq: ReqSeq,
-        answered: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    fn open_gate(&mut self, lane: usize, seq: ReqSeq, answered: bool, ctx: &mut NodeCtx<'_>) {
         let l = &mut self.lanes[lane];
         if let Some((_, sent)) = l.gate.take_if(|(gate, _)| *gate == seq) {
             if answered {
@@ -140,7 +134,7 @@ impl<Ob> ClientNode<Ob> {
     /// [`RequestBody::Batch`] under one sequence number — one message,
     /// one ACK, one opportunistic renewal (§3.1). The message is
     /// retransmitted iff any element asked to be, and then gates the lane.
-    pub(super) fn flush_batch(&mut self, lane: usize, reason: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn flush_batch(&mut self, lane: usize, reason: u64, ctx: &mut NodeCtx<'_>) {
         let mut queue = std::mem::take(&mut self.lanes[lane].queue);
         if queue.is_empty() {
             return;
@@ -167,7 +161,7 @@ impl<Ob> ClientNode<Ob> {
         body: RequestBody,
         purpose: Purpose,
         retry: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) -> ReqSeq {
         let seq = ReqSeq(self.next_seq);
         self.next_seq += 1;
@@ -203,7 +197,7 @@ impl<Ob> ClientNode<Ob> {
         seq
     }
 
-    fn retransmit(&mut self, seq: ReqSeq, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn retransmit(&mut self, seq: ReqSeq, ctx: &mut NodeCtx<'_>) {
         // NOTE: the lease send-time for `seq` is NOT updated — the lease a
         // future ACK grants must run from a send the ACK is known to
         // follow, and only the first transmission has that property for
@@ -249,7 +243,7 @@ impl<Ob> ClientNode<Ob> {
     /// already fires no later. Every request's deadline is at least `RTO`
     /// out when set, so in steady operation this arms once per `RTO`, not
     /// once per request.
-    fn arm_retry(&mut self, due: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn arm_retry(&mut self, due: LocalNs, ctx: &mut NodeCtx<'_>) {
         if self.retry_timer.is_some_and(|(at, _)| at <= due) {
             return;
         }
@@ -265,7 +259,7 @@ impl<Ob> ClientNode<Ob> {
     /// request due by then, in sequence order, each followed by a lease
     /// pump (so one sweep does what one firing per request would), and
     /// re-arm at the next deadline.
-    pub(super) fn retransmit_due(&mut self, deadline: LocalNs, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn retransmit_due(&mut self, deadline: LocalNs, ctx: &mut NodeCtx<'_>) {
         // A skewed clock may read a nanosecond short of the deadline it
         // was armed for; the requests due at it go now all the same.
         let upto = deadline.max(ctx.now());
@@ -292,7 +286,7 @@ impl<Ob> ClientNode<Ob> {
 
     // ----------------------------------------------------------- session
 
-    pub(super) fn send_hello(&mut self, lane: usize, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn send_hello(&mut self, lane: usize, ctx: &mut NodeCtx<'_>) {
         if self.lanes[lane].hello_inflight {
             return;
         }
@@ -313,7 +307,7 @@ impl<Ob> ClientNode<Ob> {
         lane: usize,
         sent_at: LocalNs,
         session: SessionId,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         let now = ctx.now();
         let l = &mut self.lanes[lane];
@@ -368,7 +362,7 @@ impl<Ob> ClientNode<Ob> {
     /// declared dead by that server. Only state governed by that shard is
     /// reset — ops, locks, and cached blocks under the other shards keep
     /// running — and a fresh session is sought from the failed server.
-    fn local_expiry(&mut self, lane: usize, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn local_expiry(&mut self, lane: usize, ctx: &mut NodeCtx<'_>) {
         let sid = self.lanes[lane].sid;
         self.lanes[lane].serving = false;
         // Fail every in-flight op governed by this shard (sorted:
@@ -446,7 +440,7 @@ impl<Ob> ClientNode<Ob> {
 
     // ------------------------------------------------------- lease driving
 
-    pub(super) fn pump_lease(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn pump_lease(&mut self, ctx: &mut NodeCtx<'_>) {
         if !self.cfg.lease_enabled {
             return;
         }
@@ -539,7 +533,7 @@ impl<Ob> ClientNode<Ob> {
 
     // ------------------------------------------------------------ replies
 
-    pub(super) fn on_response(&mut self, resp: Response, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn on_response(&mut self, resp: Response, ctx: &mut NodeCtx<'_>) {
         // Detect a server restart before anything else: the incarnation is
         // stamped on every response, so even a NACK for a long-forgotten
         // sequence number tells us the server we knew is gone. Incarnations
@@ -589,7 +583,7 @@ impl<Ob> ClientNode<Ob> {
         reason: NackReason,
         restarted: bool,
         p: PendingReq,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         let lane = p.lane;
         match reason {
@@ -666,7 +660,7 @@ impl<Ob> ClientNode<Ob> {
     /// flush dirty blocks to the SAN, then tear down and re-`Hello` at its
     /// own expiry — exactly the sequence the grace window was sized to
     /// wait out.
-    fn on_server_restart(&mut self, p: PendingReq, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_server_restart(&mut self, p: PendingReq, ctx: &mut NodeCtx<'_>) {
         let lane = p.lane;
         let sid = self.lanes[lane].sid;
         // "Clean" is judged per shard: only locks and dirty blocks this
@@ -688,7 +682,7 @@ impl<Ob> ClientNode<Ob> {
     /// Restart `p`'s lane with a fresh session: a refused Hello goes again
     /// at once; anything else fails as `LeaseLost`, and the lane expires
     /// locally, which re-Hellos.
-    fn restart_lane(&mut self, p: PendingReq, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn restart_lane(&mut self, p: PendingReq, ctx: &mut NodeCtx<'_>) {
         let lane = p.lane;
         if matches!(p.purpose, Purpose::Hello { .. }) {
             self.lanes[lane].hello_inflight = false;
@@ -704,7 +698,7 @@ impl<Ob> ClientNode<Ob> {
     /// `Suspended`, a refused Hello goes again after a pause (the server
     /// is still timing us out; its timer will fire eventually), and the
     /// lease pump walks the lane on toward recovery.
-    fn suspend_lane(&mut self, p: PendingReq, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn suspend_lane(&mut self, p: PendingReq, ctx: &mut NodeCtx<'_>) {
         let lane = p.lane;
         self.lanes[lane].lease.on_nack(ctx.now());
         let was_hello = matches!(p.purpose, Purpose::Hello { .. });

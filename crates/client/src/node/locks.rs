@@ -3,13 +3,13 @@
 
 use super::*;
 
-impl<Ob> ClientNode<Ob> {
+impl ClientNode {
     // -------------------------------------------------------------- locks
 
     /// Record `ino` as lazily retained (most recent last) and evict the
     /// oldest retained locks past the cap through the eager release path
     /// they skipped at absorb time.
-    pub(super) fn retain_release(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn retain_release(&mut self, ino: Ino, ctx: &mut NodeCtx<'_>) {
         self.lazy_retained.retain(|i| *i != ino);
         self.lazy_retained.push(ino);
         while self.lazy_retained.len() > LAZY_RELEASE_CAP {
@@ -27,7 +27,7 @@ impl<Ob> ClientNode<Ob> {
         id: OpId,
         ino: Ino,
         mode: LockMode,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         if !self.lock_step(id, ino, mode, ctx) {
             self.park(id, ino, mode);
@@ -40,13 +40,7 @@ impl<Ob> ClientNode<Ob> {
     /// upgrade, however many ops wait on it; a lock acquiring or
     /// releasing is waited out; no lock (never taken, released, expired)
     /// is acquired.
-    fn lock_step(
-        &mut self,
-        id: OpId,
-        ino: Ino,
-        mode: LockMode,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) -> bool {
+    fn lock_step(&mut self, id: OpId, ino: Ino, mode: LockMode, ctx: &mut NodeCtx<'_>) -> bool {
         match self.locks.get_mut(&ino) {
             Some(LockEntry::Held(info)) if info.mode.covers(mode) => {
                 self.run_data_op(id, ino, ctx);
@@ -68,7 +62,7 @@ impl<Ob> ClientNode<Ob> {
 
     /// Ask `ino`'s server for the lock in `mode`, under the lock's current
     /// generation so a reply to an earlier tenure is recognised as stale.
-    fn send_acquire(&mut self, ino: Ino, mode: LockMode, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn send_acquire(&mut self, ino: Ino, mode: LockMode, ctx: &mut NodeCtx<'_>) {
         let gen = self.gen_of(ino);
         let lane = self.lane_of_ino(ino);
         let body = RequestBody::LockAcquire { ino, mode };
@@ -77,7 +71,7 @@ impl<Ob> ClientNode<Ob> {
 
     /// Hand a held lock back to its server: straight away when nothing
     /// under it is dirty, after a write-back flush otherwise.
-    fn hand_back(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn hand_back(&mut self, ino: Ino, ctx: &mut NodeCtx<'_>) {
         if self.cache.dirty_len(ino) == 0 {
             self.commit_then_release(ino, None, ctx);
         } else {
@@ -99,7 +93,7 @@ impl<Ob> ClientNode<Ob> {
         epoch: Epoch,
         blocks: Vec<BlockId>,
         size: u64,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         // A grant landing while we are releasing is from a dead era (the
         // release is already on the wire; the server has executed or will
@@ -145,7 +139,7 @@ impl<Ob> ClientNode<Ob> {
     /// A demand arrived while the lock state was in motion: now that it
     /// settled (grant landed / release confirmed), hand the demanded grant
     /// over — or tell the server it is already gone.
-    fn satisfy_deferred_demand(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn satisfy_deferred_demand(&mut self, ino: Ino, ctx: &mut NodeCtx<'_>) {
         let Some(demanded) = self.deferred_demands.remove(&ino) else {
             return;
         };
@@ -173,7 +167,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    fn kick_parked(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn kick_parked(&mut self, ino: Ino, ctx: &mut NodeCtx<'_>) {
         let Some(ids) = self.parked.remove(&ino) else {
             return;
         };
@@ -199,7 +193,7 @@ impl<Ob> ClientNode<Ob> {
         &mut self,
         ino: Ino,
         complete: Option<OpId>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         let needs_commit = match self.locks.get(&ino) {
             Some(LockEntry::Held(info)) => info.size > info.committed_size,
@@ -245,12 +239,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    pub(super) fn send_release(
-        &mut self,
-        ino: Ino,
-        complete: Option<OpId>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    pub(super) fn send_release(&mut self, ino: Ino, complete: Option<OpId>, ctx: &mut NodeCtx<'_>) {
         // Final gate: a write may have slipped in during the commit round
         // trip. Releasing with dirty blocks would discard acknowledged
         // data, so flush again first. Once `Releasing` is set below, no
@@ -295,7 +284,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    pub(super) fn on_released(&mut self, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn on_released(&mut self, ino: Ino, ctx: &mut NodeCtx<'_>) {
         self.locks.remove(&ino);
         // The release ends this inode's lock era: a still-pending acquire
         // from before it (e.g. a dropped upgrade reply the server later
@@ -311,12 +300,7 @@ impl<Ob> ClientNode<Ob> {
 
     // ------------------------------------------------------------- pushes
 
-    pub(super) fn on_push(
-        &mut self,
-        from: NodeId,
-        push: ServerPush,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    pub(super) fn on_push(&mut self, from: NodeId, push: ServerPush, ctx: &mut NodeCtx<'_>) {
         // Pushes are per-server: ack on (and dedup against) the lane of
         // the server that sent this one.
         let lane = self.lane_of_addr(from).unwrap_or(0);

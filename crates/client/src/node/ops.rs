@@ -3,10 +3,10 @@
 
 use super::*;
 
-impl<Ob> ClientNode<Ob> {
+impl ClientNode {
     // ----------------------------------------------------------- workload
 
-    pub(super) fn maybe_next_gen_op(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn maybe_next_gen_op(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.gen_op_queued || self.gen.is_none() {
             return;
         }
@@ -34,7 +34,7 @@ impl<Ob> ClientNode<Ob> {
         kind: &'static str,
         err: FsErr,
         from_gen: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         self.stats.denied += 1;
         if !from_gen {
@@ -58,16 +58,11 @@ impl<Ob> ClientNode<Ob> {
     /// is logged for [`take_result`](Self::take_result) and announced by
     /// an [`Event::OpCompleted`] once it completes — within this call,
     /// if it is refused at admission.
-    pub fn submit(&mut self, op: FsOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> OpId {
+    pub fn submit(&mut self, op: FsOp, ctx: &mut NodeCtx<'_>) -> OpId {
         self.start_op(op, false, ctx)
     }
 
-    pub(super) fn start_op(
-        &mut self,
-        op: FsOp,
-        from_gen: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) -> OpId {
+    pub(super) fn start_op(&mut self, op: FsOp, from_gen: bool, ctx: &mut NodeCtx<'_>) -> OpId {
         let id = OpId(self.next_op_id);
         self.next_op_id += 1;
         self.emit(
@@ -81,7 +76,7 @@ impl<Ob> ClientNode<Ob> {
         id
     }
 
-    fn route_op(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn route_op(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut NodeCtx<'_>) {
         let kind = op.kind();
         if let FsOp::Rename { .. } = &op {
             return self.submit_rename(id, op, from_gen, ctx);
@@ -149,13 +144,7 @@ impl<Ob> ClientNode<Ob> {
     /// List the namespace root: every shard owns a slice of the top-level
     /// directory, so a full listing is a fan-out of one ReadDir per shard
     /// root, merged client-side.
-    fn submit_list_fanout(
-        &mut self,
-        id: OpId,
-        op: FsOp,
-        from_gen: bool,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    fn submit_list_fanout(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut NodeCtx<'_>) {
         let kind = op.kind();
         if !self.lanes.iter().all(|l| l.serving) {
             return self.deny_submit(id, kind, FsErr::Suspended, from_gen, ctx);
@@ -195,7 +184,7 @@ impl<Ob> ClientNode<Ob> {
     /// Exclusive locks on both shard-root directories taken in ino order
     /// (deadlock-free: roots are `Ino(1+sid)`, so ino order IS ServerId
     /// order), then link at the destination, then unlink at the source.
-    fn submit_rename(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn submit_rename(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut NodeCtx<'_>) {
         let kind = op.kind();
         let FsOp::Rename { from, to } = &op else {
             unreachable!("submit_rename only sees renames")
@@ -252,7 +241,7 @@ impl<Ob> ClientNode<Ob> {
     /// Drive a rename forward: acquire both directory locks (in ino
     /// order), then look up the source entry. Re-entered from
     /// `on_lock_granted` via the parked-op path.
-    pub(super) fn rename_advance(&mut self, id: OpId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn rename_advance(&mut self, id: OpId, ctx: &mut NodeCtx<'_>) {
         let Some(flow) = self.renames.get(&id) else {
             return;
         };
@@ -291,7 +280,7 @@ impl<Ob> ClientNode<Ob> {
         );
     }
 
-    fn resolve_step(&mut self, id: OpId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn resolve_step(&mut self, id: OpId, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.get(&id) else {
             return;
         };
@@ -314,7 +303,7 @@ impl<Ob> ClientNode<Ob> {
     }
 
     /// The op's target (or parent, for to_parent ops) is known.
-    fn op_resolved(&mut self, id: OpId, ino: Ino, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn op_resolved(&mut self, id: OpId, ino: Ino, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.get_mut(&id) else {
             return;
         };
@@ -439,7 +428,7 @@ impl<Ob> ClientNode<Ob> {
         lane: usize,
         purpose: Purpose,
         err: FsErr,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         match purpose {
             Purpose::Resolve { op }
@@ -516,7 +505,7 @@ impl<Ob> ClientNode<Ob> {
         lane: usize,
         purpose: Purpose,
         result: Result<ReplyBody, FsError>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         match (purpose, result) {
             (Purpose::Hello { sent_at }, Ok(ReplyBody::HelloOk { session, .. })) => {
@@ -649,7 +638,7 @@ impl<Ob> ClientNode<Ob> {
     /// destination → unlink at the source. Link-before-unlink means any
     /// failure leaves the file reachable under at least one name — the
     /// invariant the cross-shard test checks for.
-    fn dispatch_rename(&mut self, op: OpId, reply: ReplyBody, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn dispatch_rename(&mut self, op: OpId, reply: ReplyBody, ctx: &mut NodeCtx<'_>) {
         let Some(flow) = self.renames.get(&op) else {
             return; // already aborted (lane expiry, earlier failure)
         };
@@ -712,12 +701,7 @@ impl<Ob> ClientNode<Ob> {
 
     // --------------------------------------------------------- completion
 
-    pub(super) fn complete_op(
-        &mut self,
-        id: OpId,
-        result: FsResult,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    pub(super) fn complete_op(&mut self, id: OpId, result: FsResult, ctx: &mut NodeCtx<'_>) {
         let Some(active) = self.ops.remove(&id) else {
             return;
         };

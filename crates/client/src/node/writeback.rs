@@ -3,20 +3,15 @@
 
 use super::*;
 
-impl<Ob> ClientNode<Ob> {
+impl ClientNode {
     /// Arm the periodic write-back chain's next tick.
-    pub(super) fn arm_flush_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn arm_flush_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let token = self.timers.insert(ClientTimer::PeriodicFlush);
         self.flush_tick = Some(token);
         ctx.set_timer(self.cfg.flush_interval, token);
     }
 
-    pub(super) fn start_flush(
-        &mut self,
-        ino: Ino,
-        after: AfterFlush,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    pub(super) fn start_flush(&mut self, ino: Ino, after: AfterFlush, ctx: &mut NodeCtx<'_>) {
         let dirty = self.cache.dirty_of(ino);
         let nblocks = match self.locks.get(&ino) {
             Some(LockEntry::Held(info)) | Some(LockEntry::Releasing(info)) => info.blocks.len(),
@@ -45,7 +40,7 @@ impl<Ob> ClientNode<Ob> {
     }
 
     /// Issue queued flush writes up to the window.
-    pub(super) fn issue_flush_writes(&mut self, campaign: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    pub(super) fn issue_flush_writes(&mut self, campaign: u64, ctx: &mut NodeCtx<'_>) {
         let window = self.cfg.flush_window.max(1);
         loop {
             let Some(c) = self.flushes.get_mut(&campaign) else {
@@ -98,12 +93,7 @@ impl<Ob> ClientNode<Ob> {
         }
     }
 
-    pub(super) fn flush_done(
-        &mut self,
-        ino: Ino,
-        after: AfterFlush,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    pub(super) fn flush_done(&mut self, ino: Ino, after: AfterFlush, ctx: &mut NodeCtx<'_>) {
         match after {
             AfterFlush::Nothing => {}
             AfterFlush::CompleteOp(id) => {
@@ -140,7 +130,7 @@ impl<Ob> ClientNode<Ob> {
         &mut self,
         ino: Ino,
         complete: Option<OpId>,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
+        ctx: &mut NodeCtx<'_>,
     ) {
         if let Some(LockEntry::Held(info)) = self.locks.get(&ino) {
             if info.size > info.committed_size {

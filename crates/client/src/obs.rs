@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use tank_obs::{names, Counter, Histogram, Registry};
-use tank_sim::{Ctx, Payload};
+use tank_proto::NodeCtx;
 
 /// Pre-resolved client metric handles (each field is the `names::*`
 /// instrument [`new`](ClientObs::new) resolves it from) plus the trace
@@ -76,12 +76,7 @@ impl ClientObs {
 
     /// Record a structured trace event stamped with true time and this
     /// node's id. The detail closure runs only when tracing is enabled.
-    pub fn trace<P: Payload, Ob>(
-        &self,
-        ctx: &Ctx<'_, P, Ob>,
-        kind: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
+    pub fn trace(&self, ctx: &NodeCtx<'_>, kind: &'static str, detail: impl FnOnce() -> String) {
         self.registry.trace_with(
             ctx.now_true_for_instrumentation().0,
             ctx.node().to_string(),

@@ -164,11 +164,11 @@ fn run(server: ScriptedServer, script: Script) -> Outcome {
     let mut cfg = ClientConfig::new(server, vec![server]);
     cfg.block_size = BS;
     cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::new(cfg).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(SimTime::from_millis(400));
 
-    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     let stats = node
         .results()
         .filter_map(|(_, r)| match r {

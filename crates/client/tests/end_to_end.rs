@@ -4,7 +4,7 @@
 use tank_client::fs::Script;
 use tank_client::{ClientConfig, ClientNode, FsData, FsErr, FsOp};
 use tank_core::LeaseConfig;
-use tank_proto::{NetMsg, NodeId, OpId};
+use tank_proto::{Event, NetMsg, NodeId, OpId};
 use tank_server::{ServerConfig, ServerNode};
 use tank_sim::{ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 use tank_storage::{DiskConfig, DiskNode};
@@ -12,7 +12,7 @@ use tank_storage::{DiskConfig, DiskNode};
 const BS: usize = 512;
 
 struct Rig {
-    world: World<NetMsg>,
+    world: World<NetMsg, Event>,
     server: NodeId,
     clients: Vec<NodeId>,
 }
@@ -20,7 +20,7 @@ struct Rig {
 /// Build a world: 2 disks, 1 server, `nclients` clients with the given
 /// scripts.
 fn rig(scripts: Vec<Script>, lease: LeaseConfig) -> Rig {
-    let mut world: World<NetMsg> = World::new(WorldConfig {
+    let mut world: World<NetMsg, Event> = World::new(WorldConfig {
         seed: 42,
         record_trace: false,
         record_causal: false,
@@ -28,14 +28,14 @@ fn rig(scripts: Vec<Script>, lease: LeaseConfig) -> Rig {
     world.add_network(NetId::CONTROL, NetParams::ideal(200_000)); // 0.2ms
     world.add_network(NetId::SAN, NetParams::ideal(100_000)); // 0.1ms
     let d0 = world.add_node(
-        Box::new(DiskNode::<()>::unobserved(DiskConfig {
+        Box::new(DiskNode::<Event>::unobserved(DiskConfig {
             blocks: 4096,
             block_size: BS,
         })),
         ClockSpec::ideal(),
     );
     let d1 = world.add_node(
-        Box::new(DiskNode::<()>::unobserved(DiskConfig {
+        Box::new(DiskNode::<Event>::unobserved(DiskConfig {
             blocks: 4096,
             block_size: BS,
         })),
@@ -45,7 +45,7 @@ fn rig(scripts: Vec<Script>, lease: LeaseConfig) -> Rig {
     scfg.lease = lease;
     scfg.disks = vec![d0, d1];
     let server = world.add_node(
-        Box::new(ServerNode::<()>::unobserved(scfg, 4096, BS)),
+        Box::new(ServerNode::new(scfg, 4096, BS)),
         ClockSpec::ideal(),
     );
     let mut clients = Vec::new();
@@ -53,7 +53,7 @@ fn rig(scripts: Vec<Script>, lease: LeaseConfig) -> Rig {
         let mut ccfg = ClientConfig::new(server, vec![d0, d1]);
         ccfg.lease = lease;
         ccfg.block_size = BS;
-        let node = ClientNode::<()>::unobserved(ccfg).with_script(script);
+        let node = ClientNode::new(ccfg).with_script(script);
         clients.push(world.add_node(Box::new(node), ClockSpec::ideal()));
     }
     Rig {
@@ -65,7 +65,7 @@ fn rig(scripts: Vec<Script>, lease: LeaseConfig) -> Rig {
 
 fn results_of(rig: &Rig, client: usize) -> Vec<(OpId, Result<FsData, FsErr>)> {
     rig.world
-        .node_ref::<ClientNode<()>>(rig.clients[client])
+        .node_ref::<ClientNode>(rig.clients[client])
         .unwrap()
         .results()
         .cloned()
@@ -244,7 +244,7 @@ fn shared_readers_coexist() {
     );
     assert_eq!(results_of(&r, 1)[0].1, Ok(FsData::Bytes(vec![9u8; 16])));
     // Both ended holding shared locks; server sees no waiters.
-    let srv = r.world.node_ref::<ServerNode<()>>(r.server).unwrap();
+    let srv = r.world.node_ref::<ServerNode>(r.server).unwrap();
     assert_eq!(srv.locks().waiting(), 0);
 }
 
@@ -357,7 +357,7 @@ fn zero_length_writes_complete_without_the_lock() {
         Ok(FsData::Attr { size, .. }) => assert_eq!(*size, 0, "nothing grew"),
         other => panic!("stat: {other:?}"),
     }
-    let srv = r.world.node_ref::<ServerNode<()>>(r.server).unwrap();
+    let srv = r.world.node_ref::<ServerNode>(r.server).unwrap();
     assert_eq!(srv.locks().epoch_watermark(), 0, "no lock was ever granted");
 }
 
@@ -378,13 +378,13 @@ fn keepalives_preserve_idle_client_lease() {
         res[1].1.is_ok(),
         "late op served: lease never lapsed: {res:?}"
     );
-    let c = r.world.node_ref::<ClientNode<()>>(r.clients[0]).unwrap();
+    let c = r.world.node_ref::<ClientNode>(r.clients[0]).unwrap();
     assert!(
         c.lease().keepalive_count() > 0,
         "keep-alives actually flowed"
     );
     // And the server never armed a lease timer.
-    let srv = r.world.node_ref::<ServerNode<()>>(r.server).unwrap();
+    let srv = r.world.node_ref::<ServerNode>(r.server).unwrap();
     assert_eq!(srv.authority().stats().timers_started, 0);
     assert_eq!(srv.authority().memory_bytes(), 0);
 }
@@ -404,7 +404,7 @@ fn busy_client_renews_opportunistically_with_zero_keepalives() {
     // Observe only while the workload is active (an idle tail would
     // legitimately fall back to keep-alives).
     r.world.run_until(SimTime::from_millis(9_900));
-    let c = r.world.node_ref::<ClientNode<()>>(r.clients[0]).unwrap();
+    let c = r.world.node_ref::<ClientNode>(r.clients[0]).unwrap();
     assert_eq!(c.lease().keepalive_count(), 0, "no dedicated lease traffic");
     assert!(
         c.lease().renewal_count() > 20,

@@ -118,7 +118,7 @@ fn a_client_cut_off_from_a_live_primary_waits_one_election_window_then_returns()
     let mut cfg = ClientConfig::new(primary, Vec::new());
     cfg.alternates = vec![Some(standby)];
     cfg.lease = lease;
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some));
+    let node = ClientNode::new(cfg);
     world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(SimTime(end.0));
 

@@ -155,11 +155,11 @@ fn run(server: ScriptedServer, script: Script, until: SimTime) -> (ScriptedServe
     let mut cfg = ClientConfig::new(server, vec![server]);
     cfg.block_size = BS;
     cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::new(cfg).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(until);
     let results = world
-        .node_ref::<ClientNode<Event>>(client)
+        .node_ref::<ClientNode>(client)
         .unwrap()
         .results()
         .map(|(_, r)| r.clone())

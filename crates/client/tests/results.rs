@@ -14,8 +14,6 @@ use tank_storage::{DiskConfig, DiskNode};
 
 const BS: usize = 512;
 
-type Node = ClientNode<Event>;
-
 /// One disk, one server, one observed client running `script` and, if
 /// given, `gen`.
 fn rig(script: Script, gen: Option<Box<dyn OpGen>>) -> (World<NetMsg, Event>, NodeId) {
@@ -29,11 +27,11 @@ fn rig(script: Script, gen: Option<Box<dyn OpGen>>) -> (World<NetMsg, Event>, No
     let disk = world.add_node(Box::new(disk), ClockSpec::ideal());
     let mut scfg = ServerConfig::default();
     scfg.disks = vec![disk];
-    let server = ServerNode::<Event>::unobserved(scfg, 1024, BS);
+    let server = ServerNode::new(scfg, 1024, BS);
     let server = world.add_node(Box::new(server), ClockSpec::ideal());
     let mut cfg = ClientConfig::new(server, vec![disk]);
     cfg.block_size = BS;
-    let mut node = Node::new(cfg, Box::new(Some)).with_script(script);
+    let mut node = ClientNode::new(cfg).with_script(script);
     if let Some(gen) = gen {
         node.set_workload(gen);
     }
@@ -99,7 +97,7 @@ fn a_client_keeps_its_script_results_and_none_of_its_generators() {
         .map(|(op, _)| *op)
         .collect();
 
-    let node = world.node_ref::<Node>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     let results: Vec<(OpId, FsResult)> = node.results().cloned().collect();
     let ids: Vec<OpId> = results.iter().map(|(op, _)| *op).collect();
     assert_eq!(ids, scripted, "the script's ops, in completion order");
@@ -123,7 +121,7 @@ fn the_oldest_result_goes_and_take_result_finds_the_newest() {
     let (mut world, client) = rig(script, None);
     world.run_until(SimTime::from_millis(20));
 
-    let node = world.node_mut::<Node>(client).unwrap();
+    let node = world.node_mut::<ClientNode>(client).unwrap();
     let (first, newest) = (OpId(1), OpId(RESULT_LOG_CAP as u64 + 1));
     assert_eq!(node.results().count(), RESULT_LOG_CAP);
     assert_eq!(node.result_of(first), None, "the oldest result went");

@@ -189,7 +189,7 @@ fn world(
     let mut cfg = ClientConfig::new(server, vec![server]);
     cfg.lease = lease;
     cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::new(cfg).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     (world, server, client)
 }
@@ -221,8 +221,8 @@ fn server(world: &World<NetMsg, Event>, id: NodeId) -> &ScriptedServer {
     world.node_ref::<ScriptedServer>(id).unwrap()
 }
 
-fn client(world: &World<NetMsg, Event>, id: NodeId) -> &ClientNode<Event> {
-    world.node_ref::<ClientNode<Event>>(id).unwrap()
+fn client(world: &World<NetMsg, Event>, id: NodeId) -> &ClientNode {
+    world.node_ref::<ClientNode>(id).unwrap()
 }
 
 const SCHEDULE: [u64; 6] = [0, 250, 750, 1_750, 3_750, 5_750];
@@ -390,7 +390,7 @@ impl OpGen for Stats {
 #[test]
 fn the_timer_state_stays_bounded_over_ten_thousand_answered_requests() {
     let (mut w, s, c) = world(muting(&[]), LeaseConfig::default(), Script::new());
-    w.node_mut::<ClientNode<Event>>(c)
+    w.node_mut::<ClientNode>(c)
         .unwrap()
         .set_workload(Box::new(Stats { left: 10_000 }));
     let mut peak_queue = 0;

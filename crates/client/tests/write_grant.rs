@@ -169,7 +169,7 @@ fn run(
     let mut cfg = ClientConfig::new(server, vec![server]);
     cfg.block_size = BS;
     cfg.flush_interval = LocalNs(0);
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::new(cfg).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(until);
     (world, server, client)
@@ -244,7 +244,7 @@ fn an_allocation_answered_after_a_shared_regrant_waits_for_exclusive() {
         [Epoch(3)],
         "written under the upgrade only"
     );
-    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     assert_eq!(
         node.stats().failed,
         0,
@@ -283,7 +283,7 @@ fn a_write_parked_on_an_upgrade_writes_exactly_its_own_bytes() {
         [Epoch(3)],
         "written once, under the upgrade"
     );
-    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     let results: Vec<_> = node.results().map(|(_, r)| r.clone()).collect();
     assert_eq!(
         results,
@@ -330,7 +330,7 @@ fn a_write_refused_at_phase_4_leaves_no_dirty_block() {
         "refused when `Allocated` landed: {at:?}"
     );
     assert!(write_epochs(&world).is_empty(), "nothing acknowledged");
-    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     assert_eq!(node.lease().phase(LocalNs(at.0)), Phase::ExpectedFailure);
     assert_eq!(node.dirty_blocks(), 0, "no dirty block behind the flush");
 }

@@ -283,18 +283,6 @@ impl OpGen for LanGen {
     }
 }
 
-/// Violation total the sweeps assert on — every safety family the
-/// checker audits, including the batch-atomicity ledger.
-fn violation_count(check: &tank_consistency::CheckReport) -> usize {
-    check.lost_updates.len()
-        + check.stale_reads.len()
-        + check.write_order_violations.len()
-        + check.early_grants.len()
-        + check.cross_shard.len()
-        + check.batch_atomicity.len()
-        + check.coherence.len()
-}
-
 /// One latency-regime run. Returns (ops ok, control datagrams the server
 /// saw, checker violations).
 fn run_once(cap: usize, lazy: bool, seed: u64, secs: u64) -> (u64, u64, usize) {
@@ -306,11 +294,7 @@ fn run_once(cap: usize, lazy: bool, seed: u64, secs: u64) -> (u64, u64, usize) {
     cluster.settle();
     let requests = cluster.server_node().stats().requests;
     let report = cluster.finish();
-    (
-        report.check.ops_ok,
-        requests,
-        violation_count(&report.check),
-    )
+    (report.check.ops_ok, requests, report.check.violations())
 }
 
 /// The negative control's ops/s from its cycle's parts: per write → read
@@ -343,11 +327,7 @@ fn storm_once(cap: usize, seed: u64, secs: u64) -> (u64, u64, usize) {
     cluster.settle();
     let requests = cluster.server_node().stats().requests;
     let report = cluster.finish();
-    (
-        report.check.ops_ok,
-        requests,
-        violation_count(&report.check),
-    )
+    (report.check.ops_ok, requests, report.check.violations())
 }
 
 /// One LAN-regime run. Returns (ops ok, control datagrams the servers
@@ -371,7 +351,7 @@ fn lan_once(cap: usize, seed: u64, secs: u64) -> (u64, u64, usize) {
     (
         report.check.ops_ok,
         report.server.requests,
-        violation_count(&report.check),
+        report.check.violations(),
     )
 }
 

@@ -93,18 +93,11 @@ fn run_once(capacity: usize, shared: bool, seed: u64, secs: u64) -> (u64, u64, u
     cluster.settle();
     let report = cluster.finish();
     let totals = report.client_totals();
-    let violations = report.check.lost_updates.len()
-        + report.check.stale_reads.len()
-        + report.check.write_order_violations.len()
-        + report.check.early_grants.len()
-        + report.check.cross_shard.len()
-        + report.check.batch_atomicity.len()
-        + report.check.coherence.len();
     (
         report.check.ops_ok,
         totals.cache_hits,
         totals.cache_misses,
-        violations,
+        report.check.violations(),
     )
 }
 

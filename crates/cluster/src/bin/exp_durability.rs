@@ -70,11 +70,6 @@ fn cadence_run(threshold: usize, seed: u64, secs: u64) -> (u64, u64, u64, u64, u
     cluster.run_until(SimTime::from_secs(secs));
     cluster.settle();
     let report = cluster.finish();
-    let violations = report.check.lost_updates.len()
-        + report.check.stale_reads.len()
-        + report.check.write_order_violations.len()
-        + report.check.early_grants.len()
-        + report.check.cross_shard.len();
     let wal = cluster.server_node_of(ServerId(0)).wal();
     let stats = wal.stats();
     let audit = durability::audit_store(wal, tank_shard::ShardMap::new(1), ServerId(0), block_size);
@@ -89,7 +84,7 @@ fn cadence_run(threshold: usize, seed: u64, secs: u64) -> (u64, u64, u64, u64, u
         stats.fsyncs,
         stats.compactions,
         replay_max,
-        violations,
+        report.check.violations(),
         audit.violations.len(),
     )
 }
@@ -112,11 +107,7 @@ fn recovery_run(failover: bool, seed: u64, secs: u64) -> (u64, u64, usize, usize
     cluster.run_until(SimTime::from_secs(secs));
     cluster.settle();
     let report = cluster.finish();
-    let violations = report.check.lost_updates.len()
-        + report.check.stale_reads.len()
-        + report.check.write_order_violations.len()
-        + report.check.early_grants.len()
-        + report.check.cross_shard.len();
+    let violations = report.check.violations();
     let (elections, audit_violations) = if failover {
         let standby = cluster.standby_node_of(ServerId(0));
         let audit = durability::audit_store(

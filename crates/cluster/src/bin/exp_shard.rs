@@ -105,16 +105,11 @@ fn sweep_run(shards: u16, seed: u64, secs: u64) -> (u64, u64, u64, usize) {
         .servers()
         .map(|sid| cluster.server_node_of(sid).meta().transactions())
         .collect();
-    let violations = report.check.lost_updates.len()
-        + report.check.stale_reads.len()
-        + report.check.write_order_violations.len()
-        + report.check.early_grants.len()
-        + report.check.cross_shard.len();
     (
         report.check.ops_ok,
         report.meta_transactions,
         per_server.iter().copied().max().unwrap_or(0),
-        violations,
+        report.check.violations(),
     )
 }
 

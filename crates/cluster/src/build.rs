@@ -253,8 +253,7 @@ impl Cluster {
             scfg.disks = disks.clone();
             scfg.sid = sid;
             scfg.map = map;
-            let mut node: ServerNode<Event> =
-                ServerNode::new(scfg, cfg.total_blocks, cfg.block_size, Box::new(Some));
+            let mut node = ServerNode::new(scfg, cfg.total_blocks, cfg.block_size);
             if let Some(reg) = &cfg.obs {
                 node.set_obs(reg.clone());
             }
@@ -282,11 +281,11 @@ impl Cluster {
             }
             for (&p, &s) in servers.iter().zip(&standby_servers) {
                 world
-                    .node_mut::<ServerNode<Event>>(p)
+                    .node_mut::<ServerNode>(p)
                     .expect("server downcast")
                     .set_replication(s, false);
                 world
-                    .node_mut::<ServerNode<Event>>(s)
+                    .node_mut::<ServerNode>(s)
                     .expect("standby downcast")
                     .set_replication(p, true);
             }
@@ -309,7 +308,7 @@ impl Cluster {
             ccfg.cache_capacity = cfg.cache_capacity;
             ccfg.shared_read = cfg.shared_read;
             ccfg.phase3_gate = cfg.phase3_gate;
-            let mut node: ClientNode<Event> = ClientNode::new(ccfg, Box::new(Some));
+            let mut node = ClientNode::new(ccfg);
             if let Some(reg) = &cfg.obs {
                 node.set_obs(reg.clone());
             }
@@ -322,7 +321,7 @@ impl Cluster {
             let name = format!("f{i}");
             let owner = servers[map.place_top(&name).0 as usize];
             let srv = world
-                .node_mut::<ServerNode<Event>>(owner)
+                .node_mut::<ServerNode>(owner)
                 .expect("server downcast");
             srv.precreate_file(&name, cfg.file_blocks);
         }
@@ -412,7 +411,7 @@ impl Cluster {
     pub fn attach_workload(&mut self, idx: usize, gen: Box<dyn OpGen>) {
         let id = self.clients[idx];
         self.world
-            .node_mut::<ClientNode<Event>>(id)
+            .node_mut::<ClientNode>(id)
             .expect("client downcast")
             .set_workload(gen);
     }
@@ -421,7 +420,7 @@ impl Cluster {
     pub fn attach_script(&mut self, idx: usize, script: Script) {
         let id = self.clients[idx];
         self.world
-            .node_mut::<ClientNode<Event>>(id)
+            .node_mut::<ClientNode>(id)
             .expect("client downcast")
             .set_script(script);
     }
@@ -629,29 +628,29 @@ impl Cluster {
     }
 
     /// A client node (downcast), for scenario-specific inspection.
-    pub fn client(&self, idx: usize) -> &ClientNode<Event> {
+    pub fn client(&self, idx: usize) -> &ClientNode {
         self.world
-            .node_ref::<ClientNode<Event>>(self.clients[idx])
+            .node_ref::<ClientNode>(self.clients[idx])
             .expect("client downcast")
     }
 
     /// The server node (downcast). Shard 0 in a sharded cluster.
-    pub fn server_node(&self) -> &ServerNode<Event> {
+    pub fn server_node(&self) -> &ServerNode {
         self.server_node_of(ServerId(0))
     }
 
     /// The lock server governing one shard (downcast).
-    pub fn server_node_of(&self, sid: ServerId) -> &ServerNode<Event> {
+    pub fn server_node_of(&self, sid: ServerId) -> &ServerNode {
         self.world
-            .node_ref::<ServerNode<Event>>(self.servers[sid.0 as usize])
+            .node_ref::<ServerNode>(self.servers[sid.0 as usize])
             .expect("server downcast")
     }
 
     /// One shard's warm standby (downcast). Panics unless the cluster
     /// was built with `standbys`.
-    pub fn standby_node_of(&self, sid: ServerId) -> &ServerNode<Event> {
+    pub fn standby_node_of(&self, sid: ServerId) -> &ServerNode {
         self.world
-            .node_ref::<ServerNode<Event>>(self.standby_servers[sid.0 as usize])
+            .node_ref::<ServerNode>(self.standby_servers[sid.0 as usize])
             .expect("standby downcast")
     }
 

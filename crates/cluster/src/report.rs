@@ -90,17 +90,7 @@ impl RunReport {
         let mut meta_transactions = 0;
         for sid in 0..cluster.servers.len() {
             let node = cluster.server_node_of(ServerId(sid as u16));
-            let s = node.stats();
-            server.requests += s.requests;
-            server.nacks += s.nacks;
-            server.pushes_sent += s.pushes_sent;
-            server.delivery_errors += s.delivery_errors;
-            server.steals += s.steals;
-            server.locks_stolen += s.locks_stolen;
-            server.fences_completed += s.fences_completed;
-            server.replays += s.replays;
-            server.recoveries += s.recoveries;
-            server.recovery_nacks += s.recovery_nacks;
+            server += node.stats();
             let a = node.authority().stats();
             authority.empty_checks += a.empty_checks;
             authority.tracked_checks += a.tracked_checks;
@@ -131,18 +121,8 @@ impl RunReport {
     /// Aggregate client counters.
     pub fn client_totals(&self) -> ClientStats {
         let mut t = ClientStats::default();
-        for c in &self.clients {
-            t.submitted += c.submitted;
-            t.completed += c.completed;
-            t.denied += c.denied;
-            t.failed += c.failed;
-            t.cache_hits += c.cache_hits;
-            t.cache_misses += c.cache_misses;
-            t.cache_evictions += c.cache_evictions;
-            t.cache_refetches += c.cache_refetches;
-            t.flushed_blocks += c.flushed_blocks;
-            t.fenced_io += c.fenced_io;
-            t.retransmits += c.retransmits;
+        for &c in &self.clients {
+            t += c;
         }
         t
     }
@@ -206,5 +186,57 @@ impl std::fmt::Display for RunReport {
             if self.check.safe() { "SAFE" } else { "VIOLATED" }
         )?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_totals_sum_every_field() {
+        let one = ClientStats {
+            submitted: 1,
+            completed: 2,
+            denied: 3,
+            failed: 4,
+            cache_hits: 5,
+            cache_misses: 6,
+            flushed_blocks: 7,
+            cache_evictions: 8,
+            cache_refetches: 9,
+            fenced_io: 10,
+            retransmits: 11,
+            attr_hits: 12,
+            attr_misses: 13,
+        };
+        let report = RunReport {
+            seed: 0,
+            end: SimTime::ZERO,
+            msg: MsgSummary::default(),
+            server: ServerStats::default(),
+            authority: AuthorityStats::default(),
+            authority_memory_bytes: 0,
+            replay_entries: 0,
+            meta_transactions: 0,
+            clients: vec![one, one],
+            check: CheckReport::default(),
+        };
+        let twice = ClientStats {
+            submitted: 2,
+            completed: 4,
+            denied: 6,
+            failed: 8,
+            cache_hits: 10,
+            cache_misses: 12,
+            flushed_blocks: 14,
+            cache_evictions: 16,
+            cache_refetches: 18,
+            fenced_io: 20,
+            retransmits: 22,
+            attr_hits: 24,
+            attr_misses: 26,
+        };
+        assert_eq!(report.client_totals(), twice);
     }
 }

@@ -257,16 +257,21 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// True when no safety property was violated. (Unavailability is a
-    /// liveness observation, not a safety violation.)
+    /// Every safety violation found, summed over all seven classes.
+    /// (Unavailability is a liveness observation, not a safety violation.)
+    pub fn violations(&self) -> usize {
+        self.lost_updates.len()
+            + self.stale_reads.len()
+            + self.write_order_violations.len()
+            + self.early_grants.len()
+            + self.cross_shard.len()
+            + self.batch_atomicity.len()
+            + self.coherence.len()
+    }
+
+    /// True when no safety property was violated.
     pub fn safe(&self) -> bool {
-        self.lost_updates.is_empty()
-            && self.stale_reads.is_empty()
-            && self.write_order_violations.is_empty()
-            && self.early_grants.is_empty()
-            && self.cross_shard.is_empty()
-            && self.batch_atomicity.is_empty()
-            && self.coherence.is_empty()
+        self.violations() == 0
     }
 }
 

@@ -23,8 +23,9 @@
 //! 3. a function that both reads the cache (`.get(`) and serves a
 //!    `ReadServed` event must consult `cache_usable` in the same
 //!    function;
-//! 4. a function that emits `AttrServed { from_cache: true }` — a `Stat`
-//!    answered from cached attributes — must consult `cache_usable`;
+//! 4. a function that builds `AttrServed { from_cache: true }` — a `Stat`
+//!    answered from cached attributes — must consult `cache_usable`; a
+//!    match pattern that only reads such an event is not held to it;
 //! 5. a function that stores attributes into a `LockInfo` (`attr = Some(`
 //!    or a field `attr: Some(`) must consult `may_admit`.
 
@@ -110,11 +111,18 @@ pub fn check(files: &[SourceFile]) -> Vec<Violation> {
                         .is_some_and(|t| t.is_ident(w) || t.is_punct(w))
                 })
             };
+            // Only a built event serves a `Stat`: a pattern that reads one
+            // (a rest `..` before its `}`, or a `=>` after it) does not.
             let cached_serve = (start..end).find(|&i| {
-                toks[i].is_ident("AttrServed")
-                    && (i..end)
-                        .take_while(|&j| !toks[j].is_punct("}"))
-                        .any(|j| spells(j, &["from_cache", ":", "true"]))
+                if !toks[i].is_ident("AttrServed") {
+                    return false;
+                }
+                let Some(close) = (i..end).find(|&j| toks[j].is_punct("}")) else {
+                    return false;
+                };
+                let pattern = toks[close - 1].is_punct("..")
+                    || toks.get(close + 1).is_some_and(|t| t.is_punct("=>"));
+                !pattern && (i..close).any(|j| spells(j, &["from_cache", ":", "true"]))
             });
             if let (Some(i), false) = (cached_serve, mentions("cache_usable")) {
                 out.push(Violation {
@@ -228,6 +236,17 @@ mod tests {
              self.emit(Event::AttrServed { ino, from_cache: true }, ctx); }\n\
              fn from_server(&mut self) { \
              self.emit(Event::AttrServed { ino, from_cache: false }, ctx); }",
+        );
+        assert!(check(&[f]).is_empty());
+    }
+
+    #[test]
+    fn a_pattern_reading_a_cached_attr_serve_is_clean() {
+        let f = SourceFile::parse(
+            "crates/client/src/node.rs",
+            "fn emit(&mut self, ev: Event) { match ev { \
+             Event::AttrServed { from_cache: true, .. } => hits += 1, \
+             Event::AttrServed { ino, from_cache: true } => seen(ino), _ => {} } }",
         );
         assert!(check(&[f]).is_empty());
     }

@@ -331,6 +331,34 @@ fn l7_fires_on_ungated_cached_attr_serve() {
 }
 
 #[test]
+fn l7_tells_a_pattern_reading_a_cached_attr_serve_from_one_built() {
+    // The fold in `emit` reads the event; the function below it builds
+    // one without the gate. Only the build is a cached `Stat` served.
+    let fixture = Fixture::new(
+        "l7-attr-read",
+        &[(
+            "crates/client/src/node.rs",
+            "impl ClientNode {\n    fn emit(&mut self, ev: Event) {\n        match ev {\n            \
+             Event::AttrServed { from_cache: true, .. } => self.hits += 1,\n            \
+             _ => {}\n        }\n    }\n    fn stat(&mut self) {\n        \
+             self.emit(Event::AttrServed { ino, from_cache: true });\n    }\n}\n",
+        )],
+    );
+    let report = fixture.check();
+    let l7: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.lint == "L7")
+        .collect();
+    assert_eq!(l7.len(), 1, "{}", report.to_text());
+    assert!(
+        l7[0].line == 9 && l7[0].message.contains("cache_usable"),
+        "{}",
+        report.to_text()
+    );
+}
+
+#[test]
 fn l7_fires_on_ungated_attr_store() {
     let fixture = Fixture::new(
         "l7-attr-store",

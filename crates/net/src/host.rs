@@ -3,9 +3,10 @@
 //! activations run against (an ideal clock over [`mono_now`], the rng,
 //! the timers, an address book, a send arena) and runs it on the reactor
 //! loop of DESIGN.md §15. `tankd` ([`crate::LeaseServer`]) and
-//! `TankClient` are two actors on it. The state sits behind one mutex,
-//! never held across the poll wait, so other threads can activate the
-//! actor between wakeups and wait for what it observes.
+//! `TankClient` are two actors on it, each activated with the
+//! [`NodeCtx`] every protocol node takes. The state sits behind one
+//! mutex, never held across the poll wait, so other threads can activate
+//! the actor between wakeups and wait for what it observes.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tank_obs::{Counter, Histogram};
-use tank_proto::{Event, NetMsg, NodeId, WireEncode};
+use tank_proto::{Event, NetMsg, NodeCtx, NodeId, WireEncode};
 use tank_sim::{Actor, Clock, ClockSpec, Ctx, Effect, NetId, SimTime};
 
 use crate::fault::FaultySocket;
@@ -40,9 +41,6 @@ const FLUSH_AT: usize = 32;
 const MAX_BATCH: usize = 1024;
 /// Observations kept for [`Host::inspect`]; the oldest go first.
 const EVENT_LOG_CAP: usize = 1 << 16;
-
-/// The context an actor on a host is activated with.
-pub type NetCtx<'a> = Ctx<'a, NetMsg, Event>;
 
 /// What stands in for a network the host has no socket for: the reply, if
 /// any, to a datagram sent there, delivered from its destination.
@@ -92,7 +90,7 @@ impl<A: Actor<NetMsg, Event>> State<A> {
     /// Run `f` against the actor at clock reading `now`, carry out its
     /// effects together (as the world does), then deliver the local
     /// answerer's replies, each an activation of its own.
-    fn activate<R>(&mut self, now: SimTime, f: impl FnOnce(&mut A, &mut NetCtx<'_>) -> R) -> R {
+    fn activate<R>(&mut self, now: SimTime, f: impl FnOnce(&mut A, &mut NodeCtx<'_>) -> R) -> R {
         // The host's node is 0 to itself; its peers tell it by address.
         let (clock, rng) = (&self.clock, &mut self.rng);
         let mut ctx = Ctx::new(NodeId(0), now, clock, rng, &mut self.effects);
@@ -302,7 +300,7 @@ impl<A: Actor<NetMsg, Event> + Send> Host<A> {
     }
 
     /// Run `f` against the actor now, from any thread, and send its sends.
-    pub fn activate<R>(&self, f: impl FnOnce(&mut A, &mut NetCtx<'_>) -> R) -> R {
+    pub fn activate<R>(&self, f: impl FnOnce(&mut A, &mut NodeCtx<'_>) -> R) -> R {
         let mut st = self.shared.lock();
         let out = st.activate(SimTime(mono_now().0), f);
         self.shared.flush(&mut st);

@@ -15,7 +15,7 @@ use tank_core::LeaseConfig;
 use tank_meta::MetaStore;
 use tank_obs::{names, Histogram, Registry};
 use tank_proto::message::{FsError, RequestBody};
-use tank_proto::{CtlMsg, Event, Incarnation, NetMsg, NodeId};
+use tank_proto::{CtlMsg, Event, Incarnation, NetMsg, NodeCtx, NodeId};
 use tank_server::lock::LockManager;
 use tank_server::{
     CoreTimer, DemandLadder, Effect, ServerConfig, ServerCore, ServerObs, ServerStats,
@@ -23,7 +23,7 @@ use tank_server::{
 use tank_sim::{Actor, NetId, TokenMap};
 
 use crate::fault::{FaultConfig, FaultySocket};
-use crate::host::{Host, HostObs, NetCtx};
+use crate::host::{Host, HostObs};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -142,7 +142,7 @@ impl LeaseServer {
     /// Carry out, in order, what the core decided: the one place a
     /// response is put on the wire, fresh or replayed. The fold counts
     /// and traces each effect first.
-    fn drain(&mut self, ctx: &mut NetCtx<'_>) {
+    fn drain(&mut self, ctx: &mut NodeCtx<'_>) {
         while let Some(effect) = self.core.next_effect() {
             if let Some(obs) = &mut self.obs {
                 obs.on_effect(&effect, &self.core, ctx);
@@ -176,11 +176,11 @@ impl LeaseServer {
 }
 
 impl Actor<NetMsg, Event> for LeaseServer {
-    fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.drain(ctx);
     }
 
-    fn on_message(&mut self, from: NodeId, _net: NetId, msg: NetMsg, ctx: &mut NetCtx<'_>) {
+    fn on_message(&mut self, from: NodeId, _net: NetId, msg: NetMsg, ctx: &mut NodeCtx<'_>) {
         // Responses, pushes and SAN or replication traffic address other
         // nodes: a server drops them.
         let NetMsg::Ctl(CtlMsg::Request(req)) = msg else {
@@ -195,7 +195,7 @@ impl Actor<NetMsg, Event> for LeaseServer {
         self.drain(ctx);
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut NetCtx<'_>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>) {
         if let Some(timer) = self.timers.take(token) {
             self.core.timer_fired(timer, ctx.now());
             self.drain(ctx);

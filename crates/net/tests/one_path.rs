@@ -18,11 +18,11 @@ use tank_net::server::{LeaseServer, NetServerConfig};
 use tank_obs::{names, Registry};
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SessionId,
-    WireDecode, WireEncode, MAX_DATAGRAM,
+    CtlMsg, Epoch, Event, Ino, LockMode, NackReason, NetMsg, NodeCtx, NodeId, ReqSeq, Request,
+    SessionId, WireDecode, WireEncode, MAX_DATAGRAM,
 };
 use tank_server::{ServerConfig, ServerNode};
-use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
+use tank_sim::{Actor, ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 
 const ROOT: Ino = Ino(1);
 const A: Ino = Ino(2);
@@ -108,18 +108,18 @@ struct Requester {
     answers: Vec<(ReqSeq, ResponseOutcome)>,
 }
 
-impl Actor<NetMsg, ()> for Requester {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+impl Actor<NetMsg, Event> for Requester {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         for i in 0..self.script.len() {
             ctx.set_timer(LocalNs::from_millis(1 + i as u64), i as u64);
         }
     }
-    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut NodeCtx<'_>) {
         if let NetMsg::Ctl(CtlMsg::Response(r)) = msg {
             self.answers.push((r.seq, r.outcome));
         }
     }
-    fn on_timer(&mut self, i: u64, ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_timer(&mut self, i: u64, ctx: &mut NodeCtx<'_>) {
         let msg = NetMsg::Ctl(CtlMsg::Request(self.script[i as usize].clone()));
         ctx.send(NetId::CONTROL, self.server, msg);
     }
@@ -203,11 +203,11 @@ fn server_counters(registry: &Registry) -> Vec<(String, u64)> {
 }
 
 fn run_in_world(script: Vec<Request>) -> Run {
-    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     let registry = Arc::new(Registry::new());
-    let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1 << 16, 4096)
-        .with_obs(registry.clone());
+    let mut node = ServerNode::new(ServerConfig::default(), 1 << 16, 4096);
+    node.set_obs(registry.clone());
     let server = w.add_node(Box::new(node), ClockSpec::ideal());
     let len = script.len();
     let requester = Requester {

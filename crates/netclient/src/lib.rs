@@ -35,8 +35,6 @@ const NO_DISK: NodeId = NodeId(2);
 /// How long [`TankClient::connect`] waits for the first session.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-type Node = ClientNode<Event>;
-
 /// What the missing SAN answers to `msg`: the device failed.
 fn refusal(msg: NetMsg) -> Option<NetMsg> {
     let NetMsg::San(req) = msg else {
@@ -63,7 +61,7 @@ fn refusal(msg: NetMsg) -> Option<NetMsg> {
 /// A Storage Tank client of one `tankd`, over UDP: a [`ClientNode`] on a
 /// [`Host`]. Dropping it stops the host's thread and closes the socket.
 pub struct TankClient {
-    host: Host<Node>,
+    host: Host<ClientNode>,
 }
 
 impl TankClient {
@@ -96,7 +94,7 @@ impl TankClient {
         };
         let sock = FaultySocket::bind_observed(local, faults, registry)?;
         sock.connect(peer)?;
-        let mut node = ClientNode::new(cfg, Box::new(Some));
+        let mut node = ClientNode::new(cfg);
         if let Some(r) = registry {
             node.set_obs(r.clone());
         }
@@ -108,7 +106,7 @@ impl TankClient {
         let host = Host::spawn(node, sock, vec![peer], answerer, faults.seed, obs)?;
         let resumed = Event::Resumed { shard: 0 };
         let session =
-            |_: &mut Node, events: &VecDeque<Event>| events.contains(&resumed).then_some(());
+            |_: &mut ClientNode, events: &VecDeque<Event>| events.contains(&resumed).then_some(());
         match host.wait(CONNECT_TIMEOUT, session) {
             Some(()) => Ok(TankClient { host }),
             None => Err(io::Error::new(io::ErrorKind::TimedOut, "no session")),
@@ -136,7 +134,7 @@ impl TankClient {
     }
 
     /// Look at the node (its lease, its counters) between activations.
-    pub fn inspect<R>(&self, f: impl FnOnce(&Node) -> R) -> R {
+    pub fn inspect<R>(&self, f: impl FnOnce(&ClientNode) -> R) -> R {
         self.host.inspect(|node, _| f(node))
     }
 }

@@ -106,6 +106,10 @@ impl NetMsg {
     }
 }
 
+/// The context every protocol node is activated with, in the simulator
+/// and on a UDP host alike: it sends [`NetMsg`]s and reports [`Event`]s.
+pub type NodeCtx<'a> = tank_sim::Ctx<'a, NetMsg, Event>;
+
 impl tank_sim::Payload for NetMsg {
     fn kind(&self) -> &'static str {
         NetMsg::kind(self)

@@ -10,7 +10,9 @@
 //! timers, counters, traces and events) and keeps what only a server with
 //! disks, a log and a peer has: fencing before a steal (§6), WAL recovery,
 //! and the shipments, beats and promotion its [`RoleCore`] decides. A
-//! standby NACKs every request before the core sees it.
+//! standby NACKs every request before the core sees it. The node is an
+//! `Actor<NetMsg, Event>`: its handlers take a [`NodeCtx`] and report
+//! each [`Event`] to it directly.
 
 use std::sync::Arc;
 
@@ -19,10 +21,10 @@ use tank_meta::{snapshot, DurableStore, MetaStore, WalRecord, WalStats, Watermar
 use tank_obs::Registry;
 use tank_proto::message::{FsError, ReplyBody, RequestBody};
 use tank_proto::{
-    BlockRange, CtlMsg, Event, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeId,
-    Request, Response, RouteError, SanMsg,
+    BlockRange, CtlMsg, Event, FenceOp, Incarnation, Ino, LockMode, NackReason, NetMsg, NodeCtx,
+    NodeId, Request, Response, RouteError, SanMsg,
 };
-use tank_sim::{Actor, Ctx, NetId, TokenMap};
+use tank_sim::{Actor, NetId, TokenMap};
 
 use crate::config::ServerConfig;
 use crate::fence::FenceController;
@@ -39,14 +41,13 @@ enum ServerTimer {
 }
 
 /// The server node.
-pub struct ServerNode<Ob> {
+pub struct ServerNode {
     cfg: ServerConfig,
     /// The request path: store, locks, leases, sessions, the incarnation
     /// (bumped on every fail-stop restart) and the counters.
     core: ServerCore,
     fences: FenceController,
     timers: TokenMap<ServerTimer>,
-    observe: Box<dyn Fn(Event) -> Option<Ob>>,
     obs: Option<ServerObs>,
     /// The slice of the shared disks this shard governs: the only range it
     /// allocates from, and the only range its fence commands cover — a
@@ -67,14 +68,9 @@ pub struct ServerNode<Ob> {
     last_replay_image: Option<Vec<u8>>,
 }
 
-impl<Ob> ServerNode<Ob> {
+impl ServerNode {
     /// New server with a fresh metadata store over `total_blocks` blocks.
-    pub fn new(
-        cfg: ServerConfig,
-        total_blocks: u64,
-        block_size: usize,
-        observe: Box<dyn Fn(Event) -> Option<Ob>>,
-    ) -> Self {
+    pub fn new(cfg: ServerConfig, total_blocks: u64, block_size: usize) -> Self {
         let fence_range = cfg.map.block_range(cfg.sid, total_blocks);
         let wal = DurableStore::new(cfg.compact_threshold);
         ServerNode {
@@ -83,7 +79,6 @@ impl<Ob> ServerNode<Ob> {
             cfg,
             fences: FenceController::new(),
             timers: TokenMap::new(),
-            observe,
             obs: None,
             fence_range,
             wal,
@@ -93,21 +88,10 @@ impl<Ob> ServerNode<Ob> {
         }
     }
 
-    /// Server with no observer.
-    pub fn unobserved(cfg: ServerConfig, total_blocks: u64, block_size: usize) -> Self {
-        ServerNode::new(cfg, total_blocks, block_size, Box::new(|_| None))
-    }
-
     /// Attach an observability registry: grant/NACK/steal counters, the
     /// condemnation-latency histogram, and structured trace events.
     pub fn set_obs(&mut self, registry: Arc<Registry>) {
         self.obs = Some(ServerObs::new(registry));
-    }
-
-    /// Builder form of [`set_obs`](Self::set_obs).
-    pub fn with_obs(mut self, registry: Arc<Registry>) -> Self {
-        self.set_obs(registry);
-        self
     }
 
     /// Operation counters.
@@ -207,12 +191,6 @@ impl<Ob> ServerNode<Ob> {
         reply
     }
 
-    fn emit(&mut self, ev: Event, ctx: &mut Ctx<'_, NetMsg, Ob>) {
-        if let Some(ob) = (self.observe)(ev) {
-            ctx.observe(ob);
-        }
-    }
-
     // --------------------------------------------------------- durability
 
     /// Append one redo record to the (volatile) log tail. Durability comes
@@ -227,13 +205,13 @@ impl<Ob> ServerNode<Ob> {
     /// Push the log tail to the durable device (no-op when nothing is
     /// pending; the fsync counter and the [`Event::WalSynced`]
     /// event only move when the watermark does).
-    fn wal_fsync(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn wal_fsync(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.wal.fsync() {
             if let Some(obs) = &self.obs {
                 obs.wal_fsyncs.inc();
             }
             let durable = self.wal.durable_len() as u64;
-            self.emit(Event::WalSynced { durable }, ctx);
+            ctx.observe(Event::WalSynced { durable });
         }
     }
 
@@ -255,7 +233,7 @@ impl<Ob> ServerNode<Ob> {
     /// effects are carried out, so mid-drain the store can be ahead of the
     /// log: a snapshot of it is folded in only once no record is still
     /// queued behind it.
-    fn wal_sync_and_ship(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn wal_sync_and_ship(&mut self, ctx: &mut NodeCtx<'_>) {
         self.wal_fsync(ctx);
         if self.wal.needs_compaction() && !self.core.logs_queued() {
             let wm = self.watermarks();
@@ -273,7 +251,7 @@ impl<Ob> ServerNode<Ob> {
 
     /// Carry out, in order, what the core decided; the fold counts and
     /// traces each effect first.
-    fn drain(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn drain(&mut self, ctx: &mut NodeCtx<'_>) {
         while let Some(effect) = self.core.next_effect() {
             if let Some(obs) = &mut self.obs {
                 obs.on_effect(&effect, &self.core, ctx);
@@ -296,7 +274,7 @@ impl<Ob> ServerNode<Ob> {
                             self.fence_cmd(client, FenceOp::Unfence, ctx);
                         }
                     }
-                    self.emit(ev, ctx);
+                    ctx.observe(ev);
                 }
                 Effect::Fence(client) => self.begin_fence(client, ctx),
                 Effect::Steal(client) => self.steal(client, ctx),
@@ -305,7 +283,7 @@ impl<Ob> ServerNode<Ob> {
     }
 
     /// The one place a response meets the wire, fresh or replayed.
-    fn send_response(&mut self, resp: Response, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn send_response(&mut self, resp: Response, ctx: &mut NodeCtx<'_>) {
         // Write-ahead discipline: everything this response reports must be
         // durable before the response exists on the wire. (A replayed
         // response was synced when first produced; nothing is pending.)
@@ -316,7 +294,7 @@ impl<Ob> ServerNode<Ob> {
 
     // ----------------------------------------------------------- recovery
 
-    fn begin_fence(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn begin_fence(&mut self, client: NodeId, ctx: &mut NodeCtx<'_>) {
         if !self.fence_cmd(client, FenceOp::Fence, ctx) {
             // No disks configured: fence is trivially in force.
             self.fence_complete(client, ctx);
@@ -325,7 +303,7 @@ impl<Ob> ServerNode<Ob> {
 
     /// Send `op` against `client` to every disk over this shard's slice;
     /// false when there is no disk to send it to.
-    fn fence_cmd(&mut self, client: NodeId, op: FenceOp, ctx: &mut Ctx<'_, NetMsg, Ob>) -> bool {
+    fn fence_cmd(&mut self, client: NodeId, op: FenceOp, ctx: &mut NodeCtx<'_>) -> bool {
         let disks = self.cfg.disks.clone();
         let sends = self.fences.begin(client, op, &disks);
         let (target, range) = (client, self.fence_range);
@@ -341,26 +319,26 @@ impl<Ob> ServerNode<Ob> {
         !sends.is_empty()
     }
 
-    fn fence_complete(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn fence_complete(&mut self, client: NodeId, ctx: &mut NodeCtx<'_>) {
         self.core.stats.fences_completed += 1;
         if let Some(obs) = &self.obs {
             obs.fences.inc();
             obs.trace(ctx, "fence", || format!("client=n{}", client.0));
         }
-        self.emit(Event::Fenced { client }, ctx);
+        ctx.observe(Event::Fenced { client });
         self.steal(client, ctx);
     }
 
     /// Take `client`'s locks; the grants that unblocks are drained by the
     /// caller.
-    fn steal(&mut self, client: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn steal(&mut self, client: NodeId, ctx: &mut NodeCtx<'_>) {
         let stolen = self.core.steal(client, ctx.now());
         if let Some(obs) = &self.obs {
             obs.stolen(client, stolen, ctx);
         }
     }
 
-    fn on_san(&mut self, san: SanMsg, from: NodeId, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_san(&mut self, san: SanMsg, from: NodeId, ctx: &mut NodeCtx<'_>) {
         match san {
             SanMsg::FenceResp { req_id } => {
                 if let Some((client, FenceOp::Fence)) = self.fences.on_response(req_id, from) {
@@ -375,7 +353,7 @@ impl<Ob> ServerNode<Ob> {
     /// A message this server does not take: a protocol anomaly, counted
     /// and traced, never printed — normal runs stay silent, exporter runs
     /// see it structured.
-    fn unexpected(&self, ctx: &Ctx<'_, NetMsg, Ob>, what: impl FnOnce() -> String) {
+    fn unexpected(&self, ctx: &NodeCtx<'_>, what: impl FnOnce() -> String) {
         if let Some(obs) = &self.obs {
             obs.unexpected_msgs.inc();
             obs.trace(ctx, "unexpected", what);
@@ -385,7 +363,7 @@ impl<Ob> ServerNode<Ob> {
     // -------------------------------------------------------- replication
 
     /// Carry out, in order, what the role core decided.
-    fn run_role(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn run_role(&mut self, ctx: &mut NodeCtx<'_>) {
         while let Some(effect) = self.role.next_effect() {
             match effect {
                 RoleEffect::Send(to, msg) => ctx.send(NetId::CONTROL, to, NetMsg::Repl(msg)),
@@ -403,7 +381,7 @@ impl<Ob> ServerNode<Ob> {
 
     /// The role core's election: recover from the mirror as a restarted
     /// primary recovers from its own, grace window included, and serve.
-    fn promote(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn promote(&mut self, ctx: &mut NodeCtx<'_>) {
         self.core.stats.elections += 1;
         if let Some(obs) = &self.obs {
             obs.failover_elections.inc();
@@ -420,7 +398,7 @@ impl<Ob> ServerNode<Ob> {
     /// the log. Shared by fail-stop restart and standby promotion: the
     /// two are the same act of reconstruction, differing only in whose
     /// device the bytes came from.
-    fn recover_from_wal(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn recover_from_wal(&mut self, ctx: &mut NodeCtx<'_>) {
         let recovered = snapshot::recover(
             &mut self.wal,
             self.cfg.map,
@@ -468,7 +446,7 @@ impl<Ob> ServerNode<Ob> {
         }
     }
 
-    fn on_request(&mut self, from: NodeId, req: Request, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_request(&mut self, from: NodeId, req: Request, ctx: &mut NodeCtx<'_>) {
         // Standby gate before everything: a warm standby owns no live
         // shard state and must not touch even the session window. The
         // redirect is not a lease judgment — the client rotates to the
@@ -483,8 +461,8 @@ impl<Ob> ServerNode<Ob> {
     }
 }
 
-impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+impl Actor<NetMsg, Event> for ServerNode {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.role.start(ctx.now()) {
             // Every response is stamped with an incarnation that recovery
             // reads back from the log — so the first incarnation must be
@@ -495,13 +473,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         self.run_role(ctx);
     }
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        _net: NetId,
-        msg: NetMsg,
-        ctx: &mut Ctx<'_, NetMsg, Ob>,
-    ) {
+    fn on_message(&mut self, from: NodeId, _net: NetId, msg: NetMsg, ctx: &mut NodeCtx<'_>) {
         match msg {
             NetMsg::Ctl(CtlMsg::Request(req)) => self.on_request(from, req, ctx),
             NetMsg::San(san) => self.on_san(san, from, ctx),
@@ -514,7 +486,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>) {
         match self.timers.take(token) {
             Some(ServerTimer::Core(timer)) => {
                 self.core.timer_fired(timer, ctx.now());
@@ -547,7 +519,7 @@ impl<Ob: 'static> Actor<NetMsg, Ob> for ServerNode<Ob> {
     /// by then every pre-crash holder's own clock has expired its lease
     /// and flushed its cache (the Theorem 3.1 rate-synchronization
     /// argument, applied to recovery).
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, NetMsg, Ob>) {
+    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
         self.core.stats.recoveries += 1;
         // Timers armed before the crash may still fire; invalidating the
         // tokens (while keeping the counter monotonic) makes them no-ops.

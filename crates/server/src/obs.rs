@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use tank_obs::{names, Counter, Histogram, Registry};
 use tank_proto::message::ResponseOutcome;
-use tank_proto::{Event, LockMode, NackReason, NodeId};
-use tank_sim::{Ctx, LocalNs, Payload};
+use tank_proto::{Event, LockMode, NackReason, NodeCtx, NodeId};
+use tank_sim::LocalNs;
 
 use crate::request::{CoreTimer, Effect, ServerCore};
 
@@ -108,12 +108,7 @@ impl ServerObs {
 
     /// Record a structured trace event stamped with true time and this
     /// node's id. The detail closure runs only when tracing is enabled.
-    pub fn trace<P: Payload, Ob>(
-        &self,
-        ctx: &Ctx<'_, P, Ob>,
-        kind: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
+    pub fn trace(&self, ctx: &NodeCtx<'_>, kind: &'static str, detail: impl FnOnce() -> String) {
         self.registry.trace_with(
             ctx.now_true_for_instrumentation().0,
             ctx.node().to_string(),
@@ -127,12 +122,7 @@ impl ServerObs {
     /// it is not a retry), a lease expiry's or steal grace's arming, and
     /// every core event. A lease expiry's steal latency is measured from
     /// its first arming to its firing.
-    pub fn on_effect<P: Payload, Ob>(
-        &mut self,
-        effect: &Effect,
-        core: &ServerCore,
-        ctx: &Ctx<'_, P, Ob>,
-    ) {
+    pub fn on_effect(&mut self, effect: &Effect, core: &ServerCore, ctx: &NodeCtx<'_>) {
         match effect {
             Effect::Respond(resp) => {
                 let ResponseOutcome::Nacked(reason) = &resp.outcome else {
@@ -180,7 +170,7 @@ impl ServerObs {
         }
     }
 
-    fn on_event<P: Payload, Ob>(&mut self, ev: &Event, core: &ServerCore, ctx: &Ctx<'_, P, Ob>) {
+    fn on_event(&mut self, ev: &Event, core: &ServerCore, ctx: &NodeCtx<'_>) {
         match *ev {
             Event::DeliveryError { client } => {
                 self.delivery_errors.inc();
@@ -245,7 +235,7 @@ impl ServerObs {
 
     /// Count and trace a steal the driver carried out: `locks` of
     /// `client`'s locks taken.
-    pub fn stolen<P: Payload, Ob>(&self, client: NodeId, locks: usize, ctx: &Ctx<'_, P, Ob>) {
+    pub fn stolen(&self, client: NodeId, locks: usize, ctx: &NodeCtx<'_>) {
         self.steals.inc();
         self.lock_stolen.add(locks as u64);
         self.trace(ctx, "steal", || {

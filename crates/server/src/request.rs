@@ -64,6 +64,25 @@ pub struct ServerStats {
     pub elections: u64,
 }
 
+/// Field-by-field sum: the totals over a cluster's shards. The
+/// `server_stats_sum_every_field` test names every field, so a new one
+/// cannot be left out unnoticed.
+impl std::ops::AddAssign for ServerStats {
+    fn add_assign(&mut self, o: ServerStats) {
+        self.requests += o.requests;
+        self.nacks += o.nacks;
+        self.pushes_sent += o.pushes_sent;
+        self.delivery_errors += o.delivery_errors;
+        self.steals += o.steals;
+        self.locks_stolen += o.locks_stolen;
+        self.fences_completed += o.fences_completed;
+        self.replays += o.replays;
+        self.recoveries += o.recoveries;
+        self.recovery_nacks += o.recovery_nacks;
+        self.elections += o.elections;
+    }
+}
+
 /// What a driver refuses before the metadata store sees a request — its
 /// lock rules for mutations (DESIGN.md §15, row 1) — passed to
 /// [`ServerCore::on_request`] the way an executor is passed to
@@ -1090,5 +1109,38 @@ mod tests {
         assert_eq!(fire(&mut c, CoreTimer::RecoveryDone, done), [ended]);
         assert!(!c.recovering());
         assert_eq!(send(&mut c, A, 1, 4, acquire)[2], granted(A, 1, 4, 1));
+    }
+
+    #[test]
+    fn server_stats_sum_every_field() {
+        let one = ServerStats {
+            requests: 1,
+            nacks: 2,
+            pushes_sent: 3,
+            delivery_errors: 4,
+            steals: 5,
+            locks_stolen: 6,
+            fences_completed: 7,
+            replays: 8,
+            recoveries: 9,
+            recovery_nacks: 10,
+            elections: 11,
+        };
+        let mut sum = one;
+        sum += one;
+        let twice = ServerStats {
+            requests: 2,
+            nacks: 4,
+            pushes_sent: 6,
+            delivery_errors: 8,
+            steals: 10,
+            locks_stolen: 12,
+            fences_completed: 14,
+            replays: 16,
+            recoveries: 18,
+            recovery_nacks: 20,
+            elections: 22,
+        };
+        assert_eq!(sum, twice);
     }
 }

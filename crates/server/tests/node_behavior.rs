@@ -5,11 +5,11 @@
 use tank_core::LeaseConfig;
 use tank_proto::message::{FsError, ReplyBody, RequestBody, ResponseOutcome};
 use tank_proto::{
-    CtlMsg, Epoch, Ino, LockMode, NackReason, NetMsg, NodeId, ReqSeq, Request, SanError, SanMsg,
-    SanReadOk, SessionId, WriteTag,
+    CtlMsg, Epoch, Event, Ino, LockMode, NackReason, NetMsg, NodeCtx, NodeId, ReqSeq, Request,
+    SanError, SanMsg, SanReadOk, SessionId, WriteTag,
 };
 use tank_server::{ServerConfig, ServerNode, ServerStats};
-use tank_sim::{Actor, ClockSpec, Ctx, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
+use tank_sim::{Actor, ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 
 /// Sends a fixed list of raw requests (one per ms) and records responses.
 struct Requester {
@@ -19,16 +19,16 @@ struct Requester {
     next: usize,
 }
 
-impl Actor<NetMsg, ()> for Requester {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+impl Actor<NetMsg, Event> for Requester {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         ctx.set_timer(LocalNs::from_millis(1), 0);
     }
-    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut NodeCtx<'_>) {
         if let NetMsg::Ctl(CtlMsg::Response(r)) = msg {
             self.responses.push((r.seq, r.outcome));
         }
     }
-    fn on_timer(&mut self, _t: u64, ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_timer(&mut self, _t: u64, ctx: &mut NodeCtx<'_>) {
         if let Some(req) = self.script.get(self.next) {
             self.next += 1;
             ctx.send(
@@ -49,17 +49,17 @@ fn run_script(script_builder: impl Fn(NodeId) -> Vec<Request>) -> Vec<(ReqSeq, R
 fn run_script_wal(
     script_builder: impl Fn(NodeId) -> Vec<Request>,
 ) -> (Vec<(ReqSeq, ResponseOutcome)>, Vec<u8>) {
-    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     w.add_network(NetId::SAN, NetParams::ideal(100_000));
     let mut cfg = ServerConfig::default();
     cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(5));
     let server = w.add_node(
-        Box::new(ServerNode::<()>::unobserved(cfg, 1024, 512)),
+        Box::new(ServerNode::new(cfg, 1024, 512)),
         ClockSpec::ideal(),
     );
     {
-        let s = w.node_mut::<ServerNode<()>>(server).unwrap();
+        let s = w.node_mut::<ServerNode>(server).unwrap();
         s.precreate_file("f0", 4);
     }
     let script = script_builder(server);
@@ -78,7 +78,7 @@ fn run_script_wal(
         .unwrap()
         .responses
         .clone();
-    let wal = w.node_ref::<ServerNode<()>>(server).unwrap().wal();
+    let wal = w.node_ref::<ServerNode>(server).unwrap().wal();
     (responses, wal.durable_delta(0).to_vec())
 }
 
@@ -441,8 +441,8 @@ fn application_errors_still_ack() {
 /// Delivers SAN read/write completions the server never asked for.
 struct StrayDisk(NodeId);
 
-impl Actor<NetMsg, ()> for StrayDisk {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+impl Actor<NetMsg, Event> for StrayDisk {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         let read = SanMsg::ReadResp {
             req_id: 1,
             result: Ok(SanReadOk {
@@ -457,8 +457,8 @@ impl Actor<NetMsg, ()> for StrayDisk {
         ctx.send(NetId::SAN, self.0, NetMsg::San(read));
         ctx.send(NetId::SAN, self.0, NetMsg::San(write));
     }
-    fn on_message(&mut self, _f: NodeId, _n: NetId, _m: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {}
-    fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<'_, NetMsg, ()>) {}
+    fn on_message(&mut self, _f: NodeId, _n: NetId, _m: NetMsg, _ctx: &mut NodeCtx<'_>) {}
+    fn on_timer(&mut self, _t: u64, _ctx: &mut NodeCtx<'_>) {}
 }
 
 #[test]
@@ -466,14 +466,12 @@ fn stray_san_completions_are_counted_and_never_acted_on() {
     // The server's only SAN business is fencing: a read or write
     // completion is a protocol anomaly, whatever request id it carries.
     let registry = std::sync::Arc::new(tank_obs::Registry::new());
-    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     w.add_network(NetId::SAN, NetParams::ideal(100_000));
-    let node = ServerNode::<()>::unobserved(ServerConfig::default(), 1024, 512);
-    let server = w.add_node(
-        Box::new(node.with_obs(registry.clone())),
-        ClockSpec::ideal(),
-    );
+    let mut node = ServerNode::new(ServerConfig::default(), 1024, 512);
+    node.set_obs(registry.clone());
+    let server = w.add_node(Box::new(node), ClockSpec::ideal());
     w.add_node(Box::new(StrayDisk(server)), ClockSpec::ideal());
     w.run_until(SimTime::from_secs(1));
 
@@ -481,7 +479,7 @@ fn stray_san_completions_are_counted_and_never_acted_on() {
         registry.snapshot().counter("server.unexpected_msgs"),
         Some(2)
     );
-    let s = w.node_ref::<ServerNode<()>>(server).unwrap();
+    let s = w.node_ref::<ServerNode>(server).unwrap();
     assert_eq!(s.stats(), ServerStats::default());
     assert_eq!(w.stats().sent_on(NetId::SAN), 2, "only the strays");
     assert_eq!(w.stats().sent_on(NetId::CONTROL), 0);
@@ -496,18 +494,18 @@ struct SilentPeer {
     responses: Vec<(ReqSeq, ResponseOutcome)>,
 }
 
-impl Actor<NetMsg, ()> for SilentPeer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, ()>) {
+impl Actor<NetMsg, Event> for SilentPeer {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer(LocalNs::from_millis(*at), i as u64);
         }
     }
-    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_message(&mut self, _f: NodeId, _n: NetId, msg: NetMsg, _ctx: &mut NodeCtx<'_>) {
         if let NetMsg::Ctl(CtlMsg::Response(r)) = msg {
             self.responses.push((r.seq, r.outcome));
         }
     }
-    fn on_timer(&mut self, i: u64, ctx: &mut Ctx<'_, NetMsg, ()>) {
+    fn on_timer(&mut self, i: u64, ctx: &mut NodeCtx<'_>) {
         let req = self.script[i as usize].1.clone();
         ctx.send(
             NetId::CONTROL,
@@ -553,17 +551,17 @@ fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
         ],
         vec![(3, req(3, 0, 1, hello)), (100, req(3, 3, 2, acquire(2)))],
     ];
-    let mut w: World<NetMsg> = World::new(WorldConfig::default());
+    let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
     w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
     w.add_network(NetId::SAN, NetParams::ideal(100_000));
     let mut cfg = ServerConfig::default();
     cfg.lease = LeaseConfig::with_tau(LocalNs::from_secs(2));
     let server = w.add_node(
-        Box::new(ServerNode::<()>::unobserved(cfg, 1024, 512)),
+        Box::new(ServerNode::new(cfg, 1024, 512)),
         ClockSpec::ideal(),
     );
     {
-        let s = w.node_mut::<ServerNode<()>>(server).unwrap();
+        let s = w.node_mut::<ServerNode>(server).unwrap();
         assert_eq!(s.precreate_file("f0", 4), Ino(2));
         assert_eq!(s.precreate_file("f1", 4), Ino(3));
     }
@@ -579,9 +577,9 @@ fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
 
     // Past the error (≈ 900 ms) and B's release, short of the steal.
     w.run_until(SimTime::from_millis(1_500));
-    let stats = w.node_ref::<ServerNode<()>>(server).unwrap().stats();
+    let stats = w.node_ref::<ServerNode>(server).unwrap().stats();
     assert_eq!((stats.delivery_errors, stats.steals), (1, 0));
-    let of = |w: &World<NetMsg>, n| w.node_ref::<SilentPeer>(n).unwrap().responses.clone();
+    let of = |w: &World<NetMsg, Event>, n| w.node_ref::<SilentPeer>(n).unwrap().responses.clone();
     let to_a = of(&w, a);
     assert_eq!(to_a.len(), 3, "{to_a:?}");
     assert!(granted(&to_a[1].1, 2));
@@ -595,7 +593,7 @@ fn a_grant_that_falls_due_while_its_waiter_is_suspect_is_a_nack() {
 
     // The steal, τ(1+ε) after the demand A never answered.
     w.run_until(SimTime::from_millis(2_500));
-    let stats = w.node_ref::<ServerNode<()>>(server).unwrap().stats();
+    let stats = w.node_ref::<ServerNode>(server).unwrap().stats();
     assert_eq!((stats.steals, stats.locks_stolen), (1, 2), "f0, and f1 too");
     assert!(granted(&of(&w, c)[1].1, 2));
     assert_eq!(of(&w, a).len(), 3, "nothing more for A");
@@ -711,19 +709,15 @@ fn a_non_holder_cannot_move_a_held_inodes_attributes() {
                     (30, req(2, 2, 4, getattr)),
                 ],
             ];
-            let mut w: World<NetMsg> = World::new(WorldConfig::default());
+            let mut w: World<NetMsg, Event> = World::new(WorldConfig::default());
             w.add_network(NetId::CONTROL, NetParams::ideal(100_000));
             w.add_network(NetId::SAN, NetParams::ideal(100_000));
             let server = w.add_node(
-                Box::new(ServerNode::<()>::unobserved(
-                    ServerConfig::default(),
-                    1024,
-                    512,
-                )),
+                Box::new(ServerNode::new(ServerConfig::default(), 1024, 512)),
                 ClockSpec::ideal(),
             );
             let precreated = w
-                .node_mut::<ServerNode<()>>(server)
+                .node_mut::<ServerNode>(server)
                 .unwrap()
                 .precreate_file("f0", 4);
             assert_eq!(precreated, f0);

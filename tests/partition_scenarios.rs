@@ -361,7 +361,7 @@ fn crashed_client_is_timed_out_and_excused() {
         let id = cluster.clients[0];
         let node = cluster
             .world
-            .node_mut::<tank_client::ClientNode<Event>>(id)
+            .node_mut::<tank_client::ClientNode>(id)
             .unwrap();
         let _ = node; // flush interval stays default; the crash at 1s beats the 2s flush anyway
     }

@@ -650,13 +650,13 @@ fn a_nacked_release_has_already_completed() {
     let script = Script::new()
         .at(ms(10), write("/f", 0, 0xE5))
         .at(ms(50), release("/f"));
-    let node = ClientNode::<Event>::new(cfg, Box::new(Some)).with_script(script);
+    let node = ClientNode::new(cfg).with_script(script);
     let client = world.add_node(Box::new(node), ClockSpec::ideal());
     world.run_until(t(400));
 
     let releases = &world.node_ref::<NackingServer>(server).unwrap().releases;
     assert_eq!(releases.len(), 1, "NACKed once, never retransmitted");
-    let node = world.node_ref::<ClientNode<Event>>(client).unwrap();
+    let node = world.node_ref::<ClientNode>(client).unwrap();
     assert_eq!(node.result_of(OpId(2)), Some(&Ok(FsData::Unit)));
     let done = world
         .observations()
