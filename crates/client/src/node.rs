@@ -12,7 +12,7 @@ use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody, ResponseOut
 use tank_proto::{
     stripe_disk, BlockId, CtlMsg, Epoch, Event, Incarnation, Ino, LockMode, NackReason, NetMsg,
     NodeCtx, NodeId, OpId, PushBody, ReqSeq, Request, Response, RouteError, SanMsg, ServerId,
-    ServerPush, SessionId, WriteTag,
+    ServerPush, SessionId, WriteTag, MAX_NAME,
 };
 use tank_shard::ShardMap;
 use tank_sim::{Actor, LocalNs, NetId, TokenMap};
@@ -828,6 +828,10 @@ impl ClientNode {
                 Event::Quiesced { shard } => {
                     obs.phase_quiesce.inc();
                     obs.trace(ctx, "phase", || format!("quiescing shard={shard}"));
+                }
+                Event::Resumed { shard } => {
+                    obs.phase_resume.inc();
+                    obs.trace(ctx, "phase", || format!("active shard={shard}"));
                 }
                 Event::CacheInvalidated {
                     shard,

@@ -319,12 +319,6 @@ impl ClientNode {
         l.serving = true;
         let sid = l.sid;
         if first_service {
-            if let Some(obs) = &self.obs {
-                obs.phase_resume.inc();
-                obs.trace(ctx, "phase", || {
-                    format!("active session={} shard={}", session.0, sid.0)
-                });
-            }
             self.emit(Event::Resumed { shard: sid.0 }, ctx);
         }
         self.pump_lease(ctx);
@@ -502,12 +496,6 @@ impl ClientNode {
                         // counts as a phase change.
                         if !self.lanes[lane].serving {
                             self.lanes[lane].serving = true;
-                            if let Some(obs) = &self.obs {
-                                obs.phase_resume.inc();
-                                obs.trace(ctx, "phase", || {
-                                    format!("active resumed shard={}", sid.0)
-                                });
-                            }
                             self.emit(Event::Resumed { shard: sid.0 }, ctx);
                         }
                         self.maybe_next_gen_op(ctx);

@@ -78,6 +78,11 @@ impl ClientNode {
 
     fn route_op(&mut self, id: OpId, op: FsOp, from_gen: bool, ctx: &mut NodeCtx<'_>) {
         let kind = op.kind();
+        // A name the server would refuse is refused before anything is sent.
+        let too_long = |path: &str| path.split('/').any(|name| name.len() > MAX_NAME);
+        if too_long(op.path()) || matches!(&op, FsOp::Rename { to, .. } if too_long(to)) {
+            return self.deny_submit(id, kind, FsErr::Invalid, from_gen, ctx);
+        }
         if let FsOp::Rename { .. } = &op {
             return self.submit_rename(id, op, from_gen, ctx);
         }

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use tank_client::fs::{FsResult, Script};
 use tank_client::node::RESULT_LOG_CAP;
 use tank_client::{ClientConfig, ClientNode, FsData, FsErr, FsOp, OpGen};
-use tank_proto::{Event, NetMsg, NodeId, OpId};
+use tank_proto::{Event, NetMsg, NodeId, OpId, MAX_NAME};
 use tank_server::{ServerConfig, ServerNode};
 use tank_sim::{ClockSpec, LocalNs, NetId, NetParams, SimTime, World, WorldConfig};
 use tank_storage::{DiskConfig, DiskNode};
@@ -130,4 +130,48 @@ fn the_oldest_result_goes_and_take_result_finds_the_newest() {
     assert_eq!(node.take_result(newest), None, "taken once");
     assert_eq!(node.results().count(), RESULT_LOG_CAP - 1);
     assert_eq!(node.result_of(OpId(2)), Some(&Err(FsErr::Invalid)));
+}
+
+#[test]
+fn a_name_longer_than_max_name_is_refused_before_a_request_is_sent() {
+    let long = format!("/{}", "n".repeat(MAX_NAME + 1));
+    let longest = format!("/{}", "n".repeat(MAX_NAME));
+    let script = Script::new()
+        .at(ms(10), FsOp::Create { path: long.clone() })
+        .at(
+            ms(10),
+            FsOp::Mkdir {
+                path: format!("{long}/d"),
+            },
+        )
+        .at(
+            ms(10),
+            FsOp::Rename {
+                from: "/a".into(),
+                to: long,
+            },
+        )
+        .at(ms(10), FsOp::Create { path: longest });
+    let (mut world, client) = rig(script, None);
+    world.run_until(SimTime::from_millis(100));
+
+    let node = world.node_ref::<ClientNode>(client).unwrap();
+    let outcomes: Vec<FsResult> = node.results().map(|(_, r)| r.clone()).collect();
+    assert_eq!(
+        outcomes,
+        vec![
+            Err(FsErr::Invalid),
+            Err(FsErr::Invalid),
+            Err(FsErr::Invalid),
+            Ok(FsData::Unit)
+        ]
+    );
+    let stats = world.stats();
+    assert_eq!(
+        stats.sent_kind("create", NetId::CONTROL),
+        1,
+        "the legal one"
+    );
+    assert_eq!(stats.sent_kind("lookup", NetId::CONTROL), 0);
+    assert_eq!(stats.sent_kind("mkdir", NetId::CONTROL), 0);
 }

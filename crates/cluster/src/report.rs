@@ -82,14 +82,18 @@ impl RunReport {
             per_kind_ctl,
         };
         // Sum counters across every shard's lock server (one server in
-        // the classic cluster).
+        // the classic cluster) and its warm standby, if any: after a
+        // failover the promoted standby serves the shard.
         let mut server = ServerStats::default();
         let mut authority = tank_core::AuthorityStats::default();
         let mut authority_memory_bytes = 0;
         let mut replay_entries = 0;
         let mut meta_transactions = 0;
-        for sid in 0..cluster.servers.len() {
-            let node = cluster.server_node_of(ServerId(sid as u16));
+        let shard = |s: usize| ServerId(s as u16);
+        let primaries = (0..cluster.servers.len()).map(|s| cluster.server_node_of(shard(s)));
+        let standbys =
+            (0..cluster.standby_servers.len()).map(|s| cluster.standby_node_of(shard(s)));
+        for node in primaries.chain(standbys) {
             server += node.stats();
             let a = node.authority().stats();
             authority.empty_checks += a.empty_checks;

@@ -135,6 +135,32 @@ fn l3_fires_on_unwrap_in_net() {
 }
 
 #[test]
+fn l3_fires_on_unwrap_in_every_decoder_of_logged_and_wire_bytes() {
+    for (name, rel) in [
+        ("l3-wire", "crates/proto/src/wire.rs"),
+        ("l3-wal", "crates/meta/src/wal.rs"),
+        ("l3-snapshot", "crates/meta/src/snapshot.rs"),
+    ] {
+        let fixture = Fixture::new(
+            name,
+            &[(
+                rel,
+                "pub fn bad(x: Option<u8>) -> u8 {\n    x.expect(\"byte\")\n}\n",
+            )],
+        );
+        let report = fixture.check();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.lint == "L3" && v.file == rel && v.line == 2),
+            "{rel}: {}",
+            report.to_text()
+        );
+    }
+}
+
+#[test]
 fn l4_fires_on_wildcard_protocol_match() {
     let fixture = Fixture::new(
         "l4",

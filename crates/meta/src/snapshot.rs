@@ -5,12 +5,17 @@
 //! sorted order — so two stores holding the same logical state produce
 //! the *same bytes*. The failover tests lean on this: a promoted standby
 //! is correct iff its snapshot encoding is byte-identical to the shadow
-//! model's. The `transactions` perf counter is deliberately excluded
-//! (reads bump it but are not logged, so it is not recoverable state).
+//! model's. It is written with `tank_proto::wire`'s primitives and read
+//! with its bounds-checked `Reader`, the datagrams' and the log's byte
+//! format: a short snapshot or a flag byte other than 0 or 1 decodes to
+//! `None`, never a panic. The `transactions` perf counter is deliberately
+//! excluded (reads bump it but are not logged, so it is not recoverable
+//! state).
 
 use std::collections::HashMap;
 
-use tank_proto::{BlockId, Ino, ServerId};
+use tank_proto::wire::{Reader, WireDecode, WireEncode, WireError};
+use tank_proto::ServerId;
 use tank_shard::ShardMap;
 
 use crate::alloc::BlockAllocator;
@@ -18,7 +23,7 @@ use crate::inode::{Inode, InodeTable};
 use crate::namespace::{by_name, Namespace};
 use crate::store::MetaStore;
 use crate::txn::Applied;
-use crate::wal::{put_str, put_u32, put_u64, DurableStore, Rd, ScanOutcome, WalDefect, WalRecord};
+use crate::wal::{DurableStore, ScanOutcome, WalDefect, WalRecord};
 
 /// Durable counters that live beside the namespace: server-side
 /// high-water marks the WAL carries across incarnations.
@@ -37,53 +42,47 @@ const VERSION: u8 = 1;
 
 /// Canonical encoding of a store plus its watermarks.
 pub fn encode(store: &MetaStore, wm: &Watermarks) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.push(VERSION);
-    put_u64(&mut buf, wm.session);
-    put_u64(&mut buf, wm.epoch);
-    put_u64(&mut buf, wm.incarnation);
+    let mut buf = vec![VERSION];
+    let b = &mut buf;
+    wm.session.put(b);
+    wm.epoch.put(b);
+    wm.incarnation.put(b);
 
     // Inode table, sorted by number.
-    put_u64(&mut buf, store.inodes.next);
+    store.inodes.next.put(b);
     let mut inos: Vec<&Inode> = store.inodes.map.values().collect();
     inos.sort_by_key(|i| i.ino);
-    put_u32(&mut buf, inos.len() as u32);
+    (inos.len() as u32).put(b);
     for inode in inos {
-        put_u64(&mut buf, inode.ino.0);
-        buf.push(inode.is_dir as u8);
-        put_u64(&mut buf, inode.size);
-        put_u64(&mut buf, inode.mtime);
-        put_u64(&mut buf, inode.version);
-        put_u32(&mut buf, inode.nlink);
-        put_u32(&mut buf, inode.blocks.len() as u32);
-        for b in &inode.blocks {
-            put_u64(&mut buf, b.0);
-        }
+        inode.ino.put(b);
+        inode.is_dir.put(b);
+        inode.size.put(b);
+        inode.mtime.put(b);
+        inode.version.put(b);
+        inode.nlink.put(b);
+        inode.blocks.put(b);
     }
 
     // Namespace, directories sorted by inode, entries by name.
-    put_u64(&mut buf, store.ns.root.0);
+    store.ns.root.put(b);
     let mut dirs: Vec<_> = store.ns.dirs.iter().collect();
     dirs.sort_by_key(|(ino, _)| **ino);
-    put_u32(&mut buf, dirs.len() as u32);
+    (dirs.len() as u32).put(b);
     for (ino, entries) in dirs {
-        put_u64(&mut buf, ino.0);
-        put_u32(&mut buf, entries.len() as u32);
+        ino.put(b);
+        (entries.len() as u32).put(b);
         for (name, child) in by_name(entries) {
-            put_str(&mut buf, name);
-            put_u64(&mut buf, child.0);
+            name.put(b);
+            child.put(b);
         }
     }
 
     // Allocator bitmap and cursor.
-    put_u64(&mut buf, store.alloc.base);
-    put_u64(&mut buf, store.alloc.total);
-    put_u64(&mut buf, store.alloc.allocated);
-    put_u64(&mut buf, store.alloc.cursor as u64);
-    put_u32(&mut buf, store.alloc.words.len() as u32);
-    for w in &store.alloc.words {
-        put_u64(&mut buf, *w);
-    }
+    store.alloc.base.put(b);
+    store.alloc.total.put(b);
+    store.alloc.allocated.put(b);
+    (store.alloc.cursor as u64).put(b);
+    store.alloc.words.put(b);
     buf
 }
 
@@ -97,78 +96,74 @@ pub fn decode(
     sid: ServerId,
     block_size: usize,
 ) -> Option<(MetaStore, Watermarks)> {
-    let mut r = Rd::new(bytes);
-    if r.u8()? != VERSION {
+    let mut r = Reader::new(bytes);
+    if r.byte().ok()? != VERSION {
         return None;
     }
+    read(&mut r, map, sid, block_size).ok().flatten()
+}
+
+/// The snapshot after its version byte: `Err` where the bytes run out or
+/// break the format, `Ok(None)` where they describe an allocator this
+/// configuration cannot hold.
+fn read(
+    r: &mut Reader<'_>,
+    map: ShardMap,
+    sid: ServerId,
+    block_size: usize,
+) -> Result<Option<(MetaStore, Watermarks)>, WireError> {
     let wm = Watermarks {
-        session: r.u64()?,
-        epoch: r.u64()?,
-        incarnation: r.u64()?,
+        session: r.get()?,
+        epoch: r.get()?,
+        incarnation: r.get()?,
     };
 
-    let next = r.u64()?;
-    let n_inodes = r.u32()? as usize;
+    let next = r.get()?;
+    let n_inodes = r.get::<u32>()?;
     let mut inodes = InodeTable::new();
     for _ in 0..n_inodes {
-        let ino = Ino(r.u64()?);
-        let is_dir = r.u8()? != 0;
-        let size = r.u64()?;
-        let mtime = r.u64()?;
-        let version = r.u64()?;
-        let nlink = r.u32()?;
-        let n_blocks = r.u32()? as usize;
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            blocks.push(BlockId(r.u64()?));
-        }
-        inodes.map.insert(
+        let ino = r.get()?;
+        let inode = Inode {
             ino,
-            Inode {
-                ino,
-                is_dir,
-                size,
-                mtime,
-                version,
-                blocks,
-                nlink,
-            },
-        );
+            is_dir: r.get()?,
+            size: r.get()?,
+            mtime: r.get()?,
+            version: r.get()?,
+            nlink: r.get()?,
+            blocks: counted(r)?,
+        };
+        inodes.map.insert(ino, inode);
     }
     inodes.next = next;
 
-    let root = Ino(r.u64()?);
-    let mut ns = Namespace::new(root);
+    let mut ns = Namespace::new(r.get()?);
     ns.dirs.clear();
-    let n_dirs = r.u32()? as usize;
+    let n_dirs = r.get::<u32>()?;
     for _ in 0..n_dirs {
-        let dir = Ino(r.u64()?);
-        let n_entries = r.u32()? as usize;
+        let dir = r.get()?;
+        let n_entries = r.get::<u32>()?;
         let mut entries = HashMap::new();
         for _ in 0..n_entries {
-            let name = r.str()?;
-            let child = Ino(r.u64()?);
-            entries.insert(name, child);
+            let name = r.get()?;
+            entries.insert(name, r.get()?);
         }
         ns.dirs.insert(dir, entries);
     }
 
-    let base = r.u64()?;
-    let total = r.u64()?;
-    let allocated = r.u64()?;
-    let cursor = r.u64()? as usize;
-    let n_words = r.u32()? as usize;
+    let base = r.get()?;
+    let total = r.get()?;
+    let allocated = r.get()?;
+    let cursor = r.get::<u64>()? as usize;
+    let words: Vec<u64> = counted(r)?;
     let mut alloc = BlockAllocator::with_base(base, total);
-    if alloc.words.len() != n_words || cursor >= n_words.max(1) {
-        return None;
+    if alloc.words.len() != words.len() || cursor >= words.len().max(1) {
+        return Ok(None);
     }
-    for w in alloc.words.iter_mut() {
-        *w = r.u64()?;
-    }
+    alloc.words = words;
     alloc.allocated = allocated;
     alloc.cursor = cursor;
 
-    Some((
+    Ok(Some((
         MetaStore {
             inodes,
             ns,
@@ -179,7 +174,14 @@ pub fn decode(
             transactions: 0,
         },
         wm,
-    ))
+    )))
+}
+
+/// A `u32` count and that many values. Unlike a datagram's vectors the
+/// count has no cap but the bytes: the snapshot is the server's own.
+fn counted<T: WireDecode>(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+    let n = r.get::<u32>()?;
+    (0..n).map(|_| r.get()).collect()
 }
 
 /// FNV-1a 64 over arbitrary bytes — the digest the failover tests
@@ -240,6 +242,7 @@ pub fn apply(store: &mut MetaStore, wm: &mut Watermarks, rec: &WalRecord) {
 
 /// Full recovery: truncate the log to its valid prefix, decode the
 /// snapshot (or start from a fresh sharded store), and replay the log.
+/// The rebuilt store counts no transactions: replay is not one.
 /// Never panics — a torn tail or bit-flipped record shrinks the replayed
 /// suffix, which is exactly what a real disk would have lost.
 pub fn recover(
@@ -268,6 +271,8 @@ pub fn recover(
     for rec in &records {
         apply(&mut store, &mut wm, rec);
     }
+    // Replay redid transactions an earlier incarnation counted.
+    store.transactions = 0;
     Recovered {
         store,
         watermarks: wm,
@@ -279,6 +284,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tank_proto::Ino;
 
     fn busy_store() -> MetaStore {
         let mut s = MetaStore::new_sharded(ShardMap::new(2), ServerId(0), 4096, 512);
@@ -322,6 +328,17 @@ mod tests {
                 "decoded from a {cut}-byte prefix"
             );
         }
+    }
+
+    #[test]
+    fn decode_rejects_a_flag_byte_other_than_0_or_1() {
+        let mut bytes = encode(&busy_store(), &Watermarks::default());
+        // Version, three watermarks, the inode counter and count, the
+        // first inode's number: then its directory flag (the root: 1).
+        let at = 1 + 3 * 8 + 8 + 4 + 8;
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 2;
+        assert!(decode(&bytes, ShardMap::new(2), ServerId(0), 512).is_none());
     }
 
     #[test]
@@ -382,6 +399,7 @@ mod tests {
 
         let rec = recover(&mut wal, map, sid, 4096, 512);
         assert!(rec.defect.is_none());
+        assert_eq!(rec.store.transactions(), 0, "replay is no transaction");
         assert_eq!(rec.watermarks.session, 4);
         assert_eq!(
             encode(&rec.store, &rec.watermarks),

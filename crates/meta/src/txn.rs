@@ -11,7 +11,7 @@
 //! else.
 
 use tank_proto::message::{FileAttr, FsError, ReplyBody, RequestBody};
-use tank_proto::{BlockId, Ino};
+use tank_proto::{BlockId, Ino, MAX_NAME};
 
 use crate::store::{MetaError, MetaStore};
 use crate::wal::WalRecord;
@@ -110,12 +110,24 @@ impl MetaStore {
     /// through [`redo`](Self::redo), and answered from what that produced;
     /// the record comes back — with the minted inode filled in — exactly
     /// when the store changed, for the caller to make durable before the
-    /// reply leaves. Bodies that are not metadata requests are `Invalid`.
+    /// reply leaves. Bodies that are not metadata requests, and names
+    /// longer than [`MAX_NAME`] bytes, are `Invalid`.
     pub fn execute(
         &mut self,
         body: RequestBody,
         now: u64,
     ) -> Result<(ReplyBody, Option<WalRecord>), FsError> {
+        if let RequestBody::Create { name, .. }
+        | RequestBody::Lookup { name, .. }
+        | RequestBody::Mkdir { name, .. }
+        | RequestBody::Unlink { name, .. }
+        | RequestBody::RenameLink { name, .. }
+        | RequestBody::RenameUnlink { name, .. } = &body
+        {
+            if name.len() > MAX_NAME {
+                return Err(FsError::Invalid);
+            }
+        }
         match body {
             RequestBody::Lookup { parent, name } => {
                 let (ino, attr) = self.lookup(parent, &name)?;

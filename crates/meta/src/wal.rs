@@ -9,10 +9,12 @@
 //! promises — and recovery replays the surviving prefix onto a fresh
 //! [`crate::MetaStore`].
 //!
-//! The on-log format is hand-rolled and self-validating: each record is
-//! framed as `[len: u32 LE][crc32: u32 LE][payload]`. A torn tail, a
-//! partial record at EOF, or a CRC-detected bit flip stops the scan at the
-//! last valid record; recovery truncates there and never panics.
+//! The on-log format is self-validating: each record is framed as
+//! `[len: u32 LE][crc32: u32 LE][payload]`, and the payload is the
+//! record in `tank_proto::wire`'s byte format, declared once in the
+//! table below (the datagrams' primitives and flag rule). A torn tail, a
+//! partial record at EOF, or a CRC-detected bit flip stops the scan at
+//! the last valid record; recovery truncates there and never panics.
 //!
 //! Replay is a *logical* redo log: records carry the operation and its
 //! arguments (including the original timestamps), and every
@@ -21,7 +23,8 @@
 //! base reproduces byte-identical state — inode numbers, block maps,
 //! version counters and all.
 
-use tank_proto::Ino;
+use tank_proto::wire::{Reader, WireEncode};
+use tank_proto::{Ino, MAX_NAME};
 
 /// One logged metadata mutation (or durable watermark).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,9 +148,14 @@ pub struct ScanOutcome {
 
 /// Frame header: `len: u32` + `crc: u32`.
 const FRAME_HEADER: usize = 8;
-/// Sanity bound on one record's payload (names are `u16`-prefixed, so
-/// real records are far smaller; anything bigger is garbage).
+/// Sanity bound on one record's payload: real records are far smaller,
+/// anything bigger is garbage.
 const MAX_RECORD: usize = 1 << 16;
+
+// The largest record — a tag, three `u64`s and a name of `MAX_NAME`
+// bytes behind its `u16` length — fits the bound, so every record the
+// store builds can be scanned back.
+const _: () = assert!(1 + 3 * 8 + 2 + MAX_NAME <= MAX_RECORD);
 
 // ---------------------------------------------------------------- crc32
 
@@ -183,224 +191,45 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ------------------------------------------------------------- codec
-// (the little-endian primitives are shared with the snapshot encoding)
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "name too long for the log");
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian reader; every getter returns `None` past
-/// the end instead of panicking (the log is untrusted input after a
-/// crash). Shared with the snapshot decoder.
-pub(crate) struct Rd<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Rd<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
-        Rd { b, off: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.b.len() - self.off < n {
-            return None;
-        }
-        let s = &self.b[self.off..self.off + n];
-        self.off += n;
-        Some(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    pub(crate) fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.off == self.b.len()
+// Each record's tag, then its fields in log order.
+tank_proto::wire! {
+    enum WalRecord {
+        0 => Create { parent, ino, now, name },
+        1 => Mkdir { parent, ino, now, name },
+        2 => SetAttr { ino, size, now },
+        3 => Unlink { parent, name },
+        4 => RenameLink { dir, ino, name },
+        5 => RenameUnlink { dir, name },
+        6 => Alloc { ino, count },
+        7 => Commit { ino, new_size, now },
+        8 => SessionWatermark(v),
+        9 => EpochWatermark(v),
+        10 => Incarnation(v),
     }
 }
 
-impl WalRecord {
-    /// Encode the record payload (unframed).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WalRecord::Create {
-                parent,
-                name,
-                now,
-                ino,
-            } => {
-                buf.push(0);
-                put_u64(buf, parent.0);
-                put_u64(buf, ino.0);
-                put_u64(buf, *now);
-                put_str(buf, name);
-            }
-            WalRecord::Mkdir {
-                parent,
-                name,
-                now,
-                ino,
-            } => {
-                buf.push(1);
-                put_u64(buf, parent.0);
-                put_u64(buf, ino.0);
-                put_u64(buf, *now);
-                put_str(buf, name);
-            }
-            WalRecord::SetAttr { ino, size, now } => {
-                buf.push(2);
-                put_u64(buf, ino.0);
-                match size {
-                    Some(s) => {
-                        buf.push(1);
-                        put_u64(buf, *s);
-                    }
-                    None => buf.push(0),
-                }
-                put_u64(buf, *now);
-            }
-            WalRecord::Unlink { parent, name } => {
-                buf.push(3);
-                put_u64(buf, parent.0);
-                put_str(buf, name);
-            }
-            WalRecord::RenameLink { dir, name, ino } => {
-                buf.push(4);
-                put_u64(buf, dir.0);
-                put_u64(buf, ino.0);
-                put_str(buf, name);
-            }
-            WalRecord::RenameUnlink { dir, name } => {
-                buf.push(5);
-                put_u64(buf, dir.0);
-                put_str(buf, name);
-            }
-            WalRecord::Alloc { ino, count } => {
-                buf.push(6);
-                put_u64(buf, ino.0);
-                put_u32(buf, *count);
-            }
-            WalRecord::Commit { ino, new_size, now } => {
-                buf.push(7);
-                put_u64(buf, ino.0);
-                put_u64(buf, *new_size);
-                put_u64(buf, *now);
-            }
-            WalRecord::SessionWatermark(v) => {
-                buf.push(8);
-                put_u64(buf, *v);
-            }
-            WalRecord::EpochWatermark(v) => {
-                buf.push(9);
-                put_u64(buf, *v);
-            }
-            WalRecord::Incarnation(v) => {
-                buf.push(10);
-                put_u64(buf, *v);
-            }
-        }
-    }
-
-    /// Decode one record payload. Returns `None` on any malformation —
-    /// unknown tag, short buffer, trailing garbage.
-    pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let mut r = Rd::new(payload);
-        let rec = match r.u8()? {
-            0 => WalRecord::Create {
-                parent: Ino(r.u64()?),
-                ino: Ino(r.u64()?),
-                now: r.u64()?,
-                name: r.str()?,
-            },
-            1 => WalRecord::Mkdir {
-                parent: Ino(r.u64()?),
-                ino: Ino(r.u64()?),
-                now: r.u64()?,
-                name: r.str()?,
-            },
-            2 => WalRecord::SetAttr {
-                ino: Ino(r.u64()?),
-                size: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    _ => return None,
-                },
-                now: r.u64()?,
-            },
-            3 => WalRecord::Unlink {
-                parent: Ino(r.u64()?),
-                name: r.str()?,
-            },
-            4 => WalRecord::RenameLink {
-                dir: Ino(r.u64()?),
-                ino: Ino(r.u64()?),
-                name: r.str()?,
-            },
-            5 => WalRecord::RenameUnlink {
-                dir: Ino(r.u64()?),
-                name: r.str()?,
-            },
-            6 => WalRecord::Alloc {
-                ino: Ino(r.u64()?),
-                count: r.u32()?,
-            },
-            7 => WalRecord::Commit {
-                ino: Ino(r.u64()?),
-                new_size: r.u64()?,
-                now: r.u64()?,
-            },
-            8 => WalRecord::SessionWatermark(r.u64()?),
-            9 => WalRecord::EpochWatermark(r.u64()?),
-            10 => WalRecord::Incarnation(r.u64()?),
-            _ => return None,
-        };
-        if !r.done() {
-            return None; // trailing garbage inside a checksummed frame
-        }
-        Some(rec)
-    }
+/// Decode one record payload. `None` on any malformation — unknown tag,
+/// short buffer, a flag byte other than 0 or 1, trailing garbage.
+fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+    let mut r = Reader::new(payload);
+    let rec = r.get().ok()?;
+    (r.remaining() == 0).then_some(rec)
 }
 
 /// Frame one record (`len` + `crc` + payload) onto `buf`; returns the
 /// framed byte count.
 pub fn frame(rec: &WalRecord, buf: &mut Vec<u8>) -> usize {
-    let mut payload = Vec::new();
-    rec.encode(&mut payload);
-    put_u32(buf, payload.len() as u32);
-    put_u32(buf, crc32(&payload));
-    buf.extend_from_slice(&payload);
-    FRAME_HEADER + payload.len()
+    // The payload is written in place behind a blank header, then the
+    // header is filled in from it.
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    rec.put(buf);
+    let len = buf.len() - start - FRAME_HEADER;
+    let crc = crc32(&buf[start + FRAME_HEADER..]);
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    FRAME_HEADER + len
 }
 
 /// Scan framed records from `bytes`, stopping at the first defect. The
@@ -411,12 +240,8 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
     let mut off = 0usize;
     let mut defect = None;
     while off < bytes.len() {
-        if bytes.len() - off < FRAME_HEADER {
-            defect = Some(WalDefect::TornFrame);
-            break;
-        }
-        let mut hdr = Rd::new(&bytes[off..off + FRAME_HEADER]);
-        let (Some(len), Some(crc)) = (hdr.u32(), hdr.u32()) else {
+        let mut hdr = Reader::new(&bytes[off..]);
+        let (Ok(len), Ok(crc)) = (hdr.get::<u32>(), hdr.get::<u32>()) else {
             defect = Some(WalDefect::TornFrame);
             break;
         };
@@ -430,7 +255,7 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
             defect = Some(WalDefect::BadCrc);
             break;
         }
-        match WalRecord::decode(payload) {
+        match decode_payload(payload) {
             Some(rec) => records.push(rec),
             None => {
                 defect = Some(WalDefect::BadPayload);
@@ -708,8 +533,8 @@ mod tests {
     fn record_roundtrip() {
         for rec in sample_records() {
             let mut buf = Vec::new();
-            rec.encode(&mut buf);
-            assert_eq!(WalRecord::decode(&buf), Some(rec.clone()), "{rec:?}");
+            rec.put(&mut buf);
+            assert_eq!(decode_payload(&buf), Some(rec.clone()), "{rec:?}");
         }
     }
 
@@ -717,10 +542,10 @@ mod tests {
     fn decode_rejects_truncation_at_every_cut() {
         for rec in sample_records() {
             let mut buf = Vec::new();
-            rec.encode(&mut buf);
+            rec.put(&mut buf);
             for cut in 0..buf.len() {
                 assert_eq!(
-                    WalRecord::decode(&buf[..cut]),
+                    decode_payload(&buf[..cut]),
                     None,
                     "{rec:?} decoded from a {cut}-byte prefix"
                 );
@@ -729,11 +554,25 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_flag_byte_other_than_0_or_1() {
+        let mut buf = Vec::new();
+        WalRecord::SetAttr {
+            ino: Ino(2),
+            size: Some(4096),
+            now: 44,
+        }
+        .put(&mut buf);
+        assert_eq!(buf[9], 1, "the size flag follows the tag and the ino");
+        buf[9] = 2;
+        assert_eq!(decode_payload(&buf), None);
+    }
+
+    #[test]
     fn decode_rejects_trailing_garbage() {
         let mut buf = Vec::new();
-        WalRecord::SessionWatermark(1).encode(&mut buf);
+        WalRecord::SessionWatermark(1).put(&mut buf);
         buf.push(0);
-        assert_eq!(WalRecord::decode(&buf), None);
+        assert_eq!(decode_payload(&buf), None);
     }
 
     #[test]
@@ -944,8 +783,8 @@ mod proptests {
         #[test]
         fn codec_roundtrips(rec in arb_record()) {
             let mut buf = Vec::new();
-            rec.encode(&mut buf);
-            prop_assert_eq!(WalRecord::decode(&buf), Some(rec));
+            rec.put(&mut buf);
+            prop_assert_eq!(decode_payload(&buf), Some(rec));
         }
 
         #[test]

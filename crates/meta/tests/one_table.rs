@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use tank_meta::snapshot::{self, Watermarks};
-use tank_meta::{Applied, DurableStore, MetaStore, WalRecord};
+use tank_meta::{wal, Applied, DurableStore, MetaStore, WalRecord};
 use tank_proto::message::{FsError, RequestBody};
-use tank_proto::{Epoch, Ino, LockMode, ServerId};
+use tank_proto::{Epoch, Ino, LockMode, ServerId, MAX_NAME};
 use tank_shard::ShardMap;
 
 /// A pool small enough that allocation runs out.
@@ -209,4 +209,57 @@ fn every_request_variant_is_a_metadata_request_or_invalid() {
             assert!(outcome.is_ok(), "{body:?}: {outcome:?}");
         }
     }
+}
+
+#[test]
+fn a_name_longer_than_max_name_is_refused_before_a_record_is_built() {
+    let mut store = MetaStore::new(64, 512);
+    let (parent, dir) = (store.root(), store.root());
+    let ino = store.create(parent, "f", 0).unwrap();
+    let before = image(&store);
+    let long = || "n".repeat(MAX_NAME + 1);
+    for body in [
+        RequestBody::Create {
+            parent,
+            name: long(),
+        },
+        RequestBody::Lookup {
+            parent,
+            name: long(),
+        },
+        RequestBody::Mkdir {
+            parent,
+            name: long(),
+        },
+        RequestBody::Unlink {
+            parent,
+            name: long(),
+        },
+        RequestBody::RenameLink {
+            dir,
+            name: long(),
+            ino,
+        },
+        RequestBody::RenameUnlink { dir, name: long() },
+    ] {
+        assert_eq!(
+            store.execute(body.clone(), 1),
+            Err(FsError::Invalid),
+            "{body:?}"
+        );
+    }
+    assert_eq!(image(&store), before, "nothing changed");
+
+    // The longest legal name is logged, and the log reads back past it.
+    let name = "n".repeat(MAX_NAME);
+    let (_, rec) = store
+        .execute(RequestBody::Create { parent, name }, 1)
+        .expect("a MAX_NAME-byte name is legal");
+    let rec = rec.expect("a create is logged");
+    let mut log = Vec::new();
+    wal::frame(&rec, &mut log);
+    wal::frame(&WalRecord::Incarnation(2), &mut log);
+    let out = wal::scan(&log);
+    assert_eq!(out.records, vec![rec, WalRecord::Incarnation(2)]);
+    assert!(out.defect.is_none());
 }

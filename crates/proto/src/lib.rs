@@ -5,8 +5,9 @@
 //! identifiers, the control-network message set exchanged between clients
 //! and the metadata server (requests, replies, NACKs, server pushes), the
 //! SAN message set exchanged with shared disks (block reads/writes and
-//! fencing commands), at-most-once delivery bookkeeping, and a compact wire
-//! codec used by the real-network binding and the codec benchmarks.
+//! fencing commands), at-most-once delivery bookkeeping, and the one byte
+//! format ([`wire`](mod@wire)) that the real-network binding sends, the
+//! metadata log stores and the simulator counts.
 //!
 //! The message set follows the paper's description of Storage Tank
 //! (Burns, Rees & Long, IPPS 2000):
@@ -41,7 +42,7 @@ pub use ids::{
 pub use lock::LockMode;
 pub use message::{
     CtlMsg, NackReason, PushBody, ReplyBody, Request, RequestBody, Response, RouteError,
-    ServerPush, MAX_BATCH_ELEMS,
+    ServerPush, MAX_BATCH_ELEMS, MAX_NAME,
 };
 pub use repl::ReplMsg;
 pub use san::{stripe_disk, BlockRange, FenceOp, SanError, SanMsg, SanReadOk};
@@ -84,15 +85,6 @@ impl NetMsg {
         }
     }
 
-    /// Approximate wire size in bytes, used by the simulator's byte counters.
-    pub fn size_hint(&self) -> usize {
-        match self {
-            NetMsg::Ctl(m) => m.size_hint(),
-            NetMsg::San(m) => m.size_hint(),
-            NetMsg::Repl(m) => m.size_hint(),
-        }
-    }
-
     /// True if this message is pure lease-maintenance traffic (keep-alives
     /// and their responses) rather than useful file-system work. The
     /// overhead experiments count these separately.
@@ -115,8 +107,10 @@ impl tank_sim::Payload for NetMsg {
         NetMsg::kind(self)
     }
 
+    /// The exact encoded length: the simulator counts the bytes the
+    /// message would put on the wire.
     fn size_hint(&self) -> usize {
-        NetMsg::size_hint(self)
+        self.encoded_len()
     }
 }
 

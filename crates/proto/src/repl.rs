@@ -66,22 +66,12 @@ impl ReplMsg {
             ReplMsg::Heartbeat { .. } => "repl_heartbeat",
         }
     }
-
-    /// Approximate wire size in bytes.
-    pub fn size_hint(&self) -> usize {
-        match self {
-            ReplMsg::Append {
-                snapshot, bytes, ..
-            } => 40 + bytes.len() + snapshot.as_ref().map_or(0, |s| s.len()),
-            ReplMsg::AppendAck { .. } => 24,
-            ReplMsg::Heartbeat { .. } => 16,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetMsg;
 
     #[test]
     fn kind_and_size_are_stable() {
@@ -97,7 +87,10 @@ mod tests {
             durable: 5,
         };
         assert_eq!(app.kind(), "repl_append");
-        assert_eq!(app.size_hint(), 40 + 15);
+        // Two tags, three u64 counters, the snapshot's flag, length and
+        // 10 bytes, the delta's length and 5 bytes: the simulator counts
+        // the exact encoding.
+        assert_eq!(tank_sim::Payload::size_hint(&NetMsg::Repl(app)), 50);
         assert_eq!(
             ReplMsg::AppendAck {
                 snap_gen: 1,

@@ -6,10 +6,11 @@ use tank_proto::message::{
 };
 use tank_proto::seqwin::SeqVerdict;
 use tank_proto::{
-    BlockId, CtlMsg, DedupWindow, Epoch, Incarnation, Ino, LockMode, NetMsg, NodeId, PushBody,
-    ReqSeq, Request, Response, SanError, SanMsg, SanReadOk, ServerPush, SessionId, WireDecode,
-    WireEncode, WriteTag,
+    BlockId, BlockRange, CtlMsg, DedupWindow, Epoch, FenceOp, Incarnation, Ino, LockMode, NetMsg,
+    NodeId, PushBody, ReplMsg, ReqSeq, Request, Response, SanError, SanMsg, SanReadOk, ServerPush,
+    SessionId, WireDecode, WireEncode, WriteTag,
 };
+use tank_sim::Payload;
 
 // ------------------------------------------------------------ strategies
 
@@ -231,6 +232,67 @@ fn arb_netmsg() -> impl Strategy<Value = NetMsg> {
             req_id: r,
             result: Err(SanError::Fenced)
         })),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(
+                |(r, target, unfence, start, end)| NetMsg::San(SanMsg::FenceCmd {
+                    req_id: r,
+                    target: NodeId(target),
+                    op: if unfence {
+                        FenceOp::Unfence
+                    } else {
+                        FenceOp::Fence
+                    },
+                    range: BlockRange { start, end },
+                })
+            ),
+        proptest::collection::vec(arb_request_body(), 0..8).prop_map(|elems| {
+            NetMsg::Ctl(CtlMsg::Request(Request {
+                src: NodeId(1),
+                session: SessionId(2),
+                seq: ReqSeq(3),
+                body: RequestBody::Batch(elems),
+            }))
+        }),
+        proptest::collection::vec(
+            prop_oneof![arb_reply_body().prop_map(Ok), Just(Err(FsError::NotFound)),],
+            0..8
+        )
+        .prop_map(|outcomes| {
+            NetMsg::Ctl(CtlMsg::Response(Response {
+                dst: NodeId(1),
+                session: SessionId(2),
+                seq: ReqSeq(3),
+                incarnation: Incarnation(4),
+                outcome: ResponseOutcome::Acked(Ok(ReplyBody::Batch(outcomes))),
+            }))
+        }),
+        (
+            any::<u64>(),
+            proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..64),
+            any::<u64>()
+        )
+            .prop_map(|(snap_gen, snapshot, offset, bytes, durable)| {
+                NetMsg::Repl(ReplMsg::Append {
+                    snap_gen,
+                    snapshot,
+                    offset,
+                    bytes,
+                    durable,
+                })
+            }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(snap_gen, durable)| NetMsg::Repl(ReplMsg::AppendAck { snap_gen, durable })),
+        any::<u64>().prop_map(|i| NetMsg::Repl(ReplMsg::Heartbeat {
+            incarnation: Incarnation(i)
+        })),
     ]
 }
 
@@ -243,6 +305,12 @@ proptest! {
         let dec = NetMsg::decode(&mut enc).expect("decode");
         prop_assert_eq!(dec, msg);
         prop_assert_eq!(enc.len(), 0);
+    }
+
+    /// The simulator counts exactly the bytes a message encodes to.
+    #[test]
+    fn size_hint_is_the_encoded_length(msg in arb_netmsg()) {
+        prop_assert_eq!(Payload::size_hint(&msg), msg.encoded().len());
     }
 
     /// Arbitrary byte soup never panics the decoder.

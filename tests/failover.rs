@@ -115,6 +115,27 @@ fn standby_takes_over_and_namespace_survives_bit_for_bit() {
 }
 
 #[test]
+fn the_report_counts_what_the_promoted_standby_served() {
+    let mut cluster = Cluster::build(failover_cfg(1), 1);
+    attach_workloads(&mut cluster);
+    let report = crash_and_fail_over(&mut cluster, SimTime::from_secs(8));
+    let (primary, standby) = (
+        cluster.server_node_of(ServerId(0)),
+        cluster.standby_node_of(ServerId(0)),
+    );
+    assert_eq!(report.server.elections, 1);
+    assert!(standby.stats().requests > 0, "the standby served");
+    assert_eq!(
+        report.server.requests,
+        primary.stats().requests + standby.stats().requests
+    );
+    assert_eq!(
+        report.meta_transactions,
+        primary.meta().transactions() + standby.meta().transactions()
+    );
+}
+
+#[test]
 fn shadow_replay_of_the_mirror_matches_the_promoted_state() {
     // Independent shadow model: decode the standby's mirrored device with
     // the snapshot/replay library directly (no server code) and compare

@@ -11,6 +11,8 @@
 //! control (grace disabled) must grant inside the would-be window on
 //! every seed.
 
+use tank_client::fs::{FsResult, Script};
+use tank_client::{FsData, FsErr, FsOp};
 use tank_cluster::workload::{Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig, RunReport};
 use tank_core::LeaseConfig;
@@ -194,4 +196,48 @@ fn disabling_the_grace_window_is_demonstrably_unsafe() {
              leases are live"
         );
     }
+}
+
+#[test]
+fn a_create_after_a_refused_long_name_survives_a_server_restart() {
+    // A name no log record can hold is refused before it is sent; the
+    // create after it is logged, and recovery replays it.
+    let ms = LocalNs::from_millis;
+    let script = Script::new()
+        .at(
+            ms(1_000),
+            FsOp::Create {
+                path: format!("/{}", "n".repeat(70_000)),
+            },
+        )
+        .at(
+            ms(1_100),
+            FsOp::Create {
+                path: "/next".into(),
+            },
+        );
+    // Another client, which never saw the name, finds it after recovery.
+    let probe = Script::new().at(
+        ms(10_000),
+        FsOp::Stat {
+            path: "/next".into(),
+        },
+    );
+    let mut cluster = Cluster::build(base_cfg(), 1);
+    cluster.attach_script(0, script);
+    cluster.attach_script(1, probe);
+    cluster.crash_server(SimTime::from_secs(3), SimTime::from_secs(4));
+    let report = run_to_end(&mut cluster);
+    assert!(report.check.safe(), "{:#?}", report.check);
+    assert_eq!(report.check.server_recoveries, 1);
+    let results = |i: usize| -> Vec<FsResult> {
+        let results = cluster.client(i).results();
+        results.map(|(_, r)| r.clone()).collect()
+    };
+    assert_eq!(results(0), [Err(FsErr::Invalid), Ok(FsData::Unit)]);
+    let stat = results(1);
+    assert!(
+        matches!(stat[..], [Ok(FsData::Attr { is_dir: false, .. })]),
+        "the create survived the restart: {stat:?}"
+    );
 }
