@@ -1,16 +1,21 @@
 //! The simulator path's cost per op, counted. A counting global allocator
-//! sees every allocation this process makes while two of the benchmark's
+//! sees every allocation this process makes while the benchmark's three
 //! simulator shapes run — `small` (8 clients, 2 shards with standbys, one
-//! unbatched `Stat` at a time per client) and `batch` (the same cluster,
+//! unbatched `Stat` at a time per client), `batch` (the same cluster,
 //! four processes per client writing beside reading through a 256-block
 //! cache, batches of up to 8, lazy release, so WAL appends, replication
-//! and write-back are on the path) — and the test asserts the
-//! allocations, bytes and world events per op exactly. The simulator is
-//! deterministic, so these are counts, not timings: a change that adds
-//! one allocation, one copy or one event per request moves them.
+//! and write-back are on the path) and `lock` (4 clients, 1 shard with a
+//! standby, each client one 4 KiB read or write of its own file and then
+//! its `Release`, so every second op is a grant and every other a
+//! release) — and the test asserts the allocations, bytes and world
+//! events exactly, with the control datagrams, SAN datagrams,
+//! replication datagrams (a share of the control ones) and primary WAL
+//! appends sent meanwhile. The simulator is deterministic, so these are
+//! counts, not timings: a change that adds one allocation, one copy, one
+//! event, one datagram or one log record per request moves them.
 //!
 //! One test in this binary, so nothing else allocates while it counts:
-//! the small shape's test measures the batch shape after it. The
+//! the small shape's test measures the other two after it. The
 //! generators' own `format!` of each path and `vec!` of each write are
 //! counted too.
 
@@ -23,7 +28,8 @@ use tank_client::{FsOp, OpGen};
 use tank_cluster::workload::{Mix, ZipfGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
-use tank_sim::{LocalNs, NetParams, SimTime};
+use tank_proto::ServerId;
+use tank_sim::{LocalNs, NetId, NetParams, SimTime};
 
 /// Allocations (a `realloc` is one) and bytes asked for.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -65,13 +71,20 @@ impl OpGen for Stats {
     }
 }
 
-/// What one simulated second of the `small` shape cost after warm-up.
+/// What a stretch of simulated time cost: ops completed, allocations and
+/// bytes asked for, world events, control and SAN datagrams sent, the
+/// replication datagrams among the control ones, and records appended
+/// to the shard primaries' logs.
 #[derive(Debug, PartialEq, Eq)]
 struct Cost {
     ops: u64,
     allocs: u64,
     bytes: u64,
     events: u64,
+    ctl: u64,
+    san: u64,
+    repl: u64,
+    wal: u64,
 }
 
 /// Files every client of the batch shape reads, never written.
@@ -163,36 +176,116 @@ fn batch_shape() -> Cost {
     measure(cluster, 0, 2_400)
 }
 
+/// One process of the benchmark's simulator `lock` shape: the client
+/// walks its own files, one 4 KiB read or write of a file, then its
+/// `Release`, each after a think time of 0–40 µs.
+struct Lock {
+    client: usize,
+    steps: u64,
+}
+
+impl OpGen for Lock {
+    fn next_op(&mut self, rng: &mut ChaCha8Rng, _now: LocalNs) -> Option<(LocalNs, FsOp)> {
+        let think = LocalNs(rng.random_range(0..=40_000));
+        let file = SHARED + self.client * OWN + (self.steps / 2) as usize % OWN;
+        let path = format!("/f{file}");
+        self.steps += 1;
+        let offset = rng.random_range(0..16u64) * BLOCK as u64;
+        let op = if self.steps.is_multiple_of(2) {
+            FsOp::Release { path }
+        } else if rng.random_bool(0.5) {
+            FsOp::Write {
+                path,
+                offset,
+                data: vec![(offset % 251) as u8; BLOCK],
+            }
+        } else {
+            FsOp::Read {
+                path,
+                offset,
+                len: BLOCK as u32,
+            }
+        };
+        Some((think, op))
+    }
+}
+
+/// The benchmark's simulator `lock` shape: 4 clients, 1 shard with a
+/// standby, 16-block files, a 256-block cache, one process per client.
+fn lock_shape() -> Cost {
+    let mut cfg = cluster_config();
+    cfg.clients = 4;
+    cfg.shards = 1;
+    cfg.files = SHARED + 4 * OWN;
+    cfg.file_blocks = 16;
+    cfg.cache_capacity = 256;
+    let mut cluster = Cluster::build(cfg, 1);
+    for client in 0..4 {
+        cluster.attach_workload(client, Box::new(Lock { client, steps: 0 }));
+    }
+    measure(cluster, 200, 1_200)
+}
+
 /// Run to `warm_ms` of simulated time, then count what the run to
 /// `until_ms` costs.
 fn measure(mut cluster: Cluster, warm_ms: u64, until_ms: u64) -> Cost {
-    let completed = |c: &Cluster| (0..8).map(|i| c.client(i).stats().completed).sum::<u64>();
     cluster.run_until(SimTime::from_millis(warm_ms));
-    let (ops0, events0) = (completed(&cluster), cluster.world.events_processed());
-    let (allocs0, bytes0) = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
+    let before = tally(&cluster);
     cluster.run_until(SimTime::from_millis(until_ms));
-    let (allocs1, bytes1) = (
+    let after = tally(&cluster);
+    Cost {
+        ops: after.ops - before.ops,
+        allocs: after.allocs - before.allocs,
+        bytes: after.bytes - before.bytes,
+        events: after.events - before.events,
+        ctl: after.ctl - before.ctl,
+        san: after.san - before.san,
+        repl: after.repl - before.repl,
+        wal: after.wal - before.wal,
+    }
+}
+
+/// Every running total a [`Cost`] is the difference of, now.
+fn tally(cluster: &Cluster) -> Cost {
+    let (allocs, bytes) = (
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     );
+    let stats = cluster.world.stats();
+    let repl = stats
+        .iter()
+        .filter(|(kind, _, _)| kind.starts_with("repl_"))
+        .map(|(_, _, c)| c.sent)
+        .sum();
+    let shards = 0..cluster.servers.len() as u16;
     Cost {
-        ops: completed(&cluster) - ops0,
-        allocs: allocs1 - allocs0,
-        bytes: bytes1 - bytes0,
-        events: cluster.world.events_processed() - events0,
+        ops: (0..cluster.clients.len())
+            .map(|i| cluster.client(i).stats().completed)
+            .sum(),
+        allocs,
+        bytes,
+        events: cluster.world.events_processed(),
+        ctl: stats.sent_on(NetId::CONTROL),
+        san: stats.sent_on(NetId::SAN),
+        repl,
+        wal: shards
+            .map(|s| cluster.server_node_of(ServerId(s)).wal_stats().appends)
+            .sum(),
     }
 }
 
 fn report(shape: &str, cost: &Cost) {
     let per_op = |n: u64| n as f64 / cost.ops as f64;
     println!(
-        "{shape} {cost:?}: {:.4} allocations, {:.1} bytes, {:.4} events per op",
+        "{shape} {cost:?}: {:.4} allocations, {:.1} bytes, {:.4} events, {:.4} control \
+         datagrams ({:.4} replication), {:.4} SAN datagrams, {:.4} WAL appends per op",
         per_op(cost.allocs),
         per_op(cost.bytes),
-        per_op(cost.events)
+        per_op(cost.events),
+        per_op(cost.ctl),
+        per_op(cost.repl),
+        per_op(cost.san),
+        per_op(cost.wal)
     );
 }
 
@@ -202,18 +295,27 @@ fn the_small_shape_costs_its_counted_allocations_bytes_and_events_per_op() {
     report("small", &small);
     let batch = batch_shape();
     report("batch", &batch);
+    let lock = lock_shape();
+    report("lock", &lock);
     assert_eq!(small, EXPECTED);
     assert_eq!(batch, EXPECTED_BATCH);
+    assert_eq!(lock, EXPECTED_LOCK);
 }
 
 /// Measured on x86-64 Linux, release and debug builds alike: 6.0014
-/// allocations, 923.8 bytes and 3.0018 events per op. A toolchain bump
-/// may move the allocation counts; re-measure then and say so.
+/// allocations, 923.8 bytes, 3.0018 events and 2.0002 control datagrams
+/// per op; no SAN datagram and no WAL append, and 6 replication
+/// datagrams (heartbeats) in all. A toolchain bump may move the
+/// allocation counts; re-measure then and say so.
 const EXPECTED: Cost = Cost {
     ops: 29_612,
     allocs: 177_714,
     bytes: 27_355_104,
     events: 88_889,
+    ctl: 59_229,
+    san: 0,
+    repl: 6,
+    wal: 0,
 };
 
 /// The batch shape over its first 2.4 simulated seconds, start-up
@@ -221,12 +323,36 @@ const EXPECTED: Cost = Cost {
 /// that put its 560 WAL appends on the path come early, and lazy release
 /// keeps every lock after; the periodic write-back at 2 s puts 512 SAN
 /// writes in. Measured on x86-64 Linux, release and debug builds alike:
-/// 6.8006 allocations, 5 097.0 bytes and 1.4194 events per op. Framing
-/// a log record in place, rather than through a payload `Vec` grown
-/// twice, took 1 121 allocations and 18 560 bytes off these counts.
+/// 6.8006 allocations, 5 097.0 bytes, 1.4194 events, 0.0090 control
+/// datagrams (0.0021 replication), 0.4102 SAN datagrams and 0.0010 WAL
+/// appends per op. Framing a log record in place, rather than through a
+/// payload `Vec` grown twice, took 1 121 allocations and 18 560 bytes off
+/// these counts.
 const EXPECTED_BATCH: Cost = Cost {
     ops: 534_116,
     allocs: 3_632_301,
     bytes: 2_722_386_875,
     events: 758_102,
+    ctl: 4_786,
+    san: 219_085,
+    repl: 1_130,
+    wal: 560,
+};
+
+/// The lock shape's second after 200 ms of warm-up. Every grant logs an
+/// epoch watermark, which the primary ships to its standby and the
+/// standby acknowledges: the half WAL append and the one replication
+/// datagram per op. Measured on x86-64 Linux, release and debug builds
+/// alike: 10.0152 allocations, 7 124.4 bytes, 5.0035 events, 3.0006
+/// control datagrams (1.0006 replication), 1.0000 SAN datagrams and
+/// 0.5001 WAL appends per op.
+const EXPECTED_LOCK: Cost = Cost {
+    ops: 9_523,
+    allocs: 95_375,
+    bytes: 67_845_830,
+    events: 47_648,
+    ctl: 28_575,
+    san: 9_523,
+    repl: 9_529,
+    wal: 4_762,
 };
