@@ -1,6 +1,6 @@
 //! The world: event queue, dispatch, networks, clocks, fault injection.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
@@ -165,29 +165,58 @@ enum Pending<P> {
     Control(Control),
 }
 
-/// A scheduled event. Ordered by `(at, seq)`; `seq` is insertion order,
-/// giving deterministic FIFO tie-breaking.
-struct Scheduled<P> {
-    at: SimTime,
-    seq: u64,
-    what: Pending<P>,
+/// The event queue: a min-heap of `(at, seq, slot)` keys over a slab of
+/// pending events. Popped by `(at, seq)`; `seq` is insertion order, giving
+/// deterministic FIFO tie-breaking, and is unique, so `slot` never decides.
+/// A sift moves 24-byte keys; each event is written into its slot once and
+/// taken out once, and a popped slot is reused by the next push.
+struct Queue<P> {
+    keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Option<Pending<P>>>,
+    free: Vec<u32>,
 }
 
-impl<P> PartialEq for Scheduled<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<P> Queue<P> {
+    fn new() -> Self {
+        Queue {
+            keys: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
     }
-}
-impl<P> Eq for Scheduled<P> {}
-impl<P> PartialOrd for Scheduled<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    fn push(&mut self, at: SimTime, seq: u64, what: Pending<P>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(what);
+                slot
+            }
+            None => {
+                self.slots.push(Some(what));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.keys.push(Reverse((at, seq, slot)));
     }
-}
-impl<P> Ord for Scheduled<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+    /// Time of the earliest event.
+    fn peek_at(&self) -> Option<SimTime> {
+        self.keys.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Pending<P>)> {
+        let Reverse((at, _, slot)) = self.keys.pop()?;
+        self.free.push(slot);
+        let what = self.slots[slot as usize].take();
+        Some((at, what.expect("a queued key names a filled slot")))
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty()
     }
 }
 
@@ -205,7 +234,7 @@ pub struct World<P: Payload, Ob = ()> {
     /// Extra outbound delay per node (slow-computer modeling).
     slow_extra: Vec<u64>,
     networks: BTreeMap<NetId, Network>,
-    queue: BinaryHeap<Scheduled<P>>,
+    queue: Queue<P>,
     seq: u64,
     seeder: ChaCha8Rng,
     net_rng: ChaCha8Rng,
@@ -239,7 +268,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             crashed: Vec::new(),
             slow_extra: Vec::new(),
             networks: BTreeMap::new(),
-            queue: BinaryHeap::new(),
+            queue: Queue::new(),
             seq: 0,
             seeder,
             net_rng,
@@ -353,7 +382,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     fn push(&mut self, at: SimTime, what: Pending<P>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, what });
+        self.queue.push(at, seq, what);
     }
 
     /// Dispatch `on_start` for every node, in id order. Called implicitly
@@ -372,8 +401,8 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     /// now to `t`.
     pub fn run_until(&mut self, t: SimTime) {
         self.start();
-        while let Some(head) = self.queue.peek() {
-            if head.at > t {
+        while let Some(at) = self.queue.peek_at() {
+            if at > t {
                 break;
             }
             self.step_one();
@@ -414,11 +443,11 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     }
 
     fn step_one(&mut self) -> SimTime {
-        let ev = self.queue.pop().expect("step_one on empty queue");
-        debug_assert!(ev.at >= self.now, "event queue went backwards");
-        self.now = ev.at;
+        let (at, what) = self.queue.pop().expect("step_one on empty queue");
+        debug_assert!(at >= self.now, "event queue went backwards");
+        self.now = at;
         self.events_processed += 1;
-        match ev.what {
+        match what {
             Pending::Deliver {
                 net,
                 src,
