@@ -3,6 +3,7 @@
 //! Its handlers take a [`NodeCtx`] and report every [`Event`] through
 //! `emit`, the one place the node's counters fold from what it reports.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -444,11 +445,11 @@ struct ActiveOp {
 /// Progress of an operation.
 #[derive(Debug)]
 enum OpState {
-    /// Resolving the path: component `idx` of `parts` under `cur`. A
-    /// `to_parent` op (Create/Mkdir/Delete address the parent) leaves its
-    /// last component out of `parts`.
+    /// Resolving the path: name `idx` of the op's path under `cur`, of
+    /// the first `depth`. A `to_parent` op (Create/Mkdir/Delete address
+    /// the parent) leaves its last name out of `depth`.
     Resolve {
-        parts: Vec<String>,
+        depth: usize,
         idx: usize,
         cur: Ino,
         to_parent: bool,
@@ -884,21 +885,35 @@ fn mutates(body: &RequestBody, ino: Ino) -> bool {
 }
 
 /// Canonical form of a path (strip duplicate slashes) used as the name
-/// cache key.
-fn canonical(path: &str) -> String {
+/// cache key: the path itself, borrowed, when it already is one — a
+/// leading `/`, then names with no empty one between slashes or after
+/// the last — or `/` alone.
+fn canonical(path: &str) -> Cow<'_, str> {
+    let well_formed = |rest: &str| rest.split('/').all(|name| !name.is_empty());
+    match path.strip_prefix('/') {
+        Some("") => return Cow::Borrowed(path),
+        Some(rest) if well_formed(rest) => return Cow::Borrowed(path),
+        _ => {}
+    }
     let mut s = String::with_capacity(path.len() + 1);
-    for part in path.split('/').filter(|p| !p.is_empty()) {
+    for part in names(path) {
         s.push('/');
         s.push_str(part);
     }
     if s.is_empty() {
         s.push('/');
     }
-    s
+    Cow::Owned(s)
+}
+
+/// The names of a path, root first; empty ones (doubled, leading or
+/// trailing slashes) skipped.
+fn names(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|name| !name.is_empty())
 }
 
 fn op_path(op: &FsOp) -> String {
-    canonical(op.path())
+    canonical(op.path()).into_owned()
 }
 
 fn last_component(path: &str) -> String {
@@ -1043,6 +1058,34 @@ impl Actor<NetMsg, Event> for ClientNode {
         self.flush_tick = None;
         for lane in 0..self.lanes.len() {
             self.send_hello(lane, ctx);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_canonical_path_is_borrowed_and_any_other_is_rebuilt() {
+        for path in ["/", "/f0", "/d/f"] {
+            assert!(
+                matches!(canonical(path), Cow::Borrowed(p) if p == path),
+                "{path}"
+            );
+        }
+        let rebuilt = [
+            ("", "/"),
+            ("//", "/"),
+            ("f0", "/f0"),
+            ("/d//f", "/d/f"),
+            ("/d/f/", "/d/f"),
+        ];
+        for (path, want) in rebuilt {
+            assert!(
+                matches!(canonical(path), Cow::Owned(p) if p == want),
+                "{path}"
+            );
         }
     }
 }

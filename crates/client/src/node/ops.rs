@@ -86,20 +86,16 @@ impl ClientNode {
         if let FsOp::Rename { .. } = &op {
             return self.submit_rename(id, op, from_gen, ctx);
         }
-        let mut parts: Vec<String> = op
-            .path()
-            .split('/')
-            .filter(|p| !p.is_empty())
-            .map(str::to_owned)
-            .collect();
         // Route by the top-level component: the shard owning that name's
         // dentry governs the whole subtree entered through it. The bare
         // root belongs to shard 0, except a full listing which fans out.
-        let root = match parts.first() {
+        let top = names(op.path()).next();
+        let root = match top {
             Some(name) => self.map.root_of(self.map.place_top(name)),
             None => self.map.root_of(ServerId(0)),
         };
-        if matches!(op, FsOp::List { .. }) && parts.is_empty() {
+        let bare = top.is_none();
+        if matches!(op, FsOp::List { .. }) && bare {
             return self.submit_list_fanout(id, op, from_gen, ctx);
         }
         if self.cfg.phase3_gate && !self.lanes[self.lane_of_ino(root)].serving {
@@ -121,23 +117,22 @@ impl ClientNode {
             from_gen,
             ino: None,
         };
-        if to_parent && parts.is_empty() {
+        if to_parent && bare {
             // Creating "/" or deleting "/" is invalid.
             self.ops.insert(id, active);
             return self.complete_op(id, Err(FsErr::Invalid), ctx);
         }
         if !to_parent {
-            if let Some(&ino) = self.name_cache.get(op_path(&active.op).as_str()) {
+            if let Some(&ino) = self.name_cache.get(canonical(active.op.path()).as_ref()) {
                 self.ops.insert(id, active);
                 return self.op_resolved(id, ino, ctx);
             }
         }
-        if to_parent {
-            // The last component is the name the op acts on in its parent.
-            parts.pop();
-        }
+        // A miss: resolution walks the names from the root. The last is
+        // the name a `to_parent` op acts on in its parent.
+        let depth = names(active.op.path()).count() - usize::from(to_parent);
         active.state = OpState::Resolve {
-            parts,
+            depth,
             idx: 0,
             cur: root,
             to_parent,
@@ -290,18 +285,19 @@ impl ClientNode {
             return;
         };
         let OpState::Resolve {
-            parts, idx, cur, ..
+            depth, idx, cur, ..
         } = &active.state
         else {
             return;
         };
-        if *idx >= parts.len() {
+        if *idx >= *depth {
             let cur = *cur;
             return self.op_resolved(id, cur, ctx);
         }
+        let name = names(active.op.path()).nth(*idx).unwrap_or_default();
         let body = RequestBody::Lookup {
             parent: *cur,
-            name: parts[*idx].clone(),
+            name: name.to_owned(),
         };
         let lane = self.lane_of_ino(*cur);
         self.send_request(lane, body, Purpose::Resolve { op: id }, true, ctx);
@@ -543,13 +539,13 @@ impl ClientNode {
                 if let OpState::Resolve {
                     idx,
                     cur,
-                    parts,
+                    depth,
                     to_parent,
                 } = &mut a.state
                 {
                     *cur = ino;
                     *idx += 1;
-                    if *idx >= parts.len() {
+                    if *idx >= *depth {
                         // Resolution finished. Stat can complete right
                         // here from the lookup's attributes.
                         if matches!(a.op, FsOp::Stat { .. }) {
@@ -712,13 +708,13 @@ impl ClientNode {
         };
         match &active.op {
             FsOp::Delete { path } => {
-                self.name_cache.remove(&canonical(path));
+                self.name_cache.remove(canonical(path).as_ref());
             }
             _ => {
                 // A NotFound against a cached resolution means the entry
                 // went stale (deleted/recreated elsewhere): drop it.
                 if matches!(result, Err(FsErr::NotFound)) {
-                    self.name_cache.remove(&canonical(active.op.path()));
+                    self.name_cache.remove(canonical(active.op.path()).as_ref());
                 }
             }
         }

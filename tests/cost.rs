@@ -302,15 +302,18 @@ fn the_small_shape_costs_its_counted_allocations_bytes_and_events_per_op() {
     assert_eq!(lock, EXPECTED_LOCK);
 }
 
-/// Measured on x86-64 Linux, release and debug builds alike: 6.0014
-/// allocations, 923.8 bytes, 3.0018 events and 2.0002 control datagrams
+/// Measured on x86-64 Linux, release and debug builds alike: 3.0015
+/// allocations, 820.1 bytes, 3.0018 events and 2.0002 control datagrams
 /// per op; no SAN datagram and no WAL append, and 6 replication
 /// datagrams (heartbeats) in all. A toolchain bump may move the
-/// allocation counts; re-measure then and say so.
+/// allocation counts; re-measure then and say so. Looking a path up in
+/// the name cache without building its canonical form or its names, and
+/// resolving a miss without a vector of owned names, took 3 of the 6
+/// allocations per op off.
 const EXPECTED: Cost = Cost {
     ops: 29_612,
-    allocs: 177_714,
-    bytes: 27_355_104,
+    allocs: 88_881,
+    bytes: 24_284_990,
     events: 88_889,
     ctl: 59_229,
     san: 0,
@@ -323,16 +326,17 @@ const EXPECTED: Cost = Cost {
 /// that put its 560 WAL appends on the path come early, and lazy release
 /// keeps every lock after; the periodic write-back at 2 s puts 512 SAN
 /// writes in. Measured on x86-64 Linux, release and debug builds alike:
-/// 6.8006 allocations, 5 097.0 bytes, 1.4194 events, 0.0090 control
+/// 3.8004 allocations, 4 993.9 bytes, 1.4194 events, 0.0090 control
 /// datagrams (0.0021 replication), 0.4102 SAN datagrams and 0.0010 WAL
 /// appends per op. Framing a log record in place, rather than through a
 /// payload `Vec` grown twice, took 1 121 allocations and 18 560 bytes off
 /// these counts; the world's event slab, grown once in start-up beside its
-/// key heap, put 8 allocations and 2 544 bytes on.
+/// key heap, put 8 allocations and 2 544 bytes on; a cached path that
+/// allocates nothing took 3.0 allocations per op off.
 const EXPECTED_BATCH: Cost = Cost {
     ops: 534_116,
-    allocs: 3_632_309,
-    bytes: 2_722_389_419,
+    allocs: 2_029_878,
+    bytes: 2_667_338_627,
     events: 758_102,
     ctl: 4_786,
     san: 219_085,
@@ -344,13 +348,14 @@ const EXPECTED_BATCH: Cost = Cost {
 /// epoch watermark, which the primary ships to its standby and the
 /// standby acknowledges: the half WAL append and the one replication
 /// datagram per op. Measured on x86-64 Linux, release and debug builds
-/// alike: 10.0152 allocations, 7 124.4 bytes, 5.0035 events, 3.0006
+/// alike: 7.0152 allocations, 7 020.4 bytes, 5.0035 events, 3.0006
 /// control datagrams (1.0006 replication), 1.0000 SAN datagrams and
-/// 0.5001 WAL appends per op.
+/// 0.5001 WAL appends per op. A cached path that allocates nothing took
+/// 3.0 allocations per op off (10.0152 before).
 const EXPECTED_LOCK: Cost = Cost {
     ops: 9_523,
-    allocs: 95_375,
-    bytes: 67_845_830,
+    allocs: 66_806,
+    bytes: 66_855_438,
     events: 47_648,
     ctl: 28_575,
     san: 9_523,
