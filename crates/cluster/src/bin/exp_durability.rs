@@ -16,10 +16,16 @@
 //!    and standby) replays through the offline auditor: monotone
 //!    watermarks, strictly increasing incarnations, no double-minted
 //!    inode, durable prefix fully decodable.
+//!
+//! The load: three clients read and write three shared files, and a
+//! fourth creates fresh files in a closed loop. The creates are what the
+//! log holds: a grant logs an epoch reservation only once per 2¹⁶ grants,
+//! so without them a run appends some 20 records and no threshold ever
+//! compacts.
 
 use std::sync::Arc;
 use tank_cluster::table::{f, Table};
-use tank_cluster::workload::{Mix, PrimaryBiasGen};
+use tank_cluster::workload::{CreateGen, Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_consistency::durability;
 use tank_core::LeaseConfig;
@@ -29,7 +35,7 @@ use tank_sim::{LocalNs, SimTime};
 
 fn base_cfg() -> ClusterConfig {
     let mut cfg = ClusterConfig::default();
-    cfg.clients = 3;
+    cfg.clients = 4;
     cfg.disks = 2;
     cfg.files = 3;
     cfg.file_blocks = 4;
@@ -51,6 +57,7 @@ fn attach(cluster: &mut Cluster) {
     for i in 0..3 {
         cluster.attach_workload(i, Box::new(PrimaryBiasGen::new(i, 3, 0.8, mix)));
     }
+    cluster.attach_workload(3, Box::new(CreateGen::new(LocalNs::from_millis(2))));
 }
 
 /// One run of the cadence sweep: crash at `secs/2`, restart 1s later.

@@ -214,6 +214,30 @@ impl OpGen for PrimaryBiasGen {
     }
 }
 
+/// Closed-loop `Create`s of fresh top-level names `/n1`, `/n2`, …, each
+/// `think` after the last: every op is a metadata mutation the server
+/// logs and must make durable before it answers.
+#[derive(Debug, Clone)]
+pub struct CreateGen {
+    next: u64,
+    think: LocalNs,
+}
+
+impl CreateGen {
+    /// Generator pausing `think` before each create.
+    pub fn new(think: LocalNs) -> Self {
+        CreateGen { next: 0, think }
+    }
+}
+
+impl OpGen for CreateGen {
+    fn next_op(&mut self, _rng: &mut ChaCha8Rng, _now: LocalNs) -> Option<(LocalNs, FsOp)> {
+        self.next += 1;
+        let path = format!("/n{}", self.next);
+        Some((self.think, FsOp::Create { path }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -136,6 +136,13 @@ impl LockService {
         &self.table
     }
 
+    /// Cover a grant's epoch by the table's reservation
+    /// ([`LockManager::reserve`]): the reservation to log before the
+    /// grant is answered, when it moved.
+    pub fn reserve(&mut self, epoch: Epoch) -> Option<u64> {
+        self.table.reserve(epoch)
+    }
+
     /// What the driver must do next; `None` once it has caught up.
     pub fn next_effect(&mut self) -> Option<LockEffect> {
         self.out.pop_front()

@@ -84,6 +84,11 @@ impl LockState {
     }
 }
 
+/// Epochs one logged reservation runs ahead: a grant whose epoch passes
+/// the reservation moves it this far past that epoch, so the log carries
+/// one `EpochWatermark` per 2¹⁶ grants rather than one per grant.
+pub const EPOCH_BLOCK: u64 = 1 << 16;
+
 /// The lock manager.
 #[derive(Debug, Clone, Default)]
 pub struct LockManager {
@@ -91,6 +96,10 @@ pub struct LockManager {
     /// Global epoch counter; per-grant epochs are unique across inodes,
     /// which simplifies the checker (per-ino ordering is inherited).
     epoch_counter: u64,
+    /// The epoch reservation: no grant is answered with an epoch above
+    /// it, and the server logs it before answering the grant that moved
+    /// it ([`reserve`](Self::reserve)).
+    reserved: u64,
 }
 
 impl LockManager {
@@ -104,18 +113,34 @@ impl LockManager {
         Epoch(self.epoch_counter)
     }
 
-    /// Highest epoch ever issued — the durable watermark the server's WAL
-    /// records at every grant.
+    /// The epoch reservation: at or above every epoch a grant has been
+    /// answered with. The server logs it whenever it moves and snapshots
+    /// carry it, so recovery restores a floor no granted epoch is above.
     pub fn epoch_watermark(&self) -> u64 {
-        self.epoch_counter
+        self.reserved
+    }
+
+    /// Cover a grant's epoch: when `epoch` is past the reservation, move
+    /// the reservation [`EPOCH_BLOCK`] beyond it and return it — the
+    /// record the grant's answer must wait behind; `None` when the
+    /// reservation already covers `epoch`.
+    pub fn reserve(&mut self, epoch: Epoch) -> Option<u64> {
+        if epoch.0 <= self.reserved {
+            return None;
+        }
+        self.reserved = epoch.0 + EPOCH_BLOCK;
+        Some(self.reserved)
     }
 
     /// Restore the epoch counter after recovery so grants issued by the
     /// next incarnation stay newer than every pre-crash grant (fencing
-    /// order preserved across the crash). Monotone: never moves the
-    /// counter backwards.
+    /// order preserved across the crash), and re-arm the reservation at
+    /// that floor: a snapshot taken before the next grant still carries
+    /// it, and that grant reserves anew. Monotone: never moves either
+    /// backwards.
     pub fn restore_epoch(&mut self, n: u64) {
         self.epoch_counter = self.epoch_counter.max(n);
+        self.reserved = self.reserved.max(self.epoch_counter);
     }
 
     /// Handle a lock request from `client` for `ino` in `mode`.

@@ -412,15 +412,17 @@ impl ServerNode {
         // the same successor, and it is fsynced before anything is served
         // so the *next* recovery sees it too.
         let incarnation = Incarnation(recovered.watermarks.incarnation + 1);
-        // Incarnation-qualified epoch floor: the logged `EpochWatermark`
-        // can lag reality — an unfsynced tail dies with the crash, and a
-        // standby's mirror misses whatever the final replication deltas
-        // dropped. The watermark alone would let this incarnation re-mint
-        // an epoch the old one already stamped onto writes, corrupting
-        // fence ordering. Lifting the counter to `incarnation << 32`
-        // (each incarnation owns a disjoint 4-billion-epoch range, and
-        // incarnations strictly increase) makes cross-incarnation epoch
-        // monotonicity unconditional instead of watermark-dependent.
+        // Incarnation-qualified epoch floor: the logged reservation (the
+        // `EpochWatermark` a grant past the last one logs before it is
+        // answered) covers every grant answered under it, but a standby's
+        // mirror misses whatever the final replication deltas dropped,
+        // and with them the last reservation. The watermark alone would
+        // let this incarnation re-mint an epoch the old one already
+        // stamped onto writes, corrupting fence ordering. Lifting the
+        // counter to `incarnation << 32` (each incarnation owns a
+        // disjoint 4-billion-epoch range, and incarnations strictly
+        // increase) covers an incarnation's grants whatever its log
+        // kept; the reservation covers one that minted past its range.
         let epoch_floor = recovered.watermarks.epoch.max(incarnation.0 << 32);
         let session_floor = recovered.watermarks.session;
         self.core.incarnation = incarnation;
@@ -589,5 +591,270 @@ pub fn admit(
         | RequestBody::RenameLink { .. }
         | RequestBody::RenameUnlink { .. }
         | RequestBody::Batch(_) => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The epoch reservation across crashes: a driven node, its durable
+    //! log planted with a floor where a test needs one.
+
+    use tank_core::LeaseConfig;
+    use tank_meta::wal;
+    use tank_proto::message::ResponseOutcome;
+    use tank_proto::{Epoch, ReqSeq, SessionId};
+    use tank_sim::world::Control;
+    use tank_sim::{ClockSpec, LocalNs, NetParams, SimTime, World, WorldConfig};
+
+    use super::*;
+    use crate::lock::EPOCH_BLOCK;
+
+    /// A client that opens a session, then runs closed-loop acquire and
+    /// release cycles of one file, keeping every epoch it is granted.
+    struct Locker {
+        server: NodeId,
+        ino: Ino,
+        session: SessionId,
+        seq: u64,
+        hello: bool,
+        cycles: u64,
+        holding: Option<Epoch>,
+        waiting: bool,
+        granted: Vec<Epoch>,
+    }
+
+    impl Locker {
+        fn next(&mut self, ctx: &mut NodeCtx<'_>) {
+            let (session, ino) = (self.session, self.ino);
+            let (session, body) = if self.hello {
+                (SessionId(0), RequestBody::Hello { map_epoch: 0 })
+            } else if let Some(epoch) = self.holding {
+                (session, RequestBody::LockRelease { ino, epoch })
+            } else if self.cycles > 0 {
+                let mode = LockMode::Exclusive;
+                (session, RequestBody::LockAcquire { ino, mode })
+            } else {
+                return;
+            };
+            self.seq += 1;
+            let req = Request {
+                src: ctx.node(),
+                session,
+                seq: ReqSeq(self.seq),
+                body,
+            };
+            self.waiting = true;
+            let msg = NetMsg::Ctl(CtlMsg::Request(req));
+            ctx.send(NetId::CONTROL, self.server, msg);
+        }
+    }
+
+    impl Actor<NetMsg, Event> for Locker {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(LocalNs::from_millis(1), 0);
+        }
+
+        fn on_message(&mut self, _: NodeId, _: NetId, msg: NetMsg, ctx: &mut NodeCtx<'_>) {
+            let NetMsg::Ctl(CtlMsg::Response(resp)) = msg else {
+                return;
+            };
+            match resp.outcome {
+                ResponseOutcome::Acked(Ok(ReplyBody::HelloOk { session, .. })) => {
+                    (self.session, self.hello) = (session, false);
+                }
+                ResponseOutcome::Acked(Ok(ReplyBody::LockGranted { epoch, .. })) => {
+                    self.holding = Some(epoch);
+                    self.granted.push(epoch);
+                }
+                ResponseOutcome::Acked(Ok(ReplyBody::Ok)) => {
+                    self.holding = None;
+                    self.cycles -= 1;
+                }
+                other => panic!("unexpected answer {other:?}"),
+            }
+            self.waiting = false;
+            self.next(ctx);
+        }
+
+        /// A kick each millisecond, for work the test queued while idle.
+        fn on_timer(&mut self, _: u64, ctx: &mut NodeCtx<'_>) {
+            if !self.waiting {
+                self.next(ctx);
+            }
+            ctx.set_timer(LocalNs::from_millis(1), 0);
+        }
+    }
+
+    /// A server with one file and a [`Locker`] of it, over a 10 µs LAN,
+    /// τ = 1 s.
+    struct Rig {
+        world: World<NetMsg, Event>,
+        server: NodeId,
+        client: NodeId,
+    }
+
+    impl Rig {
+        fn new(compact_threshold: usize) -> Rig {
+            let mut world = World::new(WorldConfig::default());
+            world.add_network(NetId::CONTROL, NetParams::ideal(10_000));
+            world.add_network(NetId::SAN, NetParams::ideal(10_000));
+            let cfg = ServerConfig {
+                lease: LeaseConfig::with_tau(LocalNs::from_secs(1)),
+                compact_threshold,
+                ..ServerConfig::default()
+            };
+            let mut node = ServerNode::new(cfg, 1024, 512);
+            let ino = node.precreate_file("f", 1);
+            let server = world.add_node(Box::new(node), ClockSpec::ideal());
+            let locker = Locker {
+                server,
+                ino,
+                session: SessionId(0),
+                seq: 0,
+                hello: false,
+                cycles: 0,
+                holding: None,
+                waiting: false,
+                granted: Vec::new(),
+            };
+            let client = world.add_node(Box::new(locker), ClockSpec::ideal());
+            world.run_until(SimTime::from_millis(1));
+            Rig {
+                world,
+                server,
+                client,
+            }
+        }
+
+        fn node(&mut self) -> &mut ServerNode {
+            self.world.node_mut::<ServerNode>(self.server).unwrap()
+        }
+
+        fn locker(&mut self) -> &mut Locker {
+            self.world.node_mut::<Locker>(self.client).unwrap()
+        }
+
+        fn run_for_secs(&mut self, secs: u64) {
+            self.world.run_for(secs * 1_000_000_000);
+        }
+
+        /// Open a fresh session and run `cycles` acquire/release cycles;
+        /// the epochs they were granted.
+        fn cycles(&mut self, cycles: u64) -> Vec<Epoch> {
+            let locker = self.locker();
+            (locker.hello, locker.cycles) = (true, cycles);
+            let before = locker.granted.len();
+            self.run_for_secs(1 + cycles / 10_000);
+            let locker = self.locker();
+            assert_eq!(locker.cycles, 0, "the cycles finished");
+            locker.granted[before..].to_vec()
+        }
+
+        /// Log `EpochWatermark(epoch)` durably, as an incarnation that
+        /// reserved up to `epoch` would have.
+        fn plant(&mut self, epoch: u64) {
+            let wal = &mut self.node().wal;
+            wal.append(&WalRecord::EpochWatermark(epoch));
+            wal.fsync();
+        }
+
+        /// Fail-stop the server, restart it and wait out its recovery
+        /// window; the client's session and lock went with the crash.
+        fn crash_and_restart(&mut self) {
+            let node = self.server;
+            self.world.apply_control(Control::Crash { node });
+            self.world.apply_control(Control::Restart { node });
+            self.run_for_secs(2);
+            let locker = self.locker();
+            (locker.holding, locker.waiting) = (None, false);
+        }
+
+        /// Every `EpochWatermark` in the durable log, in order.
+        fn logged_reservations(&mut self) -> Vec<u64> {
+            let log = wal::scan(self.node().wal.durable_delta(0)).records;
+            let reservations = log.into_iter().filter_map(|rec| match rec {
+                WalRecord::EpochWatermark(epoch) => Some(epoch),
+                _ => None,
+            });
+            reservations.collect()
+        }
+    }
+
+    fn highest(epochs: &[Epoch]) -> u64 {
+        epochs.iter().map(|e| e.0).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn a_grant_past_the_reservation_logs_the_next_one_and_no_other_grant_logs() {
+        let mut rig = Rig::new(wal::DEFAULT_COMPACT_THRESHOLD);
+        let granted = rig.cycles(EPOCH_BLOCK + 2);
+        assert_eq!(highest(&granted), EPOCH_BLOCK + 2);
+        let reserved = vec![1 + EPOCH_BLOCK, EPOCH_BLOCK + 2 + EPOCH_BLOCK];
+        assert_eq!(rig.logged_reservations(), reserved);
+        // A crash takes the unsynced tail; nothing a grant answered with
+        // is minted again.
+        rig.node().wal.append(&WalRecord::SessionWatermark(99));
+        rig.crash_and_restart();
+        let after = rig.cycles(1);
+        assert!(after[0].0 > highest(&granted), "{after:?}");
+    }
+
+    #[test]
+    fn a_snapshot_between_the_reservation_and_the_crash_keeps_the_reservation() {
+        // Every answer that follows a logged record compacts.
+        let mut rig = Rig::new(1);
+        let floor = (3 << 32) - 2;
+        rig.plant(floor);
+        rig.crash_and_restart();
+        assert_eq!(rig.node().incarnation(), Incarnation(2));
+        // The first grant reserves and compacts; the next two log nothing,
+        // and the last is past incarnation 3's own floor.
+        let granted = rig.cycles(3);
+        assert_eq!(highest(&granted), (3 << 32) + 1);
+        let compactions = rig.node().wal.stats().compactions;
+        assert!(compactions >= 2, "{compactions} compactions");
+        let unfolded = rig.logged_reservations();
+        assert!(
+            unfolded.is_empty(),
+            "folded into the snapshot: {unfolded:?}"
+        );
+        rig.crash_and_restart();
+        let after = rig.cycles(1);
+        assert!(
+            after[0].0 > highest(&granted),
+            "{after:?} after {granted:?}"
+        );
+    }
+
+    #[test]
+    fn a_restart_whose_floor_sits_below_the_next_incarnations_keeps_what_it_granted_past_it() {
+        let mut rig = Rig::new(wal::DEFAULT_COMPACT_THRESHOLD);
+        let floor = (3 << 32) - 2;
+        rig.plant(floor);
+        rig.crash_and_restart();
+        let granted = rig.cycles(3);
+        assert_eq!(highest(&granted), (3 << 32) + 1);
+        rig.crash_and_restart();
+        assert_eq!(rig.node().incarnation(), Incarnation(3));
+        let after = rig.cycles(1);
+        assert!(
+            after[0].0 > highest(&granted),
+            "{after:?} after {granted:?}"
+        );
+    }
+
+    #[test]
+    fn a_snapshot_before_the_first_grant_keeps_the_restored_floor() {
+        let mut rig = Rig::new(1);
+        // As if incarnation 1 had reserved past incarnation 3's floor.
+        let floor = (3 << 32) + 7;
+        rig.plant(floor);
+        rig.crash_and_restart();
+        // The Hello's answer compacts; no grant comes before the crash.
+        rig.cycles(0);
+        assert!(rig.node().wal.stats().compactions >= 1);
+        rig.crash_and_restart();
+        let after = rig.cycles(1);
+        assert!(after[0].0 > floor, "{after:?}");
     }
 }

@@ -463,11 +463,14 @@ impl ServerCore {
                 }
                 LockEffect::Granted(g) => {
                     // Grant epochs order conflicting ownership across
-                    // crashes; the watermark must be durable before the
-                    // grant is ACKed.
+                    // crashes: a grant is ACKed only under a durable
+                    // reservation that covers its epoch, logged when the
+                    // grant passes the last one.
                     let (client, ino, epoch, mode) = (g.client, g.ino, g.epoch, g.mode);
-                    let watermark = WalRecord::EpochWatermark(epoch.0);
-                    self.out.push_back(Effect::Log(watermark));
+                    if let Some(reserved) = self.locks.reserve(epoch) {
+                        let watermark = WalRecord::EpochWatermark(reserved);
+                        self.out.push_back(Effect::Log(watermark));
+                    }
                     let granted = Event::LockGranted {
                         client,
                         ino,
@@ -584,6 +587,7 @@ mod tests {
     use tank_proto::{CtlMsg, Epoch, LockMode, NetMsg, PushBody, WireEncode};
 
     use crate::demand::DemandLadder;
+    use crate::lock::EPOCH_BLOCK;
 
     const A: NodeId = NodeId(10);
     const B: NodeId = NodeId(11);
@@ -864,7 +868,9 @@ mod tests {
         send(&mut c, B, 0, 1, hello());
         send(&mut c, A, 1, 2, create("f"));
         let acquire = RequestBody::LockAcquire { ino: F, mode: X };
-        send(&mut c, A, 1, 3, acquire.clone());
+        // A's grant, the first, reserves the epochs B's grant will need.
+        let granted = send(&mut c, A, 1, 3, acquire.clone());
+        assert_eq!(granted[0], Log(WalRecord::EpochWatermark(1 + EPOCH_BLOCK)));
         let queued = send(&mut c, B, 2, 2, acquire);
         let demand = ServerPush {
             dst: A,
@@ -899,7 +905,6 @@ mod tests {
                 ino: F,
                 epoch: Epoch(1),
             }),
-            Log(WalRecord::EpochWatermark(3)),
             Event(tank_proto::Event::LockGranted {
                 client: B,
                 ino: F,
@@ -954,7 +959,7 @@ mod tests {
         let expected = [
             WalRecord::SessionWatermark(1),
             created("f", F),
-            WalRecord::EpochWatermark(1),
+            WalRecord::EpochWatermark(1 + EPOCH_BLOCK),
             WalRecord::Alloc { ino: F, count: 2 },
             created("g", Ino(3)),
             created("h", Ino(4)),

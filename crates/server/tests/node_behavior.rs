@@ -763,7 +763,10 @@ fn a_non_holder_cannot_move_a_held_inodes_attributes() {
 
 /// The durable log of [`the_wal_bytes_of_a_fixed_script_match_the_golden`]'s
 /// script, captured at the commit before metadata execution moved behind
-/// `MetaStore::execute`: same records, same order, same bytes.
+/// `MetaStore::execute`: same records, same order, same bytes — but for
+/// the one `EpochWatermark`, which the grant of epoch 1 logs as its
+/// reservation, 1 + 2¹⁶, where it once logged the epoch itself (the
+/// eighth record: one payload byte and the CRC differ).
 const GOLDEN_WAL_HEX: &str = concat!(
     "1d000000b17a587f000100000000000000020000000000000000000000000000",
     "00020066300d0000009790c8cc0602000000000000000400000019000000aff2",
@@ -771,7 +774,7 @@ const GOLDEN_WAL_HEX: &str = concat!(
     "9e8dbf0a01000000000000000900000028b67b910801000000000000001c0000",
     "007b27508a0001000000000000000300000000000000200b2000000000000100",
     "611c0000007b04e42b0101000000000000000400000000000000604d2f000000",
-    "0000010064090000006ba200860901000000000000000d00000041e4baca0603",
+    "000001006409000000ce715c4d0901000100000000000d00000041e4baca0603",
     "0000000000000003000000190000007ed277a5070300000000000000dc050000",
     "0000000020145d00000000001a000000cb8ab34f020300000000000000010002",
     "00000000000060566c000000000012000000d4a1480602040000000000000000",

@@ -3,8 +3,8 @@
 //! simulator shapes run — `small` (8 clients, 2 shards with standbys, one
 //! unbatched `Stat` at a time per client), `batch` (the same cluster,
 //! four processes per client writing beside reading through a 256-block
-//! cache, batches of up to 8, lazy release, so WAL appends, replication
-//! and write-back are on the path) and `lock` (4 clients, 1 shard with a
+//! cache, batches of up to 8, lazy release, so batching and write-back
+//! are on the path) and `lock` (4 clients, 1 shard with a
 //! standby, each client one 4 KiB read or write of its own file and then
 //! its `Release`, so every second op is a grant and every other a
 //! release) — and the test asserts the allocations, bytes and world
@@ -322,43 +322,47 @@ const EXPECTED: Cost = Cost {
 };
 
 /// The batch shape over its first 2.4 simulated seconds, start-up
-/// included: the lock grants (each logs an epoch watermark) and sessions
-/// that put its 560 WAL appends on the path come early, and lazy release
-/// keeps every lock after; the periodic write-back at 2 s puts 512 SAN
-/// writes in. Measured on x86-64 Linux, release and debug builds alike:
-/// 3.8004 allocations, 4 993.9 bytes, 1.4194 events, 0.0090 control
-/// datagrams (0.0021 replication), 0.4102 SAN datagrams and 0.0010 WAL
-/// appends per op. Framing a log record in place, rather than through a
-/// payload `Vec` grown twice, took 1 121 allocations and 18 560 bytes off
-/// these counts; the world's event slab, grown once in start-up beside its
-/// key heap, put 8 allocations and 2 544 bytes on; a cached path that
-/// allocates nothing took 3.0 allocations per op off.
+/// included: the sessions and the first grant of each shard put its 18
+/// WAL appends on the path early (560 while every grant logged its epoch),
+/// and lazy release keeps every lock after; the periodic write-back at
+/// 2 s puts 512 SAN writes in. Measured on x86-64 Linux, release and
+/// debug builds alike: 3.7997 allocations, 4 994.0 bytes, 1.4174 events,
+/// 0.0069 control datagrams (0.0001 replication), 0.4102 SAN datagrams
+/// and 0.0000 WAL appends per op. Framing a log record in place, rather
+/// than through a payload `Vec` grown twice, took 1 121 allocations and
+/// 18 560 bytes off these counts; the world's event slab, grown once in
+/// start-up beside its key heap, put 8 allocations and 2 544 bytes on; a
+/// cached path that allocates nothing took 3.0 allocations per op off
+/// (6.8006 before); reserving grant epochs in blocks took 542 log
+/// appends and 1 084 replication datagrams off.
 const EXPECTED_BATCH: Cost = Cost {
-    ops: 534_116,
-    allocs: 2_029_878,
-    bytes: 2_667_338_627,
-    events: 758_102,
-    ctl: 4_786,
-    san: 219_085,
-    repl: 1_130,
-    wal: 560,
+    ops: 534_085,
+    allocs: 2_029_351,
+    bytes: 2_667_219_465,
+    events: 757_006,
+    ctl: 3_700,
+    san: 219_106,
+    repl: 46,
+    wal: 18,
 };
 
-/// The lock shape's second after 200 ms of warm-up. Every grant logs an
-/// epoch watermark, which the primary ships to its standby and the
-/// standby acknowledges: the half WAL append and the one replication
-/// datagram per op. Measured on x86-64 Linux, release and debug builds
-/// alike: 7.0152 allocations, 7 020.4 bytes, 5.0035 events, 3.0006
-/// control datagrams (1.0006 replication), 1.0000 SAN datagrams and
-/// 0.5001 WAL appends per op. A cached path that allocates nothing took
-/// 3.0 allocations per op off (10.0152 before).
+/// The lock shape's second after 200 ms of warm-up: a grant logs an epoch
+/// reservation only once per 2¹⁶ grants, so no op appends to the log or
+/// replicates. Measured on x86-64 Linux, release and debug builds alike:
+/// 6.5121 allocations, 7 094.1 bytes, 4.0027 events, 2.0002 control
+/// datagrams (0.0002 replication), 1.0000 SAN datagrams and 0.0000 WAL
+/// appends per op. Before, every grant logged its epoch, which the primary
+/// shipped to its standby and the standby acknowledged: 10.0152
+/// allocations, 5.0035 events, 3.0006 control datagrams (1.0006
+/// replication) and 0.5001 WAL appends per op. A cached path that
+/// allocates nothing took 3.0 allocations per op off, the reservation 0.5.
 const EXPECTED_LOCK: Cost = Cost {
-    ops: 9_523,
-    allocs: 66_806,
-    bytes: 66_855_438,
-    events: 47_648,
-    ctl: 28_575,
-    san: 9_523,
-    repl: 9_529,
-    wal: 4_762,
+    ops: 9_522,
+    allocs: 62_008,
+    bytes: 67_549_576,
+    events: 38_114,
+    ctl: 19_046,
+    san: 9_522,
+    repl: 2,
+    wal: 0,
 };

@@ -16,10 +16,9 @@
 //! * the offline durability audit passes on both the primary's durable
 //!   device and the standby's mirror.
 
-use rand_chacha::ChaCha8Rng;
 use tank_client::fs::Script;
-use tank_client::{FsOp, OpGen};
-use tank_cluster::workload::{Mix, PrimaryBiasGen};
+use tank_client::FsOp;
+use tank_cluster::workload::{CreateGen, Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig, RunReport};
 use tank_consistency::{durability, Event};
 use tank_core::{legal_rate_range, LeaseConfig};
@@ -321,19 +320,6 @@ fn quiet_cluster_with_standbys_never_elects() {
     }
 }
 
-/// Closed-loop `Create`s of fresh top-level names, one every 5 ms.
-struct CreateGen {
-    next: u64,
-}
-
-impl OpGen for CreateGen {
-    fn next_op(&mut self, _: &mut ChaCha8Rng, _: LocalNs) -> Option<(LocalNs, FsOp)> {
-        self.next += 1;
-        let path = format!("/n{}", self.next);
-        Some((LocalNs::from_millis(5), FsOp::Create { path }))
-    }
-}
-
 #[test]
 fn failover_serves_creates_within_one_lease_period_and_grants_after_the_window() {
     // The benchmark drill's shape: 4 clients, one shard and its standby,
@@ -387,7 +373,7 @@ fn failover_serves_creates_within_one_lease_period_and_grants_after_the_window()
             think_mean: ms(2),
         };
         cluster.attach_workload(2, Box::new(PrimaryBiasGen::new(2, 4, 1.0, writer)));
-        cluster.attach_workload(3, Box::new(CreateGen { next: 0 }));
+        cluster.attach_workload(3, Box::new(CreateGen::new(LocalNs::from_millis(5))));
         cluster.isolate_control(0, SimTime::from_secs(4), None);
         cluster.crash_shard_with_failover(ServerId(0), crash);
         cluster.run_until(SimTime::from_secs(22));

@@ -6,8 +6,13 @@
 //! lacks. So once the run settles, the mirror holds the primary's durable
 //! device byte for byte: the same snapshot generation, the same snapshot
 //! and the same durable log. The checker rules the whole run safe.
+//!
+//! Three clients read and write shared files and a fourth creates files
+//! in a closed loop: grants log an epoch reservation only once per 2¹⁶,
+//! so the creates are what grows the log — at a 2 KiB threshold, past a
+//! dozen snapshot generations in 20 s.
 
-use tank_cluster::workload::{Mix, PrimaryBiasGen};
+use tank_cluster::workload::{CreateGen, Mix, PrimaryBiasGen};
 use tank_cluster::{Cluster, ClusterConfig};
 use tank_core::LeaseConfig;
 use tank_proto::ServerId;
@@ -15,7 +20,7 @@ use tank_sim::{LocalNs, SimTime};
 
 fn resync_cfg(compact_threshold: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::default();
-    cfg.clients = 3;
+    cfg.clients = 4;
     cfg.standbys = true;
     cfg.disks = 2;
     cfg.files = 6;
@@ -44,6 +49,7 @@ fn restart_inside_the_election_window(compact_threshold: usize, seed: u64) -> u6
     for i in 0..3 {
         cluster.attach_workload(i, Box::new(PrimaryBiasGen::new(i, 6, 0.8, mix)));
     }
+    cluster.attach_workload(3, Box::new(CreateGen::new(LocalNs::from_millis(40))));
     let (crash, restart) = (SimTime::from_secs(8), SimTime::from_millis(8_500));
     cluster.crash_shard(ServerId(0), crash, restart);
     cluster.run_until(SimTime::from_secs(20));
