@@ -128,7 +128,7 @@ impl LockManager {
         if epoch.0 <= self.reserved {
             return None;
         }
-        self.reserved = epoch.0 + EPOCH_BLOCK;
+        self.reserved = epoch.0.saturating_add(EPOCH_BLOCK);
         Some(self.reserved)
     }
 

@@ -174,6 +174,7 @@ struct Queue<P> {
     keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     slots: Vec<Option<Pending<P>>>,
     free: Vec<u32>,
+    seq: u64,
 }
 
 impl<P> Queue<P> {
@@ -182,21 +183,24 @@ impl<P> Queue<P> {
             keys: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            seq: 0,
         }
     }
 
-    fn push(&mut self, at: SimTime, seq: u64, what: Pending<P>) {
+    fn push(&mut self, at: SimTime, what: Pending<P>) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(what);
                 slot
             }
             None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2³² events queued");
                 self.slots.push(Some(what));
-                (self.slots.len() - 1) as u32
+                slot
             }
         };
-        self.keys.push(Reverse((at, seq, slot)));
+        self.keys.push(Reverse((at, self.seq, slot)));
+        self.seq += 1;
     }
 
     /// Time of the earliest event.
@@ -235,7 +239,6 @@ pub struct World<P: Payload, Ob = ()> {
     slow_extra: Vec<u64>,
     networks: BTreeMap<NetId, Network>,
     queue: Queue<P>,
-    seq: u64,
     seeder: ChaCha8Rng,
     net_rng: ChaCha8Rng,
     stats: MsgStats,
@@ -269,7 +272,6 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             slow_extra: Vec::new(),
             networks: BTreeMap::new(),
             queue: Queue::new(),
-            seq: 0,
             seeder,
             net_rng,
             stats: MsgStats::default(),
@@ -371,18 +373,12 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
     /// Schedule a control action at an absolute true time.
     pub fn schedule_control(&mut self, at: SimTime, control: Control) {
         assert!(at >= self.now, "cannot schedule control in the past");
-        self.push(at, Pending::Control(control));
+        self.queue.push(at, Pending::Control(control));
     }
 
     /// Apply a control action immediately.
     pub fn apply_control(&mut self, control: Control) {
         self.handle_control(control);
-    }
-
-    fn push(&mut self, at: SimTime, what: Pending<P>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, what);
     }
 
     /// Dispatch `on_start` for every node, in id order. Called implicitly
@@ -562,7 +558,8 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
             match e {
                 Effect::Send { net, dst, msg } => self.route(net, node, dst, msg, dispatch),
                 Effect::SetTimer { fire_at, token } => {
-                    self.push(fire_at.max(self.now), Pending::Timer { node, token });
+                    let timer = Pending::Timer { node, token };
+                    self.queue.push(fire_at.max(self.now), timer);
                 }
                 Effect::Observe(ob) => {
                     if let Some(causal) = &mut self.causal {
@@ -638,7 +635,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
                 0
             };
             let dup_at = deliver_at.after(1 + extra);
-            self.push(
+            self.queue.push(
                 dup_at,
                 Pending::Deliver {
                     net,
@@ -649,7 +646,7 @@ impl<P: Payload + 'static, Ob: 'static> World<P, Ob> {
                 },
             );
         }
-        self.push(
+        self.queue.push(
             deliver_at,
             Pending::Deliver {
                 net,
