@@ -306,10 +306,7 @@ fn the_small_shape_costs_its_counted_allocations_bytes_and_events_per_op() {
 /// allocations, 820.1 bytes, 3.0018 events and 2.0002 control datagrams
 /// per op; no SAN datagram and no WAL append, and 6 replication
 /// datagrams (heartbeats) in all. A toolchain bump may move the
-/// allocation counts; re-measure then and say so. Looking a path up in
-/// the name cache without building its canonical form or its names, and
-/// resolving a miss without a vector of owned names, took 3 of the 6
-/// allocations per op off.
+/// allocation counts; re-measure then and say so.
 const EXPECTED: Cost = Cost {
     ops: 29_612,
     allocs: 88_881,
@@ -323,18 +320,13 @@ const EXPECTED: Cost = Cost {
 
 /// The batch shape over its first 2.4 simulated seconds, start-up
 /// included: the sessions and the first grant of each shard put its 18
-/// WAL appends on the path early (560 while every grant logged its epoch),
-/// and lazy release keeps every lock after; the periodic write-back at
-/// 2 s puts 512 SAN writes in. Measured on x86-64 Linux, release and
-/// debug builds alike: 3.7997 allocations, 4 994.0 bytes, 1.4174 events,
-/// 0.0069 control datagrams (0.0001 replication), 0.4102 SAN datagrams
-/// and 0.0000 WAL appends per op. Framing a log record in place, rather
-/// than through a payload `Vec` grown twice, took 1 121 allocations and
-/// 18 560 bytes off these counts; the world's event slab, grown once in
-/// start-up beside its key heap, put 8 allocations and 2 544 bytes on; a
-/// cached path that allocates nothing took 3.0 allocations per op off
-/// (6.8006 before); reserving grant epochs in blocks took 542 log
-/// appends and 1 084 replication datagrams off.
+/// WAL appends on the path early, and lazy release keeps every lock
+/// after; the periodic write-back at 2 s puts 512 SAN writes in.
+/// Measured on x86-64 Linux, release and debug builds alike: 3.7997
+/// allocations, 4 994.0 bytes, 1.4174 events, 0.0069 control datagrams
+/// (0.0001 replication), 0.4102 SAN datagrams and 0.0000 WAL appends per
+/// op. Framing a log record in place, rather than through a payload `Vec`
+/// grown twice, took 1 121 allocations and 18 560 bytes off these counts.
 const EXPECTED_BATCH: Cost = Cost {
     ops: 534_085,
     allocs: 2_029_351,
@@ -351,11 +343,7 @@ const EXPECTED_BATCH: Cost = Cost {
 /// replicates. Measured on x86-64 Linux, release and debug builds alike:
 /// 6.5121 allocations, 7 094.1 bytes, 4.0027 events, 2.0002 control
 /// datagrams (0.0002 replication), 1.0000 SAN datagrams and 0.0000 WAL
-/// appends per op. Before, every grant logged its epoch, which the primary
-/// shipped to its standby and the standby acknowledged: 10.0152
-/// allocations, 5.0035 events, 3.0006 control datagrams (1.0006
-/// replication) and 0.5001 WAL appends per op. A cached path that
-/// allocates nothing took 3.0 allocations per op off, the reservation 0.5.
+/// appends per op.
 const EXPECTED_LOCK: Cost = Cost {
     ops: 9_522,
     allocs: 62_008,
